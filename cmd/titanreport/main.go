@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -207,7 +206,7 @@ func printRollup(study *core.Study, by string, bucket time.Duration, codeArg str
 		}
 	}
 	if codeArg != "" {
-		code, err := parseCode(codeArg)
+		code, err := xid.ParseCode(codeArg)
 		if err != nil {
 			return err
 		}
@@ -223,21 +222,6 @@ func printRollup(study *core.Study, by string, bucket time.Duration, codeArg str
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// parseCode accepts an XID number or the sbe/otb abbreviations.
-func parseCode(s string) (xid.Code, error) {
-	switch strings.ToLower(s) {
-	case "sbe":
-		return xid.SingleBitError, nil
-	case "otb":
-		return xid.OffTheBus, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad code %q: want an XID number, sbe or otb", s)
-	}
-	return xid.Code(n), nil
 }
 
 func writeQuarantine(path string, health *ingest.Health) error {

@@ -10,8 +10,6 @@ import (
 	"sync"
 
 	"titanre/internal/serve"
-	"titanre/internal/store"
-	"titanre/internal/titanql"
 )
 
 // Read-side fan-out and deterministic merge.
@@ -129,73 +127,44 @@ func decodeAll[T any](results []fanResult) ([]T, error) {
 	return out, nil
 }
 
-// handleRollup merges replica rollup accumulators into the exact
-// single-daemon RollupDoc.
-func (rt *Router) handleRollup(w http.ResponseWriter, r *http.Request) {
-	results := rt.fanOut(r, "/rollup", partialQuery(r))
-	if !rt.gatherOK(w, results) {
-		return
+// mergedRead builds the one handler behind /rollup, /top and /query:
+// fan the client's query out with partial=1, decode every replica's raw
+// accumulator, merge, render once. The three endpoints differ only in
+// the partial's wire type P and its merge kernel; ranking and
+// K-truncation live inside merge, after cluster-wide counts are whole.
+func mergedRead[P, D any](rt *Router, path string, merge func([]P) (D, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		results := rt.fanOut(r, path, partialQuery(r))
+		if !rt.gatherOK(w, results) {
+			return
+		}
+		parts, err := decodeAll[P](results)
+		var doc D
+		if err == nil {
+			doc, err = merge(parts)
+		}
+		if err != nil {
+			rt.metrics.readErrors.Add(1)
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		rt.metrics.mergedQueries.Add(1)
+		writeJSON(w, doc)
 	}
-	parts, err := decodeAll[store.RollupPartial](results)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	roll, err := store.MergeRollupPartials(parts)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	rt.metrics.mergedQueries.Add(1)
-	writeJSON(w, roll.Doc())
 }
 
-// handleTop merges replica top accumulators; ranking and K-truncation
-// happen only here, after cluster-wide counts are whole.
-func (rt *Router) handleTop(w http.ResponseWriter, r *http.Request) {
-	results := rt.fanOut(r, "/top", partialQuery(r))
-	if !rt.gatherOK(w, results) {
-		return
+// rendered adapts a store merge kernel, which returns the merged
+// accumulator, to the document that accumulator renders — the exact
+// single-daemon RollupDoc / TopDoc.
+func rendered[P, D any, A interface{ Doc() D }](merge func([]P) (A, error)) func([]P) (D, error) {
+	return func(parts []P) (D, error) {
+		acc, err := merge(parts)
+		if err != nil {
+			var none D
+			return none, err
+		}
+		return acc.Doc(), nil
 	}
-	parts, err := decodeAll[store.TopPartial](results)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	top, err := store.MergeTopPartials(parts)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	rt.metrics.mergedQueries.Add(1)
-	writeJSON(w, top.Doc())
-}
-
-// handleQuery merges replica titanql partials into the exact
-// single-daemon query document.
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	results := rt.fanOut(r, "/query", partialQuery(r))
-	if !rt.gatherOK(w, results) {
-		return
-	}
-	parts, err := decodeAll[titanql.Partial](results)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	doc, err := titanql.MergePartials(parts)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	rt.metrics.mergedQueries.Add(1)
-	writeJSON(w, doc)
 }
 
 // handleAlerts reconstructs the cluster-wide alert stream: union the

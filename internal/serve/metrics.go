@@ -52,6 +52,7 @@ type metrics struct {
 	eventsSealed    atomic.Uint64 // events moved from memory into segments
 
 	// Fleet-wide query endpoints (see query.go).
+	queryNodeHistory atomic.Uint64 // GET /nodes/{cname}/history served
 	queryCodeHistory atomic.Uint64 // GET /codes/{xid}/history served
 	queryRollup      atomic.Uint64 // GET /rollup served
 	queryTop         atomic.Uint64 // GET /top served
@@ -140,6 +141,7 @@ func (m *metrics) write(w io.Writer, g snapshotGauges, now time.Time) error {
 	counter("titand_compaction_failures_total", "Compaction passes that failed to seal (events stay retained).", m.compactFailures.Load())
 	counter("titand_compaction_retries_total", "Chunk seals retried after a transient I/O fault (jittered exponential backoff).", m.compactRetries.Load())
 	counter("titand_events_sealed_total", "Events moved from the retained log into on-disk columnar segments.", m.eventsSealed.Load())
+	counter("titand_query_node_history_total", "Node history queries served (GET /nodes/{cname}/history).", m.queryNodeHistory.Load())
 	counter("titand_query_code_history_total", "Fleet-wide code history queries served (GET /codes/{xid}/history).", m.queryCodeHistory.Load())
 	counter("titand_query_rollup_total", "Time-bucketed rollup queries served (GET /rollup).", m.queryRollup.Load())
 	counter("titand_query_top_total", "Top-offender queries served (GET /top).", m.queryTop.Load())

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"titanre/internal/console"
@@ -18,32 +20,19 @@ import (
 // (events/hour by code, per-cabinet heatmaps, top-offender lists)
 // served live off the columnar store:
 //
+//	GET /nodes/{cname}/history?since=&until=
 //	GET /codes/{xid}/history?since=&until=&limit=
 //	GET /rollup?by=code,cabinet&bucket=1h&code=&cabinet=&cage=&node=&since=&until=
 //	GET /top?k=20&by=node|serial|code&code=&since=&until=
 //	GET /query?q=<titanql expression>
 //
-// All three read one consistent (sealed segments, retained tail)
-// snapshot via historyView, stream segment columns without
-// materializing events (rollup/top), and fold the retained tail through
-// the identical kernel — so their answers byte-match the batch core
-// pipeline computing the same aggregate over the same stream.
-
-// parseCode accepts "13", "-1", or the conventional abbreviations
-// "sbe" / "otb" (case-insensitive).
-func parseCode(s string) (xid.Code, error) {
-	switch strings.ToLower(s) {
-	case "sbe":
-		return xid.SingleBitError, nil
-	case "otb":
-		return xid.OffTheBus, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad code %q: want an XID number, sbe or otb", s)
-	}
-	return xid.Code(n), nil
-}
+// All read one consistent (sealed segments, retained tail) snapshot via
+// historyView. The two histories list events and share scanHistory; the
+// three aggregates are "parse the parameters, run the store's one fold,
+// write the accumulator" (writeAcc) — segment columns streamed without
+// materializing events, the retained tail folded through the identical
+// kernel — so their answers byte-match the batch core pipeline
+// computing the same aggregate over the same stream.
 
 // CodeHistoryEvent is one event in a fleet-wide code history.
 type CodeHistoryEvent struct {
@@ -63,15 +52,78 @@ type CodeHistory struct {
 	Events    []CodeHistoryEvent `json:"events"`
 }
 
-// handleCodeHistory serves every event carrying one code, fleet-wide:
-// sealed segments are pruned by their min/max time and walked through
-// the code's per-segment bitmap (only marked positions are touched),
-// then the retained tail is appended from the same consistent snapshot.
-// Arrival order is preserved — tail strictly follows sealed history.
-// Optional ?since=/?until= bound the range; ?limit=N caps the response
-// (truncated flag set when it bites).
+// scanHistory lists every event matching p in arrival order — the read
+// both history endpoints serve. Sealed segments go through the store's
+// shared ScanWhere (a segment outside the time bounds is pruned without
+// touching its columns, inside one only the rows the predicate bitmap
+// marks are materialized), then the retained tail through the same
+// matcher; the two halves come from one consistent historyView. The tail
+// strictly follows the sealed history and is never re-sorted, because
+// sorting second-resolution timestamps would diverge same-second order
+// from what warm restart and snapshots serve. served is the calling
+// endpoint's counter; sealed is how many of the events came off disk.
+func (s *Server) scanHistory(p store.Predicate, served *atomic.Uint64) (events []console.Event, sealed int, err error) {
+	m, err := p.Compile()
+	if err != nil {
+		return nil, 0, err
+	}
+	served.Add(1)
+	segs, tail := s.historyView()
+	for _, seg := range segs {
+		events = seg.ScanWhere(m, events)
+	}
+	sealed = len(events)
+	for _, ev := range tail {
+		if m.MatchEvent(ev) {
+			events = append(events, ev)
+		}
+	}
+	return events, sealed, nil
+}
+
+// handleNodeHistory serves a node's full event history (scanHistory
+// under an exact-cname predicate, which Compile parses rather than
+// globs). Optional ?since= / ?until= take RFC 3339 timestamps.
+func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
+	cname := r.PathValue("cname")
+	node, err := topology.ParseNodeID(cname)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad cname %q: %v", cname, err), http.StatusBadRequest)
+		return
+	}
+	since, until, ok := parseTimeRange(w, r)
+	if !ok {
+		return
+	}
+	p := store.Predicate{Node: topology.CNameOf(node), Cage: -1, Since: since, Until: until}
+	events, sealed, err := s.scanHistory(p, &s.metrics.queryNodeHistory)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	hist := NodeHistory{
+		Node:     p.Node,
+		Sealed:   sealed,
+		Retained: len(events) - sealed,
+		Events:   make([]HistoryEvent, 0, len(events)),
+	}
+	for _, ev := range events {
+		he := HistoryEvent{Time: ev.Time, Code: ev.Code.String(), Page: ev.Page, Job: int64(ev.Job)}
+		if ev.Serial != 0 {
+			he.Serial = ev.Serial.String()
+		}
+		hist.Events = append(hist.Events, he)
+	}
+	writeJSON(w, hist)
+}
+
+// handleCodeHistory serves every event carrying one code, fleet-wide
+// (scanHistory under a one-code predicate: only the positions the code's
+// per-segment bitmap marks are touched). Optional ?since=/?until= bound
+// the range; ?limit=N caps the response (truncated flag set when it
+// bites).
 func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
-	code, err := parseCode(r.PathValue("xid"))
+	code, err := xid.ParseCode(r.PathValue("xid"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -87,24 +139,13 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.metrics.queryCodeHistory.Add(1)
-
-	segs, tail := s.historyView()
-	hist := CodeHistory{Code: code.String()}
-	var events []console.Event
-	for _, seg := range segs {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		events = seg.ScanCodeRange(code, since, until, events)
+	p := store.Predicate{Codes: []xid.Code{code}, Cage: -1, Since: since, Until: until}
+	events, sealed, err := s.scanHistory(p, &s.metrics.queryCodeHistory)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	hist.Sealed = len(events)
-	for _, ev := range tail {
-		if ev.Code == code && inRange(ev.Time, since, until) {
-			events = append(events, ev)
-		}
-	}
-	hist.Retained = len(events) - hist.Sealed
+	hist := CodeHistory{Code: code.String(), Sealed: sealed, Retained: len(events) - sealed}
 	if limit >= 0 && len(events) > limit {
 		events = events[:limit]
 		hist.Truncated = true
@@ -160,7 +201,7 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 		spec.Bucket = d
 	}
 	if v := r.URL.Query().Get("code"); v != "" {
-		code, err := parseCode(v)
+		code, err := xid.ParseCode(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -178,30 +219,26 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 	}
 
 	segs, tail := s.historyView()
-	if wantPartial(r) {
-		acc, err := store.ParallelRollupAcc(segs, tail, spec, m, 0)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.metrics.queryRollup.Add(1)
-		writeJSON(w, acc.Partial())
-		return
-	}
-	doc, err := store.ParallelRollup(segs, tail, spec, m, 0)
+	acc, err := store.ParallelRollupAcc(segs, tail, spec, m, 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.metrics.queryRollup.Add(1)
-	writeJSON(w, doc)
+	writeAcc(w, r, acc.Doc, acc.Partial)
 }
 
-// wantPartial reports whether the caller asked for the raw accumulator
-// instead of the rendered document (?partial=1) — the replica side of a
-// cluster query, merged by titanrouter with the store Merge kernels.
-func wantPartial(r *http.Request) bool {
-	return r.URL.Query().Get("partial") == "1"
+// writeAcc writes a folded query's answer: the rendered document, or —
+// when the caller asked with ?partial=1 — the raw accumulator instead,
+// the replica side of a cluster query, which titanrouter merges with the
+// store Merge kernels before rendering once. Every aggregate endpoint
+// ends here, so the fork exists in this one place.
+func writeAcc[D, P any](w http.ResponseWriter, r *http.Request, doc func() D, partial func() P) {
+	if r.URL.Query().Get("partial") == "1" {
+		writeJSON(w, partial())
+		return
+	}
+	writeJSON(w, doc())
 }
 
 // parseWhereParams reads the optional ?cabinet= / ?cage= / ?node=
@@ -243,42 +280,31 @@ func parseWhereParams(w http.ResponseWriter, r *http.Request) (*store.Matcher, b
 // query spelling and is byte-identical at any worker count.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.queries.Add(1)
-	q := r.URL.Query().Get("q")
-	if q == "" {
+	res, err := s.runQuery(r.URL.Query().Get("q"))
+	if err != nil {
 		s.metrics.queryErrors.Add(1)
-		http.Error(w, "missing q: want /query?q=<titanql expression>", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	writeAcc(w, r, res.Doc, res.Partial)
+}
+
+// runQuery parses, compiles and folds one titanql expression over the
+// current snapshot; any failure is the client's (a 400).
+func (s *Server) runQuery(q string) (*titanql.Result, error) {
+	if q == "" {
+		return nil, errors.New("missing q: want /query?q=<titanql expression>")
 	}
 	plan, err := titanql.Parse(q)
 	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
 	compiled, err := plan.Compile()
 	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
 	segs, tail := s.historyView()
-	if wantPartial(r) {
-		part, err := compiled.ExecutePartial(segs, tail, 0)
-		if err != nil {
-			s.metrics.queryErrors.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, part)
-		return
-	}
-	doc, err := compiled.Execute(segs, tail, 0)
-	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, doc)
+	return compiled.Fold(segs, tail, 0)
 }
 
 // handleTop serves offender cards ranked by event count — the paper's
@@ -300,7 +326,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		spec.K = k
 	}
 	if v := r.URL.Query().Get("code"); v != "" {
-		code, err := parseCode(v)
+		code, err := xid.ParseCode(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -314,21 +340,11 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	}
 
 	segs, tail := s.historyView()
-	if wantPartial(r) {
-		acc, err := store.ParallelTopAcc(segs, tail, spec, nil, 0)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.metrics.queryTop.Add(1)
-		writeJSON(w, acc.Partial())
-		return
-	}
-	doc, err := store.TopSegments(segs, tail, spec)
+	acc, err := store.ParallelTopAcc(segs, tail, spec, nil, 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.metrics.queryTop.Add(1)
-	writeJSON(w, doc)
+	writeAcc(w, r, acc.Doc, acc.Partial)
 }

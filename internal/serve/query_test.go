@@ -181,6 +181,13 @@ func TestCodeHistoryFleetWide(t *testing.T) {
 	if got := getStatus(t, base+"/codes/zzz/history"); got != http.StatusBadRequest {
 		t.Fatalf("bad code: got %d, want 400", got)
 	}
+	// A code no int16 column can hold has an empty history — not the
+	// history of the XID it truncates to (65549 -> 13).
+	var wide CodeHistory
+	getJSON(t, base+"/codes/65549/history", &wide)
+	if wide.Sealed != 0 || wide.Retained != 0 || len(wide.Events) != 0 {
+		t.Fatalf("/codes/65549/history: %d sealed + %d retained events, want none", wide.Sealed, wide.Retained)
+	}
 	if st := s.StatsNow(); st.QueryCodeHistory == 0 {
 		t.Fatal("stats: query_code_history counter never moved")
 	}
@@ -295,7 +302,9 @@ func TestHistoryArrivalOrder(t *testing.T) {
 	if len(ch.Events) != 1 || ch.Events[0].Node != topology.CNameOf(pair[0].Node) {
 		t.Fatalf("code history for the crafted pair: %+v", ch)
 	}
-	_ = s
+	if st := s.StatsNow(); st.QueryNodeHistory != 1 || st.QueryCodeHistory != 1 {
+		t.Fatalf("stats: query_node_history=%d query_code_history=%d after one request each", st.QueryNodeHistory, st.QueryCodeHistory)
+	}
 }
 
 // TestQueryConsistencyUnderCompaction hammers /nodes/{cname}/history,

@@ -653,58 +653,6 @@ func parseTimeRange(w http.ResponseWriter, r *http.Request) (since, until time.T
 	return since, until, true
 }
 
-// handleNodeHistory serves a node's full event history: sealed segments
-// are scanned through their per-segment min/max time bounds (segments
-// outside [since, until] are pruned without touching their columns),
-// then the retained tail is appended. The two halves come from one
-// consistent snapshot (historyView), and the response preserves arrival
-// order — the tail strictly follows the sealed history, never re-sorted,
-// because sorting second-resolution timestamps would diverge same-second
-// order from what warm restart and snapshots serve. Optional ?since= /
-// ?until= take RFC 3339 timestamps.
-func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
-	cname := r.PathValue("cname")
-	node, err := topology.ParseNodeID(cname)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad cname %q: %v", cname, err), http.StatusBadRequest)
-		return
-	}
-	since, until, ok := parseTimeRange(w, r)
-	if !ok {
-		return
-	}
-
-	segs, tail := s.historyView()
-	var events []console.Event
-	for _, seg := range segs {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		events = seg.ScanNode(node, since, until, events)
-	}
-	sealedCount := len(events)
-	for _, ev := range tail {
-		if ev.Node == node && inRange(ev.Time, since, until) {
-			events = append(events, ev)
-		}
-	}
-
-	hist := NodeHistory{
-		Node:     topology.CNameOf(node),
-		Sealed:   sealedCount,
-		Retained: len(events) - sealedCount,
-		Events:   make([]HistoryEvent, 0, len(events)),
-	}
-	for _, ev := range events {
-		he := HistoryEvent{Time: ev.Time, Code: ev.Code.String(), Page: ev.Page, Job: int64(ev.Job)}
-		if ev.Serial != 0 {
-			he.Serial = ev.Serial.String()
-		}
-		hist.Events = append(hist.Events, he)
-	}
-	writeJSON(w, hist)
-}
-
 // AlertView is the JSON shape of one raised alert.
 type AlertView struct {
 	Kind   string    `json:"kind"`
@@ -834,6 +782,7 @@ type Stats struct {
 	SealedSeq           uint64 `json:"sealed_seq"`
 
 	// Fleet-wide query endpoints.
+	QueryNodeHistory uint64 `json:"query_node_history"`
 	QueryCodeHistory uint64 `json:"query_code_history"`
 	QueryRollup      uint64 `json:"query_rollup"`
 	QueryTop         uint64 `json:"query_top"`
@@ -889,6 +838,7 @@ func (s *Server) StatsNow() Stats {
 		st.SealedSegmentBytes = sealed.DiskBytes()
 		st.SealedMappedBytes = sealed.MappedBytes()
 	}
+	st.QueryNodeHistory = m.queryNodeHistory.Load()
 	st.QueryCodeHistory = m.queryCodeHistory.Load()
 	st.QueryRollup = m.queryRollup.Load()
 	st.QueryTop = m.queryTop.Load()
@@ -1000,18 +950,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"history":        history,
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
 	})
-}
-
-// inRange reports whether t falls inside [since, until], zero bounds
-// meaning unbounded — the same semantics the segment scans use.
-func inRange(t time.Time, since, until time.Time) bool {
-	if !since.IsZero() && t.Before(since) {
-		return false
-	}
-	if !until.IsZero() && t.After(until) {
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

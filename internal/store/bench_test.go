@@ -59,7 +59,7 @@ var benchSpec = RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}
 // scan of the store without materializing a single event.
 func benchRollup(b *testing.B, st *Store, events int) {
 	b.Helper()
-	doc, err := st.Rollup(benchSpec, nil)
+	doc, err := ParallelRollup(st.Segments(), nil, benchSpec, nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func BenchmarkStoreRollup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		doc, err := st.Rollup(benchSpec, nil)
+		doc, err := ParallelRollup(st.Segments(), nil, benchSpec, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func BenchmarkStoreTop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		doc, err := TopSegments(st.Segments(), nil, spec)
+		doc, err := ParallelTop(st.Segments(), nil, spec, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,8 @@ import (
 	"titanre/internal/console"
 )
 
-// Segment-parallel query execution. Sealed segments are immutable (and,
+// Query execution: one fold over (sealed segments, retained tail,
+// matcher), segment-parallel. Sealed segments are immutable (and,
 // mapped, read-only pages), so independent workers can evaluate them
 // concurrently with no locking at all: each worker folds whole segments
 // into its own private accumulator, pulling segment indexes off one
@@ -34,6 +35,64 @@ func queryWorkers(workers, segs int) int {
 	return workers
 }
 
+// scanEvents is the row source for materialized events — the retained
+// tail, and the whole stream in the RollupEvents/TopEvents references:
+// every event matching m (nil = all) reaches sink as the same column
+// values forEachRow reads off a segment.
+func scanEvents(events []console.Event, m *Matcher, sink rowSink) {
+	for _, e := range events {
+		if m == nil || m.MatchEvent(e) {
+			sink.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node), uint32(e.Serial))
+		}
+	}
+}
+
+// accumulator is what fold needs of Rollup and Top: a row sink whose
+// per-worker partials merge.
+type accumulator[A any] interface {
+	rowSink
+	Merge(A)
+}
+
+// fold is the one query loop: sealed segments through forEachRow (fanned
+// over workers, each with a private accumulator from newAcc, merged
+// afterwards), then the retained tail through scanEvents, all under one
+// matcher. workers <= 0 uses GOMAXPROCS.
+func fold[A accumulator[A]](newAcc func() A, segs []*Segment, tail []console.Event, m *Matcher, workers int) A {
+	root := newAcc()
+	workers = queryWorkers(workers, len(segs))
+	if workers <= 1 {
+		for _, seg := range segs {
+			seg.forEachRow(m, root)
+		}
+	} else {
+		partials := make([]A, workers)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := range partials {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				part := newAcc()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(segs) {
+						break
+					}
+					segs[i].forEachRow(m, part)
+				}
+				partials[w] = part
+			}(w)
+		}
+		wg.Wait()
+		for _, part := range partials {
+			root.Merge(part)
+		}
+	}
+	scanEvents(tail, m, root)
+	return root
+}
+
 // ParallelRollup evaluates one rollup over sealed segments concurrently,
 // restricted to rows matching m (nil = all), then folds the retained
 // tail through the identical kernel. workers <= 0 uses GOMAXPROCS; the
@@ -51,42 +110,11 @@ func ParallelRollup(segs []*Segment, tail []console.Event, spec RollupSpec, m *M
 // cells — the replica side of a cluster query exports them as a
 // RollupPartial for the router to merge.
 func ParallelRollupAcc(segs []*Segment, tail []console.Event, spec RollupSpec, m *Matcher, workers int) (*Rollup, error) {
-	root, err := NewRollup(spec)
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	workers = queryWorkers(workers, len(segs))
-	if workers <= 1 {
-		for _, seg := range segs {
-			root.AddSegmentWhere(seg, m)
-		}
-	} else {
-		partials := make([]*Rollup, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := range partials {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// The spec already validated through root.
-				part, _ := NewRollup(spec)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(segs) {
-						break
-					}
-					part.AddSegmentWhere(segs[i], m)
-				}
-				partials[w] = part
-			}(w)
-		}
-		wg.Wait()
-		for _, part := range partials {
-			root.Merge(part)
-		}
-	}
-	root.AddEventsWhere(tail, m)
-	return root, nil
+	m = narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until)
+	return fold(func() *Rollup { return newRollup(spec) }, segs, tail, m, workers), nil
 }
 
 // ParallelTop evaluates one offender ranking over sealed segments
@@ -103,39 +131,9 @@ func ParallelTop(segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher
 // ParallelTopAcc is ParallelTop stopping short of the render (see
 // ParallelRollupAcc).
 func ParallelTopAcc(segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher, workers int) (*Top, error) {
-	root, err := NewTop(spec)
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	workers = queryWorkers(workers, len(segs))
-	if workers <= 1 {
-		for _, seg := range segs {
-			root.AddSegmentWhere(seg, m)
-		}
-	} else {
-		partials := make([]*Top, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := range partials {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				part, _ := NewTop(spec)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(segs) {
-						break
-					}
-					part.AddSegmentWhere(segs[i], m)
-				}
-				partials[w] = part
-			}(w)
-		}
-		wg.Wait()
-		for _, part := range partials {
-			root.Merge(part)
-		}
-	}
-	root.AddEventsWhere(tail, m)
-	return root, nil
+	m = narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until)
+	return fold(func() *Top { return newTop(spec) }, segs, tail, m, workers), nil
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
 
@@ -73,8 +75,10 @@ func TestBitmapOps(t *testing.T) {
 // predCases is a predicate mix covering every filter dimension and
 // their conjunctions.
 func predCases(events []console.Event) []Predicate {
+	quarter := events[len(events)/4].Time
 	mid := events[len(events)/2].Time
 	end := events[3*len(events)/4].Time
+	cname := topology.CNameOf(events[0].Node)
 	return []Predicate{
 		{Cage: -1},
 		{Codes: []xid.Code{xid.DoubleBitError}, Cage: -1},
@@ -91,6 +95,20 @@ func predCases(events []console.Event) []Predicate {
 		{Until: mid, Cage: -1},
 		{Since: mid, Until: end, Cage: -1},
 		{Codes: []xid.Code{xid.DoubleBitError, 13}, Cabinet: "c1-*", Cage: 1, Since: mid, Until: end},
+		// One code inside a bounded window — the /codes/{xid}/history shape.
+		{Codes: []xid.Code{events[0].Code}, Cage: -1, Since: quarter, Until: end},
+		// Literal cnames take Compile's parse-don't-glob path: a present
+		// node (the /nodes/{cname}/history shape), one its cabinet filter
+		// contradicts, and spellings that name no node at all.
+		{Node: cname, Cage: -1},
+		{Node: cname, Cage: -1, Since: quarter, Until: end},
+		{Node: cname, Cabinet: "c99-*", Cage: -1},
+		{Node: "c99-99c0s0n0", Cage: -1},
+		{Node: "c03-2c1s4n2", Cage: -1},
+		// Codes no int16 column can hold must match nothing, not alias
+		// the XID they truncate to (65549 -> 13).
+		{Codes: []xid.Code{65549}, Cage: -1},
+		{NotCodes: []xid.Code{65549}, Cage: -1},
 	}
 }
 
@@ -145,6 +163,34 @@ func TestSegmentBitsMatchEvent(t *testing.T) {
 			}
 		}
 	}
+	// An unbounded single-code predicate is exactly the stored bitmap.
+	for _, code := range st.Codes() {
+		m, err := Predicate{Codes: []xid.Code{code}, Cage: -1}.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, seg := range st.Segments() {
+			if got, want := seg.CountWhere(m), seg.CountCode(code); got != want {
+				t.Fatalf("code %v seg %d: CountWhere %d != popcount %d", code, si, got, want)
+			}
+		}
+	}
+	// The literal-cname fast path builds the mask the glob path would.
+	cname := topology.CNameOf(events[0].Node)
+	for _, p := range []Predicate{{Node: cname, Cage: -1}, {Node: cname, Cabinet: "c*-*", Cage: int(events[0].Node) / topology.NodesPerCage % topology.CagesPerCabinet}, {Node: "c99-99c0s0n0", Cage: -1}} {
+		lit, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Node = "[c]" + p.Node[1:] // same single cname, spelled as a glob
+		glob, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lit.nodeMask, glob.nodeMask) {
+			t.Fatalf("literal %q: node mask differs from the glob path's", cname)
+		}
+	}
 }
 
 // TestPredicateValidation: bad globs and out-of-range cages fail at
@@ -168,14 +214,26 @@ func TestPredicateValidation(t *testing.T) {
 	}
 }
 
-// TestRollupWhereMatchesEventFold: AddSegmentWhere over sealed segments
-// plus AddEventsWhere over a tail renders byte-identically to the naive
-// fold — filter the materialized stream with MatchEvent, then run the
-// plain event kernel — across predicates and sealed/tail split points.
+// TestRollupWhereMatchesEventFold: the single fold — forEachRow over
+// sealed segments plus scanEvents over a tail, under one matcher —
+// renders byte-identically to the naive fold (filter the materialized
+// stream with MatchEvent, then run the plain event kernel) across
+// predicates, specs and sealed/tail split points. The FilterCode specs
+// meet matchers whose Codes contain the spec's code, exclude it, and do
+// not constrain codes at all: every way narrow can combine the two.
 func TestRollupWhereMatchesEventFold(t *testing.T) {
 	events := simEvents(t)
-	spec := RollupSpec{ByCode: true, ByCage: true, Bucket: 6 * time.Hour}
-	topSpec := TopSpec{By: TopByNode, K: 10}
+	rollSpecs := []RollupSpec{
+		{ByCode: true, ByCage: true, Bucket: 6 * time.Hour},
+		{ByCabinet: true, Bucket: 6 * time.Hour, FilterCode: true, Code: 13},
+		{ByCode: true, Bucket: 24 * time.Hour, FilterCode: true, Code: xid.DoubleBitError, Since: events[len(events)/3].Time},
+	}
+	topSpecs := []TopSpec{
+		{By: TopByNode, K: 10},
+		{By: TopBySerial, K: 10},
+		{By: TopByCode, K: 0},
+		{By: TopBySerial, K: 5, FilterCode: true, Code: 13},
+	}
 	for _, split := range []int{0, 1, len(events) / 2, len(events) - 1, len(events)} {
 		st, err := Open(t.TempDir())
 		if err != nil {
@@ -201,27 +259,31 @@ func TestRollupWhereMatchesEventFold(t *testing.T) {
 					kept = append(kept, e)
 				}
 			}
-			wantRoll, err := RollupEvents(kept, spec)
-			if err != nil {
-				t.Fatal(err)
+			for si, spec := range rollSpecs {
+				wantRoll, err := RollupEvents(kept, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRoll, err := ParallelRollup(st.Segments(), tail, spec, m, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !jsonEqual(t, gotRoll, wantRoll) {
+					t.Fatalf("split %d pred %d spec %d: rollup diverges from naive event fold", split, pi, si)
+				}
 			}
-			gotRoll, err := ParallelRollup(st.Segments(), tail, spec, m, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !jsonEqual(t, gotRoll, wantRoll) {
-				t.Fatalf("split %d pred %d: rollup diverges from naive event fold", split, pi)
-			}
-			wantTop, err := TopEvents(kept, topSpec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotTop, err := ParallelTop(st.Segments(), tail, topSpec, m, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !jsonEqual(t, gotTop, wantTop) {
-				t.Fatalf("split %d pred %d: top diverges from naive event fold", split, pi)
+			for si, topSpec := range topSpecs {
+				wantTop, err := TopEvents(kept, topSpec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotTop, err := ParallelTop(st.Segments(), tail, topSpec, m, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !jsonEqual(t, gotTop, wantTop) {
+					t.Fatalf("split %d pred %d spec %d: top diverges from naive event fold", split, pi, si)
+				}
 			}
 		}
 	}
@@ -260,15 +322,14 @@ func TestParallelByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Serial reference equals the pre-existing serial entry points
-		// when unfiltered.
+		// Serial reference equals the plain event fold when unfiltered.
 		if m == nil {
-			old, err := RollupSegments(st.Segments(), tail, spec)
+			old, err := RollupEvents(events, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !jsonEqual(t, refRoll, old) {
-				t.Fatal("ParallelRollup(workers=1, nil matcher) diverges from RollupSegments")
+				t.Fatal("ParallelRollup(workers=1, nil matcher) diverges from RollupEvents")
 			}
 		}
 		for _, workers := range []int{2, 3, 4, 7, 16, 0} {

@@ -74,11 +74,11 @@ func TestMappedMatchesHeap(t *testing.T) {
 	}
 
 	spec := RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}
-	hd, err := heap.Rollup(spec, nil)
+	hd, err := ParallelRollup(heap.Segments(), nil, spec, nil, 1)
 	if err != nil {
 		t.Fatalf("heap rollup: %v", err)
 	}
-	md, err := mapped.Rollup(spec, nil)
+	md, err := ParallelRollup(mapped.Segments(), nil, spec, nil, 1)
 	if err != nil {
 		t.Fatalf("mapped rollup: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestRollupMatchesEventKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d: event kernel: %v", i, err)
 		}
-		got, err := RollupSegments(segs, nil, spec)
+		got, err := ParallelRollup(segs, nil, spec, nil, 1)
 		if err != nil {
 			t.Fatalf("spec %d: segment kernel: %v", i, err)
 		}
@@ -191,7 +191,7 @@ func TestRollupMatchesEventKernel(t *testing.T) {
 	if _, err := sst.Seal(events[:cut]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := RollupSegments(sst.Segments(), events[cut:], spec)
+	got, err := ParallelRollup(sst.Segments(), events[cut:], spec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestTopMatchesEventKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d: event kernel: %v", i, err)
 		}
-		got, err := TopSegments(segs, nil, spec)
+		got, err := ParallelTop(segs, nil, spec, nil, 1)
 		if err != nil {
 			t.Fatalf("spec %d: segment kernel: %v", i, err)
 		}
@@ -258,7 +258,7 @@ func TestTopMatchesEventKernel(t *testing.T) {
 	for _, e := range events {
 		counts[e.Code.String()]++
 	}
-	doc, err := TopSegments(segs, nil, TopSpec{By: TopByCode, K: 0})
+	doc, err := ParallelTop(segs, nil, TopSpec{By: TopByCode, K: 0}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,38 +308,5 @@ func TestPreparePublish(t *testing.T) {
 	}
 	if st.Segments()[0].Len() != len(events) {
 		t.Fatal("published segment length mismatch")
-	}
-}
-
-// TestScanCodeRange bounds a bitmap scan by time and matches a plain
-// filter.
-func TestScanCodeRange(t *testing.T) {
-	events := simEvents(t)
-	dir := t.TempDir()
-	sealInto(t, dir, events)
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	code := st.Codes()[0]
-	since := events[len(events)/4].Time
-	until := events[3*len(events)/4].Time
-	var want []console.Event
-	for _, e := range events {
-		if e.Code == code && !e.Time.Before(since) && !e.Time.After(until) {
-			want = append(want, e)
-		}
-	}
-	got := st.ScanCodeRange(code, since, until)
-	if len(got) != len(want) {
-		t.Fatalf("got %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d mismatch", i)
-		}
-	}
-	if got := st.ScanCodeRange(code, time.Time{}, time.Time{}); len(got) != st.CountCode(code) {
-		t.Fatalf("unbounded range scan %d != popcount %d", len(got), st.CountCode(code))
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -12,11 +11,12 @@ import (
 )
 
 // Time-bucketed rollups — the paper's fleet-wide aggregates (events per
-// hour by code, per-cabinet heatmaps) computed by streaming the time /
-// code / node columns directly, never materializing console.Event
-// values. The same addRow kernel also runs over []console.Event, which
-// is both how the retained tail joins the sealed segments and the
-// independent batch reference the equivalence tests compare against.
+// hour by code, per-cabinet heatmaps). A Rollup is a rowSink: fold feeds
+// its one addRow kernel column values straight off sealed segments and
+// off the retained tail's events, never materializing console.Event
+// values for sealed rows. RollupEvents feeds the same kernel from a
+// plain event slice — the batch reference the equivalence tests compare
+// the segment path against.
 
 // RollupSpec describes one rollup: which dimensions to group by, the
 // bucket width, and optional code/time filters. Zero times mean
@@ -32,8 +32,8 @@ type RollupSpec struct {
 	// seconds (the store's native resolution).
 	Bucket time.Duration
 
-	// FilterCode restricts the rollup to Code (enabling the per-code
-	// bitmap fast path inside segments).
+	// FilterCode restricts the rollup to Code. Like Since/Until it is
+	// folded into the fold's matcher (narrow), never tested per row.
 	FilterCode bool
 	Code       xid.Code
 
@@ -60,14 +60,13 @@ type rollupKey struct {
 	node   int32
 }
 
-// Rollup accumulates bucketed counts. Populate it with AddSegment /
-// AddEvents in any mix, then render with Doc.
+// Rollup accumulates bucketed counts. ParallelRollupAcc (or
+// MergeRollupPartials) populates it; Doc renders it.
 type Rollup struct {
-	spec   RollupSpec
-	bs     int64 // bucket width, seconds
-	lo, hi int64 // inclusive time bounds, epoch seconds
-	cells  map[rollupKey]int64
-	total  int64
+	spec  RollupSpec
+	bs    int64 // bucket width, seconds
+	cells map[rollupKey]int64
+	total int64
 }
 
 // NewRollup validates spec and returns an empty accumulator.
@@ -75,30 +74,18 @@ func NewRollup(spec RollupSpec) (*Rollup, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	r := &Rollup{
-		spec:  spec,
-		bs:    int64(spec.Bucket / time.Second),
-		lo:    math.MinInt64,
-		hi:    math.MaxInt64,
-		cells: make(map[rollupKey]int64),
-	}
-	if !spec.Since.IsZero() {
-		r.lo = spec.Since.Unix()
-	}
-	if !spec.Until.IsZero() {
-		r.hi = spec.Until.Unix()
-	}
-	return r, nil
+	return newRollup(spec), nil
 }
 
-// addRow is the shared kernel: one event as raw columns.
-func (r *Rollup) addRow(sec int64, code int16, node uint32) {
-	if sec < r.lo || sec > r.hi {
-		return
-	}
-	if r.spec.FilterCode && xid.Code(code) != r.spec.Code {
-		return
-	}
+// newRollup builds the accumulator for an already validated spec.
+func newRollup(spec RollupSpec) *Rollup {
+	return &Rollup{spec: spec, bs: int64(spec.Bucket / time.Second), cells: make(map[rollupKey]int64)}
+}
+
+// addRow is the kernel: count one matching row. The spec's own filter
+// (code, time range) was already applied by the matcher that chose the
+// row, so every call lands in a cell.
+func (r *Rollup) addRow(sec int64, code int16, node, _ uint32) {
 	bucket := sec / r.bs
 	if sec < 0 && sec%r.bs != 0 {
 		bucket-- // floor, not truncate, for pre-epoch times
@@ -121,76 +108,8 @@ func (r *Rollup) addRow(sec int64, code int16, node uint32) {
 	r.total++
 }
 
-// AddSegment folds one sealed segment into the rollup, streaming its
-// columns. Segments outside the time bounds are pruned whole; a code
-// filter walks only the code's bitmap positions.
-func (r *Rollup) AddSegment(s *Segment) {
-	if r.lo > s.maxT || r.hi < s.minT {
-		return
-	}
-	if r.spec.FilterCode {
-		cb := s.findCode(r.spec.Code)
-		if cb == nil {
-			return
-		}
-		cb.bits.forEach(func(i int) bool {
-			r.addRow(s.times[i], int16(s.codes[i]), s.nodes[i])
-			return true
-		})
-		return
-	}
-	for i, t := range s.times {
-		r.addRow(t, int16(s.codes[i]), s.nodes[i])
-	}
-}
-
-// AddEvents folds materialized events (e.g. the retained tail) into the
-// rollup through the identical kernel.
-func (r *Rollup) AddEvents(events []console.Event) {
-	for _, e := range events {
-		r.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node))
-	}
-}
-
-// AddSegmentWhere folds only the segment rows matching m, walking the
-// positions its predicate bitmap marks (see Matcher.segmentBits). A nil
-// matcher is AddSegment; a segment the matcher rules out entirely is
-// skipped without touching its columns.
-func (r *Rollup) AddSegmentWhere(s *Segment, m *Matcher) {
-	if m == nil {
-		r.AddSegment(s)
-		return
-	}
-	if r.lo > s.maxT || r.hi < s.minT {
-		return
-	}
-	bits, kind := m.segmentBits(s)
-	switch kind {
-	case matchNone:
-		return
-	case matchAll:
-		r.AddSegment(s)
-		return
-	}
-	bits.forEach(func(i int) bool {
-		r.addRow(s.times[i], int16(s.codes[i]), s.nodes[i])
-		return true
-	})
-}
-
-// AddEventsWhere folds only the materialized events matching m through
-// the identical kernel. A nil matcher is AddEvents.
-func (r *Rollup) AddEventsWhere(events []console.Event, m *Matcher) {
-	if m == nil {
-		r.AddEvents(events)
-		return
-	}
-	for _, e := range events {
-		if m.MatchEvent(e) {
-			r.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node))
-		}
-	}
-}
+// needSerial: no rollup dimension reads the card serial.
+func (r *Rollup) needSerial() bool { return false }
 
 // Merge folds another accumulator built with the same spec into r.
 // Cell addition is commutative and associative, so merging per-worker
@@ -295,43 +214,16 @@ func (r *Rollup) Doc() RollupDoc {
 	return doc
 }
 
-// Rollup streams every sealed segment plus tail through one
-// accumulator — the store-side entry the /rollup endpoint uses. tail
-// may be nil.
-func (st *Store) Rollup(spec RollupSpec, tail []console.Event) (RollupDoc, error) {
-	r, err := NewRollup(spec)
-	if err != nil {
-		return RollupDoc{}, err
-	}
-	for _, seg := range st.Segments() {
-		r.AddSegment(seg)
-	}
-	r.AddEvents(tail)
-	return r.Doc(), nil
-}
-
-// RollupEvents computes the identical rollup from materialized events —
-// the batch-pipeline reference the equivalence tests compare the
-// streamed answer against.
+// RollupEvents computes the identical rollup from materialized events
+// alone — the batch-pipeline reference the equivalence tests (and the
+// benchmark's oracle) compare the segment-streamed answer against. It
+// stays a plain loop over the events on purpose: it shares the addRow
+// kernel but none of the segment machinery it checks.
 func RollupEvents(events []console.Event, spec RollupSpec) (RollupDoc, error) {
 	r, err := NewRollup(spec)
 	if err != nil {
 		return RollupDoc{}, err
 	}
-	r.AddEvents(events)
-	return r.Doc(), nil
-}
-
-// RollupSegments folds an explicit segment list plus tail — what a
-// caller holding a consistent (segments, tail) snapshot uses.
-func RollupSegments(segs []*Segment, tail []console.Event, spec RollupSpec) (RollupDoc, error) {
-	r, err := NewRollup(spec)
-	if err != nil {
-		return RollupDoc{}, err
-	}
-	for _, seg := range segs {
-		r.AddSegment(seg)
-	}
-	r.AddEvents(tail)
+	scanEvents(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until), r)
 	return r.Doc(), nil
 }

@@ -252,7 +252,14 @@ func (s *Segment) CountCode(code xid.Code) int {
 	return 0
 }
 
+// findCode returns code's position bitmap, nil when no row carries it.
+// Stored codes are int16 (Builder.Append rejects anything wider), so a
+// code outside that range is absent — truncating it would alias a real
+// XID (65549 -> 13).
 func (s *Segment) findCode(code xid.Code) *codeBitmap {
+	if code < math.MinInt16 || code > math.MaxInt16 {
+		return nil
+	}
 	c := int16(code)
 	lo, hi := 0, len(s.byCode)
 	for lo < hi {
@@ -307,78 +314,6 @@ func (s *Segment) AppendEvents(dst []console.Event) []console.Event {
 		dst = grown
 	}
 	for i := range s.times {
-		dst = append(dst, s.EventAt(i))
-	}
-	return dst
-}
-
-// ScanCode appends every event carrying code to dst, walking only the
-// positions the code's bitmap marks.
-func (s *Segment) ScanCode(code xid.Code, dst []console.Event) []console.Event {
-	cb := s.findCode(code)
-	if cb == nil {
-		return dst
-	}
-	if need := cb.bits.count(); cap(dst)-len(dst) < need {
-		grown := make([]console.Event, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	cb.bits.forEach(func(i int) bool {
-		dst = append(dst, s.EventAt(i))
-		return true
-	})
-	return dst
-}
-
-// ScanCodeRange appends events carrying code within [since, until]
-// (inclusive, zero times meaning unbounded) to dst, walking only the
-// positions the code's bitmap marks.
-func (s *Segment) ScanCodeRange(code xid.Code, since, until time.Time, dst []console.Event) []console.Event {
-	cb := s.findCode(code)
-	if cb == nil {
-		return dst
-	}
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	if !since.IsZero() {
-		lo = since.Unix()
-	}
-	if !until.IsZero() {
-		hi = until.Unix()
-	}
-	if lo > s.maxT || hi < s.minT {
-		return dst
-	}
-	cb.bits.forEach(func(i int) bool {
-		if t := s.times[i]; t >= lo && t <= hi {
-			dst = append(dst, s.EventAt(i))
-		}
-		return true
-	})
-	return dst
-}
-
-// ScanNode appends events on node within [since, until] (inclusive,
-// zero times meaning unbounded) to dst.
-func (s *Segment) ScanNode(node topology.NodeID, since, until time.Time, dst []console.Event) []console.Event {
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	if !since.IsZero() {
-		lo = since.Unix()
-	}
-	if !until.IsZero() {
-		hi = until.Unix()
-	}
-	if lo > s.maxT || hi < s.minT {
-		return dst
-	}
-	n := uint32(node)
-	for i, nn := range s.nodes {
-		if nn != n {
-			continue
-		}
-		if t := s.times[i]; t < lo || t > hi {
-			continue
-		}
 		dst = append(dst, s.EventAt(i))
 	}
 	return dst

@@ -358,36 +358,28 @@ func (st *Store) Events() []console.Event {
 	return out
 }
 
+// scan appends every event matching p to dst in segment order through
+// Segment.ScanWhere — the store-level scans below only build predicates.
+func (st *Store) scan(p Predicate, dst []console.Event) []console.Event {
+	m, err := p.Compile()
+	if err != nil {
+		// Callers pass code lists and literal cnames, never a glob.
+		panic(fmt.Sprintf("store: scan predicate %+v: %v", p, err))
+	}
+	for _, seg := range st.Segments() {
+		dst = seg.ScanWhere(m, dst)
+	}
+	return dst
+}
+
 // ScanCode returns every event carrying code, in segment order,
 // allocating the result exactly once via bitmap popcounts.
 func (st *Store) ScanCode(code xid.Code) []console.Event {
-	segs := st.Segments()
-	total := 0
-	for _, seg := range segs {
-		total += seg.CountCode(code)
-	}
+	total := st.CountCode(code)
 	if total == 0 {
 		return nil
 	}
-	out := make([]console.Event, 0, total)
-	for _, seg := range segs {
-		out = seg.ScanCode(code, out)
-	}
-	return out
-}
-
-// ScanCodeRange returns every event carrying code within [since,
-// until] in segment order, pruning segments by their min/max time and
-// walking only bitmap-marked positions inside survivors.
-func (st *Store) ScanCodeRange(code xid.Code, since, until time.Time) []console.Event {
-	var out []console.Event
-	for _, seg := range st.Segments() {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		out = seg.ScanCodeRange(code, since, until, out)
-	}
-	return out
+	return st.scan(Predicate{Codes: []xid.Code{code}, Cage: -1}, make([]console.Event, 0, total))
 }
 
 // CountCode reports the fleet-wide total of events carrying code, by
@@ -400,17 +392,14 @@ func (st *Store) CountCode(code xid.Code) int {
 	return total
 }
 
-// ScanNode returns events on node within [since, until], pruning
-// segments by their min/max time.
+// ScanNode returns events on node within [since, until] (inclusive,
+// zero times meaning unbounded), pruning segments by their min/max
+// time.
 func (st *Store) ScanNode(node topology.NodeID, since, until time.Time) []console.Event {
-	var out []console.Event
-	for _, seg := range st.Segments() {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		out = seg.ScanNode(node, since, until, out)
+	if !node.Valid() {
+		return nil
 	}
-	return out
+	return st.scan(Predicate{Node: topology.CNameOf(node), Cage: -1, Since: since, Until: until}, nil)
 }
 
 // Codes returns the sorted union of event codes across all segments.

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"titanre/internal/console"
@@ -13,9 +12,9 @@ import (
 )
 
 // Top-K offender cards — the paper's "a handful of cards produce almost
-// all the SBEs" lists, computed from segment columns and per-code
-// bitmaps without materializing events, ranked by stats.TopOffenders
-// (count descending, key ascending — deterministic).
+// all the SBEs" lists. A Top is a rowSink like Rollup: fold feeds its
+// one addRow kernel from segment columns and tail events; Doc ranks by
+// stats.TopOffenders (count descending, key ascending — deterministic).
 
 // TopBy selects the offender dimension.
 type TopBy string
@@ -32,8 +31,8 @@ type TopSpec struct {
 	By TopBy
 	K  int
 
-	// FilterCode counts only events carrying Code (per-code bitmap fast
-	// path inside segments).
+	// FilterCode counts only events carrying Code; folded into the
+	// fold's matcher like RollupSpec.FilterCode.
 	FilterCode bool
 	Code       xid.Code
 
@@ -55,13 +54,12 @@ type topAgg struct {
 	byCode      map[int16]int64
 }
 
-// Top accumulates offender counts; populate with AddSegment/AddEvents,
-// render with Doc.
+// Top accumulates offender counts. ParallelTopAcc (or MergeTopPartials)
+// populates it; Doc renders it.
 type Top struct {
-	spec   TopSpec
-	lo, hi int64
-	aggs   map[uint64]*topAgg
-	total  int64
+	spec  TopSpec
+	aggs  map[uint64]*topAgg
+	total int64
 }
 
 // NewTop validates spec and returns an empty accumulator.
@@ -69,24 +67,20 @@ func NewTop(spec TopSpec) (*Top, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	t := &Top{spec: spec, lo: math.MinInt64, hi: math.MaxInt64, aggs: make(map[uint64]*topAgg)}
-	if !spec.Since.IsZero() {
-		t.lo = spec.Since.Unix()
-	}
-	if !spec.Until.IsZero() {
-		t.hi = spec.Until.Unix()
-	}
-	return t, nil
+	return newTop(spec), nil
 }
 
-// addRow is the shared kernel: one event as raw columns.
+// newTop builds the accumulator for an already validated spec.
+func newTop(spec TopSpec) *Top {
+	return &Top{spec: spec, aggs: make(map[uint64]*topAgg)}
+}
+
+// needSerial: only a by=serial ranking reads the serial argument.
+func (t *Top) needSerial() bool { return t.spec.By == TopBySerial }
+
+// addRow is the kernel: count one matching row (the matcher already
+// applied the spec's code and time filter).
 func (t *Top) addRow(sec int64, code int16, node, serial uint32) {
-	if sec < t.lo || sec > t.hi {
-		return
-	}
-	if t.spec.FilterCode && xid.Code(code) != t.spec.Code {
-		return
-	}
 	var key uint64
 	switch t.spec.By {
 	case TopByNode:
@@ -115,97 +109,6 @@ func (t *Top) addRow(sec int64, code int16, node, serial uint32) {
 		agg.byCode[code]++
 	}
 	t.total++
-}
-
-// AddSegment folds one sealed segment in, streaming its columns. A code
-// filter walks only that code's bitmap positions; by=code walks each
-// code's bitmap in turn — positions come straight off the bitmaps
-// either way.
-func (t *Top) AddSegment(s *Segment) {
-	if t.lo > s.maxT || t.hi < s.minT {
-		return
-	}
-	serialAt := func(i int) uint32 {
-		if t.spec.By != TopBySerial {
-			return 0
-		}
-		return s.serials[s.nodes[i]][s.cards[i]]
-	}
-	switch {
-	case t.spec.FilterCode:
-		cb := s.findCode(t.spec.Code)
-		if cb == nil {
-			return
-		}
-		cb.bits.forEach(func(i int) bool {
-			t.addRow(s.times[i], int16(s.codes[i]), s.nodes[i], serialAt(i))
-			return true
-		})
-	case t.spec.By == TopByCode:
-		for ci := range s.byCode {
-			cb := &s.byCode[ci]
-			cb.bits.forEach(func(i int) bool {
-				t.addRow(s.times[i], int16(cb.code), s.nodes[i], 0)
-				return true
-			})
-		}
-	default:
-		for i, sec := range s.times {
-			t.addRow(sec, int16(s.codes[i]), s.nodes[i], serialAt(i))
-		}
-	}
-}
-
-// AddEvents folds materialized events (the retained tail) through the
-// identical kernel.
-func (t *Top) AddEvents(events []console.Event) {
-	for _, e := range events {
-		t.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node), uint32(e.Serial))
-	}
-}
-
-// AddSegmentWhere folds only the segment rows matching m, walking the
-// positions its predicate bitmap marks. A nil matcher is AddSegment; a
-// ruled-out segment is skipped without touching its columns.
-func (t *Top) AddSegmentWhere(s *Segment, m *Matcher) {
-	if m == nil {
-		t.AddSegment(s)
-		return
-	}
-	if t.lo > s.maxT || t.hi < s.minT {
-		return
-	}
-	bits, kind := m.segmentBits(s)
-	switch kind {
-	case matchNone:
-		return
-	case matchAll:
-		t.AddSegment(s)
-		return
-	}
-	bySerial := t.spec.By == TopBySerial
-	bits.forEach(func(i int) bool {
-		var serial uint32
-		if bySerial {
-			serial = s.serials[s.nodes[i]][s.cards[i]]
-		}
-		t.addRow(s.times[i], int16(s.codes[i]), s.nodes[i], serial)
-		return true
-	})
-}
-
-// AddEventsWhere folds only the materialized events matching m. A nil
-// matcher is AddEvents.
-func (t *Top) AddEventsWhere(events []console.Event, m *Matcher) {
-	if m == nil {
-		t.AddEvents(events)
-		return
-	}
-	for _, e := range events {
-		if m.MatchEvent(e) {
-			t.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node), uint32(e.Serial))
-		}
-	}
 }
 
 // Merge folds another accumulator built with the same spec into t.
@@ -299,27 +202,13 @@ func (t *Top) Doc() TopDoc {
 	return doc
 }
 
-// TopSegments folds an explicit segment list plus tail — what a caller
-// holding a consistent (segments, tail) snapshot uses.
-func TopSegments(segs []*Segment, tail []console.Event, spec TopSpec) (TopDoc, error) {
-	t, err := NewTop(spec)
-	if err != nil {
-		return TopDoc{}, err
-	}
-	for _, seg := range segs {
-		t.AddSegment(seg)
-	}
-	t.AddEvents(tail)
-	return t.Doc(), nil
-}
-
-// TopEvents computes the identical ranking from materialized events —
-// the batch reference.
+// TopEvents computes the identical ranking from materialized events
+// alone — the batch reference (see RollupEvents).
 func TopEvents(events []console.Event, spec TopSpec) (TopDoc, error) {
 	t, err := NewTop(spec)
 	if err != nil {
 		return TopDoc{}, err
 	}
-	t.AddEvents(events)
+	scanEvents(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until), t)
 	return t.Doc(), nil
 }

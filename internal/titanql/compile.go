@@ -12,12 +12,14 @@ import (
 // position bitmap — stored per-code bitmaps unioned, then intersected
 // word-wise with the node-mask and time-range bitmaps; over the
 // retained tail it tests events one by one), and the stages become the
-// RollupSpec or TopSpec the accumulators already understand. Execute
-// then fans sealed segments across the segment-parallel workers;
-// because partial accumulators merge commutatively and the final render
-// sorts canonically, the document is byte-identical at any worker
-// count — and byte-identical to ExecuteEvents, the naive materialized
-// fold, which is the standing equivalence gate.
+// RollupSpec or TopSpec the accumulators already understand. Fold then
+// runs the store's one fold (sealed segments fanned across workers, then
+// the tail) and returns the merged accumulator as a Result; Doc ranks
+// and renders it, Partial exports it raw for a router to merge. Because
+// partial accumulators merge commutatively and the final render sorts
+// canonically, the document is byte-identical at any worker count — and
+// byte-identical to ExecuteEvents, the naive materialized fold, which is
+// the standing equivalence gate.
 
 // Doc is one executed query. Exactly one of Rollup/Top is set,
 // mirroring the plan kind; Query echoes the canonical spelling.
@@ -73,28 +75,60 @@ func (p *Plan) Compile() (*Compiled, error) {
 // Plan returns the plan the query was compiled from.
 func (c *Compiled) Plan() *Plan { return c.plan }
 
-// Execute runs the compiled plan over one consistent (sealed segments,
+// Result is a folded query before rendering: the canonical spelling,
+// the rank bound, and the merged accumulator matching the plan kind
+// (exactly one of roll/top is set). One replica's fold and the router's
+// merge of many replicas' partials both end in a Result, so ranking and
+// rendering happen in one place — Doc — and only after every row is in.
+type Result struct {
+	query string
+	rankK int
+	roll  *store.Rollup
+	top   *store.Top
+}
+
+// Fold runs the compiled plan over one consistent (sealed segments,
 // retained tail) snapshot, segment-parallel at the given worker count
-// (<= 0 means GOMAXPROCS). The rendered document is byte-identical at
-// any width and byte-identical to ExecuteEvents over the same stream.
-func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers int) (Doc, error) {
-	doc := Doc{Query: c.query}
+// (<= 0 means GOMAXPROCS), stopping short of the render.
+func (c *Compiled) Fold(segs []*store.Segment, tail []console.Event, workers int) (*Result, error) {
+	res := &Result{query: c.query}
+	var err error
 	if c.plan.Kind == KindTop {
-		top, err := store.ParallelTop(segs, tail, c.top, c.matcher, workers)
-		if err != nil {
-			return Doc{}, err
-		}
-		doc.Top = &top
-		return doc, nil
+		res.top, err = store.ParallelTopAcc(segs, tail, c.top, c.matcher, workers)
+	} else {
+		res.rankK = c.plan.RankK
+		res.roll, err = store.ParallelRollupAcc(segs, tail, c.rollup, c.matcher, workers)
 	}
-	roll, err := store.ParallelRollup(segs, tail, c.rollup, c.matcher, workers)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Doc ranks and renders the result. The document is byte-identical at
+// any worker count and byte-identical to ExecuteEvents over the same
+// stream.
+func (r *Result) Doc() Doc {
+	doc := Doc{Query: r.query}
+	if r.top != nil {
+		top := r.top.Doc()
+		doc.Top = &top
+		return doc
+	}
+	roll := r.roll.Doc()
+	rankCells(&roll, r.rankK)
+	doc.RankedTop = r.rankK
+	doc.Rollup = &roll
+	return doc
+}
+
+// Execute is Fold then Doc: the rendered answer in one call.
+func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers int) (Doc, error) {
+	res, err := c.Fold(segs, tail, workers)
 	if err != nil {
 		return Doc{}, err
 	}
-	rankCells(&roll, c.plan.RankK)
-	doc.RankedTop = c.plan.RankK
-	doc.Rollup = &roll
-	return doc, nil
+	return res.Doc(), nil
 }
 
 // ExecuteEvents is the naive reference: materialize the whole stream,

@@ -55,6 +55,9 @@ func FuzzTitanQLEquivalence(f *testing.F) {
 		"node=c3-* | top node 5",
 		"code=sbe | top serial 3",
 		"since=2014-01-02 until=2014-01-05 | by code,cage | bucket 1d",
+		"code=65549 | by code | bucket 1h",
+		"code!=65549 | by code | bucket 1h",
+		"code=65549 | top node 5",
 	} {
 		f.Add(q)
 	}

@@ -273,9 +273,9 @@ func parseCodes(value string) ([]xid.Code, error) {
 		if part == "" {
 			continue
 		}
-		c, err := parseCode(part)
+		c, err := xid.ParseCode(part)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("titanql: %v", err)
 		}
 		codes = append(codes, c)
 	}
@@ -283,22 +283,6 @@ func parseCodes(value string) ([]xid.Code, error) {
 		return nil, fmt.Errorf("titanql: empty code list %q", value)
 	}
 	return canonCodes(codes), nil
-}
-
-// parseCode accepts an XID number or the conventional sbe/otb
-// abbreviations (case-insensitive).
-func parseCode(s string) (xid.Code, error) {
-	switch strings.ToLower(s) {
-	case "sbe":
-		return xid.SingleBitError, nil
-	case "otb":
-		return xid.OffTheBus, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("titanql: bad code %q: want an XID number, sbe or otb", s)
-	}
-	return xid.Code(n), nil
 }
 
 // parseTime accepts RFC3339 or a bare date (midnight UTC), truncated to

@@ -9,11 +9,11 @@ import (
 
 // Cluster-side query execution. A router fanning one query out to N
 // replicas cannot merge rendered Docs — rank truncation and string
-// rendering are only valid after the global fold. ExecutePartial is
-// Execute stopping short of both: it runs the compiled plan over the
-// replica's own rows and exports the raw accumulator. MergePartials is
-// the router's other half: fold the partials with the store Merge
-// kernels, then rank and render exactly as a single Execute would have.
+// rendering are only valid after the global fold. Result.Partial is the
+// replica's half: the folded accumulator exported raw, unranked and
+// unrendered. MergePartials is the router's: fold the partials back into
+// one Result with the store Merge kernels, then Doc — the same rank and
+// render a single Execute ends in.
 // For rows partitioned across replicas in any way, the merged Doc is
 // byte-identical to Execute over the union — the cluster face of the
 // standing equivalence gate.
@@ -28,27 +28,27 @@ type Partial struct {
 	Top       *store.TopPartial    `json:"top,omitempty"`
 }
 
-// ExecutePartial runs the compiled plan over one consistent snapshot
-// and exports the unrendered, unranked accumulator.
-func (c *Compiled) ExecutePartial(segs []*store.Segment, tail []console.Event, workers int) (Partial, error) {
-	p := Partial{Query: c.query}
-	if c.plan.Kind == KindTop {
-		top, err := store.ParallelTopAcc(segs, tail, c.top, c.matcher, workers)
-		if err != nil {
-			return Partial{}, err
-		}
-		tp := top.Partial()
+// Partial exports the result's unrendered, unranked accumulator.
+func (r *Result) Partial() Partial {
+	p := Partial{Query: r.query}
+	if r.top != nil {
+		tp := r.top.Partial()
 		p.Top = &tp
-		return p, nil
+		return p
 	}
-	roll, err := store.ParallelRollupAcc(segs, tail, c.rollup, c.matcher, workers)
+	rp := r.roll.Partial()
+	p.RankedTop = r.rankK
+	p.Rollup = &rp
+	return p
+}
+
+// ExecutePartial is Fold then Partial: one replica's share of a query.
+func (c *Compiled) ExecutePartial(segs []*store.Segment, tail []console.Event, workers int) (Partial, error) {
+	res, err := c.Fold(segs, tail, workers)
 	if err != nil {
 		return Partial{}, err
 	}
-	rp := roll.Partial()
-	p.RankedTop = c.plan.RankK
-	p.Rollup = &rp
-	return p, nil
+	return res.Partial(), nil
 }
 
 // MergePartials folds per-replica partials of one query into the final
@@ -71,34 +71,25 @@ func MergePartials(parts []Partial) (Doc, error) {
 			return Doc{}, fmt.Errorf("titanql: merge: partial %d plan kind differs", i)
 		}
 	}
-	doc := Doc{Query: first.Query}
+	res := &Result{query: first.Query, rankK: first.RankedTop}
+	var err error
 	if first.Top != nil {
 		tps := make([]store.TopPartial, len(parts))
 		for i, p := range parts {
 			tps[i] = *p.Top
 		}
-		top, err := store.MergeTopPartials(tps)
-		if err != nil {
-			return Doc{}, fmt.Errorf("titanql: merge: %w", err)
+		res.top, err = store.MergeTopPartials(tps)
+	} else if first.Rollup != nil {
+		rps := make([]store.RollupPartial, len(parts))
+		for i, p := range parts {
+			rps[i] = *p.Rollup
 		}
-		d := top.Doc()
-		doc.Top = &d
-		return doc, nil
-	}
-	if first.Rollup == nil {
+		res.roll, err = store.MergeRollupPartials(rps)
+	} else {
 		return Doc{}, fmt.Errorf("titanql: merge: partials carry no accumulator")
 	}
-	rps := make([]store.RollupPartial, len(parts))
-	for i, p := range parts {
-		rps[i] = *p.Rollup
-	}
-	roll, err := store.MergeRollupPartials(rps)
 	if err != nil {
 		return Doc{}, fmt.Errorf("titanql: merge: %w", err)
 	}
-	d := roll.Doc()
-	rankCells(&d, first.RankedTop)
-	doc.RankedTop = first.RankedTop
-	doc.Rollup = &d
-	return doc, nil
+	return res.Doc(), nil
 }

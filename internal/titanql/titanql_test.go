@@ -161,6 +161,12 @@ func equivalenceQueries(mid time.Time) []string {
 		"code=sbe | top serial 10",
 		"cabinet=c*-0 | top code 0",
 		"code=99 | by code | bucket 1h", // absent code: empty result
+		// Codes outside the segments' int16 column match nothing; they
+		// must not alias the XID they truncate to (65549 -> 13).
+		"code=65549 | by code | bucket 1h",
+		"code!=65549 | by code | bucket 1h",
+		"code=65549 | top node 5",
+		"node=c3-2c1s4n2 | by code | bucket 1d", // literal cname: Compile's parse path
 	}
 }
 

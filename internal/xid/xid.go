@@ -12,7 +12,11 @@
 // synthetic negative codes here so the whole event space shares one type.
 package xid
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Code identifies a GPU error class. Non-negative values are real NVIDIA
 // XID codes; negative values are synthetic codes for events the console
@@ -348,4 +352,23 @@ func (c Code) String() string {
 	default:
 		return fmt.Sprintf("XID %d", int(c))
 	}
+}
+
+// ParseCode decodes a code the way operators write it: an XID number
+// ("13", "-1") or the conventional abbreviations "sbe" / "otb"
+// (case-insensitive). It is the one decoder behind titand's ?code= and
+// /codes/{xid} parameters, titanql's code= predicate and titanreport's
+// -rollup-code flag; callers add their own error prefix.
+func ParseCode(s string) (Code, error) {
+	switch strings.ToLower(s) {
+	case "sbe":
+		return SingleBitError, nil
+	case "otb":
+		return OffTheBus, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad code %q: want an XID number, sbe or otb", s)
+	}
+	return Code(n), nil
 }

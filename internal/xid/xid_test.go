@@ -145,3 +145,17 @@ func TestThermalAndDriverFlags(t *testing.T) {
 		}
 	}
 }
+
+func TestParseCode(t *testing.T) {
+	for in, want := range map[string]Code{"13": 13, "-1": SingleBitError, "sbe": SingleBitError, "SBE": SingleBitError, "otb": OffTheBus, "Otb": OffTheBus, "65549": 65549} {
+		got, err := ParseCode(in)
+		if err != nil || got != want {
+			t.Errorf("ParseCode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "zzz", "1.5", "xid13"} {
+		if _, err := ParseCode(in); err == nil || !strings.Contains(err.Error(), "bad code") {
+			t.Errorf("ParseCode(%q) error = %v, want a bad-code error", in, err)
+		}
+	}
+}

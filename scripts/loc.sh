@@ -1,0 +1,19 @@
+#!/bin/sh
+# loc.sh — non-test, non-comment, non-blank Go lines per package, so
+# "net-negative LOC" in ROADMAP.md is a command, not an estimate.
+#   ./scripts/loc.sh                 the read-path packages PR 12 counted
+#   ./scripts/loc.sh internal/sim    any directories (subtrees included)
+# Run from anywhere; paths are relative to the repository root.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+[ $# -gt 0 ] || set -- internal/store internal/serve internal/router internal/titanql cmd/titanreport
+
+total=0
+for pkg in "$@"; do
+	n=$(find "$pkg" -name '*.go' ! -name '*_test.go' | xargs cat | grep -Ecv '^\s*(//|$)' || true)
+	printf '%6d  %s\n' "$n" "$pkg"
+	total=$((total + n))
+done
+printf '%6d  total\n' "$total"
