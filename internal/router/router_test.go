@@ -142,6 +142,11 @@ var clusterReadPaths = []string{
 	"/query?" + url.Values{"q": {"code=48 cabinet=c3-* | by cage | bucket 6h | top 5"}}.Encode(),
 	"/query?" + url.Values{"q": {"* | by code | bucket 1d"}}.Encode(),
 	"/query?" + url.Values{"q": {"code=sbe | top serial 5"}}.Encode(),
+	// A rank bound far past the key count: every key comes back, "k"
+	// echoed as asked. The parent commit sized its cards by k and died
+	// out of memory — router and replicas both — on either request.
+	"/top?by=code&k=1099511627776",
+	"/query?" + url.Values{"q": {"* | top node 1099511627776"}}.Encode(),
 }
 
 // checkMergedReads asserts every cluster read path returns exactly the

@@ -58,6 +58,8 @@ type metrics struct {
 	queryTop         atomic.Uint64 // GET /top served
 	queries          atomic.Uint64 // GET /query requests (titanql plans)
 	queryErrors      atomic.Uint64 // GET /query requests rejected (parse/compile/execute)
+	rowsFolded       atomic.Uint64 // rows /rollup, /top and /query folded into accumulators
+	foldNanos        atomic.Uint64 // wall time of those folds (segments + tail + worker merge, no render)
 
 	// Ingest latency histogram (request admission to 202, seconds).
 	latCount atomic.Uint64
@@ -66,6 +68,13 @@ type metrics struct {
 }
 
 func newMetrics(now time.Time) *metrics { return &metrics{start: now} }
+
+// observeFold books one aggregate query's fold: the rows its accumulator
+// took in and the wall time since start.
+func (m *metrics) observeFold(start time.Time, rows int64) {
+	m.foldNanos.Add(uint64(time.Since(start)))
+	m.rowsFolded.Add(uint64(rows))
+}
 
 // observeLatency books one ingest request round trip.
 func (m *metrics) observeLatency(d time.Duration) {
@@ -147,6 +156,9 @@ func (m *metrics) write(w io.Writer, g snapshotGauges, now time.Time) error {
 	counter("titand_query_top_total", "Top-offender queries served (GET /top).", m.queryTop.Load())
 	counter("titand_queries_total", "titanql plans received on GET /query (accepted or not).", m.queries.Load())
 	counter("titand_query_errors_total", "GET /query requests rejected at parse, compile or execute.", m.queryErrors.Load())
+	counter("titand_query_rows_folded_total", "Rows folded into accumulators by /rollup, /top and /query.", m.rowsFolded.Load())
+	fmt.Fprintf(bw, "# HELP %[1]s %[2]s\n# TYPE %[1]s counter\n%[1]s %[3]g\n", "titand_query_fold_seconds_total",
+		"Wall time of those folds (scan and worker merge, before rendering); over rows folded it is the kernels' time per row.", float64(m.foldNanos.Load())/1e9)
 	if g.journal != nil {
 		counter("titand_journal_appends_total", "Events framed into the write-ahead journal.", g.journal.Appends)
 		counter("titand_journal_append_failures_total", "Events applied but not journaled because the journal was wedged by an I/O failure.", g.journal.AppendFailures)

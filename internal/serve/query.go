@@ -219,11 +219,13 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 	}
 
 	segs, tail := s.historyView()
+	start := time.Now()
 	acc, err := store.ParallelRollupAcc(segs, tail, spec, m, 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.metrics.observeFold(start, acc.Total())
 	s.metrics.queryRollup.Add(1)
 	writeAcc(w, r, acc.Doc, acc.Partial)
 }
@@ -304,7 +306,12 @@ func (s *Server) runQuery(q string) (*titanql.Result, error) {
 		return nil, err
 	}
 	segs, tail := s.historyView()
-	return compiled.Fold(segs, tail, 0)
+	start := time.Now()
+	res, err := compiled.Fold(segs, tail, 0)
+	if err == nil {
+		s.metrics.observeFold(start, res.Rows())
+	}
+	return res, err
 }
 
 // handleTop serves offender cards ranked by event count — the paper's
@@ -340,11 +347,13 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	}
 
 	segs, tail := s.historyView()
+	start := time.Now()
 	acc, err := store.ParallelTopAcc(segs, tail, spec, nil, 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.metrics.observeFold(start, acc.Total())
 	s.metrics.queryTop.Add(1)
 	writeAcc(w, r, acc.Doc, acc.Partial)
 }

@@ -8,12 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"titanre/internal/console"
 	"titanre/internal/store"
+	"titanre/internal/titanql"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
@@ -239,6 +241,69 @@ func TestTopOffenders(t *testing.T) {
 	}
 	if st := s.StatsNow(); st.QueryTop == 0 {
 		t.Fatal("stats: query_top counter never moved")
+	}
+}
+
+// TestTopHugeK: k bounds a ranking, it does not size one. A k far past
+// the key count — here 2^40, which the parent commit tried to allocate
+// cards for and died of, out of memory, on one GET — answers 200 with
+// every key and echoes k as asked, on /top, on /query and as a partial.
+func TestTopHugeK(t *testing.T) {
+	log := encodeLog(t, simEvents())
+	s, base, want := queryServer(t, log)
+	if _, err := s.compact(48*time.Hour, 1); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	const huge = 1 << 40
+	for _, by := range []store.TopBy{store.TopByNode, store.TopByCode} {
+		ref, err := store.TopEvents(want, store.TopSpec{By: by, K: huge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.K != huge || len(ref.Cards) == 0 {
+			t.Fatalf("reference by=%s: k=%d, %d cards", by, ref.K, len(ref.Cards))
+		}
+		if body := getBody(t, fmt.Sprintf("%s/top?by=%s&k=%d", base, by, huge)); !bytes.Equal(body, renderJSON(t, ref)) {
+			t.Fatalf("GET /top?by=%s&k=2^40 diverges from the batch ranking", by)
+		}
+		var doc titanql.Doc
+		getJSON(t, queryURL(base, fmt.Sprintf("* | top %s %d", by, huge)), &doc)
+		if doc.Top == nil || doc.Top.K != huge || len(doc.Top.Cards) != len(ref.Cards) {
+			t.Fatalf("/query top %s 2^40: %+v", by, doc.Top)
+		}
+		if got := getStatus(t, fmt.Sprintf("%s/top?by=%s&k=%d&partial=1", base, by, huge)); got != http.StatusOK {
+			t.Fatalf("GET /top?by=%s&k=2^40&partial=1: status %d", by, got)
+		}
+	}
+}
+
+// TestFoldCounters: every aggregate query books the rows it folded and
+// the time the fold took, on /stats and /metrics alike.
+func TestFoldCounters(t *testing.T) {
+	log := encodeLog(t, simEvents())
+	s, base, want := queryServer(t, log)
+	if _, err := s.compact(48*time.Hour, 1); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if st := s.StatsNow(); st.QueryRowsFolded != 0 || st.QueryFoldSeconds != 0 {
+		t.Fatalf("fold counters moved before any query: %d rows, %g s", st.QueryRowsFolded, st.QueryFoldSeconds)
+	}
+	getBody(t, base+"/rollup?by=code&bucket=1h")
+	getBody(t, base+"/top?k=3")
+	getBody(t, queryURL(base, "* | by cage | bucket 1d"))
+	getStatus(t, queryURL(base, "| nonsense"))
+	st := s.StatsNow()
+	if st.QueryRowsFolded != 3*uint64(len(want)) || st.QueryFoldSeconds <= 0 {
+		t.Fatalf("after three unfiltered queries over %d events: %d rows folded in %g s", len(want), st.QueryRowsFolded, st.QueryFoldSeconds)
+	}
+	metrics := string(getBody(t, base+"/metrics"))
+	for _, line := range []string{
+		fmt.Sprintf("\ntitand_query_rows_folded_total %d\n", st.QueryRowsFolded),
+		"\n# TYPE titand_query_fold_seconds_total counter\ntitand_query_fold_seconds_total ",
+	} {
+		if !strings.Contains(metrics, line) {
+			t.Fatalf("/metrics lacks %q", line)
+		}
 	}
 }
 

@@ -788,6 +788,10 @@ type Stats struct {
 	QueryTop         uint64 `json:"query_top"`
 	Queries          uint64 `json:"queries"`
 	QueryErrors      uint64 `json:"query_errors"`
+	// Rows /rollup, /top and /query folded and the seconds those folds
+	// took: their quotient is the query kernels' time per row.
+	QueryRowsFolded  uint64  `json:"query_rows_folded"`
+	QueryFoldSeconds float64 `json:"query_fold_seconds"`
 
 	// Journal is present when the write-ahead journal is active.
 	Journal *JournalStats `json:"journal,omitempty"`
@@ -844,6 +848,8 @@ func (s *Server) StatsNow() Stats {
 	st.QueryTop = m.queryTop.Load()
 	st.Queries = m.queries.Load()
 	st.QueryErrors = m.queryErrors.Load()
+	st.QueryRowsFolded = m.rowsFolded.Load()
+	st.QueryFoldSeconds = float64(m.foldNanos.Load()) / 1e9
 	st.Compactions = m.compactions.Load()
 	st.CompactionRetries = m.compactRetries.Load()
 	st.EventsSealed = m.eventsSealed.Load()

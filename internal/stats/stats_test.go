@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,6 +262,40 @@ func TestTopOffenders(t *testing.T) {
 	}
 	if len(TopOffenders(counts, -1)) != 0 {
 		t.Error("negative k should clamp to 0")
+	}
+}
+
+// TestTopOffendersSelectionMatchesSort: for every k the bounded selection
+// returns exactly the prefix a full sort would — same order, same ties
+// (heavy on purpose: few distinct counts over many keys).
+func TestTopOffendersSelectionMatchesSort(t *testing.T) {
+	counts := make(map[uint64]int64)
+	state := uint64(11)
+	for i := 0; i < 500; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		counts[state>>40] = int64(state >> 33 % 7)
+	}
+	var want []KeyCount
+	for key, c := range counts {
+		want = append(want, KeyCount{Key: key, Count: c})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Count != want[j].Count {
+			return want[i].Count > want[j].Count
+		}
+		return want[i].Key < want[j].Key
+	})
+	for _, k := range []int{-3, 0, 1, 2, 3, 10, 63, 64, 65, len(want) - 1, len(want), len(want) + 1, 1 << 40} {
+		got := TopOffenders(counts, k)
+		n := min(max(k, 0), len(want))
+		if len(got) != n {
+			t.Fatalf("k=%d: %d offenders, want %d", k, len(got), n)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: rank %d is %+v, a full sort puts %+v there", k, i, got[i], want[i])
+			}
+		}
 	}
 }
 

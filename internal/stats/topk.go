@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Top-k offender exclusion.
 //
@@ -22,19 +25,54 @@ func TopOffenders(counts map[uint64]int64, k int) []KeyCount {
 	for key, c := range counts {
 		all = append(all, KeyCount{Key: key, Count: c})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
+	return RankOffenders(all, k)
+}
+
+// offenderOrder is the ranking order: count descending, key ascending.
+func offenderOrder(a, b KeyCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
+// RankOffenders is TopOffenders over pairs the caller already holds: it
+// returns the k first-ranked entries in rank order, using all as its
+// scratch space (the result aliases it; the rest is left in no order). For k < len(all) that is a bounded selection — a k-entry heap
+// with the worst kept candidate on top, one pass over the rest — so
+// asking for ten of 16,000 never sorts the 16,000.
+func RankOffenders(all []KeyCount, k int) []KeyCount {
+	k = max(k, 0)
+	if k < len(all) {
+		heap := all[:k]
+		sift := func(i int) {
+			for {
+				worst := i
+				for c := 2*i + 1; c <= 2*i+2 && c < k; c++ {
+					if offenderOrder(heap[c], heap[worst]) > 0 {
+						worst = c
+					}
+				}
+				if worst == i {
+					return
+				}
+				heap[i], heap[worst] = heap[worst], heap[i]
+				i = worst
+			}
 		}
-		return all[i].Key < all[j].Key
-	})
-	if k > len(all) {
-		k = len(all)
+		for i := k/2 - 1; i >= 0; i-- {
+			sift(i)
+		}
+		for _, kc := range all[k:] {
+			if k > 0 && offenderOrder(kc, heap[0]) < 0 {
+				heap[0] = kc
+				sift(0)
+			}
+		}
+		all = heap
 	}
-	if k < 0 {
-		k = 0
-	}
-	return all[:k]
+	slices.SortFunc(all, offenderOrder)
+	return all
 }
 
 // ExcludeKeys returns a copy of counts without the given keys.

@@ -107,9 +107,9 @@ func BenchmarkStoreScanMapped(b *testing.B) {
 }
 
 // BenchmarkStoreRollup measures the steady-state rollup kernel over an
-// already-open store: ns per event streamed through addRow, and the
-// per-query allocation bill (the accumulator map plus the rendered
-// doc — bounded, never per-event).
+// already-open store: ns per event streamed through addRows, and the
+// per-query allocation bill (the accumulator's slot table plus the
+// rendered doc — bounded, never per-event).
 func BenchmarkStoreRollup(b *testing.B) {
 	fx := benchFixture()
 	st, _, err := OpenDir(fx.dir, OpenOptions{Mapped: true})
@@ -228,4 +228,5 @@ func BenchmarkStoreTop(b *testing.B) {
 			b.Fatalf("top covered %d events, fixture has %d", doc.TotalEvents, fx.events)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fx.events), "ns/event")
 }

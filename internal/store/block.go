@@ -1,0 +1,139 @@
+package store
+
+import (
+	"math/bits"
+
+	"titanre/internal/console"
+)
+
+// Blocks — how selected rows travel from a row source (a sealed segment,
+// a slice of materialized events) to a query accumulator: as column
+// slices, a block per dynamic call, never a call per row.
+
+// block is a run of selected rows as parallel column slices — the unit a
+// rowSink folds per call. serials is nil for a sink that does not
+// needSerial (inside a segment a serial is a per-row dictionary lookup).
+type block struct {
+	times   []int64
+	codes   []uint16 // int16 two's complement, as the segments store them
+	nodes   []uint32
+	serials []uint32
+}
+
+// blockRows bounds a gathered block.
+const blockRows = 1024
+
+// rowSink folds the rows a query selects, a block at a time.
+type rowSink interface {
+	addRows(b block)
+	needSerial() bool
+}
+
+// gather is one fold worker's row source: it hands a sink the rows a
+// matcher selects, straight off the columns where a whole run matches and
+// copied into its one reusable block where rows must be picked out.
+type gather struct {
+	sink rowSink
+	n    int   // rows buffered in buf
+	buf  block // blockRows long
+}
+
+func newGather(sink rowSink) *gather {
+	g := &gather{sink: sink, buf: block{
+		times: make([]int64, blockRows),
+		codes: make([]uint16, blockRows),
+		nodes: make([]uint32, blockRows),
+	}}
+	if sink.needSerial() {
+		g.buf.serials = make([]uint32, blockRows)
+	}
+	return g
+}
+
+// add buffers one row; callers flush before the block can overflow.
+func (g *gather) add(sec int64, code uint16, node, serial uint32) {
+	g.buf.times[g.n], g.buf.codes[g.n], g.buf.nodes[g.n] = sec, code, node
+	if g.buf.serials != nil {
+		g.buf.serials[g.n] = serial
+	}
+	g.n++
+}
+
+// flush folds the buffered rows, if any.
+func (g *gather) flush() {
+	if g.n > 0 {
+		g.emit(g.buf.times[:g.n], g.buf.codes[:g.n], g.buf.nodes[:g.n])
+		g.n = 0
+	}
+}
+
+// emit hands one block to the sink; the serial column, when the sink
+// wants one, is the front of the gather buffer.
+func (g *gather) emit(times []int64, codes []uint16, nodes []uint32) {
+	b := block{times: times, codes: codes, nodes: nodes}
+	if g.buf.serials != nil {
+		b.serials = g.buf.serials[:len(times)]
+	}
+	g.sink.addRows(b)
+}
+
+// segment is the one way a sealed segment's rows reach an accumulator:
+// every row matching m (nil = all), in position order, as column values
+// — never as a materialized event, whose arena decode would cost several
+// times the kernels themselves. A segment m rules out is skipped without
+// touching its columns; one m fully covers (and nil) hands its (possibly
+// mmap-aliased) columns over in place, blockRows at a time; otherwise
+// the positions segmentBits marks are gathered. The retained tail's
+// counterpart is events.
+func (g *gather) segment(s *Segment, m *Matcher) {
+	var sel bitmap
+	kind := matchAll
+	if m != nil {
+		sel, kind = m.segmentBits(s)
+	}
+	switch kind {
+	case matchAll:
+		for lo := 0; lo < len(s.times); lo += blockRows {
+			hi := min(lo+blockRows, len(s.times))
+			if g.buf.serials != nil {
+				for i := lo; i < hi; i++ {
+					g.buf.serials[i-lo] = s.serials[s.nodes[i]][s.cards[i]]
+				}
+			}
+			g.emit(s.times[lo:hi], s.codes[lo:hi], s.nodes[lo:hi])
+		}
+	case matchSome:
+		for wi, w := range sel.words {
+			if g.n > blockRows-64 {
+				g.flush()
+			}
+			for ; w != 0; w &= w - 1 {
+				i := wi<<6 + bits.TrailingZeros64(w)
+				var serial uint32
+				if g.buf.serials != nil {
+					serial = s.serials[s.nodes[i]][s.cards[i]]
+				}
+				g.add(s.times[i], s.codes[i], s.nodes[i], serial)
+			}
+		}
+		g.flush()
+	}
+}
+
+// events is the row source for materialized events — the retained tail,
+// and the whole stream in the RollupEvents/TopEvents references: every
+// event matching m (nil = all) reaches the sink as the same column
+// values segment reads off a segment.
+func (g *gather) events(events []console.Event, m *Matcher) {
+	for i := range events {
+		e := &events[i]
+		if m != nil && !m.MatchEvent(*e) {
+			continue
+		}
+		if g.n == blockRows {
+			g.flush()
+		}
+		g.add(e.Time.Unix(), uint16(int16(e.Code)), uint32(e.Node), uint32(e.Serial))
+	}
+	g.flush()
+}

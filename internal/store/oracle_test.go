@@ -1,0 +1,423 @@
+package store
+
+import (
+	"encoding/json"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"titanre/internal/console"
+	"titanre/internal/gpu"
+	"titanre/internal/topology"
+	"titanre/internal/xid"
+)
+
+// The oracle: the row-at-a-time Go-map kernels the block kernels
+// replaced, kept here — sharing nothing with slotTable, block packing or
+// stats.RankOffenders — so addRows is held to an independent answer
+// rather than to itself (RollupEvents/TopEvents run the new kernel too).
+
+type oracleKey struct {
+	bucket int64
+	code   int16
+	cab    int16
+	cage   int8
+	node   int32
+}
+
+func (a oracleKey) less(b oracleKey) bool {
+	switch {
+	case a.bucket != b.bucket:
+		return a.bucket < b.bucket
+	case a.code != b.code:
+		return a.code < b.code
+	case a.cab != b.cab:
+		return a.cab < b.cab
+	case a.cage != b.cage:
+		return a.cage < b.cage
+	}
+	return a.node < b.node
+}
+
+// oracleRollup folds events into sorted raw cells, one map update a row.
+func oracleRollup(events []console.Event, spec RollupSpec) RollupPartial {
+	bs := int64(spec.Bucket / time.Second)
+	cells := make(map[oracleKey]int64)
+	for _, e := range events {
+		sec, node := e.Time.Unix(), uint32(e.Node)
+		bucket := sec / bs
+		if sec < 0 && sec%bs != 0 {
+			bucket--
+		}
+		key := oracleKey{bucket: bucket * bs}
+		if spec.ByCode {
+			key.code = int16(e.Code)
+		}
+		if spec.ByCabinet {
+			key.cab = int16(node / topology.NodesPerCabinet)
+		}
+		if spec.ByCage {
+			key.cage = int8(node / topology.NodesPerCage % topology.CagesPerCabinet)
+		}
+		if spec.ByNode {
+			key.node = int32(node)
+		}
+		cells[key]++
+	}
+	keys := make([]oracleKey, 0, len(cells))
+	for k := range cells {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	p := RollupPartial{Spec: spec, Total: int64(len(events)), Cells: make([]RollupPartialCell, 0, len(keys))}
+	for _, k := range keys {
+		p.Cells = append(p.Cells, RollupPartialCell{Bucket: k.bucket, Code: k.code, Cab: k.cab, Cage: k.cage, Node: k.node, Count: cells[k]})
+	}
+	return p
+}
+
+// oracleRollupDoc renders oracle cells the way Rollup.Doc must.
+func oracleRollupDoc(p RollupPartial) RollupDoc {
+	spec := p.Spec
+	doc := RollupDoc{By: []string{}, BucketSeconds: int64(spec.Bucket / time.Second), TotalEvents: p.Total, Cells: []RollupCell{}}
+	for _, d := range []struct {
+		on   bool
+		name string
+	}{{spec.ByCode, "code"}, {spec.ByCabinet, "cabinet"}, {spec.ByCage, "cage"}, {spec.ByNode, "node"}} {
+		if d.on {
+			doc.By = append(doc.By, d.name)
+		}
+	}
+	for _, c := range p.Cells {
+		cell := RollupCell{Bucket: time.Unix(c.Bucket, 0).UTC(), Count: c.Count}
+		if spec.ByCode {
+			cell.Code = xid.Code(c.Code).String()
+		}
+		if spec.ByCabinet {
+			cab := int(c.Cab)
+			cell.Cabinet = &cab
+		}
+		if spec.ByCage {
+			cage := int(c.Cage)
+			cell.Cage = &cage
+		}
+		if spec.ByNode {
+			cell.Node = topology.CNameOf(topology.NodeID(c.Node))
+		}
+		doc.Cells = append(doc.Cells, cell)
+	}
+	return doc
+}
+
+// oracleTop folds events into raw aggregates sorted by key: a heap
+// aggregate and a per-code map for every key.
+func oracleTop(events []console.Event, spec TopSpec) TopPartial {
+	aggs := make(map[uint64]*TopPartialAgg)
+	for _, e := range events {
+		sec, code := e.Time.Unix(), int16(e.Code)
+		key := uint64(uint32(e.Node))
+		switch spec.By {
+		case TopBySerial:
+			key = uint64(uint32(e.Serial))
+		case TopByCode:
+			key = uint64(uint16(code))
+		}
+		agg := aggs[key]
+		if agg == nil {
+			agg = &TopPartialAgg{Key: key, First: sec, Last: sec}
+			if spec.By != TopByCode {
+				agg.ByCode = make(map[int16]int64)
+			}
+			aggs[key] = agg
+		}
+		agg.Count++
+		agg.First, agg.Last = min(agg.First, sec), max(agg.Last, sec)
+		if agg.ByCode != nil {
+			agg.ByCode[code]++
+		}
+	}
+	p := TopPartial{Spec: spec, Total: int64(len(events)), Aggs: make([]TopPartialAgg, 0, len(aggs))}
+	for _, agg := range aggs {
+		p.Aggs = append(p.Aggs, *agg)
+	}
+	sort.Slice(p.Aggs, func(i, j int) bool { return p.Aggs[i].Key < p.Aggs[j].Key })
+	return p
+}
+
+// oracleTopDoc ranks every aggregate with a full sort and renders K.
+func oracleTopDoc(p TopPartial) TopDoc {
+	ranked := append([]TopPartialAgg(nil), p.Aggs...)
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].Count != ranked[j].Count {
+			return ranked[i].Count > ranked[j].Count
+		}
+		return ranked[i].Key < ranked[j].Key
+	})
+	k := p.Spec.K
+	if k <= 0 {
+		k = len(ranked)
+	}
+	doc := TopDoc{By: string(p.Spec.By), K: k, TotalEvents: p.Total, Cards: []TopCard{}}
+	for _, agg := range ranked[:min(k, len(ranked))] {
+		card := TopCard{Count: agg.Count, FirstSeen: time.Unix(agg.First, 0).UTC(), LastSeen: time.Unix(agg.Last, 0).UTC()}
+		switch p.Spec.By {
+		case TopByNode:
+			card.Node = topology.CNameOf(topology.NodeID(agg.Key))
+		case TopBySerial:
+			card.Serial = gpu.Serial(agg.Key).String()
+		case TopByCode:
+			card.Code = xid.Code(int16(agg.Key)).String()
+		}
+		if agg.ByCode != nil {
+			card.ByCode = make(map[string]int64)
+			for code, n := range agg.ByCode {
+				card.ByCode[xid.Code(code).String()] = n
+			}
+		}
+		doc.Cards = append(doc.Cards, card)
+	}
+	return doc
+}
+
+// adversarialEvents is a stream built to break a block kernel's
+// shortcuts: times that straddle the epoch and jump backwards inside one
+// segment (the cached bucket window must re-seek, floor not truncate),
+// the int16-extreme codes, more distinct codes than a Top row has
+// columns to start with (twice over: two re-strides), nodes in every
+// cage of both ends of the machine, several serials on one node, and
+// runs of identical rows (the last-key memo).
+func adversarialEvents() []console.Event {
+	codes := []xid.Code{math.MinInt16, math.MaxInt16, -2, -1, 0, 13, 31, 43, 48}
+	for c := xid.Code(100); c < 112; c++ {
+		codes = append(codes, c) // 21 distinct: past stride 8 and 16
+	}
+	nodes := []topology.NodeID{0, 1, 31, 32, 64, 95, 96, 97, 130, 9599, 9600, topology.TotalNodes - 97, topology.TotalNodes - 1}
+	var events []console.Event
+	state := uint64(7)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state >> 33 % uint64(n))
+	}
+	base := int64(-3 * 86400)
+	for i := 0; i < 6000; i++ {
+		sec := base + int64(i)*97
+		switch next(8) {
+		case 0:
+			sec -= int64(next(5 * 86400)) // jump back, often across the epoch
+		case 1:
+			sec = int64(next(3)) - 1 // -1, 0, 1
+		}
+		e := console.Event{
+			Time:   time.Unix(sec, 0).UTC(),
+			Node:   nodes[next(len(nodes))],
+			Code:   codes[next(len(codes))],
+			Serial: gpu.Serial(1000 + next(3)),
+			Page:   console.NoPage,
+		}
+		events = append(events, e)
+		for r := next(4); r > 2; r-- {
+			events = append(events, e)
+		}
+	}
+	return events
+}
+
+func sealChunks(t *testing.T, events []console.Event, chunk int) []*Segment {
+	t.Helper()
+	var segs []*Segment
+	for lo := 0; lo < len(events); lo += chunk {
+		b := NewBuilder(chunk)
+		for _, e := range events[lo:min(lo+chunk, len(events))] {
+			if err := b.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seg, err := b.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
+	return segs
+}
+
+func sameJSON(t *testing.T, what string, got, want any) {
+	t.Helper()
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(want)
+	if string(gj) != string(wj) {
+		t.Fatalf("%s diverges from the map oracle\ngot:  %.2000s\nwant: %.2000s", what, gj, wj)
+	}
+}
+
+// oracleCases runs check over every way rows reach an accumulator: all
+// sealed (matchAll), sealed under a matcher that picks rows out
+// (matchSome, with whole segments ruled out too), all tail, and a
+// sealed/tail split across several workers. kept is what the oracle
+// folds: the events the matcher keeps, by MatchEvent alone.
+func oracleCases(t *testing.T, check func(name string, segs []*Segment, tail, kept []console.Event, m *Matcher, workers int)) {
+	events := adversarialEvents()
+	segs := sealChunks(t, events, 1500) // not a multiple of blockRows: short last blocks
+	check("matchAll", segs, nil, events, nil, 1)
+	check("tail", nil, events, events, nil, 1)
+	cut := 4 * 1500
+	check("split/3 workers", segs[:4], events[cut:], events, nil, 3)
+	for name, p := range map[string]Predicate{
+		"matchSome/not-codes": {NotCodes: []xid.Code{13, math.MaxInt16}, Cage: -1},
+		"matchSome/cage":      {Cage: 1},
+		"matchSome/window":    {Cage: -1, Since: time.Unix(-86400, 0), Until: time.Unix(2*86400, 0)},
+		"matchSome/codes":     {Codes: []xid.Code{math.MinInt16, 104, 48}, Cage: -1},
+	} {
+		m, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []console.Event
+		for _, e := range events {
+			if m.MatchEvent(e) {
+				kept = append(kept, e)
+			}
+		}
+		if len(kept) == 0 || len(kept) == len(events) {
+			t.Fatalf("%s keeps %d of %d events; wanted a strict subset", name, len(kept), len(events))
+		}
+		check(name, segs, nil, kept, m, 1)
+		check(name+"/split", segs[:4], events[cut:], kept, m, 2)
+	}
+}
+
+// TestRollupMatchesMapOracle: the block kernel, its Merge and its wire
+// round trip answer exactly like the map kernel, for every combination
+// of dimensions and for buckets from one second to wider than the whole
+// stream.
+func TestRollupMatchesMapOracle(t *testing.T) {
+	var specs []RollupSpec
+	for dims := 0; dims < 16; dims++ {
+		specs = append(specs, RollupSpec{ByCode: dims&1 != 0, ByCabinet: dims&2 != 0, ByCage: dims&4 != 0, ByNode: dims&8 != 0, Bucket: 6 * time.Hour})
+	}
+	specs = append(specs,
+		RollupSpec{ByCode: true, Bucket: time.Second},
+		RollupSpec{ByCode: true, ByNode: true, Bucket: time.Second},
+		RollupSpec{ByCabinet: true, Bucket: 97 * time.Second},
+		RollupSpec{ByCode: true, ByCage: true, Bucket: 400 * 24 * time.Hour}, // wider than the span
+	)
+	oracleCases(t, func(name string, segs []*Segment, tail, kept []console.Event, m *Matcher, workers int) {
+		for _, spec := range specs {
+			want := oracleRollup(kept, spec)
+			acc, err := ParallelRollupAcc(segs, tail, spec, m, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := acc.Partial(); !reflect.DeepEqual(got, want) {
+				sameJSON(t, name+": partial", got, want)
+				t.Fatalf("%s %+v: partial differs from the oracle only outside its JSON", name, spec)
+			}
+			sameJSON(t, name+": doc", acc.Doc(), oracleRollupDoc(want))
+
+			// Per-source partials through the wire and back, merged.
+			parts := make([]RollupPartial, 0, len(segs)+1)
+			for _, seg := range segs {
+				part, _ := ParallelRollupAcc([]*Segment{seg}, nil, spec, m, 1)
+				parts = append(parts, part.Partial())
+			}
+			part, _ := ParallelRollupAcc(nil, tail, spec, m, 1)
+			parts = append(parts, part.Partial())
+			wire, _ := json.Marshal(parts)
+			var back []RollupPartial
+			if err := json.Unmarshal(wire, &back); err != nil {
+				t.Fatal(err)
+			}
+			merged, err := MergeRollupPartials(back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameJSON(t, name+": merged partials", merged.Partial(), want)
+		}
+	})
+}
+
+// TestTopMatchesMapOracle: the same for the offender ranking, every
+// dimension, K from "all" through a handful to 2^40 — a rank bound, not
+// a size: every key comes back with "k" echoed as asked, where the parent
+// commit sized its card slice by K and died out of memory.
+func TestTopMatchesMapOracle(t *testing.T) {
+	var specs []TopSpec
+	for _, by := range []TopBy{TopByNode, TopBySerial, TopByCode} {
+		for _, k := range []int{0, 1, 4, 1 << 40} {
+			specs = append(specs, TopSpec{By: by, K: k})
+		}
+	}
+	oracleCases(t, func(name string, segs []*Segment, tail, kept []console.Event, m *Matcher, workers int) {
+		for _, spec := range specs {
+			want := oracleTop(kept, spec)
+			acc, err := ParallelTopAcc(segs, tail, spec, m, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := acc.Partial(); !reflect.DeepEqual(got, want) {
+				sameJSON(t, name+": partial", got, want)
+				t.Fatalf("%s %+v: partial differs from the oracle only outside its JSON", name, spec)
+			}
+			sameJSON(t, name+": doc", acc.Doc(), oracleTopDoc(want))
+
+			parts := make([]TopPartial, 0, len(segs)+1)
+			for _, seg := range segs {
+				part, _ := ParallelTopAcc([]*Segment{seg}, nil, spec, m, 1)
+				parts = append(parts, part.Partial())
+			}
+			part, _ := ParallelTopAcc(nil, tail, spec, m, 1)
+			parts = append(parts, part.Partial())
+			wire, _ := json.Marshal(parts)
+			var back []TopPartial
+			if err := json.Unmarshal(wire, &back); err != nil {
+				t.Fatal(err)
+			}
+			merged, err := MergeTopPartials(back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameJSON(t, name+": merged partials", merged.Partial(), want)
+			sameJSON(t, name+": merged doc", merged.Doc(), oracleTopDoc(want))
+		}
+	})
+}
+
+// TestFoldAllocsIndependentOfRows: what a fold allocates follows the
+// segment count and the distinct keys (table and page growth), never the
+// rows — four times the rows over the same keys in the same number of
+// segments allocate the same. One allocation per block would show as
+// +20, one per row as +20,000. The render is left out: its Go maps
+// allocate by hash seed.
+func TestFoldAllocsIndependentOfRows(t *testing.T) {
+	events := adversarialEvents()
+	var more []console.Event
+	for i := 0; i < 4; i++ {
+		more = append(more, events...)
+	}
+	small := sealChunks(t, events, (len(events)+3)/4)
+	large := sealChunks(t, more, (len(more)+3)/4)
+	if len(small) != 4 || len(large) != 4 {
+		t.Fatalf("fixture: %d and %d segments, want 4 and 4", len(small), len(large))
+	}
+	m, err := Predicate{NotCodes: []xid.Code{13}, Cage: -1}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fold := range map[string]func(segs []*Segment, m *Matcher){
+		"rollup": func(segs []*Segment, m *Matcher) {
+			ParallelRollupAcc(segs, nil, RollupSpec{ByCode: true, ByNode: true, Bucket: time.Hour}, m, 1)
+		},
+		"top node":   func(segs []*Segment, m *Matcher) { ParallelTopAcc(segs, nil, TopSpec{By: TopByNode, K: 5}, m, 1) },
+		"top serial": func(segs []*Segment, m *Matcher) { ParallelTopAcc(segs, nil, TopSpec{By: TopBySerial, K: 5}, m, 1) },
+	} {
+		for _, m := range []*Matcher{nil, m} {
+			a := testing.AllocsPerRun(5, func() { fold(small, m) })
+			b := testing.AllocsPerRun(5, func() { fold(large, m) })
+			if math.Abs(a-b) > 2 {
+				t.Errorf("%s (matcher %v): %v allocations over %d rows, %v over %d rows of the same keys", name, m != nil, a, len(events), b, len(more))
+			}
+		}
+	}
+}

@@ -35,18 +35,6 @@ func queryWorkers(workers, segs int) int {
 	return workers
 }
 
-// scanEvents is the row source for materialized events — the retained
-// tail, and the whole stream in the RollupEvents/TopEvents references:
-// every event matching m (nil = all) reaches sink as the same column
-// values forEachRow reads off a segment.
-func scanEvents(events []console.Event, m *Matcher, sink rowSink) {
-	for _, e := range events {
-		if m == nil || m.MatchEvent(e) {
-			sink.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node), uint32(e.Serial))
-		}
-	}
-}
-
 // accumulator is what fold needs of Rollup and Top: a row sink whose
 // per-worker partials merge.
 type accumulator[A any] interface {
@@ -54,16 +42,17 @@ type accumulator[A any] interface {
 	Merge(A)
 }
 
-// fold is the one query loop: sealed segments through forEachRow (fanned
-// over workers, each with a private accumulator from newAcc, merged
-// afterwards), then the retained tail through scanEvents, all under one
-// matcher. workers <= 0 uses GOMAXPROCS.
+// fold is the one query loop: sealed segments through gather.segment
+// (fanned over workers, each with a private accumulator from newAcc and
+// its own gather, merged afterwards), then the retained tail through
+// gather.events, all under one matcher. workers <= 0 uses GOMAXPROCS.
 func fold[A accumulator[A]](newAcc func() A, segs []*Segment, tail []console.Event, m *Matcher, workers int) A {
 	root := newAcc()
+	rows := newGather(root)
 	workers = queryWorkers(workers, len(segs))
 	if workers <= 1 {
 		for _, seg := range segs {
-			seg.forEachRow(m, root)
+			rows.segment(seg, m)
 		}
 	} else {
 		partials := make([]A, workers)
@@ -74,12 +63,13 @@ func fold[A accumulator[A]](newAcc func() A, segs []*Segment, tail []console.Eve
 			go func(w int) {
 				defer wg.Done()
 				part := newAcc()
+				rows := newGather(part)
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(segs) {
 						break
 					}
-					segs[i].forEachRow(m, part)
+					rows.segment(segs[i], m)
 				}
 				partials[w] = part
 			}(w)
@@ -89,7 +79,7 @@ func fold[A accumulator[A]](newAcc func() A, segs []*Segment, tail []console.Eve
 			root.Merge(part)
 		}
 	}
-	scanEvents(tail, m, root)
+	rows.events(tail, m)
 	return root
 }
 

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+
+	"titanre/internal/topology"
 )
 
 // Raw partial aggregates — the cross-replica face of the Merge kernels.
@@ -36,28 +39,45 @@ type RollupPartial struct {
 	Cells []RollupPartialCell `json:"cells"`
 }
 
-// Partial exports the accumulator's raw cells, canonically sorted.
-func (r *Rollup) Partial() RollupPartial {
-	p := RollupPartial{Spec: r.spec, Total: r.total, Cells: make([]RollupPartialCell, 0, len(r.cells))}
-	for k, v := range r.cells {
-		p.Cells = append(p.Cells, RollupPartialCell{Bucket: k.bucket, Code: k.code, Cab: k.cab, Cage: k.cage, Node: k.node, Count: v})
+// pack is the inverse of Partial's unpacking, for cells arriving off the
+// wire: a cell grouped by node names it, any other the first node of its
+// cabinet and cage.
+func (r *Rollup) pack(c RollupPartialCell) uint64 {
+	r.seek(c.Bucket)
+	key := r.bucket
+	if r.spec.ByCode {
+		key |= uint64(uint16(c.Code)^0x8000) << codeShift
 	}
-	sort.Slice(p.Cells, func(i, j int) bool {
-		a, b := p.Cells[i], p.Cells[j]
-		if a.Bucket != b.Bucket {
-			return a.Bucket < b.Bucket
+	node := uint64(c.Node)
+	if !r.spec.ByNode {
+		node = uint64(c.Cab)*topology.NodesPerCabinet + uint64(c.Cage)*topology.NodesPerCage
+	}
+	return key | r.loc(node)
+}
+
+// Partial exports the accumulator's raw cells in canonical (bucket,
+// code, cabinet, cage, node) order: ascending packed key.
+func (r *Rollup) Partial() RollupPartial {
+	keys := slices.Clone(r.cells.keys)
+	slices.Sort(keys)
+	p := RollupPartial{Spec: r.spec, Total: r.total, Cells: make([]RollupPartialCell, len(keys))}
+	for i, key := range keys {
+		c := RollupPartialCell{Bucket: (int64(key>>bucketShift) - bucketBias) * r.bs, Count: r.counts[r.cells.find(key)]}
+		if r.spec.ByCode {
+			c.Code = int16(uint16(key>>codeShift) ^ 0x8000)
 		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
+		cab, cage, node := r.unloc(key & locMask)
+		if r.spec.ByCabinet {
+			c.Cab = int16(cab)
 		}
-		if a.Cab != b.Cab {
-			return a.Cab < b.Cab
+		if r.spec.ByCage {
+			c.Cage = int8(cage)
 		}
-		if a.Cage != b.Cage {
-			return a.Cage < b.Cage
+		if r.spec.ByNode {
+			c.Node = int32(node)
 		}
-		return a.Node < b.Node
-	})
+		p.Cells[i] = c
+	}
 	return p
 }
 
@@ -91,7 +111,7 @@ func MergeRollupPartials(parts []RollupPartial) (*Rollup, error) {
 	}
 	for _, p := range parts {
 		for _, c := range p.Cells {
-			root.cells[rollupKey{bucket: c.Bucket, code: c.Code, cab: c.Cab, cage: c.Cage, node: c.Node}] += c.Count
+			root.counts[root.slot(root.pack(c))] += c.Count
 		}
 		root.total += p.Total
 	}
@@ -118,15 +138,19 @@ type TopPartial struct {
 
 // Partial exports the accumulator's raw aggregates, sorted by key.
 func (t *Top) Partial() TopPartial {
-	p := TopPartial{Spec: t.spec, Total: t.total, Aggs: make([]TopPartialAgg, 0, len(t.aggs))}
-	for key, agg := range t.aggs {
-		pa := TopPartialAgg{Key: key, Count: agg.count, First: agg.first, Last: agg.last}
-		if len(agg.byCode) > 0 {
-			pa.ByCode = agg.byCode
-		}
-		p.Aggs = append(p.Aggs, pa)
+	p := TopPartial{Spec: t.spec, Total: t.total, Aggs: make([]TopPartialAgg, len(t.keys.keys))}
+	for slot, key := range t.keys.keys {
+		row := t.row(slot)
+		pa := TopPartialAgg{Key: key, Count: row[topCount], First: row[topFirst], Last: row[topLast]}
+		t.eachCode(slot, func(code int16, n int64) {
+			if pa.ByCode == nil {
+				pa.ByCode = make(map[int16]int64)
+			}
+			pa.ByCode[code] = n
+		})
+		p.Aggs[slot] = pa
 	}
-	sort.Slice(p.Aggs, func(i, j int) bool { return p.Aggs[i].Key < p.Aggs[j].Key })
+	slices.SortFunc(p.Aggs, func(a, b TopPartialAgg) int { return cmp.Compare(a.Key, b.Key) })
 	return p
 }
 
@@ -152,26 +176,9 @@ func MergeTopPartials(parts []TopPartial) (*Top, error) {
 	}
 	for _, p := range parts {
 		for _, pa := range p.Aggs {
-			agg := root.aggs[pa.Key]
-			if agg == nil {
-				agg = &topAgg{first: pa.First, last: pa.Last}
-				// addRow only materializes per-code breakdowns for
-				// non-code dimensions; mirror that so a later Merge
-				// never writes into a nil map.
-				if root.spec.By != TopByCode {
-					agg.byCode = make(map[int16]int64, len(pa.ByCode))
-				}
-				root.aggs[pa.Key] = agg
-			}
-			agg.count += pa.Count
-			if pa.First < agg.first {
-				agg.first = pa.First
-			}
-			if pa.Last > agg.last {
-				agg.last = pa.Last
-			}
+			slot := root.merge(pa.Key, pa.Count, pa.First, pa.Last)
 			for code, n := range pa.ByCode {
-				agg.byCode[code] += n
+				root.addCode(slot, code, n)
 			}
 		}
 		root.total += p.Total

@@ -278,52 +278,6 @@ func (m *Matcher) segmentBits(s *Segment) (bitmap, segMatch) {
 	return bits, matchSome
 }
 
-// rowSink receives the rows a fold selects, one call each, as raw
-// column values. needSerial says whether the sink reads serial: inside a
-// segment that is a per-row dictionary lookup, skipped (serial 0) when
-// the sink does not.
-type rowSink interface {
-	addRow(sec int64, code int16, node, serial uint32)
-	needSerial() bool
-}
-
-// forEachRow is the one way a sealed segment's rows reach an
-// accumulator: every row matching m (nil = all), in position order, as
-// column values — never as a materialized event, whose arena decode
-// would cost several times the kernels themselves. A segment m rules out
-// is skipped without touching its columns; one m fully covers (and nil)
-// is a plain index loop with no bitmap; otherwise only the positions
-// segmentBits marks are visited. The retained tail's counterpart is
-// scanEvents.
-func (s *Segment) forEachRow(m *Matcher, sink rowSink) {
-	var bits bitmap
-	kind := matchAll
-	if m != nil {
-		bits, kind = m.segmentBits(s)
-	}
-	withSerial := sink.needSerial()
-	switch kind {
-	case matchAll:
-		for i, sec := range s.times {
-			sink.addRow(sec, int16(s.codes[i]), s.nodes[i], s.serialAt(i, withSerial))
-		}
-	case matchSome:
-		bits.forEach(func(i int) bool {
-			sink.addRow(s.times[i], int16(s.codes[i]), s.nodes[i], s.serialAt(i, withSerial))
-			return true
-		})
-	}
-}
-
-// serialAt resolves row i's card serial through the per-node dictionary
-// when want is set, and is 0 otherwise.
-func (s *Segment) serialAt(i int, want bool) uint32 {
-	if !want {
-		return 0
-	}
-	return s.serials[s.nodes[i]][s.cards[i]]
-}
-
 // CountWhere reports how many of the segment's rows match — the
 // popcount that pre-sizes result allocations.
 func (s *Segment) CountWhere(m *Matcher) int {

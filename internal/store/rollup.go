@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"titanre/internal/console"
@@ -12,11 +11,11 @@ import (
 
 // Time-bucketed rollups — the paper's fleet-wide aggregates (events per
 // hour by code, per-cabinet heatmaps). A Rollup is a rowSink: fold feeds
-// its one addRow kernel column values straight off sealed segments and
-// off the retained tail's events, never materializing console.Event
-// values for sealed rows. RollupEvents feeds the same kernel from a
-// plain event slice — the batch reference the equivalence tests compare
-// the segment path against.
+// its one addRows kernel blocks of column values straight off sealed
+// segments and off the retained tail's events, never materializing
+// console.Event values for sealed rows. RollupEvents feeds the same
+// kernel from a plain event slice — the batch reference the equivalence
+// tests compare the segment path against.
 
 // RollupSpec describes one rollup: which dimensions to group by, the
 // bucket width, and optional code/time filters. Zero times mean
@@ -50,23 +49,35 @@ func (spec RollupSpec) validate() error {
 	return nil
 }
 
-// rollupKey is one cell's group-by coordinates; unused dimensions stay
-// at their zero value so the key is comparable and compact.
-type rollupKey struct {
-	bucket int64 // epoch seconds, bucket start
-	code   int16
-	cab    int16
-	cage   int8
-	node   int32
-}
+// A cell's group-by coordinates pack into one uint64 in canonical order
+// — bucket index, code, location — so cells are interned by a slotTable
+// and sorted by one integer compare. Dimensions the spec does not group
+// by stay 0. Code and bucket index are biased to sort as unsigned; a
+// bucket index outside ±2^32 (bucket 1s: before 1834 or after 2106)
+// clamps to the nearest representable bucket. The location (see loc) is
+// 15 bits because topology.TotalNodes < 1<<15.
+const (
+	locMask     = 1<<15 - 1
+	codeShift   = 15
+	bucketShift = codeShift + 16
+	bucketBias  = 1 << (63 - bucketShift)
+)
 
-// Rollup accumulates bucketed counts. ParallelRollupAcc (or
-// MergeRollupPartials) populates it; Doc renders it.
+// Rollup accumulates bucketed counts: a slotTable over packed cell keys
+// and the count per slot. ParallelRollupAcc (or MergeRollupPartials)
+// populates it; Doc renders it.
 type Rollup struct {
-	spec  RollupSpec
-	bs    int64 // bucket width, seconds
-	cells map[rollupKey]int64
-	total int64
+	spec   RollupSpec
+	bs     int64 // bucket width, seconds
+	cells  slotTable
+	counts []int64
+	total  int64
+
+	// Rows arrive nearly time-ordered, so the previous row's bucket is
+	// kept as the window [lo, lo+bs) it covers together with its key
+	// bits: a row inside the window costs one compare, not a division.
+	lo     int64
+	bucket uint64
 }
 
 // NewRollup validates spec and returns an empty accumulator.
@@ -79,34 +90,98 @@ func NewRollup(spec RollupSpec) (*Rollup, error) {
 
 // newRollup builds the accumulator for an already validated spec.
 func newRollup(spec RollupSpec) *Rollup {
-	return &Rollup{spec: spec, bs: int64(spec.Bucket / time.Second), cells: make(map[rollupKey]int64)}
+	r := &Rollup{spec: spec, bs: int64(spec.Bucket / time.Second)}
+	r.seek(0)
+	return r
 }
 
-// addRow is the kernel: count one matching row. The spec's own filter
-// (code, time range) was already applied by the matcher that chose the
-// row, so every call lands in a cell.
-func (r *Rollup) addRow(sec int64, code int16, node, _ uint32) {
-	bucket := sec / r.bs
+// seek moves the bucket window onto sec.
+func (r *Rollup) seek(sec int64) {
+	idx := sec / r.bs
 	if sec < 0 && sec%r.bs != 0 {
-		bucket-- // floor, not truncate, for pre-epoch times
+		idx-- // floor, not truncate, for pre-epoch times
 	}
-	var key rollupKey
-	key.bucket = bucket * r.bs
-	if r.spec.ByCode {
-		key.code = code
-	}
-	if r.spec.ByCabinet {
-		key.cab = int16(node / topology.NodesPerCabinet)
-	}
-	if r.spec.ByCage {
-		key.cage = int8(node / topology.NodesPerCage % topology.CagesPerCabinet)
-	}
-	if r.spec.ByNode {
-		key.node = int32(node)
-	}
-	r.cells[key]++
-	r.total++
+	r.lo = idx * r.bs
+	r.bucket = uint64(min(max(idx, -bucketBias), bucketBias-1)+bucketBias) << bucketShift
 }
+
+// slot interns key, giving a new cell a zero count.
+func (r *Rollup) slot(key uint64) int {
+	slot, fresh := r.cells.slot(key)
+	if fresh {
+		r.counts = append(r.counts, 0)
+	}
+	return slot
+}
+
+// loc packs the location a node is grouped under so that ascending loc is
+// canonical (cabinet, cage, node) order over the grouped dimensions.
+// Grouped by node that is the node id itself, cabinet and cage being
+// monotone in it — unless cage is grouped and cabinet is not, when cage
+// must outrank the rest of the id: cage<<13 | cabinet<<5 | node in cage.
+// Without node it is cabinet<<2 | cage, whichever of them are grouped.
+func (r *Rollup) loc(node uint64) uint64 {
+	cab, cage := node/topology.NodesPerCabinet, node/topology.NodesPerCage%topology.CagesPerCabinet
+	switch {
+	case !r.spec.ByNode:
+		var loc uint64
+		if r.spec.ByCabinet {
+			loc = cab << 2
+		}
+		if r.spec.ByCage {
+			loc |= cage
+		}
+		return loc & locMask
+	case r.spec.ByCage && !r.spec.ByCabinet:
+		return (cage<<13 | cab<<5 | node%topology.NodesPerCage) & locMask
+	}
+	return node & locMask
+}
+
+// unloc is loc's inverse: the cabinet, cage and node (0 unless grouped by
+// node) a packed location names.
+func (r *Rollup) unloc(loc uint64) (cab, cage, node uint64) {
+	switch {
+	case !r.spec.ByNode:
+		return loc >> 2, loc & 3, 0
+	case r.spec.ByCage && !r.spec.ByCabinet:
+		cab, cage = loc>>5&0xFF, loc>>13
+		return cab, cage, cab*topology.NodesPerCabinet + cage*topology.NodesPerCage + loc%topology.NodesPerCage
+	}
+	return loc / topology.NodesPerCabinet, loc / topology.NodesPerCage % topology.CagesPerCabinet, loc
+}
+
+// addRows is the kernel: count a block of matching rows. The spec's own
+// filter (code, time range) was already applied by the matcher that
+// chose the rows, so every row lands in a cell. Consecutive rows of one
+// cell share a slot lookup.
+func (r *Rollup) addRows(b block) {
+	byCode, byLoc := r.spec.ByCode, r.spec.ByCabinet || r.spec.ByCage || r.spec.ByNode
+	codes, nodes := b.codes[:len(b.times)], b.nodes[:len(b.times)]
+	lo, bs, bucket := r.lo, uint64(r.bs), r.bucket
+	lastKey, lastSlot := uint64(0), -1
+	for i, sec := range b.times {
+		if uint64(sec-lo) >= bs {
+			r.seek(sec)
+			lo, bucket = r.lo, r.bucket
+		}
+		key := bucket
+		if byCode {
+			key |= uint64(codes[i]^0x8000) << codeShift
+		}
+		if byLoc {
+			key |= r.loc(uint64(nodes[i]))
+		}
+		if key != lastKey || lastSlot < 0 {
+			lastKey, lastSlot = key, r.slot(key)
+		}
+		r.counts[lastSlot]++
+	}
+	r.total += int64(len(b.times))
+}
+
+// Total reports how many rows the accumulator has counted.
+func (r *Rollup) Total() int64 { return r.total }
 
 // needSerial: no rollup dimension reads the card serial.
 func (r *Rollup) needSerial() bool { return false }
@@ -114,11 +189,10 @@ func (r *Rollup) needSerial() bool { return false }
 // Merge folds another accumulator built with the same spec into r.
 // Cell addition is commutative and associative, so merging per-worker
 // partials in any order renders the identical document — the property
-// the segment-parallel executor's determinism rests on. o must not be
-// used afterwards.
+// the segment-parallel executor's determinism rests on.
 func (r *Rollup) Merge(o *Rollup) {
-	for k, v := range o.cells {
-		r.cells[k] += v
+	for slot, key := range o.cells.keys {
+		r.counts[r.slot(key)] += o.counts[slot]
 	}
 	r.total += o.total
 }
@@ -149,31 +223,12 @@ type RollupDoc struct {
 // the same events in any order and any segment/tail split render
 // byte-identical documents.
 func (r *Rollup) Doc() RollupDoc {
-	keys := make([]rollupKey, 0, len(r.cells))
-	for k := range r.cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.bucket != b.bucket {
-			return a.bucket < b.bucket
-		}
-		if a.code != b.code {
-			return a.code < b.code
-		}
-		if a.cab != b.cab {
-			return a.cab < b.cab
-		}
-		if a.cage != b.cage {
-			return a.cage < b.cage
-		}
-		return a.node < b.node
-	})
+	cells := r.Partial().Cells
 	doc := RollupDoc{
 		By:            make([]string, 0, 4),
 		BucketSeconds: r.bs,
 		TotalEvents:   r.total,
-		Cells:         make([]RollupCell, 0, len(keys)),
+		Cells:         make([]RollupCell, 0, len(cells)),
 	}
 	if r.spec.ByCode {
 		doc.By = append(doc.By, "code")
@@ -190,24 +245,31 @@ func (r *Rollup) Doc() RollupDoc {
 	if r.spec.FilterCode {
 		doc.Code = r.spec.Code.String()
 	}
-	for _, k := range keys {
+	codeNames := make(map[int16]string)  // a code is spelled once, not once per cell
+	ints := make([]int, 0, 2*len(cells)) // one backing array behind every *int: sized once, so never moved
+	for _, k := range cells {
 		cell := RollupCell{
-			Bucket: time.Unix(k.bucket, 0).UTC(),
-			Count:  r.cells[k],
+			Bucket: time.Unix(k.Bucket, 0).UTC(),
+			Count:  k.Count,
 		}
 		if r.spec.ByCode {
-			cell.Code = xid.Code(k.code).String()
+			name, ok := codeNames[k.Code]
+			if !ok {
+				name = xid.Code(k.Code).String()
+				codeNames[k.Code] = name
+			}
+			cell.Code = name
 		}
 		if r.spec.ByCabinet {
-			cab := int(k.cab)
-			cell.Cabinet = &cab
+			ints = append(ints, int(k.Cab))
+			cell.Cabinet = &ints[len(ints)-1]
 		}
 		if r.spec.ByCage {
-			cage := int(k.cage)
-			cell.Cage = &cage
+			ints = append(ints, int(k.Cage))
+			cell.Cage = &ints[len(ints)-1]
 		}
 		if r.spec.ByNode {
-			cell.Node = topology.CNameOf(topology.NodeID(k.node))
+			cell.Node = topology.CNameOf(topology.NodeID(k.Node))
 		}
 		doc.Cells = append(doc.Cells, cell)
 	}
@@ -217,13 +279,13 @@ func (r *Rollup) Doc() RollupDoc {
 // RollupEvents computes the identical rollup from materialized events
 // alone — the batch-pipeline reference the equivalence tests (and the
 // benchmark's oracle) compare the segment-streamed answer against. It
-// stays a plain loop over the events on purpose: it shares the addRow
+// stays a plain loop over the events on purpose: it shares the addRows
 // kernel but none of the segment machinery it checks.
 func RollupEvents(events []console.Event, spec RollupSpec) (RollupDoc, error) {
 	r, err := NewRollup(spec)
 	if err != nil {
 		return RollupDoc{}, err
 	}
-	scanEvents(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until), r)
+	newGather(r).events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
 	return r.Doc(), nil
 }

@@ -13,8 +13,8 @@ import (
 
 // Top-K offender cards — the paper's "a handful of cards produce almost
 // all the SBEs" lists. A Top is a rowSink like Rollup: fold feeds its
-// one addRow kernel from segment columns and tail events; Doc ranks by
-// stats.TopOffenders (count descending, key ascending — deterministic).
+// one addRows kernel from segment columns and tail events; Doc ranks in
+// stats.TopOffenders' order (count descending, key ascending).
 
 // TopBy selects the offender dimension.
 type TopBy string
@@ -47,18 +47,27 @@ func (spec TopSpec) validate() error {
 	return fmt.Errorf("store: top-k dimension %q (want node, serial or code)", spec.By)
 }
 
-// topAgg accumulates one offender's card.
-type topAgg struct {
-	count       int64
-	first, last int64
-	byCode      map[int16]int64
-}
+// Every offender is one flat row of int64s: count, first and last second
+// seen, then — unless the ranking is by code itself — a count per code,
+// a column for each code in the codes dictionary's first-seen order. Rows
+// live in fixed-size pages, so a new key never moves an old row.
+const (
+	topCount, topFirst, topLast = 0, 1, 2
+	topHead                     = 3   // the columns ahead of the per-code counts
+	topPage                     = 512 // rows per page
+)
 
-// Top accumulates offender counts. ParallelTopAcc (or MergeTopPartials)
-// populates it; Doc renders it.
+// Top accumulates offender counts as flat rows behind a slotTable over
+// the offender keys: no per-key pointer, no per-key map. When more codes
+// turn up than a row has columns, every page is rewritten at double the
+// row width. ParallelTopAcc (or MergeTopPartials) populates it; Doc
+// renders it.
 type Top struct {
 	spec  TopSpec
-	aggs  map[uint64]*topAgg
+	keys  slotTable
+	codes slotTable // uint16 code -> column after topHead; empty for by=code
+	width int       // int64s per row
+	pages [][]int64 // page p holds rows of slots [p*topPage, (p+1)*topPage)
 	total int64
 }
 
@@ -72,67 +81,126 @@ func NewTop(spec TopSpec) (*Top, error) {
 
 // newTop builds the accumulator for an already validated spec.
 func newTop(spec TopSpec) *Top {
-	return &Top{spec: spec, aggs: make(map[uint64]*topAgg)}
+	t := &Top{spec: spec, width: topHead}
+	if spec.By != TopByCode {
+		t.width = 8
+	}
+	return t
 }
 
-// needSerial: only a by=serial ranking reads the serial argument.
+// Total reports how many rows the accumulator has counted.
+func (t *Top) Total() int64 { return t.total }
+
+// needSerial: only a by=serial ranking reads the serial column.
 func (t *Top) needSerial() bool { return t.spec.By == TopBySerial }
 
-// addRow is the kernel: count one matching row (the matcher already
-// applied the spec's code and time filter).
-func (t *Top) addRow(sec int64, code int16, node, serial uint32) {
-	var key uint64
-	switch t.spec.By {
-	case TopByNode:
-		key = uint64(node)
-	case TopBySerial:
-		key = uint64(serial)
-	case TopByCode:
-		key = uint64(uint16(code))
-	}
-	agg := t.aggs[key]
-	if agg == nil {
-		agg = &topAgg{first: sec, last: sec}
-		if t.spec.By != TopByCode {
-			agg.byCode = make(map[int16]int64)
+// row returns slot's state.
+func (t *Top) row(slot int) []int64 {
+	page, off := uint(slot)/topPage, int(uint(slot)%topPage)*t.width
+	return t.pages[page][off : off+t.width]
+}
+
+// slot interns an offender key; a new one starts with no events and its
+// first/last at the given second.
+func (t *Top) slot(key uint64, sec int64) int {
+	slot, fresh := t.keys.slot(key)
+	if fresh {
+		if slot%topPage == 0 {
+			t.pages = append(t.pages, make([]int64, topPage*t.width))
 		}
-		t.aggs[key] = agg
+		row := t.row(slot)
+		row[topFirst], row[topLast] = sec, sec
 	}
-	agg.count++
-	if sec < agg.first {
-		agg.first = sec
+	return slot
+}
+
+// column interns a code (in its uint16 column form) and returns its
+// column, widening every row first when the dictionary has outgrown
+// them — which invalidates rows the caller holds.
+func (t *Top) column(code uint16) int {
+	col, _ := t.codes.slot(uint64(code))
+	if topHead+col >= t.width {
+		for p, page := range t.pages {
+			wide := make([]int64, 2*len(page))
+			for r := 0; r < topPage; r++ {
+				copy(wide[2*r*t.width:], page[r*t.width:(r+1)*t.width])
+			}
+			t.pages[p] = wide
+		}
+		t.width *= 2
 	}
-	if sec > agg.last {
-		agg.last = sec
+	return topHead + col
+}
+
+// addRows is the kernel: count a block of matching rows (the matcher
+// already applied the spec's code and time filter). Consecutive rows of
+// one code share a dictionary lookup.
+func (t *Top) addRows(b block) {
+	codes, keys := b.codes[:len(b.times)], b.nodes[:len(b.times)]
+	if t.spec.By == TopBySerial {
+		keys = b.serials[:len(b.times)]
 	}
-	if agg.byCode != nil {
-		agg.byCode[code]++
+	byCode := t.spec.By == TopByCode
+	lastCode, col := uint16(0), -1
+	for i, sec := range b.times {
+		code := codes[i]
+		key := uint64(code)
+		if !byCode {
+			key = uint64(keys[i])
+			if code != lastCode || col < 0 {
+				lastCode, col = code, t.column(code)
+			}
+		}
+		row := t.row(t.slot(key, sec))
+		row[topCount]++
+		row[topFirst] = min(row[topFirst], sec)
+		row[topLast] = max(row[topLast], sec)
+		if !byCode {
+			row[col]++
+		}
 	}
-	t.total++
+	t.total += int64(len(b.times))
+}
+
+// merge folds one offender's scalar state — from another accumulator or
+// off the wire — into t and returns its slot, for addCode to follow.
+func (t *Top) merge(key uint64, count, first, last int64) int {
+	slot := t.slot(key, first)
+	row := t.row(slot)
+	row[topCount] += count
+	row[topFirst] = min(row[topFirst], first)
+	row[topLast] = max(row[topLast], last)
+	return slot
+}
+
+// addCode adds n events of code to slot's breakdown (a by=code ranking
+// keeps none).
+func (t *Top) addCode(slot int, code int16, n int64) {
+	if t.spec.By != TopByCode {
+		col := t.column(uint16(code))
+		t.row(slot)[col] += n
+	}
+}
+
+// eachCode calls fn with slot's nonzero per-code counts.
+func (t *Top) eachCode(slot int, fn func(code int16, n int64)) {
+	row := t.row(slot)
+	for col, code := range t.codes.keys {
+		if n := row[topHead+col]; n != 0 {
+			fn(int16(code), n)
+		}
+	}
 }
 
 // Merge folds another accumulator built with the same spec into t.
 // Counts add, first/last take min/max, per-code breakdowns add — all
 // commutative and associative, so per-worker partials merge to the
-// identical ranking in any order. o must not be used afterwards (its
-// aggregates may be adopted by t).
+// identical ranking in any order.
 func (t *Top) Merge(o *Top) {
-	for key, oa := range o.aggs {
-		agg := t.aggs[key]
-		if agg == nil {
-			t.aggs[key] = oa
-			continue
-		}
-		agg.count += oa.count
-		if oa.first < agg.first {
-			agg.first = oa.first
-		}
-		if oa.last > agg.last {
-			agg.last = oa.last
-		}
-		for code, n := range oa.byCode {
-			agg.byCode[code] += n
-		}
+	for oslot, key := range o.keys.keys {
+		row := o.row(oslot)
+		slot := t.merge(key, row[topCount], row[topFirst], row[topLast])
+		o.eachCode(oslot, func(code int16, n int64) { t.addCode(slot, code, n) })
 	}
 	t.total += o.total
 }
@@ -157,31 +225,36 @@ type TopDoc struct {
 	Cards       []TopCard `json:"cards"`
 }
 
-// Doc ranks the accumulated offenders and renders the top K cards.
+// Doc ranks the accumulated offenders and renders the top K cards; only
+// the winners are materialized. K is echoed as asked (every key when
+// K <= 0) but never sizes anything: a caller may ask for more cards than
+// there are keys, or than memory could hold.
 func (t *Top) Doc() TopDoc {
-	counts := make(map[uint64]int64, len(t.aggs))
-	for key, agg := range t.aggs {
-		counts[key] = agg.count
+	all := make([]stats.KeyCount, len(t.keys.keys))
+	for slot, key := range t.keys.keys {
+		all[slot] = stats.KeyCount{Key: key, Count: t.row(slot)[topCount]}
 	}
 	k := t.spec.K
 	if k <= 0 {
-		k = len(counts)
+		k = len(all)
 	}
+	ranked := stats.RankOffenders(all, k)
 	doc := TopDoc{
 		By:          string(t.spec.By),
 		K:           k,
 		TotalEvents: t.total,
-		Cards:       make([]TopCard, 0, k),
+		Cards:       make([]TopCard, 0, len(ranked)),
 	}
 	if t.spec.FilterCode {
 		doc.Code = t.spec.Code.String()
 	}
-	for _, kc := range stats.TopOffenders(counts, k) {
-		agg := t.aggs[kc.Key]
+	for _, kc := range ranked {
+		slot := t.keys.find(kc.Key)
+		row := t.row(slot)
 		card := TopCard{
-			Count:     agg.count,
-			FirstSeen: time.Unix(agg.first, 0).UTC(),
-			LastSeen:  time.Unix(agg.last, 0).UTC(),
+			Count:     row[topCount],
+			FirstSeen: time.Unix(row[topFirst], 0).UTC(),
+			LastSeen:  time.Unix(row[topLast], 0).UTC(),
 		}
 		switch t.spec.By {
 		case TopByNode:
@@ -191,11 +264,9 @@ func (t *Top) Doc() TopDoc {
 		case TopByCode:
 			card.Code = xid.Code(int16(kc.Key)).String()
 		}
-		if agg.byCode != nil {
-			card.ByCode = make(map[string]int64, len(agg.byCode))
-			for code, n := range agg.byCode {
-				card.ByCode[xid.Code(code).String()] = n
-			}
+		if t.spec.By != TopByCode {
+			card.ByCode = make(map[string]int64)
+			t.eachCode(slot, func(code int16, n int64) { card.ByCode[xid.Code(code).String()] = n })
 		}
 		doc.Cards = append(doc.Cards, card)
 	}
@@ -209,6 +280,6 @@ func TopEvents(events []console.Event, spec TopSpec) (TopDoc, error) {
 	if err != nil {
 		return TopDoc{}, err
 	}
-	scanEvents(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until), t)
+	newGather(t).events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
 	return t.Doc(), nil
 }

@@ -105,6 +105,15 @@ func (c *Compiled) Fold(segs []*store.Segment, tail []console.Event, workers int
 	return res, nil
 }
 
+// Rows reports how many rows the fold took in (total_events of the
+// rendered document).
+func (r *Result) Rows() int64 {
+	if r.top != nil {
+		return r.top.Total()
+	}
+	return r.roll.Total()
+}
+
 // Doc ranks and renders the result. The document is byte-identical at
 // any worker count and byte-identical to ExecuteEvents over the same
 // stream.

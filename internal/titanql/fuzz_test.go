@@ -61,6 +61,9 @@ func FuzzTitanQLEquivalence(f *testing.F) {
 	} {
 		f.Add(q)
 	}
+	for _, q := range adversarialQueries {
+		f.Add(q)
+	}
 	f.Fuzz(func(t *testing.T, q string) {
 		plan, err := titanql.Parse(q)
 		if err != nil {

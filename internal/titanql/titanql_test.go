@@ -9,9 +9,12 @@ import (
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/gpu"
 	"titanre/internal/sim"
 	"titanre/internal/store"
 	"titanre/internal/titanql"
+	"titanre/internal/topology"
+	"titanre/internal/xid"
 )
 
 // TestParseCanonical: every accepted spelling renders to its canonical
@@ -100,9 +103,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// adversarialEvents are rows chosen to trip a block kernel's shortcuts
+// (the store's own oracle test folds the same shapes): times on both
+// sides of the epoch that jump backwards from row to row, the int16
+// extremes among more distinct codes than a ranking's per-code row
+// starts with, nodes at cage and cabinet edges, runs of identical rows.
+func adversarialEvents() []console.Event {
+	codes := []xid.Code{-32768, 32767, -2, -1, 0, 13, 48}
+	for c := xid.Code(100); c < 114; c++ {
+		codes = append(codes, c)
+	}
+	nodes := []topology.NodeID{0, 31, 32, 95, 96, 9600, topology.TotalNodes - 1}
+	var events []console.Event
+	for i := 0; i < 3000; i++ {
+		sec := int64(i)*211 - 2*86400
+		if i%5 == 0 {
+			sec -= int64(i%7) * 40000 // backwards, often across the epoch
+		}
+		e := console.Event{
+			Time:   time.Unix(sec, 0).UTC(),
+			Node:   nodes[(i*7+i/11)%len(nodes)],
+			Code:   codes[(i*5+i/13)%len(codes)],
+			Serial: gpu.Serial(500 + i%3),
+			Page:   console.NoPage,
+		}
+		events = append(events, e)
+		if i%4 == 0 {
+			events = append(events, e)
+		}
+	}
+	return events
+}
+
 // qlFixture seals most of a short simulated run into small segments and
 // keeps the rest as a retained tail — the (sealed, tail) snapshot shape
-// every query executes over.
+// every query executes over — then adds the adversarial rows, half as one
+// more sealed segment and half on the tail.
 var qlFixture = sync.OnceValue(func() struct {
 	segs []*store.Segment
 	tail []console.Event
@@ -136,19 +172,25 @@ var qlFixture = sync.OnceValue(func() struct {
 			panic(err)
 		}
 	}
+	mid := events[len(events)/2].Time
+	odd := adversarialEvents()
+	if _, err := st.Seal(odd[:len(odd)/2]); err != nil {
+		panic(err)
+	}
+	tail := append(append([]console.Event(nil), events[cut:]...), odd[len(odd)/2:]...)
 	return struct {
 		segs []*store.Segment
 		tail []console.Event
 		all  []console.Event
 		mid  time.Time
-	}{st.Segments(), events[cut:], events, events[len(events)/2].Time}
+	}{st.Segments(), tail, append(events, odd...), mid}
 })
 
 // equivalenceQueries is the standing gate's query mix: every predicate
 // dimension, both plan kinds, ranked and unranked.
 func equivalenceQueries(mid time.Time) []string {
 	ts := mid.UTC().Format(time.RFC3339)
-	return []string{
+	qs := []string{
 		"* | by code | bucket 1h",
 		"* | bucket 6h",
 		"code=48 cabinet=c3-* | by cage | bucket 6h | top 5",
@@ -168,6 +210,25 @@ func equivalenceQueries(mid time.Time) []string {
 		"code=65549 | top node 5",
 		"node=c3-2c1s4n2 | by code | bucket 1d", // literal cname: Compile's parse path
 	}
+	return append(qs, adversarialQueries...)
+}
+
+// adversarialQueries aim at the fixture's adversarial rows: one-second
+// and wider-than-the-stream buckets over times that straddle the epoch
+// and run backwards, the int16-extreme codes, a ranking over more codes
+// than its per-code rows start with, by cage,node (the one grouping
+// whose canonical order is not node order), and a rank bound far past
+// the key count. FuzzTitanQLEquivalence starts from them too.
+var adversarialQueries = []string{
+	"* | by code | bucket 1s",
+	"until=1970-01-02 | by code,node | bucket 1s | top 7",
+	"* | by code,cage | bucket 4000d",
+	"* | by cage,node | bucket 1d",
+	"code=-32768,32767 | by code,cabinet | bucket 90m",
+	"code!=-32768 since=1969-12-30 until=1970-01-03 | top node 3",
+	"* | top serial 4",
+	"* | top code 0",
+	"* | top node 1099511627776",
 }
 
 // TestExecuteMatchesNaive is the standing equivalence gate: for every

@@ -2,7 +2,9 @@
 # check.sh — the full local verification gate:
 #   build, vet, race-enabled tests, the columnar segment round-trip
 #   digests, the query-engine equivalences (live rollup/top/code-history
-#   vs the batch kernels, snapshot consistency under compaction), the
+#   vs the batch kernels, the block kernels vs the map-kernel oracle,
+#   fold allocations independent of rows, a 2^40 rank bound answered
+#   not died of, snapshot consistency under compaction), the
 #   titanql equivalences (compiled bitmap-intersected segment-parallel
 #   plans vs the naive event fold, /query soaked during live
 #   compaction), the crash-recovery soak (kill at every failpoint),
@@ -44,8 +46,9 @@ go test -race ./internal/dataset -run 'TestColumnarLoadIdentical|TestColumnarRep
 go test -race ./internal/serve -run 'TestCompactionBoundsRetained|TestWarmRestart' -count=1
 
 echo "== query engine: rollup-vs-batch equivalence + snapshot consistency (race mode)"
-go test -race ./internal/store -run 'TestRollupMatchesEventKernel|TestTopMatchesEventKernel|TestMappedMatchesHeap|TestPreparePublish' -count=1
-go test -race ./internal/serve -run 'TestRollupMatchesBatch|TestCodeHistoryFleetWide|TestTopOffenders|TestHistoryArrivalOrder|TestQueryConsistencyUnderCompaction' -count=1
+go test -race ./internal/store -run 'TestRollupMatchesEventKernel|TestTopMatchesEventKernel|TestMappedMatchesHeap|TestPreparePublish|TestRollupMatchesMapOracle|TestTopMatchesMapOracle|TestFoldAllocsIndependentOfRows' -count=1
+go test -race ./internal/stats -run 'TestTopOffenders' -count=1
+go test -race ./internal/serve -run 'TestRollupMatchesBatch|TestCodeHistoryFleetWide|TestTopOffenders|TestTopHugeK|TestFoldCounters|TestHistoryArrivalOrder|TestQueryConsistencyUnderCompaction' -count=1
 
 echo "== titanql: compiled plans vs naive fold, /query under live compaction (race mode)"
 go test -race ./internal/titanql -count=1
