@@ -6,11 +6,11 @@
 //
 // Usage:
 //
-//	titand [-addr :9123] [-shards N] [-parse-workers N] [-queue N]
+//	titand [-addr :9123] [-parse-workers N] [-queue N]
 //	       [-train console.log] [-min-support N] [-min-confidence F]
 //	       [-snapshot DIR] [-no-retain] [-warm-dir DIR]
 //	       [-compact-dir DIR] [-compact-interval D] [-compact-age D]
-//	       [-compact-min N] [-mmap] [-journal] [-journal-fsync POLICY]
+//	       [-compact-min N] [-journal] [-journal-fsync POLICY]
 //	       [-journal-sync-interval D] [-journal-rotate-bytes N]
 //	       [-failpoints SPEC] [-list-failpoints] [-pprof ADDR]
 //
@@ -92,10 +92,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":9123", "listen address")
-	shards := flag.Int("shards", 0, "per-node state shards (0 = GOMAXPROCS)")
 	parseWorkers := flag.Int("parse-workers", 0, "decode workers (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth in batches (0 = default 256)")
-	shardQueue := flag.Int("shard-queue", 0, "per-shard inbox depth (0 = default 1024)")
 	window := flag.Duration("window", 0, "sliding rate window (0 = default 24h)")
 	train := flag.String("train", "", "console.log to train the precursor predictor on (empty = no /warnings)")
 	minSupport := flag.Int("min-support", 0, "predictor minimum rule support (0 = default)")
@@ -107,7 +105,6 @@ func main() {
 	compactInterval := flag.Duration("compact-interval", 0, "background compaction period (0 = default 1m)")
 	compactAge := flag.Duration("compact-age", 0, "events older than this, by stream time, are sealed (0 = default 10m)")
 	compactMin := flag.Int("compact-min", 0, "minimum sealable events before a compaction runs (0 = default 1024)")
-	mmapSegments := flag.Bool("mmap", true, "mmap sealed segments read-only so fleet-wide queries scan the page cache instead of heap copies (heap fallback where unsupported)")
 	journal := flag.Bool("journal", false, "write-ahead journal applied events under <warm-dir>/journal (crash safety; requires -warm-dir)")
 	journalDir := flag.String("journal-dir", "", "journal directory (default <warm-dir>/journal; implies -journal)")
 	journalFsync := flag.String("journal-fsync", "", "journal fsync policy: always, interval, off (default interval)")
@@ -134,10 +131,8 @@ func main() {
 	}
 
 	cfg := serve.DefaultConfig()
-	cfg.Shards = *shards
 	cfg.ParseWorkers = *parseWorkers
 	cfg.QueueDepth = *queue
-	cfg.ShardQueueDepth = *shardQueue
 	if *window > 0 {
 		cfg.RateWindow = *window
 	}
@@ -147,7 +142,6 @@ func main() {
 	cfg.CompactInterval = *compactInterval
 	cfg.CompactAge = *compactAge
 	cfg.CompactMin = *compactMin
-	cfg.MmapSegments = *mmapSegments
 	if *warmDir != "" {
 		if cfg.SnapshotDir == "" {
 			cfg.SnapshotDir = *warmDir

@@ -116,20 +116,3 @@ func BenchmarkEncodeSerial(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkEncodeParallel(b *testing.B) {
-	events := benchEvents(benchLines)
-	workers := runtime.GOMAXPROCS(0)
-	var size int64
-	for i := range events {
-		size += int64(len(events[i].AppendRaw(nil)) + 1)
-	}
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := WriteLogParallel(io.Discard, events, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

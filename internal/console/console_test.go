@@ -279,26 +279,3 @@ func TestParseLineNeverPanics(t *testing.T) {
 		_, _ = c.ParseLine(line)
 	}
 }
-
-func TestParseStream(t *testing.T) {
-	var buf bytes.Buffer
-	events := []Event{sampleEvent(), sampleEvent(), sampleEvent()}
-	events[1].Time = events[0].Time.Add(time.Minute)
-	events[2].Time = events[0].Time.Add(2 * time.Minute)
-	if err := WriteLog(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	var got []Event
-	if err := NewCorrelator().ParseStream(&buf, func(e Event) bool {
-		got = append(got, e)
-		return len(got) < 2 // stop early
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("streamed %d events, want early stop at 2", len(got))
-	}
-	if got[0] != events[0] {
-		t.Error("streamed event mismatch")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 
 	"titanre/internal/topology"
 	"titanre/internal/xid"
@@ -17,7 +16,7 @@ import (
 // exact same bytes, but into a caller-supplied buffer using
 // strconv.Append* and interned cnames instead of fmt, so a WriteLog over
 // millions of events reuses one buffer instead of allocating a string
-// per line. Raw, WriteLog and WriteLogParallel are all built on it.
+// per line. Raw, WriteLog and WriteLogStream are all built on it.
 
 // AppendRaw appends the event's console line (without trailing newline)
 // to buf and returns the extended buffer. The bytes are identical to
@@ -129,44 +128,4 @@ func WriteLogStream(w io.Writer, next func() (Event, bool)) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteLogParallel renders the same bytes as WriteLog but encodes
-// contiguous event shards concurrently, each into its own buffer, and
-// writes the buffers in shard order. Output is byte-identical to
-// WriteLog at any worker count.
-func WriteLogParallel(w io.Writer, events []Event, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(events) {
-		workers = len(events)
-	}
-	if workers <= 1 {
-		return WriteLog(w, events)
-	}
-	bufs := make([][]byte, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo := len(events) * s / workers
-		hi := len(events) * (s + 1) / workers
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			// Typical lines run ~110 bytes; pre-size to skip early growth.
-			buf := make([]byte, 0, (hi-lo)*128)
-			for i := lo; i < hi; i++ {
-				buf = events[i].AppendRaw(buf)
-				buf = append(buf, '\n')
-			}
-			bufs[s] = buf
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	for _, buf := range bufs {
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("console: writing log: %w", err)
-		}
-	}
-	return nil
 }

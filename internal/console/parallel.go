@@ -14,7 +14,7 @@ import (
 //
 // ParseAllParallel splits the log at newline boundaries into one chunk
 // per worker, parses the chunks concurrently (each worker with its own
-// Decoder and local operational counters), and concatenates the per-shard
+// Decoder and operational counters), and concatenates the per-shard
 // results in file order. Because shard boundaries sit exactly on
 // newlines, every line is seen by exactly one worker whole, so the
 // resulting []Event — and the summed counters — are identical to the
@@ -115,17 +115,6 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// shardResult is one worker's output: events in chunk order plus the
-// operational counters booked locally so workers never contend.
-type shardResult struct {
-	events        []Event
-	dropped       int
-	malformed     int
-	oversized     int
-	fastHits      int
-	fastFallbacks int
-}
-
 // ParseAllParallel is ParseAll over worker-count shards. The whole log is
 // read into memory (pre-sized from Stat when r is a file, so the read
 // allocates once instead of doubling), split at newline boundaries,
@@ -172,29 +161,29 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 		}
 	}
 
-	results := make([]shardResult, workers)
+	// Each shard walks with its own correlator over the shared (read-only)
+	// rule set, so workers book counters without contending.
+	shards := make([]Correlator, workers)
+	results := make([][]Event, workers)
 	var wg sync.WaitGroup
 	for s := 0; s < workers; s++ {
+		shards[s] = Correlator{rules: c.rules, fast: c.fast}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s] = c.parseShard(data[starts[s]:starts[s+1]])
+			results[s], _ = shards[s].walk(data[starts[s]:starts[s+1]], false)
 		}(s)
 	}
 	wg.Wait()
 
 	total := 0
 	for i := range results {
-		total += len(results[i].events)
+		total += len(results[i])
 	}
 	out := make([]Event, 0, total)
 	for i := range results {
-		out = append(out, results[i].events...)
-		c.Dropped += results[i].dropped
-		c.Malformed += results[i].malformed
-		c.Oversized += results[i].oversized
-		c.FastHits += results[i].fastHits
-		c.FastFallbacks += results[i].fastFallbacks
+		out = append(out, results[i]...)
+		c.addCounters(&shards[i])
 	}
 	return out, nil
 }
@@ -207,19 +196,32 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 // original batch line (and from there to a global sequence number).
 // Counters book into c as ParseBytes does.
 func (c *Correlator) ParseBytesIndexed(data []byte) ([]Event, []int32, error) {
-	var res shardResult
-	idxs := make([]int32, 0, bytes.Count(data, []byte{'\n'})+1)
-	res.events = make([]Event, 0, cap(idxs))
+	events, idxs := c.walk(data, true)
+	return events, idxs, nil
+}
+
+// walk is the one in-memory line walk: every newline-delimited record of
+// data in order, blank lines skipped, oversized ones counted, the rest
+// through decodeLine, counters booked on c. With indexed set it also
+// returns each event's 0-based record index.
+func (c *Correlator) walk(data []byte, indexed bool) (events []Event, idxs []int32) {
+	// On a clean log every line is an event; pre-sizing to the line count
+	// turns the append-doubling of a multi-megabyte shard into one exact
+	// allocation.
+	lines := bytes.Count(data, []byte{'\n'}) + 1
+	events = make([]Event, 0, lines)
+	if indexed {
+		idxs = make([]int32, 0, lines)
+	}
 	var d Decoder
 	idx := int32(-1)
 	for off := 0; off < len(data); {
 		idx++
-		var line []byte
-		if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
-			line = data[off : off+nl]
+		line := data[off:]
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+			line = line[:nl]
 			off += nl + 1
 		} else {
-			line = data[off:]
 			off = len(data)
 		}
 		line = trimEOL(line)
@@ -227,81 +229,15 @@ func (c *Correlator) ParseBytesIndexed(data []byte) ([]Event, []int32, error) {
 			continue
 		}
 		if len(line) > maxLineBytes {
-			res.oversized++
+			c.Oversized++
 			continue
 		}
-		if c.fast {
-			if ev, ok := d.DecodeRawBytes(line); ok {
-				res.fastHits++
-				res.events = append(res.events, ev)
+		if ev, ok := c.decodeLine(&d, line); ok {
+			events = append(events, ev)
+			if indexed {
 				idxs = append(idxs, idx)
-				continue
 			}
-			res.fastFallbacks++
-		}
-		ev, v := c.Classify(string(line))
-		switch v {
-		case VerdictEvent:
-			res.events = append(res.events, ev)
-			idxs = append(idxs, idx)
-		case VerdictNoHeader, VerdictChatter:
-			res.dropped++
-		default:
-			res.malformed++
 		}
 	}
-	c.Dropped += res.dropped
-	c.Malformed += res.malformed
-	c.Oversized += res.oversized
-	c.FastHits += res.fastHits
-	c.FastFallbacks += res.fastFallbacks
-	return res.events, idxs, nil
-}
-
-// parseShard walks one chunk line by line. It reads the correlator's
-// rule set but books all counters locally, so shards never write shared
-// state.
-func (c *Correlator) parseShard(data []byte) shardResult {
-	var res shardResult
-	var d Decoder
-	// On a clean log every line is an event; pre-sizing to the shard's
-	// line count turns the append-doubling of a multi-megabyte shard
-	// into one exact allocation.
-	res.events = make([]Event, 0, bytes.Count(data, []byte{'\n'})+1)
-	for off := 0; off < len(data); {
-		var line []byte
-		if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
-			line = data[off : off+nl]
-			off += nl + 1
-		} else {
-			line = data[off:]
-			off = len(data)
-		}
-		line = trimEOL(line)
-		if len(line) == 0 {
-			continue
-		}
-		if len(line) > maxLineBytes {
-			res.oversized++
-			continue
-		}
-		if c.fast {
-			if ev, ok := d.DecodeRawBytes(line); ok {
-				res.fastHits++
-				res.events = append(res.events, ev)
-				continue
-			}
-			res.fastFallbacks++
-		}
-		ev, v := c.Classify(string(line))
-		switch v {
-		case VerdictEvent:
-			res.events = append(res.events, ev)
-		case VerdictNoHeader, VerdictChatter:
-			res.dropped++
-		default:
-			res.malformed++
-		}
-	}
-	return res
+	return events, idxs
 }

@@ -2,6 +2,7 @@ package console
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,38 +14,83 @@ func countersOf(c *Correlator) parseCounters {
 	return parseCounters{c.Dropped, c.Malformed, c.Oversized}
 }
 
-// TestParseAllParallelEquivalence: the sharded parse must return the same
-// events in the same order, and the same counters, as the serial walk —
-// at every worker count, with and without the fast path.
+// TestParseAllParallelEquivalence: every in-memory walk — the sharded
+// parse at any worker count and the indexed serial walk the router path
+// uses — must return the same events in the same order, and the same
+// counters, as the bounded-memory serial reader, with and without the
+// fast path, over every kind of input line. The indexed walk's indices
+// must name the record each event came from, counting records the way
+// countLines does (one per newline plus an unterminated last line).
 func TestParseAllParallelEquivalence(t *testing.T) {
-	log := mixedLog(t, 300)
-
-	serial := NewCorrelator()
-	want, err := serial.ParseAll(bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
+	mixed := mixedLog(t, 2000) // clean, chatter, malformed, CRLF and blank lines; wide enough to shard
+	var oversized bytes.Buffer
+	oversized.Write(mixed[:len(mixed)/2])
+	oversized.WriteString(strings.Repeat("x", 2<<20))
+	oversized.WriteByte('\n')
+	oversized.Write(mixed[len(mixed)/2:])
+	inputs := []struct {
+		name string
+		log  []byte
+	}{
+		{"mixed", mixed},
+		{"oversized", oversized.Bytes()},
+		{"no trailing newline", bytes.TrimRight(mixed, "\n")},
+		{"blank lines", []byte("\n\r\n\n")},
+		{"empty", nil},
 	}
-	wantCounters := countersOf(serial)
-
-	for _, fast := range []bool{true, false} {
-		for _, workers := range []int{1, 2, 3, 7, 16} {
-			c := NewCorrelator()
-			c.fast = fast
-			got, err := c.ParseAllParallel(bytes.NewReader(log), workers)
-			if err != nil {
-				t.Fatalf("fast=%t workers=%d: %v", fast, workers, err)
-			}
+	for _, in := range inputs {
+		serial := NewCorrelator()
+		want, err := serial.ParseAll(bytes.NewReader(in.log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCounters := countersOf(serial)
+		check := func(what string, c *Correlator, got []Event) {
+			t.Helper()
 			if len(got) != len(want) {
-				t.Fatalf("fast=%t workers=%d: %d events, want %d", fast, workers, len(got), len(want))
+				t.Fatalf("%s %s: %d events, want %d", in.name, what, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("fast=%t workers=%d: event %d differs:\n got %+v\nwant %+v",
-						fast, workers, i, got[i], want[i])
+					t.Fatalf("%s %s: event %d differs:\n got %+v\nwant %+v", in.name, what, i, got[i], want[i])
 				}
 			}
 			if cc := countersOf(c); cc != wantCounters {
-				t.Errorf("fast=%t workers=%d: counters %+v, want %+v", fast, workers, cc, wantCounters)
+				t.Errorf("%s %s: counters %+v, want %+v", in.name, what, cc, wantCounters)
+			}
+		}
+		records := bytes.Split(in.log, []byte{'\n'})
+		if n := len(records); n > 0 && len(records[n-1]) == 0 {
+			records = records[:n-1] // the split's empty tail after a final newline is not a record
+		}
+		for _, fast := range []bool{true, false} {
+			for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+				c := NewCorrelator()
+				c.fast = fast
+				got, err := c.ParseAllParallel(bytes.NewReader(in.log), workers)
+				if err != nil {
+					t.Fatalf("%s fast=%t workers=%d: %v", in.name, fast, workers, err)
+				}
+				check(fmt.Sprintf("fast=%t workers=%d", fast, workers), c, got)
+			}
+			c := NewCorrelator()
+			c.fast = fast
+			got, idxs, err := c.ParseBytesIndexed(in.log)
+			if err != nil {
+				t.Fatalf("%s fast=%t indexed: %v", in.name, fast, err)
+			}
+			check(fmt.Sprintf("fast=%t indexed", fast), c, got)
+			if len(idxs) != len(got) {
+				t.Fatalf("%s fast=%t indexed: %d indices for %d events", in.name, fast, len(idxs), len(got))
+			}
+			for i, idx := range idxs {
+				if int(idx) >= len(records) || (i > 0 && idx <= idxs[i-1]) {
+					t.Fatalf("%s fast=%t indexed: index %d of event %d out of order or past the %d records", in.name, fast, idx, i, len(records))
+				}
+				alone, _ := NewCorrelator().ParseBytes(records[idx], 1)
+				if len(alone) != 1 || alone[0] != got[i] {
+					t.Fatalf("%s fast=%t indexed: event %d is not what record %d decodes to", in.name, fast, i, idx)
+				}
 			}
 		}
 	}
@@ -90,15 +136,6 @@ func TestOversizedLineRegression(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		c := NewCorrelator()
 		events, err := c.ParseAll(bytes.NewReader(log))
-		check(t, events, err, c)
-	})
-	t.Run("stream", func(t *testing.T) {
-		c := NewCorrelator()
-		var events []Event
-		err := c.ParseStream(bytes.NewReader(log), func(e Event) bool {
-			events = append(events, e)
-			return true
-		})
 		check(t, events, err, c)
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -161,30 +198,6 @@ func TestOversizedBoundary(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWriteLogParallel: the concurrent encoder must emit bytes identical
-// to the serial WriteLog at any worker count.
-func TestWriteLogParallel(t *testing.T) {
-	c := NewCorrelator()
-	events, err := c.ParseAll(bytes.NewReader(mixedLog(t, 400)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := WriteLog(&want, events); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 3, 8} {
-		var got bytes.Buffer
-		if err := WriteLogParallel(&got, events, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("workers=%d: parallel encoding differs from serial (%d vs %d bytes)",
-				workers, got.Len(), want.Len())
-		}
 	}
 }
 

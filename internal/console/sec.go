@@ -240,11 +240,12 @@ func (c *Correlator) ParseLine(line string) (ev Event, ok bool) {
 	return Event{}, false
 }
 
-// parseLineBytes classifies one line held as bytes: the zero-allocation
-// decoder first (when the rule set permits it), the regex path — which
-// is the only place a string is materialized — on any deviation.
-// Counters are updated exactly like ParseLine.
-func (c *Correlator) parseLineBytes(d *Decoder, line []byte) (Event, bool) {
+// decodeLine classifies one line held as bytes — the step every log walk
+// shares: the zero-allocation decoder first (when the rule set permits
+// it), the regex path — which is the only place a string is
+// materialized — on any deviation. Counters are updated exactly like
+// ParseLine.
+func (c *Correlator) decodeLine(d *Decoder, line []byte) (Event, bool) {
 	if c.fast {
 		if ev, ok := d.DecodeRawBytes(line); ok {
 			c.FastHits++
@@ -253,6 +254,15 @@ func (c *Correlator) parseLineBytes(d *Decoder, line []byte) (Event, bool) {
 		c.FastFallbacks++
 	}
 	return c.ParseLine(string(line))
+}
+
+// addCounters folds another correlator's operational counters into c.
+func (c *Correlator) addCounters(o *Correlator) {
+	c.Dropped += o.Dropped
+	c.Malformed += o.Malformed
+	c.Oversized += o.Oversized
+	c.FastHits += o.FastHits
+	c.FastFallbacks += o.FastFallbacks
 }
 
 // ParseAll reads a whole console log and returns every event it could
@@ -284,39 +294,10 @@ func (c *Correlator) ParseAll(r io.Reader) ([]Event, error) {
 		if len(line) == 0 {
 			continue
 		}
-		if ev, ok := c.parseLineBytes(&d, line); ok {
+		if ev, ok := c.decodeLine(&d, line); ok {
 			out = append(out, ev)
 		}
 	}
 	c.Oversized += lr.oversized
 	return out, nil
-}
-
-// ParseStream classifies a console log line by line, calling fn for each
-// event; fn returning false stops early. Unlike ParseAll it never holds
-// the whole log in memory, so it suits multi-gigabyte console archives
-// and tail-follow tooling.
-func (c *Correlator) ParseStream(r io.Reader, fn func(Event) bool) error {
-	var d Decoder
-	lr := newLineReader(r)
-	for {
-		line, ok, err := lr.next()
-		if err != nil {
-			c.Oversized += lr.oversized
-			return fmt.Errorf("console: reading log: %w", err)
-		}
-		if !ok {
-			break
-		}
-		if len(line) == 0 {
-			continue
-		}
-		if ev, ok := c.parseLineBytes(&d, line); ok {
-			if !fn(ev) {
-				break
-			}
-		}
-	}
-	c.Oversized += lr.oversized
-	return nil
 }

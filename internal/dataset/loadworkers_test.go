@@ -71,9 +71,8 @@ func TestLoadWorkersDigests(t *testing.T) {
 }
 
 // TestConsoleEncodeDecodeRoundTrip: parsing the written console.log and
-// re-encoding the events must reproduce the file byte for byte, through
-// both the serial and the parallel encoder. This pins the zero-allocation
-// codec to the on-disk format.
+// re-encoding the events must reproduce the file byte for byte. This
+// pins the zero-allocation codec to the on-disk format.
 func TestConsoleEncodeDecodeRoundTrip(t *testing.T) {
 	res := tinyResult(t)
 	dir := t.TempDir()
@@ -104,12 +103,5 @@ func TestConsoleEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(serial.Bytes(), orig) {
 		t.Error("serial re-encoding differs from the original console.log bytes")
-	}
-	var parallel bytes.Buffer
-	if err := console.WriteLogParallel(&parallel, events, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(parallel.Bytes(), orig) {
-		t.Error("parallel re-encoding differs from the original console.log bytes")
 	}
 }

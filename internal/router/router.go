@@ -226,7 +226,11 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 }
 
 // source returns the accounting record for a feed, creating it on
-// first sight. An empty header maps to "default".
+// first sight. An empty header maps to "default"; once serve.MaxSources
+// names are tracked, every further new name maps to
+// serve.OverflowSource — one record, one in-flight share — so the
+// client-chosen name can neither grow the table without bound nor buy a
+// fresh share per batch.
 func (rt *Router) source(name string) (string, *source) {
 	if name == "" {
 		name = "default"
@@ -234,6 +238,10 @@ func (rt *Router) source(name string) (string, *source) {
 	rt.srcMu.Lock()
 	defer rt.srcMu.Unlock()
 	src := rt.sources[name]
+	if src == nil && len(rt.sources) >= serve.MaxSources {
+		name = serve.OverflowSource
+		src = rt.sources[name]
+	}
 	if src == nil {
 		src = &source{}
 		rt.sources[name] = src

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -420,5 +422,105 @@ func TestSourceIsolation(t *testing.T) {
 		if !bytes.Contains([]byte(metrics), []byte(want)) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestSourceCap: the source name is client-supplied. 10,000 distinct
+// names must leave a bounded source table with books that still close
+// exactly, and a flooder that rotates its name on every batch must be
+// shed like one that keeps it — past the cap every new name shares the
+// overflow record's single in-flight share.
+func TestSourceCap(t *testing.T) {
+	cfg := serve.DefaultConfig()
+	cfg.QueueDepth = 1
+	cfg.ParseWorkers = 1
+	replica := testReplica(t, cfg)
+	rt, err := New(Config{Replicas: []string{startReplica(t, replica, "127.0.0.1:0")}, SourceShareLines: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := clusterSim()
+	post := func(source string, body []byte) int {
+		req, err := http.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		req.Header.Set(serve.SourceHeader, source)
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
+
+	// Phase 1: 10,000 one-line batches, each under its own name.
+	const names, senders = 10000, 8
+	line := encodeLog(t, events[:1])
+	var wg sync.WaitGroup
+	for w := 0; w < senders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < names; i += senders {
+				if code := post(fmt.Sprintf("feed-%d", i), line); code != http.StatusAccepted {
+					t.Errorf("feed-%d: status %d", i, code)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := rt.StatsNow()
+	if len(st.Sources) > serve.MaxSources+1 {
+		t.Fatalf("%d distinct names left %d source records; cap is %d plus the overflow record", names, len(st.Sources), serve.MaxSources)
+	}
+	var offered uint64
+	for name, got := range st.Sources {
+		if got.OfferedLines != got.AcceptedLines+got.ShedLines+got.FailedLines {
+			t.Fatalf("source %q books don't balance: %+v", name, got)
+		}
+		offered += got.OfferedLines
+	}
+	if offered != names || st.LinesOffered != names {
+		t.Fatalf("per-source books total %d offered lines, router total %d, sent %d", offered, st.LinesOffered, names)
+	}
+	if n := bytes.Count(getBody(t, startRouter(t, rt)+"/metrics"), []byte("titanrouter_source_lines_offered_total{")); n > serve.MaxSources+1 {
+		t.Fatalf("/metrics carries %d per-source series, cap is %d", n, serve.MaxSources+1)
+	}
+
+	// Phase 2: stall the replica so deliveries pile up in the router,
+	// then flood with a fresh name per batch. The replica takes two
+	// batches (one parsing, one queued); the third stays in flight, and
+	// from then on every other batch must be shed against the shared
+	// overflow share instead of being handed a share of its own.
+	gate := make(chan struct{})
+	replica.StallForTest(gate)
+	flood := encodeLog(t, events[:1024])
+	var shed atomic.Int64
+	for w := 0; w < senders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				switch code := post(fmt.Sprintf("rotating-%d-%d", w, i), flood); code {
+				case http.StatusAccepted:
+				case http.StatusTooManyRequests:
+					shed.Add(1)
+				default:
+					t.Errorf("rotating-%d-%d: status %d", w, i, code)
+				}
+			}
+		}(w)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.StatsNow().BatchesShed == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(gate) // release the in-flight deliveries whatever the verdict
+	wg.Wait()
+	if shed.Load() == 0 {
+		t.Fatal("a flooder rotating its source name was never shed")
+	}
+	got := rt.StatsNow().Sources[serve.OverflowSource]
+	if got.ShedBatches != uint64(shed.Load()) || got.OfferedLines != got.AcceptedLines+got.ShedLines+got.FailedLines || got.InflightLines != 0 {
+		t.Fatalf("overflow books after the flood (client saw %d shed batches): %+v", shed.Load(), got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -304,5 +305,58 @@ func TestPerSourceAccountingExact(t *testing.T) {
 	}
 	if shedTotal == 0 {
 		t.Fatal("no shedding happened; the exactness check never bit")
+	}
+}
+
+// TestSourceCapBoundsBooks: the source name is client-supplied, so
+// 10,000 distinct names must not become 10,000 map entries and 10,000
+// labelled series. Names past MaxSources book under OverflowSource and
+// the books still close exactly, per source and in total.
+func TestSourceCapBoundsBooks(t *testing.T) {
+	s := testServer(t, DefaultConfig())
+	line := encodeLog(t, simEvents()[:1])
+	const names = 10000
+	var accepted, shed uint64
+	for i := 0; i < names; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(line))
+		req.Header.Set(SourceHeader, fmt.Sprintf("feed-%d", i))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusAccepted:
+			accepted++
+		case http.StatusTooManyRequests:
+			shed++
+		default:
+			t.Fatalf("POST %d: status %d", i, rec.Code)
+		}
+	}
+	quiesce(t, s)
+
+	st := s.StatsNow()
+	if len(st.Sources) > MaxSources+1 {
+		t.Fatalf("%d distinct names left %d source entries; cap is %d plus the overflow entry", names, len(st.Sources), MaxSources)
+	}
+	var sum SourceStats
+	for name, got := range st.Sources {
+		if got.OfferedLines != got.AcceptedLines+got.ShedLines || got.OfferedBatches != got.AcceptedBatches+got.ShedBatches {
+			t.Fatalf("source %q books don't balance: %+v", name, got)
+		}
+		sum.OfferedLines += got.OfferedLines
+		sum.AcceptedLines += got.AcceptedLines
+		sum.ShedLines += got.ShedLines
+	}
+	if sum.OfferedLines != names || sum.AcceptedLines != accepted || sum.ShedLines != shed {
+		t.Fatalf("books total offered/accepted/shed = %d/%d/%d, client saw %d/%d/%d",
+			sum.OfferedLines, sum.AcceptedLines, sum.ShedLines, names, accepted, shed)
+	}
+	if got := st.Sources[OverflowSource].OfferedLines; got != names-MaxSources {
+		t.Fatalf("overflow entry booked %d lines, want the %d past the cap", got, names-MaxSources)
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if n := strings.Count(rec.Body.String(), "titand_source_lines_offered_total{"); n > MaxSources+1 {
+		t.Fatalf("/metrics carries %d per-source series, cap is %d", n, MaxSources+1)
 	}
 }

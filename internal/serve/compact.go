@@ -90,7 +90,7 @@ func (s *Server) sealedStore() (*store.Store, error) {
 	if s.cfg.CompactDir == "" {
 		return nil, nil
 	}
-	st, _, err := store.OpenDir(s.cfg.CompactDir, store.OpenOptions{Mapped: s.cfg.MmapSegments})
+	st, _, err := store.OpenDir(s.cfg.CompactDir, store.OpenOptions{Mapped: true})
 	if err != nil {
 		return nil, fmt.Errorf("serve: compaction: %w", err)
 	}

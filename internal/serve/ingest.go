@@ -18,18 +18,18 @@ import (
 //	             reorder buffer (delivers in seq order)
 //	                   │
 //	                   ▼
-//	             applier ×1 (alert engine, precursor warner, retained log)
-//	                   │ per event
-//	                   ▼
-//	             node shards ×S (sliding windows, card counters, retirement)
+//	             applier ×1 (journal write-ahead, then applyBatch: alert
+//	                         engine, precursor warner, per-node windows /
+//	                         card counters / retirement, retained log,
+//	                         alert feed)
 //
 // Parsing — the expensive step — fans out across workers; everything
-// order-sensitive happens either in the single applier (cross-node
-// detectors) or in the single shard owning the node (per-node state).
-// The reorder buffer re-establishes admission order between the two, so
-// the pipeline output for a given admission order is deterministic: a
-// client streaming a log in order through one connection gets exactly
-// the batch pipeline's alerts and warnings (TestStreamMatchesBatchHTTP).
+// order-sensitive happens in the single applier, in the admission order
+// the reorder buffer re-establishes, so the pipeline output for a given
+// admission order is deterministic: a client streaming a log in order
+// through one connection gets exactly the batch pipeline's alerts and
+// warnings (TestStreamMatchesBatchHTTP). One stage of each kind, and
+// only the stage whose work dwarfs a goroutine hop is fanned out.
 
 // batch is one admitted /ingest body. seqBase and positions are the
 // router's global line-sequence tags (see SeqBaseHeader): positions[j]
@@ -198,10 +198,8 @@ func countLines(data []byte) int {
 	return n
 }
 
-// applier is the single goroutine owning all cross-node state: the
-// streaming alert engine, the armed precursor warner, per-code totals
-// and the retained event log for the shutdown snapshot. Everything it
-// owns is guarded by stateMu so the query handlers can read it.
+// applier is the single goroutine that changes online state: it takes
+// batches in admission order, journals them and applies them.
 //
 // With a journal open, every event is appended (write-ahead) before it
 // is applied: the journal sees the exact arrival-order stream the
@@ -210,49 +208,55 @@ func countLines(data []byte) int {
 // "always" policy to the batch rate.
 func (s *Server) applier() {
 	defer s.applyWG.Done()
-	var raw []byte
 	for {
 		p, ok := s.reorder.take()
 		if !ok {
 			return
 		}
-		events := p.events
-		if len(events) == 0 {
-			s.appliedBatches.Add(1)
-			continue
-		}
 		if j := s.journal.Load(); j != nil {
-			for _, ev := range events {
-				raw = ev.AppendRaw(raw[:0])
-				j.Append(raw)
-			}
-			j.Commit()
+			j.appendEvents(p.events)
 		}
-		s.stateMu.Lock()
-		for _, ev := range events {
-			s.applyEventLocked(ev)
-			if s.cfg.RetainEvents {
-				s.events = append(s.events, ev)
-			}
-		}
-		s.stateMu.Unlock()
-		if s.feed != nil {
-			// The cluster alert-feed collector books every applied
-			// event: tagged events carry their global sequence, an
-			// untagged event taints completeness (the router can no
-			// longer prove global replay exactness).
-			if p.seqs != nil {
-				for i, ev := range events {
-					s.feed.record(ev, p.seqs[i])
-				}
-			} else {
-				s.feed.markUntagged(len(events))
-			}
-		}
-		for _, ev := range events {
-			s.shards.dispatch(ev)
-		}
-		s.metrics.eventsApplied.Add(uint64(len(events)))
+		_ = s.applyBatch(p.events, p.seqs, s.cfg.RetainEvents, false) // only a replay can fail
 		s.appliedBatches.Add(1)
 	}
+}
+
+// applyBatch is the one apply step, shared by the live applier and both
+// warm-start replays (segments or flat log, then journal): every event
+// through applyEventLocked under stateMu, into the retained log when
+// retain is set, then the batch into the alert feed and events_applied.
+// seqs (parallel to events) are the router's global sequences; nil
+// means untagged. A replay does not touch the feed — WarmStart restores
+// it from its own snapshot — and evaluates the serve.warm.replay
+// failpoint before each event, whose injected error is the only one
+// applyBatch returns.
+func (s *Server) applyBatch(events []console.Event, seqs []uint64, retain, replay bool) error {
+	s.stateMu.Lock()
+	for _, ev := range events {
+		if replay {
+			if err := fpWarmReplay.Eval(); err != nil {
+				s.stateMu.Unlock()
+				return err
+			}
+		}
+		s.applyEventLocked(ev)
+		if retain {
+			s.events = append(s.events, ev)
+		}
+	}
+	s.stateMu.Unlock()
+	if s.feed != nil && !replay {
+		// Tagged events carry their global sequence; an untagged event
+		// taints completeness (the router can no longer prove global
+		// replay exactness).
+		if seqs != nil {
+			for i, ev := range events {
+				s.feed.record(ev, seqs[i])
+			}
+		} else {
+			s.feed.markUntagged(len(events))
+		}
+	}
+	s.metrics.eventsApplied.Add(uint64(len(events)))
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"titanre/internal/console"
 	"titanre/internal/failpoint"
 )
 
@@ -384,6 +385,20 @@ func (j *Journal) Commit() {
 			j.wedged = true
 		}
 	}
+}
+
+// appendEvents writes one batch ahead of its apply: every event's
+// canonical rendering, then one Commit. An empty batch commits nothing.
+func (j *Journal) appendEvents(events []console.Event) {
+	if len(events) == 0 {
+		return
+	}
+	var raw []byte
+	for _, ev := range events {
+		raw = ev.AppendRaw(raw[:0])
+		j.Append(raw)
+	}
+	j.Commit()
 }
 
 // Sync forces buffered records to disk (the interval syncer and Close

@@ -90,40 +90,12 @@ func (m *metrics) observeLatency(d time.Duration) {
 	m.latBkt[len(latencyBuckets)].Add(1)
 }
 
-// snapshotGauges are point-in-time values rendered alongside the
-// counters; the server fills them at scrape time.
-type snapshotGauges struct {
-	queueDepth   int
-	queueCap     int
-	nodesTracked int
-	cardsTracked int
-	shards       int
-	draining     bool
-
-	// Compaction and memory.
-	retainedEvents int
-	sealedSegments int
-	sealedEvents   int
-	sealedBytes    int64
-	lastCompact    int64 // unix seconds, 0 = never
-	heapInuse      uint64
-
-	// Crash recovery: degraded-start accounting plus, when the
-	// write-ahead journal is active, its counter snapshot.
-	degraded         bool
-	quarantinedSegs  int
-	quarantinedBytes int64
-	eventsLost       uint64
-	sealedSeq        uint64
-	journal          *JournalStats
-
-	// Per-source ingest accounting (X-Titan-Source tagged batches).
-	sources map[string]SourceStats
-}
-
-// write renders the Prometheus text exposition. Counter names follow the
-// titand_ prefix convention; everything ends in _total except gauges.
-func (m *metrics) write(w io.Writer, g snapshotGauges, now time.Time) error {
+// write renders st — the same gather /stats serves — as the Prometheus
+// text exposition, plus the ingest-latency histogram. Counter names
+// follow the titand_ prefix convention; everything ends in _total except
+// gauges. TestStatsMetricsParity holds the two faces to the same set of
+// figures.
+func (m *metrics) write(w io.Writer, st Stats) error {
 	bw := bufio.NewWriter(w)
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -131,60 +103,63 @@ func (m *metrics) write(w io.Writer, g snapshotGauges, now time.Time) error {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-
-	counter("titand_ingest_batches_accepted_total", "POST /ingest bodies admitted to the parse queue.", m.batchesAccepted.Load())
-	counter("titand_ingest_batches_shed_total", "POST /ingest bodies rejected with 429 because the queue was full.", m.batchesShed.Load())
-	counter("titand_ingest_batches_rejected_total", "POST /ingest bodies rejected as malformed (wrong method, oversized body, read error).", m.batchesRejected.Load())
-	counter("titand_ingest_lines_total", "Console lines read out of accepted batches.", m.linesAccepted.Load())
-	counter("titand_ingest_lines_shed_total", "Console lines discarded by load shedding (newline count of shed bodies).", m.linesShed.Load())
-	counter("titand_decode_events_total", "Lines that decoded into critical-event records.", m.events.Load())
-	counter("titand_decode_chatter_total", "Lines dropped because no SEC rule matched.", m.dropped.Load())
-	counter("titand_decode_malformed_total", "Lines that matched a rule but could not be decoded.", m.malformed.Load())
-	counter("titand_decode_oversized_total", "Lines over the 1 MiB record cap, skipped at the line reader.", m.oversized.Load())
-	counter("titand_decode_fast_hits_total", "Lines decoded on the zero-allocation fast path.", m.fastHits.Load())
-	counter("titand_decode_fast_fallbacks_total", "Lines that left the fast path for the regex fallback.", m.fastFallbacks.Load())
-	counter("titand_events_applied_total", "Events applied to the online state (global detectors + node shards).", m.eventsApplied.Load())
-	counter("titand_alerts_raised_total", "Operator alerts raised by the streaming detectors.", m.alertsRaised.Load())
-	counter("titand_warnings_issued_total", "Precursor warnings issued by the armed prediction rules.", m.warningsIssued.Load())
-	counter("titand_compactions_total", "Compaction passes that sealed retained events into segments.", m.compactions.Load())
-	counter("titand_compaction_failures_total", "Compaction passes that failed to seal (events stay retained).", m.compactFailures.Load())
-	counter("titand_compaction_retries_total", "Chunk seals retried after a transient I/O fault (jittered exponential backoff).", m.compactRetries.Load())
-	counter("titand_events_sealed_total", "Events moved from the retained log into on-disk columnar segments.", m.eventsSealed.Load())
-	counter("titand_query_node_history_total", "Node history queries served (GET /nodes/{cname}/history).", m.queryNodeHistory.Load())
-	counter("titand_query_code_history_total", "Fleet-wide code history queries served (GET /codes/{xid}/history).", m.queryCodeHistory.Load())
-	counter("titand_query_rollup_total", "Time-bucketed rollup queries served (GET /rollup).", m.queryRollup.Load())
-	counter("titand_query_top_total", "Top-offender queries served (GET /top).", m.queryTop.Load())
-	counter("titand_queries_total", "titanql plans received on GET /query (accepted or not).", m.queries.Load())
-	counter("titand_query_errors_total", "GET /query requests rejected at parse, compile or execute.", m.queryErrors.Load())
-	counter("titand_query_rows_folded_total", "Rows folded into accumulators by /rollup, /top and /query.", m.rowsFolded.Load())
-	fmt.Fprintf(bw, "# HELP %[1]s %[2]s\n# TYPE %[1]s counter\n%[1]s %[3]g\n", "titand_query_fold_seconds_total",
-		"Wall time of those folds (scan and worker merge, before rendering); over rows folded it is the kernels' time per row.", float64(m.foldNanos.Load())/1e9)
-	if g.journal != nil {
-		counter("titand_journal_appends_total", "Events framed into the write-ahead journal.", g.journal.Appends)
-		counter("titand_journal_append_failures_total", "Events applied but not journaled because the journal was wedged by an I/O failure.", g.journal.AppendFailures)
-		counter("titand_journal_syncs_total", "Journal fsync calls (policy-dependent).", g.journal.Syncs)
-		counter("titand_journal_rotations_total", "Journal file rotations.", g.journal.Rotations)
-		counter("titand_journal_files_removed_total", "Journal files deleted after the sealed floor covered them.", g.journal.FilesRemoved)
-		wedged := 0.0
-		if g.journal.Wedged {
-			wedged = 1
+	flag := func(name, help string, on bool) {
+		v := 0.0
+		if on {
+			v = 1
 		}
-		gauge("titand_journal_wedged", "1 while the journal is wedged by an append failure (recovers at the next rotation).", wedged)
-		gauge("titand_journal_next_seq", "Global sequence the next journaled event receives.", float64(g.journal.NextSeq))
+		gauge(name, help, v)
+	}
+
+	counter("titand_ingest_batches_accepted_total", "POST /ingest bodies admitted to the parse queue.", st.BatchesAccepted)
+	counter("titand_ingest_batches_shed_total", "POST /ingest bodies rejected with 429 because the queue was full.", st.BatchesShed)
+	counter("titand_ingest_batches_rejected_total", "POST /ingest bodies rejected as malformed (wrong method, oversized body, read error).", st.BatchesRejected)
+	counter("titand_ingest_lines_total", "Console lines read out of accepted batches.", st.LinesAccepted)
+	counter("titand_ingest_lines_shed_total", "Console lines discarded by load shedding (newline count of shed bodies).", st.LinesShed)
+	counter("titand_decode_events_total", "Lines that decoded into critical-event records.", st.Events)
+	counter("titand_decode_chatter_total", "Lines dropped because no SEC rule matched.", st.Chatter)
+	counter("titand_decode_malformed_total", "Lines that matched a rule but could not be decoded.", st.Malformed)
+	counter("titand_decode_oversized_total", "Lines over the 1 MiB record cap, skipped at the line reader.", st.Oversized)
+	counter("titand_decode_fast_hits_total", "Lines decoded on the zero-allocation fast path.", st.FastHits)
+	counter("titand_decode_fast_fallbacks_total", "Lines that left the fast path for the regex fallback.", st.FastFallbacks)
+	counter("titand_events_applied_total", "Events applied to the online state (global detectors + node shards).", st.EventsApplied)
+	counter("titand_alerts_raised_total", "Operator alerts raised by the streaming detectors.", st.AlertsRaised)
+	counter("titand_warnings_issued_total", "Precursor warnings issued by the armed prediction rules.", st.WarningsIssued)
+	counter("titand_compactions_total", "Compaction passes that sealed retained events into segments.", st.Compactions)
+	counter("titand_compaction_failures_total", "Compaction passes that failed to seal (events stay retained).", st.CompactionFailures)
+	counter("titand_compaction_retries_total", "Chunk seals retried after a transient I/O fault (jittered exponential backoff).", st.CompactionRetries)
+	counter("titand_events_sealed_total", "Events moved from the retained log into on-disk columnar segments.", st.EventsSealed)
+	counter("titand_query_node_history_total", "Node history queries served (GET /nodes/{cname}/history).", st.QueryNodeHistory)
+	counter("titand_query_code_history_total", "Fleet-wide code history queries served (GET /codes/{xid}/history).", st.QueryCodeHistory)
+	counter("titand_query_rollup_total", "Time-bucketed rollup queries served (GET /rollup).", st.QueryRollup)
+	counter("titand_query_top_total", "Top-offender queries served (GET /top).", st.QueryTop)
+	counter("titand_queries_total", "titanql plans received on GET /query (accepted or not).", st.Queries)
+	counter("titand_query_errors_total", "GET /query requests rejected at parse, compile or execute.", st.QueryErrors)
+	counter("titand_query_rows_folded_total", "Rows folded into accumulators by /rollup, /top and /query.", st.QueryRowsFolded)
+	fmt.Fprintf(bw, "# HELP %[1]s %[2]s\n# TYPE %[1]s counter\n%[1]s %[3]g\n", "titand_query_fold_seconds_total",
+		"Wall time of those folds (scan and worker merge, before rendering); over rows folded it is the kernels' time per row.", st.QueryFoldSeconds)
+	if j := st.Journal; j != nil {
+		counter("titand_journal_appends_total", "Events framed into the write-ahead journal.", j.Appends)
+		counter("titand_journal_append_failures_total", "Events applied but not journaled because the journal was wedged by an I/O failure.", j.AppendFailures)
+		counter("titand_journal_syncs_total", "Journal fsync calls (policy-dependent).", j.Syncs)
+		counter("titand_journal_rotations_total", "Journal file rotations.", j.Rotations)
+		counter("titand_journal_files_removed_total", "Journal files deleted after the sealed floor covered them.", j.FilesRemoved)
+		flag("titand_journal_wedged", "1 while the journal is wedged by an append failure (recovers at the next rotation).", j.Wedged)
+		gauge("titand_journal_next_seq", "Global sequence the next journaled event receives.", float64(j.NextSeq))
 	}
 
 	// Per-source admission accounting, one labeled series per source,
 	// rendered in sorted order so the exposition is byte-stable.
-	if len(g.sources) > 0 {
-		names := make([]string, 0, len(g.sources))
-		for name := range g.sources {
+	if len(st.Sources) > 0 {
+		names := make([]string, 0, len(st.Sources))
+		for name := range st.Sources {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		srcCounter := func(name, help string, value func(SourceStats) uint64) {
 			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 			for _, src := range names {
-				fmt.Fprintf(bw, "%s{source=%q} %d\n", name, src, value(g.sources[src]))
+				fmt.Fprintf(bw, "%s{source=%q} %d\n", name, src, value(st.Sources[src]))
 			}
 		}
 		srcCounter("titand_source_lines_offered_total", "Console lines offered by each X-Titan-Source feed.", func(s SourceStats) uint64 { return s.OfferedLines })
@@ -208,31 +183,24 @@ func (m *metrics) write(w io.Writer, g snapshotGauges, now time.Time) error {
 	fmt.Fprintf(bw, "titand_ingest_latency_seconds_sum %g\n", float64(m.latSum.Load())/1e6)
 	fmt.Fprintf(bw, "titand_ingest_latency_seconds_count %d\n", m.latCount.Load())
 
-	gauge("titand_queue_depth", "Parse-queue batches currently waiting.", float64(g.queueDepth))
-	gauge("titand_queue_capacity", "Parse-queue capacity in batches.", float64(g.queueCap))
-	gauge("titand_nodes_tracked", "Nodes with online reliability state.", float64(g.nodesTracked))
-	gauge("titand_cards_tracked", "GPU cards with online reliability state.", float64(g.cardsTracked))
-	gauge("titand_state_shards", "Per-node state shards.", float64(g.shards))
-	gauge("titand_retained_events", "Applied events still held in memory (the unsealed tail).", float64(g.retainedEvents))
-	gauge("titand_sealed_segments", "On-disk columnar segments sealed by compaction.", float64(g.sealedSegments))
-	gauge("titand_sealed_events", "Events stored in sealed columnar segments.", float64(g.sealedEvents))
-	gauge("titand_sealed_segment_bytes", "Total on-disk bytes of sealed segment files.", float64(g.sealedBytes))
-	gauge("titand_last_compaction_timestamp_seconds", "Unix time of the last successful compaction (0 = never).", float64(g.lastCompact))
-	gauge("titand_sealed_seq", "Global sequence the sealed history durably covers (the SEALED floor).", float64(g.sealedSeq))
-	degraded := 0.0
-	if g.degraded {
-		degraded = 1
-	}
-	gauge("titand_degraded", "1 when the warm start quarantined corrupt segments; the detector history has counted holes.", degraded)
-	gauge("titand_quarantined_segments", "Corrupt segment files moved aside by the warm start.", float64(g.quarantinedSegs))
-	gauge("titand_quarantined_bytes", "On-disk bytes of quarantined segment files.", float64(g.quarantinedBytes))
-	gauge("titand_events_lost_to_quarantine", "Exact events inside quarantined segments (from the SEALED floor arithmetic).", float64(g.eventsLost))
-	gauge("titand_heap_inuse_bytes", "Go runtime heap bytes in use (runtime.MemStats.HeapInuse).", float64(g.heapInuse))
-	drain := 0.0
-	if g.draining {
-		drain = 1
-	}
-	gauge("titand_draining", "1 while the server is draining toward shutdown.", drain)
-	gauge("titand_uptime_seconds", "Seconds since the service started.", now.Sub(m.start).Seconds())
+	gauge("titand_queue_depth", "Parse-queue batches currently waiting.", float64(st.QueueDepth))
+	gauge("titand_queue_capacity", "Parse-queue capacity in batches.", float64(st.QueueCapacity))
+	gauge("titand_nodes_tracked", "Nodes with online reliability state.", float64(st.NodesTracked))
+	gauge("titand_cards_tracked", "GPU cards with online reliability state.", float64(st.CardsTracked))
+	gauge("titand_retained_events", "Applied events still held in memory (the unsealed tail).", float64(st.RetainedEvents))
+	gauge("titand_sealed_segments", "On-disk columnar segments sealed by compaction.", float64(st.SealedSegments))
+	gauge("titand_sealed_events", "Events stored in sealed columnar segments.", float64(st.SealedEvents))
+	gauge("titand_sealed_segment_bytes", "Total on-disk bytes of sealed segment files.", float64(st.SealedSegmentBytes))
+	gauge("titand_sealed_mapped_bytes", "Sealed segment bytes served from read-only file mappings (0 on the heap path).", float64(st.SealedMappedBytes))
+	gauge("titand_last_compaction_timestamp_seconds", "Unix time of the last successful compaction (0 = never).", float64(st.LastCompactionUnix))
+	gauge("titand_sealed_seq", "Global sequence the sealed history durably covers (the SEALED floor).", float64(st.SealedSeq))
+	flag("titand_degraded", "1 when the warm start quarantined corrupt segments; the detector history has counted holes.", st.Degraded)
+	gauge("titand_quarantined_segments", "Corrupt segment files moved aside by the warm start.", float64(st.QuarantinedSegments))
+	gauge("titand_quarantined_bytes", "On-disk bytes of quarantined segment files.", float64(st.QuarantinedBytes))
+	gauge("titand_events_lost_to_quarantine", "Exact events inside quarantined segments (from the SEALED floor arithmetic).", float64(st.EventsLost))
+	gauge("titand_orphans_removed", "Uncommitted segment temp files the warm start removed.", float64(st.OrphansRemoved))
+	gauge("titand_heap_inuse_bytes", "Go runtime heap bytes in use (runtime.MemStats.HeapInuse).", float64(st.HeapInuseBytes))
+	flag("titand_draining", "1 while the server is draining toward shutdown.", st.Draining)
+	gauge("titand_uptime_seconds", "Seconds since the service started.", st.UptimeSeconds)
 	return bw.Flush()
 }

@@ -181,15 +181,14 @@ func TestNodeAndStatsEndpoints(t *testing.T) {
 	}
 	events := []console.Event{
 		mk(0, xid.GraphicsEngineException, console.NoPage),
-		mk(10, xid.DoubleBitError, 100),        // retires page 100 (DBE rule)
-		mk(20, xid.ECCPageRetirement, 100),     // driver record for the same page: no-op
-		mk(30, xid.ECCPageRetirementAlt, 200),  // two-SBE retirement of page 200
+		mk(10, xid.DoubleBitError, 100),       // retires page 100 (DBE rule)
+		mk(20, xid.ECCPageRetirement, 100),    // driver record for the same page: no-op
+		mk(30, xid.ECCPageRetirementAlt, 200), // two-SBE retirement of page 200
 		mk(40, xid.GPUStoppedProcessing, console.NoPage),
 	}
 	log := encodeLog(t, events)
 
 	cfg := DefaultConfig()
-	cfg.Shards = 3
 	s := testServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -267,6 +266,57 @@ func TestNodeAndStatsEndpoints(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health["status"] != "ok" {
 		t.Fatalf("healthz = %v", health)
+	}
+}
+
+// TestAppliedIsVisible: events_applied means applied everywhere. As soon
+// as /stats reports a batch's events applied, /nodes/{cname} reflects
+// every one of them — no Quiesce, no barrier between the counter and the
+// per-node state.
+func TestAppliedIsVisible(t *testing.T) {
+	base := time.Date(2014, 6, 1, 12, 0, 0, 0, time.UTC)
+	node := topology.NodeID(4242)
+	cname := topology.CNameOf(node)
+	const perBatch = 64
+	batch := make([]console.Event, perBatch)
+
+	s := testServer(t, DefaultConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for round := 1; round <= 50; round++ {
+		for i := range batch {
+			batch[i] = console.Event{
+				Time: base.Add(time.Duration(round*perBatch+i) * time.Second),
+				Node: node, Code: xid.GraphicsEngineException, Serial: gpu.Serial(900), Job: 7, Page: console.NoPage,
+			}
+		}
+		resp, err := http.Post(ts.URL+"/ingest", "text/plain", bytes.NewReader(encodeLog(t, batch)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("round %d: ingest status %s", round, resp.Status)
+		}
+		want := round * perBatch
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			var st Stats
+			getJSON(t, ts.URL+"/stats", &st)
+			if st.EventsApplied >= uint64(want) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: events_applied stuck at %d", round, st.EventsApplied)
+			}
+		}
+		var view NodeView
+		getJSON(t, ts.URL+"/nodes/"+cname, &view)
+		if view.Total != want {
+			t.Fatalf("round %d: /stats says %d events applied but /nodes/%s has seen %d", round, want, cname, view.Total)
+		}
 	}
 }
 

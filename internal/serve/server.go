@@ -1,12 +1,12 @@
 // Package serve is titand's engine: a streaming reliability-telemetry
 // service over the study's console-event pipeline. It accepts raw
 // console lines over HTTP, decodes them on the zero-allocation fast path
-// (regex fallback for deviating lines), folds them through sharded
-// per-node state actors — sliding-window XID rates, per-card error
-// counters and the dynamic page-retirement machine — and runs the
-// cross-node operator detectors (package alert) plus armed precursor
-// rules (package predict) online. State is served as JSON, operational
-// counters in the Prometheus text format.
+// (regex fallback for deviating lines), folds them into per-node state
+// — sliding-window XID rates, per-card error counters and the dynamic
+// page-retirement machine — and runs the cross-node operator detectors
+// (package alert) plus armed precursor rules (package predict) online.
+// State is served as JSON, operational counters in the Prometheus text
+// format.
 //
 // The service is explicitly overload-aware: admission is a bounded
 // queue, a full queue sheds load with 429 and exact dropped-line
@@ -39,17 +39,11 @@ import (
 
 // Config tunes the service.
 type Config struct {
-	// Shards is the number of per-node state actors (default GOMAXPROCS).
-	Shards int
 	// ParseWorkers is the decode fan-out (default GOMAXPROCS).
 	ParseWorkers int
 	// QueueDepth is the admission queue capacity in batches (default 256).
 	// When it is full, POST /ingest sheds with 429.
 	QueueDepth int
-	// ShardQueueDepth bounds each state actor's inbox (default 1024
-	// events); a slow shard backpressures the applier and, through it,
-	// the admission queue.
-	ShardQueueDepth int
 	// MaxBodyBytes caps one /ingest body (default 8 MiB).
 	MaxBodyBytes int64
 	// RequestTimeout bounds one request end to end (default 10 s).
@@ -85,12 +79,6 @@ type Config struct {
 	// CompactMin is the minimum number of sealable events worth a
 	// segment (default 1024); smaller backlogs wait for the next tick.
 	CompactMin int
-	// MmapSegments backs sealed-segment reads with read-only file
-	// mappings (heap fallback on platforms without mmap): segment
-	// columns alias the page cache, so fleet-wide scans and rollups run
-	// at disk bandwidth with near-zero resident heap. DefaultConfig
-	// enables it; a zero-value Config keeps the heap path.
-	MmapSegments bool
 	// JournalDir, when non-empty, enables the arrival-order write-ahead
 	// journal: every applied event is appended (as its canonical console
 	// rendering) before it touches the online state, so a kill -9
@@ -118,17 +106,14 @@ type Config struct {
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		Shards:          runtime.GOMAXPROCS(0),
-		ParseWorkers:    runtime.GOMAXPROCS(0),
-		QueueDepth:      256,
-		ShardQueueDepth: 1024,
-		MaxBodyBytes:    8 << 20,
-		RequestTimeout:  10 * time.Second,
-		RateWindow:      24 * time.Hour,
-		Alerts:          alert.DefaultConfig(),
-		RetainEvents:    true,
-		MmapSegments:    true,
-		AlertFeed:       true,
+		ParseWorkers:   runtime.GOMAXPROCS(0),
+		QueueDepth:     256,
+		MaxBodyBytes:   8 << 20,
+		RequestTimeout: 10 * time.Second,
+		RateWindow:     24 * time.Hour,
+		Alerts:         alert.DefaultConfig(),
+		RetainEvents:   true,
+		AlertFeed:      true,
 	}
 }
 
@@ -138,14 +123,18 @@ type Server struct {
 	metrics *metrics
 	queue   *ingestQueue
 	reorder *reorder
-	shards  *shardSet
 
-	// stateMu guards everything the applier owns.
-	stateMu     sync.Mutex
-	alertEngine *alert.Engine
-	warner      *predict.Warner
-	codeTotals  map[xid.Code]int
-	events      []console.Event
+	// stateMu guards everything the applier owns: the cross-node
+	// detectors, the per-code totals, the retained log and the per-node
+	// state (state.go) with its first-touch node and card counts.
+	stateMu      sync.Mutex
+	alertEngine  *alert.Engine
+	warner       *predict.Warner
+	codeTotals   map[xid.Code]int
+	events       []console.Event
+	nodes        map[topology.NodeID]*nodeState
+	nodesTracked int
+	cardsTracked int
 	// maxApplied is the newest event time applied so far; compaction
 	// measures CompactAge against it so historical replays age out the
 	// same way live streams do.
@@ -195,9 +184,9 @@ type Server struct {
 	// on it before each batch; the load-shedding test uses it to fill the
 	// admission queue deterministically.
 	stallGate atomic.Value
-	// appliedBatches counts batches fully applied AND dispatched; with
-	// dense sequence numbers it equals the applier's progress through
-	// the admitted stream (Quiesce compares it against queue.next).
+	// appliedBatches counts batches fully applied; with dense sequence
+	// numbers it equals the applier's progress through the admitted
+	// stream (Quiesce compares it against queue.next).
 	appliedBatches atomic.Uint64
 
 	mux      *http.ServeMux
@@ -213,17 +202,11 @@ type Server struct {
 // NewServer builds a server; the pipeline goroutines start immediately
 // so a handler obtained from Handler can be used without Serve.
 func NewServer(cfg Config) *Server {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	if cfg.ParseWorkers <= 0 {
 		cfg.ParseWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
-	}
-	if cfg.ShardQueueDepth <= 0 {
-		cfg.ShardQueueDepth = 1024
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
@@ -250,9 +233,9 @@ func NewServer(cfg Config) *Server {
 		metrics:     newMetrics(time.Now()),
 		queue:       newIngestQueue(cfg.QueueDepth),
 		reorder:     newReorder(),
-		shards:      newShardSet(cfg.Shards, cfg.RateWindow, cfg.ShardQueueDepth),
 		alertEngine: alert.NewEngine(cfg.Alerts),
 		codeTotals:  make(map[xid.Code]int),
+		nodes:       make(map[topology.NodeID]*nodeState),
 		sources:     make(map[string]*sourceCounters),
 	}
 	if cfg.AlertFeed {
@@ -339,9 +322,8 @@ func (s *Server) Addr() string {
 
 // Shutdown drains gracefully: stop accepting connections (in-flight
 // requests complete), close the admission queue, wait for the parse
-// workers, the applier and the shard actors to drain everything already
-// admitted, then write the snapshot if configured. Safe to call more
-// than once.
+// workers and the applier to drain everything already admitted, then
+// write the snapshot if configured. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.lifecycleMu.Lock()
 	if s.drained {
@@ -363,7 +345,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.parseWG.Wait()
 	s.reorder.seal(limit)
 	s.applyWG.Wait()
-	s.shards.close()
 
 	s.lifecycleMu.Lock()
 	s.drained = true
@@ -406,12 +387,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return httpErr
 }
 
-// applyEventLocked folds one event into the cross-node state the
-// applier owns — alert engine, precursor warner, per-code totals, the
-// age watermark. stateMu must be held. The live applier, segment
-// replay and journal replay all feed through here, which is what makes
-// a restarted daemon's detector state bit-equal to an uninterrupted
-// one's.
+// applyEventLocked folds one event into everything the applier owns —
+// alert engine, precursor warner, per-code totals, the age watermark,
+// the event's node. stateMu must be held. The live applier, segment
+// replay and journal replay all feed through here (applyBatch), which
+// is what makes a restarted daemon's state bit-equal to an
+// uninterrupted one's.
 func (s *Server) applyEventLocked(ev console.Event) {
 	before := s.alertEngine.Count()
 	s.alertEngine.Feed(ev)
@@ -427,6 +408,7 @@ func (s *Server) applyEventLocked(ev console.Event) {
 	if ev.Time.After(s.maxApplied) {
 		s.maxApplied = ev.Time
 	}
+	s.applyNodeLocked(ev)
 }
 
 // Journal returns the open write-ahead journal, nil when journaling is
@@ -526,6 +508,17 @@ type sourceCounters struct {
 	offeredLines, acceptedLines, shedLines       uint64
 }
 
+// The source name is client-supplied, so the set of names with their own
+// books (and labelled /metrics series) is capped: once MaxSources
+// distinct names are tracked, every further new name is booked under
+// OverflowSource. The books still close exactly — the overflow entry is
+// one more source — and at the router the overflow names share one QoS
+// share, so a feed cannot dodge shedding by rotating its name.
+const (
+	MaxSources     = 256
+	OverflowSource = "_overflow"
+)
+
 // bookSource books one admission decision against the batch's source.
 // Untagged batches (no X-Titan-Source) are not tracked.
 func (s *Server) bookSource(source string, lines int, accepted bool) {
@@ -535,6 +528,10 @@ func (s *Server) bookSource(source string, lines int, accepted bool) {
 	s.sourcesMu.Lock()
 	defer s.sourcesMu.Unlock()
 	sc := s.sources[source]
+	if sc == nil && len(s.sources) >= MaxSources {
+		source = OverflowSource
+		sc = s.sources[source]
+	}
 	if sc == nil {
 		sc = &sourceCounters{}
 		s.sources[source] = sc
@@ -588,11 +585,15 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad cname %q: %v", cname, err), http.StatusBadRequest)
 		return
 	}
-	view, ok := s.shards.nodeView(node)
-	if !ok {
+	s.stateMu.Lock()
+	ns := s.nodes[node]
+	if ns == nil {
+		s.stateMu.Unlock()
 		http.Error(w, fmt.Sprintf("no state for %s", cname), http.StatusNotFound)
 		return
 	}
+	view := viewOf(ns, s.cfg.RateWindow)
+	s.stateMu.Unlock()
 	writeJSON(w, view)
 }
 
@@ -732,9 +733,12 @@ func (s *Server) handleWarnings(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, views)
 }
 
-// Stats is the /stats JSON document.
+// Stats is the one gather of titand's figures: /stats serves it as JSON
+// and /metrics renders the same value as Prometheus series, so every
+// figure is on both faces.
 type Stats struct {
 	UptimeSeconds   float64        `json:"uptime_seconds"`
+	Draining        bool           `json:"draining"`
 	BatchesAccepted uint64         `json:"batches_accepted"`
 	BatchesShed     uint64         `json:"batches_shed"`
 	BatchesRejected uint64         `json:"batches_rejected"`
@@ -753,7 +757,6 @@ type Stats struct {
 	QueueCapacity   int            `json:"queue_capacity"`
 	NodesTracked    int            `json:"nodes_tracked"`
 	CardsTracked    int            `json:"cards_tracked"`
-	Shards          int            `json:"shards"`
 	EventsByCode    map[string]int `json:"events_by_code"`
 
 	// Compaction and memory (see internal/store): the retained tail is
@@ -765,6 +768,7 @@ type Stats struct {
 	SealedSegmentBytes int64  `json:"sealed_segment_bytes"`
 	SealedMappedBytes  int64  `json:"sealed_mapped_bytes"`
 	Compactions        uint64 `json:"compactions"`
+	CompactionFailures uint64 `json:"compaction_failures"`
 	CompactionRetries  uint64 `json:"compaction_retries"`
 	EventsSealed       uint64 `json:"events_sealed"`
 	LastCompactionUnix int64  `json:"last_compaction_unix"`
@@ -826,15 +830,17 @@ func (s *Server) StatsNow() Stats {
 		WarningsIssued:  m.warningsIssued.Load(),
 		QueueDepth:      s.queue.depth(),
 		QueueCapacity:   s.cfg.QueueDepth,
-		Shards:          s.cfg.Shards,
 		EventsByCode:    map[string]int{},
 	}
-	st.NodesTracked, st.CardsTracked = s.trackedCounts()
+	s.lifecycleMu.Lock()
+	st.Draining = s.draining
+	s.lifecycleMu.Unlock()
 	s.stateMu.Lock()
 	for code, n := range s.codeTotals {
 		st.EventsByCode[code.String()] = n
 	}
 	st.RetainedEvents = len(s.events)
+	st.NodesTracked, st.CardsTracked = s.nodesTracked, s.cardsTracked
 	s.stateMu.Unlock()
 	if sealed := s.sealedPeek(); sealed != nil {
 		st.SealedSegments = sealed.SegmentCount()
@@ -851,6 +857,7 @@ func (s *Server) StatsNow() Stats {
 	st.QueryRowsFolded = m.rowsFolded.Load()
 	st.QueryFoldSeconds = float64(m.foldNanos.Load()) / 1e9
 	st.Compactions = m.compactions.Load()
+	st.CompactionFailures = m.compactFailures.Load()
 	st.CompactionRetries = m.compactRetries.Load()
 	st.EventsSealed = m.eventsSealed.Load()
 	st.LastCompactionUnix = s.lastCompact.Load()
@@ -873,65 +880,10 @@ func (s *Server) StatsNow() Stats {
 	return st
 }
 
-// trackedCounts queries the shards unless the pipeline is already
-// drained (shard inboxes closed), in which case it reads them directly —
-// the actors are gone, so direct access is race-free.
-func (s *Server) trackedCounts() (nodes, cards int) {
-	s.lifecycleMu.Lock()
-	drained := s.drained
-	s.lifecycleMu.Unlock()
-	if !drained {
-		return s.shards.counts()
-	}
-	for _, sh := range s.shards.shards {
-		nodes += len(sh.nodes)
-		for _, ns := range sh.nodes {
-			cards += len(ns.cards)
-		}
-	}
-	return nodes, cards
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	nodes, cards := s.trackedCounts()
-	s.lifecycleMu.Lock()
-	draining := s.draining
-	s.lifecycleMu.Unlock()
-	s.stateMu.Lock()
-	retained := len(s.events)
-	s.stateMu.Unlock()
-	g := snapshotGauges{
-		queueDepth:     s.queue.depth(),
-		queueCap:       s.cfg.QueueDepth,
-		nodesTracked:   nodes,
-		cardsTracked:   cards,
-		shards:         s.cfg.Shards,
-		draining:       draining,
-		retainedEvents: retained,
-		lastCompact:    s.lastCompact.Load(),
-	}
-	if sealed := s.sealedPeek(); sealed != nil {
-		g.sealedSegments = sealed.SegmentCount()
-		g.sealedEvents = sealed.EventCount()
-		g.sealedBytes = sealed.DiskBytes()
-	}
-	g.sealedSeq = s.sealedSeq.Load()
-	s.recovMu.Lock()
-	g.quarantinedSegs = len(s.recovery.Quarantined)
-	g.quarantinedBytes = s.recovery.QuarantinedBytes
-	g.eventsLost = s.eventsLost
-	s.recovMu.Unlock()
-	g.degraded = g.quarantinedSegs > 0 || g.eventsLost > 0
-	if j := s.journal.Load(); j != nil {
-		js := j.Stats()
-		g.journal = &js
-	}
-	g.sources = s.sourceStats()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	g.heapInuse = ms.HeapInuse
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, g, time.Now())
+	// The status header is already out by the time a write can fail.
+	_ = s.metrics.write(w, s.StatsNow())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1006,9 +958,6 @@ func (s *Server) Quiesce(ctx context.Context) error {
 		assigned := s.queue.next
 		s.queue.mu.Unlock()
 		if s.appliedBatches.Load() >= assigned {
-			// The applier dispatched everything; one barrier query per
-			// shard flushes the inboxes behind those dispatches (FIFO).
-			s.shards.queryAll(func(*shard) {})
 			return nil
 		}
 		select {

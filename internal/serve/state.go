@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"titanre/internal/console"
@@ -11,18 +10,18 @@ import (
 	"titanre/internal/xid"
 )
 
-// Sharded per-node state actors.
+// Per-node online state.
 //
-// Every node's online reliability state lives in exactly one shard
-// (shard = node mod Shards), and each shard is a single goroutine
-// consuming a FIFO inbox. The applier dispatches events in the global
-// ingest sequence order, so within a shard — and therefore within a node
-// — events are applied in exactly that order. Cross-shard interleaving
-// is scheduler-dependent but irrelevant: no state spans two nodes, so
-// per-node state is deterministic for a given ingest order no matter how
-// the shards are scheduled (the determinism argument of DESIGN §4d).
-// Cross-node state (the alert engine, the precursor warner) is not
-// sharded at all; it runs in the single applier goroutine.
+// Every node's reliability state — sliding-window XID rate, per-card
+// DBE counts, the page-retirement machine — is a handful of map updates
+// per event (~200 ns warm, ~550 ns on a node's first event), so the
+// applier folds it inline, under the same stateMu as the cross-node
+// detectors, in the one order the reorder buffer delivers. One
+// goroutine, one order: per-node state is deterministic for a given
+// ingest order by construction, and once events_applied covers a batch
+// /nodes/{cname} already reflects it. Handing events to per-node-shard
+// goroutines instead would cost a 130–240 ns channel hop per event —
+// most of the work it parallelises (DESIGN §4d has the measurement).
 
 // windowEntry is one event in a node's sliding rate window.
 type windowEntry struct {
@@ -60,45 +59,10 @@ type nodeState struct {
 	cards     map[gpu.Serial]*cardState
 }
 
-// shard is one state actor: a goroutine draining an inbox of events and
-// queries. Queries travel the same channel as events, so a query
-// observes every event dispatched before it (read-your-writes for the
-// HTTP handlers).
-type shard struct {
-	inbox  chan shardMsg
-	window time.Duration
-	nodes  map[topology.NodeID]*nodeState
-}
-
-// shardMsg is either an event to apply (query == nil) or a query closure
-// run on the shard's goroutine.
-type shardMsg struct {
-	ev    console.Event
-	query func(*shard)
-}
-
-func newShard(window time.Duration, depth int) *shard {
-	return &shard{
-		inbox:  make(chan shardMsg, depth),
-		window: window,
-		nodes:  make(map[topology.NodeID]*nodeState),
-	}
-}
-
-// run drains the inbox until it is closed; done is closed on exit.
-func (s *shard) run(done *sync.WaitGroup) {
-	defer done.Done()
-	for msg := range s.inbox {
-		if msg.query != nil {
-			msg.query(s)
-			continue
-		}
-		s.apply(msg.ev)
-	}
-}
-
-// apply folds one event into the node's online state.
-func (s *shard) apply(ev console.Event) {
+// applyNodeLocked folds one event into its node's online state; stateMu
+// must be held. nodesTracked/cardsTracked are bumped at first touch so
+// /stats never walks the node table.
+func (s *Server) applyNodeLocked(ev console.Event) {
 	ns := s.nodes[ev.Node]
 	if ns == nil {
 		ns = &nodeState{
@@ -108,6 +72,7 @@ func (s *shard) apply(ev console.Event) {
 			firstSeen: ev.Time,
 		}
 		s.nodes[ev.Node] = ns
+		s.nodesTracked++
 	}
 	ns.total++
 	ns.byCode[ev.Code]++
@@ -117,7 +82,7 @@ func (s *shard) apply(ev console.Event) {
 	// by event time (not wall clock) keeps replayed history meaningful at
 	// any speedup.
 	ns.window = append(ns.window, windowEntry{at: ev.Time, code: ev.Code})
-	cutoff := ev.Time.Add(-s.window)
+	cutoff := ev.Time.Add(-s.cfg.RateWindow)
 	trim := 0
 	for trim < len(ns.window) && !ns.window[trim].at.After(cutoff) {
 		trim++
@@ -136,6 +101,7 @@ func (s *shard) apply(ev console.Event) {
 		// record it sees comes from a driver with the feature on.
 		cs.retirement.Enabled = true
 		ns.cards[ev.Serial] = cs
+		s.cardsTracked++
 	}
 	cs.lastSeen = ev.Time
 	switch ev.Code {
@@ -167,7 +133,7 @@ func (s *shard) apply(ev console.Event) {
 	}
 }
 
-// ---- JSON views (assembled on the shard goroutine, returned by value) ----
+// ---- JSON views (assembled under stateMu, returned by value) ----
 
 // CardView is the JSON shape of one card's online state.
 type CardView struct {
@@ -190,24 +156,24 @@ type NodeView struct {
 	WindowHours float64        `json:"window_hours"`
 	// RatePerHour is the sliding-window XID rate: window events divided
 	// by the window span.
-	RatePerHour float64   `json:"rate_per_hour"`
-	FirstSeen   time.Time `json:"first_seen"`
-	LastSeen    time.Time `json:"last_seen"`
+	RatePerHour float64    `json:"rate_per_hour"`
+	FirstSeen   time.Time  `json:"first_seen"`
+	LastSeen    time.Time  `json:"last_seen"`
 	Cards       []CardView `json:"cards"`
 }
 
-func (s *shard) viewOf(ns *nodeState) NodeView {
+func viewOf(ns *nodeState, window time.Duration) NodeView {
 	v := NodeView{
 		Node:        topology.CNameOf(ns.node),
 		Total:       ns.total,
 		ByCode:      make(map[string]int, len(ns.byCode)),
 		WindowCount: len(ns.window),
-		WindowHours: s.window.Hours(),
+		WindowHours: window.Hours(),
 		FirstSeen:   ns.firstSeen,
 		LastSeen:    ns.lastSeen,
 	}
-	if s.window > 0 {
-		v.RatePerHour = float64(len(ns.window)) / s.window.Hours()
+	if window > 0 {
+		v.RatePerHour = float64(len(ns.window)) / window.Hours()
 	}
 	for code, n := range ns.byCode {
 		v.ByCode[code.String()] = n
@@ -231,89 +197,4 @@ func (s *shard) viewOf(ns *nodeState) NodeView {
 		})
 	}
 	return v
-}
-
-// ---- The shard set ----
-
-type shardSet struct {
-	shards []*shard
-	wg     sync.WaitGroup
-}
-
-func newShardSet(n int, window time.Duration, depth int) *shardSet {
-	set := &shardSet{shards: make([]*shard, n)}
-	for i := range set.shards {
-		set.shards[i] = newShard(window, depth)
-		set.wg.Add(1)
-		go set.shards[i].run(&set.wg)
-	}
-	return set
-}
-
-// dispatch routes one event to its node's shard, blocking when the
-// shard's inbox is full (backpressure toward the ingest queue).
-func (s *shardSet) dispatch(ev console.Event) {
-	s.shards[int(uint(ev.Node)%uint(len(s.shards)))].inbox <- shardMsg{ev: ev}
-}
-
-// query runs fn on the shard owning node and waits for it.
-func (s *shardSet) query(node topology.NodeID, fn func(*shard)) {
-	done := make(chan struct{})
-	s.shards[int(uint(node)%uint(len(s.shards)))].inbox <- shardMsg{query: func(sh *shard) {
-		fn(sh)
-		close(done)
-	}}
-	<-done
-}
-
-// queryAll runs fn on every shard (concurrently) and waits for all.
-func (s *shardSet) queryAll(fn func(*shard)) {
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		sh.inbox <- shardMsg{query: func(sh *shard) {
-			fn(sh)
-			wg.Done()
-		}}
-	}
-	wg.Wait()
-}
-
-// nodeView fetches one node's view; ok is false when the node has no
-// state yet.
-func (s *shardSet) nodeView(node topology.NodeID) (NodeView, bool) {
-	var v NodeView
-	var ok bool
-	s.query(node, func(sh *shard) {
-		if ns := sh.nodes[node]; ns != nil {
-			v = sh.viewOf(ns)
-			ok = true
-		}
-	})
-	return v, ok
-}
-
-// counts returns the tracked node and card totals.
-func (s *shardSet) counts() (nodes, cards int) {
-	var mu sync.Mutex
-	s.queryAll(func(sh *shard) {
-		n, c := 0, 0
-		for _, ns := range sh.nodes {
-			n++
-			c += len(ns.cards)
-		}
-		mu.Lock()
-		nodes += n
-		cards += c
-		mu.Unlock()
-	})
-	return nodes, cards
-}
-
-// close shuts the inboxes and waits for the actors to drain and exit.
-func (s *shardSet) close() {
-	for _, sh := range s.shards {
-		close(sh.inbox)
-	}
-	s.wg.Wait()
 }

@@ -12,15 +12,14 @@ import (
 	"titanre/internal/store"
 )
 
-// Warm restart — the inverse of the SIGTERM flush, and after this PR
-// also the inverse of a kill -9.
+// Warm restart — the inverse of the SIGTERM flush and of a kill -9.
 //
 // A shutdown with compaction configured leaves a state directory whose
 // segments subdirectory holds the complete applied history in sealed
 // columnar form; a crashed daemon additionally leaves the write-ahead
 // journal covering everything applied since the last compaction.
 // WarmStart replays segments first, then the journal from the sealed
-// floor, through the exact apply sequence the live pipeline uses, so
+// floor, through the apply step the live pipeline uses (applyBatch), so
 // the daemon resumes with /alerts and /warnings byte-identical to a
 // daemon that never died (TestWarmRestartMatchesFullStream,
 // TestCrashRestartMatchesUninterrupted).
@@ -76,7 +75,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	if s.cfg.JournalDir != "" && s.cfg.CompactDir == "" {
 		return ws, fmt.Errorf("serve: warm start: JournalDir requires CompactDir (compaction drives journal truncation)")
 	}
-	st, rec, err := store.OpenDir(segDir, store.OpenOptions{Recover: true, Mapped: s.cfg.MmapSegments})
+	st, rec, err := store.OpenDir(segDir, store.OpenOptions{Recover: true, Mapped: true})
 	if err != nil {
 		return ws, fmt.Errorf("serve: warm start: %w", err)
 	}
@@ -167,41 +166,23 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	}
 	ws.Replayed = len(events)
 
-	// Replay through the applier's exact sequence: cross-node detectors
-	// and totals under stateMu, then the per-node shard dispatches.
+	// Replay through the applier's own apply step. Segment events are
+	// already sealed and are not re-retained; flat events are, and on a
+	// first boot with a journal they are written ahead to it first so the
+	// journal covers the whole retained log.
 	retainFlat := !ws.FromSegments && s.cfg.RetainEvents
-	var raw []byte
-	s.stateMu.Lock()
-	for _, ev := range events {
-		if err := fpWarmReplay.Eval(); err != nil {
-			s.stateMu.Unlock()
-			return ws, fmt.Errorf("serve: warm start: %w", err)
-		}
-		s.applyEventLocked(ev)
-		if retainFlat {
-			s.events = append(s.events, ev)
-			if journal != nil {
-				// First boot from a flat dataset: write-ahead the flat
-				// history so the journal covers the whole retained log.
-				raw = ev.AppendRaw(raw[:0])
-				journal.Append(raw)
-			}
-		}
-	}
-	s.stateMu.Unlock()
-	for _, ev := range events {
-		s.shards.dispatch(ev)
-	}
-	s.metrics.eventsApplied.Add(uint64(len(events)))
 	if journal != nil && retainFlat && len(events) > 0 {
-		journal.Commit()
+		journal.appendEvents(events)
 		_ = journal.Sync()
+	}
+	if err := s.applyBatch(events, nil, retainFlat, true); err != nil {
+		return ws, fmt.Errorf("serve: warm start: %w", err)
 	}
 
 	// Journal replay: parse the recovered renderings back into events
-	// (AppendRaw round-trips exactly) and run them through the same
-	// apply sequence. These events are the unsealed tail, so they are
-	// retained for the next compaction.
+	// (AppendRaw round-trips exactly) and apply them the same way. These
+	// events are the unsealed tail, so they are retained for the next
+	// compaction.
 	if journalRecords > 0 {
 		jev, err := console.NewCorrelator().ParseAll(&journalLines)
 		if err != nil {
@@ -210,22 +191,9 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		if len(jev) != journalRecords {
 			return ws, fmt.Errorf("serve: warm start: journal replay parsed %d events from %d records", len(jev), journalRecords)
 		}
-		s.stateMu.Lock()
-		for _, ev := range jev {
-			if err := fpWarmReplay.Eval(); err != nil {
-				s.stateMu.Unlock()
-				return ws, fmt.Errorf("serve: warm start: %w", err)
-			}
-			s.applyEventLocked(ev)
-			if s.cfg.RetainEvents {
-				s.events = append(s.events, ev)
-			}
+		if err := s.applyBatch(jev, nil, s.cfg.RetainEvents, true); err != nil {
+			return ws, fmt.Errorf("serve: warm start: %w", err)
 		}
-		s.stateMu.Unlock()
-		for _, ev := range jev {
-			s.shards.dispatch(ev)
-		}
-		s.metrics.eventsApplied.Add(uint64(len(jev)))
 		ws.JournalReplayed = len(jev)
 	}
 

@@ -68,7 +68,7 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "== console codec benchmarks (benchtime $BENCHTIME)"
 go test ./internal/console -run '^$' \
-    -bench '^(BenchmarkParseSerial|BenchmarkParseParallel|BenchmarkDecodeFast|BenchmarkEncodeSerial|BenchmarkEncodeParallel)$' \
+    -bench '^(BenchmarkParseSerial|BenchmarkParseParallel|BenchmarkDecodeFast|BenchmarkEncodeSerial)$' \
     -benchmem -benchtime "$BENCHTIME" | tee -a "$RAW"
 
 echo "== dataset load benchmarks (benchtime $BENCHTIME)"

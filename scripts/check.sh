@@ -9,8 +9,9 @@
 #   plans vs the naive event fold, /query soaked during live
 #   compaction), the crash-recovery soak (kill at every failpoint),
 #   the titanfleet cluster soak (4-replica byte-identical merge, router
-#   fan-out during a replica drain/restart, per-source QoS isolation,
-#   alert-evidence superset replay — all race mode), short fuzz smokes
+#   fan-out during a replica drain/restart, per-source QoS isolation and
+#   the source-name cap, alert-evidence superset replay, /stats-/metrics
+#   parity — all race mode), short fuzz smokes
 #   of the console parser, the batch splitter, and the titanql parser
 #   (grammar round-trip + plan equivalence), and the benchmark budgets
 #   (fast-path decode allocs, columnar load bytes/allocs, store heap per
@@ -36,7 +37,7 @@ GOMAXPROCS=2 go test -race ./internal/sim -run TestRunIdenticalAcrossGOMAXPROCS
 GOMAXPROCS=2 go test -race ./internal/core -run 'TestDigestsAcrossGOMAXPROCS|TestReportGolden'
 
 echo "== stream-vs-batch equivalence soak (titand pipeline, race mode)"
-go test -race ./internal/serve -run 'TestStreamMatchesBatchHTTP|TestShutdown' -count=2
+go test -race ./internal/serve -run 'TestStreamMatchesBatchHTTP|TestShutdown|TestAppliedIsVisible' -count=2
 go test -race ./internal/alert -run TestStreamMatchesBatch -count=2
 go test -race ./internal/predict -run TestWarnerMatchesBatch -count=2
 
@@ -66,7 +67,7 @@ echo "== crash-recovery soak (kill at every failpoint, scripts/crash.sh)"
 
 echo "== titanfleet cluster soak (merge byte-identity, drain/restart, QoS isolation, race mode)"
 go test -race ./internal/router -count=1
-go test -race ./internal/serve -run 'TestFeedSupersetReplay|TestAlertFeedRestart|TestPerSourceAccountingExact' -count=1
+go test -race ./internal/serve -run 'TestFeedSupersetReplay|TestAlertFeedRestart|TestPerSourceAccountingExact|TestSourceCapBoundsBooks|TestStatsMetricsParity' -count=1
 
 echo "== benchmark smoke (full-period simulation, one iteration)"
 go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
