@@ -28,7 +28,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,6 +38,7 @@ import (
 	"titanre/internal/core"
 	"titanre/internal/dataset"
 	"titanre/internal/ingest"
+	"titanre/internal/jsonw"
 	"titanre/internal/sim"
 	"titanre/internal/store"
 	"titanre/internal/xid"
@@ -148,11 +148,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "titanreport:", err)
 			os.Exit(1)
 		}
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		if _, err := jsonw.Write(os.Stdout, doc); err != nil {
 			fmt.Fprintln(os.Stderr, "titanreport:", err)
 			os.Exit(1)
 		}
@@ -217,11 +213,8 @@ func printRollup(study *core.Study, by string, bucket time.Duration, codeArg str
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	_, err = jsonw.Write(os.Stdout, doc)
+	return err
 }
 
 func writeQuarantine(path string, health *ingest.Health) error {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"titanre/internal/jsonw"
 	"titanre/internal/serve"
 )
 
@@ -16,7 +17,7 @@ import (
 //
 // Every cluster read follows the same shape: ask all replicas, combine
 // with an operator that is commutative and associative over disjoint
-// event sets, render with the identical writeJSON the replicas use.
+// event sets, render with the identical jsonw.Write the replicas use.
 // Because the router's ingest split partitions lines exactly once
 // across replicas, the merged answer equals the single-daemon answer
 // over the undivided stream — byte for byte, which is how the tests
@@ -149,7 +150,7 @@ func mergedRead[P, D any](rt *Router, path string, merge func([]P) (D, error)) h
 			return
 		}
 		rt.metrics.mergedQueries.Add(1)
-		writeJSON(w, doc)
+		_, _ = jsonw.Write(w, doc) // headers are out: a failed body write has no recovery
 	}
 }
 
@@ -214,5 +215,5 @@ func (rt *Router) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(DegradedHeader, degraded)
 	}
 	rt.metrics.mergedAlerts.Add(1)
-	writeJSON(w, serve.AlertViews(alerts))
+	_, _ = jsonw.Write(w, serve.AlertViews(alerts))
 }

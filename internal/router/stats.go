@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"titanre/internal/jsonw"
 )
 
 // Router observability: /stats (JSON), /metrics (Prometheus text) and
@@ -103,7 +105,7 @@ func (rt *Router) sourceStats() map[string]SourceStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rt.StatsNow())
+	_, _ = jsonw.Write(w, rt.StatsNow()) // headers are out: a failed body write has no recovery
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

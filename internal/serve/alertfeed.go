@@ -213,7 +213,7 @@ func (s *Server) handleAlertFeed(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "alert feed disabled", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, s.feed.doc(s.cfg.Alerts))
+	s.writeJSON(w, s.feed.doc(s.cfg.Alerts))
 }
 
 // feedSnapshot is the on-disk shape: the evidence plus the covered

@@ -60,6 +60,8 @@ type metrics struct {
 	queryErrors      atomic.Uint64 // GET /query requests rejected (parse/compile/execute)
 	rowsFolded       atomic.Uint64 // rows /rollup, /top and /query folded into accumulators
 	foldNanos        atomic.Uint64 // wall time of those folds (segments + tail + worker merge, no render)
+	renderNanos      atomic.Uint64 // wall time rendering and sending self-rendering documents (writeJSON)
+	renderBytes      atomic.Uint64 // bytes of those documents
 
 	// Ingest latency histogram (request admission to 202, seconds).
 	latCount atomic.Uint64
@@ -136,8 +138,12 @@ func (m *metrics) write(w io.Writer, st Stats) error {
 	counter("titand_queries_total", "titanql plans received on GET /query (accepted or not).", st.Queries)
 	counter("titand_query_errors_total", "GET /query requests rejected at parse, compile or execute.", st.QueryErrors)
 	counter("titand_query_rows_folded_total", "Rows folded into accumulators by /rollup, /top and /query.", st.QueryRowsFolded)
-	fmt.Fprintf(bw, "# HELP %[1]s %[2]s\n# TYPE %[1]s counter\n%[1]s %[3]g\n", "titand_query_fold_seconds_total",
-		"Wall time of those folds (scan and worker merge, before rendering); over rows folded it is the kernels' time per row.", st.QueryFoldSeconds)
+	seconds := func(name, help string, v float64) {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
+	}
+	seconds("titand_query_fold_seconds_total", "Wall time of those folds (scan and worker merge, before rendering); over rows folded it is the kernels' time per row.", st.QueryFoldSeconds)
+	seconds("titand_query_render_seconds_total", "Wall time rendering and sending the self-rendering query documents (rollup, top, query, histories); over render bytes it is the render's time per byte.", st.QueryRenderSeconds)
+	counter("titand_query_render_bytes_total", "Bytes of those documents.", st.QueryRenderBytes)
 	if j := st.Journal; j != nil {
 		counter("titand_journal_appends_total", "Events framed into the write-ahead journal.", j.Appends)
 		counter("titand_journal_append_failures_total", "Events applied but not journaled because the journal was wedged by an I/O failure.", j.AppendFailures)

@@ -59,6 +59,8 @@ var statSeries = map[string]string{
 	"query_errors":              "titand_query_errors_total",
 	"query_rows_folded":         "titand_query_rows_folded_total",
 	"query_fold_seconds":        "titand_query_fold_seconds_total",
+	"query_render_seconds":      "titand_query_render_seconds_total",
+	"query_render_bytes":        "titand_query_render_bytes_total",
 	"journal.NextSeq":           "titand_journal_next_seq",
 	"journal.Appends":           "titand_journal_appends_total",
 	"journal.AppendFailures":    "titand_journal_append_failures_total",

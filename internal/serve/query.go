@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/jsonw"
 	"titanre/internal/store"
 	"titanre/internal/titanql"
 	"titanre/internal/topology"
@@ -52,33 +54,62 @@ type CodeHistory struct {
 	Events    []CodeHistoryEvent `json:"events"`
 }
 
-// scanHistory lists every event matching p in arrival order — the read
-// both history endpoints serve. Sealed segments go through the store's
-// shared ScanWhere (a segment outside the time bounds is pruned without
-// touching its columns, inside one only the rows the predicate bitmap
-// marks are materialized), then the retained tail through the same
+// AppendJSON renders the document as the indented JSON encoding/json
+// writes for it (events are never nil: the handler makes the slice).
+func (h CodeHistory) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, h) }
+
+// WriteJSON writes the document as one value.
+func (h CodeHistory) WriteJSON(w *jsonw.W) {
+	w.Obj()
+	w.Key("code").Str(h.Code)
+	w.Key("sealed_events").Int(int64(h.Sealed))
+	w.Key("retained_events").Int(int64(h.Retained))
+	if h.Truncated {
+		w.Key("truncated").Any(true)
+	}
+	w.Key("events").Arr()
+	for i := range h.Events {
+		e := &h.Events[i]
+		writeEvent(w, e.Time, "node", e.Node, e.Serial, e.Page, e.Job)
+	}
+	w.EndArr()
+	w.EndObj()
+}
+
+// scanHistory lists the events matching p in arrival order — the read
+// both history endpoints serve — materializing at most limit of them
+// (limit < 0: all) while still counting every match. Sealed segments go
+// through the store's shared ScanLimit (a segment outside the time
+// bounds is pruned without touching its columns, inside one only the
+// rows the predicate bitmap marks are materialized, past the limit the
+// bitmap is only counted), then the retained tail through the same
 // matcher; the two halves come from one consistent historyView. The tail
 // strictly follows the sealed history and is never re-sorted, because
 // sorting second-resolution timestamps would diverge same-second order
 // from what warm restart and snapshots serve. served is the calling
-// endpoint's counter; sealed is how many of the events came off disk.
-func (s *Server) scanHistory(p store.Predicate, served *atomic.Uint64) (events []console.Event, sealed int, err error) {
+// endpoint's counter; sealed and retained are how many matches came off
+// disk and out of the tail.
+func (s *Server) scanHistory(p store.Predicate, limit int, served *atomic.Uint64) (events []console.Event, sealed, retained int, err error) {
 	m, err := p.Compile()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	served.Add(1)
 	segs, tail := s.historyView()
 	for _, seg := range segs {
-		events = seg.ScanWhere(m, events)
+		var n int
+		events, n = seg.ScanLimit(m, events, limit)
+		sealed += n
 	}
-	sealed = len(events)
 	for _, ev := range tail {
 		if m.MatchEvent(ev) {
-			events = append(events, ev)
+			retained++
+			if limit < 0 || len(events) < limit {
+				events = append(events, ev)
+			}
 		}
 	}
-	return events, sealed, nil
+	return events, sealed, retained, nil
 }
 
 // handleNodeHistory serves a node's full event history (scanHistory
@@ -91,12 +122,12 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad cname %q: %v", cname, err), http.StatusBadRequest)
 		return
 	}
-	since, until, ok := parseTimeRange(w, r)
+	since, until, ok := parseTimeRange(w, r.URL.Query())
 	if !ok {
 		return
 	}
 	p := store.Predicate{Node: topology.CNameOf(node), Cage: -1, Since: since, Until: until}
-	events, sealed, err := s.scanHistory(p, &s.metrics.queryNodeHistory)
+	events, sealed, retained, err := s.scanHistory(p, -1, &s.metrics.queryNodeHistory)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -104,7 +135,7 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 	hist := NodeHistory{
 		Node:     p.Node,
 		Sealed:   sealed,
-		Retained: len(events) - sealed,
+		Retained: retained,
 		Events:   make([]HistoryEvent, 0, len(events)),
 	}
 	for _, ev := range events {
@@ -114,43 +145,45 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 		}
 		hist.Events = append(hist.Events, he)
 	}
-	writeJSON(w, hist)
+	s.writeJSON(w, hist)
 }
 
 // handleCodeHistory serves every event carrying one code, fleet-wide
 // (scanHistory under a one-code predicate: only the positions the code's
 // per-segment bitmap marks are touched). Optional ?since=/?until= bound
 // the range; ?limit=N caps the response (truncated flag set when it
-// bites).
+// bites) and what the scan materializes; the counts stay whole.
 func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 	code, err := xid.ParseCode(r.PathValue("xid"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	since, until, ok := parseTimeRange(w, r)
+	q := r.URL.Query()
+	since, until, ok := parseTimeRange(w, q)
 	if !ok {
 		return
 	}
 	limit := -1
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		if limit, err = strconv.Atoi(v); err != nil || limit < 0 {
 			http.Error(w, fmt.Sprintf("bad limit %q", v), http.StatusBadRequest)
 			return
 		}
 	}
 	p := store.Predicate{Codes: []xid.Code{code}, Cage: -1, Since: since, Until: until}
-	events, sealed, err := s.scanHistory(p, &s.metrics.queryCodeHistory)
+	events, sealed, retained, err := s.scanHistory(p, limit, &s.metrics.queryCodeHistory)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	hist := CodeHistory{Code: code.String(), Sealed: sealed, Retained: len(events) - sealed}
-	if limit >= 0 && len(events) > limit {
-		events = events[:limit]
-		hist.Truncated = true
+	hist := CodeHistory{
+		Code:      code.String(),
+		Sealed:    sealed,
+		Retained:  retained,
+		Truncated: len(events) < sealed+retained,
+		Events:    make([]CodeHistoryEvent, 0, len(events)),
 	}
-	hist.Events = make([]CodeHistoryEvent, 0, len(events))
 	for _, ev := range events {
 		he := CodeHistoryEvent{
 			Time: ev.Time,
@@ -163,7 +196,7 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 		}
 		hist.Events = append(hist.Events, he)
 	}
-	writeJSON(w, hist)
+	s.writeJSON(w, hist)
 }
 
 // handleRollup serves time-bucketed fleet-wide counts — the paper's
@@ -174,8 +207,9 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 // the range. Cells are sorted canonically, so the body is byte-stable
 // for a given history.
 func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
 	spec := store.RollupSpec{Bucket: time.Hour}
-	if v := r.URL.Query().Get("by"); v != "" {
+	if v := q.Get("by"); v != "" {
 		for _, dim := range strings.Split(v, ",") {
 			switch strings.TrimSpace(dim) {
 			case "code":
@@ -192,7 +226,7 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if v := r.URL.Query().Get("bucket"); v != "" {
+	if v := q.Get("bucket"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad bucket %q: %v", v, err), http.StatusBadRequest)
@@ -200,7 +234,7 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 		}
 		spec.Bucket = d
 	}
-	if v := r.URL.Query().Get("code"); v != "" {
+	if v := q.Get("code"); v != "" {
 		code, err := xid.ParseCode(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -210,10 +244,10 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 		spec.Code = code
 	}
 	var ok bool
-	if spec.Since, spec.Until, ok = parseTimeRange(w, r); !ok {
+	if spec.Since, spec.Until, ok = parseTimeRange(w, q); !ok {
 		return
 	}
-	m, ok := parseWhereParams(w, r)
+	m, ok := parseWhereParams(w, q)
 	if !ok {
 		return
 	}
@@ -227,7 +261,7 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.observeFold(start, acc.Total())
 	s.metrics.queryRollup.Add(1)
-	writeAcc(w, r, acc.Doc, acc.Partial)
+	writeAcc(s, w, q, acc.Doc, acc.Partial)
 }
 
 // writeAcc writes a folded query's answer: the rendered document, or —
@@ -235,12 +269,12 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 // the replica side of a cluster query, which titanrouter merges with the
 // store Merge kernels before rendering once. Every aggregate endpoint
 // ends here, so the fork exists in this one place.
-func writeAcc[D, P any](w http.ResponseWriter, r *http.Request, doc func() D, partial func() P) {
-	if r.URL.Query().Get("partial") == "1" {
-		writeJSON(w, partial())
+func writeAcc[D, P any](s *Server, w http.ResponseWriter, q url.Values, doc func() D, partial func() P) {
+	if q.Get("partial") == "1" {
+		s.writeJSON(w, partial())
 		return
 	}
-	writeJSON(w, doc())
+	s.writeJSON(w, doc())
 }
 
 // parseWhereParams reads the optional ?cabinet= / ?cage= / ?node=
@@ -248,10 +282,10 @@ func writeAcc[D, P any](w http.ResponseWriter, r *http.Request, doc func() D, pa
 // Decoding goes through titanql.SetPred — the same helper the query
 // language uses — so `?cabinet=c3-*` and `cabinet=c3-*` in a /query
 // expression accept identical spellings and fail identically.
-func parseWhereParams(w http.ResponseWriter, r *http.Request) (*store.Matcher, bool) {
+func parseWhereParams(w http.ResponseWriter, q url.Values) (*store.Matcher, bool) {
 	p := store.Predicate{Cage: -1}
 	for _, key := range []string{"node", "cabinet", "cage"} {
-		v := r.URL.Query().Get(key)
+		v := q.Get(key)
 		if v == "" {
 			continue
 		}
@@ -282,13 +316,14 @@ func parseWhereParams(w http.ResponseWriter, r *http.Request) (*store.Matcher, b
 // query spelling and is byte-identical at any worker count.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.queries.Add(1)
-	res, err := s.runQuery(r.URL.Query().Get("q"))
+	q := r.URL.Query()
+	res, err := s.runQuery(q.Get("q"))
 	if err != nil {
 		s.metrics.queryErrors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeAcc(w, r, res.Doc, res.Partial)
+	writeAcc(s, w, q, res.Doc, res.Partial)
 }
 
 // runQuery parses, compiles and folds one titanql expression over the
@@ -320,11 +355,12 @@ func (s *Server) runQuery(q string) (*titanql.Result, error) {
 // code; ?k= caps the ranking (default 20, 0 = all); ?code= restricts
 // the count to one code; ?since=/?until= bound the range.
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
 	spec := store.TopSpec{By: store.TopByNode, K: 20}
-	if v := r.URL.Query().Get("by"); v != "" {
+	if v := q.Get("by"); v != "" {
 		spec.By = store.TopBy(v)
 	}
-	if v := r.URL.Query().Get("k"); v != "" {
+	if v := q.Get("k"); v != "" {
 		k, err := strconv.Atoi(v)
 		if err != nil || k < 0 {
 			http.Error(w, fmt.Sprintf("bad k %q", v), http.StatusBadRequest)
@@ -332,7 +368,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		}
 		spec.K = k
 	}
-	if v := r.URL.Query().Get("code"); v != "" {
+	if v := q.Get("code"); v != "" {
 		code, err := xid.ParseCode(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -342,7 +378,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		spec.Code = code
 	}
 	var ok bool
-	if spec.Since, spec.Until, ok = parseTimeRange(w, r); !ok {
+	if spec.Since, spec.Until, ok = parseTimeRange(w, q); !ok {
 		return
 	}
 
@@ -355,5 +391,5 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.observeFold(start, acc.Total())
 	s.metrics.queryTop.Add(1)
-	writeAcc(w, r, acc.Doc, acc.Partial)
+	writeAcc(s, w, q, acc.Doc, acc.Partial)
 }

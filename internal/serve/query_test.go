@@ -20,13 +20,18 @@ import (
 	"titanre/internal/xid"
 )
 
-// renderJSON renders v exactly as the handlers do (writeJSON), so
-// references can be compared to HTTP bodies byte for byte.
+// renderJSON renders v with encoding/json — the bytes the handlers must
+// write, and not through their own renderer — so references can be
+// compared to HTTP bodies byte for byte.
 func renderJSON(t testing.TB, v any) []byte {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	writeJSON(rec, v)
-	return rec.Body.Bytes()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // queryServer streams a log into a compaction-enabled server and
@@ -122,6 +127,11 @@ func TestCodeHistoryFleetWide(t *testing.T) {
 	events := simEvents()
 	log := encodeLog(t, events)
 	s, base, want := queryServer(t, log)
+	// An earlier compaction first, so the sealed history is two segments.
+	older, err := s.compact(15*24*time.Hour, 1)
+	if err != nil || older == 0 {
+		t.Fatalf("first compaction sealed %d events: %v", older, err)
+	}
 	sealed, err := s.compact(48*time.Hour, 1)
 	if err != nil {
 		t.Fatalf("compact: %v", err)
@@ -129,6 +139,7 @@ func TestCodeHistoryFleetWide(t *testing.T) {
 	if sealed == 0 {
 		t.Fatal("compaction sealed nothing")
 	}
+	sealed += older
 
 	for _, code := range []console.EventCode{xid.DoubleBitError, 13, 31, xid.OffTheBus} {
 		var ref []console.Event
@@ -179,6 +190,30 @@ func TestCodeHistoryFleetWide(t *testing.T) {
 	getJSON(t, base+"/codes/13/history?limit=10", &trunc)
 	if !trunc.Truncated || len(trunc.Events) != 10 {
 		t.Fatalf("limit=10: truncated=%v events=%d", trunc.Truncated, len(trunc.Events))
+	}
+	// ?limit= stops the scan's materializing, never its counting: the
+	// answer is the unlimited one with the event list cut, wherever the
+	// cut falls — nothing, inside the first segment, inside the second,
+	// inside the retained tail, exactly at the end, past it.
+	var full CodeHistory
+	getJSON(t, base+"/codes/13/history", &full)
+	inFirst := 0
+	for _, ev := range want[:older] {
+		if ev.Code == 13 {
+			inFirst++
+		}
+	}
+	if inFirst == 0 || inFirst+1 >= full.Sealed || full.Retained < 2 {
+		t.Fatalf("fixture: XID 13 has %d events in the first segment, %d sealed, %d retained", inFirst, full.Sealed, full.Retained)
+	}
+	n := len(full.Events)
+	for _, limit := range []int{0, 10, (inFirst + full.Sealed) / 2, full.Sealed + full.Retained/2, n, n + 5} {
+		exp := full
+		exp.Events = full.Events[:min(limit, n)]
+		exp.Truncated = limit < n
+		if body := getBody(t, fmt.Sprintf("%s/codes/13/history?limit=%d", base, limit)); !bytes.Equal(body, renderJSON(t, exp)) {
+			t.Fatalf("limit=%d of %d (%d in the first segment, %d sealed): answer is not the full history cut at the limit", limit, n, inFirst, full.Sealed)
+		}
 	}
 	if got := getStatus(t, base+"/codes/zzz/history"); got != http.StatusBadRequest {
 		t.Fatalf("bad code: got %d, want 400", got)
@@ -285,21 +320,41 @@ func TestFoldCounters(t *testing.T) {
 	if _, err := s.compact(48*time.Hour, 1); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if st := s.StatsNow(); st.QueryRowsFolded != 0 || st.QueryFoldSeconds != 0 {
-		t.Fatalf("fold counters moved before any query: %d rows, %g s", st.QueryRowsFolded, st.QueryFoldSeconds)
+	if st := s.StatsNow(); st.QueryRowsFolded != 0 || st.QueryFoldSeconds != 0 || st.QueryRenderBytes != 0 || st.QueryRenderSeconds != 0 {
+		t.Fatalf("fold or render counters moved before any query: %+v", st)
 	}
-	getBody(t, base+"/rollup?by=code&bucket=1h")
-	getBody(t, base+"/top?k=3")
-	getBody(t, queryURL(base, "* | by cage | bucket 1d"))
+	rendered := len(getBody(t, base+"/rollup?by=code&bucket=1h"))
+	rendered += len(getBody(t, base+"/top?k=3"))
+	rendered += len(getBody(t, queryURL(base, "* | by cage | bucket 1d")))
 	getStatus(t, queryURL(base, "| nonsense"))
 	st := s.StatsNow()
 	if st.QueryRowsFolded != 3*uint64(len(want)) || st.QueryFoldSeconds <= 0 {
 		t.Fatalf("after three unfiltered queries over %d events: %d rows folded in %g s", len(want), st.QueryRowsFolded, st.QueryFoldSeconds)
 	}
+	if st.QueryRenderBytes != uint64(rendered) || st.QueryRenderSeconds <= 0 {
+		t.Fatalf("after three answers of %d bytes in all: %d bytes rendered in %g s", rendered, st.QueryRenderBytes, st.QueryRenderSeconds)
+	}
+	// Both histories render themselves too, partials as well; the
+	// documents encoding/json still writes (/stats, node state, alerts)
+	// and a 400 are not render work.
+	cname := topology.CNameOf(want[0].Node)
+	rendered += len(getBody(t, base+"/nodes/"+cname+"/history"))
+	rendered += len(getBody(t, base+"/codes/13/history?limit=5"))
+	rendered += len(getBody(t, base+"/top?k=3&partial=1"))
+	getBody(t, base+"/stats")
+	getBody(t, base+"/nodes/"+cname)
+	getBody(t, base+"/alerts")
+	getStatus(t, base+"/rollup?by=rack")
+	if got := s.StatsNow().QueryRenderBytes; got != uint64(rendered) {
+		t.Fatalf("render bytes %d, want %d: the five self-rendering endpoints and nothing else", got, rendered)
+	}
+	st = s.StatsNow()
 	metrics := string(getBody(t, base+"/metrics"))
 	for _, line := range []string{
 		fmt.Sprintf("\ntitand_query_rows_folded_total %d\n", st.QueryRowsFolded),
 		"\n# TYPE titand_query_fold_seconds_total counter\ntitand_query_fold_seconds_total ",
+		fmt.Sprintf("\ntitand_query_render_bytes_total %d\n", st.QueryRenderBytes),
+		"\n# TYPE titand_query_render_seconds_total counter\ntitand_query_render_seconds_total ",
 	} {
 		if !strings.Contains(metrics, line) {
 			t.Fatalf("/metrics lacks %q", line)

@@ -17,12 +17,12 @@ package serve
 import (
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -31,6 +31,7 @@ import (
 
 	"titanre/internal/alert"
 	"titanre/internal/console"
+	"titanre/internal/jsonw"
 	"titanre/internal/predict"
 	"titanre/internal/store"
 	"titanre/internal/topology"
@@ -594,7 +595,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	}
 	view := viewOf(ns, s.cfg.RateWindow)
 	s.stateMu.Unlock()
-	writeJSON(w, view)
+	s.writeJSON(w, view)
 }
 
 // HistoryEvent is the JSON shape of one event in a node's history.
@@ -614,6 +615,38 @@ type NodeHistory struct {
 	Sealed   int            `json:"sealed_events"`
 	Retained int            `json:"retained_events"`
 	Events   []HistoryEvent `json:"events"`
+}
+
+// AppendJSON renders the document as the indented JSON encoding/json
+// writes for it (events are never nil: the handler makes the slice).
+func (h NodeHistory) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, h) }
+
+// WriteJSON writes the document as one value.
+func (h NodeHistory) WriteJSON(w *jsonw.W) {
+	w.Obj()
+	w.Key("node").Str(h.Node)
+	w.Key("sealed_events").Int(int64(h.Sealed))
+	w.Key("retained_events").Int(int64(h.Retained))
+	w.Key("events").Arr()
+	for i := range h.Events {
+		e := &h.Events[i]
+		writeEvent(w, e.Time, "code", e.Code, e.Serial, e.Page, e.Job)
+	}
+	w.EndArr()
+	w.EndObj()
+}
+
+// writeEvent renders one history event. What tells it from its
+// neighbours — the code in a node's history, the node in a code's —
+// comes second, under key.
+func writeEvent(w *jsonw.W, t time.Time, key, name, serial string, page int32, job int64) {
+	w.Obj()
+	w.Key("time").Time(t)
+	w.Key(key).Str(name)
+	w.OmitStr("serial", serial)
+	w.Key("page").Int(int64(page))
+	w.OmitInt("job", job)
+	w.EndObj()
 }
 
 // historyView captures a consistent (sealed segments, retained tail)
@@ -637,15 +670,15 @@ func (s *Server) historyView() ([]*store.Segment, []console.Event) {
 
 // parseTimeRange reads optional ?since= / ?until= RFC 3339 bounds,
 // reporting ok=false after writing the 400.
-func parseTimeRange(w http.ResponseWriter, r *http.Request) (since, until time.Time, ok bool) {
+func parseTimeRange(w http.ResponseWriter, q url.Values) (since, until time.Time, ok bool) {
 	var err error
-	if v := r.URL.Query().Get("since"); v != "" {
+	if v := q.Get("since"); v != "" {
 		if since, err = time.Parse(time.RFC3339, v); err != nil {
 			http.Error(w, fmt.Sprintf("bad since %q: %v", v, err), http.StatusBadRequest)
 			return since, until, false
 		}
 	}
-	if v := r.URL.Query().Get("until"); v != "" {
+	if v := q.Get("until"); v != "" {
 		if until, err = time.Parse(time.RFC3339, v); err != nil {
 			http.Error(w, fmt.Sprintf("bad until %q: %v", v, err), http.StatusBadRequest)
 			return since, until, false
@@ -672,7 +705,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	s.stateMu.Lock()
 	alerts := s.alertEngine.Alerts()
 	s.stateMu.Unlock()
-	writeJSON(w, AlertViews(alerts))
+	s.writeJSON(w, AlertViews(alerts))
 }
 
 // AlertViews renders raised alerts into the /alerts JSON shape — shared
@@ -730,7 +763,7 @@ func (s *Server) handleWarnings(w http.ResponseWriter, r *http.Request) {
 			Text:       warn.String(),
 		})
 	}
-	writeJSON(w, views)
+	s.writeJSON(w, views)
 }
 
 // Stats is the one gather of titand's figures: /stats serves it as JSON
@@ -796,6 +829,10 @@ type Stats struct {
 	// took: their quotient is the query kernels' time per row.
 	QueryRowsFolded  uint64  `json:"query_rows_folded"`
 	QueryFoldSeconds float64 `json:"query_fold_seconds"`
+	// Seconds spent rendering and sending the self-rendering documents
+	// (rollup, top, query, the two histories) and the bytes they came to.
+	QueryRenderSeconds float64 `json:"query_render_seconds"`
+	QueryRenderBytes   uint64  `json:"query_render_bytes"`
 
 	// Journal is present when the write-ahead journal is active.
 	Journal *JournalStats `json:"journal,omitempty"`
@@ -806,7 +843,7 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.StatsNow())
+	s.writeJSON(w, s.StatsNow())
 }
 
 // StatsNow assembles the current /stats document.
@@ -856,6 +893,8 @@ func (s *Server) StatsNow() Stats {
 	st.QueryErrors = m.queryErrors.Load()
 	st.QueryRowsFolded = m.rowsFolded.Load()
 	st.QueryFoldSeconds = float64(m.foldNanos.Load()) / 1e9
+	st.QueryRenderSeconds = float64(m.renderNanos.Load()) / 1e9
+	st.QueryRenderBytes = m.renderBytes.Load()
 	st.Compactions = m.compactions.Load()
 	st.CompactionFailures = m.compactFailures.Load()
 	st.CompactionRetries = m.compactRetries.Load()
@@ -903,20 +942,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		history = "degraded"
 	}
 	s.recovMu.Unlock()
-	writeJSON(w, map[string]any{
+	s.writeJSON(w, map[string]any{
 		"status":         status,
 		"history":        history,
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// The status header is already out by the time Encode can fail, so
+// writeJSON answers with v through jsonw.Write, the one JSON emitter:
+// the hot documents render themselves and are booked as render time and
+// bytes; the rest go through encoding/json there.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	start := time.Now()
+	// The status header is already out by the time a write can fail, so
 	// a mid-body error has no better recovery than closing the stream.
-	_ = enc.Encode(v)
+	if n, _ := jsonw.Write(w, v); n > 0 {
+		s.metrics.renderNanos.Add(uint64(time.Since(start)))
+		s.metrics.renderBytes.Add(uint64(n))
+	}
 }
 
 // AlertTexts returns the canonical renderings of every raised alert, in

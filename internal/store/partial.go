@@ -4,7 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
+	"titanre/internal/jsonw"
 	"titanre/internal/topology"
 )
 
@@ -58,9 +61,18 @@ func (r *Rollup) pack(c RollupPartialCell) uint64 {
 // Partial exports the accumulator's raw cells in canonical (bucket,
 // code, cabinet, cage, node) order: ascending packed key.
 func (r *Rollup) Partial() RollupPartial {
+	return RollupPartial{Spec: r.spec, Total: r.total, Cells: r.unpack(r.sortedKeys())}
+}
+
+func (r *Rollup) sortedKeys() []uint64 {
 	keys := slices.Clone(r.cells.keys)
 	slices.Sort(keys)
-	p := RollupPartial{Spec: r.spec, Total: r.total, Cells: make([]RollupPartialCell, len(keys))}
+	return keys
+}
+
+// unpack spells the cells behind packed keys out, in the order given.
+func (r *Rollup) unpack(keys []uint64) []RollupPartialCell {
+	cells := make([]RollupPartialCell, len(keys))
 	for i, key := range keys {
 		c := RollupPartialCell{Bucket: (int64(key>>bucketShift) - bucketBias) * r.bs, Count: r.counts[r.cells.find(key)]}
 		if r.spec.ByCode {
@@ -76,9 +88,34 @@ func (r *Rollup) Partial() RollupPartial {
 		if r.spec.ByNode {
 			c.Node = int32(node)
 		}
-		p.Cells[i] = c
+		cells[i] = c
 	}
-	return p
+	return cells
+}
+
+// AppendJSON renders the partial as encoding/json would; the spec echo,
+// a handful of irregular fields once per answer, goes through it.
+func (p RollupPartial) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, p) }
+
+// WriteJSON writes the partial as one value (see RollupDoc.WriteJSON).
+func (p RollupPartial) WriteJSON(w *jsonw.W) {
+	w.Obj()
+	w.Key("spec").Any(p.Spec)
+	w.Key("total").Int(p.Total)
+	w.Key("cells").Arr()
+	for i := range p.Cells {
+		c := &p.Cells[i]
+		w.Obj()
+		w.Key("bucket").Int(c.Bucket)
+		w.OmitInt("code", int64(c.Code))
+		w.OmitInt("cab", int64(c.Cab))
+		w.OmitInt("cage", int64(c.Cage))
+		w.OmitInt("node", int64(c.Node))
+		w.Key("count").Int(c.Count)
+		w.EndObj()
+	}
+	w.EndArr()
+	w.EndObj()
 }
 
 // specEqual compares rollup specs field-wise. Time bounds compare with
@@ -152,6 +189,51 @@ func (t *Top) Partial() TopPartial {
 	}
 	slices.SortFunc(p.Aggs, func(a, b TopPartialAgg) int { return cmp.Compare(a.Key, b.Key) })
 	return p
+}
+
+// AppendJSON renders the partial as encoding/json would (see
+// RollupPartial.AppendJSON).
+func (p TopPartial) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, p) }
+
+// WriteJSON writes the partial as one value (see RollupDoc.WriteJSON).
+func (p TopPartial) WriteJSON(w *jsonw.W) {
+	w.Obj()
+	w.Key("spec").Any(p.Spec)
+	w.Key("total").Int(p.Total)
+	w.Key("aggs").Arr()
+	var codes []int16
+	for i := range p.Aggs {
+		a := &p.Aggs[i]
+		w.Obj()
+		w.Key("key").Uint(a.Key)
+		w.Key("count").Int(a.Count)
+		w.Key("first").Int(a.First)
+		w.Key("last").Int(a.Last)
+		codes = writeByCode(w, a.ByCode, codes, func(c int16) string { return strconv.Itoa(int(c)) })
+		w.EndObj()
+	}
+	w.EndArr()
+	w.EndObj()
+}
+
+// writeByCode renders a non-empty per-code breakdown as the by_code
+// member, keys in encoding/json's map order: sorted as the strings they
+// are written as. keys is scratch, returned for the next card.
+func writeByCode[K comparable](w *jsonw.W, m map[K]int64, keys []K, name func(K) string) []K {
+	if len(m) == 0 {
+		return keys
+	}
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b K) int { return strings.Compare(name(a), name(b)) })
+	w.Key("by_code").Obj()
+	for _, k := range keys {
+		w.Key(name(k)).Int(m[k])
+	}
+	w.EndObj()
+	return keys
 }
 
 func topSpecEqual(a, b TopSpec) bool {

@@ -300,24 +300,46 @@ func (s *Segment) CountWhere(m *Matcher) int {
 // result segment after segment (exact regrowth there would copy — and
 // leave as garbage — the whole prefix once per segment).
 func (s *Segment) ScanWhere(m *Matcher, dst []console.Event) []console.Event {
-	if m == nil {
-		return s.AppendEvents(dst)
+	dst, _ = s.ScanLimit(m, dst, -1)
+	return dst
+}
+
+// ScanLimit is ScanWhere that stops materializing once dst holds limit
+// events (limit < 0: never), and reports how many rows matched whether
+// or not they were materialized — past the limit a popcount, no row
+// touched.
+func (s *Segment) ScanLimit(m *Matcher, dst []console.Event, limit int) (out []console.Event, matched int) {
+	bits, kind := bitmap{}, matchAll
+	if m != nil {
+		bits, kind = m.segmentBits(s)
 	}
-	bits, kind := m.segmentBits(s)
 	switch kind {
 	case matchNone:
-		return dst
+		return dst, 0
 	case matchAll:
-		return s.AppendEvents(dst)
+		matched = s.Len()
+	default:
+		matched = bits.count()
 	}
-	if need := bits.count(); cap(dst)-len(dst) < need {
-		grown := make([]console.Event, len(dst), max(len(dst)+need, 2*len(dst)))
+	take := matched
+	if limit >= 0 {
+		take = min(take, max(limit-len(dst), 0))
+	}
+	if cap(dst)-len(dst) < take {
+		grown := make([]console.Event, len(dst), max(len(dst)+take, 2*len(dst)))
 		copy(grown, dst)
 		dst = grown
 	}
-	bits.forEach(func(i int) bool {
-		dst = append(dst, s.EventAt(i))
-		return true
-	})
-	return dst
+	end := len(dst) + take
+	if kind == matchAll {
+		for i := 0; i < take; i++ {
+			dst = append(dst, s.EventAt(i))
+		}
+	} else if take > 0 {
+		bits.forEach(func(i int) bool {
+			dst = append(dst, s.EventAt(i))
+			return len(dst) < end
+		})
+	}
+	return dst, matched
 }

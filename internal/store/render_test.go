@@ -1,0 +1,201 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"sort"
+	"testing"
+	"time"
+
+	"titanre/internal/console"
+	"titanre/internal/jsonw"
+	"titanre/internal/topology"
+	"titanre/internal/xid"
+)
+
+// encodingJSON is the oracle every AppendJSON is held to: the bytes
+// encoding/json's Encoder writes for the same value under
+// SetIndent("", "  ").
+func encodingJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func sameRender(t *testing.T, what string, doc jsonw.Appender) {
+	t.Helper()
+	// A dirty prefix: AppendJSON must append, not overwrite or assume an
+	// empty buffer.
+	got := doc.AppendJSON([]byte("prefix"))
+	if want := append([]byte("prefix"), encodingJSON(t, doc)...); !bytes.Equal(got, want) {
+		t.Errorf("%s: AppendJSON diverges from encoding/json\ngot:  %.1500s\nwant: %.1500s", what, got[len("prefix"):], want[len("prefix"):])
+	}
+}
+
+// TestRollupAppendJSONMatchesEncodingJSON: RollupDoc and RollupPartial
+// render byte-identically to encoding/json over the adversarial fixture
+// (codes at the int16 extremes, pre-epoch and backwards-running times)
+// for every grouping, with and without a code filter, ranked with ties
+// across the cut, and empty.
+func TestRollupAppendJSONMatchesEncodingJSON(t *testing.T) {
+	events := adversarialEvents()
+	specs := map[string]RollupSpec{
+		"time series":      {Bucket: time.Hour},
+		"code":             {ByCode: true, Bucket: 24 * time.Hour},
+		"cabinet":          {ByCabinet: true, Bucket: 7 * 24 * time.Hour},
+		"cage only":        {ByCage: true, Bucket: 24 * time.Hour},
+		"cage+node":        {ByCage: true, ByNode: true, Bucket: 24 * time.Hour},
+		"all dims":         {ByCode: true, ByCabinet: true, ByCage: true, ByNode: true, Bucket: time.Second},
+		"filtered min":     {ByCabinet: true, ByCage: true, Bucket: time.Hour, FilterCode: true, Code: math.MinInt16},
+		"filtered nothing": {ByCode: true, Bucket: time.Hour, FilterCode: true, Code: 77},
+		"bounded":          {ByCode: true, Bucket: time.Hour, Since: time.Unix(-86400, 0).UTC(), Until: time.Unix(86400, 5).UTC()},
+	}
+	for name, spec := range specs {
+		acc, err := ParallelRollupAcc(nil, events, spec, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRender(t, name+" doc", acc.Doc())
+		sameRender(t, name+" partial", acc.Partial())
+		for _, k := range []int{1, 3, 17, 1 << 40} {
+			sameRender(t, name+" ranked", acc.RankedDoc(k))
+		}
+	}
+	empty, _ := NewRollup(RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour})
+	sameRender(t, "empty doc", empty.Doc())
+	sameRender(t, "empty partial", empty.Partial())
+	if doc := empty.Doc(); doc.By == nil || doc.Cells == nil {
+		t.Fatal("an empty rollup holds empty slices, which render [], never nil ones")
+	}
+}
+
+// TestRankedDocMatchesStableSort: RankedDoc(k) keeps exactly what the
+// stable count-descending sort of the full document's cells keeps —
+// ties across the cut broken by canonical order — for k below, at and
+// past the cell count.
+func TestRankedDocMatchesStableSort(t *testing.T) {
+	events := adversarialEvents()
+	for name, spec := range map[string]RollupSpec{
+		"code x day":   {ByCode: true, Bucket: 24 * time.Hour},
+		"node x hour":  {ByNode: true, Bucket: time.Hour}, // almost every cell counts 1 or 2: ties everywhere
+		"cage by week": {ByCage: true, Bucket: 7 * 24 * time.Hour},
+	} {
+		acc, err := ParallelRollupAcc(nil, events, spec, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := acc.Doc()
+		for _, k := range []int{1, 2, 5, 50, len(full.Cells) - 1, len(full.Cells), len(full.Cells) + 7} {
+			want := acc.Doc()
+			sort.SliceStable(want.Cells, func(i, j int) bool { return want.Cells[i].Count > want.Cells[j].Count })
+			want.Cells = want.Cells[:min(k, len(want.Cells))]
+			if got := acc.RankedDoc(k); !bytes.Equal(encodingJSON(t, got), encodingJSON(t, want)) {
+				t.Errorf("%s top %d: RankedDoc diverges from the stable sort of Doc", name, k)
+			}
+		}
+		if got := acc.RankedDoc(0); !bytes.Equal(encodingJSON(t, got), encodingJSON(t, full)) {
+			t.Errorf("%s: RankedDoc(0) is not Doc", name)
+		}
+	}
+}
+
+// TestTopAppendJSONMatchesEncodingJSON: TopDoc and TopPartial, every
+// dimension — by=serial and by=node carry by_code maps whose keys
+// encoding/json sorts as strings ("-1" < "-32768" < "100" < "13"), K
+// larger than the keys, K cutting through ties, and empty.
+func TestTopAppendJSONMatchesEncodingJSON(t *testing.T) {
+	events := adversarialEvents()
+	for _, by := range []TopBy{TopByNode, TopBySerial, TopByCode} {
+		for _, k := range []int{0, 1, 4, 1 << 40} {
+			for _, spec := range []TopSpec{
+				{By: by, K: k},
+				{By: by, K: k, FilterCode: true, Code: xid.Code(math.MaxInt16)},
+				{By: by, K: k, Since: time.Unix(-86400, 0).UTC(), Until: time.Unix(0, 0).UTC()},
+			} {
+				acc, err := ParallelTopAcc(nil, events, spec, nil, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRender(t, "top doc", acc.Doc())
+				sameRender(t, "top partial", acc.Partial())
+			}
+		}
+		empty, _ := NewTop(TopSpec{By: by, K: 3})
+		sameRender(t, "empty top doc", empty.Doc())
+		sameRender(t, "empty top partial", empty.Partial())
+	}
+}
+
+// TestRenderAllocsIndependentOfCells: what rendering allocates follows
+// neither the cells nor the cards — four times the cells render with
+// the same allocation count (encoding/json made one or more per cell).
+func TestRenderAllocsIndependentOfCells(t *testing.T) {
+	events := adversarialEvents()
+	render := func(spec RollupSpec, events []console.Event) (float64, int) {
+		acc, err := ParallelRollupAcc(nil, events, spec, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, buf := acc.Doc(), make([]byte, 0, 8<<20)
+		return testing.AllocsPerRun(5, func() { buf = doc.AppendJSON(buf[:0]) }), len(doc.Cells)
+	}
+	spec := RollupSpec{ByCode: true, ByNode: true, Bucket: time.Hour}
+	a, few := render(spec, events[:len(events)/4])
+	b, many := render(spec, events)
+	if many < 3*few {
+		t.Fatalf("fixture: %d and %d cells, want about 4x", few, many)
+	}
+	if math.Abs(a-b) > 2 {
+		t.Errorf("render: %v allocations for %d cells, %v for %d", a, few, b, many)
+	}
+
+	top := func(k int) float64 {
+		acc, err := ParallelTopAcc(nil, events, TopSpec{By: TopBySerial, K: k}, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, buf := acc.Doc(), make([]byte, 0, 1<<20)
+		return testing.AllocsPerRun(5, func() { buf = doc.AppendJSON(buf[:0]) })
+	}
+	if a, b := top(1), top(3); math.Abs(a-b) > 2 {
+		t.Errorf("render: %v allocations for 1 card, %v for 3", a, b)
+	}
+}
+
+func BenchmarkRenderRollup(b *testing.B) {
+	var events []console.Event
+	for i := 0; i < 12000; i++ {
+		events = append(events, console.Event{Time: time.Unix(1370000000+int64(i/200)*7*86400, 0).UTC(), Node: topology.NodeID(i % 200 * topology.NodesPerCabinet), Code: 13})
+	}
+	acc, err := ParallelRollupAcc(nil, events, RollupSpec{ByCabinet: true, Bucket: 7 * 24 * time.Hour}, nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc := acc.Doc()
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = doc.AppendJSON(buf[:0])
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			encodingJSON(b, doc)
+		}
+	})
+	b.Run("doc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			acc.Doc()
+		}
+	})
+}

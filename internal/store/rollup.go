@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/jsonw"
+	"titanre/internal/stats"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
@@ -219,11 +221,70 @@ type RollupDoc struct {
 	Cells         []RollupCell `json:"cells"`
 }
 
+// AppendJSON renders the document as the indented JSON encoding/json
+// writes for it (cells are never nil: Doc always makes the slice).
+func (d RollupDoc) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, d) }
+
+// WriteJSON writes the document as one value — whole through AppendJSON,
+// or nested under a key of a titanql.Doc.
+func (d RollupDoc) WriteJSON(w *jsonw.W) {
+	w.Obj()
+	w.Key("by").Arr()
+	for _, dim := range d.By {
+		w.Str(dim)
+	}
+	w.EndArr()
+	w.Key("bucket_seconds").Int(d.BucketSeconds)
+	w.OmitStr("code", d.Code)
+	w.Key("total_events").Int(d.TotalEvents)
+	w.Key("cells").Arr()
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		w.Obj()
+		w.Key("bucket").Time(c.Bucket)
+		w.OmitStr("code", c.Code)
+		if c.Cabinet != nil {
+			w.Key("cabinet").Int(int64(*c.Cabinet))
+		}
+		if c.Cage != nil {
+			w.Key("cage").Int(int64(*c.Cage))
+		}
+		w.OmitStr("node", c.Node)
+		w.Key("count").Int(c.Count)
+		w.EndObj()
+	}
+	w.EndArr()
+	w.EndObj()
+}
+
 // Doc renders the accumulated rollup deterministically: two rollups fed
 // the same events in any order and any segment/tail split render
 // byte-identical documents.
-func (r *Rollup) Doc() RollupDoc {
-	cells := r.Partial().Cells
+func (r *Rollup) Doc() RollupDoc { return r.doc(r.sortedKeys()) }
+
+// RankedDoc is Doc keeping only the k highest-count cells, ties in
+// canonical order — what a stable count-descending sort of Doc's cells
+// would keep — or every cell when k <= 0. The packed keys are what is
+// ranked, so only the winners are ever built into cells.
+func (r *Rollup) RankedDoc(k int) RollupDoc {
+	if k <= 0 {
+		return r.Doc()
+	}
+	all := make([]stats.KeyCount, len(r.cells.keys))
+	for slot, key := range r.cells.keys {
+		all[slot] = stats.KeyCount{Key: key, Count: r.counts[slot]}
+	}
+	ranked := stats.RankOffenders(all, k)
+	keys := make([]uint64, len(ranked))
+	for i, kc := range ranked {
+		keys[i] = kc.Key
+	}
+	return r.doc(keys)
+}
+
+// doc renders the cells behind keys, in that order.
+func (r *Rollup) doc(keys []uint64) RollupDoc {
+	cells := r.unpack(keys)
 	doc := RollupDoc{
 		By:            make([]string, 0, 4),
 		BucketSeconds: r.bs,

@@ -6,6 +6,7 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/gpu"
+	"titanre/internal/jsonw"
 	"titanre/internal/stats"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
@@ -223,6 +224,35 @@ type TopDoc struct {
 	Code        string    `json:"code,omitempty"`
 	TotalEvents int64     `json:"total_events"`
 	Cards       []TopCard `json:"cards"`
+}
+
+// AppendJSON renders the document as the indented JSON encoding/json
+// writes for it (cards are never nil: Doc always makes the slice).
+func (d TopDoc) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, d) }
+
+// WriteJSON writes the document as one value (see RollupDoc.WriteJSON).
+func (d TopDoc) WriteJSON(w *jsonw.W) {
+	w.Obj()
+	w.Key("by").Str(d.By)
+	w.Key("k").Int(int64(d.K))
+	w.OmitStr("code", d.Code)
+	w.Key("total_events").Int(d.TotalEvents)
+	w.Key("cards").Arr()
+	var names []string
+	for i := range d.Cards {
+		c := &d.Cards[i]
+		w.Obj()
+		w.OmitStr("node", c.Node)
+		w.OmitStr("serial", c.Serial)
+		w.OmitStr("code", c.Code)
+		w.Key("count").Int(c.Count)
+		w.Key("first_seen").Time(c.FirstSeen)
+		w.Key("last_seen").Time(c.LastSeen)
+		names = writeByCode(w, c.ByCode, names, func(s string) string { return s })
+		w.EndObj()
+	}
+	w.EndArr()
+	w.EndObj()
 }
 
 // Doc ranks the accumulated offenders and renders the top K cards; only

@@ -1,9 +1,8 @@
 package titanql
 
 import (
-	"sort"
-
 	"titanre/internal/console"
+	"titanre/internal/jsonw"
 	"titanre/internal/store"
 )
 
@@ -28,6 +27,28 @@ type Doc struct {
 	RankedTop int              `json:"ranked_top,omitempty"`
 	Rollup    *store.RollupDoc `json:"rollup,omitempty"`
 	Top       *store.TopDoc    `json:"top,omitempty"`
+}
+
+// AppendJSON renders the document as the indented JSON encoding/json
+// writes for it.
+func (d Doc) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, d) }
+
+// WriteJSON writes the document as one value.
+func (d Doc) WriteJSON(w *jsonw.W) { writeEnvelope(w, d.Query, d.RankedTop, d.Rollup, d.Top) }
+
+// writeEnvelope renders what Doc and Partial share: the query echo, the
+// rank bound and whichever of the two store documents is set.
+func writeEnvelope[R, T interface{ WriteJSON(*jsonw.W) }](w *jsonw.W, query string, ranked int, rollup *R, top *T) {
+	w.Obj()
+	w.Key("query").Str(query)
+	w.OmitInt("ranked_top", int64(ranked))
+	if rollup != nil {
+		(*rollup).WriteJSON(w.Key("rollup"))
+	}
+	if top != nil {
+		(*top).WriteJSON(w.Key("top"))
+	}
+	w.EndObj()
 }
 
 // Compiled is a plan lowered onto the store kernels, shareable
@@ -124,8 +145,7 @@ func (r *Result) Doc() Doc {
 		doc.Top = &top
 		return doc
 	}
-	roll := r.roll.Doc()
-	rankCells(&roll, r.rankK)
+	roll := r.roll.RankedDoc(r.rankK)
 	doc.RankedTop = r.rankK
 	doc.Rollup = &roll
 	return doc
@@ -141,8 +161,9 @@ func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers 
 }
 
 // ExecuteEvents is the naive reference: materialize the whole stream,
-// filter it event by event through the same matcher, fold it through
-// the plain event kernels. Every compiled plan must byte-match it.
+// filter it event by event through the same matcher, fold what is left
+// as a plain event slice — no segment, bitmap or worker merge — and
+// render. Every compiled plan must byte-match it.
 func (c *Compiled) ExecuteEvents(events []console.Event) (Doc, error) {
 	kept := make([]console.Event, 0, len(events))
 	for _, e := range events {
@@ -159,29 +180,14 @@ func (c *Compiled) ExecuteEvents(events []console.Event) (Doc, error) {
 		doc.Top = &top
 		return doc, nil
 	}
-	roll, err := store.RollupEvents(kept, c.rollup)
+	acc, err := store.ParallelRollupAcc(nil, kept, c.rollup, nil, 1)
 	if err != nil {
 		return Doc{}, err
 	}
-	rankCells(&roll, c.plan.RankK)
+	roll := acc.RankedDoc(c.plan.RankK)
 	doc.RankedTop = c.plan.RankK
 	doc.Rollup = &roll
 	return doc, nil
-}
-
-// rankCells keeps the k highest-count cells. The stable sort over the
-// doc's canonical cell order makes ties deterministic, so ranked
-// documents stay byte-identical across executions.
-func rankCells(doc *store.RollupDoc, k int) {
-	if k <= 0 {
-		return
-	}
-	sort.SliceStable(doc.Cells, func(i, j int) bool {
-		return doc.Cells[i].Count > doc.Cells[j].Count
-	})
-	if len(doc.Cells) > k {
-		doc.Cells = doc.Cells[:k]
-	}
 }
 
 // Run parses, compiles and executes q in one call — what the /query

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"titanre/internal/console"
+	"titanre/internal/jsonw"
 	"titanre/internal/store"
 )
 
@@ -27,6 +28,12 @@ type Partial struct {
 	Rollup    *store.RollupPartial `json:"rollup,omitempty"`
 	Top       *store.TopPartial    `json:"top,omitempty"`
 }
+
+// AppendJSON renders the partial as encoding/json would.
+func (p Partial) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, p) }
+
+// WriteJSON writes the partial as one value.
+func (p Partial) WriteJSON(w *jsonw.W) { writeEnvelope(w, p.Query, p.RankedTop, p.Rollup, p.Top) }
 
 // Partial exports the result's unrendered, unranked accumulator.
 func (r *Result) Partial() Partial {

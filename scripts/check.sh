@@ -4,7 +4,9 @@
 #   digests, the query-engine equivalences (live rollup/top/code-history
 #   vs the batch kernels, the block kernels vs the map-kernel oracle,
 #   fold allocations independent of rows, a 2^40 rank bound answered
-#   not died of, snapshot consistency under compaction), the
+#   not died of, snapshot consistency under compaction, every document's
+#   AppendJSON vs encoding/json, render allocations independent of cells,
+#   the render-pool cap, ?limit= pushdown), the
 #   titanql equivalences (compiled bitmap-intersected segment-parallel
 #   plans vs the naive event fold, /query soaked during live
 #   compaction), the crash-recovery soak (kill at every failpoint),
@@ -12,8 +14,9 @@
 #   fan-out during a replica drain/restart, per-source QoS isolation and
 #   the source-name cap, alert-evidence superset replay, /stats-/metrics
 #   parity — all race mode), short fuzz smokes
-#   of the console parser, the batch splitter, and the titanql parser
-#   (grammar round-trip + plan equivalence), and the benchmark budgets
+#   of the console parser, the batch splitter, the titanql parser
+#   (grammar round-trip + plan equivalence) and the JSON writer (vs
+#   encoding/json), and the benchmark budgets
 #   (fast-path decode allocs, columnar load bytes/allocs, store heap per
 #   event, journal overhead, mapped scan throughput, rollup allocations,
 #   parallel query speedup and cluster ingest scaling on multi-core
@@ -47,9 +50,10 @@ go test -race ./internal/dataset -run 'TestColumnarLoadIdentical|TestColumnarRep
 go test -race ./internal/serve -run 'TestCompactionBoundsRetained|TestWarmRestart' -count=1
 
 echo "== query engine: rollup-vs-batch equivalence + snapshot consistency (race mode)"
-go test -race ./internal/store -run 'TestRollupMatchesEventKernel|TestTopMatchesEventKernel|TestMappedMatchesHeap|TestPreparePublish|TestRollupMatchesMapOracle|TestTopMatchesMapOracle|TestFoldAllocsIndependentOfRows' -count=1
+go test -race ./internal/store -run 'TestRollupMatchesEventKernel|TestTopMatchesEventKernel|TestMappedMatchesHeap|TestPreparePublish|TestRollupMatchesMapOracle|TestTopMatchesMapOracle|TestFoldAllocsIndependentOfRows|TestRollupAppendJSONMatchesEncodingJSON|TestTopAppendJSONMatchesEncodingJSON|TestRankedDocMatchesStableSort|TestRenderAllocsIndependentOfCells' -count=1
+go test -race ./internal/jsonw -count=1
 go test -race ./internal/stats -run 'TestTopOffenders' -count=1
-go test -race ./internal/serve -run 'TestRollupMatchesBatch|TestCodeHistoryFleetWide|TestTopOffenders|TestTopHugeK|TestFoldCounters|TestHistoryArrivalOrder|TestQueryConsistencyUnderCompaction' -count=1
+go test -race ./internal/serve -run 'TestRollupMatchesBatch|TestCodeHistoryFleetWide|TestTopOffenders|TestTopHugeK|TestFoldCounters|TestHistoryArrivalOrder|TestQueryConsistencyUnderCompaction|TestHistoryAppendJSONMatchesEncodingJSON|TestCodeHistoryLimitAllocs|TestBadRequestBodies' -count=1
 
 echo "== titanql: compiled plans vs naive fold, /query under live compaction (race mode)"
 go test -race ./internal/titanql -count=1
@@ -86,6 +90,9 @@ go test ./internal/titanql -run '^$' -fuzz FuzzTitanQLParse -fuzztime 5s
 
 echo "== titanql differential fuzz smoke (plan equivalence, 5s)"
 go test ./internal/titanql -run '^$' -fuzz FuzzTitanQLEquivalence -fuzztime 5s
+
+echo "== JSON writer differential fuzz smoke (AppendJSON vs encoding/json, 5s)"
+go test ./internal/jsonw -run '^$' -fuzz FuzzAppendJSONMatchesEncodingJSON -fuzztime 5s
 
 echo "== fast-path I/O + columnar store benchmarks and budgets (bench.sh, 1 iteration)"
 BENCHTIME=1x BENCH_OUT="$(mktemp)" BENCH_SERVE_OUT="$(mktemp)" BENCH_STORE_OUT="$(mktemp)" ./scripts/bench.sh

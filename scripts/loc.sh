@@ -1,14 +1,14 @@
 #!/bin/sh
 # loc.sh — non-test, non-comment, non-blank Go lines per package, so
 # "net-negative LOC" in ROADMAP.md is a command, not an estimate.
-#   ./scripts/loc.sh                 the read path (PR 12) and the write path (PR 14)
+#   ./scripts/loc.sh                 the read path (PR 12), the write path (PR 14), the JSON writer (PR 15)
 #   ./scripts/loc.sh internal/sim    any directories (subtrees included)
 # Run from anywhere; paths are relative to the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-[ $# -gt 0 ] || set -- internal/store internal/serve internal/router internal/titanql cmd/titanreport internal/console cmd/titand
+[ $# -gt 0 ] || set -- internal/store internal/serve internal/router internal/titanql cmd/titanreport internal/console cmd/titand internal/jsonw
 
 total=0
 for pkg in "$@"; do
