@@ -272,3 +272,52 @@ func mixedLog(t testing.TB, n int) []byte {
 	}
 	return buf.Bytes()
 }
+
+// TestDecodedNodeValid: no decoded event — fast path or regex fallback —
+// names a node outside the machine. titand indexes its per-node table
+// with Event.Node, so a cname past any coordinate's bound (or one that
+// wraps an int) must be refused by both decoders, and the machine's
+// corner nodes must come through on both.
+func TestDecodedNodeValid(t *testing.T) {
+	whole := sampleEvent().Raw()
+	const cname = "c3-2c1s4n2"
+	if !strings.Contains(whole, cname) {
+		t.Fatalf("sample line %q does not carry %s", whole, cname)
+	}
+	for _, tc := range []struct {
+		cname string
+		ok    bool
+	}{
+		{"c0-0c0s0n0", true},
+		{"c7-24c2s7n3", true}, // node 19,199, the last slot
+		{"c8-0c0s0n0", false},
+		{"c0-25c0s0n0", false},
+		{"c0-0c3s0n0", false},
+		{"c0-0c0s8n0", false},
+		{"c0-0c0s0n4", false},
+		{"c-1-0c0s0n0", false},
+		{"c4294967296-0c0s0n0", false},
+		{"c18446744073709551615-0c0s0n0", false},
+		{"c0-0c0s0n18446744073709551615", false},
+	} {
+		canonical := strings.Replace(whole, cname, tc.cname, 1)
+		// A leading zero on the serial leaves the canonical form, so the
+		// line takes the regex path even on a fast-armed correlator.
+		deviating := strings.Replace(canonical, "serial=1234", "serial=01234", 1)
+		for _, line := range []string{canonical, deviating} {
+			c := NewCorrelator()
+			events, _ := c.AppendBytes(nil, nil, []byte(line), false)
+			if len(events) == 1 != tc.ok {
+				t.Errorf("%q: decoded %d events, want ok=%v", line, len(events), tc.ok)
+			}
+			for _, ev := range events {
+				if !ev.Node.Valid() {
+					t.Errorf("%q: decoded node %d, outside the machine", line, ev.Node)
+				}
+			}
+			if wantFast := line == canonical; tc.ok && (c.FastHits == 1) != wantFast {
+				t.Errorf("%q: fast hits %d, fallbacks %d; want the fast path taken=%v", line, c.FastHits, c.FastFallbacks, wantFast)
+			}
+		}
+	}
+}

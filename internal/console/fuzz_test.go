@@ -34,16 +34,26 @@ func FuzzParseRawLine(f *testing.F) {
 		"[2014-02-03 11:52:07] c3-2c1s4n2 kernel: NVRM: Xid (0000:04:00): 13, double bit error", // code mismatch
 		"[nonsense] [more] kernel: NVRM:",
 		strings.Repeat("a\tb\t", 50),
+		strings.Replace(whole, "c3-2c1s4n2", "c8-0c0s0n0", 1),                    // one column past the machine
+		strings.Replace(whole, "c3-2c1s4n2", "c18446744073709551615-0c0s0n0", 1), // wraps an int
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 
 	c := NewCorrelator()
+	var d Decoder
 	f.Fuzz(func(t *testing.T, line string) {
 		ev, v := c.Classify(line)
 		if v == VerdictEvent && ev.Time.IsZero() {
 			t.Errorf("classified as event but has zero time: %q", line)
+		}
+		// titand indexes a dense per-node table with this.
+		if v == VerdictEvent && !ev.Node.Valid() {
+			t.Errorf("classified as event on node %d, outside the machine: %q", ev.Node, line)
+		}
+		if fastEv, claimed := d.DecodeRawBytes([]byte(line)); claimed && !fastEv.Node.Valid() {
+			t.Errorf("fast path decoded node %d, outside the machine: %q", fastEv.Node, line)
 		}
 		ev2, ok := c.ParseLine(line)
 		if ok != (v == VerdictEvent) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"titanre/internal/tsv"
@@ -140,6 +141,12 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 		workers = max
 	}
 
+	// One shard is the caller's own walk: no goroutine, no second slice.
+	if workers == 1 {
+		events, _ := c.walk(nil, nil, data, false)
+		return events, nil
+	}
+
 	// Shard boundaries: the s-th shard starts at the first newline at or
 	// after s/workers of the file, so every boundary is a line start.
 	starts := make([]int, workers+1)
@@ -171,7 +178,7 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s], _ = shards[s].walk(data[starts[s]:starts[s+1]], false)
+			results[s], _ = shards[s].walk(nil, nil, data[starts[s]:starts[s+1]], false)
 		}(s)
 	}
 	wg.Wait()
@@ -196,22 +203,31 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 // original batch line (and from there to a global sequence number).
 // Counters book into c as ParseBytes does.
 func (c *Correlator) ParseBytesIndexed(data []byte) ([]Event, []int32, error) {
-	events, idxs := c.walk(data, true)
+	events, idxs := c.walk(nil, nil, data, true)
 	return events, idxs, nil
+}
+
+// AppendBytes is ParseBytes with one shard (ParseBytesIndexed when
+// indexed is set) appending onto events and idxs, for a caller that
+// recycles the two slices batch after batch. An Event holds no reference
+// into data, so data may be reused as soon as AppendBytes returns.
+func (c *Correlator) AppendBytes(events []Event, idxs []int32, data []byte, indexed bool) ([]Event, []int32) {
+	return c.walk(events, idxs, data, indexed)
 }
 
 // walk is the one in-memory line walk: every newline-delimited record of
 // data in order, blank lines skipped, oversized ones counted, the rest
-// through decodeLine, counters booked on c. With indexed set it also
-// returns each event's 0-based record index.
-func (c *Correlator) walk(data []byte, indexed bool) (events []Event, idxs []int32) {
-	// On a clean log every line is an event; pre-sizing to the line count
-	// turns the append-doubling of a multi-megabyte shard into one exact
-	// allocation.
+// through decodeLine, counters booked on c, events appended onto events.
+// With indexed set it also appends each event's 0-based record index
+// onto idxs.
+func (c *Correlator) walk(events []Event, idxs []int32, data []byte, indexed bool) ([]Event, []int32) {
+	// On a clean log every line is an event; growing by the line count up
+	// front turns the append-doubling of a multi-megabyte shard into one
+	// allocation, and into none when the caller's slice already has room.
 	lines := bytes.Count(data, []byte{'\n'}) + 1
-	events = make([]Event, 0, lines)
+	events = slices.Grow(events, lines)
 	if indexed {
-		idxs = make([]int32, 0, lines)
+		idxs = slices.Grow(idxs, lines)
 	}
 	var d Decoder
 	idx := int32(-1)

@@ -143,6 +143,7 @@ func (s *Server) compact(age time.Duration, minEvents int) (int, error) {
 	}
 	prefix := s.events[:n:n]
 	s.stateMu.Unlock()
+	defer s.metrics.observeStage(stageSeal, time.Now())
 
 	sealed := 0
 	var sealErr error
@@ -169,12 +170,16 @@ func (s *Server) compact(age time.Duration, minEvents int) (int, error) {
 	}
 	if sealed > 0 {
 		// The per-chunk trims re-sliced the retained log in place; copy
-		// the survivor into a fresh backing array so the sealed prefix's
-		// memory is actually collectable.
+		// the survivor into a backing array so the sealed prefix's memory
+		// is actually collectable. It must be a fresh array — historyView
+		// readers alias the old one lock-free — but it keeps the capacity
+		// the log had reached (at most twice the length it reached since
+		// the last pass, so a one-off backlog is not kept for ever), and
+		// steady ingest appends into room that is already there instead
+		// of doubling back up to it after every pass.
 		s.stateMu.Lock()
-		rest := make([]console.Event, len(s.events))
-		copy(rest, s.events)
-		s.events = rest
+		room := min(sealed+cap(s.events), 2*(sealed+len(s.events)))
+		s.events = append(make([]console.Event, 0, room), s.events...)
 		s.stateMu.Unlock()
 		s.metrics.eventsSealed.Add(uint64(sealed))
 		s.metrics.compactions.Add(1)

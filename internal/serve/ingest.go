@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"slices"
 	"sync"
+	"time"
 
 	"titanre/internal/console"
 )
@@ -31,25 +33,61 @@ import (
 // warnings (TestStreamMatchesBatchHTTP). One stage of each kind, and
 // only the stage whose work dwarfs a goroutine hop is fanned out.
 
-// batch is one admitted /ingest body. seqBase and positions are the
-// router's global line-sequence tags (see SeqBaseHeader): positions[j]
-// is the original-batch line index of the body's j-th line, so the
-// event decoded from line j carries global sequence seqBase +
+// slicePool recycles a batch's buffers along the pipeline that owns
+// them. A buffer that grew past limit elements is left to the collector,
+// so one giant batch does not pin its memory for the life of the daemon.
+type slicePool[T any] struct {
+	pool  sync.Pool
+	limit int
+}
+
+func (p *slicePool[T]) get() *[]T {
+	if s, ok := p.pool.Get().(*[]T); ok {
+		return s
+	}
+	return new([]T)
+}
+
+func (p *slicePool[T]) put(s *[]T) {
+	if s != nil && cap(*s) <= p.limit {
+		*s = (*s)[:0]
+		p.pool.Put(s)
+	}
+}
+
+// The pool caps: a 1 MiB body is eight of the replay client's 1,024-line
+// batches; 32 Ki events (line indices, sequences) is thirty-two.
+var (
+	bodyPool  = slicePool[byte]{limit: 1 << 20}
+	eventPool = slicePool[console.Event]{limit: 32 << 10}
+	idxPool   = slicePool[int32]{limit: 32 << 10}
+	seqPool   = slicePool[uint64]{limit: 32 << 10}
+)
+
+// batch is one admitted /ingest body, in a bodyPool buffer the parse
+// worker hands back once the lines are decoded. seqBase and positions
+// are the router's global line-sequence tags (see SeqBaseHeader):
+// positions[j] is the original-batch line index of the body's j-th line,
+// so the event decoded from line j carries global sequence seqBase +
 // positions[j]. positions == nil means an untagged direct ingest.
 type batch struct {
 	seq       uint64
-	data      []byte
+	data      *[]byte
 	seqBase   uint64
 	positions []int32
+	queued    time.Time // admission, for the queue_wait stage
 }
 
-// parsed is a decoded batch en route to the applier. seqs (parallel to
-// events, nil when the batch was untagged) are the global sequence
-// numbers feeding the cluster alert-feed collector.
+// parsed is a decoded batch en route to the applier, which hands both
+// pooled slices back after applyBatch (journal, retained log and feed
+// copy by value). seqs (parallel to events, nil when the batch was
+// untagged) are the global sequence numbers feeding the cluster
+// alert-feed collector.
 type parsed struct {
 	seq    uint64
-	events []console.Event
-	seqs   []uint64
+	events *[]console.Event
+	seqs   *[]uint64
+	ready  time.Time // delivery to the reorder buffer, for reorder_wait
 }
 
 // ingestQueue is the bounded admission queue. Sequence numbers are
@@ -70,14 +108,14 @@ func newIngestQueue(depth int) *ingestQueue {
 // offer admits data, returning ok=false when the queue is full (load
 // shed) and closed=true when the server is draining. positions tags
 // the batch with global line sequences (nil for direct ingest).
-func (q *ingestQueue) offer(data []byte, seqBase uint64, positions []int32) (ok, closed bool) {
+func (q *ingestQueue) offer(data *[]byte, seqBase uint64, positions []int32) (ok, closed bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false, true
 	}
 	select {
-	case q.ch <- batch{seq: q.next, data: data, seqBase: seqBase, positions: positions}:
+	case q.ch <- batch{seq: q.next, data: data, seqBase: seqBase, positions: positions, queued: time.Now()}:
 		q.next++
 		return true, false
 	default:
@@ -161,22 +199,28 @@ func (s *Server) parseWorker() {
 		if g, _ := s.stallGate.Load().(chan struct{}); g != nil {
 			<-g
 		}
-		var events []console.Event
-		var seqs []uint64
+		start := s.metrics.observeStage(stageQueueWait, b.queued)
+		events := eventPool.get()
+		var seqs *[]uint64
 		if b.positions != nil {
 			// Seq-tagged sub-batch from the router: decode with line
 			// indices so each event maps back to its global sequence.
-			var idxs []int32
-			events, idxs, _ = c.ParseBytesIndexed(b.data)
-			seqs = make([]uint64, len(events))
-			for i, li := range idxs {
-				seqs[i] = b.seqBase + uint64(b.positions[li])
+			idxs := idxPool.get()
+			*events, *idxs = c.AppendBytes(*events, *idxs, *b.data, true)
+			seqs = seqPool.get()
+			sq := slices.Grow(*seqs, len(*idxs))
+			for _, li := range *idxs {
+				sq = append(sq, b.seqBase+uint64(b.positions[li]))
 			}
+			*seqs = sq
+			idxPool.put(idxs)
 		} else {
-			events, _ = c.ParseBytes(b.data, 1)
+			*events, _ = c.AppendBytes(*events, nil, *b.data, false)
 		}
-		s.metrics.linesAccepted.Add(uint64(countLines(b.data)))
-		s.metrics.events.Add(uint64(len(events)))
+		lines := countLines(*b.data)
+		bodyPool.put(b.data) // an Event holds no reference into its line
+		s.metrics.linesAccepted.Add(uint64(lines))
+		s.metrics.events.Add(uint64(len(*events)))
 		s.metrics.dropped.Add(uint64(c.Dropped - prevDropped))
 		s.metrics.malformed.Add(uint64(c.Malformed - prevMalformed))
 		s.metrics.oversized.Add(uint64(c.Oversized - prevOversized))
@@ -184,7 +228,7 @@ func (s *Server) parseWorker() {
 		s.metrics.fastFallbacks.Add(uint64(c.FastFallbacks - prevFallbacks))
 		prevDropped, prevMalformed, prevOversized = c.Dropped, c.Malformed, c.Oversized
 		prevHits, prevFallbacks = c.FastHits, c.FastFallbacks
-		s.reorder.deliver(parsed{seq: b.seq, events: events, seqs: seqs})
+		s.reorder.deliver(parsed{seq: b.seq, events: events, seqs: seqs, ready: s.metrics.observeStage(stageDecode, start)})
 	}
 }
 
@@ -213,10 +257,19 @@ func (s *Server) applier() {
 		if !ok {
 			return
 		}
+		start := s.metrics.observeStage(stageReorderWait, p.ready)
 		if j := s.journal.Load(); j != nil {
-			j.appendEvents(p.events)
+			j.appendEvents(*p.events)
+			start = s.metrics.observeStage(stageJournal, start)
 		}
-		_ = s.applyBatch(p.events, p.seqs, s.cfg.RetainEvents, false) // only a replay can fail
+		var seqs []uint64
+		if p.seqs != nil {
+			seqs = *p.seqs
+		}
+		_ = s.applyBatch(*p.events, seqs, s.cfg.RetainEvents, false) // only a replay can fail
+		s.metrics.observeStage(stageApply, start)
+		eventPool.put(p.events)
+		seqPool.put(p.seqs)
 		s.appliedBatches.Add(1)
 	}
 }

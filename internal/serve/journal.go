@@ -130,7 +130,8 @@ type Journal struct {
 	files  []walFile // surviving files in sequence order; last is open
 	next   uint64    // global seq of the next record appended
 	wedged bool
-	dirty  bool // bytes written since the last fsync
+	dirty  bool   // bytes written since the last fsync
+	raw    []byte // appendEvents' render scratch
 
 	stop     chan struct{}
 	syncerWG sync.WaitGroup
@@ -325,8 +326,12 @@ func readFull(br *bufio.Reader, buf []byte) (int, error) {
 func (j *Journal) Append(raw []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.appendLocked(raw)
+}
+
+func (j *Journal) appendLocked(raw []byte) {
 	if !j.wedged {
-		if err := j.appendLocked(raw); err != nil {
+		if err := j.frameLocked(raw); err != nil {
 			j.wedged = true
 		} else {
 			j.next++
@@ -340,7 +345,7 @@ func (j *Journal) Append(raw []byte) {
 	j.appendFailures.Add(1)
 }
 
-func (j *Journal) appendLocked(raw []byte) error {
+func (j *Journal) frameLocked(raw []byte) error {
 	if err := fpJournalAppend.Eval(); err != nil {
 		return err
 	}
@@ -364,6 +369,10 @@ func (j *Journal) appendLocked(raw []byte) error {
 func (j *Journal) Commit() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.commitLocked()
+}
+
+func (j *Journal) commitLocked() {
 	if j.wedged {
 		if j.rotateLocked() == nil {
 			j.wedged = false
@@ -387,18 +396,21 @@ func (j *Journal) Commit() {
 	}
 }
 
-// appendEvents writes one batch ahead of its apply: every event's
-// canonical rendering, then one Commit. An empty batch commits nothing.
+// appendEvents writes one batch ahead of its apply under one hold of the
+// lock: every event's canonical rendering as its own record (failpoint,
+// frame and CRC per record, as Append), then one commit. An empty batch
+// commits nothing.
 func (j *Journal) appendEvents(events []console.Event) {
 	if len(events) == 0 {
 		return
 	}
-	var raw []byte
-	for _, ev := range events {
-		raw = ev.AppendRaw(raw[:0])
-		j.Append(raw)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for i := range events {
+		j.raw = events[i].AppendRaw(j.raw[:0])
+		j.appendLocked(j.raw)
 	}
-	j.Commit()
+	j.commitLocked()
 }
 
 // Sync forces buffered records to disk (the interval syncer and Close

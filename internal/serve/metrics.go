@@ -63,6 +63,10 @@ type metrics struct {
 	renderNanos      atomic.Uint64 // wall time rendering and sending self-rendering documents (writeJSON)
 	renderBytes      atomic.Uint64 // bytes of those documents
 
+	// Wall time of each write-path stage, one stopwatch reading per batch
+	// (per compaction pass for seal), indexed by stage.
+	stageNanos [numStages]atomic.Uint64
+
 	// Ingest latency histogram (request admission to 202, seconds).
 	latCount atomic.Uint64
 	latSum   atomic.Uint64 // microseconds, to stay integral
@@ -70,6 +74,47 @@ type metrics struct {
 }
 
 func newMetrics(now time.Time) *metrics { return &metrics{start: now} }
+
+// The write path's stages, in pipeline order: reading the body off the
+// socket, the admitted batch waiting for a parse worker, its decode, the
+// decoded batch waiting for its turn at the applier, the journal
+// write-ahead, applyBatch, and a compaction pass sealing segments.
+const (
+	stageBodyRead = iota
+	stageQueueWait
+	stageDecode
+	stageReorderWait
+	stageJournal
+	stageApply
+	stageSeal
+	numStages
+)
+
+// StageSeconds is the wall time spent in each write-path stage; over
+// events_applied it is that stage's time per event.
+type StageSeconds struct {
+	BodyRead    float64 `json:"body_read"`
+	QueueWait   float64 `json:"queue_wait"`
+	Decode      float64 `json:"decode"`
+	ReorderWait float64 `json:"reorder_wait"`
+	Journal     float64 `json:"journal"`
+	Apply       float64 `json:"apply"`
+	Seal        float64 `json:"seal"`
+}
+
+// observeStage books the wall time since start against stage and returns
+// the reading, which is the next stage's start.
+func (m *metrics) observeStage(stage int, start time.Time) time.Time {
+	now := time.Now()
+	m.stageNanos[stage].Add(uint64(now.Sub(start)))
+	return now
+}
+
+// stageSeconds snapshots the stage stopwatches.
+func (m *metrics) stageSeconds() StageSeconds {
+	sec := func(stage int) float64 { return float64(m.stageNanos[stage].Load()) / 1e9 }
+	return StageSeconds{sec(stageBodyRead), sec(stageQueueWait), sec(stageDecode), sec(stageReorderWait), sec(stageJournal), sec(stageApply), sec(stageSeal)}
+}
 
 // observeFold books one aggregate query's fold: the rows its accumulator
 // took in and the wall time since start.
@@ -125,6 +170,14 @@ func (m *metrics) write(w io.Writer, st Stats) error {
 	counter("titand_decode_fast_hits_total", "Lines decoded on the zero-allocation fast path.", st.FastHits)
 	counter("titand_decode_fast_fallbacks_total", "Lines that left the fast path for the regex fallback.", st.FastFallbacks)
 	counter("titand_events_applied_total", "Events applied to the online state (global detectors + node shards).", st.EventsApplied)
+	fmt.Fprintf(bw, "# HELP titand_ingest_stage_seconds_total Wall time in each write-path stage (one reading per batch; per compaction pass for seal); over events applied it is the stage's time per event.\n# TYPE titand_ingest_stage_seconds_total counter\n")
+	ss := st.IngestStageSeconds
+	for _, stage := range []struct {
+		name string
+		v    float64
+	}{{"body_read", ss.BodyRead}, {"queue_wait", ss.QueueWait}, {"decode", ss.Decode}, {"reorder_wait", ss.ReorderWait}, {"journal", ss.Journal}, {"apply", ss.Apply}, {"seal", ss.Seal}} {
+		fmt.Fprintf(bw, "titand_ingest_stage_seconds_total{stage=%q} %g\n", stage.name, stage.v)
+	}
 	counter("titand_alerts_raised_total", "Operator alerts raised by the streaming detectors.", st.AlertsRaised)
 	counter("titand_warnings_issued_total", "Precursor warnings issued by the armed prediction rules.", st.WarningsIssued)
 	counter("titand_compactions_total", "Compaction passes that sealed retained events into segments.", st.Compactions)

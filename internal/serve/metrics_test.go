@@ -68,15 +68,25 @@ var statSeries = map[string]string{
 	"journal.Rotations":         "titand_journal_rotations_total",
 	"journal.FilesRemoved":      "titand_journal_files_removed_total",
 	"journal.Wedged":            "titand_journal_wedged",
+
+	// The stage stopwatches share one series name, a stage label each.
+	"ingest_stage_seconds.body_read":    `titand_ingest_stage_seconds_total{stage="body_read"}`,
+	"ingest_stage_seconds.queue_wait":   `titand_ingest_stage_seconds_total{stage="queue_wait"}`,
+	"ingest_stage_seconds.decode":       `titand_ingest_stage_seconds_total{stage="decode"}`,
+	"ingest_stage_seconds.reorder_wait": `titand_ingest_stage_seconds_total{stage="reorder_wait"}`,
+	"ingest_stage_seconds.journal":      `titand_ingest_stage_seconds_total{stage="journal"}`,
+	"ingest_stage_seconds.apply":        `titand_ingest_stage_seconds_total{stage="apply"}`,
+	"ingest_stage_seconds.seal":         `titand_ingest_stage_seconds_total{stage="seal"}`,
 }
 
 // TestStatsMetricsParity holds /stats and /metrics to one set of
 // figures: every numeric or boolean field of Stats renders as a series
 // carrying that field's value, and every unlabelled series comes from
-// such a field — a counter added to one face only fails here. The maps
-// are the exceptions by shape: events_by_code is /stats only, sources
-// render as labelled series, and the ingest-latency histogram is
-// /metrics only.
+// such a field — a counter added to one face only fails here. A nested
+// struct renders one series per field (the stage stopwatches: one name,
+// a stage label each). The maps are the exceptions by shape:
+// events_by_code is /stats only, sources render as source-labelled
+// series, and the ingest-latency histogram is /metrics only.
 func TestStatsMetricsParity(t *testing.T) {
 	st := Stats{Journal: &JournalStats{}}
 	want := map[string]float64{}
@@ -104,6 +114,9 @@ func TestStatsMetricsParity(t *testing.T) {
 			case reflect.Pointer:
 				fill(name+".", fv.Elem())
 				continue
+			case reflect.Struct:
+				fill(name+".", fv)
+				continue
 			case reflect.Map:
 				continue
 			default:
@@ -128,7 +141,7 @@ func TestStatsMetricsParity(t *testing.T) {
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		name, value, _ := strings.Cut(sc.Text(), " ")
-		if strings.HasPrefix(name, "#") || strings.Contains(name, "{") || strings.HasPrefix(name, "titand_ingest_latency_seconds") {
+		if strings.HasPrefix(name, "#") || strings.Contains(name, "{source=") || strings.HasPrefix(name, "titand_ingest_latency_seconds") {
 			continue
 		}
 		v, err := strconv.ParseFloat(value, 64)

@@ -15,11 +15,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -133,7 +133,7 @@ type Server struct {
 	warner       *predict.Warner
 	codeTotals   map[xid.Code]int
 	events       []console.Event
-	nodes        map[topology.NodeID]*nodeState
+	nodes        []*nodeState // indexed by topology.NodeID
 	nodesTracked int
 	cardsTracked int
 	// maxApplied is the newest event time applied so far; compaction
@@ -236,7 +236,7 @@ func NewServer(cfg Config) *Server {
 		reorder:     newReorder(),
 		alertEngine: alert.NewEngine(cfg.Alerts),
 		codeTotals:  make(map[xid.Code]int),
-		nodes:       make(map[topology.NodeID]*nodeState),
+		nodes:       make([]*nodeState, topology.TotalNodes),
 		sources:     make(map[string]*sourceCounters),
 	}
 	if cfg.AlertFeed {
@@ -430,7 +430,28 @@ func (s *Server) Journal() *Journal { return s.journal.Load() }
 // silently mis-sequenced).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// A declared length is checked before anything is read, and is only a
+	// hint for memory: the presize is capped at the pool cap, the body
+	// grows as read past it, and MaxBytesReader still bounds the read.
+	if r.ContentLength > s.cfg.MaxBodyBytes {
+		s.metrics.batchesRejected.Add(1)
+		http.Error(w, "body over limit", http.StatusRequestEntityTooLarge)
+		return
+	}
+	data, admitted := bodyPool.get(), false
+	defer func() {
+		if !admitted { // else the parse worker hands it back
+			bodyPool.put(data)
+		}
+	}()
+	buf := bytes.NewBuffer(*data)
+	if n := min(r.ContentLength, int64(bodyPool.limit-bytes.MinRead)); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	*data = buf.Bytes()
+	body := *data
+	s.metrics.observeStage(stageBodyRead, t0)
 	if err != nil {
 		s.metrics.batchesRejected.Add(1)
 		var tooLarge *http.MaxBytesError
@@ -454,7 +475,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	source := r.Header.Get(SourceHeader)
-	ok, closed := s.queue.offer(body, seqBase, positions)
+	ok, closed := s.queue.offer(data, seqBase, positions)
+	admitted = ok
 	switch {
 	case ok:
 		s.metrics.batchesAccepted.Add(1)
@@ -792,6 +814,9 @@ type Stats struct {
 	CardsTracked    int            `json:"cards_tracked"`
 	EventsByCode    map[string]int `json:"events_by_code"`
 
+	// IngestStageSeconds is the write path's wall time, stage by stage.
+	IngestStageSeconds StageSeconds `json:"ingest_stage_seconds"`
+
 	// Compaction and memory (see internal/store): the retained tail is
 	// what is still hot in memory; sealed figures cover the on-disk
 	// columnar segments.
@@ -868,6 +893,8 @@ func (s *Server) StatsNow() Stats {
 		QueueDepth:      s.queue.depth(),
 		QueueCapacity:   s.cfg.QueueDepth,
 		EventsByCode:    map[string]int{},
+
+		IngestStageSeconds: m.stageSeconds(),
 	}
 	s.lifecycleMu.Lock()
 	st.Draining = s.draining

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"titanre/internal/console"
@@ -13,15 +14,17 @@ import (
 // Per-node online state.
 //
 // Every node's reliability state — sliding-window XID rate, per-card
-// DBE counts, the page-retirement machine — is a handful of map updates
-// per event (~200 ns warm, ~550 ns on a node's first event), so the
-// applier folds it inline, under the same stateMu as the cross-node
-// detectors, in the one order the reorder buffer delivers. One
-// goroutine, one order: per-node state is deterministic for a given
-// ingest order by construction, and once events_applied covers a batch
-// /nodes/{cname} already reflects it. Handing events to per-node-shard
-// goroutines instead would cost a 130–240 ns channel hop per event —
-// most of the work it parallelises (DESIGN §4d has the measurement).
+// DBE counts, the page-retirement machine — is one index into a dense
+// table (a topology.NodeID is by definition an index in [0, TotalNodes))
+// and two short linear searches per event (a node sees a handful of
+// codes and one card, rarely two), so the applier folds it inline, under
+// the same stateMu as the cross-node detectors, in the one order the
+// reorder buffer delivers. One goroutine, one order: per-node state is
+// deterministic for a given ingest order by construction, and once
+// events_applied covers a batch /nodes/{cname} already reflects it.
+// Handing events to per-node-shard goroutines instead would cost a
+// 130–240 ns channel hop per event — most of the work it parallelises
+// (DESIGN §4d has the measurement).
 
 // windowEntry is one event in a node's sliding rate window.
 type windowEntry struct {
@@ -48,34 +51,46 @@ type cardState struct {
 	lastSeen   time.Time
 }
 
-// nodeState is everything titand knows about one node.
+// codeCount is one code's event count on a node.
+type codeCount struct {
+	code xid.Code
+	n    int
+}
+
+// nodeState is everything titand knows about one node. byCode and cards
+// are in first-seen order; viewOf gives them their wire order.
 type nodeState struct {
 	node      topology.NodeID
 	total     int
-	byCode    map[xid.Code]int
+	byCode    []codeCount
 	window    []windowEntry // pruned to the configured rate window
 	firstSeen time.Time
 	lastSeen  time.Time
-	cards     map[gpu.Serial]*cardState
+	cards     []*cardState
 }
 
 // applyNodeLocked folds one event into its node's online state; stateMu
 // must be held. nodesTracked/cardsTracked are bumped at first touch so
 // /stats never walks the node table.
 func (s *Server) applyNodeLocked(ev console.Event) {
+	if !ev.Node.Valid() {
+		return // no decoder emits one (TestDecodedNodeValid); a forged segment could
+	}
 	ns := s.nodes[ev.Node]
 	if ns == nil {
-		ns = &nodeState{
-			node:      ev.Node,
-			byCode:    make(map[xid.Code]int),
-			cards:     make(map[gpu.Serial]*cardState),
-			firstSeen: ev.Time,
-		}
+		ns = &nodeState{node: ev.Node, firstSeen: ev.Time}
 		s.nodes[ev.Node] = ns
 		s.nodesTracked++
 	}
 	ns.total++
-	ns.byCode[ev.Code]++
+	ci := 0
+	for ci < len(ns.byCode) && ns.byCode[ci].code != ev.Code {
+		ci++
+	}
+	if ci == len(ns.byCode) {
+		ns.byCode = append(ns.byCode, codeCount{code: ev.Code})
+	}
+	ns.byCode[ci].n++
 	ns.lastSeen = ev.Time
 
 	// Sliding rate window, pruned against the newest event time. Pruning
@@ -94,13 +109,19 @@ func (s *Server) applyNodeLocked(ev console.Event) {
 	if ev.Serial == 0 {
 		return // no card context on the line
 	}
-	cs := ns.cards[ev.Serial]
+	var cs *cardState
+	for _, c := range ns.cards {
+		if c.serial == ev.Serial {
+			cs = c
+			break
+		}
+	}
 	if cs == nil {
 		cs = &cardState{serial: ev.Serial}
 		// The service is online-era by definition: any retirement
 		// record it sees comes from a driver with the feature on.
 		cs.retirement.Enabled = true
-		ns.cards[ev.Serial] = cs
+		ns.cards = append(ns.cards, cs)
 		s.cardsTracked++
 	}
 	cs.lastSeen = ev.Time
@@ -175,16 +196,12 @@ func viewOf(ns *nodeState, window time.Duration) NodeView {
 	if window > 0 {
 		v.RatePerHour = float64(len(ns.window)) / window.Hours()
 	}
-	for code, n := range ns.byCode {
-		v.ByCode[code.String()] = n
+	for _, c := range ns.byCode {
+		v.ByCode[c.code.String()] = c.n
 	}
-	serials := make([]gpu.Serial, 0, len(ns.cards))
-	for serial := range ns.cards {
-		serials = append(serials, serial)
-	}
-	sort.Slice(serials, func(i, j int) bool { return serials[i] < serials[j] })
-	for _, serial := range serials {
-		cs := ns.cards[serial]
+	cards := slices.Clone(ns.cards)
+	slices.SortFunc(cards, func(a, b *cardState) int { return cmp.Compare(a.serial, b.serial) })
+	for _, cs := range cards {
 		v.Cards = append(v.Cards, CardView{
 			Serial:       cs.serial.String(),
 			DBEEvents:    cs.dbeEvents,

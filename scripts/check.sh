@@ -1,6 +1,12 @@
 #!/bin/sh
 # check.sh — the full local verification gate:
-#   build, vet, race-enabled tests, the columnar segment round-trip
+#   build, vet, race-enabled tests, the write path's buffer ownership
+#   (pooled bodies and event slices never aliased under four concurrent
+#   senders, a declared length checked before it is read and never
+#   trusted for memory, the retained log not regrowing after a
+#   compaction, /nodes/{cname} held to its pre-dense-table bytes, the
+#   stage stopwatches; the allocation-per-line bound runs without -race,
+#   under plain go test), the columnar segment round-trip
 #   digests, the query-engine equivalences (live rollup/top/code-history
 #   vs the batch kernels, the block kernels vs the map-kernel oracle,
 #   fold allocations independent of rows, a 2^40 rank bound answered
@@ -39,8 +45,8 @@ echo "== determinism under contention (GOMAXPROCS=2, race mode)"
 GOMAXPROCS=2 go test -race ./internal/sim -run TestRunIdenticalAcrossGOMAXPROCS
 GOMAXPROCS=2 go test -race ./internal/core -run 'TestDigestsAcrossGOMAXPROCS|TestReportGolden'
 
-echo "== stream-vs-batch equivalence soak (titand pipeline, race mode)"
-go test -race ./internal/serve -run 'TestStreamMatchesBatchHTTP|TestShutdown|TestAppliedIsVisible' -count=2
+echo "== stream-vs-batch equivalence soak + write-path buffer ownership (titand pipeline, race mode)"
+go test -race ./internal/serve -run 'TestStreamMatchesBatchHTTP|TestShutdown|TestAppliedIsVisible|TestIngestAllocsPerLine|TestPooledBuffersDoNotAlias|TestIngestBodyLengths|TestIngestStageCounters|TestRetainedLogDoesNotRegrow|TestNodeViewGolden' -count=2
 go test -race ./internal/alert -run TestStreamMatchesBatch -count=2
 go test -race ./internal/predict -run TestWarnerMatchesBatch -count=2
 
