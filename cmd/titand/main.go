@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	titand [-addr :9123] [-parse-workers N] [-queue N]
+//	titand [-addr :9123] [-queue N]
 //	       [-train console.log] [-min-support N] [-min-confidence F]
 //	       [-snapshot DIR] [-no-retain] [-warm-dir DIR]
 //	       [-compact-dir DIR] [-compact-interval D] [-compact-age D]
@@ -92,8 +92,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":9123", "listen address")
-	parseWorkers := flag.Int("parse-workers", 0, "decode workers (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission queue depth in batches (0 = default 256)")
+	queue := flag.Int("queue", 0, "batches admitted and not yet applied before /ingest sheds (0 = default 256)")
 	window := flag.Duration("window", 0, "sliding rate window (0 = default 24h)")
 	train := flag.String("train", "", "console.log to train the precursor predictor on (empty = no /warnings)")
 	minSupport := flag.Int("min-support", 0, "predictor minimum rule support (0 = default)")
@@ -131,7 +130,6 @@ func main() {
 	}
 
 	cfg := serve.DefaultConfig()
-	cfg.ParseWorkers = *parseWorkers
 	cfg.QueueDepth = *queue
 	if *window > 0 {
 		cfg.RateWindow = *window

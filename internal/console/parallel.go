@@ -198,7 +198,7 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 // ParseBytesIndexed is the serial walk of ParseBytes that additionally
 // reports each event's 0-based line index within data. Indices count
 // every newline-delimited record — empty, oversized, and chatter lines
-// included — exactly like countLines and SplitBatch, so a router that
+// included — exactly like CountLines and SplitBatch, so a router that
 // split a batch can map the j-th event of a sub-batch back to its
 // original batch line (and from there to a global sequence number).
 // Counters book into c as ParseBytes does.

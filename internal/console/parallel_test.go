@@ -20,7 +20,7 @@ func countersOf(c *Correlator) parseCounters {
 // counters, as the bounded-memory serial reader, with and without the
 // fast path, over every kind of input line. The indexed walk's indices
 // must name the record each event came from, counting records the way
-// countLines does (one per newline plus an unterminated last line).
+// CountLines does (one per newline plus an unterminated last line).
 func TestParseAllParallelEquivalence(t *testing.T) {
 	mixed := mixedLog(t, 2000) // clean, chatter, malformed, CRLF and blank lines; wide enough to shard
 	var oversized bytes.Buffer

@@ -1,6 +1,7 @@
 package console
 
 import (
+	"bytes"
 	"math/bits"
 
 	"titanre/internal/topology"
@@ -37,14 +38,25 @@ func LineNode(line []byte) (topology.NodeID, bool) {
 	return node, true
 }
 
+// CountLines counts newline-delimited records the way the parser, the
+// daemons' line accounting and SplitBatch all do: one per newline, plus
+// a final unterminated line.
+func CountLines(data []byte) int {
+	n := bytes.Count(data, []byte{'\n'})
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		n++
+	}
+	return n
+}
+
 // SplitBatch divides one newline-delimited batch among n owners. For
-// every line (each '\n'-delimited record, counted exactly like the
-// ingest pipeline's countLines — including empty records), owner is
-// called with the line bytes (trailing newline stripped, \r retained)
-// and its 0-based index, and must return the owning replica in [0, n);
-// out-of-range returns are clamped. Line bytes are copied verbatim into
-// the owner's body, keeping their terminators, so the final line's
-// missing newline (when the batch has one) stays missing.
+// every line (each '\n'-delimited record, counted exactly like
+// CountLines — including empty records), owner is called with the line
+// bytes (trailing newline stripped, \r retained) and its 0-based index,
+// and must return the owning replica in [0, n); out-of-range returns are
+// clamped. Line bytes are copied verbatim into the owner's body, keeping
+// their terminators, so the final line's missing newline (when the batch
+// has one) stays missing.
 //
 // It returns the per-owner bodies (nil for owners with no lines), the
 // per-owner line-index bitmasks over the original batch, the per-owner
@@ -60,7 +72,7 @@ func SplitBatch(data []byte, n int, owner func(line []byte, idx int) int) (bodie
 	if len(data) == 0 {
 		return bodies, masks, counts, 0
 	}
-	words := (countNewlines(data)+1+63)/64 + 1
+	words := (CountLines(data)+63)/64 + 1
 	for idx, off := 0, 0; off < len(data); idx++ {
 		// One record: up to and including the next newline, or the
 		// unterminated remainder.
@@ -86,16 +98,6 @@ func SplitBatch(data []byte, n int, owner func(line []byte, idx int) int) (bodie
 		off = end
 	}
 	return bodies, masks, counts, lines
-}
-
-func countNewlines(data []byte) int {
-	n := 0
-	for _, b := range data {
-		if b == '\n' {
-			n++
-		}
-	}
-	return n
 }
 
 // MaskBytes serializes a line-index bitmask as little-endian bytes,

@@ -28,13 +28,10 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
@@ -263,23 +260,14 @@ func (rt *Router) ownerOf(line []byte, _ int) int {
 // replica could not be reached within DeliverTimeout (X-Failed-Lines
 // counts the undelivered share; delivered lines stay delivered).
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
+	// SplitBatch copies every line, so the body goes back on return.
+	body, release, ok := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
+	defer release()
+	if !ok {
 		rt.metrics.batchesRejected.Add(1)
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, "body over limit", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body", http.StatusBadRequest)
 		return
 	}
-	if len(body) == 0 {
-		rt.metrics.batchesRejected.Add(1)
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	lines := countLines(body)
+	lines := console.CountLines(body)
 	srcName, src := rt.source(r.Header.Get(serve.SourceHeader))
 	src.offeredBatches.Add(1)
 	src.offeredLines.Add(uint64(lines))
@@ -355,75 +343,28 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
-// deliver POSTs one sub-batch to its replica, retrying 429, 503 and
-// connection errors with jittered exponential backoff until ctx
-// expires — a replica mid-drain or mid-restart is absorbed here, which
-// is what lets the fleet keep its exactly-once line accounting across
-// replica lifecycle events.
+// deliver POSTs one sub-batch to its replica, retrying connection
+// errors (the replica is restarting), 429 (its slots are full) and 503
+// (it is draining) until ctx expires — a replica mid-drain or
+// mid-restart is absorbed here, which is what lets the fleet keep its
+// exactly-once line accounting across replica lifecycle events.
 func (rt *Router) deliver(ctx context.Context, ri int, body []byte, srcName string, base uint64, mask []uint64) error {
-	url := rt.cfg.Replicas[ri] + "/ingest"
-	maskHdr := base64.StdEncoding.EncodeToString(console.MaskBytes(mask))
-	backoff := 5 * time.Millisecond
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("router: building request: %w", err)
+	header := http.Header{"Content-Type": {"text/plain"}}
+	header.Set(serve.SourceHeader, srcName)
+	header.Set(serve.SeqBaseHeader, strconv.FormatUint(base, 10))
+	header.Set(serve.SeqMaskHeader, base64.StdEncoding.EncodeToString(console.MaskBytes(mask)))
+	resp, _, err := serve.PostRetry(ctx, rt.client, rt.cfg.Replicas[ri]+"/ingest", header, body, func(status int) bool {
+		again := status == 0 || status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
+		if again {
+			rt.metrics.deliverRetries.Add(1)
 		}
-		req.Header.Set("Content-Type", "text/plain")
-		req.Header.Set(serve.SourceHeader, srcName)
-		req.Header.Set(serve.SeqBaseHeader, strconv.FormatUint(base, 10))
-		req.Header.Set(serve.SeqMaskHeader, maskHdr)
-		resp, err := rt.client.Do(req)
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				return nil
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				if ra := resp.Header.Get("Retry-After"); ra != "" {
-					if secs, aerr := strconv.Atoi(ra); aerr == nil && secs > 0 {
-						backoff = time.Duration(secs) * time.Second / 10
-					}
-				}
-			default:
-				return fmt.Errorf("router: replica %s: unexpected status %s", rt.cfg.Replicas[ri], resp.Status)
-			}
-		}
-		// Connection error (replica restarting), 429 (replica queue
-		// full) or 503 (replica draining): back off and try again.
-		rt.metrics.deliverRetries.Add(1)
-		select {
-		case <-time.After(jitter(backoff)):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if backoff < 250*time.Millisecond {
-			backoff *= 2
-		}
+		return again
+	})
+	if err != nil {
+		return fmt.Errorf("router: replica %s: %w", rt.cfg.Replicas[ri], err)
 	}
-}
-
-// jitter spreads a backoff uniformly over [d/2, 3d/2) so senders shed
-// by the same drain don't return in lockstep.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("router: replica %s: unexpected status %s", rt.cfg.Replicas[ri], resp.Status)
 	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// countLines counts newline-delimited records exactly as titand does:
-// one per newline, plus a final unterminated line.
-func countLines(data []byte) int {
-	n := 0
-	for _, b := range data {
-		if b == '\n' {
-			n++
-		}
-	}
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		n++
-	}
-	return n
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,6 +325,75 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool, msg string) 
 	}
 }
 
+// countingReader reports how often the handler read the body.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestRouterIngestBodyLengths is serve's TestIngestBodyLengths pointed at
+// the router, which reads /ingest through the same serve.ReadBody: a
+// declared length is checked before the body is read and is never
+// trusted for memory; the body's real length is still bounded, and a
+// body without one still works.
+func TestRouterIngestBodyLengths(t *testing.T) {
+	replica := testReplica(t, serve.DefaultConfig())
+	rt, err := New(Config{Replicas: []string{startReplica(t, replica, "127.0.0.1:0")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int(rt.cfg.MaxBodyBytes)
+	line := encodeLog(t, clusterSim()[:1])
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		body     []byte
+		status   int
+		text     string
+		reads    bool // whether the handler may touch the body at all
+	}{
+		{"declared over the limit", int64(limit) + 1, line, http.StatusRequestEntityTooLarge, "body over limit\n", false},
+		{"declares the limit, sends one line", int64(limit), line, http.StatusAccepted, "", true},
+		{"longer than declared", int64(len(line)), bytes.Repeat(line, limit/len(line)+1), http.StatusRequestEntityTooLarge, "body over limit\n", true},
+		{"no declared length", -1, line, http.StatusAccepted, "", true},
+		{"declared right", int64(len(line)), line, http.StatusAccepted, "", true},
+		{"empty", 0, nil, http.StatusBadRequest, "empty batch\n", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := &countingReader{r: bytes.NewReader(tc.body)}
+			req := httptest.NewRequest(http.MethodPost, "/ingest", body)
+			req.ContentLength = tc.declared
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rt.Handler().ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != tc.status || rec.Body.String() != tc.text {
+				t.Errorf("answered %d %q, want %d %q", rec.Code, rec.Body.String(), tc.status, tc.text)
+			}
+			if !tc.reads && body.reads != 0 {
+				t.Errorf("read the body %d times before refusing it", body.reads)
+			}
+			// Whatever was declared, memory follows what was sent (doubling
+			// up to it costs at most four times over) plus at most the
+			// presize, which stops at the pool cap. The race runtime
+			// allocates on its own account, so the figure is held without it.
+			if got, most := after.TotalAlloc-before.TotalAlloc, uint64(4*len(tc.body)+4<<20); !raceDetector && got > most {
+				t.Errorf("allocated %d B for a %d B body declared as %d", got, len(tc.body), tc.declared)
+			}
+		})
+	}
+	quiesce(t, replica)
+	if st := rt.StatsNow(); st.BatchesAccepted != 3 || st.BatchesRejected != 3 || replica.StatsNow().EventsApplied != 3 {
+		t.Errorf("accepted %d, rejected %d, applied %d; want 3, 3, 3", st.BatchesAccepted, st.BatchesRejected, replica.StatsNow().EventsApplied)
+	}
+}
+
 // TestSourceIsolation overloads the cluster from a flooding source
 // while a healthy source streams beside it: the flooder sheds against
 // its own queue share, the healthy feed loses nothing, and the
@@ -433,7 +503,6 @@ func TestSourceIsolation(t *testing.T) {
 func TestSourceCap(t *testing.T) {
 	cfg := serve.DefaultConfig()
 	cfg.QueueDepth = 1
-	cfg.ParseWorkers = 1
 	replica := testReplica(t, cfg)
 	rt, err := New(Config{Replicas: []string{startReplica(t, replica, "127.0.0.1:0")}, SourceShareLines: 1500})
 	if err != nil {
@@ -487,10 +556,10 @@ func TestSourceCap(t *testing.T) {
 	}
 
 	// Phase 2: stall the replica so deliveries pile up in the router,
-	// then flood with a fresh name per batch. The replica takes two
-	// batches (one parsing, one queued); the third stays in flight, and
-	// from then on every other batch must be shed against the shared
-	// overflow share instead of being handed a share of its own.
+	// then flood with a fresh name per batch. The replica takes one
+	// batch (its only slot); the second stays in flight, and from then
+	// on every other batch must be shed against the shared overflow
+	// share instead of being handed a share of its own.
 	gate := make(chan struct{})
 	replica.StallForTest(gate)
 	flood := encodeLog(t, events[:1024])

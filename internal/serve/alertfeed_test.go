@@ -62,21 +62,26 @@ func TestFeedSupersetReplay(t *testing.T) {
 	}
 }
 
-// postTagged POSTs one batch with router-style sequence headers: base
-// plus a full mask over the batch's lines. Returns the next base.
-func postTagged(t *testing.T, url, source string, body []byte, base uint64) uint64 {
-	t.Helper()
-	lines := countLines(body)
+// tagAll sets router-style sequence headers on req: base plus a full
+// mask over the batch's lines.
+func tagAll(req *http.Request, base uint64, lines int) {
 	mask := make([]uint64, (lines+63)/64)
 	for i := 0; i < lines; i++ {
 		mask[i/64] |= 1 << (i % 64)
 	}
+	req.Header.Set(SeqBaseHeader, strconv.FormatUint(base, 10))
+	req.Header.Set(SeqMaskHeader, base64.StdEncoding.EncodeToString(console.MaskBytes(mask)))
+}
+
+// postTagged POSTs one batch tagged by tagAll. Returns the next base.
+func postTagged(t *testing.T, url, source string, body []byte, base uint64) uint64 {
+	t.Helper()
+	lines := console.CountLines(body)
 	req, err := http.NewRequest(http.MethodPost, url+"/ingest", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(SeqBaseHeader, strconv.FormatUint(base, 10))
-	req.Header.Set(SeqMaskHeader, base64.StdEncoding.EncodeToString(console.MaskBytes(mask)))
+	tagAll(req, base, lines)
 	if source != "" {
 		req.Header.Set(SourceHeader, source)
 	}
@@ -230,8 +235,8 @@ func docSummary(doc FeedDoc) string {
 		doc.Complete, doc.CoveredEvents, doc.UntaggedEvents, len(doc.Records))
 }
 
-// TestPerSourceAccountingExact forces shedding with a one-batch queue
-// and stalled parse workers, then checks the books: for every source,
+// TestPerSourceAccountingExact forces shedding with one slot and a
+// stalled applier, then checks the books: for every source,
 // offered == accepted + shed in both lines and batches, and the
 // untracked (headerless) path books nothing.
 func TestPerSourceAccountingExact(t *testing.T) {
@@ -250,7 +255,7 @@ func TestPerSourceAccountingExact(t *testing.T) {
 	type clientBooks struct{ offered, accepted, shed uint64 }
 	books := map[string]*clientBooks{"alpha": {}, "beta": {}}
 	post := func(source string, body []byte) {
-		lines := uint64(countLines(body))
+		lines := uint64(console.CountLines(body))
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

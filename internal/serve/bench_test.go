@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"titanre/internal/console"
 )
 
 // benchCorpus builds a large console-log byte corpus by repeating the
@@ -61,16 +63,15 @@ func TestIngestBenchHarness(t *testing.T) {
 
 	// Phase 2: overload. A loopback client cannot genuinely offer 2x what
 	// a full-width server drains (the zero-alloc decode outruns local
-	// HTTP), so the drain rate is pinned instead: parse workers consume
+	// HTTP), so the drain rate is pinned instead: the applier consumes
 	// one token per batch from a metered gate, fixing sustainable
 	// throughput at drainRate — still above the 100k lines/s floor — and
-	// the client offers twice that. The shedding path under test (full
-	// admission queue -> 429 + exact line accounting) is the production
-	// one; only the reason the queue is full is synthetic.
+	// the client offers twice that. The shedding path under test (no
+	// free slot -> 429 + exact line accounting) is the production one;
+	// only the reason the slots are full is synthetic.
 	const drainRate = 125_000.0 // lines/s
 	const batchLines = 1024
 	overCfg := benchServerConfig()
-	overCfg.ParseWorkers = 1
 	overCfg.QueueDepth = 32
 	overSrv := NewServer(overCfg)
 	gate := make(chan struct{}, 1)
@@ -86,7 +87,7 @@ func TestIngestBenchHarness(t *testing.T) {
 				default:
 				}
 			case <-stopGate:
-				close(gate) // release the workers for the drain
+				close(gate) // release the applier for the drain
 				return
 			}
 		}
@@ -161,11 +162,11 @@ func TestIngestBenchHarness(t *testing.T) {
 	}
 
 	doc := map[string]any{
-		"gomaxprocs":             runtime.GOMAXPROCS(0),
-		"num_cpu":                runtime.NumCPU(),
-		"lines":                  capStats.LinesRead,
-		"capacity_lines_per_sec": capacity,
-		"capacity_p99_ms":        float64(capStats.Percentile(99).Microseconds()) / 1000,
+		"gomaxprocs":                      runtime.GOMAXPROCS(0),
+		"num_cpu":                         runtime.NumCPU(),
+		"lines":                           capStats.LinesRead,
+		"capacity_lines_per_sec":          capacity,
+		"capacity_p99_ms":                 float64(capStats.Percentile(99).Microseconds()) / 1000,
 		"overload_drain_lines_per_sec":    drainRate,
 		"overload_offered_lines_per_sec":  2 * drainRate,
 		"overload_accepted_lines_per_sec": overStats.LinesPerSecond(),
@@ -195,14 +196,14 @@ func shutdownBench(t testing.TB, s *Server) {
 	}
 }
 
-// BenchmarkIngest measures the handler-level admission path (read body,
-// enqueue, 202) plus the downstream pipeline keeping pace, bypassing TCP.
+// BenchmarkIngest measures the handler-level ingest path (read body,
+// decode, hand off, 202) plus the applier keeping pace, bypassing TCP.
 func BenchmarkIngest(b *testing.B) {
 	log := encodeLog(b, simEvents())
 	s := NewServer(benchServerConfig())
 	defer shutdownBench(b, s)
 	h := s.Handler()
-	lines := countLines(log)
+	lines := console.CountLines(log)
 
 	b.SetBytes(int64(len(log)))
 	b.ResetTimer()

@@ -2,16 +2,16 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"titanre/internal/console"
 )
 
 // Replay client.
@@ -241,57 +241,37 @@ func StreamLog(ctx context.Context, baseURL string, r io.Reader, opt StreamOptio
 
 // sendBatch POSTs one batch, honoring Retry429.
 func sendBatch(ctx context.Context, client *http.Client, url string, body []byte, opt StreamOptions, stats *StreamStats) error {
-	lines := uint64(countLines(body))
-	backoff := 5 * time.Millisecond
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("serve: building request: %w", err)
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		if opt.Source != "" {
-			req.Header.Set(SourceHeader, opt.Source)
-		}
-		t0 := time.Now()
-		resp, err := client.Do(req)
-		if err != nil {
-			atomic.AddUint64(&stats.LinesFailed, lines)
-			return fmt.Errorf("serve: POST /ingest: %w", err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		atomic.AddUint64(&stats.Batches, 1)
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			stats.observe(time.Since(t0))
-			atomic.AddUint64(&stats.LinesAccepted, lines)
-			return nil
-		case http.StatusTooManyRequests:
-			atomic.AddUint64(&stats.Batches429, 1)
-			if !opt.Retry429 {
-				atomic.AddUint64(&stats.LinesShed, lines)
-				return nil
-			}
-			atomic.AddUint64(&stats.Retries, 1)
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-					backoff = time.Duration(secs) * time.Second / 10
-				}
-			}
-			// Jitter the wait so concurrent senders shed by the same full
-			// queue don't all come back in the same instant.
-			select {
-			case <-time.After(jitterDur(backoff)):
-			case <-ctx.Done():
-				atomic.AddUint64(&stats.LinesFailed, lines)
-				return ctx.Err()
-			}
-			if backoff < 200*time.Millisecond {
-				backoff *= 2
-			}
-		default:
-			atomic.AddUint64(&stats.LinesFailed, lines)
-			return fmt.Errorf("serve: POST /ingest: unexpected status %s", resp.Status)
-		}
+	lines := uint64(console.CountLines(body))
+	header := http.Header{"Content-Type": {"text/plain"}}
+	if opt.Source != "" {
+		header.Set(SourceHeader, opt.Source)
 	}
+	resp, rtt, err := PostRetry(ctx, client, url, header, body, func(status int) bool {
+		if status == 0 {
+			return false
+		}
+		atomic.AddUint64(&stats.Batches, 1)
+		if status != http.StatusTooManyRequests {
+			return false
+		}
+		atomic.AddUint64(&stats.Batches429, 1)
+		if opt.Retry429 {
+			atomic.AddUint64(&stats.Retries, 1)
+		}
+		return opt.Retry429
+	})
+	switch {
+	case err != nil:
+		atomic.AddUint64(&stats.LinesFailed, lines)
+		return fmt.Errorf("serve: POST /ingest: %w", err)
+	case resp.StatusCode == http.StatusAccepted:
+		stats.observe(rtt)
+		atomic.AddUint64(&stats.LinesAccepted, lines)
+	case resp.StatusCode == http.StatusTooManyRequests:
+		atomic.AddUint64(&stats.LinesShed, lines)
+	default:
+		atomic.AddUint64(&stats.LinesFailed, lines)
+		return fmt.Errorf("serve: POST /ingest: unexpected status %s", resp.Status)
+	}
+	return nil
 }

@@ -22,8 +22,8 @@ import (
 // logs compact exactly like live streams.
 //
 // Compaction preserves arrival order: it seals the longest prefix of
-// the retained log whose events all predate the cutoff, never
-// reordering anything. That keeps the sealed history byte-faithful to
+// the retained log whose events all predate the cutoff and never moves
+// an event past another. That keeps the sealed history byte-faithful to
 // the stream the detectors actually saw — a warm restart replays
 // segment events in the exact order the alert engine and precursor
 // warner originally consumed them, which is what makes its /alerts and

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"net/http"
 	"slices"
 	"sync"
 	"time"
@@ -11,27 +13,29 @@ import (
 
 // The ingest pipeline.
 //
-//	POST /ingest ──▶ admission (bounded queue, shed on full)
-//	                   │ seq assigned per accepted batch
+//	POST /ingest ──▶ slot (one of QueueDepth; none free: 429, before any
+//	                   │   decode work)
 //	                   ▼
-//	             parse workers ×N (fast-path decode, regex fallback)
-//	                   │ out of order
-//	                   ▼
-//	             reorder buffer (delivers in seq order)
-//	                   │
-//	                   ▼
+//	             decode, in the request's own goroutine (fast-path
+//	                   │ decode, regex fallback), then 202
+//	                   ▼ one buffered channel, in hand-off order
 //	             applier ×1 (journal write-ahead, then applyBatch: alert
 //	                         engine, precursor warner, per-node windows /
 //	                         card counters / retirement, retained log,
-//	                         alert feed)
+//	                         alert feed), then the slot is free
 //
-// Parsing — the expensive step — fans out across workers; everything
-// order-sensitive happens in the single applier, in the admission order
-// the reorder buffer re-establishes, so the pipeline output for a given
-// admission order is deterministic: a client streaming a log in order
-// through one connection gets exactly the batch pipeline's alerts and
-// warnings (TestStreamMatchesBatchHTTP). One stage of each kind, and
-// only the stage whose work dwarfs a goroutine hop is fanned out.
+// net/http already runs every request on a goroutine of its own, so the
+// request goroutine is the decode fan-out; everything order-sensitive
+// happens in the single applier, in the order batches were handed off. A
+// slot is held from before the decode until the batch is applied, so the
+// bound covers whichever stage is slowest, and the channel is as deep as
+// there are slots, so a hand-off never blocks. A 202 means "decoded and
+// queued, applied before any batch whose request begins after this
+// response": a client streaming a log in order through one connection
+// gets exactly the batch pipeline's alerts and warnings
+// (TestStreamMatchesBatchHTTP, TestSequentialConnectionsKeepOrder);
+// requests in flight at the same time apply in the order their decodes
+// finish.
 
 // slicePool recycles a batch's buffers along the pipeline that owns
 // them. A buffer that grew past limit elements is left to the collector,
@@ -64,186 +68,115 @@ var (
 	seqPool   = slicePool[uint64]{limit: 32 << 10}
 )
 
-// batch is one admitted /ingest body, in a bodyPool buffer the parse
-// worker hands back once the lines are decoded. seqBase and positions
-// are the router's global line-sequence tags (see SeqBaseHeader):
-// positions[j] is the original-batch line index of the body's j-th line,
-// so the event decoded from line j carries global sequence seqBase +
-// positions[j]. positions == nil means an untagged direct ingest.
-type batch struct {
-	seq       uint64
-	data      *[]byte
-	seqBase   uint64
-	positions []int32
-	queued    time.Time // admission, for the queue_wait stage
+// decoder is the fast-armed correlator every request goroutine decodes
+// with a copy of: the rules are shared and only read, the counters are
+// the batch's own (console.ParseBytes shards a parse the same way).
+var decoder = console.NewCorrelator()
+
+// ReadBody reads one POST /ingest body, titand's and titanrouter's alike,
+// into a pooled buffer the caller hands back through release when its
+// handler returns, whatever ok says. A declared length over limit is
+// refused before anything is read and is otherwise only a hint for
+// memory: the presize is capped at the pool cap, the body grows as read
+// past it, and MaxBytesReader still bounds the read. ok=false means the
+// refusal (413 over the limit, 400 unreadable or empty) is already
+// written.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, release func(), ok bool) {
+	data := bodyPool.get()
+	release = func() { bodyPool.put(data) }
+	if r.ContentLength > limit {
+		http.Error(w, "body over limit", http.StatusRequestEntityTooLarge)
+		return nil, release, false
+	}
+	buf := bytes.NewBuffer(*data)
+	if n := min(r.ContentLength, int64(bodyPool.limit-bytes.MinRead)); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	*data = buf.Bytes()
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, "body over limit", http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, "reading body", http.StatusBadRequest)
+	case buf.Len() == 0:
+		http.Error(w, "empty batch", http.StatusBadRequest)
+	default:
+		return *data, release, true
+	}
+	return nil, release, false
 }
 
-// parsed is a decoded batch en route to the applier, which hands both
-// pooled slices back after applyBatch (journal, retained log and feed
-// copy by value). seqs (parallel to events, nil when the batch was
-// untagged) are the global sequence numbers feeding the cluster
-// alert-feed collector.
-type parsed struct {
-	seq    uint64
+// decoded is one batch on its way from the request goroutine that
+// decoded it to the applier, which hands both pooled slices back after
+// applyBatch (journal, retained log and feed copy by value). seqs
+// (parallel to events, nil when the batch was untagged) are the global
+// sequence numbers feeding the cluster alert-feed collector.
+type decoded struct {
 	events *[]console.Event
 	seqs   *[]uint64
-	ready  time.Time // delivery to the reorder buffer, for reorder_wait
+	queued time.Time // hand-off, for the queue_wait stage
 }
 
-// ingestQueue is the bounded admission queue. Sequence numbers are
-// assigned under the mutex together with the (non-blocking) enqueue, so
-// accepted sequence numbers are dense — the reorder buffer relies on
-// that to know when seq n is ready to apply.
-type ingestQueue struct {
-	mu     sync.Mutex
-	ch     chan batch
-	next   uint64
-	closed bool
-}
-
-func newIngestQueue(depth int) *ingestQueue {
-	return &ingestQueue{ch: make(chan batch, depth)}
-}
-
-// offer admits data, returning ok=false when the queue is full (load
-// shed) and closed=true when the server is draining. positions tags
-// the batch with global line sequences (nil for direct ingest).
-func (q *ingestQueue) offer(data *[]byte, seqBase uint64, positions []int32) (ok, closed bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+// admit takes one of the QueueDepth slots — a slot is a batch admitted
+// and not yet applied, so the applier frees it by counting the batch
+// applied. ok=false with closed unset means none is free (load shed),
+// closed means the server is draining. The holder must call handOff.
+func (s *Server) admit() (ok, closed bool) {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.closed {
 		return false, true
 	}
-	select {
-	case q.ch <- batch{seq: q.next, data: data, seqBase: seqBase, positions: positions, queued: time.Now()}:
-		q.next++
-		return true, false
-	default:
+	if s.admitted.Load()-s.appliedBatches.Load() >= uint64(s.cfg.QueueDepth) {
 		return false, false
 	}
+	s.admitted.Add(1)
+	s.decoding.Add(1)
+	return true, false
 }
 
-// close stops admission and returns the total number of sequences ever
-// assigned; the reorder buffer drains exactly that many.
-func (q *ingestQueue) close() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if !q.closed {
-		q.closed = true
-		close(q.ch)
-	}
-	return q.next
-}
-
-func (q *ingestQueue) depth() int { return len(q.ch) }
-
-// reorder delivers parsed batches to the applier in admission order.
-type reorder struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ready map[uint64]parsed
-	next  uint64
-	// limit is one past the last seq that will ever arrive; set at
-	// drain time (^uint64(0) while the server is live).
-	limit uint64
-}
-
-func newReorder() *reorder {
-	r := &reorder{ready: make(map[uint64]parsed), limit: ^uint64(0)}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-func (r *reorder) deliver(p parsed) {
-	r.mu.Lock()
-	r.ready[p.seq] = p
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// seal announces that no sequence at or beyond limit will arrive.
-func (r *reorder) seal(limit uint64) {
-	r.mu.Lock()
-	r.limit = limit
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// take blocks until the next in-order batch is available; ok=false means
-// the stream is sealed and fully drained.
-func (r *reorder) take() (p parsed, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if p, have := r.ready[r.next]; have {
-			delete(r.ready, r.next)
-			r.next++
-			return p, true
+// handOff decodes an admitted body on the calling request's goroutine
+// and queues the events for the applier. seqBase and positions are the
+// router's global line-sequence tags (see SeqBaseHeader): positions[j]
+// is the original-batch line index of the body's j-th line, so the event
+// decoded from line j carries global sequence seqBase + positions[j];
+// positions == nil means an untagged direct ingest. An Event holds no
+// reference into its line, so body is the caller's again on return.
+func (s *Server) handOff(body []byte, lines int, seqBase uint64, positions []int32, start time.Time) {
+	defer s.decoding.Done()
+	c := *decoder
+	events := eventPool.get()
+	var seqs *[]uint64
+	if positions != nil {
+		// Seq-tagged sub-batch from the router: decode with line
+		// indices so each event maps back to its global sequence.
+		idxs := idxPool.get()
+		*events, *idxs = c.AppendBytes(*events, *idxs, body, true)
+		seqs = seqPool.get()
+		sq := slices.Grow(*seqs, len(*idxs))
+		for _, li := range *idxs {
+			sq = append(sq, seqBase+uint64(positions[li]))
 		}
-		if r.next >= r.limit {
-			return parsed{}, false
-		}
-		r.cond.Wait()
+		*seqs = sq
+		idxPool.put(idxs)
+	} else {
+		*events, _ = c.AppendBytes(*events, nil, body, false)
 	}
-}
-
-// parseWorker drains the admission queue. Each worker owns a fast-armed
-// correlator and decoder; the per-worker operational counters are folded
-// into the shared metrics after every batch so /metrics lags a batch at
-// most.
-func (s *Server) parseWorker() {
-	defer s.parseWG.Done()
-	c := console.NewCorrelator()
-	var prevDropped, prevMalformed, prevOversized, prevHits, prevFallbacks int
-	for b := range s.queue.ch {
-		if g, _ := s.stallGate.Load().(chan struct{}); g != nil {
-			<-g
-		}
-		start := s.metrics.observeStage(stageQueueWait, b.queued)
-		events := eventPool.get()
-		var seqs *[]uint64
-		if b.positions != nil {
-			// Seq-tagged sub-batch from the router: decode with line
-			// indices so each event maps back to its global sequence.
-			idxs := idxPool.get()
-			*events, *idxs = c.AppendBytes(*events, *idxs, *b.data, true)
-			seqs = seqPool.get()
-			sq := slices.Grow(*seqs, len(*idxs))
-			for _, li := range *idxs {
-				sq = append(sq, b.seqBase+uint64(b.positions[li]))
-			}
-			*seqs = sq
-			idxPool.put(idxs)
-		} else {
-			*events, _ = c.AppendBytes(*events, nil, *b.data, false)
-		}
-		lines := countLines(*b.data)
-		bodyPool.put(b.data) // an Event holds no reference into its line
-		s.metrics.linesAccepted.Add(uint64(lines))
-		s.metrics.events.Add(uint64(len(*events)))
-		s.metrics.dropped.Add(uint64(c.Dropped - prevDropped))
-		s.metrics.malformed.Add(uint64(c.Malformed - prevMalformed))
-		s.metrics.oversized.Add(uint64(c.Oversized - prevOversized))
-		s.metrics.fastHits.Add(uint64(c.FastHits - prevHits))
-		s.metrics.fastFallbacks.Add(uint64(c.FastFallbacks - prevFallbacks))
-		prevDropped, prevMalformed, prevOversized = c.Dropped, c.Malformed, c.Oversized
-		prevHits, prevFallbacks = c.FastHits, c.FastFallbacks
-		s.reorder.deliver(parsed{seq: b.seq, events: events, seqs: seqs, ready: s.metrics.observeStage(stageDecode, start)})
-	}
-}
-
-// countLines counts newline-delimited records the way the parser will:
-// one per newline, plus a final unterminated line.
-func countLines(data []byte) int {
-	n := bytes.Count(data, []byte{'\n'})
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		n++
-	}
-	return n
+	m := s.metrics
+	m.linesAccepted.Add(uint64(lines))
+	m.events.Add(uint64(len(*events)))
+	m.dropped.Add(uint64(c.Dropped))
+	m.malformed.Add(uint64(c.Malformed))
+	m.oversized.Add(uint64(c.Oversized))
+	m.fastHits.Add(uint64(c.FastHits))
+	m.fastFallbacks.Add(uint64(c.FastFallbacks))
+	s.handoff <- decoded{events: events, seqs: seqs, queued: m.observeStage(stageDecode, start)}
 }
 
 // applier is the single goroutine that changes online state: it takes
-// batches in admission order, journals them and applies them.
+// batches in hand-off order, journals them and applies them.
 //
 // With a journal open, every event is appended (write-ahead) before it
 // is applied: the journal sees the exact arrival-order stream the
@@ -252,25 +185,24 @@ func countLines(data []byte) int {
 // "always" policy to the batch rate.
 func (s *Server) applier() {
 	defer s.applyWG.Done()
-	for {
-		p, ok := s.reorder.take()
-		if !ok {
-			return
+	for b := range s.handoff {
+		if g, _ := s.stallGate.Load().(chan struct{}); g != nil {
+			<-g
 		}
-		start := s.metrics.observeStage(stageReorderWait, p.ready)
+		start := s.metrics.observeStage(stageQueueWait, b.queued)
 		if j := s.journal.Load(); j != nil {
-			j.appendEvents(*p.events)
+			j.appendEvents(*b.events)
 			start = s.metrics.observeStage(stageJournal, start)
 		}
 		var seqs []uint64
-		if p.seqs != nil {
-			seqs = *p.seqs
+		if b.seqs != nil {
+			seqs = *b.seqs
 		}
-		_ = s.applyBatch(*p.events, seqs, s.cfg.RetainEvents, false) // only a replay can fail
+		_ = s.applyBatch(*b.events, seqs, s.cfg.RetainEvents, false) // only a replay can fail
 		s.metrics.observeStage(stageApply, start)
-		eventPool.put(p.events)
-		seqPool.put(p.seqs)
-		s.appliedBatches.Add(1)
+		eventPool.put(b.events)
+		seqPool.put(b.seqs)
+		s.appliedBatches.Add(1) // frees the batch's slot
 	}
 }
 

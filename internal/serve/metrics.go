@@ -32,7 +32,7 @@ type metrics struct {
 	linesAccepted   atomic.Uint64 // lines in accepted batches (counted at parse)
 	linesShed       atomic.Uint64 // lines in shed batches (newline count)
 
-	// Decode (aggregated across parse workers).
+	// Decode (aggregated across request goroutines).
 	events        atomic.Uint64 // lines that decoded into events
 	dropped       atomic.Uint64 // chatter: no SEC rule matched
 	malformed     atomic.Uint64 // rule matched but record undecodable
@@ -76,14 +76,13 @@ type metrics struct {
 func newMetrics(now time.Time) *metrics { return &metrics{start: now} }
 
 // The write path's stages, in pipeline order: reading the body off the
-// socket, the admitted batch waiting for a parse worker, its decode, the
-// decoded batch waiting for its turn at the applier, the journal
+// socket, its decode on the request's goroutine, the decoded batch
+// waiting in the hand-off channel for the applier, the journal
 // write-ahead, applyBatch, and a compaction pass sealing segments.
 const (
 	stageBodyRead = iota
-	stageQueueWait
 	stageDecode
-	stageReorderWait
+	stageQueueWait
 	stageJournal
 	stageApply
 	stageSeal
@@ -93,13 +92,12 @@ const (
 // StageSeconds is the wall time spent in each write-path stage; over
 // events_applied it is that stage's time per event.
 type StageSeconds struct {
-	BodyRead    float64 `json:"body_read"`
-	QueueWait   float64 `json:"queue_wait"`
-	Decode      float64 `json:"decode"`
-	ReorderWait float64 `json:"reorder_wait"`
-	Journal     float64 `json:"journal"`
-	Apply       float64 `json:"apply"`
-	Seal        float64 `json:"seal"`
+	BodyRead  float64 `json:"body_read"`
+	Decode    float64 `json:"decode"`
+	QueueWait float64 `json:"queue_wait"`
+	Journal   float64 `json:"journal"`
+	Apply     float64 `json:"apply"`
+	Seal      float64 `json:"seal"`
 }
 
 // observeStage books the wall time since start against stage and returns
@@ -113,7 +111,7 @@ func (m *metrics) observeStage(stage int, start time.Time) time.Time {
 // stageSeconds snapshots the stage stopwatches.
 func (m *metrics) stageSeconds() StageSeconds {
 	sec := func(stage int) float64 { return float64(m.stageNanos[stage].Load()) / 1e9 }
-	return StageSeconds{sec(stageBodyRead), sec(stageQueueWait), sec(stageDecode), sec(stageReorderWait), sec(stageJournal), sec(stageApply), sec(stageSeal)}
+	return StageSeconds{sec(stageBodyRead), sec(stageDecode), sec(stageQueueWait), sec(stageJournal), sec(stageApply), sec(stageSeal)}
 }
 
 // observeFold books one aggregate query's fold: the rows its accumulator
@@ -158,7 +156,7 @@ func (m *metrics) write(w io.Writer, st Stats) error {
 		gauge(name, help, v)
 	}
 
-	counter("titand_ingest_batches_accepted_total", "POST /ingest bodies admitted to the parse queue.", st.BatchesAccepted)
+	counter("titand_ingest_batches_accepted_total", "POST /ingest bodies admitted: decoded and queued for the applier.", st.BatchesAccepted)
 	counter("titand_ingest_batches_shed_total", "POST /ingest bodies rejected with 429 because the queue was full.", st.BatchesShed)
 	counter("titand_ingest_batches_rejected_total", "POST /ingest bodies rejected as malformed (wrong method, oversized body, read error).", st.BatchesRejected)
 	counter("titand_ingest_lines_total", "Console lines read out of accepted batches.", st.LinesAccepted)
@@ -175,7 +173,7 @@ func (m *metrics) write(w io.Writer, st Stats) error {
 	for _, stage := range []struct {
 		name string
 		v    float64
-	}{{"body_read", ss.BodyRead}, {"queue_wait", ss.QueueWait}, {"decode", ss.Decode}, {"reorder_wait", ss.ReorderWait}, {"journal", ss.Journal}, {"apply", ss.Apply}, {"seal", ss.Seal}} {
+	}{{"body_read", ss.BodyRead}, {"decode", ss.Decode}, {"queue_wait", ss.QueueWait}, {"journal", ss.Journal}, {"apply", ss.Apply}, {"seal", ss.Seal}} {
 		fmt.Fprintf(bw, "titand_ingest_stage_seconds_total{stage=%q} %g\n", stage.name, stage.v)
 	}
 	counter("titand_alerts_raised_total", "Operator alerts raised by the streaming detectors.", st.AlertsRaised)
@@ -242,8 +240,8 @@ func (m *metrics) write(w io.Writer, st Stats) error {
 	fmt.Fprintf(bw, "titand_ingest_latency_seconds_sum %g\n", float64(m.latSum.Load())/1e6)
 	fmt.Fprintf(bw, "titand_ingest_latency_seconds_count %d\n", m.latCount.Load())
 
-	gauge("titand_queue_depth", "Parse-queue batches currently waiting.", float64(st.QueueDepth))
-	gauge("titand_queue_capacity", "Parse-queue capacity in batches.", float64(st.QueueCapacity))
+	gauge("titand_queue_depth", "Batches admitted and not yet applied.", float64(st.QueueDepth))
+	gauge("titand_queue_capacity", "Most batches that may be admitted and not yet applied at once.", float64(st.QueueCapacity))
 	gauge("titand_nodes_tracked", "Nodes with online reliability state.", float64(st.NodesTracked))
 	gauge("titand_cards_tracked", "GPU cards with online reliability state.", float64(st.CardsTracked))
 	gauge("titand_retained_events", "Applied events still held in memory (the unsealed tail).", float64(st.RetainedEvents))

@@ -70,13 +70,12 @@ var statSeries = map[string]string{
 	"journal.Wedged":            "titand_journal_wedged",
 
 	// The stage stopwatches share one series name, a stage label each.
-	"ingest_stage_seconds.body_read":    `titand_ingest_stage_seconds_total{stage="body_read"}`,
-	"ingest_stage_seconds.queue_wait":   `titand_ingest_stage_seconds_total{stage="queue_wait"}`,
-	"ingest_stage_seconds.decode":       `titand_ingest_stage_seconds_total{stage="decode"}`,
-	"ingest_stage_seconds.reorder_wait": `titand_ingest_stage_seconds_total{stage="reorder_wait"}`,
-	"ingest_stage_seconds.journal":      `titand_ingest_stage_seconds_total{stage="journal"}`,
-	"ingest_stage_seconds.apply":        `titand_ingest_stage_seconds_total{stage="apply"}`,
-	"ingest_stage_seconds.seal":         `titand_ingest_stage_seconds_total{stage="seal"}`,
+	"ingest_stage_seconds.body_read":  `titand_ingest_stage_seconds_total{stage="body_read"}`,
+	"ingest_stage_seconds.decode":     `titand_ingest_stage_seconds_total{stage="decode"}`,
+	"ingest_stage_seconds.queue_wait": `titand_ingest_stage_seconds_total{stage="queue_wait"}`,
+	"ingest_stage_seconds.journal":    `titand_ingest_stage_seconds_total{stage="journal"}`,
+	"ingest_stage_seconds.apply":      `titand_ingest_stage_seconds_total{stage="apply"}`,
+	"ingest_stage_seconds.seal":       `titand_ingest_stage_seconds_total{stage="seal"}`,
 }
 
 // TestStatsMetricsParity holds /stats and /metrics to one set of

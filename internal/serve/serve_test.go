@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,18 +63,13 @@ func quiesce(t testing.TB, s *Server) {
 	}
 }
 
-// TestStreamMatchesBatchHTTP is the tentpole equivalence check: a full
-// generated dataset streamed through titand over HTTP yields
-// byte-identical alert and precursor-warning sets to the batch pipeline
-// over the same bytes.
-func TestStreamMatchesBatchHTTP(t *testing.T) {
-	events := simEvents()
-	log := encodeLog(t, events)
-
-	// Batch pipeline: parse the log the way titanreport would, then run
-	// the detectors and the armed rules over the parsed slice.
-	batchCorr := console.NewCorrelator()
-	batchEvents, err := batchCorr.ParseAll(bytes.NewReader(log))
+// batchReference is the batch pipeline over a console log: parse it the
+// way titanreport would, train the predictor on the parse, then run the
+// detectors and the armed rules over it. The streaming tests hold the
+// daemon to these alert and warning renderings byte for byte.
+func batchReference(t testing.TB, log []byte) (model *predict.Model, batchEvents []console.Event, wantAlerts, wantWarnings []string) {
+	t.Helper()
+	batchEvents, err := console.NewCorrelator().ParseAll(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,23 +78,37 @@ func TestStreamMatchesBatchHTTP(t *testing.T) {
 	pcfg := predict.DefaultConfig()
 	pcfg.MinSupport = 5
 	pcfg.MinConfidence = 0.01
-	model := predict.Train(batchEvents, pcfg)
+	model = predict.Train(batchEvents, pcfg)
 	if len(model.Rules()) == 0 {
 		t.Fatal("predictor learned no rules on the one-month dataset; equivalence test needs some")
 	}
 	batchAlerts := alert.NewEngine(alert.DefaultConfig())
 	batchAlerts.Run(batchEvents)
-	var wantAlerts []string
 	for _, a := range batchAlerts.Alerts() {
 		wantAlerts = append(wantAlerts, a.String())
 	}
-	var wantWarnings []string
 	for _, w := range model.WarningsOver(batchEvents) {
 		wantWarnings = append(wantWarnings, w.String())
 	}
 	if len(wantAlerts) == 0 || len(wantWarnings) == 0 {
 		t.Fatalf("batch pipeline produced %d alerts / %d warnings; need both non-empty", len(wantAlerts), len(wantWarnings))
 	}
+	return model, batchEvents, wantAlerts, wantWarnings
+}
+
+// TestStreamMatchesBatchHTTP is the tentpole equivalence check: a full
+// generated dataset streamed through titand over HTTP yields
+// byte-identical alert and precursor-warning sets to the batch pipeline
+// over the same bytes — through the lossless retry path: the applier is
+// held until the daemon has shed a batch, so the client is answered 429
+// at least once and has to re-offer.
+func TestStreamMatchesBatchHTTP(t *testing.T) {
+	const batchLines = 256
+	events := simEvents()
+	events = events[:len(events)/batchLines*batchLines] // whole batches: every shed one is batchLines long
+	log := encodeLog(t, events)
+
+	model, batchEvents, wantAlerts, wantWarnings := batchReference(t, log)
 
 	// Streaming pipeline: small queue so the lossless retry path gets
 	// exercised, single ordered connection.
@@ -108,9 +118,17 @@ func TestStreamMatchesBatchHTTP(t *testing.T) {
 	s := testServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	gate := make(chan struct{})
+	s.stallForTest(gate)
+	go func() {
+		for s.metrics.batchesShed.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+	}()
 
 	stats, err := StreamLog(context.Background(), ts.URL, bytes.NewReader(log), StreamOptions{
-		BatchLines:  256,
+		BatchLines:  batchLines,
 		Concurrency: 1,
 		Retry429:    true,
 	})
@@ -154,8 +172,10 @@ func TestStreamMatchesBatchHTTP(t *testing.T) {
 	if st.EventsApplied != uint64(len(batchEvents)) {
 		t.Fatalf("events applied = %d, batch parsed %d", st.EventsApplied, len(batchEvents))
 	}
-	if st.LinesShed != 0 {
-		t.Fatalf("lossless replay shed %d lines", st.LinesShed)
+	// Every 429 was booked exactly and retried to admission.
+	if stats.Batches429 == 0 || st.BatchesShed != stats.Batches429 || st.LinesShed != batchLines*stats.Batches429 {
+		t.Fatalf("client saw %d 429s; daemon booked %d batches / %d lines shed, want the same and %d lines each",
+			stats.Batches429, st.BatchesShed, st.LinesShed, batchLines)
 	}
 	if st.FastHits == 0 {
 		t.Fatal("no fast-path decodes on a canonical log")
@@ -320,16 +340,15 @@ func TestAppliedIsVisible(t *testing.T) {
 	}
 }
 
-// TestLoadShedding fills the admission queue and checks 429s with exact
+// TestLoadShedding fills the admission slots and checks 429s with exact
 // dropped-line accounting and no stall for subsequent accepted work.
 func TestLoadShedding(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 2
-	cfg.ParseWorkers = 1
 	cfg.RetainEvents = false
 	s := testServer(t, cfg)
 
-	// Stall the single parse worker with a batch, then fill the queue.
+	// Stall the applier, then fill the slots.
 	events := simEvents()[:2000]
 	log := encodeLog(t, events)
 	gate := make(chan struct{})
@@ -376,6 +395,125 @@ func TestLoadShedding(t *testing.T) {
 	quiesce(t, s)
 	if got := s.StatsNow().LinesAccepted; got != uint64((accepted+1)*len(events)) {
 		t.Fatalf("accepted lines = %d, want %d", got, (accepted+1)*len(events))
+	}
+}
+
+// TestAdmissionBoundsPipeline: QueueDepth bounds everything behind the
+// door, not just the wait in front of one stage. With the applier held,
+// 500 offers against depth d are answered exactly d 202s and 500-d 429s
+// (each with the exact X-Shed-Lines), only the d admitted batches are
+// ever decoded, and once released the books close in lines and batches,
+// globally and per source.
+func TestAdmissionBoundsPipeline(t *testing.T) {
+	const offers, lines = 500, 1000
+	log := encodeLog(t, simEvents()[:lines])
+	for _, d := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint("depth", d), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.QueueDepth = d
+			s := testServer(t, cfg)
+			gate := make(chan struct{})
+			s.stallForTest(gate)
+			sources := []string{"alpha", "beta"}
+			accepted := map[string]uint64{}
+			for i := 0; i < offers; i++ {
+				src := sources[i%2]
+				req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(log))
+				req.Header.Set(SourceHeader, src)
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, req)
+				switch rec.Code {
+				case http.StatusAccepted:
+					accepted[src]++
+				case http.StatusTooManyRequests:
+					if got := rec.Header().Get("X-Shed-Lines"); got != fmt.Sprint(lines) {
+						t.Fatalf("offer %d: X-Shed-Lines = %q, want %d", i, got, lines)
+					}
+				default:
+					t.Fatalf("offer %d: status %d", i, rec.Code)
+				}
+			}
+			if n := accepted["alpha"] + accepted["beta"]; n != uint64(d) {
+				t.Fatalf("admitted %d of %d offers with the applier held, want exactly the depth %d", n, offers, d)
+			}
+			// Held, the d slots are all there is: nothing else was decoded.
+			if st := s.StatsNow(); st.QueueDepth != d || st.Events != uint64(d*lines) || st.EventsApplied != 0 {
+				t.Fatalf("held: queue_depth %d, %d events decoded, %d applied; want %d, %d, 0", st.QueueDepth, st.Events, st.EventsApplied, d, d*lines)
+			}
+			close(gate)
+			quiesce(t, s)
+
+			st := s.StatsNow()
+			if st.QueueDepth != 0 || st.EventsApplied != uint64(d*lines) {
+				t.Fatalf("released: queue_depth %d, %d events applied; want 0, %d", st.QueueDepth, st.EventsApplied, d*lines)
+			}
+			if st.BatchesAccepted != uint64(d) || st.BatchesShed != uint64(offers-d) ||
+				st.LinesAccepted != uint64(d*lines) || st.LinesShed != uint64((offers-d)*lines) {
+				t.Fatalf("books: %d + %d batches, %d + %d lines; want %d + %d, %d + %d", st.BatchesAccepted, st.BatchesShed,
+					st.LinesAccepted, st.LinesShed, d, offers-d, d*lines, (offers-d)*lines)
+			}
+			for _, src := range sources {
+				got := st.Sources[src]
+				want := SourceStats{
+					OfferedBatches: offers / 2, AcceptedBatches: accepted[src], ShedBatches: offers/2 - accepted[src],
+					OfferedLines: offers / 2 * lines, AcceptedLines: accepted[src] * lines, ShedLines: (offers/2 - accepted[src]) * lines,
+				}
+				if got != want {
+					t.Fatalf("source %q books %+v, want %+v", src, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSequentialConnectionsKeepOrder is the 202's ordering promise as an
+// executable statement: a batch is applied before any batch whose
+// request begins after its response. Every batch goes over a connection
+// of its own (so a request goroutine of its own), strictly one after the
+// other, with and without router tags; alerts, warnings and the
+// arrival-order history must equal the batch pipeline's.
+func TestSequentialConnectionsKeepOrder(t *testing.T) {
+	log := encodeLog(t, simEvents())
+	model, batchEvents, wantAlerts, wantWarnings := batchReference(t, log)
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for _, tagged := range []bool{false, true} {
+		t.Run(fmt.Sprint("tagged=", tagged), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Model = model
+			s := testServer(t, cfg)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			base := uint64(0)
+			for i, body := range chunkLog(log, 512) {
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tagged {
+					lines := console.CountLines(body)
+					tagAll(req, base, lines)
+					base += uint64(lines)
+				}
+				resp, err := client.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("batch %d: %s", i, resp.Status)
+				}
+			}
+			quiesce(t, s)
+			if !slices.Equal(s.RetainedEvents(), batchEvents) {
+				t.Error("arrival-order history differs from the batch parse")
+			}
+			if got := s.AlertTexts(); !slices.Equal(got, wantAlerts) {
+				t.Errorf("alerts diverge from batch: %d vs %d", len(got), len(wantAlerts))
+			}
+			if got := s.WarningTexts(); !slices.Equal(got, wantWarnings) {
+				t.Errorf("warnings diverge from batch: %d vs %d", len(got), len(wantWarnings))
+			}
+		})
 	}
 }
 

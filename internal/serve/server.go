@@ -8,14 +8,14 @@
 // State is served as JSON, operational counters in the Prometheus text
 // format.
 //
-// The service is explicitly overload-aware: admission is a bounded
-// queue, a full queue sheds load with 429 and exact dropped-line
+// The service is explicitly overload-aware: a batch holds one of a
+// bounded number of slots from admission until it is applied, a batch
+// that finds none free is shed with 429 and exact dropped-line
 // accounting, and SIGTERM drains the pipeline before flushing the
 // retained event log to a dataset-compatible snapshot.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -40,15 +40,11 @@ import (
 
 // Config tunes the service.
 type Config struct {
-	// ParseWorkers is the decode fan-out (default GOMAXPROCS).
-	ParseWorkers int
-	// QueueDepth is the admission queue capacity in batches (default 256).
-	// When it is full, POST /ingest sheds with 429.
+	// QueueDepth is how many batches may be admitted and not yet applied
+	// (default 256). When that many are, POST /ingest sheds with 429.
 	QueueDepth int
 	// MaxBodyBytes caps one /ingest body (default 8 MiB).
 	MaxBodyBytes int64
-	// RequestTimeout bounds one request end to end (default 10 s).
-	RequestTimeout time.Duration
 	// RateWindow is the sliding window for per-node XID rates
 	// (default 24 h, the paper's burst-detection horizon).
 	RateWindow time.Duration
@@ -107,14 +103,12 @@ type Config struct {
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		ParseWorkers:   runtime.GOMAXPROCS(0),
-		QueueDepth:     256,
-		MaxBodyBytes:   8 << 20,
-		RequestTimeout: 10 * time.Second,
-		RateWindow:     24 * time.Hour,
-		Alerts:         alert.DefaultConfig(),
-		RetainEvents:   true,
-		AlertFeed:      true,
+		QueueDepth:   256,
+		MaxBodyBytes: 8 << 20,
+		RateWindow:   24 * time.Hour,
+		Alerts:       alert.DefaultConfig(),
+		RetainEvents: true,
+		AlertFeed:    true,
 	}
 }
 
@@ -122,8 +116,19 @@ func DefaultConfig() Config {
 type Server struct {
 	cfg     Config
 	metrics *metrics
-	queue   *ingestQueue
-	reorder *reorder
+
+	// Admission (ingest.go). admitMu orders taking a slot against closing
+	// admission; admitted counts batches ever given a slot and
+	// appliedBatches those the applier has finished, so their difference
+	// is the slots in use, and Quiesce waits for it to reach zero.
+	// decoding tracks slot holders that have not handed off yet, handoff
+	// carries their batches to the applier.
+	admitMu        sync.Mutex
+	closed         bool
+	admitted       atomic.Uint64
+	appliedBatches atomic.Uint64
+	decoding       sync.WaitGroup
+	handoff        chan decoded
 
 	// stateMu guards everything the applier owns: the cross-node
 	// detectors, the per-code totals, the retained log and the per-node
@@ -179,16 +184,11 @@ type Server struct {
 	sourcesMu sync.Mutex
 	sources   map[string]*sourceCounters
 
-	parseWG sync.WaitGroup
 	applyWG sync.WaitGroup
-	// stallGate, when holding a chan struct{}, makes parse workers block
-	// on it before each batch; the load-shedding test uses it to fill the
-	// admission queue deterministically.
+	// stallGate, when holding a chan struct{}, makes the applier block on
+	// it before each batch; the load-shedding tests use it to fill the
+	// slots deterministically.
 	stallGate atomic.Value
-	// appliedBatches counts batches fully applied; with dense sequence
-	// numbers it equals the applier's progress through the admitted
-	// stream (Quiesce compares it against queue.next).
-	appliedBatches atomic.Uint64
 
 	mux      *http.ServeMux
 	listener net.Listener
@@ -200,20 +200,15 @@ type Server struct {
 	draining    bool
 }
 
-// NewServer builds a server; the pipeline goroutines start immediately
-// so a handler obtained from Handler can be used without Serve.
+// NewServer builds a server; the applier (and with CompactDir the
+// compactor) starts immediately so a handler obtained from Handler can
+// be used without Serve.
 func NewServer(cfg Config) *Server {
-	if cfg.ParseWorkers <= 0 {
-		cfg.ParseWorkers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
 	}
 	if cfg.RateWindow <= 0 {
 		cfg.RateWindow = 24 * time.Hour
@@ -232,8 +227,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		metrics:     newMetrics(time.Now()),
-		queue:       newIngestQueue(cfg.QueueDepth),
-		reorder:     newReorder(),
+		handoff:     make(chan decoded, cfg.QueueDepth), // a place per slot: a slot holder's send never blocks
 		alertEngine: alert.NewEngine(cfg.Alerts),
 		codeTotals:  make(map[xid.Code]int),
 		nodes:       make([]*nodeState, topology.TotalNodes),
@@ -244,10 +238,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.Model != nil {
 		s.warner = predict.NewWarner(cfg.Model)
-	}
-	for i := 0; i < cfg.ParseWorkers; i++ {
-		s.parseWG.Add(1)
-		go s.parseWorker()
 	}
 	s.applyWG.Add(1)
 	go s.applier()
@@ -274,16 +264,8 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the HTTP handler with the per-request timeout applied
-// to everything except /ingest (which enforces its own deadline so a
-// shed decision is still a fast 429, not a slow 503).
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		s.mux.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
+// Handler returns the HTTP handler.
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // Serve listens on addr and serves until Shutdown.
 func (s *Server) Serve(addr string) error {
@@ -322,9 +304,9 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains gracefully: stop accepting connections (in-flight
-// requests complete), close the admission queue, wait for the parse
-// workers and the applier to drain everything already admitted, then
-// write the snapshot if configured. Safe to call more than once.
+// requests complete), close admission, wait for the decodes still in
+// flight to hand off and for the applier to drain everything admitted,
+// then write the snapshot if configured. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.lifecycleMu.Lock()
 	if s.drained {
@@ -340,11 +322,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		httpErr = srv.Shutdown(ctx)
 	}
 
-	// Everything admitted before the queue closed gets applied; the
-	// reorder seal tells the applier where the stream ends.
-	limit := s.queue.close()
-	s.parseWG.Wait()
-	s.reorder.seal(limit)
+	// Everything admitted before admission closed gets applied: once the
+	// last slot holder has handed off nothing sends again, so the channel
+	// can close and the applier run it dry.
+	s.admitMu.Lock()
+	first := !s.closed
+	s.closed = true
+	s.admitMu.Unlock()
+	s.decoding.Wait()
+	if first { // a Shutdown racing this one waits with it
+		close(s.handoff)
+	}
 	s.applyWG.Wait()
 
 	s.lifecycleMu.Lock()
@@ -418,9 +406,10 @@ func (s *Server) Journal() *Journal { return s.journal.Load() }
 
 // ---- Handlers ----
 
-// handleIngest admits one newline-delimited batch of console lines.
-// 202: admitted; 429: load shed (body X-Shed-Lines counts the discarded
-// lines); 503: draining; 400/413: malformed.
+// handleIngest admits one newline-delimited batch of console lines and
+// decodes it (see ingest.go). 202: decoded and queued for the applier;
+// 429: load shed before any decode work (X-Shed-Lines counts the
+// discarded lines); 503: draining; 400/413: malformed.
 //
 // Three optional headers extend the contract for cluster operation:
 // X-Titan-Source tags the batch's feed for per-source accounting, and
@@ -430,44 +419,14 @@ func (s *Server) Journal() *Journal { return s.journal.Load() }
 // silently mis-sequenced).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	// A declared length is checked before anything is read, and is only a
-	// hint for memory: the presize is capped at the pool cap, the body
-	// grows as read past it, and MaxBytesReader still bounds the read.
-	if r.ContentLength > s.cfg.MaxBodyBytes {
+	body, release, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	defer release()
+	start := s.metrics.observeStage(stageBodyRead, t0)
+	if !ok {
 		s.metrics.batchesRejected.Add(1)
-		http.Error(w, "body over limit", http.StatusRequestEntityTooLarge)
 		return
 	}
-	data, admitted := bodyPool.get(), false
-	defer func() {
-		if !admitted { // else the parse worker hands it back
-			bodyPool.put(data)
-		}
-	}()
-	buf := bytes.NewBuffer(*data)
-	if n := min(r.ContentLength, int64(bodyPool.limit-bytes.MinRead)); n > 0 {
-		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
-	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	*data = buf.Bytes()
-	body := *data
-	s.metrics.observeStage(stageBodyRead, t0)
-	if err != nil {
-		s.metrics.batchesRejected.Add(1)
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, "body over limit", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body", http.StatusBadRequest)
-		return
-	}
-	if len(body) == 0 {
-		s.metrics.batchesRejected.Add(1)
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	lines := countLines(body)
+	lines := console.CountLines(body)
 	seqBase, positions, err := parseSeqHeaders(r, lines)
 	if err != nil {
 		s.metrics.batchesRejected.Add(1)
@@ -475,12 +434,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	source := r.Header.Get(SourceHeader)
-	ok, closed := s.queue.offer(data, seqBase, positions)
-	admitted = ok
+	ok, closed := s.admit()
 	switch {
 	case ok:
 		s.metrics.batchesAccepted.Add(1)
 		s.bookSource(source, lines, true)
+		s.handOff(body, lines, seqBase, positions, start)
 		s.metrics.observeLatency(time.Since(t0))
 		w.WriteHeader(http.StatusAccepted)
 	case closed:
@@ -874,6 +833,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // StatsNow assembles the current /stats document.
 func (s *Server) StatsNow() Stats {
 	m := s.metrics
+	applied := s.appliedBatches.Load() // read first: it never passes admitted
 	st := Stats{
 		UptimeSeconds:   time.Since(m.start).Seconds(),
 		BatchesAccepted: m.batchesAccepted.Load(),
@@ -890,7 +850,7 @@ func (s *Server) StatsNow() Stats {
 		FastFallbacks:   m.fastFallbacks.Load(),
 		AlertsRaised:    m.alertsRaised.Load(),
 		WarningsIssued:  m.warningsIssued.Load(),
-		QueueDepth:      s.queue.depth(),
+		QueueDepth:      int(s.admitted.Load() - applied),
 		QueueCapacity:   s.cfg.QueueDepth,
 		EventsByCode:    map[string]int{},
 
@@ -1023,31 +983,26 @@ func (s *Server) WarningTexts() []string {
 // finished". It does not stop admission; tests and the replay client
 // call it between streaming and asserting.
 func (s *Server) Quiesce(ctx context.Context) error {
-	for {
-		s.queue.mu.Lock()
-		assigned := s.queue.next
-		s.queue.mu.Unlock()
-		if s.appliedBatches.Load() >= assigned {
-			return nil
-		}
+	for admitted := s.admitted.Load(); s.appliedBatches.Load() < admitted; {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
+	return nil
 }
 
-// stallForTest makes every parse worker block on gate before processing
-// its next batch. Closing the gate releases them for good (receives on a
-// closed channel return immediately).
+// stallForTest makes the applier block on gate before applying its next
+// batch. Closing the gate releases it for good (receives on a closed
+// channel return immediately).
 func (s *Server) stallForTest(gate chan struct{}) {
 	s.stallGate.Store(gate)
 }
 
 // StallForTest is the exported face of stallForTest: harnesses outside
 // this package (the router's drain soak, the cluster bench) use it to
-// meter a replica's parse rate deterministically.
+// meter a replica's apply rate deterministically.
 func (s *Server) StallForTest(gate chan struct{}) { s.stallForTest(gate) }
 
 // String renders a one-line summary for logs.

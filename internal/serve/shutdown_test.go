@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,6 +84,60 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	// Idempotent: a second Shutdown is a no-op.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestShutdownDrainsInflightDecodes races Shutdown against 64 requests
+// decoding on their own goroutines (the handler directly, no listener
+// whose Shutdown would wait for them first): whichever way each race
+// goes, a batch answered 202 is applied by the time Shutdown returns,
+// every other one is answered 503, and nobody hands off to a closed
+// channel (a panic here).
+func TestShutdownDrainsInflightDecodes(t *testing.T) {
+	const posts, lines = 64, 500
+	log := encodeLog(t, simEvents()[:lines])
+	for round := 0; round < 8; round++ {
+		s := NewServer(DefaultConfig())
+		var accepted, refused atomic.Uint64
+		var wg sync.WaitGroup
+		for i := 0; i < posts; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(log)))
+				switch rec.Code {
+				case http.StatusAccepted:
+					accepted.Add(1)
+				case http.StatusServiceUnavailable:
+					refused.Add(1)
+				default:
+					t.Errorf("round %d: status %d", round, rec.Code)
+				}
+			}()
+		}
+		// Let the round's number of batches in before the drain starts, so
+		// the race is run from both ends.
+		for s.metrics.batchesAccepted.Load() < uint64(round) {
+			runtime.Gosched()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		// What was answered 202 before Shutdown returned is applied now;
+		// what is answered after it returned is a 503.
+		st := s.StatsNow()
+		wg.Wait()
+		if got := accepted.Load() + refused.Load(); got != posts {
+			t.Fatalf("round %d: %d of %d posts answered 202 or 503", round, got, posts)
+		}
+		if st.BatchesAccepted != accepted.Load() || st.EventsApplied != accepted.Load()*lines || st.QueueDepth != 0 {
+			t.Fatalf("round %d: %d posts answered 202; at Shutdown's return /stats had %d batches accepted, %d events applied, queue depth %d",
+				round, accepted.Load(), st.BatchesAccepted, st.EventsApplied, st.QueueDepth)
+		}
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // table (a topology.NodeID is by definition an index in [0, TotalNodes))
 // and two short linear searches per event (a node sees a handful of
 // codes and one card, rarely two), so the applier folds it inline, under
-// the same stateMu as the cross-node detectors, in the one order the
-// reorder buffer delivers. One goroutine, one order: per-node state is
+// the same stateMu as the cross-node detectors, in the one order
+// batches were handed off. One goroutine, one order: per-node state is
 // deterministic for a given ingest order by construction, and once
 // events_applied covers a batch /nodes/{cname} already reflects it.
 // Handing events to per-node-shard goroutines instead would cost a

@@ -177,9 +177,10 @@ func TestRetainedLogDoesNotRegrow(t *testing.T) {
 	}
 }
 
-// TestIngestStageCounters: every write-path stopwatch moves under ingest
-// (seal once a compaction pass has run), on /stats as the gather reports
-// it, and none of them moves under a query.
+// TestIngestStageCounters: the write path has six stages, in pipeline
+// order; every stopwatch moves under ingest (seal once a compaction pass
+// has run), on /stats as the gather reports it, and none of them moves
+// under a query.
 func TestIngestStageCounters(t *testing.T) {
 	s := writePathServer(t)
 	ts := httptest.NewServer(s.Handler())
@@ -201,10 +202,15 @@ func TestIngestStageCounters(t *testing.T) {
 	var st Stats
 	getJSON(t, ts.URL+"/stats", &st)
 	stages := reflect.ValueOf(st.IngestStageSeconds)
+	var names []string
 	for i := 0; i < stages.NumField(); i++ {
+		names = append(names, stages.Type().Field(i).Tag.Get("json"))
 		if stages.Field(i).Float() <= 0 {
-			t.Errorf("stage %s did not move under ingest", stages.Type().Field(i).Name)
+			t.Errorf("stage %s did not move under ingest", names[i])
 		}
+	}
+	if want := []string{"body_read", "decode", "queue_wait", "journal", "apply", "seal"}; !slices.Equal(names, want) {
+		t.Errorf("stages %v, want %v", names, want)
 	}
 	getBody(t, queryURL(ts.URL, "* | by code | bucket 1h"))
 	getBody(t, ts.URL+"/rollup?by=code&bucket=24h")

@@ -294,7 +294,6 @@ func workers(n int) int {
 	return w
 }
 
-
 func (g *Generator) drawJob(rng *rand.Rand, u UserProfile, submit time.Time) Job {
 	j := Job{User: u.ID, Class: u.Class, Submit: submit}
 	switch u.Class {
