@@ -8,10 +8,8 @@ package titanre
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -592,6 +590,9 @@ func BenchmarkAVFCampaign(b *testing.B) {
 		100*pipeAVF, 100*memSDCOff)
 }
 
+// BenchmarkSimulationFullPeriod is check.sh's full-horizon smoke; the
+// wall clock of simulate, index and render is bench/'s (sim.run_s,
+// core.index_ms, core.report_render_ms).
 func BenchmarkSimulationFullPeriod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
@@ -600,90 +601,5 @@ func BenchmarkSimulationFullPeriod(b *testing.B) {
 		if len(res.Events) == 0 {
 			b.Fatal("empty dataset")
 		}
-	}
-}
-
-// BenchmarkSimulationFullPeriodParallel is BenchmarkSimulationFullPeriod
-// pinned to all available cores; compare against ...SingleCore for the
-// parallel-generation speedup (the datasets are identical either way —
-// see TestDigestsAcrossGOMAXPROCS).
-func BenchmarkSimulationFullPeriodParallel(b *testing.B) {
-	prev := runtime.GOMAXPROCS(runtime.NumCPU())
-	defer runtime.GOMAXPROCS(prev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.Seed = int64(i + 1)
-		res := sim.Run(cfg)
-		if len(res.Events) == 0 {
-			b.Fatal("empty dataset")
-		}
-	}
-}
-
-// BenchmarkSimulationFullPeriodSingleCore pins GOMAXPROCS=1: the serial
-// baseline of the deterministic-parallelism scheme.
-func BenchmarkSimulationFullPeriodSingleCore(b *testing.B) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.Seed = int64(i + 1)
-		res := sim.Run(cfg)
-		if len(res.Events) == 0 {
-			b.Fatal("empty dataset")
-		}
-	}
-}
-
-// BenchmarkReportRenderSerial renders the full report from a cold Study
-// each iteration, one section at a time.
-func BenchmarkReportRenderSerial(b *testing.B) {
-	s := study()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s2 := core.FromResult(s.Result)
-		s2.WriteReport(io.Discard)
-	}
-}
-
-// BenchmarkReportRenderParallel renders the same report with sections
-// fanned out over a GOMAXPROCS-wide worker pool; output is byte-identical
-// to the serial render.
-func BenchmarkReportRenderParallel(b *testing.B) {
-	s := study()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s2 := core.FromResult(s.Result)
-		s2.WriteReportConcurrent(io.Discard, runtime.GOMAXPROCS(0))
-	}
-}
-
-// BenchmarkRetirementEventsCold measures what the XID 63+64 merge costs
-// when nothing is memoized: a fresh Study per iteration rebuilds the
-// per-code index and the retirement merge for Figs 6 and 7.
-func BenchmarkRetirementEventsCold(b *testing.B) {
-	s := study()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s2 := core.FromResult(s.Result)
-		_ = s2.Fig6MonthlyRetirement()
-		_, _ = s2.Fig7RetirementSpatial()
-	}
-}
-
-// BenchmarkRetirementEventsCached measures the same two figures on a warm
-// Study: the merge is built once and both figures share the cached slice,
-// so per-call allocations collapse to the output series only.
-func BenchmarkRetirementEventsCached(b *testing.B) {
-	s := study()
-	_ = s.Fig6MonthlyRetirement() // warm the caches
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Fig6MonthlyRetirement()
-		_, _ = s.Fig7RetirementSpatial()
 	}
 }

@@ -17,8 +17,8 @@
 // are retried after its Retry-After hint, so every line lands exactly
 // once and in order (at -concurrency 1 the online state ends up
 // byte-identical to the batch pipeline). With -shed the client counts
-// 429s instead of retrying — the overload-experiment mode scripts/bench.sh
-// uses to measure the shed fraction at a fixed offered -rate.
+// 429s instead of retrying — the overload-experiment mode, which reads
+// the shed fraction at a fixed offered -rate.
 //
 // -speedup paces the replay against the timestamps embedded in the log
 // (2.0 = twice real time); -rate offers a constant line rate ignoring

@@ -14,10 +14,10 @@
 // stderr, and the report gains an ingestion-health section whenever the
 // load was not perfectly clean. -strict restores the fail-fast loader.
 // The command exits non-zero when ingestion fails outright (no readable
-// artifacts). -load-workers widens the load: the four artifacts are read
-// concurrently and the console log is parsed in newline-aligned shards;
-// the loaded dataset is identical at any width. -write-segments seals
-// the dataset's console events into columnar segments (DIR/segments);
+// artifacts). The load, the report render and -query all run at
+// GOMAXPROCS width; their output is identical at any width.
+// -write-segments seals the dataset's console events into columnar
+// segments (DIR/segments);
 // once sealed, -strict loads skip the console parse entirely and the
 // study runs its per-code index off the segment bitmaps — the report
 // bytes are identical either way. -query runs one titanql expression
@@ -54,13 +54,10 @@ func main() {
 	strict := flag.Bool("strict", false, "fail fast on any dataset corruption instead of quarantining")
 	writeSegments := flag.Bool("write-segments", false, "seal the dataset's console events into columnar segments (DIR/segments) so later loads skip the console parse")
 	quarantine := flag.String("quarantine", "", "write the quarantine (dead-letter) log to this file")
-	workers := flag.Int("report-workers", runtime.GOMAXPROCS(0), "goroutines rendering report sections (output is identical at any value)")
-	loadWorkers := flag.Int("load-workers", runtime.GOMAXPROCS(0), "goroutines loading dataset artifacts and parsing console shards (result is identical at any value)")
 	rollup := flag.String("rollup", "", "print a time-bucketed rollup JSON instead of the report: comma list of code, cabinet, cage, node (empty list = pure time series; same kernel as titand's GET /rollup)")
 	rollupBucket := flag.Duration("rollup-bucket", time.Hour, "rollup bucket width (with -rollup)")
 	rollupCode := flag.String("rollup-code", "", "restrict -rollup to one code (an XID number, sbe or otb)")
 	query := flag.String("query", "", "run one titanql expression instead of the report, e.g. 'code=48 cabinet=c3-* | by cage | bucket 6h | top 5' (same compiled plan and bytes as titand's GET /query; with -data over sealed segments it executes segment-parallel)")
-	queryWorkers := flag.Int("query-workers", 0, "segment-parallel workers for -query (0 = GOMAXPROCS; output identical at any width)")
 	flag.Parse()
 
 	cfg := sim.DefaultConfig()
@@ -83,14 +80,14 @@ func main() {
 				// Columnar fast path: events come from the sealed
 				// segments (no console re-parse) and the study runs its
 				// index off the per-code bitmaps.
-				res, st, err := dataset.LoadStoreWorkers(*data, cfg, *loadWorkers)
+				res, st, err := dataset.LoadStore(*data, cfg)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "titanreport:", err)
 					os.Exit(1)
 				}
 				study = core.FromStore(res, st)
 			} else {
-				res, err := dataset.LoadWorkers(*data, cfg, *loadWorkers)
+				res, err := dataset.Load(*data, cfg)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "titanreport:", err)
 					os.Exit(1)
@@ -98,7 +95,7 @@ func main() {
 				study = core.FromResult(res)
 			}
 		} else {
-			res, health, err := dataset.LoadResilientWorkers(*data, cfg, ingest.DefaultOptions(), *loadWorkers)
+			res, health, err := dataset.LoadResilient(*data, cfg, ingest.DefaultOptions())
 			if health != nil && !health.Clean() {
 				health.WriteSummary(os.Stderr)
 			}
@@ -143,7 +140,7 @@ func main() {
 	}
 
 	if *query != "" {
-		doc, err := study.Query(*query, *queryWorkers)
+		doc, err := study.Query(*query, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "titanreport:", err)
 			os.Exit(1)
@@ -178,7 +175,7 @@ func main() {
 		}
 		return
 	}
-	study.WriteReportConcurrent(w, *workers)
+	study.WriteReportConcurrent(w, runtime.GOMAXPROCS(0))
 }
 
 // printRollup renders the batch-pipeline rollup as indented JSON — the
@@ -187,17 +184,7 @@ func main() {
 func printRollup(study *core.Study, by string, bucket time.Duration, codeArg string) error {
 	spec := store.RollupSpec{Bucket: bucket}
 	for _, dim := range strings.Split(by, ",") {
-		switch strings.TrimSpace(dim) {
-		case "":
-		case "code":
-			spec.ByCode = true
-		case "cabinet":
-			spec.ByCabinet = true
-		case "cage":
-			spec.ByCage = true
-		case "node":
-			spec.ByNode = true
-		default:
+		if d := strings.TrimSpace(dim); d != "" && !spec.GroupBy(d) {
 			return fmt.Errorf("bad -rollup dimension %q: want code, cabinet, cage or node", dim)
 		}
 	}

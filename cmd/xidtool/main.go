@@ -14,13 +14,6 @@
 //	    -window D    collapse child events within D (e.g. 5s), per code
 //	    -rules FILE  use a custom SEC rule configuration
 //
-// stats and grep also take -load-workers N: with N > 0 the log is read
-// through the fast sharded parser (hand-rolled zero-allocation decoder,
-// N newline-aligned shards) instead of the recovering ingest pipeline.
-// The fast path drops unparseable lines instead of quarantining them, so
-// it suits clean archives where throughput matters; the default (0)
-// keeps the recovering parser.
-//
 // It consumes the raw console-line format via the same SEC rules the
 // study used.
 package main
@@ -174,32 +167,6 @@ func parseLog(path string) []console.Event {
 	return parseLogWith(console.NewCorrelator(), path)
 }
 
-// parseLogFast routes between the recovering ingest pipeline (workers
-// <= 0, the resilient default) and the fast sharded parser (workers > 0,
-// fail-fast on I/O errors; corrupt lines are dropped and reported on
-// stderr instead of quarantined).
-func parseLogFast(c *console.Correlator, path string, workers int) []console.Event {
-	if workers <= 0 {
-		return parseLogWith(c, path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xidtool:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	events, err := c.ParseAllParallel(f, workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xidtool:", err)
-		os.Exit(1)
-	}
-	if c.Dropped > 0 || c.Malformed > 0 || c.Oversized > 0 {
-		fmt.Fprintf(os.Stderr, "xidtool: fast parse dropped %d chatter, %d malformed, %d oversized lines\n",
-			c.Dropped, c.Malformed, c.Oversized)
-	}
-	return events
-}
-
 // parseLogWith reads a console log through the recovering ingest path:
 // corrupt lines are quarantined (summary on stderr) instead of aborting
 // the tool, and the exit code is non-zero only when ingestion fails
@@ -229,13 +196,11 @@ func parseLogWith(c *console.Correlator, path string) []console.Event {
 }
 
 func stats(args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	loadWorkers := fs.Int("load-workers", 0, "parse through the fast sharded path with this many workers (0 = recovering ingest)")
-	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
+	if len(args) != 1 {
 		usage()
 	}
 	correlator := console.NewCorrelator()
-	events := parseLogFast(correlator, fs.Arg(0), *loadWorkers)
+	events := parseLogWith(correlator, args[0])
 	counts := map[xid.Code]int{}
 	for _, e := range events {
 		counts[e.Code]++
@@ -253,9 +218,9 @@ func stats(args []string) {
 		}
 		fmt.Printf("%-8s %7d  %s\n", c, counts[c], name)
 	}
-	// Parser health, so operators see the decode mix and loss alongside
-	// the counts (on the recovering path the fast counters stay zero —
-	// that pipeline classifies with the regex rules directly).
+	// Parser health, so operators see the loss alongside the counts (the
+	// fast counters stay zero: the recovering pipeline classifies with
+	// the regex rules directly).
 	fmt.Printf("decoder: %d fast-path, %d regex-fallback, %d chatter, %d malformed, %d oversized\n",
 		correlator.FastHits, correlator.FastFallbacks, correlator.Dropped, correlator.Malformed, correlator.Oversized)
 }
@@ -266,7 +231,6 @@ func grep(args []string) {
 	node := fs.String("node", "", "only this node (cname)")
 	window := fs.Duration("window", 0, "collapse child events within this window")
 	rulesPath := fs.String("rules", "", "SEC rule configuration file (default: built-in production rules)")
-	loadWorkers := fs.Int("load-workers", 0, "parse through the fast sharded path with this many workers (0 = recovering ingest)")
 	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
 		usage()
 	}
@@ -285,7 +249,7 @@ func grep(args []string) {
 		}
 		correlator = console.NewCorrelatorFromRules(rules)
 	}
-	events := parseLogFast(correlator, fs.Arg(0), *loadWorkers)
+	events := parseLogWith(correlator, fs.Arg(0))
 	if *code != 0 {
 		events = filtering.ByCode(events, xid.Code(*code))
 	}

@@ -195,22 +195,15 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 	return out, nil
 }
 
-// ParseBytesIndexed is the serial walk of ParseBytes that additionally
-// reports each event's 0-based line index within data. Indices count
-// every newline-delimited record — empty, oversized, and chatter lines
-// included — exactly like CountLines and SplitBatch, so a router that
-// split a batch can map the j-th event of a sub-batch back to its
-// original batch line (and from there to a global sequence number).
-// Counters book into c as ParseBytes does.
-func (c *Correlator) ParseBytesIndexed(data []byte) ([]Event, []int32, error) {
-	events, idxs := c.walk(nil, nil, data, true)
-	return events, idxs, nil
-}
-
-// AppendBytes is ParseBytes with one shard (ParseBytesIndexed when
-// indexed is set) appending onto events and idxs, for a caller that
-// recycles the two slices batch after batch. An Event holds no reference
-// into data, so data may be reused as soon as AppendBytes returns.
+// AppendBytes is ParseBytes with one shard, appending onto events for a
+// caller that recycles its slices batch after batch. With indexed set it
+// also appends each event's 0-based line index within data onto idxs.
+// Indices count every newline-delimited record — empty, oversized, and
+// chatter lines included — exactly like CountLines and SplitBatch, so a
+// router that split a batch can map the j-th event of a sub-batch back
+// to its original batch line (and from there to a global sequence
+// number). An Event holds no reference into data, so data may be reused
+// as soon as AppendBytes returns.
 func (c *Correlator) AppendBytes(events []Event, idxs []int32, data []byte, indexed bool) ([]Event, []int32) {
 	return c.walk(events, idxs, data, indexed)
 }

@@ -275,12 +275,6 @@ func (s *Study) Rollup(spec store.RollupSpec) (store.RollupDoc, error) {
 	return store.RollupEvents(s.Result.Events, spec)
 }
 
-// TopOffenderCards computes the batch-side top-K offender ranking the
-// live /top endpoint must match.
-func (s *Study) TopOffenderCards(spec store.TopSpec) (store.TopDoc, error) {
-	return store.TopEvents(s.Result.Events, spec)
-}
-
 // Query runs one titanql expression over the study. A store-backed
 // study executes the compiled plan segment-parallel over its sealed
 // segments — the same execution titand's GET /query runs — while an

@@ -49,26 +49,32 @@ var (
 
 // Write stores a result's artifacts into dir, creating it if needed.
 func Write(dir string, res *sim.Result) error {
+	return write(dir, func(f *os.File) error {
+		return console.WriteLog(f, res.Events)
+	}, res.Jobs, res.Samples, res.Snapshot)
+}
+
+// write stores the four artifacts, the console log through the given
+// encoder.
+func write(dir string, consoleLog func(*os.File) error, jobs []scheduler.Record, samples []nvsmi.JobSample, snap nvsmi.Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	if err := writeFile(dir, ConsoleFile, func(f *os.File) error {
-		return console.WriteLog(f, res.Events)
-	}); err != nil {
+	if err := writeFile(dir, ConsoleFile, consoleLog); err != nil {
 		return err
 	}
 	if err := writeFile(dir, JobsFile, func(f *os.File) error {
-		return scheduler.WriteJobLog(f, res.Jobs)
+		return scheduler.WriteJobLog(f, jobs)
 	}); err != nil {
 		return err
 	}
 	if err := writeFile(dir, SamplesFile, func(f *os.File) error {
-		return nvsmi.WriteSamples(f, res.Samples)
+		return nvsmi.WriteSamples(f, samples)
 	}); err != nil {
 		return err
 	}
 	return writeFile(dir, SnapshotFile, func(f *os.File) error {
-		return nvsmi.WriteSnapshot(f, res.Snapshot)
+		return nvsmi.WriteSnapshot(f, snap)
 	})
 }
 
@@ -117,27 +123,9 @@ func writeFile(dir, name string, fn func(*os.File) error) error {
 // job or nvidia-smi data), exactly as Write does for a result without
 // them, so the directory round-trips through Load.
 func WriteStream(dir string, next func() (console.Event, bool)) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := writeFile(dir, ConsoleFile, func(f *os.File) error {
+	return write(dir, func(f *os.File) error {
 		return console.WriteLogStream(f, next)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile(dir, JobsFile, func(f *os.File) error {
-		return scheduler.WriteJobLog(f, nil)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile(dir, SamplesFile, func(f *os.File) error {
-		return nvsmi.WriteSamples(f, nil)
-	}); err != nil {
-		return err
-	}
-	return writeFile(dir, SnapshotFile, func(f *os.File) error {
-		return nvsmi.WriteSnapshot(f, nvsmi.Snapshot{})
-	})
+	}, nil, nil, nvsmi.Snapshot{})
 }
 
 // Load reads a dataset directory back into a Result. The passed config

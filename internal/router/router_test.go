@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/race"
 	"titanre/internal/serve"
 	"titanre/internal/sim"
 )
@@ -383,7 +384,7 @@ func TestRouterIngestBodyLengths(t *testing.T) {
 			// up to it costs at most four times over) plus at most the
 			// presize, which stops at the pool cap. The race runtime
 			// allocates on its own account, so the figure is held without it.
-			if got, most := after.TotalAlloc-before.TotalAlloc, uint64(4*len(tc.body)+4<<20); !raceDetector && got > most {
+			if got, most := after.TotalAlloc-before.TotalAlloc, uint64(4*len(tc.body)+4<<20); !race.Enabled && got > most {
 				t.Errorf("allocated %d B for a %d B body declared as %d", got, len(tc.body), tc.declared)
 			}
 		})

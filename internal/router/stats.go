@@ -116,7 +116,14 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics renders the counters in Prometheus text exposition
 // format, mirroring titand's /metrics idiom.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := rt.StatsNow()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write([]byte(metricsText(rt.StatsNow())))
+}
+
+// metricsText renders one /stats snapshot as /metrics: every numeric
+// figure of Stats and of each SourceStats is a series
+// (TestRouterStatsMetricsParity).
+func metricsText(st Stats) string {
 	var b strings.Builder
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -126,6 +133,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	gauge("titanrouter_uptime_seconds", "Seconds since the router started.", st.UptimeSeconds)
 	gauge("titanrouter_replicas", "Configured replica count.", float64(len(st.Replicas)))
+	gauge("titanrouter_source_share_lines", "Lines one source may hold in flight before QoS sheds it.", float64(st.SourceShareLines))
 	counter("titanrouter_batches_offered_total", "Client batches offered to /ingest.", st.BatchesOffered)
 	counter("titanrouter_batches_accepted_total", "Batches fully delivered to replicas.", st.BatchesAccepted)
 	counter("titanrouter_batches_shed_total", "Batches shed by per-source QoS.", st.BatchesShed)
@@ -164,9 +172,17 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(s SourceStats) uint64 { return s.FailedLines })
 		srcCounter("titanrouter_source_batches_offered_total", "Batches offered per source.",
 			func(s SourceStats) uint64 { return s.OfferedBatches })
+		srcCounter("titanrouter_source_batches_accepted_total", "Batches fully delivered per source.",
+			func(s SourceStats) uint64 { return s.AcceptedBatches })
 		srcCounter("titanrouter_source_batches_shed_total", "Batches shed per source by QoS.",
 			func(s SourceStats) uint64 { return s.ShedBatches })
+		srcCounter("titanrouter_source_batches_failed_total", "Batches with undelivered lines per source.",
+			func(s SourceStats) uint64 { return s.FailedBatches })
+		const inflight = "titanrouter_source_inflight_lines"
+		fmt.Fprintf(&b, "# HELP %s Lines per source admitted and not yet answered.\n# TYPE %s gauge\n", inflight, inflight)
+		for _, src := range names {
+			fmt.Fprintf(&b, "%s{source=%q} %d\n", inflight, src, st.Sources[src].InflightLines)
+		}
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	return b.String()
 }

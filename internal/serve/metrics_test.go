@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -160,5 +161,20 @@ func TestStatsMetricsParity(t *testing.T) {
 		if _, ok := got[series]; !ok {
 			t.Errorf("/metrics is missing series %s", series)
 		}
+	}
+}
+
+// TestHeapInuseTracksMemStats: heap_inuse_bytes comes from
+// runtime/metrics (no stop-the-world on a scrape) and must stay the
+// figure its name and help text promise — within a factor of two of
+// MemStats.HeapInuse, the two reads being a moment apart.
+func TestHeapInuseTracksMemStats(t *testing.T) {
+	live := make([]byte, 8<<20) // so the heap is not all noise
+	got := float64(heapInuse())
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(live)
+	if want := float64(ms.HeapInuse); got < want/2 || got > 2*want {
+		t.Errorf("heap_inuse_bytes reads %.0f, MemStats.HeapInuse %.0f", got, want)
 	}
 }

@@ -211,16 +211,7 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 	spec := store.RollupSpec{Bucket: time.Hour}
 	if v := q.Get("by"); v != "" {
 		for _, dim := range strings.Split(v, ",") {
-			switch strings.TrimSpace(dim) {
-			case "code":
-				spec.ByCode = true
-			case "cabinet":
-				spec.ByCabinet = true
-			case "cage":
-				spec.ByCage = true
-			case "node":
-				spec.ByNode = true
-			default:
+			if !spec.GroupBy(strings.TrimSpace(dim)) {
 				http.Error(w, fmt.Sprintf("bad by dimension %q: want code, cabinet, cage or node", dim), http.StatusBadRequest)
 				return
 			}

@@ -14,6 +14,7 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/gpu"
+	"titanre/internal/race"
 	"titanre/internal/topology"
 )
 
@@ -147,7 +148,7 @@ func TestCodeHistoryLimitAllocs(t *testing.T) {
 	a, ab := measure(2000)
 	b, bb := measure(8000)
 	slack := 2.0
-	if raceDetector {
+	if race.Enabled {
 		slack = 10 // its runtime moves the count by a few from server to server; a per-match allocation moves it by thousands
 	}
 	if math.Abs(a-b) > slack || bb > 1.25*ab {

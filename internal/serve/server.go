@@ -23,7 +23,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"runtime"
+	runtimemetrics "runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -900,10 +900,21 @@ func (s *Server) StatsNow() Stats {
 		st.Journal = &js
 	}
 	st.Sources = s.sourceStats()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	st.HeapInuseBytes = ms.HeapInuse
+	st.HeapInuseBytes = heapInuse()
 	return st
+}
+
+// heapInuse is runtime.MemStats.HeapInuse — live objects plus the unused
+// room in their spans — read from runtime/metrics, which does not stop
+// the world the way runtime.ReadMemStats does: pollers scrape /stats
+// every few milliseconds through the replay they are timing.
+func heapInuse() uint64 {
+	samples := []runtimemetrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+	}
+	runtimemetrics.Read(samples)
+	return samples[0].Value.Uint64() + samples[1].Value.Uint64()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

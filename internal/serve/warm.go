@@ -25,7 +25,7 @@ import (
 // TestCrashRestartMatchesUninterrupted).
 //
 // Corrupt segments do not block the restart: they are quarantined
-// (store.OpenRecover) and the daemon starts degraded, reporting the
+// (store.OpenOptions.Recover) and the daemon starts degraded, reporting the
 // exact loss — segments and bytes from the quarantine move, events
 // from the SEALED floor arithmetic (see store/floor.go).
 

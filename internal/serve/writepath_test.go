@@ -19,6 +19,7 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/gpu"
+	"titanre/internal/race"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
@@ -126,7 +127,7 @@ func ingestAll(t testing.TB, s *Server, batches [][]byte) {
 // same figure: nothing on the write path may grow with the stream but
 // the history itself.
 func TestIngestAllocsPerLine(t *testing.T) {
-	if raceDetector {
+	if race.Enabled {
 		t.Skip("the race runtime's own bookkeeping moves allocation figures")
 	}
 	const warm = 48 // a month is 34 batches: every node and card is tracked before the clock starts
@@ -277,7 +278,7 @@ func TestIngestBodyLengths(t *testing.T) {
 			// up to it costs at most four times over) plus at most the
 			// presize, which stops at the pool cap. The race runtime
 			// allocates on its own account, so the figure is held without it.
-			if got, most := after.TotalAlloc-before.TotalAlloc, uint64(4*len(tc.body)+4<<20); !raceDetector && got > most {
+			if got, most := after.TotalAlloc-before.TotalAlloc, uint64(4*len(tc.body)+4<<20); !race.Enabled && got > most {
 				t.Errorf("allocated %d B for a %d B body declared as %d", got, len(tc.body), tc.declared)
 			}
 		})

@@ -103,7 +103,7 @@ func Run(cfg Config) *Result {
 	// concurrently from its own substream; placement stays serial.
 	gen := workload.NewGenerator(faults.DeriveRNG(cfg.Seed, streamUsers), cfg.Workload)
 	res.Users = gen.Users()
-	jobs := gen.GenerateJobsParallel(cfg.Seed, cfg.Start, cfg.End)
+	jobs := gen.GenerateJobs(cfg.Seed, cfg.Start, cfg.End)
 	res.Jobs = scheduler.Schedule(jobs, cfg.Allocation)
 	for _, r := range res.Jobs {
 		res.NodeHours += r.GPUCoreHours()

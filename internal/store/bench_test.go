@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/race"
 	"titanre/internal/sim"
 )
 
@@ -20,6 +21,22 @@ var benchFixture = sync.OnceValue(func() struct {
 	events int
 	disk   int64
 } {
+	dir, err := os.MkdirTemp("", "titanre-bench-store")
+	if err != nil {
+		panic(err)
+	}
+	events, disk := sealBenchMonth(dir)
+	return struct {
+		dir    string
+		events int
+		disk   int64
+	}{dir, events, disk}
+})
+
+// sealBenchMonth seals one simulated month, parsed back from its console
+// log, into dir in 64 Ki-event segments; it returns the event count and
+// the bytes on disk.
+func sealBenchMonth(dir string) (int, int64) {
 	cfg := sim.DefaultConfig()
 	cfg.End = cfg.Start.AddDate(0, 1, 0)
 	res := sim.Run(cfg)
@@ -28,10 +45,6 @@ var benchFixture = sync.OnceValue(func() struct {
 		panic(err)
 	}
 	events, err := console.NewCorrelator().ParseAll(bytes.NewReader(log.Bytes()))
-	if err != nil {
-		panic(err)
-	}
-	dir, err := os.MkdirTemp("", "titanre-bench-store")
 	if err != nil {
 		panic(err)
 	}
@@ -46,12 +59,8 @@ var benchFixture = sync.OnceValue(func() struct {
 			panic(err)
 		}
 	}
-	return struct {
-		dir    string
-		events int
-		disk   int64
-	}{dir, len(events), st.DiskBytes()}
-})
+	return len(events), st.DiskBytes()
+}
 
 var benchSpec = RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}
 
@@ -131,6 +140,34 @@ func BenchmarkStoreRollup(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fx.events), "ns/event")
 }
 
+// TestRollupAllocBudget holds one rollup query over the sealed month
+// (BenchmarkStoreRollup's body) to 106 allocations, twice the 53 read
+// when the block kernels landed: the accumulator's slot table, the
+// sorted keys and the rendered document's backing arrays — never a
+// per-event or per-cell cost.
+func TestRollupAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime's own bookkeeping moves allocation figures")
+	}
+	const budget = 106
+	dir := t.TempDir()
+	sealBenchMonth(dir)
+	st, _, err := OpenDir(dir, OpenOptions{Mapped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ParallelRollup(st.Segments(), nil, benchSpec, nil, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("rollup query: %.0f allocations", allocs)
+	if allocs > budget {
+		t.Errorf("rollup query made %.0f allocations, budget is %d", allocs, budget)
+	}
+}
+
 // queryBenchFixture re-seals the shared month into many small segments
 // (its own directory), so the segment-parallel executor has enough
 // independent units of work to spread across cores.
@@ -200,12 +237,10 @@ func benchQuery(b *testing.B, workers int) {
 }
 
 // BenchmarkStoreQuery1CPU is the composed-query workload pinned to one
-// worker — the single-core baseline the parallel gate compares against.
+// worker — the single-core baseline for BenchmarkStoreQueryNCPU.
 func BenchmarkStoreQuery1CPU(b *testing.B) { benchQuery(b, 1) }
 
-// BenchmarkStoreQueryNCPU is the same workload at GOMAXPROCS workers —
-// bench.sh records both MB/s figures and gates the speedup at >= 2x on
-// machines with >= 4 cores.
+// BenchmarkStoreQueryNCPU is the same workload at GOMAXPROCS workers.
 func BenchmarkStoreQueryNCPU(b *testing.B) { benchQuery(b, 0) }
 
 // BenchmarkStoreTop measures the offender ranking over the same store.

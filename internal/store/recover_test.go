@@ -30,7 +30,7 @@ func sealThree(t *testing.T) (string, []int) {
 }
 
 // TestOpenRemovesOrphans: temp files left by a crash between write and
-// rename are deleted by both Open and OpenRecover, and never loaded.
+// rename are deleted by both the strict and the recovering open, and never loaded.
 func TestOpenRemovesOrphans(t *testing.T) {
 	dir, _ := sealThree(t)
 	for _, name := range []string{".seg-12345", ".seg-99"} {
@@ -38,9 +38,9 @@ func TestOpenRemovesOrphans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, rec, err := OpenRecover(dir)
+	st, rec, err := OpenDir(dir, OpenOptions{Recover: true})
 	if err != nil {
-		t.Fatalf("OpenRecover: %v", err)
+		t.Fatalf("recovering open: %v", err)
 	}
 	if rec.OrphansRemoved != 2 {
 		t.Fatalf("removed %d orphans, want 2", rec.OrphansRemoved)
@@ -57,7 +57,7 @@ func TestOpenRemovesOrphans(t *testing.T) {
 		}
 	}
 	// A second open finds nothing left to clean.
-	if _, rec2, err := OpenRecover(dir); err != nil || rec2.OrphansRemoved != 0 {
+	if _, rec2, err := OpenDir(dir, OpenOptions{Recover: true}); err != nil || rec2.OrphansRemoved != 0 {
 		t.Fatalf("second open removed %d orphans (%v), want 0", rec2.OrphansRemoved, err)
 	}
 }
@@ -105,9 +105,9 @@ func TestOpenRecoverQuarantine(t *testing.T) {
 				t.Fatalf("strict Open: got %v, want ErrCorrupt", err)
 			}
 
-			st, rec, err := OpenRecover(dir)
+			st, rec, err := OpenDir(dir, OpenOptions{Recover: true})
 			if err != nil {
-				t.Fatalf("OpenRecover: %v", err)
+				t.Fatalf("recovering open: %v", err)
 			}
 			if len(rec.Quarantined) != 1 || rec.Quarantined[0] != victim {
 				t.Fatalf("quarantined %v, want exactly [%s]", rec.Quarantined, victim)
@@ -147,9 +147,9 @@ func TestOpenRecoverMultipleCorrupt(t *testing.T) {
 	dir, counts := sealThree(t)
 	flipByte(t, filepath.Join(dir, "seg-000000.seg"), 100)
 	truncateTo(t, filepath.Join(dir, "seg-000002.seg"), 33)
-	st, rec, err := OpenRecover(dir)
+	st, rec, err := OpenDir(dir, OpenOptions{Recover: true})
 	if err != nil {
-		t.Fatalf("OpenRecover: %v", err)
+		t.Fatalf("recovering open: %v", err)
 	}
 	if len(rec.Quarantined) != 2 {
 		t.Fatalf("quarantined %v, want 2 files", rec.Quarantined)
@@ -199,7 +199,7 @@ func TestWriteFileFailpoints(t *testing.T) {
 			if _, err := st.Seal(events); err != nil {
 				t.Fatalf("retry after transient %s fault: %v", site, err)
 			}
-			reopened, _, err := OpenRecover(dir)
+			reopened, _, err := OpenDir(dir, OpenOptions{Recover: true})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}

@@ -41,6 +41,25 @@ type RollupSpec struct {
 	Since, Until time.Time
 }
 
+// GroupBy adds one group-by dimension by the name every query surface
+// spells it with (/rollup?by=, titanreport -rollup, titanql's by stage)
+// and reports whether dim names one.
+func (spec *RollupSpec) GroupBy(dim string) bool {
+	switch dim {
+	case "code":
+		spec.ByCode = true
+	case "cabinet":
+		spec.ByCabinet = true
+	case "cage":
+		spec.ByCage = true
+	case "node":
+		spec.ByNode = true
+	default:
+		return false
+	}
+	return true
+}
+
 func (spec RollupSpec) validate() error {
 	if spec.Bucket < time.Second {
 		return fmt.Errorf("store: rollup bucket %v must be at least 1s", spec.Bucket)

@@ -230,11 +230,6 @@ func (s *Segment) buildBitmaps() {
 // Len reports the number of events in the segment.
 func (s *Segment) Len() int { return len(s.times) }
 
-// MinTime and MaxTime bound the segment's events (inclusive), the keys
-// segment pruning uses.
-func (s *Segment) MinTime() time.Time { return time.Unix(s.minT, 0).UTC() }
-func (s *Segment) MaxTime() time.Time { return time.Unix(s.maxT, 0).UTC() }
-
 // Codes returns the distinct event codes present, ascending.
 func (s *Segment) Codes() []xid.Code {
 	out := make([]xid.Code, len(s.byCode))
@@ -317,18 +312,6 @@ func (s *Segment) AppendEvents(dst []console.Event) []console.Event {
 		dst = append(dst, s.EventAt(i))
 	}
 	return dst
-}
-
-// Overlaps reports whether the segment's time range intersects
-// [since, until] (zero times meaning unbounded).
-func (s *Segment) Overlaps(since, until time.Time) bool {
-	if !since.IsZero() && s.maxT < since.Unix() {
-		return false
-	}
-	if !until.IsZero() && s.minT > until.Unix() {
-		return false
-	}
-	return true
 }
 
 // MemBytes estimates the resident heap footprint of the segment. For a

@@ -32,8 +32,13 @@ type Store struct {
 
 // OpenOptions selects how OpenDir brings a store up.
 type OpenOptions struct {
-	// Recover quarantines corrupt segments instead of aborting the open
-	// (the OpenRecover behaviour).
+	// Recover opens the store the way a restart after a crash must: a
+	// segment file that fails validation (ErrCorrupt — torn write, bit
+	// flip, truncation) is moved into dir/quarantine and counted instead
+	// of aborting the open. The surviving segments load normally; the
+	// Recovery report carries the exact quarantine accounting the caller
+	// surfaces. I/O errors that are not corruption (permissions, a
+	// vanished directory) still fail.
 	Recover bool
 	// Mapped backs sealed-segment reads with read-only file mappings
 	// where the platform supports it (heap fallback elsewhere): columns
@@ -44,11 +49,11 @@ type OpenOptions struct {
 }
 
 // QuarantineDir is the subdirectory corrupt segment files are moved
-// into by OpenRecover, preserving the evidence for offline forensics
+// into by a recovering open, preserving the evidence for offline forensics
 // without letting it block a restart.
 const QuarantineDir = "quarantine"
 
-// Recovery reports what OpenRecover had to do to bring a store up.
+// Recovery reports what OpenDir had to do to bring a store up.
 type Recovery struct {
 	// Quarantined lists the segment file names (not paths) moved into
 	// the quarantine subdirectory because they failed validation.
@@ -65,26 +70,15 @@ type Recovery struct {
 // segment files are read, digest-validated, and registered in
 // file-name order — the order they were sealed. Orphaned .seg-* temp
 // files left by a crash mid-commit are removed. Any segment that fails
-// validation aborts the open; use OpenRecover to quarantine it and
-// start degraded instead.
+// validation aborts the open; OpenOptions.Recover quarantines it and
+// starts degraded instead.
 func Open(dir string) (*Store, error) {
 	st, _, err := OpenDir(dir, OpenOptions{})
 	return st, err
 }
 
-// OpenRecover opens a segment store the way a restart after a crash
-// must: orphaned temp files are removed, and a segment file that fails
-// validation (ErrCorrupt — torn write, bit flip, truncation) is moved
-// into dir/quarantine and counted instead of aborting the open. The
-// surviving segments load normally; the Recovery report carries the
-// exact quarantine accounting the caller surfaces. I/O errors that are
-// not corruption (permissions, a vanished directory) still fail.
-func OpenRecover(dir string) (*Store, Recovery, error) {
-	return OpenDir(dir, OpenOptions{Recover: true})
-}
-
-// OpenDir opens a segment store with explicit options; Open and
-// OpenRecover are shorthands for the heap-backed variants.
+// OpenDir opens a segment store with explicit options; Open is the
+// shorthand for the strict, heap-backed variant.
 func OpenDir(dir string, opts OpenOptions) (*Store, Recovery, error) {
 	st := &Store{dir: dir, mapped: opts.Mapped}
 	var rec Recovery
@@ -290,16 +284,6 @@ func (st *Store) Seal(events []console.Event) (*Segment, error) {
 		return nil, err
 	}
 	return st.Publish(p), nil
-}
-
-// SealSegment writes an already-built segment to disk and registers it.
-func (st *Store) SealSegment(seg *Segment) error {
-	p, err := st.PrepareSegment(seg)
-	if err != nil {
-		return err
-	}
-	st.Publish(p)
-	return nil
 }
 
 // Segments returns a snapshot of the registered segments in seal order.

@@ -194,22 +194,15 @@ func (p *Plan) parseBy(toks []token) error {
 		}
 		words = append(words, tok.text)
 	}
+	dims := store.RollupSpec{ByCode: p.ByCode, ByCabinet: p.ByCabinet, ByCage: p.ByCage, ByNode: p.ByNode}
 	for _, dim := range strings.Split(strings.Join(words, ","), ",") {
-		switch dim {
-		case "code":
-			p.ByCode = true
-		case "cabinet":
-			p.ByCabinet = true
-		case "cage":
-			p.ByCage = true
-		case "node":
-			p.ByNode = true
-		case "":
-			// tolerate `code, cage` (trailing comma + separate word)
-		default:
+		// An empty element is `code, cage`: a trailing comma, then a
+		// separate word.
+		if dim != "" && !dims.GroupBy(dim) {
 			return fmt.Errorf("titanql: unknown dimension %q (want code, cabinet, cage or node)", dim)
 		}
 	}
+	p.ByCode, p.ByCabinet, p.ByCage, p.ByNode = dims.ByCode, dims.ByCabinet, dims.ByCage, dims.ByNode
 	if !p.ByCode && !p.ByCabinet && !p.ByCage && !p.ByNode {
 		return fmt.Errorf("titanql: by needs at least one dimension")
 	}

@@ -197,19 +197,6 @@ func (g *Generator) deadlinePressure(start time.Time, t time.Time) float64 {
 	return 1
 }
 
-// GenerateJobs draws every job submitted in [start, end), ordered by
-// submission time. Deadline pressure multiplies the submission rate of
-// Debugger users (and their bug probability is already high), which
-// concentrates application-error storms into deadline weeks.
-func (g *Generator) GenerateJobs(rng *rand.Rand, start, end time.Time) []Job {
-	var jobs []Job
-	for _, u := range g.users {
-		jobs = append(jobs, g.userJobs(rng, u, start, end)...)
-	}
-	sortJobs(jobs)
-	return jobs
-}
-
 // userJobs draws one user's complete submission stream from the given
 // random stream.
 func (g *Generator) userJobs(rng *rand.Rand, u UserProfile, start, end time.Time) []Job {
@@ -245,12 +232,15 @@ func (g *Generator) userJobs(rng *rand.Rand, u UserProfile, start, end time.Time
 // faults.DeriveRNG); the user's index is added to it.
 const userJobStream uint64 = 0x4a0b_0000_0000
 
-// GenerateJobsParallel draws the same population of jobs as GenerateJobs
-// but gives every user an independent random stream derived from (seed,
-// user index) and generates the streams concurrently. The result depends
-// only on the seed and the generator's parameters — never on GOMAXPROCS
-// or goroutine scheduling.
-func (g *Generator) GenerateJobsParallel(seed int64, start, end time.Time) []Job {
+// GenerateJobs draws every job submitted in [start, end), ordered by
+// submission time. Deadline pressure multiplies the submission rate of
+// Debugger users (and their bug probability is already high), which
+// concentrates application-error storms into deadline weeks. Every user
+// has an independent random stream derived from (seed, user index) and
+// the streams are generated concurrently, so the result depends only on
+// the seed and the generator's parameters — never on GOMAXPROCS or
+// goroutine scheduling.
+func (g *Generator) GenerateJobs(seed int64, start, end time.Time) []Job {
 	perUser := make([][]Job, len(g.users))
 	var next atomic.Int64
 	var wg sync.WaitGroup

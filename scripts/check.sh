@@ -3,18 +3,16 @@
 #   build, gofmt, vet, every test under -race once (the byte-identity
 #   gates — stream == batch, cluster == single daemon, compiled plan ==
 #   naive fold, restart == never died — the write path's buffer
-#   ownership and admission bound, /stats-/metrics parity, the cluster
-#   soak through a replica drain/restart and the QoS books are all in
-#   there; the allocation-per-line bound runs without -race, under plain
-#   go test), then only what adds a run to that: the GOMAXPROCS=2
+#   ownership and admission bound, /stats-/metrics parity on titand and
+#   titanrouter, the cluster soak through a replica drain/restart, the
+#   QoS books and bench/'s -quick suite are all in there; the exact
+#   allocation and heap budgets skip under -race and run under plain
+#   go test ./...), then only what adds a run to that: the GOMAXPROCS=2
 #   determinism runs, the -count=2 soaks of the concurrent pipelines,
-#   the crash-recovery soak (kill at every failpoint), short fuzz smokes
-#   of the console parser, the batch splitter, the titanql parser
-#   (grammar round-trip + plan equivalence) and the JSON writer (vs
-#   encoding/json), and the benchmark budgets (fast-path decode allocs,
-#   columnar load bytes/allocs, store heap per event, journal overhead,
-#   mapped scan throughput, rollup allocations, parallel query speedup
-#   and cluster ingest scaling on multi-core machines).
+#   the crash-recovery soak (kill at every failpoint), a full-horizon
+#   simulation, and short fuzz smokes of the console parser, the batch
+#   splitter, the titanql parser (grammar round-trip + plan equivalence)
+#   and the JSON writer (vs encoding/json).
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -67,8 +65,5 @@ go test ./internal/titanql -run '^$' -fuzz FuzzTitanQLEquivalence -fuzztime 5s
 
 echo "== JSON writer differential fuzz smoke (AppendJSON vs encoding/json, 5s)"
 go test ./internal/jsonw -run '^$' -fuzz FuzzAppendJSONMatchesEncodingJSON -fuzztime 5s
-
-echo "== fast-path I/O + columnar store benchmarks and budgets (bench.sh, 1 iteration)"
-BENCHTIME=1x BENCH_OUT="$(mktemp)" BENCH_SERVE_OUT="$(mktemp)" BENCH_STORE_OUT="$(mktemp)" ./scripts/bench.sh
 
 echo "ok"

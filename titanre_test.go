@@ -93,7 +93,7 @@ func TestFacadeWorkload(t *testing.T) {
 	var params WorkloadParams = DefaultConfig().Workload
 	g := NewWorkload(rand.New(rand.NewSource(1)), params)
 	start := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
-	jobs := g.GenerateJobs(rand.New(rand.NewSource(2)), start, start.AddDate(0, 0, 7))
+	jobs := g.GenerateJobs(2, start, start.AddDate(0, 0, 7))
 	if len(jobs) == 0 {
 		t.Fatal("no jobs generated")
 	}
