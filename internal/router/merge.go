@@ -156,14 +156,19 @@ func mergedRead[P, D any](rt *Router, path string, merge func([]P) (D, error)) h
 
 // rendered adapts a store merge kernel, which returns the merged
 // accumulator, to the document that accumulator renders — the exact
-// single-daemon RollupDoc / TopDoc.
-func rendered[P, D any, A interface{ Doc() D }](merge func([]P) (A, error)) func([]P) (D, error) {
+// single-daemon RollupDoc / TopDoc — and returns the accumulator to the
+// store's pools.
+func rendered[P, D any, A interface {
+	Doc() D
+	Release()
+}](merge func([]P) (A, error)) func([]P) (D, error) {
 	return func(parts []P) (D, error) {
 		acc, err := merge(parts)
 		if err != nil {
 			var none D
 			return none, err
 		}
+		defer acc.Release()
 		return acc.Doc(), nil
 	}
 }

@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"titanre/internal/race"
 	"titanre/internal/serve"
 	"titanre/internal/sim"
+	"titanre/internal/titanql"
 )
 
 // clusterSim runs (and memoizes) a one-month simulation shared by the
@@ -143,6 +146,8 @@ var clusterReadPaths = []string{
 	"/rollup?by=code&bucket=1h&code=sbe",
 	"/top?by=node&k=15",
 	"/top?by=serial&k=10&code=sbe",
+	whereTopPath,
+	whereTopQuery,
 	"/query?" + url.Values{"q": {"code=48 cabinet=c3-* | by cage | bucket 6h | top 5"}}.Encode(),
 	"/query?" + url.Values{"q": {"* | by code | bucket 1d"}}.Encode(),
 	"/query?" + url.Values{"q": {"code=sbe | top serial 5"}}.Encode(),
@@ -153,8 +158,16 @@ var clusterReadPaths = []string{
 	"/query?" + url.Values{"q": {"* | top node 1099511627776"}}.Encode(),
 }
 
+// One offender ranking under a location filter, asked both ways: /top
+// once ignored ?cabinet= / ?cage= / ?node= and answered fleet-wide.
+var (
+	whereTopPath  = "/top?by=node&k=10&cabinet=c3-*"
+	whereTopQuery = "/query?" + url.Values{"q": {"cabinet=c3-* | top node 10"}}.Encode()
+)
+
 // checkMergedReads asserts every cluster read path returns exactly the
-// single daemon's bytes.
+// single daemon's bytes, and that the filtered /top is the top document
+// of the same ranking asked through /query.
 func checkMergedReads(t testing.TB, routerURL, singleURL string) {
 	t.Helper()
 	for _, path := range clusterReadPaths {
@@ -163,6 +176,21 @@ func checkMergedReads(t testing.TB, routerURL, singleURL string) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s diverges from single daemon:\nrouter: %.300s\nsingle: %.300s", path, got, want)
 		}
+	}
+	var doc titanql.Doc
+	if err := json.Unmarshal(getBody(t, routerURL+whereTopQuery), &doc); err != nil || doc.Top == nil {
+		t.Fatalf("%s: no top document (%v)", whereTopQuery, err)
+	}
+	if doc.Top.TotalEvents == 0 || len(doc.Top.Cards) == 0 {
+		t.Fatalf("%s ranks nothing; the filter check needs rows", whereTopQuery)
+	}
+	for _, card := range doc.Top.Cards {
+		if !strings.HasPrefix(card.Node, "c3-") {
+			t.Fatalf("%s ranks %s, outside the filter", whereTopQuery, card.Node)
+		}
+	}
+	if got, want := getBody(t, routerURL+whereTopPath), doc.Top.AppendJSON(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%s is not the top document of %s:\n/top:   %.300s\n/query: %.300s", whereTopPath, whereTopQuery, got, want)
 	}
 }
 

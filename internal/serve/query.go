@@ -25,7 +25,7 @@ import (
 //	GET /nodes/{cname}/history?since=&until=
 //	GET /codes/{xid}/history?since=&until=&limit=
 //	GET /rollup?by=code,cabinet&bucket=1h&code=&cabinet=&cage=&node=&since=&until=
-//	GET /top?k=20&by=node|serial|code&code=&since=&until=
+//	GET /top?k=20&by=node|serial|code&code=&cabinet=&cage=&node=&since=&until=
 //	GET /query?q=<titanql expression>
 //
 // All read one consistent (sealed segments, retained tail) snapshot via
@@ -252,20 +252,33 @@ func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.observeFold(start, acc.Total())
 	s.metrics.queryRollup.Add(1)
-	writeAcc(s, w, q, acc.Doc, acc.Partial)
+	writeAcc(s, w, wantPartial(q), acc)
 }
 
-// writeAcc writes a folded query's answer: the rendered document, or —
-// when the caller asked with ?partial=1 — the raw accumulator instead,
-// the replica side of a cluster query, which titanrouter merges with the
-// store Merge kernels before rendering once. Every aggregate endpoint
-// ends here, so the fork exists in this one place.
-func writeAcc[D, P any](s *Server, w http.ResponseWriter, q url.Values, doc func() D, partial func() P) {
-	if q.Get("partial") == "1" {
-		s.writeJSON(w, partial())
-		return
+// wantPartial reports whether the caller asked with ?partial=1 for the
+// raw accumulator instead of the rendered document — the replica side of
+// a cluster query, which titanrouter merges with the store Merge kernels
+// before rendering once. It is read before the fold: an offender ranking
+// that will be exported must keep every key (store.ParallelTopAcc).
+func wantPartial(q url.Values) bool { return q.Get("partial") == "1" }
+
+// writeAcc writes a folded query's answer — the document, or the partial
+// — and returns the accumulator to the store's pools: both are copies,
+// so it is released before the render starts. Every aggregate endpoint
+// ends here, so the fork and the release exist in this one place.
+func writeAcc[D, P any](s *Server, w http.ResponseWriter, partial bool, acc interface {
+	Doc() D
+	Partial() P
+	Release()
+}) {
+	var answer any
+	if partial {
+		answer = acc.Partial()
+	} else {
+		answer = acc.Doc()
 	}
-	s.writeJSON(w, doc())
+	acc.Release()
+	s.writeJSON(w, answer)
 }
 
 // parseWhereParams reads the optional ?cabinet= / ?cage= / ?node=
@@ -308,18 +321,19 @@ func parseWhereParams(w http.ResponseWriter, q url.Values) (*store.Matcher, bool
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.queries.Add(1)
 	q := r.URL.Query()
-	res, err := s.runQuery(q.Get("q"))
+	partial := wantPartial(q)
+	res, err := s.runQuery(q.Get("q"), partial)
 	if err != nil {
 		s.metrics.queryErrors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeAcc(s, w, q, res.Doc, res.Partial)
+	writeAcc(s, w, partial, res)
 }
 
 // runQuery parses, compiles and folds one titanql expression over the
 // current snapshot; any failure is the client's (a 400).
-func (s *Server) runQuery(q string) (*titanql.Result, error) {
+func (s *Server) runQuery(q string, partial bool) (*titanql.Result, error) {
 	if q == "" {
 		return nil, errors.New("missing q: want /query?q=<titanql expression>")
 	}
@@ -333,7 +347,7 @@ func (s *Server) runQuery(q string) (*titanql.Result, error) {
 	}
 	segs, tail := s.historyView()
 	start := time.Now()
-	res, err := compiled.Fold(segs, tail, 0)
+	res, err := compiled.Fold(segs, tail, 0, partial)
 	if err == nil {
 		s.metrics.observeFold(start, res.Rows())
 	}
@@ -344,7 +358,8 @@ func (s *Server) runQuery(q string) (*titanql.Result, error) {
 // "a handful of cards produce almost all the SBEs" lists, counted
 // straight off per-code bitmaps. ?by= is node (default), serial or
 // code; ?k= caps the ranking (default 20, 0 = all); ?code= restricts
-// the count to one code; ?since=/?until= bound the range.
+// the count to one code; ?cabinet=/?cage=/?node= restrict where, as on
+// /rollup; ?since=/?until= bound the range.
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	spec := store.TopSpec{By: store.TopByNode, K: 20}
@@ -372,15 +387,20 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if spec.Since, spec.Until, ok = parseTimeRange(w, q); !ok {
 		return
 	}
+	m, ok := parseWhereParams(w, q)
+	if !ok {
+		return
+	}
 
+	partial := wantPartial(q)
 	segs, tail := s.historyView()
 	start := time.Now()
-	acc, err := store.ParallelTopAcc(segs, tail, spec, nil, 0)
+	acc, err := store.ParallelTopAcc(segs, tail, spec, m, 0, partial)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	s.metrics.observeFold(start, acc.Total())
 	s.metrics.queryTop.Add(1)
-	writeAcc(s, w, q, acc.Doc, acc.Partial)
+	writeAcc(s, w, partial, acc)
 }

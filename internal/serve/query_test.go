@@ -259,6 +259,42 @@ func TestTopOffenders(t *testing.T) {
 			t.Fatalf("GET /top%s diverges from the batch ranking", tc.query)
 		}
 	}
+	// The location filters /rollup takes restrict /top too (it once
+	// dropped them and answered fleet-wide): the filtered ranking is the
+	// batch ranking over the matching events, and the very top document
+	// /query renders for the same filter.
+	m, err := store.Predicate{Cabinet: "c3-*", Cage: -1}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inC3 []console.Event
+	for _, ev := range want {
+		if m.MatchEvent(ev) {
+			inC3 = append(inC3, ev)
+		}
+	}
+	if len(inC3) == 0 || len(inC3) == len(want) {
+		t.Fatalf("cabinet=c3-* keeps %d of %d events; wanted a strict subset", len(inC3), len(want))
+	}
+	ref, err := store.TopEvents(inC3, store.TopSpec{By: store.TopByNode, K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered := getBody(t, base+"/top?by=node&k=10&cabinet=c3-*")
+	if !bytes.Equal(filtered, renderJSON(t, ref)) {
+		t.Fatalf("GET /top?by=node&k=10&cabinet=c3-* diverges from the batch ranking over the c3 column:\n%.400s", filtered)
+	}
+	var viaQuery titanql.Doc
+	getJSON(t, queryURL(base, "cabinet=c3-* | top node 10"), &viaQuery)
+	if viaQuery.Top == nil || !bytes.Equal(filtered, viaQuery.Top.AppendJSON(nil)) {
+		t.Fatal("GET /top?by=node&k=10&cabinet=c3-* is not the top document of /query?q=cabinet=c3-* | top node 10")
+	}
+	for _, bad := range []string{"?cage=9", "?cabinet=[", "?node=c3-[", "?cage=x"} {
+		if got := getStatus(t, base+"/top"+bad); got != http.StatusBadRequest {
+			t.Fatalf("GET /top%s: got %d, want 400", bad, got)
+		}
+	}
+
 	var doc store.TopDoc
 	getJSON(t, base+"/top?by=code&k=0", &doc)
 	var total int64
@@ -341,6 +377,18 @@ func TestFoldCounters(t *testing.T) {
 	rendered += len(getBody(t, base+"/nodes/"+cname+"/history"))
 	rendered += len(getBody(t, base+"/codes/13/history?limit=5"))
 	rendered += len(getBody(t, base+"/top?k=3&partial=1"))
+	// A count-first ranking walks its rows twice and books them once;
+	// under a filter, the rows the filter kept.
+	var kept titanql.Doc
+	rendered += len(getBody(t, queryURL(base, "* | top serial 4")))
+	body := getBody(t, queryURL(base, "cabinet=c3-* | top node 2"))
+	rendered += len(body)
+	if err := json.Unmarshal(body, &kept); err != nil || kept.Top == nil || kept.Top.TotalEvents == 0 {
+		t.Fatalf("filtered ranking: %v, %s", err, body)
+	}
+	if got, want := s.StatsNow().QueryRowsFolded, 5*uint64(len(want))+uint64(kept.Top.TotalEvents); got != want {
+		t.Fatalf("rows folded %d, want %d: five unfiltered folds and one filtered, each row once", got, want)
+	}
 	getBody(t, base+"/stats")
 	getBody(t, base+"/nodes/"+cname)
 	getBody(t, base+"/alerts")
@@ -587,4 +635,71 @@ func TestQueryConsistencyUnderCompaction(t *testing.T) {
 	if !bytes.Equal(body, rollupRef) {
 		t.Fatal("rollup diverged after full compaction")
 	}
+}
+
+// TestPooledFoldScratchDoesNotAlias: accumulators, count tables, gather
+// blocks and matcher bitmaps are borrowed from pools and returned when
+// the answer is out, so two folds in flight must never share one. Eight
+// readers replay a mix of every fold shape — count-first and every-key
+// rankings, windowed and by-node rollups, ranked plans, filters that
+// build bitmaps, partials — against one server over a sealed history
+// with a retained tail; every body must be the bytes the same request
+// got alone. Runs under -race in check.sh.
+func TestPooledFoldScratchDoesNotAlias(t *testing.T) {
+	log := encodeLog(t, simEvents())
+	s, base, _ := queryServer(t, log)
+	if _, err := s.compact(48*time.Hour, 1); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if st := s.StatsNow(); st.SealedEvents == 0 || st.RetainedEvents == 0 {
+		t.Fatalf("want a sealed+retained split, got sealed=%d retained=%d", st.SealedEvents, st.RetainedEvents)
+	}
+	paths := []string{
+		"/top?by=node&k=10",
+		"/top?by=node&k=10&cabinet=c3-*",
+		"/top?by=serial&k=5&code=13",
+		"/top?by=code&k=3",
+		"/top?by=node&k=0",
+		"/top?by=node&k=10&partial=1",
+		"/rollup?by=code&bucket=24h",
+		"/rollup?by=code,cabinet&bucket=1h",
+		"/rollup?by=cage&bucket=6h&cage=2",
+		"/rollup?by=node&bucket=24h&code=13",
+		"/rollup?by=code,cabinet&bucket=6h&partial=1",
+		queryURL("", "* | by cabinet | bucket 7d"),
+		queryURL("", "code=31 cabinet=c3-* | by cage | bucket 6h | top 5"),
+		queryURL("", "code!=13 | top serial 10"),
+		queryURL("", "code=13,31 | by code,cage | bucket 1d | top 7"),
+		queryURL("", "* | top node 10") + "&partial=1",
+	}
+	serial := make([][]byte, len(paths))
+	for i, path := range paths {
+		serial[i] = getBody(t, base+path)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; n < 2*len(paths); n++ {
+				i := (r*5 + n*7) % len(paths) // each reader its own order
+				resp, err := http.Get(base + paths[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %d, %v", paths[i], resp.StatusCode, err)
+					return
+				}
+				if !bytes.Equal(body, serial[i]) {
+					t.Errorf("GET %s beside seven other readers is not its serial answer:\ngot:  %.300s\nwant: %.300s", paths[i], body, serial[i])
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }

@@ -10,21 +10,29 @@ type bitmap struct {
 	words []uint64
 }
 
-func newBitmap(n int) bitmap {
-	return bitmap{words: make([]uint64, (n+63)/64)}
-}
+func newBitmap(n int) bitmap { return bitmapIn(nil, n, false) }
 
-// newBitmapFull returns a bitmap of n positions with every bit set;
-// trailing bits past n stay clear so count and forEach see exactly n.
-func newBitmapFull(n int) bitmap {
-	b := newBitmap(n)
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
+// bitmapIn is a bitmap of n positions, every bit clear or (full) every
+// bit set, built in buf's backing array when that is large enough — a
+// fold hands its matcher pooled words — and in a fresh one otherwise.
+// Trailing bits past n stay clear so count and forEach see exactly n.
+func bitmapIn(buf []uint64, n int, full bool) bitmap {
+	need := (n + 63) / 64
+	if cap(buf) < need {
+		buf = make([]uint64, need)
 	}
-	if rem := uint(n) & 63; rem != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] = (1 << rem) - 1
+	words := buf[:need]
+	if !full {
+		clear(words)
+		return bitmap{words: words}
 	}
-	return b
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	if rem := uint(n) & 63; rem != 0 {
+		words[need-1] = (1 << rem) - 1
+	}
+	return bitmap{words: words}
 }
 
 // clone returns an independent copy.
@@ -47,11 +55,16 @@ func (b bitmap) count() int {
 	return n
 }
 
-// and intersects other into b, word-wise. Both bitmaps must cover the
-// same position count (all bitmaps over one segment do).
-func (b bitmap) and(other bitmap) {
-	for i := range b.words {
-		b.words[i] &= other.words[i]
+// keep clears every set bit whose position fails ok: an intersection
+// with a computed predicate that visits only the positions still marked.
+func (b bitmap) keep(ok func(i int) bool) {
+	for wi, w := range b.words {
+		for x := w; x != 0; x &= x - 1 {
+			if tz := bits.TrailingZeros64(x); !ok(wi<<6 + tz) {
+				w &^= 1 << uint(tz)
+			}
+		}
+		b.words[wi] = w
 	}
 }
 

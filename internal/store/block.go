@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/bits"
+	"sync"
 
 	"titanre/internal/console"
 )
@@ -31,31 +32,39 @@ type rowSink interface {
 
 // gather is one fold worker's row source: it hands a sink the rows a
 // matcher selects, straight off the columns where a whole run matches and
-// copied into its one reusable block where rows must be picked out.
+// copied into its one reusable block where rows must be picked out. The
+// block (a serial column included, wanted or not) is pooled with it.
 type gather struct {
-	sink rowSink
-	n    int   // rows buffered in buf
-	buf  block // blockRows long
+	sink    rowSink
+	serials bool  // the sink reads the serial column
+	n       int   // rows buffered in buf
+	buf     block // blockRows long
 }
 
-func newGather(sink rowSink) *gather {
-	g := &gather{sink: sink, buf: block{
-		times: make([]int64, blockRows),
-		codes: make([]uint16, blockRows),
-		nodes: make([]uint32, blockRows),
+var gatherPool = sync.Pool{New: func() any {
+	return &gather{buf: block{
+		times:   make([]int64, blockRows),
+		codes:   make([]uint16, blockRows),
+		nodes:   make([]uint32, blockRows),
+		serials: make([]uint32, blockRows),
 	}}
-	if sink.needSerial() {
-		g.buf.serials = make([]uint32, blockRows)
-	}
+}}
+
+// newGather borrows a gather for sink; release returns it.
+func newGather(sink rowSink) *gather {
+	g := gatherPool.Get().(*gather)
+	g.sink, g.serials, g.n = sink, sink.needSerial(), 0
 	return g
+}
+
+func (g *gather) release() {
+	g.sink = nil
+	gatherPool.Put(g)
 }
 
 // add buffers one row; callers flush before the block can overflow.
 func (g *gather) add(sec int64, code uint16, node, serial uint32) {
-	g.buf.times[g.n], g.buf.codes[g.n], g.buf.nodes[g.n] = sec, code, node
-	if g.buf.serials != nil {
-		g.buf.serials[g.n] = serial
-	}
+	g.buf.times[g.n], g.buf.codes[g.n], g.buf.nodes[g.n], g.buf.serials[g.n] = sec, code, node, serial
 	g.n++
 }
 
@@ -71,31 +80,26 @@ func (g *gather) flush() {
 // wants one, is the front of the gather buffer.
 func (g *gather) emit(times []int64, codes []uint16, nodes []uint32) {
 	b := block{times: times, codes: codes, nodes: nodes}
-	if g.buf.serials != nil {
+	if g.serials {
 		b.serials = g.buf.serials[:len(times)]
 	}
 	g.sink.addRows(b)
 }
 
 // segment is the one way a sealed segment's rows reach an accumulator:
-// every row matching m (nil = all), in position order, as column values
-// — never as a materialized event, whose arena decode would cost several
-// times the kernels themselves. A segment m rules out is skipped without
-// touching its columns; one m fully covers (and nil) hands its (possibly
-// mmap-aliased) columns over in place, blockRows at a time; otherwise
-// the positions segmentBits marks are gathered. The retained tail's
-// counterpart is events.
-func (g *gather) segment(s *Segment, m *Matcher) {
-	var sel bitmap
-	kind := matchAll
-	if m != nil {
-		sel, kind = m.segmentBits(s)
-	}
+// every row of the selection (scan.sel evaluates the matcher), in
+// position order, as column values — never as a materialized event, whose
+// arena decode would cost several times the kernels themselves. A segment
+// the matcher rules out is skipped without touching its columns; one it
+// fully covers hands its (possibly mmap-aliased) columns over in place,
+// blockRows at a time; otherwise the positions sel marks are gathered.
+// The retained tail's counterpart is events.
+func (g *gather) segment(s *Segment, sel bitmap, kind segMatch) {
 	switch kind {
 	case matchAll:
 		for lo := 0; lo < len(s.times); lo += blockRows {
 			hi := min(lo+blockRows, len(s.times))
-			if g.buf.serials != nil {
+			if g.serials {
 				for i := lo; i < hi; i++ {
 					g.buf.serials[i-lo] = s.serials[s.nodes[i]][s.cards[i]]
 				}
@@ -110,7 +114,7 @@ func (g *gather) segment(s *Segment, m *Matcher) {
 			for ; w != 0; w &= w - 1 {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				var serial uint32
-				if g.buf.serials != nil {
+				if g.serials {
 					serial = s.serials[s.nodes[i]][s.cards[i]]
 				}
 				g.add(s.times[i], s.codes[i], s.nodes[i], serial)

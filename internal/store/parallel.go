@@ -35,24 +35,95 @@ func queryWorkers(workers, segs int) int {
 	return workers
 }
 
-// accumulator is what fold needs of Rollup and Top: a row sink whose
-// per-worker partials merge.
+// accumulator is what fold needs of Rollup, Top and topCounts: a row sink
+// whose per-worker partials merge, and go back to their pool after.
 type accumulator[A any] interface {
 	rowSink
 	Merge(A)
+	Release()
+}
+
+// scan is the snapshot one query folds — sealed segments, retained tail,
+// matcher — and what evaluating the matcher against each segment gave:
+// the pass that first reaches a segment builds its selection, in words
+// lent by the scan, and a later pass over the same scan (a count-first
+// Top's detail pass) walks the same bitmaps instead of rebuilding them.
+type scan struct {
+	segs []*Segment
+	tail []console.Event
+	m    *Matcher // nil = every row
+
+	// Per segment i, when m is set: its selection once sels[i].done,
+	// built in words[offs[i]:offs[i+1]]. Workers touch disjoint indexes.
+	sels  []selection
+	offs  []int
+	words []uint64
+}
+
+type selection struct {
+	bits bitmap
+	kind segMatch
+	done bool
+}
+
+var scanPool = sync.Pool{New: func() any { return new(scan) }}
+
+func newScan(segs []*Segment, tail []console.Event, m *Matcher) *scan {
+	sc := scanPool.Get().(*scan)
+	sc.segs, sc.tail, sc.m = segs, tail, m
+	if m != nil {
+		if cap(sc.sels) < len(segs) {
+			sc.sels = make([]selection, len(segs))
+		}
+		sc.sels = sc.sels[:len(segs)]
+		clear(sc.sels)
+		sc.offs = append(sc.offs[:0], 0)
+		for _, s := range segs {
+			sc.offs = append(sc.offs, sc.offs[len(sc.offs)-1]+(s.Len()+63)/64)
+		}
+		if need := sc.offs[len(segs)]; cap(sc.words) < need {
+			sc.words = make([]uint64, need)
+		}
+	}
+	return sc
+}
+
+// release returns the scan, letting go of the snapshot it pinned.
+func (sc *scan) release() {
+	sc.segs, sc.tail, sc.m = nil, nil, nil
+	if 8*cap(sc.words) <= maxPooledBytes {
+		scanPool.Put(sc)
+	}
+}
+
+// sel is segment i's selection, evaluated on first use.
+func (sc *scan) sel(i int) (bitmap, segMatch) {
+	if sc.m == nil {
+		return bitmap{}, matchAll
+	}
+	sel := &sc.sels[i]
+	if !sel.done {
+		lo, hi := sc.offs[i], sc.offs[i+1]
+		sel.bits, sel.kind = sc.m.segmentBits(sc.segs[i], sc.words[lo:lo:hi])
+		sel.done = true
+	}
+	return sel.bits, sel.kind
 }
 
 // fold is the one query loop: sealed segments through gather.segment
 // (fanned over workers, each with a private accumulator from newAcc and
 // its own gather, merged afterwards), then the retained tail through
-// gather.events, all under one matcher. workers <= 0 uses GOMAXPROCS.
-func fold[A accumulator[A]](newAcc func() A, segs []*Segment, tail []console.Event, m *Matcher, workers int) A {
+// gather.events, all under the scan's matcher. workers <= 0 uses
+// GOMAXPROCS.
+func fold[A accumulator[A]](newAcc func() A, sc *scan, workers int) A {
 	root := newAcc()
 	rows := newGather(root)
-	workers = queryWorkers(workers, len(segs))
+	defer rows.release()
+	workers = queryWorkers(workers, len(sc.segs))
 	if workers <= 1 {
-		for _, seg := range segs {
-			rows.segment(seg, m)
+		for i, seg := range sc.segs {
+			sel, kind := sc.sel(i)
+			rows.segment(seg, sel, kind)
 		}
 	} else {
 		partials := make([]A, workers)
@@ -64,12 +135,14 @@ func fold[A accumulator[A]](newAcc func() A, segs []*Segment, tail []console.Eve
 				defer wg.Done()
 				part := newAcc()
 				rows := newGather(part)
+				defer rows.release()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= len(segs) {
+					if i >= len(sc.segs) {
 						break
 					}
-					rows.segment(segs[i], m)
+					sel, kind := sc.sel(i)
+					rows.segment(sc.segs[i], sel, kind)
 				}
 				partials[w] = part
 			}(w)
@@ -77,9 +150,10 @@ func fold[A accumulator[A]](newAcc func() A, segs []*Segment, tail []console.Eve
 		wg.Wait()
 		for _, part := range partials {
 			root.Merge(part)
+			part.Release()
 		}
 	}
-	rows.events(tail, m)
+	rows.events(sc.tail, sc.m)
 	return root
 }
 
@@ -92,38 +166,61 @@ func ParallelRollup(segs []*Segment, tail []console.Event, spec RollupSpec, m *M
 	if err != nil {
 		return RollupDoc{}, err
 	}
+	defer root.Release()
 	return root.Doc(), nil
 }
 
 // ParallelRollupAcc is ParallelRollup stopping short of the render: it
 // returns the merged accumulator itself, for callers that need the raw
 // cells — the replica side of a cluster query exports them as a
-// RollupPartial for the router to merge.
+// RollupPartial for the router to merge. The accumulator is borrowed:
+// Release it once its Doc or Partial is taken.
 func ParallelRollupAcc(segs []*Segment, tail []console.Event, spec RollupSpec, m *Matcher, workers int) (*Rollup, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m = narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until)
-	return fold(func() *Rollup { return newRollup(spec) }, segs, tail, m, workers), nil
+	sc := newScan(segs, tail, narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	defer sc.release()
+	return fold(func() *Rollup { return newRollup(spec) }, sc, workers), nil
 }
 
 // ParallelTop evaluates one offender ranking over sealed segments
 // concurrently, restricted to rows matching m (nil = all), then folds
 // the retained tail. Byte-identical at any worker count.
 func ParallelTop(segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher, workers int) (TopDoc, error) {
-	root, err := ParallelTopAcc(segs, tail, spec, m, workers)
+	root, err := ParallelTopAcc(segs, tail, spec, m, workers, false)
 	if err != nil {
 		return TopDoc{}, err
 	}
+	defer root.Release()
 	return root.Doc(), nil
 }
 
 // ParallelTopAcc is ParallelTop stopping short of the render (see
-// ParallelRollupAcc).
-func ParallelTopAcc(segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher, workers int) (*Top, error) {
-	if err := spec.validate(); err != nil {
+// ParallelRollupAcc). A ranking renders K cards, so unless the caller
+// needs everyKey — it will export the accumulator as a Partial, which a
+// router can only rank after merging — or asked for every key (K <= 0),
+// the fold is count-first: one pass keeps nothing but a count per key,
+// the counts alone pick the K winners (the order is count descending,
+// key ascending), and a second pass over the same scan feeds the detail
+// kernel only the winners' rows. The accumulator then holds the winners
+// alone: its Doc is the every-key accumulator's Doc, its Partial is not
+// defined. A ranking by code is the exception: its row is a count and
+// two times, no per-code breakdown, so one detail pass is already a
+// counting pass.
+func ParallelTopAcc(segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher, workers int, everyKey bool) (*Top, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m = narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until)
-	return fold(func() *Top { return newTop(spec) }, segs, tail, m, workers), nil
+	sc := newScan(segs, tail, narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	defer sc.release()
+	if everyKey || spec.K <= 0 || spec.By == TopByCode {
+		return fold(func() *Top { return newTop(spec, nil) }, sc, workers), nil
+	}
+	counts := fold(func() *topCounts { return newTopCounts(spec.By) }, sc, workers)
+	defer counts.Release()
+	counts.keepTop(spec.K)
+	root := fold(func() *Top { return newTop(spec, counts) }, sc, workers)
+	root.only, root.total = nil, counts.total // counts goes back to its pool; the rows were its to count
+	return root, nil
 }

@@ -61,18 +61,24 @@ func (r *Rollup) pack(c RollupPartialCell) uint64 {
 // Partial exports the accumulator's raw cells in canonical (bucket,
 // code, cabinet, cage, node) order: ascending packed key.
 func (r *Rollup) Partial() RollupPartial {
-	return RollupPartial{Spec: r.spec, Total: r.total, Cells: r.unpack(r.sortedKeys())}
+	return RollupPartial{Spec: r.spec, Total: r.total, Cells: r.unpack(r.sortedKeys(), nil)}
 }
 
+// sortedKeys is the cell keys ascending, in scratch the accumulator
+// keeps: valid until the next call.
 func (r *Rollup) sortedKeys() []uint64 {
-	keys := slices.Clone(r.cells.keys)
-	slices.Sort(keys)
-	return keys
+	r.scratch = append(r.scratch[:0], r.cells.keys...)
+	slices.Sort(r.scratch)
+	return r.scratch
 }
 
-// unpack spells the cells behind packed keys out, in the order given.
-func (r *Rollup) unpack(keys []uint64) []RollupPartialCell {
-	cells := make([]RollupPartialCell, len(keys))
+// unpack spells the cells behind packed keys out, in the order given,
+// into buf when it is large enough (doc's scratch; a Partial owns its).
+func (r *Rollup) unpack(keys []uint64, buf []RollupPartialCell) []RollupPartialCell {
+	if buf == nil || cap(buf) < len(keys) {
+		buf = make([]RollupPartialCell, len(keys)) // never nil: an empty partial's cells render []
+	}
+	cells := buf[:len(keys)]
 	for i, key := range keys {
 		c := RollupPartialCell{Bucket: (int64(key>>bucketShift) - bucketBias) * r.bs, Count: r.counts[r.cells.find(key)]}
 		if r.spec.ByCode {
@@ -173,8 +179,13 @@ type TopPartial struct {
 	Aggs  []TopPartialAgg `json:"aggs"`
 }
 
-// Partial exports the accumulator's raw aggregates, sorted by key.
+// Partial exports the accumulator's raw aggregates, sorted by key. A
+// count-first fold kept only its winners and has no partial: the caller
+// that exports one must fold with everyKey.
 func (t *Top) Partial() TopPartial {
+	if t.winners {
+		panic("store: Partial of a count-first Top (fold with everyKey)")
+	}
 	p := TopPartial{Spec: t.spec, Total: t.total, Aggs: make([]TopPartialAgg, len(t.keys.keys))}
 	for slot, key := range t.keys.keys {
 		row := t.row(slot)

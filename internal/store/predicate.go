@@ -206,24 +206,27 @@ const (
 
 // segmentBits evaluates the matcher against one sealed segment. Code
 // predicates start from the stored per-code bitmaps (a word-wise union,
-// no column read); node predicates and partial time overlap each
-// contribute a computed bitmap; the conjunction is word-wise ANDs (and
-// an andNot for code exclusion). matchAll means the caller can stream
-// the columns directly; matchNone means the segment contributes nothing
-// (detected without touching rows when only code predicates apply).
-func (m *Matcher) segmentBits(s *Segment) (bitmap, segMatch) {
+// no column read, and an andNot for code exclusion); the node mask and a
+// partial time overlap then either build the bitmap from their column or,
+// when there is one already, clear the marked positions that fail — a
+// pass over the survivors, not the segment. matchAll means the caller can
+// stream the columns directly; matchNone means the segment contributes
+// nothing (detected without touching rows when only code predicates
+// apply). The one bitmap is built in buf when it is large enough (a fold
+// lends pooled words and keeps the answer for its second pass).
+func (m *Matcher) segmentBits(s *Segment, buf []uint64) (bitmap, segMatch) {
 	if m.lo > s.maxT || m.hi < s.minT {
 		return bitmap{}, matchNone
 	}
 	n := s.Len()
-	var bits bitmap
+	var sel bitmap
 	have := false
 	if len(m.p.Codes) > 0 {
-		bits = newBitmap(n)
+		sel = bitmapIn(buf, n, false)
 		found := false
 		for _, code := range m.p.Codes {
 			if cb := s.findCode(code); cb != nil {
-				bits.or(cb.bits)
+				sel.or(cb.bits)
 				found = true
 			}
 		}
@@ -234,48 +237,45 @@ func (m *Matcher) segmentBits(s *Segment) (bitmap, segMatch) {
 	}
 	if len(m.p.NotCodes) > 0 {
 		if !have {
-			bits = newBitmapFull(n)
-			have = true
+			sel, have = bitmapIn(buf, n, true), true
 		}
 		for _, code := range m.p.NotCodes {
 			if cb := s.findCode(code); cb != nil {
-				bits.andNot(cb.bits)
+				sel.andNot(cb.bits)
 			}
 		}
 	}
 	if m.nodeMask != nil {
-		nb := newBitmap(n)
-		for i, node := range s.nodes {
-			if m.nodeMask[node] {
-				nb.set(i)
-			}
-		}
-		if !have {
-			bits, have = nb, true
+		if have {
+			sel.keep(func(i int) bool { return m.nodeMask[s.nodes[i]] })
 		} else {
-			bits.and(nb)
+			sel, have = bitmapIn(buf, n, false), true
+			for i, node := range s.nodes {
+				if m.nodeMask[node] {
+					sel.set(i)
+				}
+			}
 		}
 	}
 	if m.lo > s.minT || m.hi < s.maxT {
-		tb := newBitmap(n)
-		for i, t := range s.times {
-			if t >= m.lo && t <= m.hi {
-				tb.set(i)
-			}
-		}
-		if !have {
-			bits, have = tb, true
+		if have {
+			sel.keep(func(i int) bool { return s.times[i] >= m.lo && s.times[i] <= m.hi })
 		} else {
-			bits.and(tb)
+			sel, have = bitmapIn(buf, n, false), true
+			for i, t := range s.times {
+				if t >= m.lo && t <= m.hi {
+					sel.set(i)
+				}
+			}
 		}
 	}
 	if !have {
 		return bitmap{}, matchAll
 	}
-	if !bits.any() {
+	if !sel.any() {
 		return bitmap{}, matchNone
 	}
-	return bits, matchSome
+	return sel, matchSome
 }
 
 // CountWhere reports how many of the segment's rows match — the
@@ -284,7 +284,7 @@ func (s *Segment) CountWhere(m *Matcher) int {
 	if m == nil {
 		return s.Len()
 	}
-	bits, kind := m.segmentBits(s)
+	bits, kind := m.segmentBits(s, nil)
 	switch kind {
 	case matchNone:
 		return 0
@@ -311,7 +311,7 @@ func (s *Segment) ScanWhere(m *Matcher, dst []console.Event) []console.Event {
 func (s *Segment) ScanLimit(m *Matcher, dst []console.Event, limit int) (out []console.Event, matched int) {
 	bits, kind := bitmap{}, matchAll
 	if m != nil {
-		bits, kind = m.segmentBits(s)
+		bits, kind = m.segmentBits(s, nil)
 	}
 	switch kind {
 	case matchNone:

@@ -46,9 +46,9 @@ func TestBitmapOps(t *testing.T) {
 				t.Fatalf("n=%d %s: count %d, want %d", n, op, got.count(), count)
 			}
 		}
-		and := a.clone()
-		and.and(b)
-		check("and", and, func(x, y bool) bool { return x && y })
+		keep := a.clone()
+		keep.keep(func(i int) bool { return bv[i] })
+		check("keep", keep, func(x, y bool) bool { return x && y })
 		or := a.clone()
 		or.or(b)
 		check("or", or, func(x, y bool) bool { return x || y })
@@ -56,14 +56,22 @@ func TestBitmapOps(t *testing.T) {
 		andNot.andNot(b)
 		check("andNot", andNot, func(x, y bool) bool { return x && !y })
 
-		full := newBitmapFull(n)
+		// Built over a dirty, oversized buffer, as a fold's pooled words are.
+		dirty := make([]uint64, n/64+3)
+		for i := range dirty {
+			dirty[i] = 0xA5A5A5A5A5A5A5A5
+		}
+		if bitmapIn(dirty, n, false).any() {
+			t.Fatalf("bitmapIn(%d, clear) kept bits of its buffer", n)
+		}
+		full := bitmapIn(dirty, n, true)
 		if full.count() != n {
-			t.Fatalf("newBitmapFull(%d).count() = %d", n, full.count())
+			t.Fatalf("bitmapIn(%d, full).count() = %d", n, full.count())
 		}
 		if n%64 != 0 {
 			// Trailing bits past n must stay clear or count would lie.
 			if w := full.words[len(full.words)-1]; w>>(uint(n)&63) != 0 {
-				t.Fatalf("newBitmapFull(%d) set bits past n", n)
+				t.Fatalf("bitmapIn(%d, full) set bits past n", n)
 			}
 		}
 		if full.any() != true || newBitmap(n).any() != false {

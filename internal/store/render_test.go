@@ -118,7 +118,7 @@ func TestTopAppendJSONMatchesEncodingJSON(t *testing.T) {
 				{By: by, K: k, FilterCode: true, Code: xid.Code(math.MaxInt16)},
 				{By: by, K: k, Since: time.Unix(-86400, 0).UTC(), Until: time.Unix(0, 0).UTC()},
 			} {
-				acc, err := ParallelTopAcc(nil, events, spec, nil, 1)
+				acc, err := ParallelTopAcc(nil, events, spec, nil, 1, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +156,7 @@ func TestRenderAllocsIndependentOfCells(t *testing.T) {
 	}
 
 	top := func(k int) float64 {
-		acc, err := ParallelTopAcc(nil, events, TopSpec{By: TopBySerial, K: k}, nil, 1)
+		acc, err := ParallelTopAcc(nil, events, TopSpec{By: TopBySerial, K: k}, nil, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}

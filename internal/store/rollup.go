@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"titanre/internal/console"
@@ -60,7 +61,9 @@ func (spec *RollupSpec) GroupBy(dim string) bool {
 	return true
 }
 
-func (spec RollupSpec) validate() error {
+// Validate reports whether the bucket is a positive whole number of
+// seconds (group-by dimensions are valid in any combination).
+func (spec RollupSpec) Validate() error {
 	if spec.Bucket < time.Second {
 		return fmt.Errorf("store: rollup bucket %v must be at least 1s", spec.Bucket)
 	}
@@ -86,7 +89,7 @@ const (
 
 // Rollup accumulates bucketed counts: a slotTable over packed cell keys
 // and the count per slot. ParallelRollupAcc (or MergeRollupPartials)
-// populates it; Doc renders it.
+// populates it; Doc renders it; Release returns it to the pool.
 type Rollup struct {
 	spec   RollupSpec
 	bs     int64 // bucket width, seconds
@@ -99,21 +102,94 @@ type Rollup struct {
 	// bits: a row inside the window costs one compare, not a division.
 	lo     int64
 	bucket uint64
+
+	// Inside one bucket the cells are few — codes seen × locations — so
+	// a dense window over (code column, packed location) remembers each
+	// one's slot: win[col*locs+loc] is gen<<32 | slot+1, and holds for
+	// the current bucket only, seek bumping gen instead of clearing. It
+	// is purely a cache in front of cells — a miss, a 17th code or a row
+	// out of time order falls through to the slot table — so any row
+	// order stays correct. locOf resolves node -> packed location by
+	// table. Grouping by node has neither: 32 Ki locations a code are too
+	// many to keep dense, and loc is then a mask, not a division.
+	win   []uint64
+	gen   uint64
+	locs  int // locations a code column spans: winLocs, or 1 when no location is grouped
+	locOf []uint16
+	colOf [256]uint8 // int8-range code's low byte -> its column+1, 0 until it is given one
+	ncols int
+
+	scratch  []uint64            // sortedKeys' backing array
+	unpacked []RollupPartialCell // doc's, between the keys and the rendered cells
 }
+
+const (
+	winCols = 16      // code columns the window holds
+	winLocs = 1 << 10 // > the largest cabinet<<2|cage
+)
+
+var rollupPool = sync.Pool{New: func() any { return new(Rollup) }}
 
 // NewRollup validates spec and returns an empty accumulator.
 func NewRollup(spec RollupSpec) (*Rollup, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return newRollup(spec), nil
 }
 
-// newRollup builds the accumulator for an already validated spec.
+// newRollup borrows an empty accumulator for an already validated spec.
 func newRollup(spec RollupSpec) *Rollup {
-	r := &Rollup{spec: spec, bs: int64(spec.Bucket / time.Second)}
+	r := rollupPool.Get().(*Rollup)
+	r.spec, r.bs, r.total, r.ncols = spec, int64(spec.Bucket/time.Second), 0, 0
+	r.colOf = [256]uint8{}
+	r.locOf, r.locs, r.win = nil, 1, r.win[:0]
+	if !spec.ByNode {
+		if spec.ByCabinet || spec.ByCage {
+			r.locOf, r.locs = r.locTable(), winLocs
+		}
+		if cap(r.win) < winCols*winLocs {
+			r.win, r.gen = make([]uint64, 0, winCols*winLocs), 0
+		}
+		r.win = r.win[:winCols*r.locs]
+	}
 	r.seek(0)
 	return r
+}
+
+// Release returns the accumulator to the pool (see Top.Release).
+func (r *Rollup) Release() {
+	if 8*(3*cap(r.cells.keys)+cap(r.scratch)+4*cap(r.unpacked)) > maxPooledBytes {
+		return
+	}
+	r.cells.reset()
+	r.counts = r.counts[:0]
+	rollupPool.Put(r)
+}
+
+// locTables holds node -> loc for the three ways to group by location
+// without the node, each built on first use.
+var locTables [4]struct {
+	once sync.Once
+	tab  []uint16
+}
+
+func (r *Rollup) locTable() []uint16 {
+	i := 0
+	if r.spec.ByCabinet {
+		i |= 1
+	}
+	if r.spec.ByCage {
+		i |= 2
+	}
+	t := &locTables[i]
+	t.once.Do(func() {
+		t.tab = make([]uint16, topology.TotalNodes)
+		for node := range t.tab {
+			t.tab[node] = uint16(r.loc(uint64(node)))
+		}
+	})
+	return t.tab
 }
 
 // seek moves the bucket window onto sec.
@@ -124,6 +200,27 @@ func (r *Rollup) seek(sec int64) {
 	}
 	r.lo = idx * r.bs
 	r.bucket = uint64(min(max(idx, -bucketBias), bucketBias-1)+bucketBias) << bucketShift
+	if r.gen++; r.gen >= 1<<32 {
+		clear(r.win[:cap(r.win)])
+		r.gen = 1
+	}
+}
+
+// column is code's window column, first come first served: -1 for a code
+// outside int8 (no XID is) or once winCols others hold the columns.
+func (r *Rollup) column(code uint16) int {
+	if int16(code) != int16(int8(code)) {
+		return -1
+	}
+	if c := r.colOf[uint8(code)]; c != 0 {
+		return int(c) - 1
+	}
+	if r.ncols == winCols {
+		return -1
+	}
+	r.ncols++
+	r.colOf[uint8(code)] = uint8(r.ncols)
+	return r.ncols - 1
 }
 
 // slot interns key, giving a new cell a zero count.
@@ -174,31 +271,87 @@ func (r *Rollup) unloc(loc uint64) (cab, cage, node uint64) {
 
 // addRows is the kernel: count a block of matching rows. The spec's own
 // filter (code, time range) was already applied by the matcher that
-// chose the rows, so every row lands in a cell. Consecutive rows of one
-// cell share a slot lookup.
+// chose the rows, so every row lands in a cell. The block is taken a run
+// at a time — consecutive rows of one bucket and, when grouping by code,
+// one code — which is one cell when no location is grouped, and
+// otherwise one row a node into cells that share the run's key bits.
 func (r *Rollup) addRows(b block) {
 	byCode, byLoc := r.spec.ByCode, r.spec.ByCabinet || r.spec.ByCage || r.spec.ByNode
-	codes, nodes := b.codes[:len(b.times)], b.nodes[:len(b.times)]
-	lo, bs, bucket := r.lo, uint64(r.bs), r.bucket
-	lastKey, lastSlot := uint64(0), -1
-	for i, sec := range b.times {
-		if uint64(sec-lo) >= bs {
-			r.seek(sec)
-			lo, bucket = r.lo, r.bucket
+	times, codes, nodes := b.times, b.codes[:len(b.times)], b.nodes[:len(b.times)]
+	noWin := uint64(len(r.win))
+	for i := 0; i < len(times); {
+		if uint64(times[i]-r.lo) >= uint64(r.bs) {
+			r.seek(times[i])
 		}
-		key := bucket
+		lo, bs, j := r.lo, uint64(r.bs), i+1
+		// key is the run's bucket and code bits; base is where its code's
+		// column starts in win, or noWin when the code has none.
+		key, base := r.bucket, uint64(0)
 		if byCode {
-			key |= uint64(codes[i]^0x8000) << codeShift
+			code := codes[i]
+			for j < len(times) && codes[j] == code && uint64(times[j]-lo) < bs {
+				j++
+			}
+			key |= uint64(code^0x8000) << codeShift
+			if col := r.column(code); col < 0 {
+				base = noWin
+			} else {
+				base = uint64(col * r.locs)
+			}
+		} else {
+			for j < len(times) && uint64(times[j]-lo) < bs {
+				j++
+			}
 		}
 		if byLoc {
-			key |= r.loc(uint64(nodes[i]))
+			r.addLocs(key, base, nodes[i:j])
+		} else {
+			slot := r.cell(key, base) // first: a new cell moves counts
+			r.counts[slot] += int64(j - i)
 		}
-		if key != lastKey || lastSlot < 0 {
-			lastKey, lastSlot = key, r.slot(key)
-		}
-		r.counts[lastSlot]++
+		i = j
 	}
-	r.total += int64(len(b.times))
+	r.total += int64(len(times))
+}
+
+// cell is key's slot, by way of the window entry at when at is inside
+// the window (past it: no entry, the slot table answers).
+func (r *Rollup) cell(key, at uint64) int {
+	if at >= uint64(len(r.win)) {
+		return r.slot(key)
+	}
+	if w := r.win[at]; w>>32 == r.gen {
+		return int(uint32(w)) - 1
+	}
+	slot := r.slot(key)
+	r.win[at] = r.gen<<32 | uint64(slot+1)
+	return slot
+}
+
+// addLocs counts one row for each node into the cell its location has
+// under key. Consecutive rows of one node share the lookup.
+func (r *Rollup) addLocs(key, base uint64, nodes []uint32) {
+	locOf, win, gen, counts := r.locOf, r.win, r.gen, r.counts
+	lastNode, lastSlot := uint32(0), -1
+	for _, node := range nodes {
+		if node != lastNode || lastSlot < 0 {
+			lastNode = node
+			loc, at := uint64(0), uint64(len(win))
+			if int(node) < len(locOf) {
+				loc = uint64(locOf[node])
+				at = base + loc
+			} else {
+				loc = r.loc(uint64(node))
+			}
+			if at < uint64(len(win)) && win[at]>>32 == gen {
+				lastSlot = int(uint32(win[at])) - 1 // the hit cell would find, without the call
+			} else {
+				lastSlot = r.cell(key|loc, at)
+				counts = r.counts
+			}
+		}
+		counts[lastSlot]++
+	}
 }
 
 // Total reports how many rows the accumulator has counted.
@@ -303,7 +456,8 @@ func (r *Rollup) RankedDoc(k int) RollupDoc {
 
 // doc renders the cells behind keys, in that order.
 func (r *Rollup) doc(keys []uint64) RollupDoc {
-	cells := r.unpack(keys)
+	r.unpacked = r.unpack(keys, r.unpacked)
+	cells := r.unpacked
 	doc := RollupDoc{
 		By:            make([]string, 0, 4),
 		BucketSeconds: r.bs,
@@ -366,6 +520,9 @@ func RollupEvents(events []console.Event, spec RollupSpec) (RollupDoc, error) {
 	if err != nil {
 		return RollupDoc{}, err
 	}
-	newGather(r).events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	defer r.Release()
+	rows := newGather(r)
+	defer rows.release()
+	rows.events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
 	return r.Doc(), nil
 }

@@ -56,3 +56,10 @@ func (t *slotTable) seat(slot int) {
 	}
 	t.index[i] = int32(slot + 1)
 }
+
+// reset empties the table and keeps its arrays, for the next fold to
+// intern into (see pool.go).
+func (t *slotTable) reset() {
+	clear(t.index)
+	t.keys = t.keys[:0]
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -274,5 +275,90 @@ func TestOpenSkipsForeignFiles(t *testing.T) {
 	}
 	if st3.EventCount() != 100 || st3.SegmentCount() != 2 {
 		t.Fatalf("got %d events in %d segments, want 100 in 2", st3.EventCount(), st3.SegmentCount())
+	}
+}
+
+// wireEvents is a fixed event set for the on-disk figures: 20,000 events
+// from a generator that depends on nothing but these constants — a
+// skewed fleet (a fifth of the events on sixteen loud nodes), nine
+// codes, one to three cards a node, pages and jobs on some — in time
+// order, a second to a minute apart.
+func wireEvents() []console.Event {
+	codes := []xid.Code{xid.SingleBitError, xid.OffTheBus, 13, 31, 43, 45, 48, 62, 63}
+	state := uint64(2015)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state >> 33 % uint64(n))
+	}
+	sec := int64(1370000000)
+	events := make([]console.Event, 0, 20000)
+	for len(events) < cap(events) {
+		sec += int64(1 + next(60))
+		node := topology.NodeID(next(topology.TotalNodes))
+		if next(5) == 0 {
+			node = topology.NodeID(1201 * (1 + next(16)) % topology.TotalNodes)
+		}
+		e := console.Event{
+			Time:   time.Unix(sec, 0).UTC(),
+			Node:   node,
+			Serial: gpu.Serial(100000 + 3*int(node) + next(1+int(node)%3)),
+			Code:   codes[next(len(codes))],
+			Page:   console.NoPage,
+		}
+		if e.Code == 48 || e.Code == 63 {
+			e.Structure, e.StructureValid = gpu.Structure(next(gpu.NumStructures)), true
+			e.Page = int32(next(1 << 20))
+		}
+		if next(3) > 0 {
+			e.Job = console.JobID(500000 + next(4000))
+		}
+		events = append(events, e)
+	}
+	return events
+}
+
+// TestSealedBytesPinned is the store half of the wire-figure gate: the
+// fixed set sealed in 8 Ki-event segments occupies exactly these bytes,
+// and the directory — every file name and every byte — has exactly this
+// digest. bench/ reads store.disk_bytes_per_event off its own corpus;
+// this is the figure that repeats, and a change to the segment format,
+// the seal or the commit shows here first, on purpose or not.
+func TestSealedBytesPinned(t *testing.T) {
+	const (
+		wantBytes  = 575151
+		wantDigest = "7c5b299af2fdca6031c178a738235d7cd89052baabd44c28d43a2da9c543a982"
+	)
+	events := wireEvents()
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(events); lo += 1 << 13 {
+		if _, err := st.Seal(events[lo:min(lo+1<<13, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var size int64
+	for _, entry := range entries { // ReadDir sorts by name
+		body, err := os.ReadFile(filepath.Join(dir, entry.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", entry.Name(), len(body))
+		h.Write(body)
+		size += int64(len(body))
+	}
+	if size != st.DiskBytes() {
+		t.Fatalf("directory holds %d bytes, DiskBytes says %d", size, st.DiskBytes())
+	}
+	t.Logf("%d events in %d files: %d bytes, %.4f B/event", len(events), len(entries), size, float64(size)/float64(len(events)))
+	if got := fmt.Sprintf("%x", h.Sum(nil)); size != wantBytes || got != wantDigest {
+		t.Errorf("sealed directory is %d bytes, digest %s; pinned %d bytes, digest %s", size, got, wantBytes, wantDigest)
 	}
 }

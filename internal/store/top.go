@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"titanre/internal/console"
@@ -15,7 +16,9 @@ import (
 // Top-K offender cards — the paper's "a handful of cards produce almost
 // all the SBEs" lists. A Top is a rowSink like Rollup: fold feeds its
 // one addRows kernel from segment columns and tail events; Doc ranks in
-// stats.TopOffenders' order (count descending, key ascending).
+// stats.TopOffenders' order (count descending, key ascending). A ranking
+// that renders K cards is folded count-first (ParallelTopAcc): topCounts
+// is the first pass, and Top then sees the winners' rows alone.
 
 // TopBy selects the offender dimension.
 type TopBy string
@@ -40,7 +43,8 @@ type TopSpec struct {
 	Since, Until time.Time
 }
 
-func (spec TopSpec) validate() error {
+// Validate reports whether the spec names a dimension offenders rank by.
+func (spec TopSpec) Validate() error {
 	switch spec.By {
 	case TopByNode, TopBySerial, TopByCode:
 		return nil
@@ -62,31 +66,46 @@ const (
 // the offender keys: no per-key pointer, no per-key map. When more codes
 // turn up than a row has columns, every page is rewritten at double the
 // row width. ParallelTopAcc (or MergeTopPartials) populates it; Doc
-// renders it.
+// renders it; Release returns it, pages and tables, to the pool the next
+// fold draws from.
 type Top struct {
-	spec  TopSpec
-	keys  slotTable
-	codes slotTable // uint16 code -> column after topHead; empty for by=code
-	width int       // int64s per row
-	pages [][]int64 // page p holds rows of slots [p*topPage, (p+1)*topPage)
-	total int64
+	spec    TopSpec
+	only    *topCounts // set during a count-first detail pass: rows of other keys are skipped
+	winners bool       // the count-first result: holds the K winners, not every key
+	keys    slotTable
+	codes   slotTable // uint16 code -> column after topHead; unused for by=code
+	width   int       // int64s per row; only ever grows while pooled
+	pages   [][]int64 // page p holds rows of slots [p*topPage, (p+1)*topPage)
+	total   int64
 }
+
+var topPool = sync.Pool{New: func() any { return &Top{width: 8} }}
 
 // NewTop validates spec and returns an empty accumulator.
 func NewTop(spec TopSpec) (*Top, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return newTop(spec), nil
+	return newTop(spec, nil), nil
 }
 
-// newTop builds the accumulator for an already validated spec.
-func newTop(spec TopSpec) *Top {
-	t := &Top{spec: spec, width: topHead}
-	if spec.By != TopByCode {
-		t.width = 8
-	}
+// newTop borrows an empty accumulator for an already validated spec.
+func newTop(spec TopSpec, only *topCounts) *Top {
+	t := topPool.Get().(*Top)
+	t.spec, t.only, t.winners, t.total = spec, only, only != nil, 0
 	return t
+}
+
+// Release returns the accumulator to the pool; the caller is done with
+// it (a Doc or Partial already taken stays valid — both are copies). One
+// that grew past maxPooledBytes is left to the collector instead.
+func (t *Top) Release() {
+	if 8*(len(t.pages)*topPage*t.width+3*cap(t.keys.keys)) > maxPooledBytes {
+		return
+	}
+	t.keys.reset()
+	t.codes.reset()
+	topPool.Put(t)
 }
 
 // Total reports how many rows the accumulator has counted.
@@ -106,10 +125,11 @@ func (t *Top) row(slot int) []int64 {
 func (t *Top) slot(key uint64, sec int64) int {
 	slot, fresh := t.keys.slot(key)
 	if fresh {
-		if slot%topPage == 0 {
+		if slot/topPage == len(t.pages) {
 			t.pages = append(t.pages, make([]int64, topPage*t.width))
 		}
 		row := t.row(slot)
+		clear(row) // a pooled page holds the last fold's rows
 		row[topFirst], row[topLast] = sec, sec
 	}
 	return slot
@@ -134,23 +154,38 @@ func (t *Top) column(code uint16) int {
 }
 
 // addRows is the kernel: count a block of matching rows (the matcher
-// already applied the spec's code and time filter). Consecutive rows of
-// one code share a dictionary lookup.
+// already applied the spec's code and time filter; a count-first detail
+// pass also skips every key but the winners). Consecutive rows of one
+// code share a dictionary lookup.
 func (t *Top) addRows(b block) {
 	codes, keys := b.codes[:len(b.times)], b.nodes[:len(b.times)]
 	if t.spec.By == TopBySerial {
 		keys = b.serials[:len(b.times)]
 	}
-	byCode := t.spec.By == TopByCode
+	byCode, only := t.spec.By == TopByCode, t.only
+	var won []uint64
+	var dense uint64
+	if only != nil {
+		won, dense = only.won.words, uint64(only.dense)
+	}
 	lastCode, col := uint16(0), -1
-	for i, sec := range b.times {
-		code := codes[i]
-		key := uint64(code)
-		if !byCode {
-			key = uint64(keys[i])
-			if code != lastCode || col < 0 {
-				lastCode, col = code, t.column(code)
+	for i := range codes {
+		key := uint64(keys[i])
+		if byCode {
+			key = uint64(codes[i])
+		}
+		if only != nil {
+			if key >= dense {
+				if !only.keptSparse(key) {
+					continue
+				}
+			} else if won[key>>6]>>(key&63)&1 == 0 {
+				continue
 			}
+		}
+		sec, code := b.times[i], codes[i]
+		if !byCode && (code != lastCode || col < 0) {
+			lastCode, col = code, t.column(code)
 		}
 		row := t.row(t.slot(key, sec))
 		row[topCount]++
@@ -161,6 +196,120 @@ func (t *Top) addRows(b block) {
 		}
 	}
 	t.total += int64(len(b.times))
+}
+
+// topCounts is a count-first ranking's first pass, by node or by serial:
+// nothing per key but its count. Keys below dense index counts directly —
+// every node id a decoder or a segment can hold is below
+// topology.TotalNodes — and the rest (serials, a forged node id) are
+// interned behind them.
+type topCounts struct {
+	by     TopBy
+	dense  int
+	keys   slotTable
+	counts []int64 // [0,dense) by key, then by dense+slot
+	total  int64
+	rank   []stats.KeyCount // keepTop's scratch
+	won    bitmap           // over counts' indexes: keepTop's winners
+}
+
+var topCountsPool = sync.Pool{New: func() any { return new(topCounts) }}
+
+func newTopCounts(by TopBy) *topCounts {
+	c := topCountsPool.Get().(*topCounts)
+	c.by, c.dense, c.total = by, 0, 0
+	if by == TopByNode {
+		c.dense = topology.TotalNodes
+	}
+	if cap(c.counts) < c.dense {
+		c.counts = make([]int64, c.dense)
+	}
+	c.counts = c.counts[:c.dense]
+	clear(c.counts)
+	return c
+}
+
+func (c *topCounts) Release() {
+	if 8*(3*cap(c.counts)+2*cap(c.rank)) > maxPooledBytes {
+		return
+	}
+	c.keys.reset()
+	topCountsPool.Put(c)
+}
+
+func (c *topCounts) needSerial() bool { return c.by == TopBySerial }
+
+// slot is where key's count lives, interning a sparse key first seen.
+func (c *topCounts) slot(key uint64) int {
+	if key < uint64(c.dense) {
+		return int(key)
+	}
+	return c.sparse(key)
+}
+
+func (c *topCounts) sparse(key uint64) int {
+	slot, fresh := c.keys.slot(key)
+	if fresh {
+		c.counts = append(c.counts, 0)
+	}
+	return c.dense + slot
+}
+
+// addRows is the count kernel.
+func (c *topCounts) addRows(b block) {
+	switch c.by {
+	case TopByNode:
+		for _, node := range b.nodes[:len(b.times)] {
+			slot := c.slot(uint64(node)) // first: it may move counts
+			c.counts[slot]++
+		}
+	case TopBySerial:
+		for _, serial := range b.serials[:len(b.times)] {
+			slot := c.slot(uint64(serial))
+			c.counts[slot]++
+		}
+	}
+	c.total += int64(len(b.times))
+}
+
+// each calls fn with every key counted at least once.
+func (c *topCounts) each(fn func(key uint64, n int64)) {
+	for key, n := range c.counts[:c.dense] {
+		if n != 0 {
+			fn(uint64(key), n)
+		}
+	}
+	for slot, key := range c.keys.keys {
+		fn(key, c.counts[c.dense+slot])
+	}
+}
+
+// Merge adds another worker's counts.
+func (c *topCounts) Merge(o *topCounts) {
+	o.each(func(key uint64, n int64) {
+		slot := c.slot(key)
+		c.counts[slot] += n
+	})
+	c.total += o.total
+}
+
+// keepTop ranks the keys and marks the k winners for the detail pass:
+// a bit per count — a few cache lines where the counts are 150 KB.
+func (c *topCounts) keepTop(k int) {
+	c.rank = c.rank[:0]
+	c.each(func(key uint64, n int64) { c.rank = append(c.rank, stats.KeyCount{Key: key, Count: n}) })
+	c.won = bitmapIn(c.won.words, len(c.counts), false)
+	for _, kc := range stats.RankOffenders(c.rank, k) {
+		c.won.set(c.slot(kc.Key))
+	}
+}
+
+// keptSparse reports whether a key at or past dense is one of keepTop's
+// winners; below dense the winner's bit is won's bit key (Top.addRows
+// reads it in line, once a row).
+func (c *topCounts) keptSparse(key uint64) bool {
+	slot := c.keys.find(key)
+	return slot >= 0 && c.won.get(c.dense+slot)
 }
 
 // merge folds one offender's scalar state — from another accumulator or
@@ -310,6 +459,9 @@ func TopEvents(events []console.Event, spec TopSpec) (TopDoc, error) {
 	if err != nil {
 		return TopDoc{}, err
 	}
-	newGather(t).events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	defer t.Release()
+	rows := newGather(t)
+	defer rows.release()
+	rows.events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
 	return t.Doc(), nil
 }

@@ -73,7 +73,7 @@ func (p *Plan) Compile() (*Compiled, error) {
 	c := &Compiled{plan: p, query: p.String(), matcher: m}
 	if p.Kind == KindTop {
 		c.top = store.TopSpec{By: p.TopBy, K: p.TopK, Since: p.Filter.Since, Until: p.Filter.Until}
-		if _, err := store.NewTop(c.top); err != nil {
+		if err := c.top.Validate(); err != nil {
 			return nil, err
 		}
 	} else {
@@ -86,7 +86,7 @@ func (p *Plan) Compile() (*Compiled, error) {
 			Since:     p.Filter.Since,
 			Until:     p.Filter.Until,
 		}
-		if _, err := store.NewRollup(c.rollup); err != nil {
+		if err := c.rollup.Validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -101,6 +101,8 @@ func (c *Compiled) Plan() *Plan { return c.plan }
 // (exactly one of roll/top is set). One replica's fold and the router's
 // merge of many replicas' partials both end in a Result, so ranking and
 // rendering happen in one place — Doc — and only after every row is in.
+// The accumulator is borrowed from the store's pools: Release the Result
+// once its Doc or Partial is taken.
 type Result struct {
 	query string
 	rankK int
@@ -110,12 +112,15 @@ type Result struct {
 
 // Fold runs the compiled plan over one consistent (sealed segments,
 // retained tail) snapshot, segment-parallel at the given worker count
-// (<= 0 means GOMAXPROCS), stopping short of the render.
-func (c *Compiled) Fold(segs []*store.Segment, tail []console.Event, workers int) (*Result, error) {
+// (<= 0 means GOMAXPROCS), stopping short of the render. partial says
+// the Result will be exported with Partial rather than rendered with
+// Doc: an offender ranking then keeps every key instead of folding
+// count-first (store.ParallelTopAcc).
+func (c *Compiled) Fold(segs []*store.Segment, tail []console.Event, workers int, partial bool) (*Result, error) {
 	res := &Result{query: c.query}
 	var err error
 	if c.plan.Kind == KindTop {
-		res.top, err = store.ParallelTopAcc(segs, tail, c.top, c.matcher, workers)
+		res.top, err = store.ParallelTopAcc(segs, tail, c.top, c.matcher, workers, partial)
 	} else {
 		res.rankK = c.plan.RankK
 		res.roll, err = store.ParallelRollupAcc(segs, tail, c.rollup, c.matcher, workers)
@@ -124,6 +129,15 @@ func (c *Compiled) Fold(segs []*store.Segment, tail []console.Event, workers int
 		return nil, err
 	}
 	return res, nil
+}
+
+// Release returns the result's accumulator to the store's pools.
+func (r *Result) Release() {
+	if r.top != nil {
+		r.top.Release()
+	} else {
+		r.roll.Release()
+	}
 }
 
 // Rows reports how many rows the fold took in (total_events of the
@@ -153,10 +167,11 @@ func (r *Result) Doc() Doc {
 
 // Execute is Fold then Doc: the rendered answer in one call.
 func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers int) (Doc, error) {
-	res, err := c.Fold(segs, tail, workers)
+	res, err := c.Fold(segs, tail, workers, false)
 	if err != nil {
 		return Doc{}, err
 	}
+	defer res.Release()
 	return res.Doc(), nil
 }
 
@@ -184,6 +199,7 @@ func (c *Compiled) ExecuteEvents(events []console.Event) (Doc, error) {
 	if err != nil {
 		return Doc{}, err
 	}
+	defer acc.Release()
 	roll := acc.RankedDoc(c.plan.RankK)
 	doc.RankedTop = c.plan.RankK
 	doc.Rollup = &roll

@@ -54,6 +54,9 @@ func FuzzTitanQLEquivalence(f *testing.F) {
 		"code=13,31 code!=31 cage=1 | by cabinet | bucket 12h",
 		"node=c3-* | top node 5",
 		"code=sbe | top serial 3",
+		"* | top node 10",
+		"cabinet=c3-* cage=1 | top serial 2",
+		"code!=13 | top code 2",
 		"since=2014-01-02 until=2014-01-05 | by code,cage | bucket 1d",
 		"code=65549 | by code | bucket 1h",
 		"code!=65549 | by code | bucket 1h",

@@ -51,10 +51,11 @@ func (r *Result) Partial() Partial {
 
 // ExecutePartial is Fold then Partial: one replica's share of a query.
 func (c *Compiled) ExecutePartial(segs []*store.Segment, tail []console.Event, workers int) (Partial, error) {
-	res, err := c.Fold(segs, tail, workers)
+	res, err := c.Fold(segs, tail, workers, true)
 	if err != nil {
 		return Partial{}, err
 	}
+	defer res.Release()
 	return res.Partial(), nil
 }
 
@@ -98,5 +99,6 @@ func MergePartials(parts []Partial) (Doc, error) {
 	if err != nil {
 		return Doc{}, fmt.Errorf("titanql: merge: %w", err)
 	}
+	defer res.Release()
 	return res.Doc(), nil
 }

@@ -42,7 +42,7 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", q, err)
 		}
-		res, err := c.Fold(fx.segs, fx.tail, 1)
+		res, err := c.Fold(fx.segs, fx.tail, 1, true)
 		if err != nil {
 			t.Fatalf("Fold(%q): %v", q, err)
 		}

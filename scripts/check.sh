@@ -3,7 +3,8 @@
 #   build, gofmt, vet, every test under -race once (the byte-identity
 #   gates — stream == batch, cluster == single daemon, compiled plan ==
 #   naive fold, restart == never died — the write path's buffer
-#   ownership and admission bound, /stats-/metrics parity on titand and
+#   ownership and admission bound, the read path's pooled fold scratch
+#   under eight concurrent readers, /stats-/metrics parity on titand and
 #   titanrouter, the cluster soak through a replica drain/restart, the
 #   QoS books and bench/'s -quick suite are all in there; the exact
 #   allocation and heap budgets skip under -race and run under plain
@@ -47,6 +48,9 @@ echo "== crash-recovery soak (kill at every failpoint, scripts/crash.sh)"
 
 echo "== benchmark smoke (full-period simulation, one iteration)"
 go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
+
+echo "== read-path benchmark smoke (the five query_sealed fold shapes in process, one iteration)"
+go test ./internal/serve -run '^$' -bench 'BenchmarkReadShapes$' -benchtime 1x -cpu 1
 
 echo "== fuzz smoke (FuzzParseRawLine, 5s)"
 go test ./internal/console -run '^$' -fuzz FuzzParseRawLine -fuzztime 5s
