@@ -40,7 +40,7 @@ import (
 	"titanre/internal/ingest"
 	"titanre/internal/jsonw"
 	"titanre/internal/sim"
-	"titanre/internal/store"
+	"titanre/internal/titanql"
 	"titanre/internal/xid"
 )
 
@@ -178,13 +178,15 @@ func main() {
 	study.WriteReportConcurrent(w, runtime.GOMAXPROCS(0))
 }
 
-// printRollup renders the batch-pipeline rollup as indented JSON — the
-// same document (and bytes) titand's GET /rollup serves for the same
-// stream and spec.
+// printRollup spells the -rollup flags as a query plan, runs it like
+// -query and prints the bare rollup inside the answer — the same
+// document (and bytes) titand's GET /rollup serves for the same stream
+// and parameters.
 func printRollup(study *core.Study, by string, bucket time.Duration, codeArg string) error {
-	spec := store.RollupSpec{Bucket: bucket}
+	plan := titanql.NewPlan()
+	plan.Rollup.Bucket = bucket
 	for _, dim := range strings.Split(by, ",") {
-		if d := strings.TrimSpace(dim); d != "" && !spec.GroupBy(d) {
+		if d := strings.TrimSpace(dim); d != "" && !plan.Rollup.GroupBy(d) {
 			return fmt.Errorf("bad -rollup dimension %q: want code, cabinet, cage or node", dim)
 		}
 	}
@@ -193,14 +195,13 @@ func printRollup(study *core.Study, by string, bucket time.Duration, codeArg str
 		if err != nil {
 			return err
 		}
-		spec.FilterCode = true
-		spec.Code = code
+		plan.Filter.Codes = []xid.Code{code}
 	}
-	doc, err := study.Rollup(spec)
+	doc, err := study.Run(plan, 0)
 	if err != nil {
 		return err
 	}
-	_, err = jsonw.Write(os.Stdout, doc)
+	_, err = jsonw.Write(os.Stdout, doc.Bare(codeArg))
 	return err
 }
 

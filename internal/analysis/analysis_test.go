@@ -316,9 +316,11 @@ func TestAnalyzeSBECages(t *testing.T) {
 	}
 }
 
+// TestOffenderRanking: asked for every node, TopSBEOffenders is the full
+// ranking — descending count, ties by node.
 func TestOffenderRanking(t *testing.T) {
 	counts := map[topology.NodeID]int64{5: 10, 9: 10, 1: 99}
-	r := OffenderRanking(counts)
+	r := TopSBEOffenders(counts, len(counts))
 	if r[0] != 1 || r[1] != 5 || r[2] != 9 {
 		t.Errorf("ranking = %v", r)
 	}

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"titanre/internal/nvsmi"
 	"titanre/internal/stats"
 	"titanre/internal/topology"
@@ -120,20 +118,4 @@ func AnalyzeSBECages(counts map[topology.NodeID]int64) SBECageAnalysis {
 		WithoutTop10: CageFromNodeCounts(ExcludeNodes(counts, TopSBEOffenders(counts, 10))),
 		WithoutTop50: CageFromNodeCounts(ExcludeNodes(counts, TopSBEOffenders(counts, 50))),
 	}
-}
-
-// OffenderRanking returns all nodes with SBEs sorted by descending count,
-// for reports.
-func OffenderRanking(counts map[topology.NodeID]int64) []topology.NodeID {
-	nodes := make([]topology.NodeID, 0, len(counts))
-	for n := range counts {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if counts[nodes[i]] != counts[nodes[j]] {
-			return counts[nodes[i]] > counts[nodes[j]]
-		}
-		return nodes[i] < nodes[j]
-	})
-	return nodes
 }

@@ -7,8 +7,7 @@
 // It provides the two classic optimal-interval approximations (Young's
 // first-order rule and Daly's higher-order refinement), an exact
 // trace-driven execution simulator for validating an interval against a
-// concrete failure trace, and a sweep helper that locates the empirical
-// optimum.
+// concrete failure trace.
 package checkpoint
 
 import (
@@ -138,36 +137,6 @@ func Simulate(work, interval, cost, restart time.Duration, failures []time.Durat
 	return stats, nil
 }
 
-// SweepResult is one point of an interval sweep.
-type SweepResult struct {
-	Interval time.Duration
-	Stats    RunStats
-}
-
-// Sweep simulates the run across candidate intervals and returns the
-// results sorted by interval, plus the index of the empirical optimum
-// (minimal makespan).
-func Sweep(work, cost, restart time.Duration, failures []time.Duration, intervals []time.Duration) ([]SweepResult, int, error) {
-	if len(intervals) == 0 {
-		return nil, -1, errors.New("checkpoint: no intervals")
-	}
-	sorted := append([]time.Duration(nil), intervals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := make([]SweepResult, 0, len(sorted))
-	best := -1
-	for _, iv := range sorted {
-		st, err := Simulate(work, iv, cost, restart, failures)
-		if err != nil {
-			return nil, -1, err
-		}
-		out = append(out, SweepResult{Interval: iv, Stats: st})
-		if best < 0 || st.Makespan < out[best].Stats.Makespan {
-			best = len(out) - 1
-		}
-	}
-	return out, best, nil
-}
-
 // ExpectedWaste returns the first-order expected overhead fraction of an
 // interval: cost/interval + interval/(2*MTBF). Minimized at Young's
 // optimum; useful for reporting.
@@ -176,27 +145,4 @@ func ExpectedWaste(interval, cost, mtbf time.Duration) float64 {
 		return math.Inf(1)
 	}
 	return cost.Hours()/interval.Hours() + interval.Hours()/(2*mtbf.Hours())
-}
-
-// PoissonTrace draws a synthetic failure trace with the given MTBF over a
-// horizon, using the supplied uniform source (a func returning [0,1)).
-// It is deterministic given the source.
-func PoissonTrace(mtbf, horizon time.Duration, uniform func() float64) []time.Duration {
-	if mtbf <= 0 || horizon <= 0 {
-		return nil
-	}
-	var out []time.Duration
-	t := time.Duration(0)
-	for {
-		u := uniform()
-		for u == 0 {
-			u = uniform()
-		}
-		gap := time.Duration(-math.Log(u) * float64(mtbf))
-		t += gap
-		if t >= horizon {
-			return out
-		}
-		out = append(out, t)
-	}
 }

@@ -127,6 +127,28 @@ func TestSimulateRepeatedFailures(t *testing.T) {
 	}
 }
 
+// poissonTrace draws a synthetic failure trace with the given MTBF over
+// a horizon from a uniform [0,1) source: the fixture the interval sweep
+// below runs against, itself checked by TestPoissonTrace.
+func poissonTrace(mtbf, horizon time.Duration, uniform func() float64) []time.Duration {
+	if mtbf <= 0 || horizon <= 0 {
+		return nil
+	}
+	var out []time.Duration
+	t := time.Duration(0)
+	for {
+		u := uniform()
+		for u == 0 {
+			u = uniform()
+		}
+		t += time.Duration(-math.Log(u) * float64(mtbf))
+		if t >= horizon {
+			return out
+		}
+		out = append(out, t)
+	}
+}
+
 func TestSweepFindsReasonableOptimum(t *testing.T) {
 	// Against a Poisson trace with MTBF 8h, the empirical optimum of a
 	// 48h job should be near Young's interval, and much better than
@@ -136,7 +158,7 @@ func TestSweepFindsReasonableOptimum(t *testing.T) {
 	cost := 5 * time.Minute
 	var traces [][]time.Duration
 	for i := 0; i < 20; i++ {
-		traces = append(traces, PoissonTrace(mtbf, 500*time.Hour, rng.Float64))
+		traces = append(traces, poissonTrace(mtbf, 500*time.Hour, rng.Float64))
 	}
 	intervals := []time.Duration{
 		10 * time.Minute, 30 * time.Minute, time.Hour, 2 * time.Hour,
@@ -145,12 +167,12 @@ func TestSweepFindsReasonableOptimum(t *testing.T) {
 	// Average makespans across traces per interval.
 	avg := make(map[time.Duration]float64)
 	for _, tr := range traces {
-		res, _, err := Sweep(48*time.Hour, cost, 10*time.Minute, tr, intervals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res {
-			avg[r.Interval] += r.Stats.Makespan.Hours()
+		for _, iv := range intervals {
+			st, err := Simulate(48*time.Hour, iv, cost, 10*time.Minute, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg[iv] += st.Makespan.Hours()
 		}
 	}
 	best := intervals[0]
@@ -187,7 +209,7 @@ func TestExpectedWaste(t *testing.T) {
 
 func TestPoissonTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	trace := PoissonTrace(2*time.Hour, 2000*time.Hour, rng.Float64)
+	trace := poissonTrace(2*time.Hour, 2000*time.Hour, rng.Float64)
 	if len(trace) < 800 || len(trace) > 1200 {
 		t.Errorf("trace has %d failures, want ~1000", len(trace))
 	}
@@ -199,14 +221,8 @@ func TestPoissonTrace(t *testing.T) {
 			t.Fatal("trace not ordered")
 		}
 	}
-	if PoissonTrace(0, time.Hour, rng.Float64) != nil {
+	if poissonTrace(0, time.Hour, rng.Float64) != nil {
 		t.Error("degenerate trace should be nil")
-	}
-}
-
-func TestSweepErrors(t *testing.T) {
-	if _, _, err := Sweep(time.Hour, time.Minute, 0, nil, nil); err == nil {
-		t.Error("empty interval list should fail")
 	}
 }
 

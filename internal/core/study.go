@@ -266,26 +266,23 @@ func (s *Study) Fig21Workload() analysis.WorkloadCharacteristics {
 	return analysis.CharacterizeWorkload(s.Result.Jobs)
 }
 
-// Rollup computes a time-bucketed fleet-wide aggregate over the study's
-// console events — the batch-pipeline reference the live /rollup
-// endpoint must byte-match. When the study is store-backed the events
-// already came out of sealed segments in arrival order, so the two
-// sides fold the identical stream through the identical kernel.
-func (s *Study) Rollup(spec store.RollupSpec) (store.RollupDoc, error) {
-	return store.RollupEvents(s.Result.Events, spec)
-}
-
-// Query runs one titanql expression over the study. A store-backed
-// study executes the compiled plan segment-parallel over its sealed
-// segments — the same execution titand's GET /query runs — while an
-// event-backed study folds the materialized stream through the naive
-// reference; the document is byte-identical either way (and at any
-// worker count; <= 0 means GOMAXPROCS).
+// Query runs one titanql expression over the study (see Run).
 func (s *Study) Query(q string, workers int) (titanql.Doc, error) {
 	plan, err := titanql.Parse(q)
 	if err != nil {
 		return titanql.Doc{}, err
 	}
+	return s.Run(plan, workers)
+}
+
+// Run executes one query plan over the study — what titanreport -query
+// and -rollup both end in. A store-backed study executes the compiled
+// plan segment-parallel over its sealed segments — the same execution
+// titand's GET /query, /rollup and /top run — while an event-backed
+// study folds the materialized stream through the naive reference; the
+// document is byte-identical either way (and at any worker count; <= 0
+// means GOMAXPROCS).
+func (s *Study) Run(plan *titanql.Plan, workers int) (titanql.Doc, error) {
 	compiled, err := plan.Compile()
 	if err != nil {
 		return titanql.Doc{}, err

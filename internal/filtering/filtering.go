@@ -80,40 +80,6 @@ func Children(events []console.Event, window time.Duration) []console.Event {
 	return out
 }
 
-// PerJob collapses each (code, job) pair to its first event, the strictest
-// reading of "one event per job". Events with no job context (Job == 0)
-// are deduplicated per (code, node) instead. Order is preserved.
-func PerJob(events []console.Event) []console.Event {
-	type jobKey struct {
-		code xid.Code
-		job  console.JobID
-	}
-	type nodeKey struct {
-		code xid.Code
-		node int32
-	}
-	seenJob := make(map[jobKey]bool)
-	seenNode := make(map[nodeKey]bool)
-	var out []console.Event
-	for _, e := range events {
-		if e.Job != 0 {
-			k := jobKey{e.Code, e.Job}
-			if seenJob[k] {
-				continue
-			}
-			seenJob[k] = true
-		} else {
-			k := nodeKey{e.Code, int32(e.Node)}
-			if seenNode[k] {
-				continue
-			}
-			seenNode[k] = true
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
 // FirstPerCard keeps only each card's first event of each code — the
 // reduction behind "number of distinct GPU cards experiencing DBEs"
 // (Fig. 3(b) right, Fig. 15(b)). Order is preserved.

@@ -108,20 +108,6 @@ func TestTimeThresholdZeroWindow(t *testing.T) {
 	}
 }
 
-func TestPerJob(t *testing.T) {
-	events := []console.Event{
-		ev(0, 13, 1, 7, 1), ev(1, 13, 2, 7, 2), // same job
-		ev(2, 13, 3, 8, 3),                     // other job
-		ev(3, 48, 4, 7, 4),                     // other code, same job
-		ev(4, 48, 5, 0, 5), ev(5, 48, 5, 0, 5), // no job context: per node
-		ev(6, 48, 6, 0, 6),
-	}
-	got := PerJob(events)
-	if len(got) != 5 {
-		t.Fatalf("PerJob kept %d, want 5: %v", len(got), got)
-	}
-}
-
 func TestFirstPerCard(t *testing.T) {
 	events := []console.Event{
 		ev(0, 48, 1, 0, 100), ev(1, 48, 1, 0, 100), // same card same code

@@ -66,9 +66,6 @@ func (f *Fleet) CardAt(n topology.NodeID) *Card {
 // CardBySerial returns a card by serial, or nil when unknown.
 func (f *Fleet) CardBySerial(s Serial) *Card { return f.bySerial[s] }
 
-// Populated reports whether node n holds a card.
-func (f *Fleet) Populated(n topology.NodeID) bool { return f.CardAt(n) != nil }
-
 // EnableRetirement switches on dynamic page retirement on every card,
 // modeling the driver upgrade Titan received in January 2014.
 func (f *Fleet) EnableRetirement() {

@@ -147,11 +147,8 @@ func TestRetirementDBERule(t *testing.T) {
 	if got := c.Retirement.Retired(); len(got) != 1 || got[0].Cause != RetiredByDBE {
 		t.Errorf("retired = %+v", got)
 	}
-	if !c.Retirement.IsRetired(7) {
-		t.Error("IsRetired(7) = false")
-	}
-	if c.Retirement.IsRetired(8) {
-		t.Error("IsRetired(8) = true")
+	if !c.Retirement.retiredSet[7] || c.Retirement.retiredSet[8] {
+		t.Errorf("retired set = %v, want page 7 alone", c.Retirement.retiredSet)
 	}
 	if c.RecordDBE(DeviceMemory, 7, true) {
 		t.Error("DBE on already-retired page must not fire again")
@@ -229,13 +226,13 @@ func TestRetirementStateProperty(t *testing.T) {
 			isDBE := op&0x8000 != 0
 			if isDBE {
 				r.recordDBE(page)
-				if !r.IsRetired(page) {
+				if !r.retiredSet[page] {
 					return false
 				}
 				dbe[page] = true
 			} else {
 				r.recordSBE(page)
-				if !r.IsRetired(page) {
+				if !r.retiredSet[page] {
 					sbe[page]++
 				}
 			}
@@ -260,10 +257,10 @@ func TestFleetPopulation(t *testing.T) {
 	if f.ManufacturedCount() != topology.TotalComputeGPUs+4 {
 		t.Errorf("manufactured = %d", f.ManufacturedCount())
 	}
-	if !f.Populated(0) {
+	if f.CardAt(0) == nil {
 		t.Error("node 0 should hold a card")
 	}
-	if f.Populated(topology.TotalNodes - 1) {
+	if f.CardAt(topology.TotalNodes-1) != nil {
 		t.Error("last service slot should be empty")
 	}
 	if f.CardAt(-1) != nil || f.CardAt(topology.TotalNodes) != nil {

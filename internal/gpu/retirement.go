@@ -118,11 +118,6 @@ func (r *RetirementState) Retired() []RetiredPage {
 	return out
 }
 
-// IsRetired reports whether a page is out of service.
-func (r *RetirementState) IsRetired(page int32) bool {
-	return r.retiredSet != nil && r.retiredSet[page]
-}
-
 // PendingSBEPages returns how many pages currently carry exactly one SBE
 // and would retire on the next hit.
 func (r *RetirementState) PendingSBEPages() int { return len(r.sbeSeen) }

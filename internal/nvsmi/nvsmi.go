@@ -85,26 +85,6 @@ func (s Snapshot) InconsistentCards() []Device {
 	return out
 }
 
-// CageTemperatureMeans returns the average reported GPU temperature per
-// cage, the measurement behind "GPUs in the uppermost cage are on average
-// more than 10F hotter".
-func (s Snapshot) CageTemperatureMeans() [topology.CagesPerCabinet]float64 {
-	var sum [topology.CagesPerCabinet]float64
-	var n [topology.CagesPerCabinet]int
-	for _, d := range s.Devices {
-		cage := topology.CageOf(d.Node)
-		sum[cage] += d.TempF
-		n[cage]++
-	}
-	var out [topology.CagesPerCabinet]float64
-	for i := range out {
-		if n[i] > 0 {
-			out[i] = sum[i] / float64(n[i])
-		}
-	}
-	return out
-}
-
 // JobSample is the outcome of the per-batch-job snapshot framework for
 // one job: the resource-utilization record joined with the SBE delta
 // measured between the job's prologue and epilogue snapshots.

@@ -11,6 +11,7 @@ import (
 
 	"titanre/internal/jsonw"
 	"titanre/internal/serve"
+	"titanre/internal/titanql"
 )
 
 // Read-side fan-out and deterministic merge.
@@ -23,12 +24,12 @@ import (
 // over the undivided stream — byte for byte, which is how the tests
 // check it.
 //
-//   - /rollup and /top fetch ?partial=1 raw accumulators and merge with
-//     the store kernels (replica partials and segment partials are the
-//     same algebra).
-//   - /query does the same through titanql, ranking only after the
-//     cluster-wide merge — ranking before merging would be wrong
-//     whenever a key's count is split across replicas.
+//   - /rollup, /top and /query fetch ?partial=1 — every replica answers
+//     the one titanql.Partial, its plan's raw accumulator — and merge with
+//     titanql.MergePartials (replica partials and segment partials are
+//     the same algebra), ranking only after the cluster-wide merge:
+//     ranking before merging would be wrong whenever a key's count is
+//     split across replicas.
 //   - /alerts is the stateful one: it unions the replicas' evidence
 //     feeds and replays them in global sequence order through a fresh
 //     detector engine (see internal/serve's alert feed for the
@@ -129,20 +130,22 @@ func decodeAll[T any](results []fanResult) ([]T, error) {
 }
 
 // mergedRead builds the one handler behind /rollup, /top and /query:
-// fan the client's query out with partial=1, decode every replica's raw
-// accumulator, merge, render once. The three endpoints differ only in
-// the partial's wire type P and its merge kernel; ranking and
-// K-truncation live inside merge, after cluster-wide counts are whole.
-func mergedRead[P, D any](rt *Router, path string, merge func([]P) (D, error)) http.HandlerFunc {
+// fan the client's parameters out verbatim with partial=1 (the replicas
+// spell the plan, so the router accepts exactly what they accept), decode
+// every replica's titanql.Partial, merge, render once. Ranking and
+// K-truncation live inside the merge, after cluster-wide counts are
+// whole. /rollup and /top are bare: they answer the store document inside
+// the merged one, unwrapped by the function titand itself uses.
+func (rt *Router) mergedRead(path string, bare bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		results := rt.fanOut(r, path, partialQuery(r))
 		if !rt.gatherOK(w, results) {
 			return
 		}
-		parts, err := decodeAll[P](results)
-		var doc D
+		parts, err := decodeAll[titanql.Partial](results)
+		var doc titanql.Doc
 		if err == nil {
-			doc, err = merge(parts)
+			doc, err = titanql.MergePartials(parts)
 		}
 		if err != nil {
 			rt.metrics.readErrors.Add(1)
@@ -150,26 +153,11 @@ func mergedRead[P, D any](rt *Router, path string, merge func([]P) (D, error)) h
 			return
 		}
 		rt.metrics.mergedQueries.Add(1)
-		_, _ = jsonw.Write(w, doc) // headers are out: a failed body write has no recovery
-	}
-}
-
-// rendered adapts a store merge kernel, which returns the merged
-// accumulator, to the document that accumulator renders — the exact
-// single-daemon RollupDoc / TopDoc — and returns the accumulator to the
-// store's pools.
-func rendered[P, D any, A interface {
-	Doc() D
-	Release()
-}](merge func([]P) (A, error)) func([]P) (D, error) {
-	return func(parts []P) (D, error) {
-		acc, err := merge(parts)
-		if err != nil {
-			var none D
-			return none, err
+		var face jsonw.Appender = doc
+		if bare {
+			face = doc.Bare(r.URL.Query().Get("code"))
 		}
-		defer acc.Release()
-		return acc.Doc(), nil
+		_, _ = jsonw.Write(w, face) // headers are out: a failed body write has no recovery
 	}
 }
 

@@ -41,8 +41,6 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/serve"
-	"titanre/internal/store"
-	"titanre/internal/titanql"
 )
 
 // Config tunes the router.
@@ -166,9 +164,9 @@ func New(cfg Config) (*Router, error) {
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("POST /ingest", rt.handleIngest)
 	rt.mux.HandleFunc("GET /alerts", rt.handleAlerts)
-	rt.mux.HandleFunc("GET /rollup", mergedRead(rt, "/rollup", rendered(store.MergeRollupPartials)))
-	rt.mux.HandleFunc("GET /top", mergedRead(rt, "/top", rendered(store.MergeTopPartials)))
-	rt.mux.HandleFunc("GET /query", mergedRead(rt, "/query", titanql.MergePartials))
+	rt.mux.HandleFunc("GET /rollup", rt.mergedRead("/rollup", true))
+	rt.mux.HandleFunc("GET /top", rt.mergedRead("/top", true))
+	rt.mux.HandleFunc("GET /query", rt.mergedRead("/query", false))
 	rt.mux.HandleFunc("GET /stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)

@@ -21,6 +21,7 @@ import (
 	"titanre/internal/race"
 	"titanre/internal/serve"
 	"titanre/internal/sim"
+	"titanre/internal/store"
 	"titanre/internal/titanql"
 )
 
@@ -146,6 +147,10 @@ var clusterReadPaths = []string{
 	"/rollup?by=code&bucket=1h&code=sbe",
 	"/top?by=node&k=15",
 	"/top?by=serial&k=10&code=sbe",
+	echoRollupPath,
+	// A glob the replicas take from the URL as it stands: the router
+	// forwards parameters, it does not re-spell them as a query.
+	"/top?" + url.Values{"cabinet": {"c[!3]-*"}, "k": {"5"}}.Encode(),
 	whereTopPath,
 	whereTopQuery,
 	"/query?" + url.Values{"q": {"code=48 cabinet=c3-* | by cage | bucket 6h | top 5"}}.Encode(),
@@ -165,9 +170,15 @@ var (
 	whereTopQuery = "/query?" + url.Values{"q": {"cabinet=c3-* | top node 10"}}.Encode()
 )
 
+// echoRollupPath is a bare rollup with a ?code=: the merged document must
+// carry the "code" echo, which no partial does — the router adds it where
+// it unwraps the merge, as titand does where it unwraps its fold.
+const echoRollupPath = "/rollup?code=48&by=cage"
+
 // checkMergedReads asserts every cluster read path returns exactly the
-// single daemon's bytes, and that the filtered /top is the top document
-// of the same ranking asked through /query.
+// single daemon's bytes, that the ?code= echo survives the merge, and
+// that the filtered /top is the top document of the same ranking asked
+// through /query.
 func checkMergedReads(t testing.TB, routerURL, singleURL string) {
 	t.Helper()
 	for _, path := range clusterReadPaths {
@@ -176,6 +187,10 @@ func checkMergedReads(t testing.TB, routerURL, singleURL string) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s diverges from single daemon:\nrouter: %.300s\nsingle: %.300s", path, got, want)
 		}
+	}
+	var roll store.RollupDoc
+	if err := json.Unmarshal(getBody(t, routerURL+echoRollupPath), &roll); err != nil || roll.Code != "XID 48" || roll.TotalEvents == 0 {
+		t.Fatalf("%s: code echo %q over %d events (%v), want XID 48 over some", echoRollupPath, roll.Code, roll.TotalEvents, err)
 	}
 	var doc titanql.Doc
 	if err := json.Unmarshal(getBody(t, routerURL+whereTopQuery), &doc); err != nil || doc.Top == nil {

@@ -199,7 +199,3 @@ func (a *Allocator) insert(s segment) {
 		a.free = append(a.free[:i+1], a.free[i+2:]...)
 	}
 }
-
-// FreeSegments returns the current number of free segments (a
-// fragmentation metric for tests and benchmarks).
-func (a *Allocator) FreeSegments() int { return len(a.free) }

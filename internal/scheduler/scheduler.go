@@ -112,55 +112,3 @@ func (h *endHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return x
 }
-
-// NodeIndex maps nodes to the job occupying them over time, for
-// attributing hardware errors to the job they interrupted. Lookups give
-// the record active on a node at an instant.
-type NodeIndex struct {
-	// perNode[n] holds that node's job intervals sorted by start.
-	perNode map[topology.NodeID][]intervalRef
-	records []Record
-}
-
-type intervalRef struct {
-	start, end time.Time
-	idx        int
-}
-
-// NewNodeIndex builds the occupancy index from a placement log.
-func NewNodeIndex(records []Record) *NodeIndex {
-	ni := &NodeIndex{perNode: make(map[topology.NodeID][]intervalRef), records: records}
-	for i, r := range records {
-		for _, n := range r.Nodes {
-			ni.perNode[n] = append(ni.perNode[n], intervalRef{start: r.Start, end: r.End, idx: i})
-		}
-	}
-	for n := range ni.perNode {
-		ivs := ni.perNode[n]
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].start.Before(ivs[j].start) })
-	}
-	return ni
-}
-
-// JobAt returns the record running on node n at time t, or nil.
-func (ni *NodeIndex) JobAt(n topology.NodeID, t time.Time) *Record {
-	ivs := ni.perNode[n]
-	// Binary search for the last interval starting at or before t.
-	lo, hi := 0, len(ivs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ivs[mid].start.After(t) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
-		return nil
-	}
-	iv := ivs[lo-1]
-	if t.Before(iv.end) {
-		return &ni.records[iv.idx]
-	}
-	return nil
-}

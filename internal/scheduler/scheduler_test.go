@@ -60,7 +60,7 @@ func TestAllocatorExhaustion(t *testing.T) {
 		t.Error("zero-size allocation should fail")
 	}
 	a.Release(all)
-	if a.FreeSegments() == 0 {
+	if len(a.free) == 0 {
 		t.Error("release should restore free segments")
 	}
 }
@@ -69,12 +69,12 @@ func TestAllocatorMerging(t *testing.T) {
 	a := NewAllocator(LinearFit)
 	x := a.Alloc(10)
 	y := a.Alloc(10)
-	segsBefore := a.FreeSegments()
+	segsBefore := len(a.free)
 	a.Release(x)
 	a.Release(y)
-	if a.FreeSegments() != segsBefore {
+	if len(a.free) != segsBefore {
 		t.Errorf("adjacent releases should merge back: %d segments, want %d",
-			a.FreeSegments(), segsBefore)
+			len(a.free), segsBefore)
 	}
 	if a.FreeCount() != a.Capacity() {
 		t.Error("free count wrong after merge")
@@ -280,35 +280,5 @@ func TestScheduleNoOverlapProperty(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestNodeIndex(t *testing.T) {
-	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
-	jobs := []workload.Job{
-		mkJob(1, t0, 10, time.Hour),
-		mkJob(2, t0.Add(2*time.Hour), 10, time.Hour),
-	}
-	recs := Schedule(jobs, TorusFit)
-	ni := NewNodeIndex(recs)
-	n := recs[0].Nodes[0]
-
-	if got := ni.JobAt(n, t0.Add(30*time.Minute)); got == nil || got.ID != recs[0].ID {
-		t.Errorf("JobAt during job 1 = %v", got)
-	}
-	if got := ni.JobAt(n, t0.Add(90*time.Minute)); got != nil {
-		t.Errorf("JobAt in gap = %v, want nil", got)
-	}
-	if got := ni.JobAt(n, t0.Add(-time.Minute)); got != nil {
-		t.Error("JobAt before any job should be nil")
-	}
-	// End is exclusive.
-	if got := ni.JobAt(n, recs[0].End); got != nil {
-		t.Error("JobAt at exact end should be nil")
-	}
-	// Unknown node.
-	if got := ni.JobAt(topology.NodeID(18687), t0); got != nil && len(recs[0].Nodes) < 18000 {
-		// Only meaningful when the node truly idle; both jobs are tiny.
-		t.Error("JobAt on idle node should be nil")
 	}
 }

@@ -5,8 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"titanre/internal/console"
 	"titanre/internal/failpoint"
+	"titanre/internal/gpu"
+	"titanre/internal/topology"
+	"titanre/internal/xid"
 )
 
 // collectLines returns an apply callback appending copies of replayed
@@ -324,5 +329,91 @@ func TestJournalWedgeRecovers(t *testing.T) {
 	}
 	if rep.Records != 2 || string(got[1]) != "pre-1" {
 		t.Fatalf("replay past the gap: %+v %q", rep, got)
+	}
+}
+
+// journalFixture is a fixed event set for the journal's on-disk figure:
+// 8,192 events from a generator that depends on nothing but these
+// constants — nine codes, pages and structures on the ECC ones, a job on
+// two in three — in time order.
+func journalFixture() []console.Event {
+	codes := []xid.Code{xid.SingleBitError, xid.OffTheBus, 13, 31, 43, 45, 48, 62, 63}
+	state := uint64(2015)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state >> 33 % uint64(n))
+	}
+	sec := int64(1370000000)
+	events := make([]console.Event, 0, 8192)
+	for len(events) < cap(events) {
+		sec += int64(1 + next(60))
+		node := topology.NodeID(next(topology.TotalNodes))
+		e := console.Event{
+			Time:   time.Unix(sec, 0).UTC(),
+			Node:   node,
+			Serial: gpu.Serial(100000 + 3*int(node) + next(3)),
+			Code:   codes[next(len(codes))],
+			Page:   console.NoPage,
+		}
+		if e.Code == 48 || e.Code == 63 {
+			e.Structure, e.StructureValid = gpu.Structure(next(gpu.NumStructures)), true
+			e.Page = int32(next(1 << 20))
+		}
+		if next(3) > 0 {
+			e.Job = console.JobID(500000 + next(4000))
+		}
+		events = append(events, e)
+	}
+	return events
+}
+
+// TestJournalBytesPinned is the journal half of the wire-figure gate
+// (the store half is TestSealedBytesPinned): the fixed set, journaled
+// the way the applier does it — 1,024-event batches, a commit each,
+// files rotated at 256 KiB — occupies exactly these bytes: a 20-byte
+// header a file and 8 bytes of frame around each event's AppendRaw
+// rendering. bench/ reads serve.journal_bytes_per_event off its own
+// corpus; this is the figure that repeats, and a change to the frame,
+// the rendering or the rotation shows here first, on purpose or not.
+func TestJournalBytesPinned(t *testing.T) {
+	const (
+		wantBytes = 1166840
+		wantFiles = 5
+	)
+	events := journalFixture()
+	cfg := journalCfg(t.TempDir())
+	cfg.RotateBytes = 256 << 10
+	j, _, err := OpenJournal(cfg, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rendered int64
+	for lo := 0; lo < len(events); lo += 1024 {
+		j.appendEvents(events[lo : lo+1024])
+	}
+	for _, e := range events {
+		rendered += int64(len(e.AppendRaw(nil)))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, entry := range entries {
+		info, err := entry.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += info.Size()
+	}
+	t.Logf("%d events in %d files: %d bytes, %.4f B/event", len(events), len(entries), size, float64(size)/float64(len(events)))
+	if want := rendered + int64(len(events))*walFrameSize + int64(len(entries))*walHeaderSize; size != want {
+		t.Errorf("journal holds %d bytes; %d rendered + a frame an event + a header a file is %d", size, rendered, want)
+	}
+	if size != wantBytes || len(entries) != wantFiles {
+		t.Errorf("journal is %d bytes in %d files; pinned %d in %d", size, len(entries), wantBytes, wantFiles)
 	}
 }

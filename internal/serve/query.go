@@ -30,11 +30,10 @@ import (
 //
 // All read one consistent (sealed segments, retained tail) snapshot via
 // historyView. The two histories list events and share scanHistory; the
-// three aggregates are "parse the parameters, run the store's one fold,
-// write the accumulator" (writeAcc) — segment columns streamed without
-// materializing events, the retained tail folded through the identical
-// kernel — so their answers byte-match the batch core pipeline
-// computing the same aggregate over the same stream.
+// three aggregates spell a titanql.Plan and share answer — segment
+// columns streamed without materializing events, the retained tail
+// folded through the identical kernel — so their answers byte-match the
+// batch core pipeline computing the same aggregate over the same stream.
 
 // CodeHistoryEvent is one event in a fleet-wide code history.
 type CodeHistoryEvent struct {
@@ -122,8 +121,9 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad cname %q: %v", cname, err), http.StatusBadRequest)
 		return
 	}
-	since, until, ok := parseTimeRange(w, r.URL.Query())
-	if !ok {
+	since, until, err := parseTimeRange(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	p := store.Predicate{Node: topology.CNameOf(node), Cage: -1, Since: since, Until: until}
@@ -160,8 +160,9 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	since, until, ok := parseTimeRange(w, q)
-	if !ok {
+	since, until, err := parseTimeRange(q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	limit := -1
@@ -199,114 +200,25 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, hist)
 }
 
+// A query is a plan. Each aggregate endpoint only spells one — /rollup
+// and /top from URL parameters, /query from a titanql expression, each
+// keeping its own error texts — and answer, the one body, compiles it,
+// folds and writes. Whatever filter a request states lands in
+// plan.Filter and is compiled to the fold's one matcher; the store's
+// specs carry shape only.
+
 // handleRollup serves time-bucketed fleet-wide counts — the paper's
 // Fig 3 (events/hour by code) and Fig 12 (per-cabinet density) as live
-// JSON. ?by= is a comma list of code, cabinet, cage, node (empty = a
-// pure time series); ?bucket= is a Go duration ≥ 1s (default 1h);
-// ?code= filters to one code (bitmap fast path); ?since=/?until= bound
-// the range. Cells are sorted canonically, so the body is byte-stable
-// for a given history.
+// JSON, cells sorted canonically, so the body is byte-stable for a given
+// history.
 func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	spec := store.RollupSpec{Bucket: time.Hour}
-	if v := q.Get("by"); v != "" {
-		for _, dim := range strings.Split(v, ",") {
-			if !spec.GroupBy(strings.TrimSpace(dim)) {
-				http.Error(w, fmt.Sprintf("bad by dimension %q: want code, cabinet, cage or node", dim), http.StatusBadRequest)
-				return
-			}
-		}
-	}
-	if v := q.Get("bucket"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad bucket %q: %v", v, err), http.StatusBadRequest)
-			return
-		}
-		spec.Bucket = d
-	}
-	if v := q.Get("code"); v != "" {
-		code, err := xid.ParseCode(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		spec.FilterCode = true
-		spec.Code = code
-	}
-	var ok bool
-	if spec.Since, spec.Until, ok = parseTimeRange(w, q); !ok {
-		return
-	}
-	m, ok := parseWhereParams(w, q)
-	if !ok {
-		return
-	}
-
-	segs, tail := s.historyView()
-	start := time.Now()
-	acc, err := store.ParallelRollupAcc(segs, tail, spec, m, 0)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.metrics.observeFold(start, acc.Total())
-	s.metrics.queryRollup.Add(1)
-	writeAcc(s, w, wantPartial(q), acc)
+	badRequest(w, s.answer(w, r, rollupPlan, &s.metrics.queryRollup, true))
 }
 
-// wantPartial reports whether the caller asked with ?partial=1 for the
-// raw accumulator instead of the rendered document — the replica side of
-// a cluster query, which titanrouter merges with the store Merge kernels
-// before rendering once. It is read before the fold: an offender ranking
-// that will be exported must keep every key (store.ParallelTopAcc).
-func wantPartial(q url.Values) bool { return q.Get("partial") == "1" }
-
-// writeAcc writes a folded query's answer — the document, or the partial
-// — and returns the accumulator to the store's pools: both are copies,
-// so it is released before the render starts. Every aggregate endpoint
-// ends here, so the fork and the release exist in this one place.
-func writeAcc[D, P any](s *Server, w http.ResponseWriter, partial bool, acc interface {
-	Doc() D
-	Partial() P
-	Release()
-}) {
-	var answer any
-	if partial {
-		answer = acc.Partial()
-	} else {
-		answer = acc.Doc()
-	}
-	acc.Release()
-	s.writeJSON(w, answer)
-}
-
-// parseWhereParams reads the optional ?cabinet= / ?cage= / ?node=
-// location filters into a compiled matcher (nil when none are given).
-// Decoding goes through titanql.SetPred — the same helper the query
-// language uses — so `?cabinet=c3-*` and `cabinet=c3-*` in a /query
-// expression accept identical spellings and fail identically.
-func parseWhereParams(w http.ResponseWriter, q url.Values) (*store.Matcher, bool) {
-	p := store.Predicate{Cage: -1}
-	for _, key := range []string{"node", "cabinet", "cage"} {
-		v := q.Get(key)
-		if v == "" {
-			continue
-		}
-		if err := titanql.SetPred(&p, key, v, false); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return nil, false
-		}
-	}
-	if p.Empty() {
-		return nil, true
-	}
-	m, err := p.Compile()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	return m, true
+// handleTop serves offender cards ranked by event count — the paper's
+// "a handful of cards produce almost all the SBEs" lists.
+func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
+	badRequest(w, s.answer(w, r, topPlan, &s.metrics.queryTop, true))
 }
 
 // handleQuery serves one composed titanql plan — filter × group ×
@@ -314,93 +226,145 @@ func parseWhereParams(w http.ResponseWriter, q url.Values) (*store.Matcher, bool
 //
 //	GET /query?q=code=48 cabinet=c3-* | by cage | bucket 6h | top 5
 //
-// The plan is compiled onto the store kernels and executed
-// segment-parallel over the same consistent (sealed, tail) snapshot
-// every other query endpoint reads; the response carries the canonical
-// query spelling and is byte-identical at any worker count.
+// The response carries the canonical query spelling. queries counts
+// every request, query_errors the refused ones.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.metrics.queries.Add(1)
-	q := r.URL.Query()
-	partial := wantPartial(q)
-	res, err := s.runQuery(q.Get("q"), partial)
+	err := s.answer(w, r, queryPlan, &s.metrics.queries, false)
 	if err != nil {
+		s.metrics.queries.Add(1) // answer books the ones it serves
 		s.metrics.queryErrors.Add(1)
+	}
+	badRequest(w, err)
+}
+
+// badRequest writes the 400 a spelling or compile error is; any failure
+// before the fold is the client's.
+func badRequest(w http.ResponseWriter, err error) {
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
 	}
-	writeAcc(s, w, partial, res)
 }
 
-// runQuery parses, compiles and folds one titanql expression over the
-// current snapshot; any failure is the client's (a 400).
-func (s *Server) runQuery(q string, partial bool) (*titanql.Result, error) {
-	if q == "" {
-		return nil, errors.New("missing q: want /query?q=<titanql expression>")
-	}
-	plan, err := titanql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := plan.Compile()
-	if err != nil {
-		return nil, err
-	}
-	segs, tail := s.historyView()
-	start := time.Now()
-	res, err := compiled.Fold(segs, tail, 0, partial)
-	if err == nil {
-		s.metrics.observeFold(start, res.Rows())
-	}
-	return res, err
-}
-
-// handleTop serves offender cards ranked by event count — the paper's
-// "a handful of cards produce almost all the SBEs" lists, counted
-// straight off per-code bitmaps. ?by= is node (default), serial or
-// code; ?k= caps the ranking (default 20, 0 = all); ?code= restricts
-// the count to one code; ?cabinet=/?cage=/?node= restrict where, as on
-// /rollup; ?since=/?until= bound the range.
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	spec := store.TopSpec{By: store.TopByNode, K: 20}
+// rollupPlan spells /rollup: ?by= is a comma list of code, cabinet,
+// cage, node (empty = a pure time series); ?bucket= is a Go duration
+// ≥ 1s (default 1h); the rest filter (urlFilter).
+func rollupPlan(q url.Values) (*titanql.Plan, error) {
+	plan := titanql.NewPlan()
+	plan.Rollup.Bucket = time.Hour
 	if v := q.Get("by"); v != "" {
-		spec.By = store.TopBy(v)
+		for _, dim := range strings.Split(v, ",") {
+			if !plan.Rollup.GroupBy(strings.TrimSpace(dim)) {
+				return nil, fmt.Errorf("bad by dimension %q: want code, cabinet, cage or node", dim)
+			}
+		}
+	}
+	if v := q.Get("bucket"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			return nil, fmt.Errorf("bad bucket %q: %v", v, err)
+		}
+		plan.Rollup.Bucket = d
+	}
+	return plan, urlFilter(&plan.Filter, q)
+}
+
+// topPlan spells /top: ?by= is node (default), serial or code; ?k= caps
+// the ranking (default 20, 0 = all); the rest filter, exactly as on
+// /rollup.
+func topPlan(q url.Values) (*titanql.Plan, error) {
+	plan := titanql.NewPlan()
+	plan.Kind, plan.Top = titanql.KindTop, store.TopSpec{By: store.TopByNode, K: 20}
+	if v := q.Get("by"); v != "" {
+		plan.Top.By = store.TopBy(v)
 	}
 	if v := q.Get("k"); v != "" {
 		k, err := strconv.Atoi(v)
 		if err != nil || k < 0 {
-			http.Error(w, fmt.Sprintf("bad k %q", v), http.StatusBadRequest)
-			return
+			return nil, fmt.Errorf("bad k %q", v)
 		}
-		spec.K = k
+		plan.Top.K = k
 	}
+	return plan, urlFilter(&plan.Filter, q)
+}
+
+// urlFilter reads the filter parameters /rollup and /top share into p:
+// ?code= keeps one code (its per-segment bitmap is the fast path),
+// ?since= / ?until= bound the range, ?node= / ?cabinet= / ?cage= restrict
+// where. The location values are decoded by titanql.SetPred — the query
+// language's own decoder — so `?cabinet=c3-*` and `cabinet=c3-*` in a
+// /query expression accept identical spellings and fail identically.
+func urlFilter(p *store.Predicate, q url.Values) error {
 	if v := q.Get("code"); v != "" {
 		code, err := xid.ParseCode(v)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return err
 		}
-		spec.FilterCode = true
-		spec.Code = code
+		p.Codes = []xid.Code{code}
 	}
-	var ok bool
-	if spec.Since, spec.Until, ok = parseTimeRange(w, q); !ok {
-		return
+	var err error
+	if p.Since, p.Until, err = parseTimeRange(q); err != nil {
+		return err
 	}
-	m, ok := parseWhereParams(w, q)
-	if !ok {
-		return
+	for _, key := range []string{"node", "cabinet", "cage"} {
+		if v := q.Get(key); v != "" {
+			if err := titanql.SetPred(p, key, v, false); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
 
-	partial := wantPartial(q)
+// queryPlan spells /query: ?q= is the expression.
+func queryPlan(q url.Values) (*titanql.Plan, error) {
+	expr := q.Get("q")
+	if expr == "" {
+		return nil, errors.New("missing q: want /query?q=<titanql expression>")
+	}
+	return titanql.Parse(expr)
+}
+
+// answer is the one body behind the three: spell the plan, compile it
+// (an error from either is returned for the caller's 400, nothing
+// written), fold segment-parallel over the consistent (sealed, tail)
+// snapshot every read endpoint takes, book the fold and the endpoint's
+// served counter, then write one of three faces of the same Result — the
+// titanql document; for a bare endpoint the store document inside it
+// (Doc.Bare, which echoes ?code=); or, under ?partial=1, the raw
+// accumulator a titanrouter merges with its peers' before rendering
+// once. partial is read before the fold: an offender ranking that will
+// be exported must keep every key (store.ParallelTopAcc). The accumulator
+// goes back to the store's pools before the render starts — every face
+// is a copy.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, spell func(url.Values) (*titanql.Plan, error), served *atomic.Uint64, bare bool) error {
+	q := r.URL.Query()
+	plan, err := spell(q)
+	if err != nil {
+		return err
+	}
+	compiled, err := plan.Compile()
+	if err != nil {
+		return err
+	}
+	partial := q.Get("partial") == "1"
 	segs, tail := s.historyView()
 	start := time.Now()
-	acc, err := store.ParallelTopAcc(segs, tail, spec, m, 0, partial)
+	res, err := compiled.Fold(segs, tail, 0, partial)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return err
 	}
-	s.metrics.observeFold(start, acc.Total())
-	s.metrics.queryTop.Add(1)
-	writeAcc(s, w, partial, acc)
+	s.metrics.observeFold(start, res.Rows())
+	served.Add(1)
+	var face jsonw.Appender
+	switch {
+	case partial:
+		face = res.Partial()
+	case bare:
+		face = res.Doc().Bare(q.Get("code"))
+	default:
+		face = res.Doc()
+	}
+	res.Release()
+	s.writeJSON(w, face)
+	return nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
@@ -11,6 +12,8 @@ import (
 
 	"titanre/internal/store"
 	"titanre/internal/titanql"
+	"titanre/internal/topology"
+	"titanre/internal/xid"
 )
 
 func queryURL(base, q string) string {
@@ -109,11 +112,12 @@ func TestRollupWhereParams(t *testing.T) {
 		query string
 		pred  store.Predicate
 		spec  store.RollupSpec
+		code  xid.Code // ?code=, 0 for none (see ofCode)
 	}{
-		{"by=cage&bucket=6h&cabinet=c3-*", store.Predicate{Cabinet: "c3-*", Cage: -1}, store.RollupSpec{ByCage: true, Bucket: 6 * time.Hour}},
-		{"by=code&bucket=1h&cage=2", store.Predicate{Cage: 2}, store.RollupSpec{ByCode: true, Bucket: time.Hour}},
-		{"by=node&bucket=24h&node=c?-1c2s*", store.Predicate{Node: "c?-1c2s*", Cage: -1}, store.RollupSpec{ByNode: true, Bucket: 24 * time.Hour}},
-		{"bucket=12h&code=48&cabinet=c*-0&cage=0", store.Predicate{Cabinet: "c*-0", Cage: 0}, store.RollupSpec{Bucket: 12 * time.Hour, FilterCode: true, Code: 48}},
+		{"by=cage&bucket=6h&cabinet=c3-*", store.Predicate{Cabinet: "c3-*", Cage: -1}, store.RollupSpec{ByCage: true, Bucket: 6 * time.Hour}, 0},
+		{"by=code&bucket=1h&cage=2", store.Predicate{Cage: 2}, store.RollupSpec{ByCode: true, Bucket: time.Hour}, 0},
+		{"by=node&bucket=24h&node=c?-1c2s*", store.Predicate{Node: "c?-1c2s*", Cage: -1}, store.RollupSpec{ByNode: true, Bucket: 24 * time.Hour}, 0},
+		{"bucket=12h&code=48&cabinet=c*-0&cage=0", store.Predicate{Cabinet: "c*-0", Cage: 0}, store.RollupSpec{Bucket: 12 * time.Hour}, 48},
 	}
 	for _, tc := range cases {
 		m, err := tc.pred.Compile()
@@ -131,10 +135,12 @@ func TestRollupWhereParams(t *testing.T) {
 		if kept == 0 || kept == int64(len(want)) {
 			t.Fatalf("%s: predicate kept %d of %d events — not a discriminating case", tc.query, kept, len(want))
 		}
+		filtered, echo := ofCode(filtered, tc.code)
 		ref, err := store.RollupEvents(filtered, tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref.Code = echo
 		body := getBody(t, base+"/rollup?"+tc.query)
 		if !bytes.Equal(body, renderJSON(t, ref)) {
 			t.Fatalf("GET /rollup?%s diverges from the matcher-filtered batch rollup", tc.query)
@@ -147,6 +153,66 @@ func TestRollupWhereParams(t *testing.T) {
 		}
 	}
 	_ = s
+}
+
+// TestURLFiltersSpellInQuery: every filter value /rollup takes as a URL
+// parameter can be written as the same predicate in a /query expression,
+// and means the same there — the rollup inside the /query answer is the
+// /rollup answer (which alone echoes ?code=). `cabinet=c[!3]-*` is the
+// case that failed: the lexer cut words at every '!', so a negated glob
+// class was a 400 in /query while /rollup took it. What no expression
+// can carry is a value holding whitespace, '|', '=' or "!=" — the
+// language's own separators; no cname, code or timestamp has any.
+func TestURLFiltersSpellInQuery(t *testing.T) {
+	log := encodeLog(t, simEvents())
+	s, base, want := queryServer(t, log)
+	if _, err := s.compact(48*time.Hour, 1); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	mid := want[len(want)/2].Time
+	discriminating := 0
+	for _, f := range []struct{ key, value string }{
+		{"cabinet", "c3-*"},
+		{"cabinet", "c[!3]-*"},
+		{"cabinet", "c[!0-2]-[!0]"},
+		{"cabinet", "c[0-2]-?"},
+		{"cabinet", `c\3-*`},
+		{"cabinet", "!c3-0"}, // a glob that starts with '!': legal, matches nothing
+		{"node", "c?-1c2s*"},
+		{"node", "c[!3]*c[!01]s*n[!0]"},
+		{"node", topology.CNameOf(want[0].Node)},
+		{"cage", "0"},
+		{"cage", "2"},
+		{"code", "48"},
+		{"code", "sbe"},
+		{"code", "OTB"},
+		{"code", "-1"},
+		{"code", "65549"},
+		{"since", mid.Format(time.RFC3339)},
+		{"until", mid.Add(90 * time.Minute).In(time.FixedZone("", 2*3600)).Format(time.RFC3339)},
+		{"since", mid.Format("2006-01-02T15:04:05.5Z07:00")},
+	} {
+		bare := getBody(t, base+"/rollup?"+url.Values{"by": {"cage"}, "bucket": {"24h"}, f.key: {f.value}}.Encode())
+		var roll store.RollupDoc
+		if err := json.Unmarshal(bare, &roll); err != nil {
+			t.Fatal(err)
+		}
+		if (roll.Code != "") != (f.key == "code") {
+			t.Fatalf("/rollup?%s=%s: code echo %q", f.key, f.value, roll.Code)
+		}
+		roll.Code = ""
+		if n := roll.TotalEvents; n > 0 && n < int64(len(want)) {
+			discriminating++
+		}
+		var doc titanql.Doc
+		getJSON(t, queryURL(base, f.key+"="+f.value+" | by cage | bucket 1d"), &doc)
+		if doc.Rollup == nil || !bytes.Equal(doc.Rollup.AppendJSON(nil), roll.AppendJSON(nil)) {
+			t.Errorf("%s=%s: the /query rollup is not the /rollup?%s=... answer\n/query:  %.300s\n/rollup: %.300s", f.key, f.value, f.key, doc.Rollup.AppendJSON(nil), bare)
+		}
+	}
+	if discriminating < 12 {
+		t.Fatalf("only %d filters kept a strict subset of the stream", discriminating)
+	}
 }
 
 // TestQueryExprConsistencyUnderCompaction hammers /query while

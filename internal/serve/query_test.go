@@ -54,6 +54,22 @@ func queryServer(t *testing.T, log []byte) (*Server, string, []console.Event) {
 	return s, ts.URL, want
 }
 
+// ofCode is a ?code= parameter done naively, for the batch references:
+// the events carrying code, and the "code" member the bare document
+// echoes it as. Code 0 (no event of the fixture carries it) stands for
+// no parameter: every event, no echo.
+func ofCode(events []console.Event, code xid.Code) (kept []console.Event, echo string) {
+	if code == 0 {
+		return events, ""
+	}
+	for _, ev := range events {
+		if ev.Code == code {
+			kept = append(kept, ev)
+		}
+	}
+	return kept, code.String()
+}
+
 // TestRollupMatchesBatch is the tentpole equivalence: GET /rollup over
 // a streamed, partially compacted month answers byte-identically to the
 // batch event kernel over the same stream — the paper's Fig 3
@@ -72,18 +88,21 @@ func TestRollupMatchesBatch(t *testing.T) {
 	cases := []struct {
 		query string
 		spec  store.RollupSpec
+		code  xid.Code // ?code=, 0 for none: the reference folds only its events and echoes it
 	}{
-		{"by=code,cabinet&bucket=1h", store.RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}},
-		{"by=code&bucket=1h", store.RollupSpec{ByCode: true, Bucket: time.Hour}},
-		{"bucket=24h", store.RollupSpec{Bucket: 24 * time.Hour}},
-		{"by=cabinet,cage&bucket=24h&code=48", store.RollupSpec{ByCabinet: true, ByCage: true, Bucket: 24 * time.Hour, FilterCode: true, Code: xid.DoubleBitError}},
-		{"by=node&bucket=24h&code=13", store.RollupSpec{ByNode: true, Bucket: 24 * time.Hour, FilterCode: true, Code: 13}},
+		{"by=code,cabinet&bucket=1h", store.RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}, 0},
+		{"by=code&bucket=1h", store.RollupSpec{ByCode: true, Bucket: time.Hour}, 0},
+		{"bucket=24h", store.RollupSpec{Bucket: 24 * time.Hour}, 0},
+		{"by=cabinet,cage&bucket=24h&code=48", store.RollupSpec{ByCabinet: true, ByCage: true, Bucket: 24 * time.Hour}, xid.DoubleBitError},
+		{"by=node&bucket=24h&code=13", store.RollupSpec{ByNode: true, Bucket: 24 * time.Hour}, 13},
 	}
 	for _, tc := range cases {
-		ref, err := store.RollupEvents(want, tc.spec)
+		kept, echo := ofCode(want, tc.code)
+		ref, err := store.RollupEvents(kept, tc.spec)
 		if err != nil {
 			t.Fatalf("%s: batch kernel: %v", tc.query, err)
 		}
+		ref.Code = echo
 		body := getBody(t, base+"/rollup?"+tc.query)
 		if !bytes.Equal(body, renderJSON(t, ref)) {
 			t.Fatalf("GET /rollup?%s diverges from the batch rollup over the same stream", tc.query)
@@ -243,17 +262,20 @@ func TestTopOffenders(t *testing.T) {
 	cases := []struct {
 		query string
 		spec  store.TopSpec
+		code  xid.Code // ?code=, 0 for none (see TestRollupMatchesBatch)
 	}{
-		{"", store.TopSpec{By: store.TopByNode, K: 20}},
-		{"?k=5", store.TopSpec{By: store.TopByNode, K: 5}},
-		{"?by=serial&k=10&code=13", store.TopSpec{By: store.TopBySerial, K: 10, FilterCode: true, Code: 13}},
-		{"?by=code&k=0", store.TopSpec{By: store.TopByCode, K: 0}},
+		{"", store.TopSpec{By: store.TopByNode, K: 20}, 0},
+		{"?k=5", store.TopSpec{By: store.TopByNode, K: 5}, 0},
+		{"?by=serial&k=10&code=13", store.TopSpec{By: store.TopBySerial, K: 10}, 13},
+		{"?by=code&k=0", store.TopSpec{By: store.TopByCode, K: 0}, 0},
 	}
 	for _, tc := range cases {
-		ref, err := store.TopEvents(want, tc.spec)
+		kept, echo := ofCode(want, tc.code)
+		ref, err := store.TopEvents(kept, tc.spec)
 		if err != nil {
 			t.Fatalf("%q: batch kernel: %v", tc.query, err)
 		}
+		ref.Code = echo
 		body := getBody(t, base+"/top"+tc.query)
 		if !bytes.Equal(body, renderJSON(t, ref)) {
 			t.Fatalf("GET /top%s diverges from the batch ranking", tc.query)

@@ -18,32 +18,37 @@ import (
 	"titanre/internal/topology"
 )
 
-// TestBadRequestBodies pins the text of every 400 the query endpoints
-// write from a URL parameter — the handlers read one parsed query
-// string each, and what they say about a bad one must not drift.
+// BadRequestBodies pins the text of every 400 the query endpoints write
+// from a URL parameter — the handlers read one parsed query string
+// each, and what they say about a bad one must not drift. Exported (from
+// a test file) so TestBadRequestBodiesForwarded, outside the package
+// because it needs a titanrouter, holds a router to the same table.
+var BadRequestBodies = map[string]string{
+	"/rollup?by=code,rack":                `bad by dimension "rack": want code, cabinet, cage or node`,
+	"/rollup?bucket=soon":                 `bad bucket "soon": time: invalid duration "soon"`,
+	"/rollup?bucket=10ms":                 `store: rollup bucket 10ms must be at least 1s`,
+	"/rollup?code=zzz":                    `bad code "zzz": want an XID number, sbe or otb`,
+	"/top?code=zzz":                       `bad code "zzz": want an XID number, sbe or otb`,
+	"/top?by=cabinet":                     `store: top-k dimension "cabinet" (want node, serial or code)`,
+	"/top?k=-1":                           `bad k "-1"`,
+	"/top?k=many":                         `bad k "many"`,
+	"/codes/13/history?limit=-1":          `bad limit "-1"`,
+	"/codes/13/history?limit=few":         `bad limit "few"`,
+	"/codes/13/history?since=yesterday":   `bad since "yesterday": parsing time "yesterday" as "2006-01-02T15:04:05Z07:00": cannot parse "yesterday" as "2006"`,
+	"/nodes/c0-0c0s0n2/history?until=now": `bad until "now": parsing time "now" as "2006-01-02T15:04:05Z07:00": cannot parse "now" as "2006"`,
+	"/rollup?since=1":                     `bad since "1": parsing time "1" as "2006-01-02T15:04:05Z07:00": cannot parse "1" as "2006"`,
+	"/top?until=2":                        `bad until "2": parsing time "2" as "2006-01-02T15:04:05Z07:00": cannot parse "2" as "2006"`,
+	"/rollup?cage=9":                      `store: cage 9 out of range (machine has 3)`,
+	"/rollup?cage=top":                    `titanql: bad cage "top" (want 0, 1 or 2)`,
+	"/query":                              `missing q: want /query?q=<titanql expression>`,
+}
+
+// TestBadRequestBodies asks a daemon for every entry of the table.
 func TestBadRequestBodies(t *testing.T) {
 	s := testServer(t, DefaultConfig())
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	for path, want := range map[string]string{
-		"/rollup?by=code,rack":                `bad by dimension "rack": want code, cabinet, cage or node`,
-		"/rollup?bucket=soon":                 `bad bucket "soon": time: invalid duration "soon"`,
-		"/rollup?bucket=10ms":                 `store: rollup bucket 10ms must be at least 1s`,
-		"/rollup?code=zzz":                    `bad code "zzz": want an XID number, sbe or otb`,
-		"/top?code=zzz":                       `bad code "zzz": want an XID number, sbe or otb`,
-		"/top?by=cabinet":                     `store: top-k dimension "cabinet" (want node, serial or code)`,
-		"/top?k=-1":                           `bad k "-1"`,
-		"/top?k=many":                         `bad k "many"`,
-		"/codes/13/history?limit=-1":          `bad limit "-1"`,
-		"/codes/13/history?limit=few":         `bad limit "few"`,
-		"/codes/13/history?since=yesterday":   `bad since "yesterday": parsing time "yesterday" as "2006-01-02T15:04:05Z07:00": cannot parse "yesterday" as "2006"`,
-		"/nodes/c0-0c0s0n2/history?until=now": `bad until "now": parsing time "now" as "2006-01-02T15:04:05Z07:00": cannot parse "now" as "2006"`,
-		"/rollup?since=1":                     `bad since "1": parsing time "1" as "2006-01-02T15:04:05Z07:00": cannot parse "1" as "2006"`,
-		"/top?until=2":                        `bad until "2": parsing time "2" as "2006-01-02T15:04:05Z07:00": cannot parse "2" as "2006"`,
-		"/rollup?cage=9":                      `store: cage 9 out of range (machine has 3)`,
-		"/rollup?cage=top":                    `titanql: bad cage "top" (want 0, 1 or 2)`,
-		"/query":                              `missing q: want /query?q=<titanql expression>`,
-	} {
+	for path, want := range BadRequestBodies {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

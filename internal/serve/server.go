@@ -649,23 +649,20 @@ func (s *Server) historyView() ([]*store.Segment, []console.Event) {
 	return segs, tail
 }
 
-// parseTimeRange reads optional ?since= / ?until= RFC 3339 bounds,
-// reporting ok=false after writing the 400.
-func parseTimeRange(w http.ResponseWriter, q url.Values) (since, until time.Time, ok bool) {
-	var err error
+// parseTimeRange reads optional ?since= / ?until= RFC 3339 bounds; the
+// error is the 400's body.
+func parseTimeRange(q url.Values) (since, until time.Time, err error) {
 	if v := q.Get("since"); v != "" {
 		if since, err = time.Parse(time.RFC3339, v); err != nil {
-			http.Error(w, fmt.Sprintf("bad since %q: %v", v, err), http.StatusBadRequest)
-			return since, until, false
+			return since, until, fmt.Errorf("bad since %q: %v", v, err)
 		}
 	}
 	if v := q.Get("until"); v != "" {
 		if until, err = time.Parse(time.RFC3339, v); err != nil {
-			http.Error(w, fmt.Sprintf("bad until %q: %v", v, err), http.StatusBadRequest)
-			return since, until, false
+			return since, until, fmt.Errorf("bad until %q: %v", v, err)
 		}
 	}
-	return since, until, true
+	return since, until, nil
 }
 
 // AlertView is the JSON shape of one raised alert.

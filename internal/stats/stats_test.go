@@ -151,13 +151,13 @@ func TestSummaryStats(t *testing.T) {
 	if !almost(StdDev(x), 2.1380899, 1e-6) {
 		t.Errorf("stddev = %v", StdDev(x))
 	}
-	if Median(x) != 4.5 {
-		t.Errorf("median = %v", Median(x))
+	if Quantile(x, 0.5) != 4.5 {
+		t.Errorf("median = %v", Quantile(x, 0.5))
 	}
-	if Median([]float64{1, 2, 3}) != 2 {
+	if Quantile([]float64{1, 2, 3}, 0.5) != 2 {
 		t.Error("odd median wrong")
 	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || StdDev(nil) != 0 || Quantile(nil, 0.5) != 0 {
 		t.Error("empty-slice summaries should be 0")
 	}
 }

@@ -34,20 +34,6 @@ func StdDev(x []float64) float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// Median returns the sample median, or 0 for an empty slice.
-func Median(x []float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics. Returns 0 for an empty slice.
 func Quantile(x []float64, q float64) float64 {

@@ -472,10 +472,10 @@ func TestTopCountFirstMatchesOracle(t *testing.T) {
 // TestFoldAllocsIndependentOfRows: a warm fold — its accumulator, count
 // table, gather block and bitmaps borrowed from the pools and released —
 // allocates next to nothing, whatever the rows, the keys or the matcher:
-// it reads 1 or 2 (the fold's closure, a narrowed matcher) against a
-// ceiling of 4, where fresh tables were ~40 for these fixtures, one
-// allocation per block would add 20 and one per row 20,000. The render
-// is left out: its Go maps allocate by hash seed.
+// it reads 1 or 2 (the fold's closures) against a ceiling of 4, where
+// fresh tables were ~40 for these fixtures, one allocation per block
+// would add 20 and one per row 20,000. The render is left out: its Go
+// maps allocate by hash seed.
 func TestFoldAllocsIndependentOfRows(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops a share of Puts under the race detector")

@@ -179,7 +179,7 @@ func ParallelRollupAcc(segs []*Segment, tail []console.Event, spec RollupSpec, m
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sc := newScan(segs, tail, narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	sc := newScan(segs, tail, m)
 	defer sc.release()
 	return fold(func() *Rollup { return newRollup(spec) }, sc, workers), nil
 }
@@ -212,7 +212,7 @@ func ParallelTopAcc(segs []*Segment, tail []console.Event, spec TopSpec, m *Matc
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sc := newScan(segs, tail, narrow(m, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	sc := newScan(segs, tail, m)
 	defer sc.release()
 	if everyKey || spec.K <= 0 || spec.By == TopByCode {
 		return fold(func() *Top { return newTop(spec, nil) }, sc, workers), nil

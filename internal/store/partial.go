@@ -124,17 +124,6 @@ func (p RollupPartial) WriteJSON(w *jsonw.W) {
 	w.EndObj()
 }
 
-// specEqual compares rollup specs field-wise. Time bounds compare with
-// Equal, not ==: JSON round-tripping may change the wall-clock
-// representation (monotonic clock stripped, location renamed) without
-// changing the instant.
-func rollupSpecEqual(a, b RollupSpec) bool {
-	return a.ByCode == b.ByCode && a.ByCabinet == b.ByCabinet &&
-		a.ByCage == b.ByCage && a.ByNode == b.ByNode &&
-		a.Bucket == b.Bucket && a.FilterCode == b.FilterCode &&
-		a.Code == b.Code && a.Since.Equal(b.Since) && a.Until.Equal(b.Until)
-}
-
 // MergeRollupPartials folds partials from replicas (or any other
 // disjoint row owners) back into one accumulator. All partials must
 // carry the same spec; the merged accumulator's Doc() is byte-identical
@@ -144,7 +133,7 @@ func MergeRollupPartials(parts []RollupPartial) (*Rollup, error) {
 		return nil, fmt.Errorf("store: merge rollup: no partials")
 	}
 	for i := 1; i < len(parts); i++ {
-		if !rollupSpecEqual(parts[0].Spec, parts[i].Spec) {
+		if parts[i].Spec != parts[0].Spec {
 			return nil, fmt.Errorf("store: merge rollup: partial %d spec differs", i)
 		}
 	}
@@ -247,11 +236,6 @@ func writeByCode[K comparable](w *jsonw.W, m map[K]int64, keys []K, name func(K)
 	return keys
 }
 
-func topSpecEqual(a, b TopSpec) bool {
-	return a.By == b.By && a.K == b.K && a.FilterCode == b.FilterCode &&
-		a.Code == b.Code && a.Since.Equal(b.Since) && a.Until.Equal(b.Until)
-}
-
 // MergeTopPartials folds per-replica offender partials back into one
 // accumulator (same contract as MergeRollupPartials).
 func MergeTopPartials(parts []TopPartial) (*Top, error) {
@@ -259,7 +243,7 @@ func MergeTopPartials(parts []TopPartial) (*Top, error) {
 		return nil, fmt.Errorf("store: merge top: no partials")
 	}
 	for i := 1; i < len(parts); i++ {
-		if !topSpecEqual(parts[0].Spec, parts[i].Spec) {
+		if parts[i].Spec != parts[0].Spec {
 			return nil, fmt.Errorf("store: merge top: partial %d spec differs", i)
 		}
 	}

@@ -55,7 +55,12 @@ func (p Predicate) Empty() bool {
 // checked up front (a malformed pattern fails here, never mid-scan), and
 // the node-level predicates are folded into one boolean mask over the
 // machine's node space so a segment scan tests one slice index per row.
+// An empty predicate compiles to the nil Matcher, which every consumer
+// reads as "all rows" without evaluating anything.
 func (p Predicate) Compile() (*Matcher, error) {
+	if p.Empty() {
+		return nil, nil
+	}
 	if p.Cage >= topology.CagesPerCabinet {
 		return nil, fmt.Errorf("store: cage %d out of range (machine has %d)", p.Cage, topology.CagesPerCabinet)
 	}
@@ -129,12 +134,12 @@ type Matcher struct {
 	lo, hi   int64  // inclusive epoch-second bounds
 }
 
-// Predicate returns the predicate the matcher was compiled from.
-func (m *Matcher) Predicate() Predicate { return m.p }
-
 // MatchEvent tests one materialized event — the kernel the retained
-// tail and the naive batch reference share.
+// tail and the naive batch reference share. The nil matcher matches all.
 func (m *Matcher) MatchEvent(e console.Event) bool {
+	if m == nil {
+		return true
+	}
 	if sec := e.Time.Unix(); sec < m.lo || sec > m.hi {
 		return false
 	}
@@ -160,39 +165,6 @@ func codeIn(c xid.Code, codes []xid.Code) bool {
 		}
 	}
 	return false
-}
-
-// narrow returns the matcher for "m and a spec's own filter" — the one
-// place RollupSpec/TopSpec FilterCode and Since/Until become row
-// selection, so the accumulators never test them per row and a code
-// restriction reaches the per-code bitmaps through segmentBits like any
-// other. m may be nil (no other predicate); the result is m itself when
-// the spec adds nothing, else a private copy sharing m's read-only node
-// mask. Only lo/hi and p.Codes of the copy are narrowed — they are all
-// MatchEvent and segmentBits read.
-func narrow(m *Matcher, filterCode bool, code xid.Code, since, until time.Time) *Matcher {
-	if !filterCode && since.IsZero() && until.IsZero() {
-		return m
-	}
-	out := Matcher{p: Predicate{Cage: -1}, lo: math.MinInt64, hi: math.MaxInt64}
-	if m != nil {
-		out = *m
-	}
-	if !since.IsZero() {
-		out.lo = max(out.lo, since.Unix())
-	}
-	if !until.IsZero() {
-		out.hi = min(out.hi, until.Unix())
-	}
-	if filterCode {
-		if len(out.p.Codes) > 0 && !codeIn(code, out.p.Codes) {
-			// m's code list excludes the spec's code: the conjunction is
-			// empty, which an empty time window expresses exactly.
-			out.lo, out.hi = math.MaxInt64, math.MinInt64
-		}
-		out.p.Codes = []xid.Code{code}
-	}
-	return &out
 }
 
 // segMatch classifies how a matcher relates to one segment.

@@ -222,25 +222,85 @@ func TestPredicateValidation(t *testing.T) {
 	}
 }
 
-// TestRollupWhereMatchesEventFold: the single fold — forEachRow over
-// sealed segments plus scanEvents over a tail, under one matcher —
+// extra is a second filter stated beside a predicate: one code and/or a
+// time range — what RollupSpec/TopSpec's own FilterCode, Since and Until
+// fields once carried. Now the only way to state it is inside the
+// predicate (and), and the tests that used those fields hold the fold
+// under the combined predicate to the naive answer (kept).
+type extra struct {
+	filterCode   bool
+	code         xid.Code
+	since, until time.Time
+}
+
+// and returns p narrowed by x. A code p's list excludes leaves nothing:
+// Codes and NotCodes naming the same code say so.
+func (x extra) and(p Predicate) Predicate {
+	if x.filterCode {
+		if len(p.Codes) > 0 && !codeIn(x.code, p.Codes) {
+			p.NotCodes = append(append([]xid.Code(nil), p.NotCodes...), x.code)
+		}
+		p.Codes = []xid.Code{x.code}
+	}
+	if !x.since.IsZero() && (p.Since.IsZero() || x.since.After(p.Since)) {
+		p.Since = x.since
+	}
+	if !x.until.IsZero() && (p.Until.IsZero() || x.until.Before(p.Until)) {
+		p.Until = x.until
+	}
+	return p
+}
+
+// matcher compiles x.and(p).
+func (x extra) matcher(t *testing.T, p Predicate) *Matcher {
+	t.Helper()
+	m, err := x.and(p).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// kept is the naive conjunction: the events m matches (nil = all) that
+// also pass x, tested field by field at the store's second resolution.
+func (x extra) kept(events []console.Event, m *Matcher) []console.Event {
+	var kept []console.Event
+	for _, e := range events {
+		sec := e.Time.Unix()
+		if !m.MatchEvent(e) || x.filterCode && e.Code != x.code ||
+			!x.since.IsZero() && sec < x.since.Unix() || !x.until.IsZero() && sec > x.until.Unix() {
+			continue
+		}
+		kept = append(kept, e)
+	}
+	return kept
+}
+
+// TestRollupWhereMatchesEventFold: the single fold — gather.segment over
+// sealed segments plus gather.events over a tail, under one matcher —
 // renders byte-identically to the naive fold (filter the materialized
-// stream with MatchEvent, then run the plain event kernel) across
-// predicates, specs and sealed/tail split points. The FilterCode specs
-// meet matchers whose Codes contain the spec's code, exclude it, and do
-// not constrain codes at all: every way narrow can combine the two.
+// stream event by event, then run the plain event kernel) across
+// predicates, specs and sealed/tail split points. The extra one-code
+// filters meet predicates whose Codes contain that code, exclude it, and
+// do not constrain codes at all: every way the two can combine.
 func TestRollupWhereMatchesEventFold(t *testing.T) {
 	events := simEvents(t)
-	rollSpecs := []RollupSpec{
-		{ByCode: true, ByCage: true, Bucket: 6 * time.Hour},
-		{ByCabinet: true, Bucket: 6 * time.Hour, FilterCode: true, Code: 13},
-		{ByCode: true, Bucket: 24 * time.Hour, FilterCode: true, Code: xid.DoubleBitError, Since: events[len(events)/3].Time},
+	rollSpecs := []struct {
+		spec RollupSpec
+		also extra
+	}{
+		{spec: RollupSpec{ByCode: true, ByCage: true, Bucket: 6 * time.Hour}},
+		{RollupSpec{ByCabinet: true, Bucket: 6 * time.Hour}, extra{filterCode: true, code: 13}},
+		{RollupSpec{ByCode: true, Bucket: 24 * time.Hour}, extra{filterCode: true, code: xid.DoubleBitError, since: events[len(events)/3].Time}},
 	}
-	topSpecs := []TopSpec{
-		{By: TopByNode, K: 10},
-		{By: TopBySerial, K: 10},
-		{By: TopByCode, K: 0},
-		{By: TopBySerial, K: 5, FilterCode: true, Code: 13},
+	topSpecs := []struct {
+		spec TopSpec
+		also extra
+	}{
+		{spec: TopSpec{By: TopByNode, K: 10}},
+		{spec: TopSpec{By: TopBySerial, K: 10}},
+		{spec: TopSpec{By: TopByCode, K: 0}},
+		{TopSpec{By: TopBySerial, K: 5}, extra{filterCode: true, code: 13}},
 	}
 	for _, split := range []int{0, 1, len(events) / 2, len(events) - 1, len(events)} {
 		st, err := Open(t.TempDir())
@@ -261,18 +321,12 @@ func TestRollupWhereMatchesEventFold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pred %d: %v", pi, err)
 			}
-			var kept []console.Event
-			for _, e := range events {
-				if m.MatchEvent(e) {
-					kept = append(kept, e)
-				}
-			}
-			for si, spec := range rollSpecs {
-				wantRoll, err := RollupEvents(kept, spec)
+			for si, c := range rollSpecs {
+				wantRoll, err := RollupEvents(c.also.kept(events, m), c.spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotRoll, err := ParallelRollup(st.Segments(), tail, spec, m, 1)
+				gotRoll, err := ParallelRollup(st.Segments(), tail, c.spec, c.also.matcher(t, p), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,12 +334,12 @@ func TestRollupWhereMatchesEventFold(t *testing.T) {
 					t.Fatalf("split %d pred %d spec %d: rollup diverges from naive event fold", split, pi, si)
 				}
 			}
-			for si, topSpec := range topSpecs {
-				wantTop, err := TopEvents(kept, topSpec)
+			for si, c := range topSpecs {
+				wantTop, err := TopEvents(c.also.kept(events, m), c.spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotTop, err := ParallelTop(st.Segments(), tail, topSpec, m, 1)
+				gotTop, err := ParallelTop(st.Segments(), tail, c.spec, c.also.matcher(t, p), 1)
 				if err != nil {
 					t.Fatal(err)
 				}

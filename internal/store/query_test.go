@@ -148,23 +148,26 @@ func TestRollupMatchesEventKernel(t *testing.T) {
 	segs := st.Segments()
 
 	mid := events[len(events)/2].Time
-	specs := []RollupSpec{
-		{Bucket: time.Hour},
-		{ByCode: true, Bucket: time.Hour},
-		{ByCode: true, ByCabinet: true, Bucket: time.Hour},
-		{ByCabinet: true, ByCage: true, Bucket: 24 * time.Hour},
-		{ByNode: true, Bucket: 24 * time.Hour},
-		{ByCode: true, Bucket: time.Hour, FilterCode: true, Code: 13},
-		{ByCabinet: true, Bucket: time.Hour, FilterCode: true, Code: xid.DoubleBitError},
-		{ByCode: true, ByCabinet: true, Bucket: time.Hour, Since: mid},
-		{ByCode: true, Bucket: time.Minute, Until: mid},
+	specs := []struct {
+		spec RollupSpec
+		also extra
+	}{
+		{spec: RollupSpec{Bucket: time.Hour}},
+		{spec: RollupSpec{ByCode: true, Bucket: time.Hour}},
+		{spec: RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}},
+		{spec: RollupSpec{ByCabinet: true, ByCage: true, Bucket: 24 * time.Hour}},
+		{spec: RollupSpec{ByNode: true, Bucket: 24 * time.Hour}},
+		{RollupSpec{ByCode: true, Bucket: time.Hour}, extra{filterCode: true, code: 13}},
+		{RollupSpec{ByCabinet: true, Bucket: time.Hour}, extra{filterCode: true, code: xid.DoubleBitError}},
+		{RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}, extra{since: mid}},
+		{RollupSpec{ByCode: true, Bucket: time.Minute}, extra{until: mid}},
 	}
-	for i, spec := range specs {
-		want, err := RollupEvents(events, spec)
+	for i, c := range specs {
+		want, err := RollupEvents(c.also.kept(events, nil), c.spec)
 		if err != nil {
 			t.Fatalf("spec %d: event kernel: %v", i, err)
 		}
-		got, err := ParallelRollup(segs, nil, spec, nil, 1)
+		got, err := ParallelRollup(segs, nil, c.spec, c.also.matcher(t, Predicate{Cage: -1}), 1)
 		if err != nil {
 			t.Fatalf("spec %d: segment kernel: %v", i, err)
 		}
@@ -173,7 +176,7 @@ func TestRollupMatchesEventKernel(t *testing.T) {
 		if !bytes.Equal(wj, gj) {
 			t.Fatalf("spec %d: segment rollup diverges from event rollup\nsegment: %s\nevents:  %s", i, gj, wj)
 		}
-		if got.TotalEvents == 0 && !spec.FilterCode {
+		if got.TotalEvents == 0 && !c.also.filterCode {
 			t.Fatalf("spec %d: empty rollup over %d events", i, len(events))
 		}
 	}
@@ -228,21 +231,24 @@ func TestTopMatchesEventKernel(t *testing.T) {
 	segs := st.Segments()
 
 	mid := events[len(events)/2].Time
-	specs := []TopSpec{
-		{By: TopByNode, K: 20},
-		{By: TopBySerial, K: 10},
-		{By: TopByCode, K: 0},
-		{By: TopByNode, K: 10, FilterCode: true, Code: xid.SingleBitError},
-		{By: TopBySerial, K: 10, FilterCode: true, Code: 13},
-		{By: TopByNode, K: 20, Since: mid},
-		{By: TopByCode, K: 5, Until: mid},
+	specs := []struct {
+		spec TopSpec
+		also extra
+	}{
+		{spec: TopSpec{By: TopByNode, K: 20}},
+		{spec: TopSpec{By: TopBySerial, K: 10}},
+		{spec: TopSpec{By: TopByCode, K: 0}},
+		{TopSpec{By: TopByNode, K: 10}, extra{filterCode: true, code: xid.SingleBitError}},
+		{TopSpec{By: TopBySerial, K: 10}, extra{filterCode: true, code: 13}},
+		{TopSpec{By: TopByNode, K: 20}, extra{since: mid}},
+		{TopSpec{By: TopByCode, K: 5}, extra{until: mid}},
 	}
-	for i, spec := range specs {
-		want, err := TopEvents(events, spec)
+	for i, c := range specs {
+		want, err := TopEvents(c.also.kept(events, nil), c.spec)
 		if err != nil {
 			t.Fatalf("spec %d: event kernel: %v", i, err)
 		}
-		got, err := ParallelTop(segs, nil, spec, nil, 1)
+		got, err := ParallelTop(segs, nil, c.spec, c.also.matcher(t, Predicate{Cage: -1}), 1)
 		if err != nil {
 			t.Fatalf("spec %d: segment kernel: %v", i, err)
 		}

@@ -45,26 +45,39 @@ func sameRender(t *testing.T, what string, doc jsonw.Appender) {
 // across the cut, and empty.
 func TestRollupAppendJSONMatchesEncodingJSON(t *testing.T) {
 	events := adversarialEvents()
-	specs := map[string]RollupSpec{
-		"time series":      {Bucket: time.Hour},
-		"code":             {ByCode: true, Bucket: 24 * time.Hour},
-		"cabinet":          {ByCabinet: true, Bucket: 7 * 24 * time.Hour},
-		"cage only":        {ByCage: true, Bucket: 24 * time.Hour},
-		"cage+node":        {ByCage: true, ByNode: true, Bucket: 24 * time.Hour},
-		"all dims":         {ByCode: true, ByCabinet: true, ByCage: true, ByNode: true, Bucket: time.Second},
-		"filtered min":     {ByCabinet: true, ByCage: true, Bucket: time.Hour, FilterCode: true, Code: math.MinInt16},
-		"filtered nothing": {ByCode: true, Bucket: time.Hour, FilterCode: true, Code: 77},
-		"bounded":          {ByCode: true, Bucket: time.Hour, Since: time.Unix(-86400, 0).UTC(), Until: time.Unix(86400, 5).UTC()},
+	specs := map[string]struct {
+		spec RollupSpec
+		also extra
+	}{
+		"time series":      {spec: RollupSpec{Bucket: time.Hour}},
+		"code":             {spec: RollupSpec{ByCode: true, Bucket: 24 * time.Hour}},
+		"cabinet":          {spec: RollupSpec{ByCabinet: true, Bucket: 7 * 24 * time.Hour}},
+		"cage only":        {spec: RollupSpec{ByCage: true, Bucket: 24 * time.Hour}},
+		"cage+node":        {spec: RollupSpec{ByCage: true, ByNode: true, Bucket: 24 * time.Hour}},
+		"all dims":         {spec: RollupSpec{ByCode: true, ByCabinet: true, ByCage: true, ByNode: true, Bucket: time.Second}},
+		"filtered min":     {RollupSpec{ByCabinet: true, ByCage: true, Bucket: time.Hour}, extra{filterCode: true, code: math.MinInt16}},
+		"filtered nothing": {RollupSpec{ByCode: true, Bucket: time.Hour}, extra{filterCode: true, code: 77}},
+		"bounded":          {RollupSpec{ByCode: true, Bucket: time.Hour}, extra{since: time.Unix(-86400, 0).UTC(), until: time.Unix(86400, 5).UTC()}},
 	}
-	for name, spec := range specs {
-		acc, err := ParallelRollupAcc(nil, events, spec, nil, 1)
+	for name, c := range specs {
+		acc, err := ParallelRollupAcc(nil, events, c.spec, c.also.matcher(t, Predicate{Cage: -1}), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRender(t, name+" doc", acc.Doc())
+		// echo is what unwrapping for /rollup?code= adds to the document.
+		echo := func(doc RollupDoc) RollupDoc {
+			if c.also.filterCode {
+				doc.Code = c.also.code.String()
+			}
+			return doc
+		}
+		if c.also.filterCode && acc.Total() != int64(len(c.also.kept(events, nil))) {
+			t.Fatalf("%s: folded %d rows, the fixture holds %d of the code", name, acc.Total(), len(c.also.kept(events, nil)))
+		}
+		sameRender(t, name+" doc", echo(acc.Doc()))
 		sameRender(t, name+" partial", acc.Partial())
 		for _, k := range []int{1, 3, 17, 1 << 40} {
-			sameRender(t, name+" ranked", acc.RankedDoc(k))
+			sameRender(t, name+" ranked", echo(acc.RankedDoc(k)))
 		}
 	}
 	empty, _ := NewRollup(RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour})
@@ -113,16 +126,20 @@ func TestTopAppendJSONMatchesEncodingJSON(t *testing.T) {
 	events := adversarialEvents()
 	for _, by := range []TopBy{TopByNode, TopBySerial, TopByCode} {
 		for _, k := range []int{0, 1, 4, 1 << 40} {
-			for _, spec := range []TopSpec{
-				{By: by, K: k},
-				{By: by, K: k, FilterCode: true, Code: xid.Code(math.MaxInt16)},
-				{By: by, K: k, Since: time.Unix(-86400, 0).UTC(), Until: time.Unix(0, 0).UTC()},
+			for _, also := range []extra{
+				{},
+				{filterCode: true, code: xid.Code(math.MaxInt16)},
+				{since: time.Unix(-86400, 0).UTC(), until: time.Unix(0, 0).UTC()},
 			} {
-				acc, err := ParallelTopAcc(nil, events, spec, nil, 1, true)
+				acc, err := ParallelTopAcc(nil, events, TopSpec{By: by, K: k}, also.matcher(t, Predicate{Cage: -1}), 1, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameRender(t, "top doc", acc.Doc())
+				doc := acc.Doc()
+				if also.filterCode {
+					doc.Code = also.code.String() // /top?code='s echo
+				}
+				sameRender(t, "top doc", doc)
 				sameRender(t, "top partial", acc.Partial())
 			}
 		}

@@ -20,9 +20,9 @@ import (
 // kernel from a plain event slice — the batch reference the equivalence
 // tests compare the segment path against.
 
-// RollupSpec describes one rollup: which dimensions to group by, the
-// bucket width, and optional code/time filters. Zero times mean
-// unbounded; bounds are inclusive, matching ScanNode.
+// RollupSpec is the shape of one rollup: which dimensions to group by
+// and the bucket width. Which rows are counted is not its business — a
+// filter is a Predicate, compiled to the fold's one Matcher.
 type RollupSpec struct {
 	ByCode    bool
 	ByCabinet bool
@@ -33,13 +33,6 @@ type RollupSpec struct {
 	// floor(t/Bucket)*Bucket. Must be a positive whole number of
 	// seconds (the store's native resolution).
 	Bucket time.Duration
-
-	// FilterCode restricts the rollup to Code. Like Since/Until it is
-	// folded into the fold's matcher (narrow), never tested per row.
-	FilterCode bool
-	Code       xid.Code
-
-	Since, Until time.Time
 }
 
 // GroupBy adds one group-by dimension by the name every query surface
@@ -59,6 +52,18 @@ func (spec *RollupSpec) GroupBy(dim string) bool {
 		return false
 	}
 	return true
+}
+
+// Dims lists the grouped dimensions by those names, in canonical order —
+// the "by" echo of a document and of a canonical query.
+func (spec RollupSpec) Dims() []string {
+	dims := make([]string, 0, 4)
+	for i, on := range [...]bool{spec.ByCode, spec.ByCabinet, spec.ByCage, spec.ByNode} {
+		if on {
+			dims = append(dims, [...]string{"code", "cabinet", "cage", "node"}[i])
+		}
+	}
+	return dims
 }
 
 // Validate reports whether the bucket is a positive whole number of
@@ -269,9 +274,8 @@ func (r *Rollup) unloc(loc uint64) (cab, cage, node uint64) {
 	return loc / topology.NodesPerCabinet, loc / topology.NodesPerCage % topology.CagesPerCabinet, loc
 }
 
-// addRows is the kernel: count a block of matching rows. The spec's own
-// filter (code, time range) was already applied by the matcher that
-// chose the rows, so every row lands in a cell. The block is taken a run
+// addRows is the kernel: count a block of rows the fold's matcher chose,
+// so every row lands in a cell. The block is taken a run
 // at a time — consecutive rows of one bucket and, when grouping by code,
 // one code — which is one cell when no location is grouped, and
 // otherwise one row a node into cells that share the run's key bits.
@@ -384,7 +388,9 @@ type RollupCell struct {
 
 // RollupDoc is the rendered rollup: the spec echoed back plus the
 // cells, sorted by (bucket, code, cabinet, cage, node) for a canonical
-// byte representation.
+// byte representation. Code is /rollup's echo of its ?code= parameter,
+// set by whoever unwraps the document for that endpoint (titanql's
+// Doc.Bare); the accumulator knows nothing of the filter.
 type RollupDoc struct {
 	By            []string     `json:"by"`
 	BucketSeconds int64        `json:"bucket_seconds"`
@@ -459,25 +465,10 @@ func (r *Rollup) doc(keys []uint64) RollupDoc {
 	r.unpacked = r.unpack(keys, r.unpacked)
 	cells := r.unpacked
 	doc := RollupDoc{
-		By:            make([]string, 0, 4),
+		By:            r.spec.Dims(),
 		BucketSeconds: r.bs,
 		TotalEvents:   r.total,
 		Cells:         make([]RollupCell, 0, len(cells)),
-	}
-	if r.spec.ByCode {
-		doc.By = append(doc.By, "code")
-	}
-	if r.spec.ByCabinet {
-		doc.By = append(doc.By, "cabinet")
-	}
-	if r.spec.ByCage {
-		doc.By = append(doc.By, "cage")
-	}
-	if r.spec.ByNode {
-		doc.By = append(doc.By, "node")
-	}
-	if r.spec.FilterCode {
-		doc.Code = r.spec.Code.String()
 	}
 	codeNames := make(map[int16]string)  // a code is spelled once, not once per cell
 	ints := make([]int, 0, 2*len(cells)) // one backing array behind every *int: sized once, so never moved
@@ -523,6 +514,6 @@ func RollupEvents(events []console.Event, spec RollupSpec) (RollupDoc, error) {
 	defer r.Release()
 	rows := newGather(r)
 	defer rows.release()
-	rows.events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	rows.events(events, nil)
 	return r.Doc(), nil
 }

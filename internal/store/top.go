@@ -29,18 +29,12 @@ const (
 	TopByCode   TopBy = "code"
 )
 
-// TopSpec describes one offender query. K ≤ 0 means every key. Zero
-// times mean unbounded; bounds are inclusive.
+// TopSpec is the shape of one offender ranking: the dimension and how
+// many cards to keep (K ≤ 0 means every key). Like RollupSpec it says
+// nothing about which rows are counted.
 type TopSpec struct {
 	By TopBy
 	K  int
-
-	// FilterCode counts only events carrying Code; folded into the
-	// fold's matcher like RollupSpec.FilterCode.
-	FilterCode bool
-	Code       xid.Code
-
-	Since, Until time.Time
 }
 
 // Validate reports whether the spec names a dimension offenders rank by.
@@ -153,10 +147,9 @@ func (t *Top) column(code uint16) int {
 	return topHead + col
 }
 
-// addRows is the kernel: count a block of matching rows (the matcher
-// already applied the spec's code and time filter; a count-first detail
-// pass also skips every key but the winners). Consecutive rows of one
-// code share a dictionary lookup.
+// addRows is the kernel: count a block of rows the fold's matcher chose
+// (a count-first detail pass also skips every key but the winners).
+// Consecutive rows of one code share a dictionary lookup.
 func (t *Top) addRows(b block) {
 	codes, keys := b.codes[:len(b.times)], b.nodes[:len(b.times)]
 	if t.spec.By == TopBySerial {
@@ -366,7 +359,8 @@ type TopCard struct {
 	ByCode    map[string]int64 `json:"by_code,omitempty"`
 }
 
-// TopDoc is the rendered ranking.
+// TopDoc is the rendered ranking. Code is /top's echo of its ?code=
+// parameter (see RollupDoc.Code).
 type TopDoc struct {
 	By          string    `json:"by"`
 	K           int       `json:"k"`
@@ -424,9 +418,6 @@ func (t *Top) Doc() TopDoc {
 		TotalEvents: t.total,
 		Cards:       make([]TopCard, 0, len(ranked)),
 	}
-	if t.spec.FilterCode {
-		doc.Code = t.spec.Code.String()
-	}
 	for _, kc := range ranked {
 		slot := t.keys.find(kc.Key)
 		row := t.row(slot)
@@ -462,6 +453,6 @@ func TopEvents(events []console.Event, spec TopSpec) (TopDoc, error) {
 	defer t.Release()
 	rows := newGather(t)
 	defer rows.release()
-	rows.events(events, narrow(nil, spec.FilterCode, spec.Code, spec.Since, spec.Until))
+	rows.events(events, nil)
 	return t.Doc(), nil
 }

@@ -4,14 +4,15 @@ import (
 	"titanre/internal/console"
 	"titanre/internal/jsonw"
 	"titanre/internal/store"
+	"titanre/internal/xid"
 )
 
 // Compiling a plan lowers it onto the store kernels: the filter becomes
 // one shared store.Matcher (inside sealed segments it evaluates to a
 // position bitmap — stored per-code bitmaps unioned, then intersected
 // word-wise with the node-mask and time-range bitmaps; over the
-// retained tail it tests events one by one), and the stages become the
-// RollupSpec or TopSpec the accumulators already understand. Fold then
+// retained tail it tests events one by one), and the stages already are
+// the RollupSpec or TopSpec the accumulators understand. Fold then
 // runs the store's one fold (sealed segments fanned across workers, then
 // the tail) and returns the merged accumulator as a Result; Doc ranks
 // and renders it, Partial exports it raw for a router to merge. Because
@@ -51,50 +52,53 @@ func writeEnvelope[R, T interface{ WriteJSON(*jsonw.W) }](w *jsonw.W, query stri
 	w.EndObj()
 }
 
+// Bare unwraps the store document inside d — what /rollup, /top and
+// titanreport -rollup answer — with those surfaces' one remark about
+// their filter: code, the text of a ?code= / -rollup-code parameter the
+// plan was spelled from ("" when there was none), echoed as the
+// document's "code" member. titand calls it on its own fold, titanrouter
+// on the merged one, so the echo never rides the accumulator or the wire.
+func (d Doc) Bare(code string) jsonw.Appender {
+	echo := ""
+	if code != "" {
+		if c, err := xid.ParseCode(code); err == nil {
+			echo = c.String()
+		}
+	}
+	if d.Top != nil {
+		d.Top.Code = echo
+		return d.Top
+	}
+	d.Rollup.Code = echo
+	return d.Rollup
+}
+
 // Compiled is a plan lowered onto the store kernels, shareable
 // read-only across queries and workers.
 type Compiled struct {
 	plan    *Plan
 	query   string
-	matcher *store.Matcher
-	rollup  store.RollupSpec
-	top     store.TopSpec
+	matcher *store.Matcher // nil when the filter is empty: every row
 }
 
-// Compile validates the plan's filter (globs, cage range) and lowers it.
-// Time bounds live in both the matcher and the spec — the kernels prune
-// segments by min/max time either way, and applying them twice keeps
-// the two surfaces (compiled scan, naive fold) trivially aligned.
+// Compile validates the plan — the filter's globs and cage range, then
+// the shape the plan kind uses — and compiles the filter, the one place
+// the plan's rows are chosen, to its matcher.
 func (p *Plan) Compile() (*Compiled, error) {
 	m, err := p.Filter.Compile()
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{plan: p, query: p.String(), matcher: m}
 	if p.Kind == KindTop {
-		c.top = store.TopSpec{By: p.TopBy, K: p.TopK, Since: p.Filter.Since, Until: p.Filter.Until}
-		if err := c.top.Validate(); err != nil {
-			return nil, err
-		}
+		err = p.Top.Validate()
 	} else {
-		c.rollup = store.RollupSpec{
-			ByCode:    p.ByCode,
-			ByCabinet: p.ByCabinet,
-			ByCage:    p.ByCage,
-			ByNode:    p.ByNode,
-			Bucket:    p.Bucket,
-			Since:     p.Filter.Since,
-			Until:     p.Filter.Until,
-		}
-		if err := c.rollup.Validate(); err != nil {
-			return nil, err
-		}
+		err = p.Rollup.Validate()
 	}
-	return c, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Compiled{plan: p, query: p.String(), matcher: m}, nil
 }
-
-// Plan returns the plan the query was compiled from.
-func (c *Compiled) Plan() *Plan { return c.plan }
 
 // Result is a folded query before rendering: the canonical spelling,
 // the rank bound, and the merged accumulator matching the plan kind
@@ -120,10 +124,10 @@ func (c *Compiled) Fold(segs []*store.Segment, tail []console.Event, workers int
 	res := &Result{query: c.query}
 	var err error
 	if c.plan.Kind == KindTop {
-		res.top, err = store.ParallelTopAcc(segs, tail, c.top, c.matcher, workers, partial)
+		res.top, err = store.ParallelTopAcc(segs, tail, c.plan.Top, c.matcher, workers, partial)
 	} else {
 		res.rankK = c.plan.RankK
-		res.roll, err = store.ParallelRollupAcc(segs, tail, c.rollup, c.matcher, workers)
+		res.roll, err = store.ParallelRollupAcc(segs, tail, c.plan.Rollup, c.matcher, workers)
 	}
 	if err != nil {
 		return nil, err
@@ -177,8 +181,9 @@ func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers 
 
 // ExecuteEvents is the naive reference: materialize the whole stream,
 // filter it event by event through the same matcher, fold what is left
-// as a plain event slice — no segment, bitmap or worker merge — and
-// render. Every compiled plan must byte-match it.
+// as a plain event slice under no matcher — no segment, bitmap, worker
+// merge or count-first pass — and render. Every compiled plan must
+// byte-match it.
 func (c *Compiled) ExecuteEvents(events []console.Event) (Doc, error) {
 	kept := make([]console.Event, 0, len(events))
 	for _, e := range events {
@@ -186,24 +191,12 @@ func (c *Compiled) ExecuteEvents(events []console.Event) (Doc, error) {
 			kept = append(kept, e)
 		}
 	}
-	doc := Doc{Query: c.query}
-	if c.plan.Kind == KindTop {
-		top, err := store.TopEvents(kept, c.top)
-		if err != nil {
-			return Doc{}, err
-		}
-		doc.Top = &top
-		return doc, nil
-	}
-	acc, err := store.ParallelRollupAcc(nil, kept, c.rollup, nil, 1)
+	res, err := (&Compiled{plan: c.plan, query: c.query}).Fold(nil, kept, 1, true)
 	if err != nil {
 		return Doc{}, err
 	}
-	defer acc.Release()
-	roll := acc.RankedDoc(c.plan.RankK)
-	doc.RankedTop = c.plan.RankK
-	doc.Rollup = &roll
-	return doc, nil
+	defer res.Release()
+	return res.Doc(), nil
 }
 
 // Run parses, compiles and executes q in one call — what the /query

@@ -24,6 +24,9 @@ func FuzzTitanQLParse(f *testing.F) {
 		"* | by code | by cage",
 		"!= = | |",
 		"code==13",
+		"cabinet=c[!3]-* | by cage",
+		"node=!c3* cabinet=a! | top code",
+		"code!=13 node=c[!0]!=x",
 	} {
 		f.Add(q)
 	}
@@ -61,6 +64,7 @@ func FuzzTitanQLEquivalence(f *testing.F) {
 		"code=65549 | by code | bucket 1h",
 		"code!=65549 | by code | bucket 1h",
 		"code=65549 | top node 5",
+		"cabinet=c[!3]-* | by cage | bucket 1d",
 	} {
 		f.Add(q)
 	}

@@ -1,12 +1,12 @@
 package titanql
 
-import "fmt"
-
 // The lexer splits a query into words, `=` / `!=` operators and `|`
 // stage separators. Words are maximal runs of anything else but
-// whitespace — globs (`c3-*`, `c?-0c[12]*`), RFC3339 timestamps,
-// negative code numbers and comma lists all pass through as single
-// words; the parser gives them meaning.
+// whitespace — globs (`c3-*`, `c?-0c[12]*`, `c[!3]-*`), RFC3339
+// timestamps, negative code numbers and comma lists all pass through as
+// single words; the parser gives them meaning. A `!` is an operator only
+// with its `=`: anywhere else it is part of a word (a glob's negated
+// class), so every value the URL parameters take can be spelled here.
 
 type tokKind int
 
@@ -44,10 +44,10 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
 }
 
-// lex tokenizes the whole query up front. The only lex-level error is a
-// bare '!' not followed by '='.
-func lex(q string) ([]token, error) {
+// lex tokenizes the whole query up front; every input lexes.
+func lex(q string) []token {
 	var toks []token
+	neq := func(i int) bool { return q[i] == '!' && i+1 < len(q) && q[i+1] == '=' }
 	i := 0
 	for i < len(q) {
 		c := q[i]
@@ -60,20 +60,16 @@ func lex(q string) ([]token, error) {
 		case c == '=':
 			toks = append(toks, token{tEq, "=", i})
 			i++
-		case c == '!':
-			if i+1 >= len(q) || q[i+1] != '=' {
-				return nil, fmt.Errorf("titanql: stray '!' at offset %d (did you mean '!=')", i)
-			}
+		case neq(i):
 			toks = append(toks, token{tNeq, "!=", i})
 			i += 2
 		default:
 			start := i
-			for i < len(q) && !isSpace(q[i]) && q[i] != '|' && q[i] != '=' && q[i] != '!' {
+			for i++; i < len(q) && !isSpace(q[i]) && q[i] != '|' && q[i] != '=' && !neq(i); {
 				i++
 			}
 			toks = append(toks, token{tWord, q[start:i], start})
 		}
 	}
-	toks = append(toks, token{tEOF, "", len(q)})
-	return toks, nil
+	return append(toks, token{tEOF, "", len(q)})
 }

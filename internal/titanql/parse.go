@@ -20,14 +20,10 @@ import (
 // times), so String() on the result is the canonical spelling and
 // re-parsing it yields an identical plan.
 func Parse(q string) (*Plan, error) {
-	toks, err := lex(q)
-	if err != nil {
-		return nil, err
-	}
 	// Split token stream into '|'-separated clauses.
 	var clauses [][]token
 	cur := []token{}
-	for _, tok := range toks {
+	for _, tok := range lex(q) {
 		switch tok.kind {
 		case tPipe, tEOF:
 			clauses = append(clauses, cur)
@@ -36,7 +32,7 @@ func Parse(q string) (*Plan, error) {
 			cur = append(cur, tok)
 		}
 	}
-	p := &Plan{Filter: store.Predicate{Cage: -1}}
+	p := NewPlan()
 	if err := p.parseFilter(clauses[0]); err != nil {
 		return nil, err
 	}
@@ -50,6 +46,7 @@ func Parse(q string) (*Plan, error) {
 			return nil, fmt.Errorf("titanql: stage must start with by, bucket or top, got %s at offset %d", head.kind, head.pos)
 		}
 		var seen *bool
+		var err error
 		switch head.text {
 		case "by":
 			seen = &seenBy
@@ -72,10 +69,10 @@ func Parse(q string) (*Plan, error) {
 		*seen = true
 	}
 	if p.Kind == KindTop && (seenBy || seenBucket) {
-		return nil, fmt.Errorf("titanql: top %s is an offender ranking; by/bucket stages don't apply", p.TopBy)
+		return nil, fmt.Errorf("titanql: top %s is an offender ranking; by/bucket stages don't apply", p.Top.By)
 	}
-	if p.Kind == KindRollup && p.Bucket == 0 {
-		p.Bucket = time.Hour
+	if p.Kind == KindRollup && p.Rollup.Bucket == 0 {
+		p.Rollup.Bucket = time.Hour
 	}
 	return p, nil
 }
@@ -111,9 +108,10 @@ func (p *Plan) parseFilter(toks []token) error {
 // SetPred applies one filter predicate (key, value, and whether the
 // operator was `!=`) to a predicate under construction. It is the one
 // place query predicates are decoded — the titanql parser and the HTTP
-// parameter form (?cabinet=, ?cage=, ?node= on /rollup) both call it,
-// so the two surfaces accept identical spellings and reject identical
-// garbage. Duplicate keys are errors; `!=` applies only to code.
+// parameter form (?cabinet=, ?cage=, ?node= on /rollup and /top) both
+// call it, so the surfaces accept identical spellings and reject
+// identical garbage. Duplicate keys are errors; `!=` applies only to
+// code.
 func SetPred(p *store.Predicate, key, value string, negated bool) error {
 	if value == "" {
 		return fmt.Errorf("titanql: predicate %q has an empty value", key)
@@ -194,16 +192,19 @@ func (p *Plan) parseBy(toks []token) error {
 		}
 		words = append(words, tok.text)
 	}
-	dims := store.RollupSpec{ByCode: p.ByCode, ByCabinet: p.ByCabinet, ByCage: p.ByCage, ByNode: p.ByNode}
+	grouped := false
 	for _, dim := range strings.Split(strings.Join(words, ","), ",") {
 		// An empty element is `code, cage`: a trailing comma, then a
 		// separate word.
-		if dim != "" && !dims.GroupBy(dim) {
+		if dim == "" {
+			continue
+		}
+		if !p.Rollup.GroupBy(dim) {
 			return fmt.Errorf("titanql: unknown dimension %q (want code, cabinet, cage or node)", dim)
 		}
+		grouped = true
 	}
-	p.ByCode, p.ByCabinet, p.ByCage, p.ByNode = dims.ByCode, dims.ByCabinet, dims.ByCage, dims.ByNode
-	if !p.ByCode && !p.ByCabinet && !p.ByCage && !p.ByNode {
+	if !grouped {
 		return fmt.Errorf("titanql: by needs at least one dimension")
 	}
 	return nil
@@ -217,7 +218,7 @@ func (p *Plan) parseBucket(toks []token) error {
 	if err != nil {
 		return err
 	}
-	p.Bucket = d
+	p.Rollup.Bucket = d
 	return nil
 }
 
@@ -241,20 +242,20 @@ func (p *Plan) parseTop(toks []token) error {
 	switch by := store.TopBy(toks[0].text); by {
 	case store.TopByNode, store.TopBySerial, store.TopByCode:
 		p.Kind = KindTop
-		p.TopBy = by
+		p.Top.By = by
 	default:
 		return fmt.Errorf("titanql: top dimension %q (want a count, node, serial or code)", toks[0].text)
 	}
-	p.TopK = 20
+	p.Top.K = 20
 	if len(toks) > 1 {
 		if len(toks) > 2 || toks[1].kind != tWord {
-			return fmt.Errorf("titanql: top %s takes at most one count", p.TopBy)
+			return fmt.Errorf("titanql: top %s takes at most one count", p.Top.By)
 		}
 		k, err := strconv.Atoi(toks[1].text)
 		if err != nil || k < 0 {
 			return fmt.Errorf("titanql: bad top count %q", toks[1].text)
 		}
-		p.TopK = k
+		p.Top.K = k
 	}
 	return nil
 }

@@ -68,33 +68,27 @@ func MergePartials(parts []Partial) (Doc, error) {
 		return Doc{}, fmt.Errorf("titanql: merge: no partials")
 	}
 	first := parts[0]
-	for i := 1; i < len(parts); i++ {
-		if parts[i].Query != first.Query {
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d query %q != %q", i, parts[i].Query, first.Query)
+	tops := make([]store.TopPartial, 0, len(parts))
+	rolls := make([]store.RollupPartial, 0, len(parts))
+	for i, p := range parts {
+		if p.Query != first.Query || p.RankedTop != first.RankedTop {
+			return Doc{}, fmt.Errorf("titanql: merge: partial %d answers %q (rank bound %d), not %q (%d)", i, p.Query, p.RankedTop, first.Query, first.RankedTop)
 		}
-		if parts[i].RankedTop != first.RankedTop {
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d rank bound %d != %d", i, parts[i].RankedTop, first.RankedTop)
-		}
-		if (parts[i].Top == nil) != (first.Top == nil) || (parts[i].Rollup == nil) != (first.Rollup == nil) {
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d plan kind differs", i)
+		switch {
+		case p.Top != nil && first.Top != nil:
+			tops = append(tops, *p.Top)
+		case p.Rollup != nil && first.Rollup != nil:
+			rolls = append(rolls, *p.Rollup)
+		default:
+			return Doc{}, fmt.Errorf("titanql: merge: partial %d carries no accumulator of the plan's kind", i)
 		}
 	}
 	res := &Result{query: first.Query, rankK: first.RankedTop}
 	var err error
 	if first.Top != nil {
-		tps := make([]store.TopPartial, len(parts))
-		for i, p := range parts {
-			tps[i] = *p.Top
-		}
-		res.top, err = store.MergeTopPartials(tps)
-	} else if first.Rollup != nil {
-		rps := make([]store.RollupPartial, len(parts))
-		for i, p := range parts {
-			rps[i] = *p.Rollup
-		}
-		res.roll, err = store.MergeRollupPartials(rps)
+		res.top, err = store.MergeTopPartials(tops)
 	} else {
-		return Doc{}, fmt.Errorf("titanql: merge: partials carry no accumulator")
+		res.roll, err = store.MergeRollupPartials(rolls)
 	}
 	if err != nil {
 		return Doc{}, fmt.Errorf("titanql: merge: %w", err)

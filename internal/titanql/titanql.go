@@ -26,10 +26,8 @@
 package titanql
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"titanre/internal/store"
@@ -45,106 +43,115 @@ const (
 	KindTop
 )
 
-// Plan is one parsed query. Filter applies to both kinds; the By*/
-// Bucket/RankK fields shape a rollup, TopBy/TopK an offender ranking.
+// Plan is one question put to the store — filter × group × bucket ×
+// rank — however it was spelled: Parse reads a titanql expression, and
+// /rollup, /top and titanreport -rollup fill one in from their
+// parameters (NewPlan). Filter is the only place a plan says which rows
+// count; Rollup and Top are the store's own shape-only specs, and Kind
+// says which of the two applies.
 type Plan struct {
 	Filter store.Predicate
 	Kind   Kind
 
-	// Rollup shape: group-by dimensions, bucket width, and an optional
-	// cell ranking (RankK > 0 keeps only the RankK highest-count cells).
-	ByCode    bool
-	ByCabinet bool
-	ByCage    bool
-	ByNode    bool
-	Bucket    time.Duration
-	RankK     int
+	// Rollup shape, and an optional cell ranking (RankK > 0 keeps only
+	// the RankK highest-count cells).
+	Rollup store.RollupSpec
+	RankK  int
 
-	// Offender shape (Kind == KindTop): dimension and card count
-	// (TopK <= 0 means every key).
-	TopBy store.TopBy
-	TopK  int
+	// Offender shape (Kind == KindTop).
+	Top store.TopSpec
 }
+
+// NewPlan is the plan every spelling starts from: no filter (a
+// Predicate's zero Cage would mean cage 0), a rollup with no dimensions.
+func NewPlan() *Plan { return &Plan{Filter: store.Predicate{Cage: -1}} }
 
 // String renders the canonical spelling: predicates in fixed order with
 // sorted, deduplicated code lists and RFC3339 UTC times, then stages in
 // by, bucket, top order with defaults spelled out. Parsing the result
-// yields a plan that renders to the identical string.
+// yields a plan that renders to the identical string. It is appended
+// into one buffer — every answer carries it, so it is on the read path.
 func (p *Plan) String() string {
-	var sb strings.Builder
-	sb.WriteString(p.filterString())
+	b := p.appendFilter(make([]byte, 0, 128))
 	if p.Kind == KindTop {
-		fmt.Fprintf(&sb, " | top %s %d", p.TopBy, p.TopK)
-		return sb.String()
+		b = append(append(append(b, " | top "...), p.Top.By...), ' ')
+		return string(strconv.AppendInt(b, int64(p.Top.K), 10))
 	}
-	if dims := p.dimsString(); dims != "" {
-		sb.WriteString(" | by ")
-		sb.WriteString(dims)
+	sep := " | by "
+	for _, dim := range p.Rollup.Dims() {
+		b = append(append(b, sep...), dim...)
+		sep = ","
 	}
-	sb.WriteString(" | bucket ")
-	sb.WriteString(formatDur(p.Bucket))
+	b = appendDur(append(b, " | bucket "...), p.Rollup.Bucket)
 	if p.RankK > 0 {
-		fmt.Fprintf(&sb, " | top %d", p.RankK)
+		b = strconv.AppendInt(append(b, " | top "...), int64(p.RankK), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
-func (p *Plan) filterString() string {
-	var parts []string
+// appendFilter appends the predicates, or `*` when there are none.
+func (p *Plan) appendFilter(b []byte) []byte {
+	start := len(b)
+	pred := func(key string) {
+		if len(b) > start {
+			b = append(b, ' ')
+		}
+		b = append(b, key...)
+	}
 	if len(p.Filter.Codes) > 0 {
-		parts = append(parts, "code="+codeList(p.Filter.Codes))
+		pred("code=")
+		b = appendCodes(b, p.Filter.Codes)
 	}
 	if len(p.Filter.NotCodes) > 0 {
-		parts = append(parts, "code!="+codeList(p.Filter.NotCodes))
+		pred("code!=")
+		b = appendCodes(b, p.Filter.NotCodes)
 	}
 	if p.Filter.Node != "" {
-		parts = append(parts, "node="+p.Filter.Node)
+		pred("node=")
+		b = append(b, p.Filter.Node...)
 	}
 	if p.Filter.Cabinet != "" {
-		parts = append(parts, "cabinet="+p.Filter.Cabinet)
+		pred("cabinet=")
+		b = append(b, p.Filter.Cabinet...)
 	}
 	if p.Filter.Cage >= 0 {
-		parts = append(parts, "cage="+strconv.Itoa(p.Filter.Cage))
+		pred("cage=")
+		b = strconv.AppendInt(b, int64(p.Filter.Cage), 10)
 	}
 	if !p.Filter.Since.IsZero() {
-		parts = append(parts, "since="+p.Filter.Since.UTC().Format(time.RFC3339))
+		pred("since=")
+		b = p.Filter.Since.UTC().AppendFormat(b, time.RFC3339)
 	}
 	if !p.Filter.Until.IsZero() {
-		parts = append(parts, "until="+p.Filter.Until.UTC().Format(time.RFC3339))
+		pred("until=")
+		b = p.Filter.Until.UTC().AppendFormat(b, time.RFC3339)
 	}
-	if len(parts) == 0 {
-		return "*"
+	if len(b) == start {
+		b = append(b, '*')
 	}
-	return strings.Join(parts, " ")
+	return b
 }
 
-func (p *Plan) dimsString() string {
-	var dims []string
-	if p.ByCode {
-		dims = append(dims, "code")
+// appendCodes appends a sorted, deduplicated code list, each code
+// spelled the way queries write it: the conventional sbe/otb
+// abbreviations for the paper's synthetic codes, the XID number
+// otherwise. Plans built by Parse are already canonical; sorting here
+// keeps hand-built plans honest too.
+func appendCodes(b []byte, codes []xid.Code) []byte {
+	for i, c := range canonCodes(codes) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch c {
+		case xid.SingleBitError:
+			b = append(b, "sbe"...)
+		case xid.OffTheBus:
+			b = append(b, "otb"...)
+		default:
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
 	}
-	if p.ByCabinet {
-		dims = append(dims, "cabinet")
-	}
-	if p.ByCage {
-		dims = append(dims, "cage")
-	}
-	if p.ByNode {
-		dims = append(dims, "node")
-	}
-	return strings.Join(dims, ",")
-}
-
-// codeList renders a sorted, deduplicated code list. Plans built by
-// Parse are already canonical; sorting here keeps hand-built plans
-// honest too.
-func codeList(codes []xid.Code) string {
-	canon := canonCodes(codes)
-	parts := make([]string, len(canon))
-	for i, c := range canon {
-		parts[i] = codeName(c)
-	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // canonCodes sorts and deduplicates without mutating its argument.
@@ -160,30 +167,17 @@ func canonCodes(codes []xid.Code) []xid.Code {
 	return out
 }
 
-// codeName spells a code the way queries write it: the conventional
-// sbe/otb abbreviations for the paper's synthetic codes, the XID number
-// otherwise.
-func codeName(c xid.Code) string {
-	switch c {
-	case xid.SingleBitError:
-		return "sbe"
-	case xid.OffTheBus:
-		return "otb"
-	}
-	return strconv.Itoa(int(c))
-}
-
-// formatDur renders a bucket width canonically: whole days as Nd, then
+// appendDur appends a bucket width canonically: whole days as Nd, then
 // the largest whole unit of h/m/s.
-func formatDur(d time.Duration) string {
+func appendDur(b []byte, d time.Duration) []byte {
+	unit, suffix := time.Second, byte('s')
 	switch {
 	case d >= 24*time.Hour && d%(24*time.Hour) == 0:
-		return strconv.FormatInt(int64(d/(24*time.Hour)), 10) + "d"
+		unit, suffix = 24*time.Hour, 'd'
 	case d >= time.Hour && d%time.Hour == 0:
-		return strconv.FormatInt(int64(d/time.Hour), 10) + "h"
+		unit, suffix = time.Hour, 'h'
 	case d >= time.Minute && d%time.Minute == 0:
-		return strconv.FormatInt(int64(d/time.Minute), 10) + "m"
-	default:
-		return strconv.FormatInt(int64(d/time.Second), 10) + "s"
+		unit, suffix = time.Minute, 'm'
 	}
+	return append(strconv.AppendInt(b, int64(d/unit), 10), suffix)
 }

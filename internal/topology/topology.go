@@ -207,18 +207,6 @@ func ParseNodeID(s string) (NodeID, error) {
 	return loc.ID(), nil
 }
 
-// RouterOf returns the Gemini router index shared by a node and its
-// neighbor. Two adjacent nodes on a blade share one router.
-func RouterOf(n NodeID) int { return int(n) / NodesPerRouter }
-
-// RouterPeer returns the other node attached to the same Gemini router.
-func RouterPeer(n NodeID) NodeID {
-	if int(n)%2 == 0 {
-		return n + 1
-	}
-	return n - 1
-}
-
 // All iterates over every node slot in dense order, calling fn for each.
 // Iteration stops early if fn returns false.
 func All(fn func(NodeID) bool) {
@@ -229,22 +217,5 @@ func All(fn func(NodeID) bool) {
 	}
 }
 
-// CabinetNodes returns the dense node indices of every slot in the given
-// cabinet, in cage/blade/node order.
-func CabinetNodes(cabinet int) []NodeID {
-	if cabinet < 0 || cabinet >= Cabinets {
-		return nil
-	}
-	out := make([]NodeID, 0, NodesPerCabinet)
-	base := NodeID(cabinet * NodesPerCabinet)
-	for i := 0; i < NodesPerCabinet; i++ {
-		out = append(out, base+NodeID(i))
-	}
-	return out
-}
-
 // CageOf is a convenience accessor for the cage coordinate of a node.
 func CageOf(n NodeID) int { return LocationOf(n).Cage }
-
-// CabinetOf is a convenience accessor for the cabinet index of a node.
-func CabinetOf(n NodeID) int { return LocationOf(n).Cabinet() }

@@ -103,20 +103,16 @@ func TestParseNodeID(t *testing.T) {
 	}
 }
 
+// TestRouterPairing: two adjacent nodes on a blade (n and n^1) share one
+// Gemini router, so one torus coordinate; the blade's other pair has its
+// own.
 func TestRouterPairing(t *testing.T) {
 	for n := NodeID(0); n < 64; n++ {
-		peer := RouterPeer(n)
-		if RouterPeer(peer) != n {
-			t.Fatalf("RouterPeer not an involution at %d", n)
-		}
-		if RouterOf(n) != RouterOf(peer) {
-			t.Fatalf("node %d and peer %d on different routers", n, peer)
-		}
-		if n == peer {
-			t.Fatalf("node %d is its own peer", n)
+		if GeminiCoord(n) != GeminiCoord(n^1) {
+			t.Fatalf("node %d and its neighbour %d on different routers", n, n^1)
 		}
 	}
-	if RouterOf(0) == RouterOf(2) {
+	if GeminiCoord(0) == GeminiCoord(2) {
 		t.Error("nodes 0 and 2 must be on different routers")
 	}
 }
@@ -134,18 +130,24 @@ func TestAllIteration(t *testing.T) {
 	}
 }
 
+// cabinetNodes is the dense ids of cabinet c's slots: ids are
+// cabinet-major, which TestCabinetNodes holds LocationOf to (the store's
+// rollup derives a row's cabinet as node / NodesPerCabinet).
+func cabinetNodes(c int) []NodeID {
+	nodes := make([]NodeID, NodesPerCabinet)
+	for i := range nodes {
+		nodes[i] = NodeID(c*NodesPerCabinet + i)
+	}
+	return nodes
+}
+
 func TestCabinetNodes(t *testing.T) {
-	nodes := CabinetNodes(5)
-	if len(nodes) != NodesPerCabinet {
-		t.Fatalf("len = %d, want %d", len(nodes), NodesPerCabinet)
-	}
-	for _, n := range nodes {
-		if CabinetOf(n) != 5 {
-			t.Fatalf("node %d reported in cabinet %d, want 5", n, CabinetOf(n))
+	for _, c := range []int{0, 5, Cabinets - 1} {
+		for _, n := range cabinetNodes(c) {
+			if got := LocationOf(n).Cabinet(); got != c {
+				t.Fatalf("node %d reported in cabinet %d, want %d", n, got, c)
+			}
 		}
-	}
-	if CabinetNodes(-1) != nil || CabinetNodes(Cabinets) != nil {
-		t.Error("out-of-range cabinet should return nil")
 	}
 }
 
@@ -180,15 +182,14 @@ func TestFoldedTorusAlternatesCabinets(t *testing.T) {
 	}
 }
 
+// TestTorusOrderIsPermutation: walking the folded-torus positions, as
+// the scheduler's allocator does, visits every node slot exactly once.
 func TestTorusOrderIsPermutation(t *testing.T) {
-	order := TorusOrder()
-	if len(order) != TotalNodes {
-		t.Fatalf("len = %d", len(order))
-	}
 	seen := make([]bool, TotalNodes)
-	for _, n := range order {
+	for idx := 0; idx < TotalNodes; idx++ {
+		n := NodeAtTorusIndex(idx)
 		if seen[n] {
-			t.Fatal("duplicate node in TorusOrder")
+			t.Fatalf("node %d at two torus positions", n)
 		}
 		seen[n] = true
 	}
@@ -258,7 +259,7 @@ func TestGeminiDimensions(t *testing.T) {
 
 func TestRouterPairSharesCoord(t *testing.T) {
 	for n := NodeID(0); n < 4*NodesPerCabinet; n++ {
-		if GeminiCoord(n) != GeminiCoord(RouterPeer(n)) {
+		if GeminiCoord(n) != GeminiCoord(n^1) {
 			t.Fatalf("node %d and its router peer have different coords", n)
 		}
 	}
@@ -307,7 +308,7 @@ func TestFoldedNeighborsAreOneHop(t *testing.T) {
 
 func TestMeanPairwiseHops(t *testing.T) {
 	// A whole cabinet is compact: max Z spread 23, same X/Y-pair.
-	cab := CabinetNodes(0)
+	cab := cabinetNodes(0)
 	compact := MeanPairwiseHops(cab, 200)
 	if compact <= 0 || compact > 10 {
 		t.Errorf("cabinet mean hops = %.1f", compact)

@@ -54,13 +54,3 @@ func NodeAtTorusIndex(idx int) NodeID {
 	cage := within / BladesPerCage
 	return Location{Row: row, Column: col, Cage: cage, Blade: blade, Node: node}.ID()
 }
-
-// TorusOrder returns all node slots sorted by folded-torus position. The
-// scheduler walks this slice when placing jobs.
-func TorusOrder() []NodeID {
-	out := make([]NodeID, TotalNodes)
-	for i := range out {
-		out[i] = NodeAtTorusIndex(i)
-	}
-	return out
-}

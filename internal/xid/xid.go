@@ -294,16 +294,6 @@ func Lookup(c Code) (Info, bool) {
 	return info, ok
 }
 
-// MustLookup returns the catalog entry for a code and panics when the code
-// is not in the study's catalog. Use only with codes from this package.
-func MustLookup(c Code) Info {
-	info, ok := byCode[c]
-	if !ok {
-		panic(fmt.Sprintf("xid: code %d not in catalog", int(c)))
-	}
-	return info
-}
-
 // Known reports whether a code is part of the study's catalog.
 func Known(c Code) bool {
 	_, ok := byCode[c]

@@ -72,26 +72,36 @@ func TestSharedCodesAppearInBothTables(t *testing.T) {
 	}
 }
 
+// entry is Lookup for a code the study's catalog must hold.
+func entry(t *testing.T, c Code) Info {
+	t.Helper()
+	info, ok := Lookup(c)
+	if !ok {
+		t.Fatalf("code %d not in catalog", int(c))
+	}
+	return info
+}
+
 func TestCrashSemantics(t *testing.T) {
-	if MustLookup(SingleBitError).CrashesApp {
+	if entry(t, SingleBitError).CrashesApp {
 		t.Error("SBE must not crash the application (corrected by SECDED)")
 	}
-	if !MustLookup(DoubleBitError).CrashesApp {
+	if !entry(t, DoubleBitError).CrashesApp {
 		t.Error("DBE must always crash the application")
 	}
-	if !MustLookup(OffTheBus).CrashesApp {
+	if !entry(t, OffTheBus).CrashesApp {
 		t.Error("off-the-bus must crash the application")
 	}
-	if MustLookup(ECCPageRetirement).CrashesApp {
+	if entry(t, ECCPageRetirement).CrashesApp {
 		t.Error("page-retirement record itself is informational")
 	}
 }
 
 func TestPropagationFlags(t *testing.T) {
-	if !MustLookup(GraphicsEngineException).PropagatesToJob {
+	if !entry(t, GraphicsEngineException).PropagatesToJob {
 		t.Error("XID 13 must propagate to all job nodes (Observation 7)")
 	}
-	if MustLookup(DoubleBitError).PropagatesToJob {
+	if entry(t, DoubleBitError).PropagatesToJob {
 		t.Error("DBE occurs on a single card, must not propagate")
 	}
 }
@@ -100,12 +110,6 @@ func TestLookupUnknown(t *testing.T) {
 	if _, ok := Lookup(999); ok {
 		t.Error("Lookup(999) should fail")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLookup(999) should panic")
-		}
-	}()
-	MustLookup(999)
 }
 
 func TestStringForms(t *testing.T) {
@@ -118,7 +122,7 @@ func TestStringForms(t *testing.T) {
 	if DoubleBitError.String() != "XID 48" {
 		t.Errorf("DBE string = %q", DoubleBitError.String())
 	}
-	s := MustLookup(GraphicsEngineException).String()
+	s := entry(t, GraphicsEngineException).String()
 	if !strings.Contains(s, "XID 13") || !strings.Contains(s, "graphics engine") {
 		t.Errorf("info string = %q", s)
 	}
@@ -133,13 +137,13 @@ func TestStringForms(t *testing.T) {
 func TestThermalAndDriverFlags(t *testing.T) {
 	thermal := []Code{OffTheBus, 13, 32, 62}
 	for _, c := range thermal {
-		if !MustLookup(c).Thermal {
+		if !entry(t, c).Thermal {
 			t.Errorf("%v should be flagged thermal-sensitive", c)
 		}
 	}
 	driverOnly := []Code{38, 42, 43, 44, 45, 59}
 	for _, c := range driverOnly {
-		info := MustLookup(c)
+		info := entry(t, c)
 		if !info.DriverIssue || info.AppRelated {
 			t.Errorf("%v should be driver-caused and not app-related", c)
 		}

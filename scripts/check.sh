@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full local verification gate:
-#   build, gofmt, vet, every test under -race once (the byte-identity
+#   build, gofmt, vet, the no-caller audit (scripts/unused.sh against
+#   scripts/unused.allow), every test under -race once (the byte-identity
 #   gates — stream == batch, cluster == single daemon, compiled plan ==
 #   naive fold, restart == never died — the write path's buffer
 #   ownership and admission bound, the read path's pooled fold scratch
@@ -27,6 +28,9 @@ test -z "$(gofmt -l .)"
 
 echo "== go vet"
 go vet ./...
+
+echo "== exported names nothing calls (scripts/unused.sh vs scripts/unused.allow)"
+./scripts/unused.sh
 
 echo "== go test -race"
 go test -race ./...
