@@ -126,6 +126,11 @@ type Engine struct {
 	// so only the first report of a (code, job) pair — the faulting
 	// node, which logs first — counts toward suspicion.
 	incidentSeen map[incidentKey]bool
+	// lastIncident is the key incidentSeen was last asked about (so it is
+	// in there): job-wide propagation arrives as a run of one key, and a
+	// repeat of it is answered without hashing. Jobs are non-zero, so the
+	// zero key matches nothing.
+	lastIncident incidentKey
 }
 
 type incidentKey struct {
@@ -202,7 +207,9 @@ func (e *Engine) Feed(ev console.Event) {
 	if e.cfg.SuspectJobs > 0 && ev.Job != 0 {
 		if info, ok := xid.Lookup(ev.Code); ok && info.AppRelated {
 			k := incidentKey{ev.Code, ev.Job}
-			if e.incidentSeen[k] {
+			seen := k == e.lastIncident || e.incidentSeen[k]
+			e.lastIncident = k
+			if seen {
 				return // job-wide propagation, not the faulting node
 			}
 			e.incidentSeen[k] = true

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync/atomic"
 
 	"titanre/internal/topology"
 	"titanre/internal/xid"
@@ -18,10 +19,17 @@ import (
 // millions of events reuses one buffer instead of allocating a string
 // per line. Raw, WriteLog and WriteLogStream are all built on it.
 
+// Renders, where a test sets it, counts AppendRaw calls: the write path's
+// "one rendering per line from POST to applied" is held by counting them.
+var Renders *atomic.Int64
+
 // AppendRaw appends the event's console line (without trailing newline)
 // to buf and returns the extended buffer. The bytes are identical to
 // what Raw returns.
 func (e Event) AppendRaw(buf []byte) []byte {
+	if Renders != nil {
+		Renders.Add(1)
+	}
 	buf = append(buf, '[')
 	buf = appendTimestamp(buf, e)
 	buf = append(buf, ']', ' ')

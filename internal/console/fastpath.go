@@ -15,7 +15,7 @@ import (
 // "[ts] cname kernel: NVRM: ..." header, XID number, trailing key=value
 // annotations — directly from the byte slice, with no regexp and no
 // intermediate strings. It is *sound by construction*: after decoding, the
-// event is re-encoded with AppendRaw into a reused scratch buffer and the
+// event is re-encoded with AppendRaw into the Decoder's buffer and the
 // fast path claims the line only if the bytes match exactly. A claimed
 // line is therefore the canonical encoding of its event, which the SEC
 // round-trip properties (TestRoundTripAllCodes, FuzzDecodeEquivalence)
@@ -23,6 +23,9 @@ import (
 // other line — foreign bus ids, reordered annotations, leading zeros,
 // chatter, corruption — returns ok=false and falls back to the regex
 // path, so verdicts and quarantine behavior are bit-for-bit unchanged.
+//
+// That re-encoding is also the only rendering a line needs on its way to
+// a write-ahead journal: a Decoder with Seal set keeps it (see Decoder).
 
 // maxLineBytes is the longest console line the parsers accept, matching
 // the 1 MiB scanner cap the slow path historically used. Longer records
@@ -30,10 +33,17 @@ import (
 // next newline instead of aborting the file.
 const maxLineBytes = 1 << 20
 
-// Decoder carries the reusable scratch state of the fast path. The zero
-// value is ready to use; one Decoder serves one goroutine.
+// Decoder carries the fast path's render buffer; one Decoder serves one
+// goroutine. The zero value is ready to use and discards every rendering:
+// Buf is scratch, rewound after each line. With Seal set, every event a
+// walk decodes — fast path or regex fallback — leaves one record in Buf:
+// Room bytes for the caller's record header, then the event's AppendRaw
+// rendering, handed to Seal to fill the header in. A line that decodes to
+// no event leaves nothing behind.
 type Decoder struct {
-	scratch []byte
+	Buf  []byte
+	Room int
+	Seal func(rec []byte)
 }
 
 // DecodeRawBytes decodes one console line (without trailing newline) on
@@ -48,12 +58,29 @@ func (d *Decoder) DecodeRawBytes(line []byte) (ev Event, ok bool) {
 	}
 	// Soundness gate: only claim lines that are byte-identical to the
 	// canonical encoding of what we decoded.
-	d.scratch = ev.AppendRaw(d.scratch[:0])
-	if !bytes.Equal(d.scratch, line) {
+	rec := d.render(ev)
+	if ok = bytes.Equal(rec[d.Room:], line); ok && d.Seal != nil {
+		d.Seal(rec)
+	} else {
+		d.Buf = d.Buf[:len(d.Buf)-len(rec)] // refused, or a decoder that keeps nothing
+	}
+	if !ok {
 		return Event{}, false
 	}
 	return ev, true
 }
+
+// render appends ev's record — Room spare bytes, then its AppendRaw
+// rendering — to Buf and returns it.
+func (d *Decoder) render(ev Event) []byte {
+	start := len(d.Buf)
+	d.Buf = ev.AppendRaw(append(d.Buf, make([]byte, d.Room)...))
+	return d.Buf[start:]
+}
+
+// Render leaves ev's record in Buf as a walk would have, for an event
+// that did not come off a line; d must be a decoder that keeps renderings.
+func (d *Decoder) Render(ev Event) { d.Seal(d.render(ev)) }
 
 var kernelSep = []byte(" kernel: NVRM: ")
 

@@ -306,7 +306,7 @@ func TestDecodedNodeValid(t *testing.T) {
 		deviating := strings.Replace(canonical, "serial=1234", "serial=01234", 1)
 		for _, line := range []string{canonical, deviating} {
 			c := NewCorrelator()
-			events, _ := c.AppendBytes(nil, nil, []byte(line), false)
+			events, _ := c.AppendBytes(nil, nil, []byte(line), false, &Decoder{})
 			if len(events) == 1 != tc.ok {
 				t.Errorf("%q: decoded %d events, want ok=%v", line, len(events), tc.ok)
 			}

@@ -1,6 +1,7 @@
 package console
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,12 @@ func FuzzParseRawLine(f *testing.F) {
 // path must classify the exact same bytes as VerdictEvent with the exact
 // same fields. Lines the fast path declines carry no obligation — they
 // fall through to the regex path in production, so any verdict is fine.
+//
+// The same input then goes through a walk whose decoder keeps its
+// renderings (the journal's frames): what is left in the buffer is
+// exactly one record per decoded event, in order — room for the header,
+// sealed, then AppendRaw(ev) — whichever path decoded it, and a line
+// that was refused, or decoded to nothing, leaves no byte behind.
 func FuzzDecodeEquivalence(f *testing.F) {
 	whole := sampleEvent().Raw()
 	otb := sampleEvent()
@@ -87,6 +94,9 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		strings.Replace(whole, ": 48,", ": 49,", 1),           // unknown code
 		whole[:len(whole)/2],
 		"[2014-02-03 11:52:07] c3-2c1s4n2 kernel: NVRM: GPU at 0000:02:00.0 has fallen off the bus. serial=1 job=0",
+		strings.Replace(whole, "(0000:02:00.0)", "(0000:04:00.0)", 1),                                            // foreign bus id: regex path
+		strings.Replace(whole, "serial=1234 job=42", "job=42 serial=1234", 1) + "\r\n\n" + whole + "\nchatter\n", // a batch
+		string(mixedLog(f, 9)),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -94,8 +104,25 @@ func FuzzDecodeEquivalence(f *testing.F) {
 
 	c := NewCorrelator()
 	var d Decoder
+	seal := func(rec []byte) { rec[0], rec[1], rec[2] = '<', byte(len(rec)), '>' }
+	keep := Decoder{Room: 3, Seal: seal}
 	f.Fuzz(func(t *testing.T, line string) {
+		keep.Buf = append(keep.Buf[:0], "kept"...)
+		events, _ := NewCorrelator().AppendBytes(nil, nil, []byte(line), false, &keep)
+		want := []byte("kept")
+		for _, ev := range events {
+			at := len(want)
+			want = ev.AppendRaw(append(want, 0, 0, 0))
+			seal(want[at:])
+		}
+		if !bytes.Equal(keep.Buf, want) {
+			t.Fatalf("walk over %q kept\n%q\nwant a record per event:\n%q", line, keep.Buf, want)
+		}
+
 		fastEv, claimed := d.DecodeRawBytes([]byte(line))
+		if len(d.Buf) != 0 {
+			t.Fatalf("a decoder that keeps nothing holds %q after %q", d.Buf, line)
+		}
 		if !claimed {
 			return
 		}

@@ -143,7 +143,7 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 
 	// One shard is the caller's own walk: no goroutine, no second slice.
 	if workers == 1 {
-		events, _ := c.walk(nil, nil, data, false)
+		events, _ := c.walk(nil, nil, data, false, &Decoder{})
 		return events, nil
 	}
 
@@ -178,7 +178,7 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s], _ = shards[s].walk(nil, nil, data[starts[s]:starts[s+1]], false)
+			results[s], _ = shards[s].walk(nil, nil, data[starts[s]:starts[s+1]], false, &Decoder{})
 		}(s)
 	}
 	wg.Wait()
@@ -202,10 +202,12 @@ func (c *Correlator) ParseBytes(data []byte, workers int) ([]Event, error) {
 // chatter lines included — exactly like CountLines and SplitBatch, so a
 // router that split a batch can map the j-th event of a sub-batch back
 // to its original batch line (and from there to a global sequence
-// number). An Event holds no reference into data, so data may be reused
-// as soon as AppendBytes returns.
-func (c *Correlator) AppendBytes(events []Event, idxs []int32, data []byte, indexed bool) ([]Event, []int32) {
-	return c.walk(events, idxs, data, indexed)
+// number). d is the walk's decoder: one that keeps renderings (see
+// Decoder) ends holding one record per appended event, in order. An
+// Event holds no reference into data, so data may be reused as soon as
+// AppendBytes returns.
+func (c *Correlator) AppendBytes(events []Event, idxs []int32, data []byte, indexed bool, d *Decoder) ([]Event, []int32) {
+	return c.walk(events, idxs, data, indexed, d)
 }
 
 // walk is the one in-memory line walk: every newline-delimited record of
@@ -213,7 +215,7 @@ func (c *Correlator) AppendBytes(events []Event, idxs []int32, data []byte, inde
 // through decodeLine, counters booked on c, events appended onto events.
 // With indexed set it also appends each event's 0-based record index
 // onto idxs.
-func (c *Correlator) walk(events []Event, idxs []int32, data []byte, indexed bool) ([]Event, []int32) {
+func (c *Correlator) walk(events []Event, idxs []int32, data []byte, indexed bool, d *Decoder) ([]Event, []int32) {
 	// On a clean log every line is an event; growing by the line count up
 	// front turns the append-doubling of a multi-megabyte shard into one
 	// allocation, and into none when the caller's slice already has room.
@@ -222,7 +224,6 @@ func (c *Correlator) walk(events []Event, idxs []int32, data []byte, indexed boo
 	if indexed {
 		idxs = slices.Grow(idxs, lines)
 	}
-	var d Decoder
 	idx := int32(-1)
 	for off := 0; off < len(data); {
 		idx++
@@ -241,7 +242,7 @@ func (c *Correlator) walk(events []Event, idxs []int32, data []byte, indexed boo
 			c.Oversized++
 			continue
 		}
-		if ev, ok := c.decodeLine(&d, line); ok {
+		if ev, ok := c.decodeLine(d, line); ok {
 			events = append(events, ev)
 			if indexed {
 				idxs = append(idxs, idx)

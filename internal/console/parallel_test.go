@@ -75,7 +75,7 @@ func TestParseAllParallelEquivalence(t *testing.T) {
 			}
 			c := NewCorrelator()
 			c.fast = fast
-			got, idxs := c.AppendBytes(nil, nil, in.log, true)
+			got, idxs := c.AppendBytes(nil, nil, in.log, true, &Decoder{})
 			check(fmt.Sprintf("fast=%t indexed", fast), c, got)
 			if len(idxs) != len(got) {
 				t.Fatalf("%s fast=%t indexed: %d indices for %d events", in.name, fast, len(idxs), len(got))

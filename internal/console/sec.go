@@ -244,7 +244,8 @@ func (c *Correlator) ParseLine(line string) (ev Event, ok bool) {
 // shares: the zero-allocation decoder first (when the rule set permits
 // it), the regex path — which is the only place a string is
 // materialized — on any deviation. Counters are updated exactly like
-// ParseLine.
+// ParseLine. A decoder that keeps renderings gets the regex path's events
+// through the same AppendRaw the fast path's gate ran.
 func (c *Correlator) decodeLine(d *Decoder, line []byte) (Event, bool) {
 	if c.fast {
 		if ev, ok := d.DecodeRawBytes(line); ok {
@@ -253,7 +254,11 @@ func (c *Correlator) decodeLine(d *Decoder, line []byte) (Event, bool) {
 		}
 		c.FastFallbacks++
 	}
-	return c.ParseLine(string(line))
+	ev, ok := c.ParseLine(string(line))
+	if ok && d.Seal != nil {
+		d.Render(ev)
+	}
+	return ev, ok
 }
 
 // addCounters folds another correlator's operational counters into c.

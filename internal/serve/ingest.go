@@ -17,9 +17,12 @@ import (
 //	                   │   decode work)
 //	                   ▼
 //	             decode, in the request's own goroutine (fast-path
-//	                   │ decode, regex fallback), then 202
+//	                   │ decode, regex fallback; with a journal open the
+//	                   │ decoder's renderings are kept and framed as the
+//	                   │ batch's journal records), then 202
 //	                   ▼ one buffered channel, in hand-off order
-//	             applier ×1 (journal write-ahead, then applyBatch: alert
+//	             applier ×1 (journal write-ahead: one Write of those
+//	                         records, one commit; then applyBatch: alert
 //	                         engine, precursor warner, per-node windows /
 //	                         card counters / retirement, retained log,
 //	                         alert feed), then the slot is free
@@ -60,9 +63,12 @@ func (p *slicePool[T]) put(s *[]T) {
 }
 
 // The pool caps: a 1 MiB body is eight of the replay client's 1,024-line
-// batches; 32 Ki events (line indices, sequences) is thirty-two.
+// batches; 32 Ki events (line indices, sequences) is thirty-two; a batch's
+// journal records are its lines and eight bytes of frame each, an eighth
+// more than a body of 64-byte lines.
 var (
 	bodyPool  = slicePool[byte]{limit: 1 << 20}
+	framePool = slicePool[byte]{limit: 9 << 17}
 	eventPool = slicePool[console.Event]{limit: 32 << 10}
 	idxPool   = slicePool[int32]{limit: 32 << 10}
 	seqPool   = slicePool[uint64]{limit: 32 << 10}
@@ -109,13 +115,15 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 }
 
 // decoded is one batch on its way from the request goroutine that
-// decoded it to the applier, which hands both pooled slices back after
-// applyBatch (journal, retained log and feed copy by value). seqs
-// (parallel to events, nil when the batch was untagged) are the global
-// sequence numbers feeding the cluster alert-feed collector.
+// decoded it to the applier, which hands the pooled slices back after
+// applyBatch (retained log and feed copy by value). seqs (parallel to
+// events, nil when the batch was untagged) are the global sequence
+// numbers feeding the cluster alert-feed collector; frames (nil without a
+// journal) holds one journal record per event, in order.
 type decoded struct {
 	events *[]console.Event
 	seqs   *[]uint64
+	frames *[]byte
 	queued time.Time // hand-off, for the queue_wait stage
 }
 
@@ -148,12 +156,22 @@ func (s *Server) handOff(body []byte, lines int, seqBase uint64, positions []int
 	defer s.decoding.Done()
 	c := *decoder
 	events := eventPool.get()
+	// With a journal open (WarmStart opens it before any ingest) the
+	// decoder keeps what its gate renders, framed, for the applier to
+	// write: a clean line is its own rendering, so the body's length and a
+	// frame a line is room for all of it.
+	var d console.Decoder
+	var frames *[]byte
+	if s.journal.Load() != nil {
+		frames = framePool.get()
+		d = frameDecoder(slices.Grow(*frames, len(body)+lines*walFrameSize))
+	}
 	var seqs *[]uint64
 	if positions != nil {
 		// Seq-tagged sub-batch from the router: decode with line
 		// indices so each event maps back to its global sequence.
 		idxs := idxPool.get()
-		*events, *idxs = c.AppendBytes(*events, *idxs, body, true)
+		*events, *idxs = c.AppendBytes(*events, *idxs, body, true, &d)
 		seqs = seqPool.get()
 		sq := slices.Grow(*seqs, len(*idxs))
 		for _, li := range *idxs {
@@ -162,7 +180,10 @@ func (s *Server) handOff(body []byte, lines int, seqBase uint64, positions []int
 		*seqs = sq
 		idxPool.put(idxs)
 	} else {
-		*events, _ = c.AppendBytes(*events, nil, body, false)
+		*events, _ = c.AppendBytes(*events, nil, body, false, &d)
+	}
+	if frames != nil {
+		*frames = d.Buf
 	}
 	m := s.metrics
 	m.linesAccepted.Add(uint64(lines))
@@ -172,16 +193,16 @@ func (s *Server) handOff(body []byte, lines int, seqBase uint64, positions []int
 	m.oversized.Add(uint64(c.Oversized))
 	m.fastHits.Add(uint64(c.FastHits))
 	m.fastFallbacks.Add(uint64(c.FastFallbacks))
-	s.handoff <- decoded{events: events, seqs: seqs, queued: m.observeStage(stageDecode, start)}
+	s.handoff <- decoded{events: events, seqs: seqs, frames: frames, queued: m.observeStage(stageDecode, start)}
 }
 
 // applier is the single goroutine that changes online state: it takes
 // batches in hand-off order, journals them and applies them.
 //
-// With a journal open, every event is appended (write-ahead) before it
-// is applied: the journal sees the exact arrival-order stream the
-// detectors consume, so replaying it after a crash reconstructs the
-// same state. One Commit per batch bounds the fsync rate under the
+// With a journal open, every event's record is written (write-ahead)
+// before it is applied: the journal sees the exact arrival-order stream
+// the detectors consume, so replaying it after a crash reconstructs the
+// same state. One commit per batch bounds the fsync rate under the
 // "always" policy to the batch rate.
 func (s *Server) applier() {
 	defer s.applyWG.Done()
@@ -190,8 +211,8 @@ func (s *Server) applier() {
 			<-g
 		}
 		start := s.metrics.observeStage(stageQueueWait, b.queued)
-		if j := s.journal.Load(); j != nil {
-			j.appendEvents(*b.events)
+		if b.frames != nil {
+			s.journal.Load().appendFrames(*b.frames, len(*b.events))
 			start = s.metrics.observeStage(stageJournal, start)
 		}
 		var seqs []uint64
@@ -202,6 +223,7 @@ func (s *Server) applier() {
 		s.metrics.observeStage(stageApply, start)
 		eventPool.put(b.events)
 		seqPool.put(b.seqs)
+		framePool.put(b.frames)
 		s.appliedBatches.Add(1) // frees the batch's slot
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,11 +23,14 @@ import (
 // Compaction makes the applied history durable only every
 // CompactInterval; everything younger lives in the retained tail and
 // dies with the process. The journal closes that window: the applier
-// appends every event's canonical console rendering (AppendRaw — the
+// writes every event's canonical console rendering (AppendRaw — the
 // same bytes a segment re-renders to) to an on-disk log BEFORE folding
 // the event into the online state, so a kill -9 daemon restarts by
 // replaying segments and then the journal and lands in exactly the
-// state an uninterrupted daemon would hold.
+// state an uninterrupted daemon would hold. The renderings are the ones
+// the decode gate made and proved byte-equal to the line: the request's
+// goroutine frames them where they lie (frameDecoder) and a batch is one
+// Write of bytes that existed at hand-off.
 //
 // Format. Files named wal-<firstSeq>.wal (zero-padded, so name order
 // is sequence order) under the journal directory. Each starts with a
@@ -125,13 +129,14 @@ type Journal struct {
 
 	mu     sync.Mutex
 	f      *os.File
-	bw     *bufio.Writer
+	w      io.Writer // f; what records are written through
+	pend   []byte    // Append's framed records, npend of them, until Commit writes them
+	npend  int
 	size   int64
 	files  []walFile // surviving files in sequence order; last is open
 	next   uint64    // global seq of the next record appended
 	wedged bool
-	dirty  bool   // bytes written since the last fsync
-	raw    []byte // appendEvents' render scratch
+	dirty  bool // bytes written since the last fsync
 
 	stop     chan struct{}
 	syncerWG sync.WaitGroup
@@ -319,51 +324,70 @@ func readFull(br *bufio.Reader, buf []byte) (int, error) {
 	return n, nil
 }
 
-// Append frames one rendered console line into the journal. The caller
-// (the applier) appends every event of a batch and then calls Commit;
-// raw may be reused after return. A failed append wedges the journal —
-// see the package comment — but never blocks ingest.
+// sealFrame fills in the header of one record laid out as walFrameSize
+// spare bytes, then the payload: its length and CRC-32C.
+func sealFrame(rec []byte) {
+	payload := rec[walFrameSize:]
+	walByteOrder.PutUint32(rec[0:4], uint32(len(payload)))
+	walByteOrder.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// frameDecoder returns a decoder that leaves every event it decodes (or
+// is handed through Render) in buf as one journal record.
+func frameDecoder(buf []byte) console.Decoder {
+	return console.Decoder{Buf: buf, Room: walFrameSize, Seal: sealFrame}
+}
+
+// Append frames one rendered console line for the journal. The caller
+// appends every event of a batch and then calls Commit, which writes
+// them; raw may be reused after return. A failed append wedges the
+// journal — see the package comment — but never blocks ingest.
 func (j *Journal) Append(raw []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.appendLocked(raw)
+	start := len(j.pend)
+	j.pend = append(append(j.pend, make([]byte, walFrameSize)...), raw...)
+	sealFrame(j.pend[start:])
+	j.npend++
 }
 
-func (j *Journal) appendLocked(raw []byte) {
-	if !j.wedged {
-		if err := j.frameLocked(raw); err != nil {
+// writeLocked books n framed records and hands the file, in one Write,
+// those the journal takes: all of them, unless it is wedged or
+// serve.journal.append — evaluated before every record — fails at one,
+// which wedges it with the records before that one written. The rest are
+// applied but not journaled; the sequence still advances so the recovery
+// rotation records the gap honestly.
+func (j *Journal) writeLocked(frames []byte, n int) (err error) {
+	taken, end := 0, 0
+	for ; !j.wedged && taken < n; taken++ {
+		if err = fpJournalAppend.Eval(); err != nil {
 			j.wedged = true
+			break
+		}
+		end += walFrameSize + int(walByteOrder.Uint32(frames[end:]))
+	}
+	if end > 0 {
+		if _, werr := j.w.Write(frames[:end]); werr != nil {
+			j.wedged, taken, err = true, 0, werr
 		} else {
-			j.next++
-			j.appends.Add(1)
-			return
+			j.size += int64(end)
+			j.dirty = true
 		}
 	}
-	// Wedged: the event is applied but not journaled; the sequence
-	// still advances so the recovery rotation records the gap honestly.
-	j.next++
-	j.appendFailures.Add(1)
+	j.next += uint64(n)
+	j.appends.Add(uint64(taken))
+	j.appendFailures.Add(uint64(n - taken))
+	return err
 }
 
-func (j *Journal) frameLocked(raw []byte) error {
-	if err := fpJournalAppend.Eval(); err != nil {
-		return err
-	}
-	var frame [walFrameSize]byte
-	walByteOrder.PutUint32(frame[0:4], uint32(len(raw)))
-	walByteOrder.PutUint32(frame[4:8], crc32.Checksum(raw, castagnoli))
-	if _, err := j.bw.Write(frame[:]); err != nil {
-		return err
-	}
-	if _, err := j.bw.Write(raw); err != nil {
-		return err
-	}
-	j.size += int64(walFrameSize) + int64(len(raw))
-	j.dirty = true
-	return nil
+// flushLocked writes the records Append has framed.
+func (j *Journal) flushLocked() error {
+	err := j.writeLocked(j.pend, j.npend)
+	j.pend, j.npend = j.pend[:0], 0
+	return err
 }
 
-// Commit ends one batch: flush, fsync under the "always" policy, and
+// Commit ends one batch: write, fsync under the "always" policy, and
 // rotate when the current file is over size. A wedged journal uses the
 // commit point to attempt recovery by rotating to a fresh file.
 func (j *Journal) Commit() {
@@ -373,14 +397,10 @@ func (j *Journal) Commit() {
 }
 
 func (j *Journal) commitLocked() {
-	if j.wedged {
+	if _ = j.flushLocked(); j.wedged { // a failed write has wedged it: same recovery
 		if j.rotateLocked() == nil {
 			j.wedged = false
 		}
-		return
-	}
-	if err := j.bw.Flush(); err != nil {
-		j.wedged = true
 		return
 	}
 	if j.cfg.Fsync == FsyncAlways {
@@ -396,21 +416,33 @@ func (j *Journal) commitLocked() {
 	}
 }
 
-// appendEvents writes one batch ahead of its apply under one hold of the
-// lock: every event's canonical rendering as its own record (failpoint,
-// frame and CRC per record, as Append), then one commit. An empty batch
-// commits nothing.
-func (j *Journal) appendEvents(events []console.Event) {
-	if len(events) == 0 {
+// appendFrames writes one batch ahead of its apply under one hold of the
+// lock: n records the request's goroutine already framed (frameDecoder),
+// one Write, one commit. An empty batch commits nothing.
+func (j *Journal) appendFrames(frames []byte, n int) {
+	if n == 0 {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for i := range events {
-		j.raw = events[i].AppendRaw(j.raw[:0])
-		j.appendLocked(j.raw)
-	}
+	_ = j.flushLocked() // nothing, unless Append was used beside this
+	_ = j.writeLocked(frames, n)
 	j.commitLocked()
+}
+
+// appendEvents journals events that come without their lines — a first
+// boot from a flat console.log — framing each one's rendering as the
+// decoder would have and writing them a batch at a time.
+func (j *Journal) appendEvents(events []console.Event) {
+	d := frameDecoder(nil)
+	for lo := 0; lo < len(events); lo += 1024 {
+		batch := events[lo:min(lo+1024, len(events))]
+		d.Buf = d.Buf[:0]
+		for i := range batch {
+			d.Render(batch[i])
+		}
+		j.appendFrames(d.Buf, len(batch))
+	}
 }
 
 // Sync forces buffered records to disk (the interval syncer and Close
@@ -421,8 +453,7 @@ func (j *Journal) Sync() error {
 	if j.wedged {
 		return nil
 	}
-	if err := j.bw.Flush(); err != nil {
-		j.wedged = true
+	if err := j.flushLocked(); err != nil {
 		return err
 	}
 	if !j.dirty {
@@ -447,11 +478,11 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// rotateLocked seals the current file (flush + fsync unless the policy
+// rotateLocked seals the current file (write + fsync unless the policy
 // is off) and opens a fresh one whose header carries j.next.
 func (j *Journal) rotateLocked() error {
 	if j.f != nil {
-		if err := j.bw.Flush(); err != nil {
+		if err := j.flushLocked(); err != nil {
 			return err
 		}
 		if j.cfg.Fsync != FsyncOff {
@@ -488,8 +519,7 @@ func (j *Journal) rotateLocked() error {
 		j.files = j.files[:len(j.files)-1]
 	}
 	j.files = append(j.files, walFile{name: name, first: j.next})
-	j.f = f
-	j.bw = bufio.NewWriterSize(f, 1<<16)
+	j.f, j.w = f, f
 	j.size = walHeaderSize
 	j.dirty = false
 	j.rotations.Add(1)
@@ -543,7 +573,7 @@ func (j *Journal) Stats() JournalStats {
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.cfg.Dir }
 
-// Close stops the interval syncer, flushes, fsyncs (unless the policy
+// Close stops the interval syncer, writes what is pending, fsyncs (unless the policy
 // is off) and closes the current file.
 func (j *Journal) Close() error {
 	if j.stop != nil {
@@ -558,7 +588,7 @@ func (j *Journal) Close() error {
 	}
 	var err error
 	if !j.wedged {
-		err = j.bw.Flush()
+		err = j.flushLocked()
 		if err == nil && j.cfg.Fsync != FsyncOff && j.dirty {
 			err = j.syncLocked()
 		}

@@ -9,7 +9,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"titanre/internal/failpoint"
 	"titanre/internal/topology"
@@ -80,11 +80,19 @@ func layoutFor(n, arenaLen int) columnLayout {
 	return l
 }
 
-// Marshal renders the segment in the on-disk format, digest included.
-func (s *Segment) Marshal() []byte {
+// Marshal renders the segment in the on-disk format, digest included,
+// into buf's backing array when that is large enough (nil allocates);
+// buf must be empty.
+func (s *Segment) Marshal(buf []byte) []byte {
 	n := len(s.times)
 	l := layoutFor(n, len(s.arena))
-	buf := make([]byte, 0, l.tail+len(s.serials)*8+len(s.byCode)*(3+len(s.times)/8)+sha256.Size)
+	// An upper bound (5 bytes a varint), so the columns just copied are
+	// never copied again for the sake of the last few bytes.
+	size := l.tail + 10 + len(s.byCode)*(10+(n+63)/64*8) + sha256.Size
+	for _, dict := range s.serials {
+		size += 10 + 5*len(dict)
+	}
+	buf = slices.Grow(buf, size)
 	buf = append(buf, segMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, segVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
@@ -117,7 +125,7 @@ func (s *Segment) Marshal() []byte {
 	for node := range s.serials {
 		nodes = append(nodes, node)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
 	for _, node := range nodes {
 		dict := s.serials[node]
@@ -238,6 +246,7 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 	}
 	p += m
 	s.serials = make(map[uint32][]uint32, nnodes)
+	dictLen := make([]uint8, topology.TotalNodes) // node -> len(s.serials[node])
 	for i := uint64(0); i < nnodes; i++ {
 		node, m := binary.Uvarint(body[p:])
 		if m <= 0 || node >= uint64(topology.TotalNodes) {
@@ -259,9 +268,10 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 			dict[j] = uint32(serial)
 		}
 		s.serials[uint32(node)] = dict
+		dictLen[node] = uint8(cnt)
 	}
 	for i, card := range s.cards {
-		if int(card) >= len(s.serials[s.nodes[i]]) {
+		if card >= dictLen[s.nodes[i]] {
 			return nil, fmt.Errorf("%w: card index %d out of dictionary range", ErrCorrupt, card)
 		}
 	}
@@ -333,16 +343,15 @@ var (
 	fpDirSync       = failpoint.Register("store.dir.sync")
 )
 
-// WriteFile commits the segment durably and atomically: the bytes go to
-// a temp file in the target directory, the temp file is fsynced before
-// the rename (so the rename never publishes a tail of dirty pages a
-// power loss could tear), and the parent directory is fsynced after it
-// (so the directory entry itself survives the crash). A failure at any
-// step leaves either the old state or the new — never a half-written
-// visible segment; a crash can at worst leave an orphaned .seg-* temp
-// file, which Open removes.
-func (s *Segment) WriteFile(path string) error {
-	data := s.Marshal()
+// writeSegmentFile commits a marshalled segment durably and atomically:
+// the bytes go to a temp file in the target directory, the temp file is
+// fsynced before the rename (so the rename never publishes a tail of dirty
+// pages a power loss could tear), and the parent directory is fsynced
+// after it (so the directory entry itself survives the crash). A failure
+// at any step leaves either the old state or the new — never a
+// half-written visible segment; a crash can at worst leave an orphaned
+// .seg-* temp file, which Open removes.
+func writeSegmentFile(path string, data []byte) error {
 	if err := fpSegmentWrite.Eval(); err != nil {
 		return fmt.Errorf("store: writing segment: %w", err)
 	}

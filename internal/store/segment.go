@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"titanre/internal/console"
@@ -50,27 +49,49 @@ type Builder struct {
 	offs  []uint32 // n+1 entries; offs[i]..offs[i+1] is event i's arena record
 	arena []byte
 
-	// serials is the per-node card dictionary: first-seen order, so the
-	// same event sequence always seals to the same bytes.
-	serials map[uint32][]uint32
+	// The per-node card dictionaries, nodes (seen) and serials (dicts,
+	// parallel to it) both in first-seen order, so the same event sequence
+	// always seals to the same bytes. slot[node] is 1 + the node's place
+	// in seen (0: no event yet), a dense table: interning a row's serial
+	// is an index and a look along a dictionary that is almost always one
+	// entry long. That entry is a cell of firsts; a node's second serial
+	// moves its dictionary to an array of its own.
+	slot   []uint32
+	seen   []uint32
+	dicts  [][]uint32
+	firsts []uint32
+
+	out []byte // the marshalled segment, kept for a recycled builder's next
 
 	minT, maxT int64
 }
 
 // NewBuilder returns a Builder pre-sized for capacity events.
 func NewBuilder(capacity int) *Builder {
-	b := &Builder{
-		times:   make([]int64, 0, capacity),
-		codes:   make([]uint16, 0, capacity),
-		nodes:   make([]uint32, 0, capacity),
-		cards:   make([]uint8, 0, capacity),
-		offs:    make([]uint32, 1, capacity+1),
-		arena:   make([]byte, 0, capacity*3),
-		serials: make(map[uint32][]uint32),
-		minT:    math.MaxInt64,
-		maxT:    math.MinInt64,
+	return &Builder{
+		times: make([]int64, 0, capacity),
+		codes: make([]uint16, 0, capacity),
+		nodes: make([]uint32, 0, capacity),
+		cards: make([]uint8, 0, capacity),
+		offs:  make([]uint32, 1, capacity+1),
+		arena: make([]byte, 0, capacity*3),
+		slot:  make([]uint32, topology.TotalNodes),
+		minT:  math.MaxInt64,
+		maxT:  math.MinInt64,
 	}
-	return b
+}
+
+// reset empties the builder and keeps its arrays. Only for a builder
+// whose sealed segment nobody holds any more: the segment's columns and
+// dictionaries are these arrays.
+func (b *Builder) reset() {
+	for _, node := range b.seen {
+		b.slot[node] = 0
+	}
+	b.times, b.codes, b.nodes, b.cards = b.times[:0], b.codes[:0], b.nodes[:0], b.cards[:0]
+	b.offs, b.arena = b.offs[:1], b.arena[:0]
+	b.seen, b.dicts, b.firsts = b.seen[:0], b.dicts[:0], b.firsts[:0]
+	b.minT, b.maxT = math.MaxInt64, math.MinInt64
 }
 
 // Len reports the number of appended events.
@@ -125,22 +146,30 @@ func (b *Builder) Append(e console.Event) error {
 
 // cardOf interns serial into node's dictionary and returns its card index.
 func (b *Builder) cardOf(node, serial uint32) (uint8, error) {
-	dict := b.serials[node]
-	for i, s := range dict {
+	i := b.slot[node]
+	if i == 0 {
+		b.firsts = append(b.firsts, serial)
+		k := len(b.firsts)
+		b.seen, b.dicts = append(b.seen, node), append(b.dicts, b.firsts[k-1:k:k])
+		b.slot[node] = uint32(len(b.seen))
+		return 0, nil
+	}
+	dict := b.dicts[i-1]
+	for c, s := range dict {
 		if s == serial {
-			return uint8(i), nil
+			return uint8(c), nil
 		}
 	}
 	if len(dict) >= maxCardsPerNode {
 		return noCard, fmt.Errorf("store: node %d has more than %d distinct serials in one segment", node, maxCardsPerNode)
 	}
-	b.serials[node] = append(dict, serial)
+	b.dicts[i-1] = append(dict, serial)
 	return uint8(len(dict)), nil
 }
 
 // Seal freezes the builder into an immutable Segment, computing the
-// per-code bitmaps in one pass over the code column. The builder must
-// not be reused afterwards.
+// per-code bitmaps over the code column. The segment's columns are the
+// builder's: it must not be appended to afterwards.
 func (b *Builder) Seal() (*Segment, error) {
 	if len(b.times) == 0 {
 		return nil, fmt.Errorf("store: sealing empty segment")
@@ -152,9 +181,12 @@ func (b *Builder) Seal() (*Segment, error) {
 		cards:   b.cards,
 		offs:    b.offs,
 		arena:   b.arena,
-		serials: b.serials,
+		serials: make(map[uint32][]uint32, len(b.seen)),
 		minT:    b.minT,
 		maxT:    b.maxT,
+	}
+	for i, node := range b.seen {
+		s.serials[node] = b.dicts[i]
 	}
 	s.buildBitmaps()
 	return s, nil
@@ -203,27 +235,26 @@ func (s *Segment) Close() {
 	}
 }
 
-// buildBitmaps computes the per-code position bitmaps.
+// buildBitmaps computes the per-code position bitmaps through a table
+// over the span of codes present: at most 64 Ki entries (codes are
+// int16), about a hundred on real input.
 func (s *Segment) buildBitmaps() {
-	counts := make(map[int16]int)
+	lo, hi := math.MaxInt16, math.MinInt16
 	for _, c := range s.codes {
-		counts[int16(c)]++
+		lo, hi = min(lo, int(int16(c))), max(hi, int(int16(c)))
 	}
-	codes := make([]int16, 0, len(counts))
-	for c := range counts {
-		codes = append(codes, c)
+	index := make([]int32, hi-lo+1) // code-lo -> 1 + its place in byCode
+	for _, c := range s.codes {
+		index[int(int16(c))-lo] = 1
 	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	s.byCode = make([]codeBitmap, len(codes))
-	for i, c := range codes {
-		s.byCode[i] = codeBitmap{code: c, bits: newBitmap(len(s.codes))}
-	}
-	idx := make(map[int16]int, len(codes))
-	for i, c := range codes {
-		idx[c] = i
+	for i, present := range index {
+		if present != 0 {
+			s.byCode = append(s.byCode, codeBitmap{code: int16(lo + i), bits: newBitmap(len(s.codes))})
+			index[i] = int32(len(s.byCode))
+		}
 	}
 	for i, c := range s.codes {
-		s.byCode[idx[int16(c)]].bits.set(i)
+		s.byCode[index[int(int16(c))-lo]-1].bits.set(i)
 	}
 }
 

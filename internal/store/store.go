@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"titanre/internal/console"
@@ -28,6 +29,8 @@ type Store struct {
 	diskBytes int64
 	count     int
 	mapped    bool // open segments via mmap; seals re-map after commit
+
+	spare atomic.Pointer[Builder] // the last Prepare's, emptied, once its segment was re-mapped
 }
 
 // OpenOptions selects how OpenDir brings a store up.
@@ -216,15 +219,20 @@ func (p *Prepared) Segment() *Segment { return p.seg }
 
 // Prepare builds a segment from events (in the order given) and commits
 // it to disk atomically, without registering it. On error no visible
-// file exists (WriteFile's temp-rename discipline), so a retry cannot
-// duplicate events. On a mapped store the committed file is re-opened
-// mapped, so the registered segment aliases the page cache rather than
-// holding the build's heap columns.
+// file exists (writeSegmentFile's temp-rename discipline), so a retry
+// cannot duplicate events. On a mapped store the committed file is
+// re-opened mapped, so the registered segment aliases the page cache
+// rather than holding the build's heap columns — and those columns, with
+// the marshalled bytes, are the next Prepare's to build in. A segment
+// that stays on the heap keeps its builder's arrays; nothing is recycled.
 func (st *Store) Prepare(events []console.Event) (*Prepared, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("store: sealing empty segment")
 	}
-	b := NewBuilder(len(events))
+	b := st.spare.Swap(nil)
+	if b == nil {
+		b = NewBuilder(len(events))
+	}
 	for _, e := range events {
 		if err := b.Append(e); err != nil {
 			return nil, err
@@ -234,12 +242,24 @@ func (st *Store) Prepare(events []console.Event) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.PrepareSegment(seg)
+	b.out = seg.Marshal(b.out[:0])
+	p, err := st.commit(seg, b.out)
+	if err == nil && p.seg != seg {
+		b.reset()
+		st.spare.Store(b)
+	}
+	return p, err
 }
 
 // PrepareSegment commits an already-built segment to disk without
 // registering it.
 func (st *Store) PrepareSegment(seg *Segment) (*Prepared, error) {
+	return st.commit(seg, seg.Marshal(nil))
+}
+
+// commit writes seg's marshalled bytes as the next segment file and, on a
+// mapped store, re-opens it mapped.
+func (st *Store) commit(seg *Segment, data []byte) (*Prepared, error) {
 	st.mu.Lock()
 	if err := os.MkdirAll(st.dir, 0o755); err != nil {
 		st.mu.Unlock()
@@ -249,19 +269,15 @@ func (st *Store) PrepareSegment(seg *Segment) (*Prepared, error) {
 	st.next++ // a failed Prepare burns the number; numbering may gap
 	st.mu.Unlock()
 	path := filepath.Join(st.dir, fmt.Sprintf("seg-%06d.seg", num))
-	if err := seg.WriteFile(path); err != nil {
+	if err := writeSegmentFile(path, data); err != nil {
 		return nil, err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: sealing: %w", err)
 	}
 	if st.mapped {
 		if mseg, err := MapSegmentFile(path); err == nil {
 			seg = mseg
 		}
 	}
-	return &Prepared{seg: seg, size: info.Size()}, nil
+	return &Prepared{seg: seg, size: int64(len(data))}, nil
 }
 
 // Publish registers a prepared segment, making it visible to readers.

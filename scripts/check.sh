@@ -56,6 +56,9 @@ go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
 echo "== read-path benchmark smoke (the five query_sealed fold shapes in process, one iteration)"
 go test ./internal/serve -run '^$' -bench 'BenchmarkReadShapes$' -benchtime 1x -cpu 1
 
+echo "== write-path benchmark smoke (64 batches to applied on a fresh journaled daemon, one iteration)"
+go test ./internal/serve -run '^$' -bench 'BenchmarkWritePath$' -benchtime 1x -cpu 1
+
 echo "== fuzz smoke (FuzzParseRawLine, 5s)"
 go test ./internal/console -run '^$' -fuzz FuzzParseRawLine -fuzztime 5s
 
