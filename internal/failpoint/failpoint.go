@@ -2,8 +2,9 @@
 //
 // A site is a fixed point in a storage or pipeline code path — a segment
 // write, an fsync, a journal append — where a test or a crash harness
-// can inject a failure: return an error, sleep, or hard-kill the process
-// with SIGKILL. Sites are package-level variables registered at init
+// can inject a failure: return an error, sleep, hard-kill the process
+// with SIGKILL, or (in-process tests) call a hook that stands in for the
+// kill. Sites are package-level variables registered at init
 // time, so the catalog is complete as soon as the binary links, and a
 // disabled site costs one atomic pointer load per Eval — the production
 // path pays nothing measurable.
@@ -20,6 +21,9 @@
 //	delay:DUR    every Eval sleeps DUR (time.ParseDuration syntax)
 //	kill         SIGKILL the process on the first Eval
 //	kill:N       SIGKILL the process on the Nth Eval
+//	crash[:N]    call the OnCrash hook on the first (Nth) Eval, once, and
+//	             carry on: the in-process stand-in for kill, whose hook
+//	             freezes what a kill would have left on disk
 //
 // Example: TITAND_FAILPOINTS='store.segment.sync=kill:2' hard-kills the
 // daemon the second time a segment fsync is attempted — the crash
@@ -52,6 +56,7 @@ const (
 	kindError kind = iota
 	kindDelay
 	kindKill
+	kindCrash
 )
 
 // state is one armed action. remaining counts down error budgets and up
@@ -115,9 +120,6 @@ func lookup(name string) *Site {
 	return registry.sites[name]
 }
 
-// Name returns the site's registered name.
-func (s *Site) Name() string { return s.name }
-
 // Hits returns how many times Eval ran on an armed site.
 func (s *Site) Hits() uint64 { return s.hits.Load() }
 
@@ -147,9 +149,21 @@ func (s *Site) Eval() error {
 		if hit >= uint64(st.remaining.Load()) {
 			kill()
 		}
+	case kindCrash:
+		if fn := crashHook.Load(); fn != nil && *fn != nil && hit == uint64(st.remaining.Load()) {
+			(*fn)(s.name)
+		}
 	}
 	return nil
 }
+
+// crashHook is what an armed crash action calls, with the site's name.
+var crashHook atomic.Pointer[func(site string)]
+
+// OnCrash sets the hook crash actions fire (nil clears it). The fleet
+// schedule tests freeze the victim's state directory in it: the copy is
+// what a kill -9 at that site would have left, and the process lives on.
+func OnCrash(fn func(site string)) { crashHook.Store(&fn) }
 
 // kill hard-terminates the process the way a power loss would look to
 // everyone else: SIGKILL, no deferred functions, no flushes.
@@ -245,18 +259,21 @@ func parseAction(action string) (*state, error) {
 			return nil, fmt.Errorf("bad delay %q: %w", arg, err)
 		}
 		st.delay = d
-	case "kill":
+	case "kill", "crash":
 		st.kind = kindKill
+		if verb == "crash" {
+			st.kind = kindCrash
+		}
 		st.remaining.Store(1)
 		if hasArg {
 			n, err := strconv.ParseInt(arg, 10, 64)
 			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("bad kill hit %q", arg)
+				return nil, fmt.Errorf("bad %s hit %q", verb, arg)
 			}
 			st.remaining.Store(n)
 		}
 	default:
-		return nil, fmt.Errorf("unknown action %q (error, error:N, delay:DUR, kill, kill:N)", verb)
+		return nil, fmt.Errorf("unknown action %q (error, error:N, delay:DUR, kill, kill:N, crash, crash:N)", verb)
 	}
 	return st, nil
 }

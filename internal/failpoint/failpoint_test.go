@@ -134,12 +134,45 @@ func TestArmRejectsBadSpecs(t *testing.T) {
 		"test.site.a=error:0",
 		"test.site.a=delay",
 		"test.site.a=kill:-1",
+		"test.site.a=crash:0",
 	} {
 		if err := Arm(spec); err == nil {
 			t.Errorf("Arm(%q) succeeded, want error", spec)
 		}
 	}
 	DisableAll()
+}
+
+// TestCrashFiresHookOnce: a crash action calls the hook with the site's
+// name on exactly the armed hit, and every Eval — that one too — goes on.
+func TestCrashFiresHookOnce(t *testing.T) {
+	t.Cleanup(DisableAll)
+	t.Cleanup(func() { OnCrash(nil) })
+	var fired []uint64
+	OnCrash(func(site string) {
+		if site != "test.site.a" {
+			t.Errorf("hook called for %q", site)
+		}
+		fired = append(fired, siteA.Hits())
+	})
+	if err := Enable("test.site.a", "crash:3"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := siteA.Eval(); err != nil {
+			t.Fatalf("hit %d: crash action returned %v", i+1, err)
+		}
+	}
+	if len(fired) != 1 || fired[0] != 3 {
+		t.Fatalf("hook fired at hits %v, want once at 3", fired)
+	}
+	OnCrash(nil)
+	if err := Enable("test.site.a", "crash"); err != nil {
+		t.Fatal(err)
+	}
+	if err := siteA.Eval(); err != nil || len(fired) != 1 {
+		t.Fatalf("cleared hook: Eval returned %v, hook calls %d", err, len(fired))
+	}
 }
 
 func TestArmFromEnv(t *testing.T) {

@@ -56,16 +56,6 @@ func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(rng.NormFloat64()*sigma + mu)
 }
 
-// Pareto draws from a Pareto distribution with minimum xm and shape alpha.
-// Smaller alpha means a heavier tail.
-func Pareto(rng *rand.Rand, xm, alpha float64) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Weibull draws from a Weibull distribution with the given scale and
 // shape. Shape < 1 gives the decreasing hazard typical of infant
 // mortality; shape > 1 gives wear-out.

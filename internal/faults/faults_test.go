@@ -64,15 +64,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestParetoSupport(t *testing.T) {
-	rng := newRNG()
-	for i := 0; i < 1000; i++ {
-		if Pareto(rng, 3, 1.5) < 3 {
-			t.Fatal("Pareto below xm")
-		}
-	}
-}
-
 func TestWeibullShape1IsExponential(t *testing.T) {
 	rng := newRNG()
 	var sum float64
@@ -232,16 +223,6 @@ func TestNodeProcessEmpty(t *testing.T) {
 	q := &NodeProcess{RatePerHour: 1, Weights: UniformComputeWeights()}
 	if q.Generate(rng, start, start) != nil {
 		t.Error("empty window should yield nil")
-	}
-}
-
-func TestScaleWeights(t *testing.T) {
-	got := ScaleWeights([]float64{1, 2, 3}, []float64{2, 0, 1})
-	if got[0] != 2 || got[1] != 0 || got[2] != 3 {
-		t.Errorf("ScaleWeights = %v", got)
-	}
-	if len(ScaleWeights([]float64{1, 2}, []float64{1})) != 1 {
-		t.Error("length should clamp to shorter input")
 	}
 }
 

@@ -151,16 +151,3 @@ func ThermalComputeWeights(deltaDoubleF float64) []float64 {
 	}
 	return w
 }
-
-// ScaleWeights multiplies two weight vectors elementwise into a new one.
-func ScaleWeights(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}

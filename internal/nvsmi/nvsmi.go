@@ -11,7 +11,6 @@
 package nvsmi
 
 import (
-	"sort"
 	"time"
 
 	"titanre/internal/console"
@@ -173,12 +172,4 @@ type Record struct {
 	CoreHours float64
 	MaxMemGB  float64
 	TotalMGBh float64
-}
-
-// SortSamplesBy orders samples by a metric, ascending — the presentation
-// step behind Figs. 16-19 ("batch jobs are sorted based on ...").
-func SortSamplesBy(samples []JobSample, metric func(JobSample) float64) {
-	sort.SliceStable(samples, func(i, j int) bool {
-		return metric(samples[i]) < metric(samples[j])
-	})
 }

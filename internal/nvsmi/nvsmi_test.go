@@ -126,11 +126,3 @@ func TestJobSamplerBrokenCounter(t *testing.T) {
 		t.Errorf("broken counter leaked %d SBEs into the sample", s.SBEDelta)
 	}
 }
-
-func TestSortSamplesBy(t *testing.T) {
-	samples := []JobSample{{CoreHours: 3}, {CoreHours: 1}, {CoreHours: 2}}
-	SortSamplesBy(samples, func(s JobSample) float64 { return s.CoreHours })
-	if samples[0].CoreHours != 1 || samples[2].CoreHours != 3 {
-		t.Errorf("sort wrong: %+v", samples)
-	}
-}

@@ -162,8 +162,8 @@ func (rt *Router) mergedRead(path string, bare bool) http.HandlerFunc {
 }
 
 // handleAlerts reconstructs the cluster-wide alert stream: union the
-// replicas' evidence feeds, sort by global sequence (records arrive
-// sorted per replica; the union is deduped by seq and re-sorted), and
+// replicas' evidence feeds, sort by global sequence (a line goes to one
+// replica and is applied there once, so the feeds share no sequence), and
 // replay through a fresh engine with the shared config. When any feed
 // is incomplete or configs diverge the response is marked degraded but
 // still served — a best-effort alert list beats a 502 during partial
@@ -180,7 +180,7 @@ func (rt *Router) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := ""
-	bySeq := make(map[uint64]serve.FeedRecord)
+	var records []serve.FeedRecord
 	for i, doc := range docs {
 		if !doc.Complete {
 			degraded = fmt.Sprintf("replica %s: incomplete alert feed", results[i].replica)
@@ -188,13 +188,7 @@ func (rt *Router) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		if i > 0 && !reflect.DeepEqual(doc.Config, docs[0].Config) {
 			degraded = fmt.Sprintf("replica %s: alert config diverges", results[i].replica)
 		}
-		for _, rec := range doc.Records {
-			bySeq[rec.Seq] = rec
-		}
-	}
-	records := make([]serve.FeedRecord, 0, len(bySeq))
-	for _, rec := range bySeq {
-		records = append(records, rec)
+		records = append(records, doc.Records...)
 	}
 	sort.Slice(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
 	alerts, err := serve.ReplayFeed(docs[0].Config, records)

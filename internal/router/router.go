@@ -75,9 +75,11 @@ type Router struct {
 	// event ⇒ no per-node state anywhere).
 	spill atomic.Uint64
 
-	// seqMu orders global line-sequence assignment; sequences are dense
-	// over accepted batches, which is what makes the merged alert feed
-	// replay in exact single-daemon stream order.
+	// seqMu orders global line-sequence assignment: a batch owns the next
+	// run of sequences, which is what makes the merged alert feed replay in
+	// exact single-daemon stream order. New seeds nextSeq from the wall
+	// clock, so a restarted router's sequences sort after — and never
+	// repeat — every earlier incarnation's.
 	seqMu   sync.Mutex
 	nextSeq uint64
 
@@ -86,10 +88,9 @@ type Router struct {
 
 	metrics routerMetrics
 
-	mux      *http.ServeMux
-	listener net.Listener
-	httpSrv  *http.Server
-	lifeMu   sync.Mutex
+	mux     *http.ServeMux
+	httpSrv *http.Server
+	lifeMu  sync.Mutex
 }
 
 // source is one feed's QoS state and exact accounting.
@@ -121,6 +122,7 @@ type routerMetrics struct {
 	linesFailed     atomic.Uint64
 	subBatches      atomic.Uint64
 	deliverRetries  atomic.Uint64
+	dupsAbsorbed    atomic.Uint64
 	readFanouts     atomic.Uint64
 	readErrors      atomic.Uint64
 	mergedAlerts    atomic.Uint64
@@ -160,6 +162,11 @@ func New(cfg Config) (*Router, error) {
 		owners:  buildOwners(cfg.Replicas),
 		sources: make(map[string]*source),
 		metrics: routerMetrics{start: time.Now()},
+		// Nanoseconds since 1970: past every sequence an earlier incarnation
+		// issued, provided it sequenced fewer than 10⁹ lines a second of its
+		// life and the clock has not been set back across the restart (then
+		// the replicas refuse the reissued bases with 409; they do not guess).
+		nextSeq: uint64(time.Now().UnixNano()),
 	}
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("POST /ingest", rt.handleIngest)
@@ -182,13 +189,7 @@ func (rt *Router) Serve(addr string) error {
 	if err != nil {
 		return fmt.Errorf("router: %w", err)
 	}
-	return rt.ServeListener(ln)
-}
-
-// ServeListener serves on an existing listener (tests inject one).
-func (rt *Router) ServeListener(ln net.Listener) error {
 	rt.lifeMu.Lock()
-	rt.listener = ln
 	rt.httpSrv = &http.Server{Handler: rt.mux, ReadHeaderTimeout: 5 * time.Second}
 	srv := rt.httpSrv
 	rt.lifeMu.Unlock()
@@ -196,16 +197,6 @@ func (rt *Router) ServeListener(ln net.Listener) error {
 		return fmt.Errorf("router: %w", err)
 	}
 	return nil
-}
-
-// Addr returns the bound address, or "" before Serve.
-func (rt *Router) Addr() string {
-	rt.lifeMu.Lock()
-	defer rt.lifeMu.Unlock()
-	if rt.listener == nil {
-		return ""
-	}
-	return rt.listener.Addr().String()
 }
 
 // Shutdown stops accepting requests; in-flight fan-outs complete.
@@ -219,28 +210,18 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	return srv.Shutdown(ctx)
 }
 
-// source returns the accounting record for a feed, creating it on
-// first sight. An empty header maps to "default"; once serve.MaxSources
-// names are tracked, every further new name maps to
-// serve.OverflowSource — one record, one in-flight share — so the
-// client-chosen name can neither grow the table without bound nor buy a
-// fresh share per batch.
+// source returns the accounting record for a feed and the name it is
+// under: an empty header maps to "default", and past serve.MaxSources
+// names every new one shares serve.OverflowSource's record — one in-flight
+// share — so the client-chosen name can neither grow the table without
+// bound nor buy a fresh share per batch.
 func (rt *Router) source(name string) (string, *source) {
 	if name == "" {
 		name = "default"
 	}
 	rt.srcMu.Lock()
 	defer rt.srcMu.Unlock()
-	src := rt.sources[name]
-	if src == nil && len(rt.sources) >= serve.MaxSources {
-		name = serve.OverflowSource
-		src = rt.sources[name]
-	}
-	if src == nil {
-		src = &source{}
-		rt.sources[name] = src
-	}
-	return name, src
+	return serve.SourceSlot(rt.sources, name)
 }
 
 // ownerOf routes one line: topology-hashed when it names a node,
@@ -342,10 +323,23 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // deliver POSTs one sub-batch to its replica, retrying connection
-// errors (the replica is restarting), 429 (its slots are full) and 503
-// (it is draining) until ctx expires — a replica mid-drain or
-// mid-restart is absorbed here, which is what lets the fleet keep its
-// exactly-once line accounting across replica lifecycle events.
+// errors (the replica is restarting, or the request or its 202 was lost),
+// 429 (its slots are full) and 503 (it is draining) until ctx expires.
+// The delivery contract, per line, is what the router's books mean:
+//
+//   - accepted ⇒ applied exactly once. The replica answered 202. A retry
+//     of a sub-batch whose first 202 was lost is a replay of its sequence
+//     base, which the replica acknowledges (X-Titan-Duplicate) without
+//     applying again — booked duplicates_absorbed here.
+//   - failed ⇒ maybe applied, never twice: ctx expired on an attempt that
+//     may or may not have reached the replica, or the replica refused the
+//     base as older than its window (409).
+//   - shed ⇒ never applied: refused by this router's QoS before any
+//     sequence was assigned.
+//
+// A replica crash is the one exception, and it is measured, not hidden:
+// batches a killed replica had acknowledged and not yet journaled are
+// lost, and its window dies with it (DESIGN §4i, TestFleetCrashRows).
 func (rt *Router) deliver(ctx context.Context, ri int, body []byte, srcName string, base uint64, mask []uint64) error {
 	header := http.Header{"Content-Type": {"text/plain"}}
 	header.Set(serve.SourceHeader, srcName)
@@ -363,6 +357,9 @@ func (rt *Router) deliver(ctx context.Context, ri int, body []byte, srcName stri
 	}
 	if resp.StatusCode != http.StatusAccepted {
 		return fmt.Errorf("router: replica %s: unexpected status %s", rt.cfg.Replicas[ri], resp.Status)
+	}
+	if resp.Header.Get(serve.DuplicateHeader) != "" {
+		rt.metrics.dupsAbsorbed.Add(1)
 	}
 	return nil
 }

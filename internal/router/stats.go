@@ -45,6 +45,7 @@ type Stats struct {
 	LinesFailed      uint64                 `json:"lines_failed"`
 	SubBatches       uint64                 `json:"sub_batches"`
 	DeliverRetries   uint64                 `json:"deliver_retries"`
+	DupsAbsorbed     uint64                 `json:"duplicates_absorbed"`
 	ReadFanouts      uint64                 `json:"read_fanouts"`
 	ReadErrors       uint64                 `json:"read_errors"`
 	MergedAlerts     uint64                 `json:"merged_alerts"`
@@ -71,6 +72,7 @@ func (rt *Router) StatsNow() Stats {
 		LinesFailed:      m.linesFailed.Load(),
 		SubBatches:       m.subBatches.Load(),
 		DeliverRetries:   m.deliverRetries.Load(),
+		DupsAbsorbed:     m.dupsAbsorbed.Load(),
 		ReadFanouts:      m.readFanouts.Load(),
 		ReadErrors:       m.readErrors.Load(),
 		MergedAlerts:     m.mergedAlerts.Load(),
@@ -145,6 +147,7 @@ func metricsText(st Stats) string {
 	counter("titanrouter_lines_failed_total", "Lines undelivered within the timeout.", st.LinesFailed)
 	counter("titanrouter_sub_batches_total", "Per-replica sub-batches sent.", st.SubBatches)
 	counter("titanrouter_deliver_retries_total", "Delivery retries against 429/503/connection errors.", st.DeliverRetries)
+	counter("titanrouter_duplicates_absorbed_total", "Retried sub-batches a replica acknowledged as already applied.", st.DupsAbsorbed)
 	counter("titanrouter_read_fanouts_total", "Read-side fan-outs.", st.ReadFanouts)
 	counter("titanrouter_read_errors_total", "Read-side fan-out failures.", st.ReadErrors)
 	counter("titanrouter_merged_alerts_total", "Merged /alerts responses.", st.MergedAlerts)

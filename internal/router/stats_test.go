@@ -12,25 +12,26 @@ import (
 // sourceSeries of every SourceStats field, keyed by /stats JSON name.
 var (
 	statSeries = map[string]string{
-		"uptime_seconds":     "titanrouter_uptime_seconds",
-		"replicas":           "titanrouter_replicas",
-		"source_share_lines": "titanrouter_source_share_lines",
-		"batches_offered":    "titanrouter_batches_offered_total",
-		"batches_accepted":   "titanrouter_batches_accepted_total",
-		"batches_shed":       "titanrouter_batches_shed_total",
-		"batches_failed":     "titanrouter_batches_failed_total",
-		"batches_rejected":   "titanrouter_batches_rejected_total",
-		"lines_offered":      "titanrouter_lines_offered_total",
-		"lines_delivered":    "titanrouter_lines_delivered_total",
-		"lines_shed":         "titanrouter_lines_shed_total",
-		"lines_failed":       "titanrouter_lines_failed_total",
-		"sub_batches":        "titanrouter_sub_batches_total",
-		"deliver_retries":    "titanrouter_deliver_retries_total",
-		"read_fanouts":       "titanrouter_read_fanouts_total",
-		"read_errors":        "titanrouter_read_errors_total",
-		"merged_alerts":      "titanrouter_merged_alerts_total",
-		"degraded_alerts":    "titanrouter_degraded_alerts_total",
-		"merged_queries":     "titanrouter_merged_queries_total",
+		"uptime_seconds":      "titanrouter_uptime_seconds",
+		"replicas":            "titanrouter_replicas",
+		"source_share_lines":  "titanrouter_source_share_lines",
+		"batches_offered":     "titanrouter_batches_offered_total",
+		"batches_accepted":    "titanrouter_batches_accepted_total",
+		"batches_shed":        "titanrouter_batches_shed_total",
+		"batches_failed":      "titanrouter_batches_failed_total",
+		"batches_rejected":    "titanrouter_batches_rejected_total",
+		"lines_offered":       "titanrouter_lines_offered_total",
+		"lines_delivered":     "titanrouter_lines_delivered_total",
+		"lines_shed":          "titanrouter_lines_shed_total",
+		"lines_failed":        "titanrouter_lines_failed_total",
+		"sub_batches":         "titanrouter_sub_batches_total",
+		"deliver_retries":     "titanrouter_deliver_retries_total",
+		"duplicates_absorbed": "titanrouter_duplicates_absorbed_total",
+		"read_fanouts":        "titanrouter_read_fanouts_total",
+		"read_errors":         "titanrouter_read_errors_total",
+		"merged_alerts":       "titanrouter_merged_alerts_total",
+		"degraded_alerts":     "titanrouter_degraded_alerts_total",
+		"merged_queries":      "titanrouter_merged_queries_total",
 	}
 	sourceSeries = map[string]string{
 		"offered_batches":  "titanrouter_source_batches_offered_total",

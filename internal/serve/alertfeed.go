@@ -69,6 +69,9 @@ const (
 	// body is original line position(j), with global sequence
 	// base + position(j). Its popcount must equal the body's line count.
 	SeqMaskHeader = "X-Titan-Seq-Mask"
+	// DuplicateHeader marks the 202 for a sequenced sub-batch the replica
+	// had already taken: acknowledged, not applied again.
+	DuplicateHeader = "X-Titan-Duplicate"
 )
 
 // alertfeedFile is the snapshot the feed persists under SnapshotDir on
@@ -196,6 +199,14 @@ func (f *alertFeed) records() []FeedRecord {
 	return out
 }
 
+// complete reports whether the feed can still vouch for global-replay
+// exactness.
+func (f *alertFeed) complete() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return !f.incomplete && f.untagged == 0
+}
+
 func (f *alertFeed) doc(cfg alert.Config) FeedDoc {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -217,16 +228,20 @@ func (s *Server) handleAlertFeed(w http.ResponseWriter, r *http.Request) {
 }
 
 // feedSnapshot is the on-disk shape: the evidence plus the covered
-// count, which a warm start reconciles against what it replayed.
+// count, which a warm start reconciles against what it replayed, and
+// admission's window of applied sequence bases, so a replay that arrives
+// after a graceful restart is still known for one.
 type feedSnapshot struct {
-	Covered uint64       `json:"covered"`
-	Records []FeedRecord `json:"records"`
+	Covered  uint64       `json:"covered"`
+	Records  []FeedRecord `json:"records"`
+	SeqSeen  []uint64     `json:"seq_seen,omitempty"`
+	SeqFloor uint64       `json:"seq_floor,omitempty"`
 }
 
 // writeSnapshot persists the collector durably (write-then-rename).
-func (f *alertFeed) writeSnapshot(dir string) error {
+func (f *alertFeed) writeSnapshot(dir string, seqSeen []uint64, seqFloor uint64) error {
 	f.mu.Lock()
-	snap := feedSnapshot{Covered: f.covered, Records: f.records()}
+	snap := feedSnapshot{Covered: f.covered, Records: f.records(), SeqSeen: seqSeen, SeqFloor: seqFloor}
 	f.mu.Unlock()
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -287,6 +302,9 @@ func (s *Server) loadFeedSnapshot(dir string, replayed int) error {
 		s.feed.incomplete = true
 	}
 	s.feed.mu.Unlock()
+	s.admitMu.Lock()
+	s.seqSeen, s.seqFloor = snap.SeqSeen, snap.SeqFloor
+	s.admitMu.Unlock()
 	return nil
 }
 

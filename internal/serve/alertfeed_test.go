@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -73,60 +74,36 @@ func tagAll(req *http.Request, base uint64, lines int) {
 	req.Header.Set(SeqMaskHeader, base64.StdEncoding.EncodeToString(console.MaskBytes(mask)))
 }
 
-// postTagged POSTs one batch tagged by tagAll. Returns the next base.
-func postTagged(t *testing.T, url, source string, body []byte, base uint64) uint64 {
+// postTagged POSTs one batch at s's handler, tagged by tagAll, and
+// returns the status and whether the daemon called it a duplicate.
+func postTagged(t testing.TB, s *Server, source string, body []byte, base uint64) (status int, duplicate bool) {
 	t.Helper()
-	lines := console.CountLines(body)
-	req, err := http.NewRequest(http.MethodPost, url+"/ingest", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagAll(req, base, lines)
+	req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
+	tagAll(req, base, console.CountLines(body))
 	if source != "" {
 		req.Header.Set(SourceHeader, source)
 	}
-	for {
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			return base + uint64(lines)
-		case http.StatusTooManyRequests:
-			time.Sleep(5 * time.Millisecond)
-			req.Body = io.NopCloser(bytes.NewReader(body))
-		default:
-			t.Fatalf("POST /ingest: status %d", resp.StatusCode)
-		}
-	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	return rec.Code, rec.Header().Get(DuplicateHeader) != ""
 }
 
-// chunkLog splits a console log into batches of about batchLines lines.
-func chunkLog(log []byte, batchLines int) [][]byte {
-	var out [][]byte
-	start, lines := 0, 0
-	for i, b := range log {
-		if b == '\n' {
-			lines++
-			if lines >= batchLines {
-				out = append(out, log[start:i+1])
-				start, lines = i+1, 0
-			}
-		}
+// feedDoc reads s's /alertfeed in process.
+func feedDoc(t testing.TB, s *Server) (doc FeedDoc) {
+	t.Helper()
+	if err := json.Unmarshal(serveGet(t, s, "/alertfeed"), &doc); err != nil {
+		t.Fatal(err)
 	}
-	if start < len(log) {
-		out = append(out, log[start:])
-	}
-	return out
+	return doc
 }
 
-// TestAlertFeedRestart drives tagged ingest over HTTP, then restarts
-// the daemon from its shutdown snapshot and checks the feed survives:
-// still complete, still replaying to the exact single-engine alert
-// stream. An untagged batch afterwards must drop completeness.
+// TestAlertFeedRestart is one fixed schedule on a one-replica fleet:
+// tagged ingest, a graceful restart from the shutdown snapshot, a replay
+// of the last sub-batch, an untagged batch. The feed survives the restart
+// — still complete, still replaying to the exact single-engine alert
+// stream — and so does the window of applied bases: the replay is
+// acknowledged and not applied. The untagged batch afterwards must drop
+// completeness.
 func TestAlertFeedRestart(t *testing.T) {
 	events := simEvents()
 	log := encodeLog(t, events)
@@ -135,16 +112,17 @@ func TestAlertFeedRestart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SnapshotDir = dir
 	s := NewServer(cfg)
-	ts := httptest.NewServer(s.Handler())
 
-	base := uint64(0)
+	base, last := uint64(0), []byte(nil)
 	for _, batch := range chunkLog(log, 2048) {
-		base = postTagged(t, ts.URL, "feedtest", batch, base)
+		if status, dup := postTagged(t, s, "feedtest", batch, base); status != http.StatusAccepted || dup {
+			t.Fatalf("tagged batch at base %d: status %d, duplicate %v", base, status, dup)
+		}
+		base, last = base+uint64(console.CountLines(batch)), batch
 	}
 	quiesce(t, s)
 
-	var doc FeedDoc
-	getJSON(t, ts.URL+"/alertfeed", &doc)
+	doc := feedDoc(t, s)
 	if !doc.Complete {
 		t.Fatalf("feed incomplete before restart: %+v", docSummary(doc))
 	}
@@ -160,7 +138,6 @@ func TestAlertFeedRestart(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ts.Close()
 
 	// Warm restart from the snapshot directory.
 	s2 := testServer(t, cfg)
@@ -171,32 +148,29 @@ func TestAlertFeedRestart(t *testing.T) {
 	if ws.Replayed == 0 {
 		t.Fatal("warm start replayed nothing")
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
 
-	var doc2 FeedDoc
-	getJSON(t, ts2.URL+"/alertfeed", &doc2)
+	// The router retries a sub-batch whose 202 the restart ate.
+	if status, dup := postTagged(t, s2, "feedtest", last, base-uint64(console.CountLines(last))); status != http.StatusAccepted || !dup {
+		t.Fatalf("replay after restart: status %d, duplicate %v; want 202 and a duplicate", status, dup)
+	}
+	quiesce(t, s2)
+
+	doc2 := feedDoc(t, s2)
 	if !doc2.Complete {
 		t.Fatalf("feed incomplete after restart: %+v", docSummary(doc2))
 	}
-	if doc2.CoveredEvents != doc.CoveredEvents {
-		t.Fatalf("covered %d after restart, want %d", doc2.CoveredEvents, doc.CoveredEvents)
+	if st := s2.StatsNow(); doc2.CoveredEvents != doc.CoveredEvents || st.BatchesDuplicate != 1 || !st.AlertFeedComplete {
+		t.Fatalf("covered %d after restart and replay, want %d; %d duplicates booked, want 1; alert_feed_complete %v", doc2.CoveredEvents, doc.CoveredEvents, st.BatchesDuplicate, st.AlertFeedComplete)
 	}
 	checkReplayMatches(t, doc2, want)
 
 	// An untagged batch poisons completeness — the router must be told
 	// it can no longer vouch for exactness.
-	resp, err := http.Post(ts2.URL+"/ingest", "text/plain", bytes.NewReader(chunkLog(log, 64)[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	rec := httptest.NewRecorder()
+	s2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(chunkLog(log, 64)[0])))
 	quiesce(t, s2)
-	var doc3 FeedDoc
-	getJSON(t, ts2.URL+"/alertfeed", &doc3)
-	if doc3.Complete || doc3.UntaggedEvents == 0 {
-		t.Fatalf("untagged ingest left feed complete=%v untagged=%d", doc3.Complete, doc3.UntaggedEvents)
+	if doc3 := feedDoc(t, s2); rec.Code != http.StatusAccepted || doc3.Complete || doc3.UntaggedEvents == 0 || s2.StatsNow().AlertFeedComplete {
+		t.Fatalf("untagged ingest: status %d, feed complete=%v untagged=%d", rec.Code, doc3.Complete, doc3.UntaggedEvents)
 	}
 }
 

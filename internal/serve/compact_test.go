@@ -82,13 +82,13 @@ func TestCompactionBoundsRetained(t *testing.T) {
 	// The age bound: every retained event is younger than the cutoff,
 	// and the sealed store holds exactly the sorted prefix before it.
 	cutoff := want[len(want)-1].Time.Add(-cfg.CompactAge)
-	for _, ev := range s.RetainedEvents() {
+	for _, ev := range retained(s) {
 		if !ev.Time.After(cutoff) {
 			t.Fatalf("retained event at %v predates the %v cutoff", ev.Time, cutoff)
 		}
 	}
 	got := s.SealedStore().Events()
-	got = append(got, s.RetainedEvents()...)
+	got = append(got, retained(s)...)
 	console.SortEvents(got)
 	if len(got) != len(want) {
 		t.Fatalf("sealed+retained = %d events, want %d", len(got), len(want))
@@ -316,7 +316,7 @@ func TestWarmStartFlatSnapshot(t *testing.T) {
 	if ws.FromSegments || ws.Replayed != len(want) {
 		t.Fatalf("flat warm start replayed %+v, want %d from console.log", ws, len(want))
 	}
-	if got := len(b.RetainedEvents()); got != len(want) {
+	if got := len(retained(b)); got != len(want) {
 		t.Fatalf("retained %d events after flat warm start, want %d", got, len(want))
 	}
 }

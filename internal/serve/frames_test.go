@@ -137,7 +137,7 @@ func TestJournalFramesMatchRender(t *testing.T) {
 			if tc.fallbacks && st.FastFallbacks == 0 {
 				t.Fatal("no line took the regex path")
 			}
-			if err := s.Journal().Sync(); err != nil {
+			if err := s.journal.Load().Sync(); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := journalRecords(t, s.cfg.JournalDir), wantFrames(want); !bytes.Equal(got, want) {
@@ -192,7 +192,7 @@ func TestOneRenderOneWritePerBatch(t *testing.T) {
 	t.Cleanup(func() { console.Renders = nil }) // registered first, so it runs after the server's shutdown
 	batches := shapedBatches(t, 8)
 	s := writePathServer(t)
-	j := s.Journal()
+	j := s.journal.Load()
 	j.mu.Lock()
 	file := &countingWriter{w: j.w}
 	j.w = file // eight batches do not fill a journal file, so no rotation undoes this

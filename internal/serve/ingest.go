@@ -127,22 +127,49 @@ type decoded struct {
 	queued time.Time // hand-off, for the queue_wait stage
 }
 
+// seqWindow is how many applied sequence bases a replica remembers. A
+// retry is only ever overtaken by sub-batches this replica admits while
+// it waits — a 429's backoff, a few hundred milliseconds — so 8,192 is
+// seconds of a single router's fastest traffic; it is 64 KiB to scan and,
+// once full, slide under admitMu for a tagged batch (~4 µs).
+const seqWindow = 8192
+
 // admit takes one of the QueueDepth slots — a slot is a batch admitted
 // and not yet applied, so the applier frees it by counting the batch
-// applied. ok=false with closed unset means none is free (load shed),
-// closed means the server is draining. The holder must call handOff.
-func (s *Server) admit() (ok, closed bool) {
+// applied — and answers with the request's status: 202, the holder must
+// call handOff; 429, none is free (load shed); 503, draining. A
+// router-tagged batch (tagged, its X-Titan-Seq-Base in base) is first
+// looked up in the window of bases already taken, and marked there in the
+// same critical section as it takes its slot — so of two copies racing
+// in, exactly one is applied, and a copy that was shed is not marked and
+// its retry is. A base the window holds is 202 and a duplicate: not to be
+// handed off. The window is the last seqWindow bases in admission order;
+// seqFloor is one past the largest it has forgotten, and a base below it
+// is 409: refused rather than guessed at. Untagged batches do none of
+// this.
+func (s *Server) admit(base uint64, tagged bool) (status int, duplicate bool) {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	if s.closed {
-		return false, true
+	switch {
+	case s.closed:
+		return http.StatusServiceUnavailable, false
+	case tagged && slices.Contains(s.seqSeen, base):
+		return http.StatusAccepted, true
+	case tagged && base < s.seqFloor:
+		return http.StatusConflict, false
+	case s.admitted.Load()-s.appliedBatches.Load() >= uint64(s.cfg.QueueDepth):
+		return http.StatusTooManyRequests, false
 	}
-	if s.admitted.Load()-s.appliedBatches.Load() >= uint64(s.cfg.QueueDepth) {
-		return false, false
+	if tagged {
+		if len(s.seqSeen) == seqWindow {
+			s.seqFloor = max(s.seqFloor, s.seqSeen[0]+1)
+			s.seqSeen = s.seqSeen[:copy(s.seqSeen, s.seqSeen[1:])]
+		}
+		s.seqSeen = append(s.seqSeen, base)
 	}
 	s.admitted.Add(1)
 	s.decoding.Add(1)
-	return true, false
+	return http.StatusAccepted, false
 }
 
 // handOff decodes an admitted body on the calling request's goroutine

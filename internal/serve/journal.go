@@ -546,13 +546,6 @@ func (j *Journal) Truncate(sealedSeq uint64) {
 	}
 }
 
-// NextSeq returns the global sequence the next appended record gets.
-func (j *Journal) NextSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next
-}
-
 // Stats snapshots the journal counters.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()

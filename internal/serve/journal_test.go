@@ -62,8 +62,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	want := []string{"alpha", "bravo charlie", "", "delta"}
 	appendAll(t, j, want)
-	if j.NextSeq() != uint64(len(want)) {
-		t.Fatalf("next seq %d, want %d", j.NextSeq(), len(want))
+	if j.Stats().NextSeq != uint64(len(want)) {
+		t.Fatalf("next seq %d, want %d", j.Stats().NextSeq, len(want))
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -83,8 +83,8 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, got[i], l)
 		}
 	}
-	if j2.NextSeq() != uint64(len(want)) {
-		t.Fatalf("reopened next seq %d, want %d", j2.NextSeq(), len(want))
+	if j2.Stats().NextSeq != uint64(len(want)) {
+		t.Fatalf("reopened next seq %d, want %d", j2.Stats().NextSeq, len(want))
 	}
 }
 
@@ -151,8 +151,8 @@ func TestJournalTornTail(t *testing.T) {
 			if !rep.Torn || rep.Records != 3 {
 				t.Fatalf("replay %+v, want 3 records and Torn", rep)
 			}
-			if j2.NextSeq() != 3 {
-				t.Fatalf("resume seq %d, want 3", j2.NextSeq())
+			if j2.Stats().NextSeq != 3 {
+				t.Fatalf("resume seq %d, want 3", j2.Stats().NextSeq)
 			}
 			appendAll(t, j2, []string{"four"})
 			j2.Close()
@@ -286,8 +286,8 @@ func TestJournalGap(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, l, lines[i])
 		}
 	}
-	if int(j2.NextSeq()) != len(got) {
-		t.Fatalf("resume seq %d after %d contiguous records", j2.NextSeq(), len(got))
+	if int(j2.Stats().NextSeq) != len(got) {
+		t.Fatalf("resume seq %d after %d contiguous records", j2.Stats().NextSeq, len(got))
 	}
 }
 
@@ -317,8 +317,8 @@ func TestJournalWedgeRecovers(t *testing.T) {
 	}
 	j.Append([]byte("post-4"))
 	j.Commit()
-	if j.NextSeq() != 5 {
-		t.Fatalf("next seq %d, want 5 (gap counted)", j.NextSeq())
+	if j.Stats().NextSeq != 5 {
+		t.Fatalf("next seq %d, want 5 (gap counted)", j.Stats().NextSeq)
 	}
 	j.Close()
 

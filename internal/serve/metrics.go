@@ -32,6 +32,11 @@ type metrics struct {
 	linesAccepted   atomic.Uint64 // lines in accepted batches (counted at parse)
 	linesShed       atomic.Uint64 // lines in shed batches (newline count)
 
+	// Router-sequenced sub-batches answered without applying them.
+	batchesDuplicate atomic.Uint64 // replays of a base already taken (202)
+	linesDuplicate   atomic.Uint64
+	batchesStaleSeq  atomic.Uint64 // bases older than the window (409)
+
 	// Decode (aggregated across request goroutines).
 	events        atomic.Uint64 // lines that decoded into events
 	dropped       atomic.Uint64 // chatter: no SEC rule matched
@@ -161,6 +166,9 @@ func (m *metrics) write(w io.Writer, st Stats) error {
 	counter("titand_ingest_batches_rejected_total", "POST /ingest bodies rejected as malformed (wrong method, oversized body, read error).", st.BatchesRejected)
 	counter("titand_ingest_lines_total", "Console lines read out of accepted batches.", st.LinesAccepted)
 	counter("titand_ingest_lines_shed_total", "Console lines discarded by load shedding (newline count of shed bodies).", st.LinesShed)
+	counter("titand_ingest_batches_duplicate_total", "Sequenced sub-batches answered 202 without applying them: replays of a base already taken.", st.BatchesDuplicate)
+	counter("titand_ingest_lines_duplicate_total", "Console lines in those replays.", st.LinesDuplicate)
+	counter("titand_ingest_batches_stale_seq_total", "Sequenced sub-batches refused with 409: a base older than the window of applied bases.", st.BatchesStaleSeq)
 	counter("titand_decode_events_total", "Lines that decoded into critical-event records.", st.Events)
 	counter("titand_decode_chatter_total", "Lines dropped because no SEC rule matched.", st.Chatter)
 	counter("titand_decode_malformed_total", "Lines that matched a rule but could not be decoded.", st.Malformed)
@@ -257,6 +265,7 @@ func (m *metrics) write(w io.Writer, st Stats) error {
 	gauge("titand_events_lost_to_quarantine", "Exact events inside quarantined segments (from the SEALED floor arithmetic).", float64(st.EventsLost))
 	gauge("titand_orphans_removed", "Uncommitted segment temp files the warm start removed.", float64(st.OrphansRemoved))
 	gauge("titand_heap_inuse_bytes", "Go runtime heap bytes in use (runtime.MemStats.HeapInuse).", float64(st.HeapInuseBytes))
+	flag("titand_alert_feed_complete", "1 while /alertfeed can vouch for a merged /alerts (0 after untagged ingest or a crash restart).", st.AlertFeedComplete)
 	flag("titand_draining", "1 while the server is draining toward shutdown.", st.Draining)
 	gauge("titand_uptime_seconds", "Seconds since the service started.", st.UptimeSeconds)
 	return bw.Flush()

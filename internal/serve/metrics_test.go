@@ -22,6 +22,10 @@ var statSeries = map[string]string{
 	"batches_rejected":          "titand_ingest_batches_rejected_total",
 	"lines_accepted":            "titand_ingest_lines_total",
 	"lines_shed":                "titand_ingest_lines_shed_total",
+	"batches_duplicate":         "titand_ingest_batches_duplicate_total",
+	"lines_duplicate":           "titand_ingest_lines_duplicate_total",
+	"batches_stale_seq":         "titand_ingest_batches_stale_seq_total",
+	"alert_feed_complete":       "titand_alert_feed_complete",
 	"events_decoded":            "titand_decode_events_total",
 	"events_applied":            "titand_events_applied_total",
 	"lines_chatter":             "titand_decode_chatter_total",

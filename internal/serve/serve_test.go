@@ -63,6 +63,63 @@ func quiesce(t testing.TB, s *Server) {
 	}
 }
 
+// retained is s's in-memory retained log — the unsealed tail, in arrival
+// order — as a query would capture it.
+func retained(s *Server) []console.Event {
+	_, tail := s.historyView()
+	return tail
+}
+
+// chunkLog splits a console log into batches of about batchLines lines.
+func chunkLog(log []byte, batchLines int) [][]byte {
+	var out [][]byte
+	start, lines := 0, 0
+	for i, b := range log {
+		if b == '\n' {
+			lines++
+			if lines >= batchLines {
+				out = append(out, log[start:i+1])
+				start, lines = i+1, 0
+			}
+		}
+	}
+	if start < len(log) {
+		out = append(out, log[start:])
+	}
+	return out
+}
+
+// ingestLog posts log at s's handler in 512-line batches — one in-order
+// connection, in process — and waits until all of it is applied.
+func ingestLog(t testing.TB, s *Server, log []byte) {
+	t.Helper()
+	for _, batch := range chunkLog(log, 512) {
+		for {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(batch)))
+			if rec.Code == http.StatusAccepted {
+				break
+			}
+			if rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("POST /ingest: status %d: %s", rec.Code, rec.Body)
+			}
+			quiesce(t, s)
+		}
+	}
+	quiesce(t, s)
+}
+
+// serveGet answers path from s's handler in process.
+func serveGet(t testing.TB, s *Server, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
 // batchReference is the batch pipeline over a console log: parse it the
 // way titanreport would, train the predictor on the parse, then run the
 // detectors and the armed rules over it. The streaming tests hold the
@@ -119,7 +176,7 @@ func TestStreamMatchesBatchHTTP(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	gate := make(chan struct{})
-	s.stallForTest(gate)
+	s.StallForTest(gate)
 	go func() {
 		for s.metrics.batchesShed.Load() == 0 {
 			time.Sleep(time.Millisecond)
@@ -352,7 +409,7 @@ func TestLoadShedding(t *testing.T) {
 	events := simEvents()[:2000]
 	log := encodeLog(t, events)
 	gate := make(chan struct{})
-	s.stallForTest(gate)
+	s.StallForTest(gate)
 
 	post := func(body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -413,7 +470,7 @@ func TestAdmissionBoundsPipeline(t *testing.T) {
 			cfg.QueueDepth = d
 			s := testServer(t, cfg)
 			gate := make(chan struct{})
-			s.stallForTest(gate)
+			s.StallForTest(gate)
 			sources := []string{"alpha", "beta"}
 			accepted := map[string]uint64{}
 			for i := 0; i < offers; i++ {
@@ -504,7 +561,7 @@ func TestSequentialConnectionsKeepOrder(t *testing.T) {
 				}
 			}
 			quiesce(t, s)
-			if !slices.Equal(s.RetainedEvents(), batchEvents) {
+			if !slices.Equal(retained(s), batchEvents) {
 				t.Error("arrival-order history differs from the batch parse")
 			}
 			if got := s.AlertTexts(); !slices.Equal(got, wantAlerts) {

@@ -125,6 +125,8 @@ type Server struct {
 	// carries their batches to the applier.
 	admitMu        sync.Mutex
 	closed         bool
+	seqSeen        []uint64 // the window of applied sequence bases (admit), oldest first
+	seqFloor       uint64
 	admitted       atomic.Uint64
 	appliedBatches atomic.Uint64
 	decoding       sync.WaitGroup
@@ -190,9 +192,8 @@ type Server struct {
 	// slots deterministically.
 	stallGate atomic.Value
 
-	mux      *http.ServeMux
-	listener net.Listener
-	httpSrv  *http.Server
+	mux     *http.ServeMux
+	httpSrv *http.Server
 
 	lifecycleMu sync.Mutex
 	started     bool
@@ -279,7 +280,6 @@ func (s *Server) Serve(addr string) error {
 // ServeListener serves on an existing listener (tests inject one).
 func (s *Server) ServeListener(ln net.Listener) error {
 	s.lifecycleMu.Lock()
-	s.listener = ln
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
@@ -291,16 +291,6 @@ func (s *Server) ServeListener(ln net.Listener) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
-}
-
-// Addr returns the bound address, or "" before Serve.
-func (s *Server) Addr() string {
-	s.lifecycleMu.Lock()
-	defer s.lifecycleMu.Unlock()
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
 }
 
 // Shutdown drains gracefully: stop accepting connections (in-flight
@@ -359,8 +349,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			// The collector persists beside the event snapshot so a warm
 			// restart resumes with cluster alert evidence intact; the
 			// drain above already applied everything admitted, so the
-			// snapshot's covered count equals the replayable history.
-			if err := s.feed.writeSnapshot(s.cfg.SnapshotDir); err != nil {
+			// snapshot's covered count equals the replayable history. The
+			// window of applied sequence bases rides in the same file;
+			// admission is closed, so nothing moves it.
+			if err := s.feed.writeSnapshot(s.cfg.SnapshotDir, s.seqSeen, s.seqFloor); err != nil {
 				return err
 			}
 		}
@@ -400,10 +392,6 @@ func (s *Server) applyEventLocked(ev console.Event) {
 	s.applyNodeLocked(ev)
 }
 
-// Journal returns the open write-ahead journal, nil when journaling is
-// not active.
-func (s *Server) Journal() *Journal { return s.journal.Load() }
-
 // ---- Handlers ----
 
 // handleIngest admits one newline-delimited batch of console lines and
@@ -416,7 +404,9 @@ func (s *Server) Journal() *Journal { return s.journal.Load() }
 // X-Titan-Seq-Base / X-Titan-Seq-Mask carry the router's global line
 // sequencing (both or neither; the mask popcount must equal the body's
 // line count, else 400 — a split/seq disagreement must never be
-// silently mis-sequenced).
+// silently mis-sequenced). A sequenced sub-batch is applied once: the
+// replay of a base already taken is 202 with X-Titan-Duplicate and not
+// applied, a base older than the window admit keeps is 409.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	body, release, ok := ReadBody(w, r, s.cfg.MaxBodyBytes)
@@ -434,17 +424,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	source := r.Header.Get(SourceHeader)
-	ok, closed := s.admit()
-	switch {
-	case ok:
+	switch status, duplicate := s.admit(seqBase, positions != nil); {
+	case duplicate:
+		s.metrics.batchesDuplicate.Add(1)
+		s.metrics.linesDuplicate.Add(uint64(lines))
+		w.Header().Set(DuplicateHeader, "1")
+		w.WriteHeader(status)
+	case status == http.StatusAccepted:
 		s.metrics.batchesAccepted.Add(1)
 		s.bookSource(source, lines, true)
 		s.handOff(body, lines, seqBase, positions, start)
 		s.metrics.observeLatency(time.Since(t0))
-		w.WriteHeader(http.StatusAccepted)
-	case closed:
+		w.WriteHeader(status)
+	case status == http.StatusServiceUnavailable:
 		s.metrics.batchesRejected.Add(1)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+		http.Error(w, "draining", status)
+	case status == http.StatusConflict:
+		s.metrics.batchesStaleSeq.Add(1)
+		http.Error(w, "sequence base older than the applied window", status)
 	default:
 		s.metrics.batchesShed.Add(1)
 		s.metrics.linesShed.Add(uint64(lines))
@@ -501,6 +498,23 @@ const (
 	OverflowSource = "_overflow"
 )
 
+// SourceSlot returns table's record for a client-chosen source name,
+// making it on first sight; once MaxSources names are tracked, every new
+// one gets OverflowSource's. It returns the name the record is under. The
+// caller holds the table's lock.
+func SourceSlot[T any](table map[string]*T, name string) (string, *T) {
+	rec := table[name]
+	if rec == nil && len(table) >= MaxSources {
+		name = OverflowSource
+		rec = table[name]
+	}
+	if rec == nil {
+		rec = new(T)
+		table[name] = rec
+	}
+	return name, rec
+}
+
 // bookSource books one admission decision against the batch's source.
 // Untagged batches (no X-Titan-Source) are not tracked.
 func (s *Server) bookSource(source string, lines int, accepted bool) {
@@ -509,15 +523,7 @@ func (s *Server) bookSource(source string, lines int, accepted bool) {
 	}
 	s.sourcesMu.Lock()
 	defer s.sourcesMu.Unlock()
-	sc := s.sources[source]
-	if sc == nil && len(s.sources) >= MaxSources {
-		source = OverflowSource
-		sc = s.sources[source]
-	}
-	if sc == nil {
-		sc = &sourceCounters{}
-		s.sources[source] = sc
-	}
+	_, sc := SourceSlot(s.sources, source)
 	sc.offeredBatches++
 	sc.offeredLines += uint64(lines)
 	if accepted {
@@ -770,6 +776,15 @@ type Stats struct {
 	CardsTracked    int            `json:"cards_tracked"`
 	EventsByCode    map[string]int `json:"events_by_code"`
 
+	// Router-sequenced sub-batches answered without applying them: replays
+	// of a base already taken (202), and bases older than the window (409).
+	BatchesDuplicate uint64 `json:"batches_duplicate"`
+	LinesDuplicate   uint64 `json:"lines_duplicate"`
+	BatchesStaleSeq  uint64 `json:"batches_stale_seq"`
+	// AlertFeedComplete is /alertfeed's "complete": false once the feed
+	// cannot vouch for a merged /alerts (untagged ingest, a crash restart).
+	AlertFeedComplete bool `json:"alert_feed_complete"`
+
 	// IngestStageSeconds is the write path's wall time, stage by stage.
 	IngestStageSeconds StageSeconds `json:"ingest_stage_seconds"`
 
@@ -850,6 +865,11 @@ func (s *Server) StatsNow() Stats {
 		QueueDepth:      int(s.admitted.Load() - applied),
 		QueueCapacity:   s.cfg.QueueDepth,
 		EventsByCode:    map[string]int{},
+
+		BatchesDuplicate:  m.batchesDuplicate.Load(),
+		LinesDuplicate:    m.linesDuplicate.Load(),
+		BatchesStaleSeq:   m.batchesStaleSeq.Load(),
+		AlertFeedComplete: s.feed != nil && s.feed.complete(),
 
 		IngestStageSeconds: m.stageSeconds(),
 	}
@@ -937,9 +957,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		history = "degraded"
 	}
 	s.recovMu.Unlock()
+	feed := "incomplete"
+	if s.feed != nil && s.feed.complete() {
+		feed = "complete"
+	}
 	s.writeJSON(w, map[string]any{
 		"status":         status,
 		"history":        history,
+		"alert_feed":     feed,
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
 	})
 }
@@ -1001,17 +1026,12 @@ func (s *Server) Quiesce(ctx context.Context) error {
 	return nil
 }
 
-// stallForTest makes the applier block on gate before applying its next
+// StallForTest makes the applier block on gate before applying its next
 // batch. Closing the gate releases it for good (receives on a closed
-// channel return immediately).
-func (s *Server) stallForTest(gate chan struct{}) {
-	s.stallGate.Store(gate)
-}
-
-// StallForTest is the exported face of stallForTest: harnesses outside
-// this package (the router's drain soak, the cluster bench) use it to
-// meter a replica's apply rate deterministically.
-func (s *Server) StallForTest(gate chan struct{}) { s.stallForTest(gate) }
+// channel return immediately). The load-shedding tests here, the router's
+// QoS tests and its fleet schedules use it to fill the slots, or hold what
+// is acknowledged in them, deterministically.
+func (s *Server) StallForTest(gate chan struct{}) { s.stallGate.Store(gate) }
 
 // String renders a one-line summary for logs.
 func (s *Server) String() string {

@@ -39,7 +39,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	// Stall the pipeline so the batch is demonstrably still in flight
 	// (admitted but unparsed) when Shutdown begins.
 	gate := make(chan struct{})
-	s.stallForTest(gate)
+	s.StallForTest(gate)
 	resp, err := http.Post(base+"/ingest", "text/plain", bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)

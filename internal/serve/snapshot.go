@@ -88,14 +88,3 @@ func historyStream(segs []*store.Segment, tail []console.Event) func() (console.
 		return console.Event{}, false
 	}
 }
-
-// RetainedEvents returns a copy of the in-memory retained event log —
-// the unsealed tail, in arrival order; events already compacted into
-// segments live in the store (SealedStore).
-func (s *Server) RetainedEvents() []console.Event {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	out := make([]console.Event, len(s.events))
-	copy(out, s.events)
-	return out
-}

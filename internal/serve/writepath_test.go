@@ -392,7 +392,7 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 	gotTS := httptest.NewServer(got.Handler())
 	defer gotTS.Close()
 	gate := make(chan struct{})
-	got.stallForTest(gate)
+	got.StallForTest(gate)
 	var acked atomic.Int64
 	var wg sync.WaitGroup
 	for sender := 0; sender < 4; sender++ {
@@ -424,7 +424,7 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 
 	// The applied history is the sent batches, each whole, in the order
 	// admission gave them; that order is what the reference is fed.
-	history := got.RetainedEvents()
+	history := retained(got)
 	var order []int
 	for at := 0; at < len(history); {
 		i, ok := byFirstJob[history[at].Job]
@@ -454,7 +454,7 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 		quiesce(t, want)
 	}
 
-	if !slices.Equal(want.RetainedEvents(), history) {
+	if !slices.Equal(retained(want), history) {
 		t.Error("arrival-order histories differ")
 	}
 	if g, w := fmt.Sprint(got.AlertTexts()), fmt.Sprint(want.AlertTexts()); g != w {
@@ -479,7 +479,7 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 	}
 
 	// Last, because the sync it takes shows in /stats.
-	if err := got.Journal().Sync(); err != nil {
+	if err := got.journal.Load().Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if g, w := journalRecords(t, got.cfg.JournalDir), wantFrames(history); !bytes.Equal(g, w) {

@@ -6,15 +6,18 @@
 #   naive fold, restart == never died — the write path's buffer
 #   ownership and admission bound, the read path's pooled fold scratch
 #   under eight concurrent readers, /stats-/metrics parity on titand and
-#   titanrouter, the cluster soak through a replica drain/restart, the
+#   titanrouter, the fleet schedule runner — the fault-free month, the
+#   drain/restart, one fixed row per fault, the drawn seeds and the crash
+#   rows at every journal and seal failpoint (router/fleet_test.go) — the
+#   replica's applied-once window under racing copies, the
 #   QoS books and bench/'s -quick suite are all in there; the exact
 #   allocation and heap budgets skip under -race and run under plain
 #   go test ./...), then only what adds a run to that: the GOMAXPROCS=2
 #   determinism runs, the -count=2 soaks of the concurrent pipelines,
 #   the crash-recovery soak (kill at every failpoint), a full-horizon
 #   simulation, and short fuzz smokes of the console parser, the batch
-#   splitter, the titanql parser (grammar round-trip + plan equivalence)
-#   and the JSON writer (vs encoding/json).
+#   splitter, the titanql parser (grammar round-trip + plan equivalence),
+#   the JSON writer (vs encoding/json) and the fleet fault schedules.
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -76,5 +79,8 @@ go test ./internal/titanql -run '^$' -fuzz FuzzTitanQLEquivalence -fuzztime 5s
 
 echo "== JSON writer differential fuzz smoke (AppendJSON vs encoding/json, 5s)"
 go test ./internal/jsonw -run '^$' -fuzz FuzzAppendJSONMatchesEncodingJSON -fuzztime 5s
+
+echo "== fleet fault-schedule fuzz smoke (FuzzFleetSchedule, 5s)"
+go test ./internal/router -run '^$' -fuzz FuzzFleetSchedule -fuzztime 5s
 
 echo "ok"

@@ -3,7 +3,8 @@
 # "net-negative LOC" in ROADMAP.md is a command, not an estimate.
 #   ./scripts/loc.sh                 the serving set — the read path (PR 12), the write path (PR 14), the
 #                                    JSON writer (PR 15) — then the whole module, the audit's
-#                                    denominator (DESIGN §4j)
+#                                    denominator (DESIGN §4j), then the docs on a budget, in
+#                                    plain lines (ROADMAP 8(c))
 #   ./scripts/loc.sh internal/sim    any directories (subtrees included)
 # Run from anywhere; paths are relative to the repository root.
 set -eu
@@ -27,4 +28,6 @@ else
 	count internal/store internal/serve internal/router internal/titanql cmd/titanreport internal/console cmd/titand internal/jsonw
 	echo "whole module (bench/ is counted by its own PRs):"
 	count internal cmd examples titanre.go
+	echo "docs (every line):"
+	wc -l DESIGN.md EXPERIMENTS.md README.md | while read -r n doc; do printf '%6d  %s\n' "$n" "$doc"; done
 fi
