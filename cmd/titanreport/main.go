@@ -140,12 +140,12 @@ func main() {
 	}
 
 	if *query != "" {
-		doc, err := study.Query(*query, 0)
+		res, err := study.Query(*query, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "titanreport:", err)
 			os.Exit(1)
 		}
-		if _, err := jsonw.Write(os.Stdout, doc); err != nil {
+		if _, err := jsonw.Write(os.Stdout, res); err != nil {
 			fmt.Fprintln(os.Stderr, "titanreport:", err)
 			os.Exit(1)
 		}
@@ -197,11 +197,12 @@ func printRollup(study *core.Study, by string, bucket time.Duration, codeArg str
 		}
 		plan.Filter.Codes = []xid.Code{code}
 	}
-	doc, err := study.Run(plan, 0)
+	res, err := study.Run(plan, 0)
 	if err != nil {
 		return err
 	}
-	_, err = jsonw.Write(os.Stdout, doc.Bare(codeArg))
+	res.Bare(codeArg)
+	_, err = jsonw.Write(os.Stdout, res)
 	return err
 }
 

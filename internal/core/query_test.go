@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"testing"
 
 	"titanre/internal/analysis"
@@ -26,10 +25,11 @@ func TestStudyQueryStoreBacked(t *testing.T) {
 		"code=48 cabinet=c3-* | by cage | bucket 6h | top 5",
 		"code=sbe | top serial 5",
 	} {
-		doc, err := study.Query(q, 0)
+		res, err := study.Query(q, 0)
 		if err != nil {
 			t.Fatalf("Query(%q): %v", q, err)
 		}
+		doc := res.Doc()
 		if doc.Query == "" || (doc.Rollup == nil && doc.Top == nil) {
 			t.Fatalf("Query(%q): empty document", q)
 		}
@@ -37,9 +37,7 @@ func TestStudyQueryStoreBacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := json.Marshal(doc)
-		b, _ := json.Marshal(again)
-		if string(a) != string(b) {
+		if string(res.AppendJSON(nil)) != string(again.AppendJSON(nil)) {
 			t.Fatalf("Query(%q) differs across worker counts", q)
 		}
 	}
@@ -73,12 +71,12 @@ func TestFigureGridsMatchTitanQL(t *testing.T) {
 	// cells folds a plan's cells over time into per-key totals.
 	cells := func(q string, key func(store.RollupCell) int) map[int]int64 {
 		t.Helper()
-		doc, err := sealed.Query(q, 0)
+		res, err := sealed.Query(q, 0)
 		if err != nil {
 			t.Fatalf("Query(%q): %v", q, err)
 		}
 		out := map[int]int64{}
-		for _, c := range doc.Rollup.Cells {
+		for _, c := range res.Doc().Rollup.Cells {
 			out[key(c)] += c.Count
 		}
 		return out

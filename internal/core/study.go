@@ -267,10 +267,10 @@ func (s *Study) Fig21Workload() analysis.WorkloadCharacteristics {
 }
 
 // Query runs one titanql expression over the study (see Run).
-func (s *Study) Query(q string, workers int) (titanql.Doc, error) {
+func (s *Study) Query(q string, workers int) (*titanql.Result, error) {
 	plan, err := titanql.Parse(q)
 	if err != nil {
-		return titanql.Doc{}, err
+		return nil, err
 	}
 	return s.Run(plan, workers)
 }
@@ -280,17 +280,18 @@ func (s *Study) Query(q string, workers int) (titanql.Doc, error) {
 // plan segment-parallel over its sealed segments — the same execution
 // titand's GET /query, /rollup and /top run — while an event-backed
 // study folds the materialized stream through the naive reference; the
-// document is byte-identical either way (and at any worker count; <= 0
-// means GOMAXPROCS).
-func (s *Study) Run(plan *titanql.Plan, workers int) (titanql.Doc, error) {
+// result renders (jsonw.Write) byte-identically either way (and at any
+// worker count; <= 0 means GOMAXPROCS), and its Doc is the answer as a
+// struct.
+func (s *Study) Run(plan *titanql.Plan, workers int) (*titanql.Result, error) {
 	compiled, err := plan.Compile()
 	if err != nil {
-		return titanql.Doc{}, err
+		return nil, err
 	}
 	if s.store != nil {
-		return compiled.Execute(s.store.Segments(), nil, workers)
+		return compiled.Fold(s.store.Segments(), nil, workers, false)
 	}
-	return compiled.ExecuteEvents(s.Result.Events)
+	return compiled.FoldEvents(s.Result.Events)
 }
 
 // Alerts replays the console log through the operator alerting engine

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"titanre/internal/core"
@@ -114,8 +113,7 @@ func TestColumnarQueryIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("columnar Query(%q): %v", q, err)
 		}
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
+		aj, bj := a.AppendJSON(nil), b.AppendJSON(nil)
 		if !bytes.Equal(aj, bj) {
 			t.Fatalf("Query(%q): columnar execution diverges from the flat fold\ngot:  %s\nwant: %s", q, bj, aj)
 		}

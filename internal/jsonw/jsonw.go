@@ -27,15 +27,17 @@ type W struct {
 	fresh bool // the innermost open container holds nothing yet
 	keyed bool // a key was just written: its value stays on the line
 
-	// The last time written and where its text sits in Buf: cells sorted
-	// by bucket repeat one instant hundreds of times over.
+	// The last time written and where its text sits in Buf: a history's
+	// events, in arrival order, repeat one second in bursts.
 	last            time.Time
 	lastAt, lastEnd int
 }
 
-// elem starts a value: after a key nothing, otherwise the comma (unless
-// first in its container) and a new indented line.
-func (w *W) elem() {
+// Elem starts a value: after a key nothing, otherwise the comma (unless
+// first in its container) and a new indented line. Every method that
+// writes a value begins with it; a caller that renders a value into Buf
+// itself (store's rollup cells) calls it first.
+func (w *W) Elem() {
 	if !w.keyed && w.depth > 0 {
 		if !w.fresh {
 			w.Buf = append(w.Buf, ',')
@@ -48,10 +50,14 @@ func (w *W) elem() {
 // indent is a line break and the deepest indentation there is: 16 levels.
 const indent = "\n                                "
 
-func (w *W) line() { w.Buf = append(w.Buf, indent[:1+2*w.depth]...) }
+func (w *W) line() { w.Buf = append(w.Buf, w.Line(0)...) }
+
+// Line is the line break and indentation that starts a line of the
+// innermost open container, or of one nested deeper levels inside it.
+func (w *W) Line(deeper int) string { return indent[:1+2*(w.depth+deeper)] }
 
 func (w *W) open(c byte) {
-	w.elem()
+	w.Elem()
 	w.Buf = append(w.Buf, c)
 	w.depth++
 	w.fresh = true
@@ -93,18 +99,18 @@ func (w *W) Str(s string) {
 			return
 		}
 	}
-	w.elem()
+	w.Elem()
 	w.Buf = append(append(append(w.Buf, '"'), s...), '"')
 }
 
 // Int and Uint write a number.
 func (w *W) Int(n int64) {
-	w.elem()
+	w.Elem()
 	w.Buf = strconv.AppendInt(w.Buf, n, 10)
 }
 
 func (w *W) Uint(n uint64) {
-	w.elem()
+	w.Elem()
 	w.Buf = strconv.AppendUint(w.Buf, n, 10)
 }
 
@@ -125,7 +131,7 @@ func (w *W) OmitInt(k string, n int64) {
 // Time writes t as time.Time marshals: RFC 3339, nanoseconds only when
 // present. The year must be in [0, 9999], or Marshal would have failed.
 func (w *W) Time(t time.Time) {
-	w.elem()
+	w.Elem()
 	if t == w.last && w.lastEnd > 0 {
 		w.Buf = append(w.Buf, w.Buf[w.lastAt:w.lastEnd]...)
 		return
@@ -139,7 +145,7 @@ func (w *W) Time(t time.Time) {
 // current depth — for the parts of a document that are small and
 // irregular (a spec echo, a string that needs escaping).
 func (w *W) Any(v any) {
-	w.elem()
+	w.Elem()
 	b, err := json.MarshalIndent(v, strings.Repeat("  ", w.depth), "  ")
 	if err != nil {
 		panic("jsonw: " + err.Error()) // only an unencodable type, a bug
@@ -169,7 +175,10 @@ var pool = sync.Pool{New: func() any { return new([]byte) }}
 // daemons and titanreport emit JSON. An Appender renders itself into a
 // pooled buffer and goes out in one Write (with Content-Length when w is
 // an HTTP response) and n reports its size; anything else goes through
-// encoding/json, and n is 0.
+// encoding/json, and n is 0. An Appender with a Release method renders
+// from borrowed state (a pooled accumulator): it is released once the
+// bytes are in the buffer, before the send, so a slow reader pins the
+// buffer and nothing else.
 func Write(w io.Writer, v any) (n int, err error) {
 	rw, isHTTP := w.(http.ResponseWriter)
 	if isHTTP {
@@ -183,6 +192,9 @@ func Write(w io.Writer, v any) (n int, err error) {
 	}
 	bp := pool.Get().(*[]byte)
 	*bp = a.AppendJSON((*bp)[:0])
+	if r, ok := v.(interface{ Release() }); ok {
+		r.Release()
+	}
 	if isHTTP {
 		rw.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	}

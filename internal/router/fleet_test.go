@@ -259,6 +259,7 @@ type fleet struct {
 	swap    atomic.Bool // a fault asked for a new router
 	moveOn  chan struct{}
 	ref     *serve.Server // the single daemon check feeds
+	shipped atomic.Int64  // body bytes the replicas have answered reads with
 
 	mu   sync.Mutex
 	subs map[subKey]*sub
@@ -445,6 +446,7 @@ func (w wire) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		rec := httptest.NewRecorder()
 		m.srv.Handler().ServeHTTP(rec, httptest.NewRequest(req.Method, req.URL.RequestURI(), nil))
+		f.shipped.Add(int64(rec.Body.Len()))
 		return rec.Result(), nil
 	}
 	body, err := io.ReadAll(req.Body)

@@ -26,8 +26,8 @@ import (
 //
 //   - /rollup, /top and /query fetch ?partial=1 — every replica answers
 //     the one titanql.Partial, its plan's raw accumulator — and merge with
-//     titanql.MergePartials (replica partials and segment partials are
-//     the same algebra), ranking only after the cluster-wide merge:
+//     titanql.Merge (replica partials and segment partials are the same
+//     algebra), ranking only after the cluster-wide merge:
 //     ranking before merging would be wrong whenever a key's count is
 //     split across replicas.
 //   - /alerts is the stateful one: it unions the replicas' evidence
@@ -132,10 +132,11 @@ func decodeAll[T any](results []fanResult) ([]T, error) {
 // mergedRead builds the one handler behind /rollup, /top and /query:
 // fan the client's parameters out verbatim with partial=1 (the replicas
 // spell the plan, so the router accepts exactly what they accept), decode
-// every replica's titanql.Partial, merge, render once. Ranking and
-// K-truncation live inside the merge, after cluster-wide counts are
-// whole. /rollup and /top are bare: they answer the store document inside
-// the merged one, unwrapped by the function titand itself uses.
+// every replica's titanql.Partial, merge into the one titanql.Result a
+// single daemon's fold ends in, and render that once — ranking and
+// K-truncation happen there, after cluster-wide counts are whole. /rollup
+// and /top are bare: they answer the store document inside the merged
+// one, unwrapped by the method titand itself uses.
 func (rt *Router) mergedRead(path string, bare bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		results := rt.fanOut(r, path, partialQuery(r))
@@ -143,9 +144,9 @@ func (rt *Router) mergedRead(path string, bare bool) http.HandlerFunc {
 			return
 		}
 		parts, err := decodeAll[titanql.Partial](results)
-		var doc titanql.Doc
+		var res *titanql.Result
 		if err == nil {
-			doc, err = titanql.MergePartials(parts)
+			res, err = titanql.Merge(parts)
 		}
 		if err != nil {
 			rt.metrics.readErrors.Add(1)
@@ -153,11 +154,10 @@ func (rt *Router) mergedRead(path string, bare bool) http.HandlerFunc {
 			return
 		}
 		rt.metrics.mergedQueries.Add(1)
-		var face jsonw.Appender = doc
 		if bare {
-			face = doc.Bare(r.URL.Query().Get("code"))
+			res.Bare(r.URL.Query().Get("code"))
 		}
-		_, _ = jsonw.Write(w, face) // headers are out: a failed body write has no recovery
+		_, _ = jsonw.Write(w, res) // headers are out: a failed body write has no recovery
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // (events/hour by code, per-cabinet heatmaps, top-offender lists)
 // served live off the columnar store:
 //
-//	GET /nodes/{cname}/history?since=&until=
+//	GET /nodes/{cname}/history?since=&until=&limit=
 //	GET /codes/{xid}/history?since=&until=&limit=
 //	GET /rollup?by=code,cabinet&bucket=1h&code=&cabinet=&cage=&node=&since=&until=
 //	GET /top?k=20&by=node|serial|code&code=&cabinet=&cage=&node=&since=&until=
@@ -59,14 +59,7 @@ func (h CodeHistory) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, h)
 
 // WriteJSON writes the document as one value.
 func (h CodeHistory) WriteJSON(w *jsonw.W) {
-	w.Obj()
-	w.Key("code").Str(h.Code)
-	w.Key("sealed_events").Int(int64(h.Sealed))
-	w.Key("retained_events").Int(int64(h.Retained))
-	if h.Truncated {
-		w.Key("truncated").Any(true)
-	}
-	w.Key("events").Arr()
+	writeHistoryHead(w, "code", h.Code, h.Sealed, h.Retained, h.Truncated)
 	for i := range h.Events {
 		e := &h.Events[i]
 		writeEvent(w, e.Time, "node", e.Node, e.Serial, e.Page, e.Job)
@@ -111,9 +104,25 @@ func (s *Server) scanHistory(p store.Predicate, limit int, served *atomic.Uint64
 	return events, sealed, retained, nil
 }
 
-// handleNodeHistory serves a node's full event history (scanHistory
-// under an exact-cname predicate, which Compile parses rather than
-// globs). Optional ?since= / ?until= take RFC 3339 timestamps.
+// historyBounds reads the parameters both history endpoints take:
+// ?since= / ?until= RFC 3339 bounds and ?limit=N, which caps the events
+// listed (-1 without one); the error is the 400's body.
+func historyBounds(q url.Values) (since, until time.Time, limit int, err error) {
+	if since, until, err = parseTimeRange(q); err != nil {
+		return since, until, 0, err
+	}
+	limit = -1
+	if v := q.Get("limit"); v != "" {
+		if limit, err = strconv.Atoi(v); err != nil || limit < 0 {
+			return since, until, 0, fmt.Errorf("bad limit %q", v)
+		}
+	}
+	return since, until, limit, nil
+}
+
+// handleNodeHistory serves a node's event history (scanHistory under an
+// exact-cname predicate, which Compile parses rather than globs), bounded
+// and capped by historyBounds as a code's is.
 func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 	cname := r.PathValue("cname")
 	node, err := topology.ParseNodeID(cname)
@@ -121,22 +130,23 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad cname %q: %v", cname, err), http.StatusBadRequest)
 		return
 	}
-	since, until, err := parseTimeRange(r.URL.Query())
+	since, until, limit, err := historyBounds(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	p := store.Predicate{Node: topology.CNameOf(node), Cage: -1, Since: since, Until: until}
-	events, sealed, retained, err := s.scanHistory(p, -1, &s.metrics.queryNodeHistory)
+	events, sealed, retained, err := s.scanHistory(p, limit, &s.metrics.queryNodeHistory)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	hist := NodeHistory{
-		Node:     p.Node,
-		Sealed:   sealed,
-		Retained: retained,
-		Events:   make([]HistoryEvent, 0, len(events)),
+		Node:      p.Node,
+		Sealed:    sealed,
+		Retained:  retained,
+		Truncated: len(events) < sealed+retained,
+		Events:    make([]HistoryEvent, 0, len(events)),
 	}
 	for _, ev := range events {
 		he := HistoryEvent{Time: ev.Time, Code: ev.Code.String(), Page: ev.Page, Job: int64(ev.Job)}
@@ -159,18 +169,10 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	q := r.URL.Query()
-	since, until, err := parseTimeRange(q)
+	since, until, limit, err := historyBounds(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	limit := -1
-	if v := q.Get("limit"); v != "" {
-		if limit, err = strconv.Atoi(v); err != nil || limit < 0 {
-			http.Error(w, fmt.Sprintf("bad limit %q", v), http.StatusBadRequest)
-			return
-		}
 	}
 	p := store.Predicate{Codes: []xid.Code{code}, Cage: -1, Since: since, Until: until}
 	events, sealed, retained, err := s.scanHistory(p, limit, &s.metrics.queryCodeHistory)
@@ -328,14 +330,15 @@ func queryPlan(q url.Values) (*titanql.Plan, error) {
 // (an error from either is returned for the caller's 400, nothing
 // written), fold segment-parallel over the consistent (sealed, tail)
 // snapshot every read endpoint takes, book the fold and the endpoint's
-// served counter, then write one of three faces of the same Result — the
-// titanql document; for a bare endpoint the store document inside it
-// (Doc.Bare, which echoes ?code=); or, under ?partial=1, the raw
-// accumulator a titanrouter merges with its peers' before rendering
-// once. partial is read before the fold: an offender ranking that will
-// be exported must keep every key (store.ParallelTopAcc). The accumulator
-// goes back to the store's pools before the render starts — every face
-// is a copy.
+// served counter, then write the Result, which renders one of its three
+// faces — the titanql document; for a bare endpoint the store document
+// inside it (Result.Bare, which echoes ?code=); or, under ?partial=1,
+// the raw accumulator a titanrouter merges with its peers' before
+// rendering once. partial is read before the fold: an offender ranking
+// that will be exported must keep every key (store.ParallelTopAcc). The
+// Result renders straight off its accumulator into jsonw.Write's pooled
+// buffer, and Write gives the accumulator back to the store's pools
+// before it sends.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, spell func(url.Values) (*titanql.Plan, error), served *atomic.Uint64, bare bool) error {
 	q := r.URL.Query()
 	plan, err := spell(q)
@@ -355,16 +358,9 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, spell func(url.V
 	}
 	s.metrics.observeFold(start, res.Rows())
 	served.Add(1)
-	var face jsonw.Appender
-	switch {
-	case partial:
-		face = res.Partial()
-	case bare:
-		face = res.Doc().Bare(q.Get("code"))
-	default:
-		face = res.Doc()
+	if bare {
+		res.Bare(q.Get("code"))
 	}
-	res.Release()
-	s.writeJSON(w, face)
+	s.writeJSON(w, res)
 	return nil
 }

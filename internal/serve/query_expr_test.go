@@ -55,12 +55,12 @@ func TestQueryEndpointMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", q, err)
 		}
-		ref, err := c.ExecuteEvents(want)
+		ref, err := c.FoldEvents(want)
 		if err != nil {
-			t.Fatalf("ExecuteEvents(%q): %v", q, err)
+			t.Fatalf("FoldEvents(%q): %v", q, err)
 		}
 		body := getBody(t, queryURL(base, q))
-		if !bytes.Equal(body, renderJSON(t, ref)) {
+		if !bytes.Equal(body, renderJSON(t, ref.Doc())) {
 			t.Fatalf("GET /query?q=%s diverges from the naive fold over the same stream", q)
 		}
 	}
@@ -206,8 +206,8 @@ func TestURLFiltersSpellInQuery(t *testing.T) {
 		}
 		var doc titanql.Doc
 		getJSON(t, queryURL(base, f.key+"="+f.value+" | by cage | bucket 1d"), &doc)
-		if doc.Rollup == nil || !bytes.Equal(doc.Rollup.AppendJSON(nil), roll.AppendJSON(nil)) {
-			t.Errorf("%s=%s: the /query rollup is not the /rollup?%s=... answer\n/query:  %.300s\n/rollup: %.300s", f.key, f.value, f.key, doc.Rollup.AppendJSON(nil), bare)
+		if doc.Rollup == nil || !bytes.Equal(renderJSON(t, doc.Rollup), renderJSON(t, roll)) {
+			t.Errorf("%s=%s: the /query rollup is not the /rollup?%s=... answer\n/query:  %.300s\n/rollup: %.300s", f.key, f.value, f.key, renderJSON(t, doc.Rollup), bare)
 		}
 	}
 	if discriminating < 12 {
@@ -240,11 +240,11 @@ func TestQueryExprConsistencyUnderCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := c.ExecuteEvents(want)
+		ref, err := c.FoldEvents(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[q] = renderJSON(t, ref)
+		refs[q] = renderJSON(t, ref.Doc())
 	}
 
 	span := want[len(want)-1].Time.Sub(want[0].Time)

@@ -497,6 +497,53 @@ func TestHistoryArrivalOrder(t *testing.T) {
 	}
 }
 
+// TestNodeHistoryLimit: ?limit= caps a node's history as it caps a
+// code's — the answer is the unlimited one with the event list cut, the
+// sealed/retained counts whole and truncated set — wherever the cut
+// falls: nothing, inside the sealed segment, inside the retained tail,
+// at the end, past it. (It was parsed by neither the handler nor
+// anything under it: a chronically failing node answered without bound.)
+func TestNodeHistoryLimit(t *testing.T) {
+	events := simEvents()
+	s, base, want := queryServer(t, encodeLog(t, events))
+	sealed, err := s.compact(15*24*time.Hour, 1)
+	if err != nil || sealed == 0 {
+		t.Fatalf("compaction sealed %d events: %v", sealed, err)
+	}
+	// The node with the longest history that straddles the seal.
+	before, after := map[topology.NodeID]int{}, map[topology.NodeID]int{}
+	for i, ev := range want {
+		if i < sealed {
+			before[ev.Node]++
+		} else {
+			after[ev.Node]++
+		}
+	}
+	node, n := topology.NodeID(-1), 0
+	for cand, b := range before {
+		if a := after[cand]; b >= 2 && a >= 2 && (a+b > n || a+b == n && cand < node) {
+			node, n = cand, a+b
+		}
+	}
+	if node < 0 {
+		t.Fatal("fixture: no node with two sealed and two retained events")
+	}
+	url := base + "/nodes/" + topology.CNameOf(node) + "/history"
+	var full NodeHistory
+	getJSON(t, url, &full)
+	if full.Sealed != before[node] || full.Retained != after[node] || len(full.Events) != n || full.Truncated {
+		t.Fatalf("unlimited history: %d sealed + %d retained, %d listed, truncated=%v; the stream holds %d + %d", full.Sealed, full.Retained, len(full.Events), full.Truncated, before[node], after[node])
+	}
+	for _, limit := range []int{0, 1, 2, full.Sealed, full.Sealed + 1, n, n + 5} {
+		exp := full
+		exp.Events = full.Events[:min(limit, n)]
+		exp.Truncated = limit < n
+		if body := getBody(t, fmt.Sprintf("%s?limit=%d", url, limit)); !bytes.Equal(body, renderJSON(t, exp)) {
+			t.Fatalf("limit=%d of %d (%d sealed): answer is not the full history cut at the limit\n%s", limit, n, full.Sealed, body)
+		}
+	}
+}
+
 // TestQueryConsistencyUnderCompaction hammers /nodes/{cname}/history,
 // /codes/{xid}/history and /rollup while compaction repeatedly seals
 // chunks of the tail, asserting every single response equals the

@@ -34,6 +34,8 @@ var BadRequestBodies = map[string]string{
 	"/top?k=many":                         `bad k "many"`,
 	"/codes/13/history?limit=-1":          `bad limit "-1"`,
 	"/codes/13/history?limit=few":         `bad limit "few"`,
+	"/nodes/c0-0c0s0n2/history?limit=-1":  `bad limit "-1"`,
+	"/nodes/c0-0c0s0n2/history?limit=x":   `bad limit "x"`,
 	"/codes/13/history?since=yesterday":   `bad since "yesterday": parsing time "yesterday" as "2006-01-02T15:04:05Z07:00": cannot parse "yesterday" as "2006"`,
 	"/nodes/c0-0c0s0n2/history?until=now": `bad until "now": parsing time "now" as "2006-01-02T15:04:05Z07:00": cannot parse "now" as "2006"`,
 	"/rollup?since=1":                     `bad since "1": parsing time "1" as "2006-01-02T15:04:05Z07:00": cannot parse "1" as "2006"`,
@@ -104,7 +106,7 @@ func TestHistoryAppendJSONMatchesEncodingJSON(t *testing.T) {
 		node.Events, code.Events = append(node.Events, he), append(code.Events, ce)
 	}
 	check()
-	code.Truncated, code.Code, node.Node = false, `<"&>`, "n\xffode"
+	code.Truncated, node.Truncated, code.Code, node.Node = false, true, `<"&>`, "n\xffode"
 	check()
 }
 

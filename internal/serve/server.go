@@ -598,10 +598,11 @@ type HistoryEvent struct {
 
 // NodeHistory is the GET /nodes/{cname}/history document.
 type NodeHistory struct {
-	Node     string         `json:"node"`
-	Sealed   int            `json:"sealed_events"`
-	Retained int            `json:"retained_events"`
-	Events   []HistoryEvent `json:"events"`
+	Node      string         `json:"node"`
+	Sealed    int            `json:"sealed_events"`
+	Retained  int            `json:"retained_events"`
+	Truncated bool           `json:"truncated,omitempty"`
+	Events    []HistoryEvent `json:"events"`
 }
 
 // AppendJSON renders the document as the indented JSON encoding/json
@@ -610,17 +611,26 @@ func (h NodeHistory) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, h)
 
 // WriteJSON writes the document as one value.
 func (h NodeHistory) WriteJSON(w *jsonw.W) {
-	w.Obj()
-	w.Key("node").Str(h.Node)
-	w.Key("sealed_events").Int(int64(h.Sealed))
-	w.Key("retained_events").Int(int64(h.Retained))
-	w.Key("events").Arr()
+	writeHistoryHead(w, "node", h.Node, h.Sealed, h.Retained, h.Truncated)
 	for i := range h.Events {
 		e := &h.Events[i]
 		writeEvent(w, e.Time, "code", e.Code, e.Serial, e.Page, e.Job)
 	}
 	w.EndArr()
 	w.EndObj()
+}
+
+// writeHistoryHead opens a history document, whose it is under key, as
+// far as its events array.
+func writeHistoryHead(w *jsonw.W, key, name string, sealed, retained int, truncated bool) {
+	w.Obj()
+	w.Key(key).Str(name)
+	w.Key("sealed_events").Int(int64(sealed))
+	w.Key("retained_events").Int(int64(retained))
+	if truncated {
+		w.Key("truncated").Any(true)
+	}
+	w.Key("events").Arr()
 }
 
 // writeEvent renders one history event. What tells it from its

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -126,12 +127,17 @@ func ingestAll(t testing.TB, s *Server, batches [][]byte) {
 // up after every compaction, two event slices a batch), then ~290 with
 // those buffers recycled; with the seal path's builder, its columns and
 // the marshalled segment recycled too, and the journal's records framed
-// in a pooled buffer sized from the body, it reads ~187 (80 of it the
-// retained log's survivor copy, 80 the sealed segment's dictionaries and
-// bitmaps, built once to marshal and once at the re-map), and the ceiling
-// is that plus a tenth. Four times the batches must read the same figure:
-// nothing on the write path may grow with the stream but the history
-// itself.
+// in a pooled buffer sized from the body, it read ~187 (80 of it the
+// retained log's survivor copy, 80 the sealed segment's per-node
+// dictionary map, built once to marshal and once at the re-map); with the
+// dictionaries one flat card table — the builder's recycled, the
+// re-map's two slices — it reads ~105, and the ceiling is that plus a
+// tenth. Four times the batches must read the same figure: nothing on
+// the write path may grow with the stream but the history itself. Each
+// figure is the least of three windows: a sync.Pool hands a buffer put
+// on one P to a getter on another only some of the time, so how many
+// ~130 KB frame buffers a window re-makes is the scheduler's to say — up
+// to 30 B a line, which only ever adds.
 func TestIngestAllocsPerLine(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race runtime's own bookkeeping moves allocation figures")
@@ -139,18 +145,23 @@ func TestIngestAllocsPerLine(t *testing.T) {
 	const warm = 48 // a month is 34 batches: every node and card is tracked before the clock starts
 	perLine := func(n int) float64 {
 		batches := shapedBatches(t, warm+n)
-		s := writePathServer(t)
-		ingestAll(t, s, batches[:warm])
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ingestAll(t, s, batches[warm:])
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n*1024)
+		least := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			s := writePathServer(t)
+			ingestAll(t, s, batches[:warm])
+			runtime.GC() // a cycle inside the window empties the pools once more
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ingestAll(t, s, batches[warm:])
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(n*1024))
+		}
+		return least
 	}
 	short, long := perLine(64), perLine(256)
 	t.Logf("allocated per line: %.0f B over 64 batches, %.0f B over 256", short, long)
-	if short > 206 || long > 206 {
-		t.Errorf("steady-state ingest allocates %.0f / %.0f B per line, want <= 206", short, long)
+	if short > 116 || long > 116 {
+		t.Errorf("steady-state ingest allocates %.0f / %.0f B per line, want <= 116", short, long)
 	}
 	if long > short*1.1 || long < short*0.9 {
 		t.Errorf("allocation per line moves with the stream's length: %.0f B over 64 batches, %.0f B over 256", short, long)

@@ -13,7 +13,7 @@ import (
 
 // block is a run of selected rows as parallel column slices — the unit a
 // rowSink folds per call. serials is nil for a sink that does not
-// needSerial (inside a segment a serial is a per-row dictionary lookup).
+// needSerial (inside a segment a serial is two more loads a row).
 type block struct {
 	times   []int64
 	codes   []uint16 // int16 two's complement, as the segments store them
@@ -101,7 +101,7 @@ func (g *gather) segment(s *Segment, sel bitmap, kind segMatch) {
 			hi := min(lo+blockRows, len(s.times))
 			if g.serials {
 				for i := lo; i < hi; i++ {
-					g.buf.serials[i-lo] = s.serials[s.nodes[i]][s.cards[i]]
+					g.buf.serials[i-lo] = s.serialAt(i)
 				}
 			}
 			g.emit(s.times[lo:hi], s.codes[lo:hi], s.nodes[lo:hi])
@@ -115,7 +115,7 @@ func (g *gather) segment(s *Segment, sel bitmap, kind segMatch) {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				var serial uint32
 				if g.serials {
-					serial = s.serials[s.nodes[i]][s.cards[i]]
+					serial = s.serialAt(i)
 				}
 				g.add(s.times[i], s.codes[i], s.nodes[i], serial)
 			}

@@ -88,10 +88,8 @@ func (s *Segment) Marshal(buf []byte) []byte {
 	l := layoutFor(n, len(s.arena))
 	// An upper bound (5 bytes a varint), so the columns just copied are
 	// never copied again for the sake of the last few bytes.
-	size := l.tail + 10 + len(s.byCode)*(10+(n+63)/64*8) + sha256.Size
-	for _, dict := range s.serials {
-		size += 10 + 5*len(dict)
-	}
+	// A node in the dictionary holds at least one serial.
+	size := l.tail + 10 + 15*len(s.cardSerials) + len(s.byCode)*(10+(n+63)/64*8) + sha256.Size
 	buf = slices.Grow(buf, size)
 	buf = append(buf, segMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, segVersion)
@@ -121,18 +119,20 @@ func (s *Segment) Marshal(buf []byte) []byte {
 	}
 	buf = append(buf, s.arena...)
 
-	nodes := make([]uint32, 0, len(s.serials))
-	for node := range s.serials {
-		nodes = append(nodes, node)
+	nnodes := 0
+	for node, lo := range s.cardBase[:topology.TotalNodes] {
+		if s.cardBase[node+1] > lo {
+			nnodes++
+		}
 	}
-	slices.Sort(nodes)
-	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
-	for _, node := range nodes {
-		dict := s.serials[node]
-		buf = binary.AppendUvarint(buf, uint64(node))
-		buf = binary.AppendUvarint(buf, uint64(len(dict)))
-		for _, serial := range dict {
-			buf = binary.AppendUvarint(buf, uint64(serial))
+	buf = binary.AppendUvarint(buf, uint64(nnodes))
+	for node, lo := range s.cardBase[:topology.TotalNodes] {
+		if dict := s.cardSerials[lo:s.cardBase[node+1]]; len(dict) > 0 {
+			buf = binary.AppendUvarint(buf, uint64(node))
+			buf = binary.AppendUvarint(buf, uint64(len(dict)))
+			for _, serial := range dict {
+				buf = binary.AppendUvarint(buf, uint64(serial))
+			}
 		}
 	}
 
@@ -240,38 +240,58 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 	}
 	p = l.tail
 
+	// The dictionary section becomes the card table in two walks: the first
+	// checks it (a node out of range, named twice or out of ascending
+	// order, or holding no serial or too many, is nothing the writer
+	// produces) and leaves each node's count in cardBase; the second, the
+	// counts summed to offsets, copies the serials — which sit in the file
+	// in table order — into one slice of exactly their number.
 	nnodes, m := binary.Uvarint(body[p:])
 	if m <= 0 {
 		return nil, fmt.Errorf("%w: dictionary truncated", ErrCorrupt)
 	}
 	p += m
-	s.serials = make(map[uint32][]uint32, nnodes)
-	dictLen := make([]uint8, topology.TotalNodes) // node -> len(s.serials[node])
+	s.cardBase = make([]uint32, topology.TotalNodes+1)
+	dict, next, total := p, uint64(0), 0
 	for i := uint64(0); i < nnodes; i++ {
 		node, m := binary.Uvarint(body[p:])
-		if m <= 0 || node >= uint64(topology.TotalNodes) {
+		if m <= 0 || node < next || node >= uint64(topology.TotalNodes) {
 			return nil, fmt.Errorf("%w: dictionary node invalid", ErrCorrupt)
 		}
 		p += m
+		next = node + 1
 		cnt, m := binary.Uvarint(body[p:])
-		if m <= 0 || cnt > maxCardsPerNode {
+		if m <= 0 || cnt == 0 || cnt > maxCardsPerNode {
 			return nil, fmt.Errorf("%w: dictionary count invalid", ErrCorrupt)
 		}
 		p += m
-		dict := make([]uint32, cnt)
-		for j := range dict {
+		for j := uint64(0); j < cnt; j++ {
 			serial, m := binary.Uvarint(body[p:])
 			if m <= 0 || serial > math.MaxUint32 {
 				return nil, fmt.Errorf("%w: dictionary serial invalid", ErrCorrupt)
 			}
 			p += m
-			dict[j] = uint32(serial)
 		}
-		s.serials[uint32(node)] = dict
-		dictLen[node] = uint8(cnt)
+		s.cardBase[node+1] = uint32(cnt)
+		total += int(cnt)
+	}
+	for node := range s.cardBase[:topology.TotalNodes] {
+		s.cardBase[node+1] += s.cardBase[node]
+	}
+	s.cardSerials = make([]uint32, 0, total)
+	for q := dict; len(s.cardSerials) < total; {
+		_, m := binary.Uvarint(body[q:])
+		q += m
+		cnt, m := binary.Uvarint(body[q:])
+		q += m
+		for ; cnt > 0; cnt-- {
+			serial, m := binary.Uvarint(body[q:])
+			q += m
+			s.cardSerials = append(s.cardSerials, uint32(serial))
+		}
 	}
 	for i, card := range s.cards {
-		if card >= dictLen[s.nodes[i]] {
+		if node := s.nodes[i]; uint32(card) >= s.cardBase[node+1]-s.cardBase[node] {
 			return nil, fmt.Errorf("%w: card index %d out of dictionary range", ErrCorrupt, card)
 		}
 	}

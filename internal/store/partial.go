@@ -61,29 +61,17 @@ func (r *Rollup) pack(c RollupPartialCell) uint64 {
 // Partial exports the accumulator's raw cells in canonical (bucket,
 // code, cabinet, cage, node) order: ascending packed key.
 func (r *Rollup) Partial() RollupPartial {
-	return RollupPartial{Spec: r.spec, Total: r.total, Cells: r.unpack(r.sortedKeys(), nil)}
+	return RollupPartial{Spec: r.spec, Total: r.total, Cells: r.unpack(r.order(0))}
 }
 
-// sortedKeys is the cell keys ascending, in scratch the accumulator
-// keeps: valid until the next call.
-func (r *Rollup) sortedKeys() []uint64 {
-	r.scratch = append(r.scratch[:0], r.cells.keys...)
-	slices.Sort(r.scratch)
-	return r.scratch
-}
-
-// unpack spells the cells behind packed keys out, in the order given,
-// into buf when it is large enough (doc's scratch; a Partial owns its).
-func (r *Rollup) unpack(keys []uint64, buf []RollupPartialCell) []RollupPartialCell {
-	if buf == nil || cap(buf) < len(keys) {
-		buf = make([]RollupPartialCell, len(keys)) // never nil: an empty partial's cells render []
-	}
-	cells := buf[:len(keys)]
+// unpack spells the cells behind packed keys out, in the order given
+// (never nil: an empty partial's cells render []).
+func (r *Rollup) unpack(keys []uint64) []RollupPartialCell {
+	cells := make([]RollupPartialCell, len(keys))
 	for i, key := range keys {
-		c := RollupPartialCell{Bucket: (int64(key>>bucketShift) - bucketBias) * r.bs, Count: r.counts[r.cells.find(key)]}
-		if r.spec.ByCode {
-			c.Code = int16(uint16(key>>codeShift) ^ 0x8000)
-		}
+		c := &cells[i]
+		c.Bucket, c.Code = r.bucketCode(key)
+		c.Count = r.counts[r.cells.find(key)]
 		cab, cage, node := r.unloc(key & locMask)
 		if r.spec.ByCabinet {
 			c.Cab = int16(cab)
@@ -94,34 +82,8 @@ func (r *Rollup) unpack(keys []uint64, buf []RollupPartialCell) []RollupPartialC
 		if r.spec.ByNode {
 			c.Node = int32(node)
 		}
-		cells[i] = c
 	}
 	return cells
-}
-
-// AppendJSON renders the partial as encoding/json would; the spec echo,
-// a handful of irregular fields once per answer, goes through it.
-func (p RollupPartial) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, p) }
-
-// WriteJSON writes the partial as one value (see RollupDoc.WriteJSON).
-func (p RollupPartial) WriteJSON(w *jsonw.W) {
-	w.Obj()
-	w.Key("spec").Any(p.Spec)
-	w.Key("total").Int(p.Total)
-	w.Key("cells").Arr()
-	for i := range p.Cells {
-		c := &p.Cells[i]
-		w.Obj()
-		w.Key("bucket").Int(c.Bucket)
-		w.OmitInt("code", int64(c.Code))
-		w.OmitInt("cab", int64(c.Cab))
-		w.OmitInt("cage", int64(c.Cage))
-		w.OmitInt("node", int64(c.Node))
-		w.Key("count").Int(c.Count)
-		w.EndObj()
-	}
-	w.EndArr()
-	w.EndObj()
 }
 
 // MergeRollupPartials folds partials from replicas (or any other

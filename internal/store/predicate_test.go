@@ -3,12 +3,15 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"path"
 	"reflect"
 	"testing"
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/race"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
@@ -198,6 +201,46 @@ func TestSegmentBitsMatchEvent(t *testing.T) {
 		if !reflect.DeepEqual(lit.nodeMask, glob.nodeMask) {
 			t.Fatalf("literal %q: node mask differs from the glob path's", cname)
 		}
+	}
+	// A cabinet or cage filter fills the mask by node-id ranges; the mask
+	// is the one a walk over every node's location builds, for every
+	// cabinet glob above and a few more (one matching nothing, one
+	// everything), at every cage, with and without a node glob inside.
+	cabinets := []string{"", "c[!3]-*", "c?-0", "c8-*", "c*"}
+	for _, p := range predCases(events) {
+		if p.Cabinet != "" {
+			cabinets = append(cabinets, p.Cabinet)
+		}
+	}
+	for _, cabinet := range cabinets {
+		for cage := -1; cage < topology.CagesPerCabinet; cage++ {
+			for _, node := range []string{"", "c?-1c2s*", "*n3"} {
+				if cabinet == "" && cage < 0 && node == "" {
+					continue // the empty predicate: no matcher at all
+				}
+				m, err := Predicate{Node: node, Cabinet: cabinet, Cage: cage}.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]bool, topology.TotalNodes)
+				for n := range want {
+					loc := topology.LocationOf(topology.NodeID(n))
+					want[n] = cage < 0 || loc.Cage == cage
+					for glob, name := range map[string]string{cabinet: fmt.Sprintf("c%d-%d", loc.Column, loc.Row), node: loc.CName()} {
+						if ok, _ := path.Match(glob, name); glob != "" && !ok {
+							want[n] = false
+						}
+					}
+				}
+				if !reflect.DeepEqual(m.nodeMask, want) {
+					t.Fatalf("cabinet=%q cage=%d node=%q: the range-filled mask is not the per-node walk's", cabinet, cage, node)
+				}
+			}
+		}
+	}
+	// And it costs the matcher and its mask, not a name a cabinet.
+	if a := testing.AllocsPerRun(10, func() { _, _ = Predicate{Cabinet: "c3-*", Cage: -1}.Compile() }); a > 2 && !race.Enabled {
+		t.Errorf("compiling cabinet=c3-* made %v allocations, want the matcher and the mask", a)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -38,11 +39,65 @@ func sameRender(t *testing.T, what string, doc jsonw.Appender) {
 	}
 }
 
-// TestRollupAppendJSONMatchesEncodingJSON: RollupDoc and RollupPartial
-// render byte-identically to encoding/json over the adversarial fixture
-// (codes at the int16 extremes, pre-epoch and backwards-running times)
-// for every grouping, with and without a code filter, ranked with ties
-// across the cut, and empty.
+// streamed renders acc through the one cell renderer: its document (the k
+// best cells, code echoed) or, raw, its partial — bare when query is "",
+// otherwise under the titanql envelope, where the cells sit a level deeper.
+func streamed(buf []byte, acc *Rollup, query string, k int, code string, raw bool) []byte {
+	w := jsonw.W{Buf: buf}
+	if query != "" {
+		w.Obj()
+		w.Key("query").Str(query)
+		w.OmitInt("ranked_top", int64(k))
+		w.Key("rollup")
+	}
+	if raw {
+		acc.WritePartialJSON(&w)
+	} else {
+		acc.WriteJSON(&w, k, code)
+	}
+	if query != "" {
+		w.EndObj()
+	}
+	return append(w.Buf, '\n')
+}
+
+// envelope is titanql.Doc and titanql.Partial as far as a rollup goes.
+type envelope struct {
+	Query     string `json:"query"`
+	RankedTop int    `json:"ranked_top,omitempty"`
+	Rollup    any    `json:"rollup"`
+}
+
+// sameStream holds every face of acc that is served — the bare document,
+// the document under the envelope, the partial under it — to
+// encoding/json over the struct Doc, RankedDoc and Partial build.
+func sameStream(t *testing.T, what string, acc *Rollup, k int, code string) {
+	t.Helper()
+	doc := acc.RankedDoc(k)
+	doc.Code = code
+	for _, c := range []struct {
+		face      string
+		got, want []byte
+	}{
+		{"bare doc", streamed(nil, acc, "", k, code, false), encodingJSON(t, doc)},
+		{"doc", streamed(nil, acc, "q | by <x>", k, code, false), encodingJSON(t, envelope{"q | by <x>", k, doc})},
+		{"partial", streamed(nil, acc, "q", k, "", true), encodingJSON(t, envelope{"q", k, acc.Partial()})},
+	} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s, top %d, %s: the streamed bytes diverge from encoding/json\ngot:  %.1500s\nwant: %.1500s", what, k, c.face, c.got, c.want)
+		}
+	}
+}
+
+// TestRollupAppendJSONMatchesEncodingJSON: what Rollup.WriteJSON and
+// WritePartialJSON stream is byte for byte what encoding/json writes for
+// RankedDoc and Partial, over the adversarial fixture (codes at the
+// int16 extremes, pre-epoch and backwards-running times) for every
+// grouping, with and without a code filter, ranked with ties across the
+// cut and past the cell count; then over the edges of the spelling: no
+// cell, one cell, SBE and OTB and a code no catalogue names, cabinet 0 /
+// cage 0 / node 0 (members a partial omits and a document does not), a
+// bucket before the epoch and one in the year 9999.
 func TestRollupAppendJSONMatchesEncodingJSON(t *testing.T) {
 	events := adversarialEvents()
 	specs := map[string]struct {
@@ -64,27 +119,41 @@ func TestRollupAppendJSONMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// echo is what unwrapping for /rollup?code= adds to the document.
-		echo := func(doc RollupDoc) RollupDoc {
-			if c.also.filterCode {
-				doc.Code = c.also.code.String()
+		echo := "" // what unwrapping for /rollup?code= adds to the document
+		if c.also.filterCode {
+			echo = c.also.code.String()
+			if acc.Total() != int64(len(c.also.kept(events, nil))) {
+				t.Fatalf("%s: folded %d rows, the fixture holds %d of the code", name, acc.Total(), len(c.also.kept(events, nil)))
 			}
-			return doc
 		}
-		if c.also.filterCode && acc.Total() != int64(len(c.also.kept(events, nil))) {
-			t.Fatalf("%s: folded %d rows, the fixture holds %d of the code", name, acc.Total(), len(c.also.kept(events, nil)))
-		}
-		sameRender(t, name+" doc", echo(acc.Doc()))
-		sameRender(t, name+" partial", acc.Partial())
-		for _, k := range []int{1, 3, 17, 1 << 40} {
-			sameRender(t, name+" ranked", echo(acc.RankedDoc(k)))
+		for _, k := range []int{0, 1, 3, 17, 1 << 40} {
+			sameStream(t, name, acc, k, echo)
 		}
 	}
-	empty, _ := NewRollup(RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour})
-	sameRender(t, "empty doc", empty.Doc())
-	sameRender(t, "empty partial", empty.Partial())
-	if doc := empty.Doc(); doc.By == nil || doc.Cells == nil {
-		t.Fatal("an empty rollup holds empty slices, which render [], never nil ones")
+
+	edge := func(sec int64, node topology.NodeID, code xid.Code) console.Event {
+		return console.Event{Time: time.Unix(sec, 0).UTC(), Node: node, Code: code}
+	}
+	year9999 := time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC).Unix()
+	edges := []console.Event{
+		edge(-1, 0, xid.SingleBitError), edge(-1, 0, xid.SingleBitError), edge(0, 0, xid.OffTheBus),
+		edge(0, topology.NodesPerCage, 0), edge(year9999, topology.TotalNodes-1, 77),
+		edge(year9999, 1, math.MaxInt16), edge(-90000, topology.NodesPerCabinet, math.MinInt16),
+	}
+	for name, events := range map[string][]console.Event{"no cell": nil, "one cell": edges[:2], "edges": edges} {
+		for dims := 0; dims < 16; dims++ {
+			spec := RollupSpec{ByCode: dims&1 != 0, ByCabinet: dims&2 != 0, ByCage: dims&4 != 0, ByNode: dims&8 != 0, Bucket: time.Hour}
+			acc, err := ParallelRollupAcc(nil, events, spec, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{0, 2, len(events), len(events) + 1} {
+				sameStream(t, fmt.Sprintf("%s %+v", name, spec), acc, k, "")
+			}
+			if doc := acc.Doc(); doc.By == nil || doc.Cells == nil {
+				t.Fatal("a rollup holds empty slices, which render [], never nil ones")
+			}
+		}
 	}
 }
 
@@ -150,8 +219,9 @@ func TestTopAppendJSONMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestRenderAllocsIndependentOfCells: what rendering allocates follows
-// neither the cells nor the cards — four times the cells render with
-// the same allocation count (encoding/json made one or more per cell).
+// neither the cells nor the cards — four times the cells stream out
+// with the same allocation count (encoding/json made one or more per
+// cell, the cell structs two).
 func TestRenderAllocsIndependentOfCells(t *testing.T) {
 	events := adversarialEvents()
 	render := func(spec RollupSpec, events []console.Event) (float64, int) {
@@ -159,8 +229,8 @@ func TestRenderAllocsIndependentOfCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc, buf := acc.Doc(), make([]byte, 0, 8<<20)
-		return testing.AllocsPerRun(5, func() { buf = doc.AppendJSON(buf[:0]) }), len(doc.Cells)
+		buf := make([]byte, 0, 8<<20)
+		return testing.AllocsPerRun(5, func() { buf = streamed(buf[:0], acc, "", 0, "", false) }), len(acc.Doc().Cells)
 	}
 	spec := RollupSpec{ByCode: true, ByNode: true, Bucket: time.Hour}
 	a, few := render(spec, events[:len(events)/4])
@@ -194,19 +264,18 @@ func BenchmarkRenderRollup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	doc := acc.Doc()
-	b.Run("append", func(b *testing.B) {
+	b.Run("stream", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf = doc.AppendJSON(buf[:0])
+			buf = streamed(buf[:0], acc, "", 0, "", false)
 		}
 		b.SetBytes(int64(len(buf)))
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			encodingJSON(b, doc)
+			encodingJSON(b, acc.Doc())
 		}
 	})
 	b.Run("doc", func(b *testing.B) {

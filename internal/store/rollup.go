@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -94,7 +96,8 @@ const (
 
 // Rollup accumulates bucketed counts: a slotTable over packed cell keys
 // and the count per slot. ParallelRollupAcc (or MergeRollupPartials)
-// populates it; Doc renders it; Release returns it to the pool.
+// populates it; WriteJSON and WritePartialJSON render it (Doc and Partial
+// build the same answers as structs); Release returns it to the pool.
 type Rollup struct {
 	spec   RollupSpec
 	bs     int64 // bucket width, seconds
@@ -124,8 +127,8 @@ type Rollup struct {
 	colOf [256]uint8 // int8-range code's low byte -> its column+1, 0 until it is given one
 	ncols int
 
-	scratch  []uint64            // sortedKeys' backing array
-	unpacked []RollupPartialCell // doc's, between the keys and the rendered cells
+	scratch []uint64         // order's backing array
+	rank    []stats.KeyCount // order's, when it ranks
 }
 
 const (
@@ -164,7 +167,7 @@ func newRollup(spec RollupSpec) *Rollup {
 
 // Release returns the accumulator to the pool (see Top.Release).
 func (r *Rollup) Release() {
-	if 8*(3*cap(r.cells.keys)+cap(r.scratch)+4*cap(r.unpacked)) > maxPooledBytes {
+	if 8*(3*cap(r.cells.keys)+cap(r.scratch)+2*cap(r.rank)) > maxPooledBytes {
 		return
 	}
 	r.cells.reset()
@@ -390,7 +393,7 @@ type RollupCell struct {
 // cells, sorted by (bucket, code, cabinet, cage, node) for a canonical
 // byte representation. Code is /rollup's echo of its ?code= parameter,
 // set by whoever unwraps the document for that endpoint (titanql's
-// Doc.Bare); the accumulator knows nothing of the filter.
+// Result.Bare); the accumulator knows nothing of the filter.
 type RollupDoc struct {
 	By            []string     `json:"by"`
 	BucketSeconds int64        `json:"bucket_seconds"`
@@ -399,71 +402,18 @@ type RollupDoc struct {
 	Cells         []RollupCell `json:"cells"`
 }
 
-// AppendJSON renders the document as the indented JSON encoding/json
-// writes for it (cells are never nil: Doc always makes the slice).
-func (d RollupDoc) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, d) }
-
-// WriteJSON writes the document as one value — whole through AppendJSON,
-// or nested under a key of a titanql.Doc.
-func (d RollupDoc) WriteJSON(w *jsonw.W) {
-	w.Obj()
-	w.Key("by").Arr()
-	for _, dim := range d.By {
-		w.Str(dim)
-	}
-	w.EndArr()
-	w.Key("bucket_seconds").Int(d.BucketSeconds)
-	w.OmitStr("code", d.Code)
-	w.Key("total_events").Int(d.TotalEvents)
-	w.Key("cells").Arr()
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		w.Obj()
-		w.Key("bucket").Time(c.Bucket)
-		w.OmitStr("code", c.Code)
-		if c.Cabinet != nil {
-			w.Key("cabinet").Int(int64(*c.Cabinet))
-		}
-		if c.Cage != nil {
-			w.Key("cage").Int(int64(*c.Cage))
-		}
-		w.OmitStr("node", c.Node)
-		w.Key("count").Int(c.Count)
-		w.EndObj()
-	}
-	w.EndArr()
-	w.EndObj()
-}
-
-// Doc renders the accumulated rollup deterministically: two rollups fed
-// the same events in any order and any segment/tail split render
-// byte-identical documents.
-func (r *Rollup) Doc() RollupDoc { return r.doc(r.sortedKeys()) }
+// Doc builds the accumulated rollup as a struct, deterministically: two
+// rollups fed the same events in any order and any segment/tail split
+// build equal documents. It is what RollupEvents and ParallelRollup
+// return and, under encoding/json, the oracle WriteJSON's bytes are
+// tested against; no serving path goes through it.
+func (r *Rollup) Doc() RollupDoc { return r.RankedDoc(0) }
 
 // RankedDoc is Doc keeping only the k highest-count cells, ties in
 // canonical order — what a stable count-descending sort of Doc's cells
-// would keep — or every cell when k <= 0. The packed keys are what is
-// ranked, so only the winners are ever built into cells.
+// would keep — or every cell when k <= 0.
 func (r *Rollup) RankedDoc(k int) RollupDoc {
-	if k <= 0 {
-		return r.Doc()
-	}
-	all := make([]stats.KeyCount, len(r.cells.keys))
-	for slot, key := range r.cells.keys {
-		all[slot] = stats.KeyCount{Key: key, Count: r.counts[slot]}
-	}
-	ranked := stats.RankOffenders(all, k)
-	keys := make([]uint64, len(ranked))
-	for i, kc := range ranked {
-		keys[i] = kc.Key
-	}
-	return r.doc(keys)
-}
-
-// doc renders the cells behind keys, in that order.
-func (r *Rollup) doc(keys []uint64) RollupDoc {
-	r.unpacked = r.unpack(keys, r.unpacked)
-	cells := r.unpacked
+	cells := r.unpack(r.order(k))
 	doc := RollupDoc{
 		By:            r.spec.Dims(),
 		BucketSeconds: r.bs,
@@ -472,33 +422,147 @@ func (r *Rollup) doc(keys []uint64) RollupDoc {
 	}
 	codeNames := make(map[int16]string)  // a code is spelled once, not once per cell
 	ints := make([]int, 0, 2*len(cells)) // one backing array behind every *int: sized once, so never moved
-	for _, k := range cells {
-		cell := RollupCell{
-			Bucket: time.Unix(k.Bucket, 0).UTC(),
-			Count:  k.Count,
-		}
+	for _, c := range cells {
+		cell := RollupCell{Bucket: time.Unix(c.Bucket, 0).UTC(), Count: c.Count}
 		if r.spec.ByCode {
-			name, ok := codeNames[k.Code]
+			name, ok := codeNames[c.Code]
 			if !ok {
-				name = xid.Code(k.Code).String()
-				codeNames[k.Code] = name
+				name = xid.Code(c.Code).String()
+				codeNames[c.Code] = name
 			}
 			cell.Code = name
 		}
 		if r.spec.ByCabinet {
-			ints = append(ints, int(k.Cab))
+			ints = append(ints, int(c.Cab))
 			cell.Cabinet = &ints[len(ints)-1]
 		}
 		if r.spec.ByCage {
-			ints = append(ints, int(k.Cage))
+			ints = append(ints, int(c.Cage))
 			cell.Cage = &ints[len(ints)-1]
 		}
 		if r.spec.ByNode {
-			cell.Node = topology.CNameOf(topology.NodeID(k.Node))
+			cell.Node = topology.CNameOf(topology.NodeID(c.Node))
 		}
 		doc.Cells = append(doc.Cells, cell)
 	}
 	return doc
+}
+
+// order is the cell keys in the order a document lists them, in scratch
+// the accumulator keeps (valid until the next call): ascending, which is
+// canonical (bucket, code, cabinet, cage, node) order, or for k > 0 the
+// k highest counts first. The packed keys are what is ranked, so only
+// the winners are ever spelled out.
+func (r *Rollup) order(k int) []uint64 {
+	r.scratch = r.scratch[:0]
+	if k <= 0 {
+		r.scratch = append(r.scratch, r.cells.keys...)
+		slices.Sort(r.scratch)
+		return r.scratch
+	}
+	r.rank = r.rank[:0]
+	for slot, key := range r.cells.keys {
+		r.rank = append(r.rank, stats.KeyCount{Key: key, Count: r.counts[slot]})
+	}
+	for _, kc := range stats.RankOffenders(r.rank, k) {
+		r.scratch = append(r.scratch, kc.Key)
+	}
+	return r.scratch
+}
+
+// WriteJSON writes the rollup document — RankedDoc(k) with code as its
+// "code" echo — as the indented JSON encoding/json writes for that
+// struct, straight off the packed keys.
+func (r *Rollup) WriteJSON(w *jsonw.W, k int, code string) {
+	w.Obj()
+	w.Key("by").Arr()
+	for _, dim := range r.spec.Dims() {
+		w.Str(dim)
+	}
+	w.EndArr()
+	w.Key("bucket_seconds").Int(r.bs)
+	w.OmitStr("code", code)
+	w.Key("total_events").Int(r.total)
+	r.writeCells(w, r.order(k), false)
+	w.EndObj()
+}
+
+// WritePartialJSON writes Partial the same way: the replica's ?partial=1
+// face. The spec echo, a handful of irregular fields once per answer,
+// goes through encoding/json.
+func (r *Rollup) WritePartialJSON(w *jsonw.W) {
+	w.Obj()
+	w.Key("spec").Any(r.spec)
+	w.Key("total").Int(r.total)
+	r.writeCells(w, r.order(0), true)
+	w.EndObj()
+}
+
+// writeCells is the one cell renderer: the "cells" member, a cell per
+// key in the order given, each appended to the buffer whole — no cell
+// struct, no per-cell string. A cell is a head, the text up to and
+// including its code, rebuilt only when the bucket or code bits change
+// (keys arrive in runs of both); then its location members, spelled from
+// the key's low bits; then the count. The member fragments carry their
+// comma and indentation, worked out once per document. raw selects
+// RollupPartialCell's spelling over RollupCell's: numbers for the time,
+// the code and the node, cab for cabinet, and zero members omitted.
+func (r *Rollup) writeCells(w *jsonw.W, keys []uint64, raw bool) {
+	w.Key("cells").Arr()
+	in, out := ","+w.Line(1), w.Line(0)
+	cab, cage, node, count := in+`"cabinet": `, in+`"cage": `, in+`"node": "`, in+`"count": `
+	if raw {
+		cab, node = in+`"cab": `, in+`"node": `
+	}
+	var headBuf [96]byte
+	head, run := headBuf[:0], ^uint64(0)
+	for _, key := range keys {
+		if key>>codeShift != run {
+			run = key >> codeShift
+			sec, code := r.bucketCode(key)
+			head = append(append(head[:0], '{'), in[1:]...)
+			if raw {
+				head = strconv.AppendInt(append(head, `"bucket": `...), sec, 10)
+				if code != 0 {
+					head = strconv.AppendInt(append(append(head, in...), `"code": `...), int64(code), 10)
+				}
+			} else {
+				head = append(time.Unix(sec, 0).UTC().AppendFormat(append(head, `"bucket": "`...), time.RFC3339), '"')
+				if r.spec.ByCode {
+					head = append(xid.Code(code).Append(append(append(head, in...), `"code": "`...)), '"')
+				}
+			}
+		}
+		w.Elem()
+		buf := append(w.Buf, head...)
+		c, g, n := r.unloc(key & locMask)
+		if r.spec.ByCabinet && (c != 0 || !raw) {
+			buf = strconv.AppendUint(append(buf, cab...), c, 10)
+		}
+		if r.spec.ByCage && (g != 0 || !raw) {
+			buf = strconv.AppendUint(append(buf, cage...), g, 10)
+		}
+		switch {
+		case !r.spec.ByNode:
+		case !raw:
+			buf = append(append(append(buf, node...), topology.CNameOf(topology.NodeID(n))...), '"')
+		case n != 0:
+			buf = strconv.AppendUint(append(buf, node...), n, 10)
+		}
+		buf = strconv.AppendInt(append(buf, count...), r.counts[r.cells.find(key)], 10)
+		w.Buf = append(append(buf, out...), '}')
+	}
+	w.EndArr()
+}
+
+// bucketCode is the bucket's first second and the code (0 unless grouped
+// by code) a packed key names.
+func (r *Rollup) bucketCode(key uint64) (sec int64, code int16) {
+	sec = (int64(key>>bucketShift) - bucketBias) * r.bs
+	if r.spec.ByCode {
+		code = int16(uint16(key>>codeShift) ^ 0x8000)
+	}
+	return sec, code
 }
 
 // RollupEvents computes the identical rollup from materialized events

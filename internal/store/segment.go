@@ -63,6 +63,9 @@ type Builder struct {
 
 	out []byte // the marshalled segment, kept for a recycled builder's next
 
+	// The sealed segment's card table (see Segment), kept with the columns.
+	cardBase, cardSerials []uint32
+
 	minT, maxT int64
 }
 
@@ -78,12 +81,14 @@ func NewBuilder(capacity int) *Builder {
 		slot:  make([]uint32, topology.TotalNodes),
 		minT:  math.MaxInt64,
 		maxT:  math.MinInt64,
+
+		cardBase: make([]uint32, topology.TotalNodes+1),
 	}
 }
 
 // reset empties the builder and keeps its arrays. Only for a builder
 // whose sealed segment nobody holds any more: the segment's columns and
-// dictionaries are these arrays.
+// card table are these arrays.
 func (b *Builder) reset() {
 	for _, node := range b.seen {
 		b.slot[node] = 0
@@ -174,19 +179,25 @@ func (b *Builder) Seal() (*Segment, error) {
 	if len(b.times) == 0 {
 		return nil, fmt.Errorf("store: sealing empty segment")
 	}
-	s := &Segment{
-		times:   b.times,
-		codes:   b.codes,
-		nodes:   b.nodes,
-		cards:   b.cards,
-		offs:    b.offs,
-		arena:   b.arena,
-		serials: make(map[uint32][]uint32, len(b.seen)),
-		minT:    b.minT,
-		maxT:    b.maxT,
+	b.cardSerials = b.cardSerials[:0]
+	for node, i := range b.slot {
+		b.cardBase[node] = uint32(len(b.cardSerials))
+		if i != 0 {
+			b.cardSerials = append(b.cardSerials, b.dicts[i-1]...)
+		}
 	}
-	for i, node := range b.seen {
-		s.serials[node] = b.dicts[i]
+	b.cardBase[topology.TotalNodes] = uint32(len(b.cardSerials))
+	s := &Segment{
+		times:       b.times,
+		codes:       b.codes,
+		nodes:       b.nodes,
+		cards:       b.cards,
+		offs:        b.offs,
+		arena:       b.arena,
+		cardBase:    b.cardBase,
+		cardSerials: b.cardSerials,
+		minT:        b.minT,
+		maxT:        b.maxT,
 	}
 	s.buildBitmaps()
 	return s, nil
@@ -207,7 +218,13 @@ type Segment struct {
 	offs  []uint32
 	arena []byte
 
-	serials map[uint32][]uint32
+	// The card table: node's serials, in the order its rows first named
+	// them, are cardSerials[cardBase[node]:cardBase[node+1]], and a row's
+	// serial (serialAt) is cardSerials[cardBase[node]+card] — two indexed
+	// loads, where a map of per-node dictionaries cost a hash and a pointer
+	// chase a row.
+	// cardBase has topology.TotalNodes+1 entries (prefix sums).
+	cardBase, cardSerials []uint32
 
 	minT, maxT int64
 	byCode     []codeBitmap // sorted ascending by code
@@ -217,6 +234,12 @@ type Segment struct {
 	// for heap-backed segments.
 	unmap       func()
 	mappedBytes int64
+}
+
+// serialAt is row i's serial. Open checked every card index against its
+// node's count, and a Builder only hands out indexes it interned.
+func (s *Segment) serialAt(i int) uint32 {
+	return s.cardSerials[s.cardBase[s.nodes[i]]+uint32(s.cards[i])]
 }
 
 // Mapped reports whether the segment's columns alias a file mapping.
@@ -312,8 +335,8 @@ func (s *Segment) EventAt(i int) console.Event {
 		Code: xid.Code(int16(s.codes[i])),
 		Page: console.NoPage,
 	}
-	if dict := s.serials[s.nodes[i]]; int(s.cards[i]) < len(dict) {
-		e.Serial = gpu.Serial(dict[s.cards[i]])
+	if k := s.cardBase[s.nodes[i]] + uint32(s.cards[i]); k < s.cardBase[s.nodes[i]+1] {
+		e.Serial = gpu.Serial(s.cardSerials[k])
 	}
 	rec := s.arena[s.offs[i]:s.offs[i+1]]
 	flags := rec[0]
@@ -347,16 +370,14 @@ func (s *Segment) AppendEvents(dst []console.Event) []console.Event {
 
 // MemBytes estimates the resident heap footprint of the segment. For a
 // mapped segment the columns and arena alias the page cache, not the
-// heap, so only the dictionary and bitmaps count.
+// heap, so only the card table and bitmaps count.
 func (s *Segment) MemBytes() int64 {
 	var n int64
 	if s.unmap == nil {
 		n = int64(len(s.times))*8 + int64(len(s.codes))*2 + int64(len(s.nodes))*4 +
 			int64(len(s.cards)) + int64(len(s.offs))*4 + int64(len(s.arena))
 	}
-	for _, dict := range s.serials {
-		n += 8 + int64(len(dict))*4
-	}
+	n += int64(len(s.cardBase)+len(s.cardSerials)) * 4
 	for _, cb := range s.byCode {
 		n += 2 + int64(len(cb.bits.words))*8
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/gpu"
+	"titanre/internal/race"
 	"titanre/internal/sim"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
@@ -224,6 +226,116 @@ func TestCardDictOverflow(t *testing.T) {
 		if i == maxCardsPerNode && err == nil {
 			t.Fatal("256th distinct serial accepted")
 		}
+	}
+}
+
+// forgeDict is seg's file with its dictionary section replaced by the
+// given entries — a node id, then its serials — in the order given, under
+// a fresh digest: what a buggy writer could leave behind a matching one.
+func forgeDict(seg *Segment, entries ...[]uint32) []byte {
+	data := seg.Marshal(nil)
+	body := data[:len(data)-sha256.Size]
+	start := layoutFor(seg.Len(), len(seg.arena)).tail
+	p := start
+	skip := func() uint64 {
+		v, m := binary.Uvarint(body[p:])
+		p += m
+		return v
+	}
+	for nnodes := skip(); nnodes > 0; nnodes-- {
+		skip()
+		for cnt := skip(); cnt > 0; cnt-- {
+			skip()
+		}
+	}
+	out := binary.AppendUvarint(bytes.Clone(body[:start]), uint64(len(entries)))
+	for _, e := range entries {
+		out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(e[0])), uint64(len(e)-1))
+		for _, serial := range e[1:] {
+			out = binary.AppendUvarint(out, uint64(serial))
+		}
+	}
+	out = append(out, body[p:]...)
+	digest := sha256.Sum256(out)
+	return append(out, digest[:]...)
+}
+
+// TestDictionaryShapeChecked: the card table is built from the
+// dictionary section in one ascending walk, so what the per-node map
+// used to swallow is refused — a node named twice (the map kept the
+// last), nodes out of ascending order (the map did not care), a node
+// with no serial — and a card index past its node's count still is.
+// The writer produces none of them.
+func TestDictionaryShapeChecked(t *testing.T) {
+	b := NewBuilder(4)
+	for i, ev := range []console.Event{{Node: 7, Serial: 100}, {Node: 3, Serial: 200}, {Node: 7, Serial: 101}, {Node: 7, Serial: 100}} {
+		ev.Time, ev.Code, ev.Page = time.Unix(1370000000+int64(i), 0).UTC(), 13, console.NoPage
+		if err := b.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, err := b.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := forgeDict(seg, []uint32{3, 200}, []uint32{7, 100, 101})
+	if !bytes.Equal(good, seg.Marshal(nil)) {
+		t.Fatal("forgeDict does not reproduce the file from the writer's own dictionary")
+	}
+	back, err := Unmarshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < seg.Len(); i++ {
+		if back.EventAt(i) != seg.EventAt(i) {
+			t.Fatalf("row %d: %+v after the round trip, %+v before", i, back.EventAt(i), seg.EventAt(i))
+		}
+	}
+	for name, data := range map[string][]byte{
+		"descending nodes":     forgeDict(seg, []uint32{7, 100, 101}, []uint32{3, 200}),
+		"a node named twice":   forgeDict(seg, []uint32{3, 200}, []uint32{7, 100}, []uint32{7, 100, 101}),
+		"a node with no card":  forgeDict(seg, []uint32{3, 200}, []uint32{5}, []uint32{7, 100, 101}),
+		"a card past its node": forgeDict(seg, []uint32{3, 200}, []uint32{7, 100}),
+		"a row's node missing": forgeDict(seg, []uint32{7, 100, 101}),
+		"a node out of range":  forgeDict(seg, []uint32{3, 200}, []uint32{7, 100, 101}, []uint32{topology.TotalNodes, 1}),
+	} {
+		if _, err := Unmarshal(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestOpenAllocsIndependentOfNodes: opening a mapped segment allocates
+// the segment, the card table's two slices and a word array a code — not
+// a dictionary a node, as the map did — so fifty times the nodes open
+// with the same allocation count.
+func TestOpenAllocsIndependentOfNodes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime's own bookkeeping moves allocation figures")
+	}
+	open := func(nodes int) float64 {
+		b := NewBuilder(4 * nodes)
+		for i := 0; i < 4*nodes; i++ {
+			ev := console.Event{Time: time.Unix(1370000000+int64(i), 0).UTC(), Node: topology.NodeID(i % nodes * 3), Code: xid.Code(13 + i%3), Serial: gpu.Serial(1 + i%(2*nodes)), Page: console.NoPage}
+			if err := b.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seg, err := b.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := seg.Marshal(nil)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := parseSegment(data, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := open(100), open(5000)
+	const ceiling = 4 + 3 // segment, base, serials, byCode; three codes
+	if few != many || many > ceiling {
+		t.Errorf("a mapped open allocates %v times for 100 nodes, %v for 5,000; want the same, at most %d", few, many, ceiling)
 	}
 }
 

@@ -21,56 +21,15 @@ import (
 // byte-identical to ExecuteEvents, the naive materialized fold, which is
 // the standing equivalence gate.
 
-// Doc is one executed query. Exactly one of Rollup/Top is set,
-// mirroring the plan kind; Query echoes the canonical spelling.
+// Doc is one executed query as a struct. Exactly one of Rollup/Top is
+// set, mirroring the plan kind; Query echoes the canonical spelling. It
+// is what Execute, Run and MergePartials return; what is
+// served is the Result, which renders the same bytes without building it.
 type Doc struct {
 	Query     string           `json:"query"`
 	RankedTop int              `json:"ranked_top,omitempty"`
 	Rollup    *store.RollupDoc `json:"rollup,omitempty"`
 	Top       *store.TopDoc    `json:"top,omitempty"`
-}
-
-// AppendJSON renders the document as the indented JSON encoding/json
-// writes for it.
-func (d Doc) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, d) }
-
-// WriteJSON writes the document as one value.
-func (d Doc) WriteJSON(w *jsonw.W) { writeEnvelope(w, d.Query, d.RankedTop, d.Rollup, d.Top) }
-
-// writeEnvelope renders what Doc and Partial share: the query echo, the
-// rank bound and whichever of the two store documents is set.
-func writeEnvelope[R, T interface{ WriteJSON(*jsonw.W) }](w *jsonw.W, query string, ranked int, rollup *R, top *T) {
-	w.Obj()
-	w.Key("query").Str(query)
-	w.OmitInt("ranked_top", int64(ranked))
-	if rollup != nil {
-		(*rollup).WriteJSON(w.Key("rollup"))
-	}
-	if top != nil {
-		(*top).WriteJSON(w.Key("top"))
-	}
-	w.EndObj()
-}
-
-// Bare unwraps the store document inside d — what /rollup, /top and
-// titanreport -rollup answer — with those surfaces' one remark about
-// their filter: code, the text of a ?code= / -rollup-code parameter the
-// plan was spelled from ("" when there was none), echoed as the
-// document's "code" member. titand calls it on its own fold, titanrouter
-// on the merged one, so the echo never rides the accumulator or the wire.
-func (d Doc) Bare(code string) jsonw.Appender {
-	echo := ""
-	if code != "" {
-		if c, err := xid.ParseCode(code); err == nil {
-			echo = c.String()
-		}
-	}
-	if d.Top != nil {
-		d.Top.Code = echo
-		return d.Top
-	}
-	d.Rollup.Code = echo
-	return d.Rollup
 }
 
 // Compiled is a plan lowered onto the store kernels, shareable
@@ -100,31 +59,100 @@ func (p *Plan) Compile() (*Compiled, error) {
 	return &Compiled{plan: p, query: p.String(), matcher: m}, nil
 }
 
-// Result is a folded query before rendering: the canonical spelling,
-// the rank bound, and the merged accumulator matching the plan kind
-// (exactly one of roll/top is set). One replica's fold and the router's
-// merge of many replicas' partials both end in a Result, so ranking and
-// rendering happen in one place — Doc — and only after every row is in.
+// Result is a folded query: the canonical spelling, the rank bound, and
+// the merged accumulator matching the plan kind (exactly one of roll/top
+// is set). One replica's fold and the router's merge of many replicas'
+// partials both end in a Result, so ranking and rendering happen in one
+// place and only after every row is in. It is the jsonw.Appender every
+// surface hands to jsonw.Write, in one of three faces: the titanql
+// document; after Bare, the store document inside it; or, folded as a
+// partial, the raw accumulator a router merges. A rollup's cells stream
+// from the accumulator's packed keys into the buffer (store's
+// Rollup.WriteJSON); Doc and Partial build the same answers as structs.
 // The accumulator is borrowed from the store's pools: Release the Result
-// once its Doc or Partial is taken.
+// once it is rendered (jsonw.Write does).
 type Result struct {
-	query string
-	rankK int
-	roll  *store.Rollup
-	top   *store.Top
+	query   string
+	rankK   int
+	roll    *store.Rollup
+	top     *store.Top
+	partial bool   // renders as Partial
+	bare    bool   // renders the store document alone,
+	echo    string // with this "code" member
+}
+
+// Bare makes the result render the store document inside the titanql
+// one — what /rollup, /top and titanreport -rollup answer — with those
+// surfaces' one remark about their filter: code, the text of a ?code= /
+// -rollup-code parameter the plan was spelled from ("" when there was
+// none), echoed as the document's "code" member. titand calls it on its
+// own fold, titanrouter on the merged one, so the echo never rides the
+// accumulator or the wire. A partial has no bare face.
+func (r *Result) Bare(code string) {
+	r.bare, r.echo = true, ""
+	if c, err := xid.ParseCode(code); code != "" && err == nil {
+		r.echo = c.String()
+	}
+}
+
+// AppendJSON renders the result's face as the indented JSON
+// encoding/json writes for the Doc, the store document or the Partial.
+func (r *Result) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, r) }
+
+// WriteJSON writes the face as one value.
+func (r *Result) WriteJSON(w *jsonw.W) {
+	if r.bare && !r.partial {
+		r.writeInner(w)
+		return
+	}
+	w.Obj()
+	w.Key("query").Str(r.query)
+	w.OmitInt("ranked_top", int64(r.rankK))
+	if r.top != nil {
+		w.Key("top")
+	} else {
+		w.Key("rollup")
+	}
+	r.writeInner(w)
+	w.EndObj()
+}
+
+// writeInner writes the store document, or the store partial.
+func (r *Result) writeInner(w *jsonw.W) {
+	switch {
+	case r.top == nil && r.partial:
+		r.roll.WritePartialJSON(w)
+	case r.top == nil:
+		r.roll.WriteJSON(w, r.rankK, r.echo)
+	case r.partial:
+		r.top.Partial().WriteJSON(w)
+	default:
+		doc := r.top.Doc()
+		doc.Code = r.echo
+		doc.WriteJSON(w)
+	}
 }
 
 // Fold runs the compiled plan over one consistent (sealed segments,
 // retained tail) snapshot, segment-parallel at the given worker count
 // (<= 0 means GOMAXPROCS), stopping short of the render. partial says
-// the Result will be exported with Partial rather than rendered with
-// Doc: an offender ranking then keeps every key instead of folding
+// the Result is a replica's share — it renders as, and exports, the
+// Partial: an offender ranking then keeps every key instead of folding
 // count-first (store.ParallelTopAcc).
 func (c *Compiled) Fold(segs []*store.Segment, tail []console.Event, workers int, partial bool) (*Result, error) {
+	res, err := c.fold(segs, tail, workers, partial)
+	if err == nil {
+		res.partial = partial
+	}
+	return res, err
+}
+
+// fold is Fold; everyKey is what ParallelTopAcc is told.
+func (c *Compiled) fold(segs []*store.Segment, tail []console.Event, workers int, everyKey bool) (*Result, error) {
 	res := &Result{query: c.query}
 	var err error
 	if c.plan.Kind == KindTop {
-		res.top, err = store.ParallelTopAcc(segs, tail, c.plan.Top, c.matcher, workers, partial)
+		res.top, err = store.ParallelTopAcc(segs, tail, c.plan.Top, c.matcher, workers, everyKey)
 	} else {
 		res.rankK = c.plan.RankK
 		res.roll, err = store.ParallelRollupAcc(segs, tail, c.plan.Rollup, c.matcher, workers)
@@ -153,9 +181,8 @@ func (r *Result) Rows() int64 {
 	return r.roll.Total()
 }
 
-// Doc ranks and renders the result. The document is byte-identical at
-// any worker count and byte-identical to ExecuteEvents over the same
-// stream.
+// Doc ranks the result and builds the document. It is equal at any
+// worker count and equal to FoldEvents' over the same stream.
 func (r *Result) Doc() Doc {
 	doc := Doc{Query: r.query}
 	if r.top != nil {
@@ -179,28 +206,23 @@ func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers 
 	return res.Doc(), nil
 }
 
-// ExecuteEvents is the naive reference: materialize the whole stream,
+// FoldEvents is the naive reference: materialize the whole stream,
 // filter it event by event through the same matcher, fold what is left
-// as a plain event slice under no matcher — no segment, bitmap, worker
-// merge or count-first pass — and render. Every compiled plan must
+// as a plain event slice under no matcher, every key kept — no segment,
+// bitmap, worker merge or count-first pass. Every compiled plan must
 // byte-match it.
-func (c *Compiled) ExecuteEvents(events []console.Event) (Doc, error) {
+func (c *Compiled) FoldEvents(events []console.Event) (*Result, error) {
 	kept := make([]console.Event, 0, len(events))
 	for _, e := range events {
 		if c.matcher.MatchEvent(e) {
 			kept = append(kept, e)
 		}
 	}
-	res, err := (&Compiled{plan: c.plan, query: c.query}).Fold(nil, kept, 1, true)
-	if err != nil {
-		return Doc{}, err
-	}
-	defer res.Release()
-	return res.Doc(), nil
+	return (&Compiled{plan: c.plan, query: c.query}).fold(nil, kept, 1, true)
 }
 
-// Run parses, compiles and executes q in one call — what the /query
-// handler and titanreport -query both do.
+// Run parses, compiles and executes q in one call: the answer /query
+// and titanreport -query render, as a struct.
 func Run(q string, segs []*store.Segment, tail []console.Event, workers int) (Doc, error) {
 	plan, err := Parse(q)
 	if err != nil {

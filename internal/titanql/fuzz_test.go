@@ -2,7 +2,6 @@ package titanql_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"titanre/internal/titanql"
@@ -81,18 +80,18 @@ func FuzzTitanQLEquivalence(f *testing.F) {
 			return // bad glob or cage — rejected at compile, fine
 		}
 		fx := qlFixture()
-		want, err := c.ExecuteEvents(fx.all)
+		naive, err := c.FoldEvents(fx.all)
 		if err != nil {
-			t.Fatalf("ExecuteEvents(%q): %v", q, err)
+			t.Fatalf("FoldEvents(%q): %v", q, err)
 		}
-		got, err := c.Execute(fx.segs, fx.tail, 3)
+		res, err := c.Fold(fx.segs, fx.tail, 3, false)
 		if err != nil {
-			t.Fatalf("Execute(%q): %v", q, err)
+			t.Fatalf("Fold(%q): %v", q, err)
 		}
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(want)
-		if !bytes.Equal(gj, wj) {
-			t.Fatalf("query %q: compiled plan diverges from naive fold\ngot:  %s\nwant: %s", q, gj, wj)
+		// What is served — the result rendering itself — against
+		// encoding/json over the naive fold's document.
+		if got, want := res.AppendJSON(nil), indented(t, naive.Doc()); !bytes.Equal(got, want) {
+			t.Fatalf("query %q: compiled plan diverges from naive fold\ngot:  %s\nwant: %s", q, got, want)
 		}
 	})
 }

@@ -4,17 +4,16 @@ import (
 	"fmt"
 
 	"titanre/internal/console"
-	"titanre/internal/jsonw"
 	"titanre/internal/store"
 )
 
 // Cluster-side query execution. A router fanning one query out to N
 // replicas cannot merge rendered Docs — rank truncation and string
-// rendering are only valid after the global fold. Result.Partial is the
-// replica's half: the folded accumulator exported raw, unranked and
-// unrendered. MergePartials is the router's: fold the partials back into
-// one Result with the store Merge kernels, then Doc — the same rank and
-// render a single Execute ends in.
+// rendering are only valid after the global fold. A Result folded as a
+// partial is the replica's half: the accumulator rendered raw, unranked
+// (Result.Partial is the same thing as a struct). Merge is the router's:
+// fold the partials back into one Result with the store Merge kernels —
+// which then ranks and renders as a single daemon's does.
 // For rows partitioned across replicas in any way, the merged Doc is
 // byte-identical to Execute over the union — the cluster face of the
 // standing equivalence gate.
@@ -28,12 +27,6 @@ type Partial struct {
 	Rollup    *store.RollupPartial `json:"rollup,omitempty"`
 	Top       *store.TopPartial    `json:"top,omitempty"`
 }
-
-// AppendJSON renders the partial as encoding/json would.
-func (p Partial) AppendJSON(dst []byte) []byte { return jsonw.Append(dst, p) }
-
-// WriteJSON writes the partial as one value.
-func (p Partial) WriteJSON(w *jsonw.W) { writeEnvelope(w, p.Query, p.RankedTop, p.Rollup, p.Top) }
 
 // Partial exports the result's unrendered, unranked accumulator.
 func (r *Result) Partial() Partial {
@@ -59,20 +52,20 @@ func (c *Compiled) ExecutePartial(segs []*store.Segment, tail []console.Event, w
 	return res.Partial(), nil
 }
 
-// MergePartials folds per-replica partials of one query into the final
-// document. All partials must agree on the query and plan kind (they
-// were produced by the same compiled plan on every replica); ranking is
-// applied after the merge, which is the only point it is sound.
-func MergePartials(parts []Partial) (Doc, error) {
+// Merge folds per-replica partials of one query into one Result. All
+// partials must agree on the query and plan kind (they were produced by
+// the same compiled plan on every replica); ranking is applied when the
+// Result renders, after the merge, which is the only point it is sound.
+func Merge(parts []Partial) (*Result, error) {
 	if len(parts) == 0 {
-		return Doc{}, fmt.Errorf("titanql: merge: no partials")
+		return nil, fmt.Errorf("titanql: merge: no partials")
 	}
 	first := parts[0]
 	tops := make([]store.TopPartial, 0, len(parts))
 	rolls := make([]store.RollupPartial, 0, len(parts))
 	for i, p := range parts {
 		if p.Query != first.Query || p.RankedTop != first.RankedTop {
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d answers %q (rank bound %d), not %q (%d)", i, p.Query, p.RankedTop, first.Query, first.RankedTop)
+			return nil, fmt.Errorf("titanql: merge: partial %d answers %q (rank bound %d), not %q (%d)", i, p.Query, p.RankedTop, first.Query, first.RankedTop)
 		}
 		switch {
 		case p.Top != nil && first.Top != nil:
@@ -80,7 +73,7 @@ func MergePartials(parts []Partial) (Doc, error) {
 		case p.Rollup != nil && first.Rollup != nil:
 			rolls = append(rolls, *p.Rollup)
 		default:
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d carries no accumulator of the plan's kind", i)
+			return nil, fmt.Errorf("titanql: merge: partial %d carries no accumulator of the plan's kind", i)
 		}
 	}
 	res := &Result{query: first.Query, rankK: first.RankedTop}
@@ -91,7 +84,16 @@ func MergePartials(parts []Partial) (Doc, error) {
 		res.roll, err = store.MergeRollupPartials(rolls)
 	}
 	if err != nil {
-		return Doc{}, fmt.Errorf("titanql: merge: %w", err)
+		return nil, fmt.Errorf("titanql: merge: %w", err)
+	}
+	return res, nil
+}
+
+// MergePartials is Merge then Doc: the merged document as a struct.
+func MergePartials(parts []Partial) (Doc, error) {
+	res, err := Merge(parts)
+	if err != nil {
+		return Doc{}, err
 	}
 	defer res.Release()
 	return res.Doc(), nil

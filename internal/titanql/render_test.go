@@ -23,9 +23,11 @@ func indented(t *testing.T, v any) []byte {
 
 // TestAppendJSONMatchesEncodingJSON: for the whole equivalence mix — both
 // plan kinds, ranked and not, empty results, rank bounds past the key
-// count, the adversarial rows — the rendered document and the replica
-// partial append the bytes encoding/json writes for them. The query echo
-// is where escaping bites: a quoted cname carries \" into it.
+// count, the adversarial rows — every face a Result renders is the bytes
+// encoding/json writes for the struct it names: the document for Doc, the
+// bare store document for what is inside it (with and without a code
+// echo), the replica partial for Partial. The query echo is where
+// escaping bites: a quoted cname carries \" into it.
 func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	fx := qlFixture()
 	queries := append(equivalenceQueries(fx.mid),
@@ -42,17 +44,36 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", q, err)
 		}
-		res, err := c.Fold(fx.segs, fx.tail, 1, true)
-		if err != nil {
-			t.Fatalf("Fold(%q): %v", q, err)
+		fold := func(partial bool) *titanql.Result {
+			res, err := c.Fold(fx.segs, fx.tail, 1, partial)
+			if err != nil {
+				t.Fatalf("Fold(%q): %v", q, err)
+			}
+			return res
 		}
-		doc, part := res.Doc(), res.Partial()
-		if got, want := doc.AppendJSON(nil), indented(t, doc); !bytes.Equal(got, want) {
-			t.Fatalf("query %q: Doc.AppendJSON diverges from encoding/json\ngot:  %.2000s\nwant: %.2000s", q, got, want)
+		same := func(face string, res *titanql.Result, want any) {
+			t.Helper()
+			if got, want := res.AppendJSON([]byte("prefix")), append([]byte("prefix"), indented(t, want)...); !bytes.Equal(got, want) {
+				t.Fatalf("query %q: the rendered %s diverges from encoding/json\ngot:  %.2000s\nwant: %.2000s", q, face, got, want)
+			}
 		}
-		if got, want := part.AppendJSON(nil), indented(t, part); !bytes.Equal(got, want) {
-			t.Fatalf("query %q: Partial.AppendJSON diverges from encoding/json\ngot:  %.2000s\nwant: %.2000s", q, got, want)
+		res, part := fold(false), fold(true)
+		doc := res.Doc()
+		same("document", res, doc)
+		same("partial", part, part.Partial())
+		for _, code := range []string{"", "48", "nonsense"} {
+			res.Bare(code)
+			echo := map[string]string{"48": "XID 48"}[code]
+			if doc.Top != nil {
+				doc.Top.Code = echo
+				same("bare ranking", res, doc.Top)
+			} else {
+				doc.Rollup.Code = echo
+				same("bare rollup", res, doc.Rollup)
+			}
 		}
+		part.Bare("48")
+		same("partial, asked bare", part, part.Partial())
 		escaped = escaped || strings.Contains(doc.Query, `"`)
 	}
 	if !escaped {

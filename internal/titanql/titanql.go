@@ -20,7 +20,7 @@
 // onto the store kernels: the filter becomes a store.Matcher (per-code
 // bitmaps intersected with node-mask and time-range bitmaps inside
 // sealed segments), the stages a RollupSpec or TopSpec, and Execute
-// runs them segment-parallel. ExecuteEvents is the deliberately naive
+// runs them segment-parallel. FoldEvents is the deliberately naive
 // reference — materialize, filter event-by-event, fold — that every
 // compiled plan must byte-match.
 package titanql

@@ -245,10 +245,11 @@ func TestExecuteMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", q, err)
 		}
-		want, err := c.ExecuteEvents(fx.all)
+		naive, err := c.FoldEvents(fx.all)
 		if err != nil {
-			t.Fatalf("ExecuteEvents(%q): %v", q, err)
+			t.Fatalf("FoldEvents(%q): %v", q, err)
 		}
+		want := naive.Doc()
 		wantJSON := mustJSON(t, want)
 		for _, workers := range []int{1, 2, 5, 0} {
 			got, err := c.Execute(fx.segs, fx.tail, workers)
@@ -258,6 +259,14 @@ func TestExecuteMatchesNaive(t *testing.T) {
 			if gotJSON := mustJSON(t, got); !bytes.Equal(gotJSON, wantJSON) {
 				t.Fatalf("query %q workers=%d: compiled plan diverges from naive fold\ngot:  %s\nwant: %s",
 					q, workers, gotJSON, wantJSON)
+			}
+			// And what is served: the result rendering itself.
+			res, err := c.Fold(fx.segs, fx.tail, workers, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.AppendJSON(nil), indented(t, want)) {
+				t.Fatalf("query %q workers=%d: the rendered result diverges from the naive fold's document", q, workers)
 			}
 		}
 		// Run is the same three steps fused.

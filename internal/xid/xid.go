@@ -334,13 +334,19 @@ func SoftwareTable() []Info {
 // String renders the code. Real XIDs print as "XID n"; synthetic codes
 // print their conventional abbreviations.
 func (c Code) String() string {
+	var buf [24]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends the code's String to dst.
+func (c Code) Append(dst []byte) []byte {
 	switch c {
 	case SingleBitError:
-		return "SBE"
+		return append(dst, "SBE"...)
 	case OffTheBus:
-		return "OTB"
+		return append(dst, "OTB"...)
 	default:
-		return fmt.Sprintf("XID %d", int(c))
+		return strconv.AppendInt(append(dst, "XID "...), int64(c), 10)
 	}
 }
 

@@ -15,9 +15,12 @@
 #   go test ./...), then only what adds a run to that: the GOMAXPROCS=2
 #   determinism runs, the -count=2 soaks of the concurrent pipelines,
 #   the crash-recovery soak (kill at every failpoint), a full-horizon
-#   simulation, and short fuzz smokes of the console parser, the batch
-#   splitter, the titanql parser (grammar round-trip + plan equivalence),
-#   the JSON writer (vs encoding/json) and the fleet fault schedules.
+#   simulation, one iteration of each in-process instrument (the eight
+#   read shapes and the 13-request round on one daemon, the write path,
+#   the router's merged reads over three replicas), and short fuzz smokes
+#   of the console parser, the batch splitter, the titanql parser (grammar
+#   round-trip + plan equivalence), the JSON writer (vs encoding/json)
+#   and the fleet fault schedules.
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -56,8 +59,11 @@ echo "== crash-recovery soak (kill at every failpoint, scripts/crash.sh)"
 echo "== benchmark smoke (full-period simulation, one iteration)"
 go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
 
-echo "== read-path benchmark smoke (the five query_sealed fold shapes in process, one iteration)"
+echo "== read-path benchmark smoke (query_sealed's eight shapes and its round in process, one iteration)"
 go test ./internal/serve -run '^$' -bench 'BenchmarkReadShapes$' -benchtime 1x -cpu 1
+
+echo "== merged-read benchmark smoke (router + 3 replicas in process, one iteration)"
+go test ./internal/router -run '^$' -bench 'BenchmarkMergedReads$' -benchtime 1x -cpu 1
 
 echo "== write-path benchmark smoke (64 batches to applied on a fresh journaled daemon, one iteration)"
 go test ./internal/serve -run '^$' -bench 'BenchmarkWritePath$' -benchtime 1x -cpu 1
