@@ -9,8 +9,8 @@
 //	titand [-addr :9123] [-queue N]
 //	       [-train console.log] [-min-support N] [-min-confidence F]
 //	       [-snapshot DIR] [-no-retain] [-warm-dir DIR]
-//	       [-compact-dir DIR] [-compact-interval D] [-compact-age D]
-//	       [-compact-min N] [-journal] [-journal-fsync POLICY]
+//	       [-compact-interval D] [-compact-age D] [-compact-min N]
+//	       [-journal] [-journal-fsync POLICY]
 //	       [-journal-sync-interval D] [-journal-rotate-bytes N]
 //	       [-failpoints SPEC] [-list-failpoints] [-pprof ADDR]
 //
@@ -58,17 +58,16 @@
 // (scripts/crash.sh) to kill the daemon at every storage boundary and
 // assert recovery.
 //
-// With -compact-dir the daemon runs with bounded memory: a background
-// loop periodically seals retained events older than -compact-age into
-// columnar segments on disk and drops them from the heap; /history and
-// the shutdown snapshot read sealed and retained state together, so
-// nothing is lost. -warm-dir DIR is the one-flag state directory: the
-// shutdown snapshot goes to DIR, segments to DIR/segments, and at boot
-// any history found there is replayed so the daemon resumes with its
-// windows, retirement machines, alert and precursor state exactly as
-// the previous incarnation left them. A missing directory is a cold
-// start, so the same command line works on first boot and every
-// restart.
+// -warm-dir DIR is the one-flag state directory: the shutdown snapshot
+// goes to DIR, segments to DIR/segments, and at boot any history found
+// there is replayed so the daemon resumes with its windows, retirement
+// machines, alert and precursor state exactly as the previous
+// incarnation left them. A missing directory is a cold start, so the
+// same command line works on first boot and every restart. With it the
+// daemon runs with bounded memory: a background loop periodically seals
+// retained events older than -compact-age into columnar segments on
+// disk and drops them from the heap; /history and the shutdown snapshot
+// read sealed and retained state together, so nothing is lost.
 package main
 
 import (
@@ -100,12 +99,10 @@ func main() {
 	snapshot := flag.String("snapshot", "", "directory for the dataset snapshot written on shutdown")
 	noRetain := flag.Bool("no-retain", false, "do not retain applied events (disables -snapshot, caps memory)")
 	warmDir := flag.String("warm-dir", "", "state directory: replay its history at boot, snapshot to it and compact into its segments subdirectory")
-	compactDir := flag.String("compact-dir", "", "seal aged retained events into columnar segments under this directory (default <warm-dir>/segments)")
 	compactInterval := flag.Duration("compact-interval", 0, "background compaction period (0 = default 1m)")
 	compactAge := flag.Duration("compact-age", 0, "events older than this, by stream time, are sealed (0 = default 10m)")
 	compactMin := flag.Int("compact-min", 0, "minimum sealable events before a compaction runs (0 = default 1024)")
 	journal := flag.Bool("journal", false, "write-ahead journal applied events under <warm-dir>/journal (crash safety; requires -warm-dir)")
-	journalDir := flag.String("journal-dir", "", "journal directory (default <warm-dir>/journal; implies -journal)")
 	journalFsync := flag.String("journal-fsync", "", "journal fsync policy: always, interval, off (default interval)")
 	journalSyncInterval := flag.Duration("journal-sync-interval", 0, "interval-policy fsync cadence (0 = default 100ms)")
 	journalRotateBytes := flag.Int64("journal-rotate-bytes", 0, "rotate journal files past this size (0 = default 4MiB)")
@@ -136,7 +133,6 @@ func main() {
 	}
 	cfg.SnapshotDir = *snapshot
 	cfg.RetainEvents = !*noRetain
-	cfg.CompactDir = *compactDir
 	cfg.CompactInterval = *compactInterval
 	cfg.CompactAge = *compactAge
 	cfg.CompactMin = *compactMin
@@ -144,27 +140,19 @@ func main() {
 		if cfg.SnapshotDir == "" {
 			cfg.SnapshotDir = *warmDir
 		}
-		if cfg.CompactDir == "" {
-			cfg.CompactDir = filepath.Join(*warmDir, dataset.SegmentsDir)
-		}
+		cfg.CompactDir = filepath.Join(*warmDir, dataset.SegmentsDir)
 	}
-	if *journal || *journalDir != "" {
+	if *journal {
 		if *warmDir == "" {
 			fatal(fmt.Errorf("-journal needs -warm-dir (the journal lives in the state directory and replays at boot)"))
 		}
-		cfg.JournalDir = *journalDir
-		if cfg.JournalDir == "" {
-			cfg.JournalDir = filepath.Join(*warmDir, "journal")
-		}
+		cfg.JournalDir = filepath.Join(*warmDir, "journal")
 		cfg.JournalFsync = *journalFsync
 		cfg.JournalSyncInterval = *journalSyncInterval
 		cfg.JournalRotateBytes = *journalRotateBytes
 	}
 	if cfg.SnapshotDir != "" && !cfg.RetainEvents {
 		fatal(fmt.Errorf("-snapshot needs retained events; drop -no-retain"))
-	}
-	if cfg.CompactDir != "" && !cfg.RetainEvents {
-		fatal(fmt.Errorf("-compact-dir needs retained events; drop -no-retain"))
 	}
 
 	if *train != "" {

@@ -1,13 +1,11 @@
 package router
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"titanre/internal/jsonw"
+	"titanre/internal/serve"
 )
 
 // Router observability: /stats (JSON), /metrics (Prometheus text) and
@@ -18,40 +16,42 @@ import (
 
 // SourceStats is one feed's exact account at the router.
 type SourceStats struct {
-	OfferedBatches  uint64 `json:"offered_batches"`
-	AcceptedBatches uint64 `json:"accepted_batches"`
-	ShedBatches     uint64 `json:"shed_batches"`
-	FailedBatches   uint64 `json:"failed_batches"`
-	OfferedLines    uint64 `json:"offered_lines"`
-	AcceptedLines   uint64 `json:"accepted_lines"`
-	ShedLines       uint64 `json:"shed_lines"`
-	FailedLines     uint64 `json:"failed_lines"`
-	InflightLines   int64  `json:"inflight_lines"`
+	OfferedBatches  uint64 `json:"offered_batches" prom:"source_batches_offered_total" help:"Batches offered per source."`
+	AcceptedBatches uint64 `json:"accepted_batches" prom:"source_batches_accepted_total" help:"Batches fully delivered per source."`
+	ShedBatches     uint64 `json:"shed_batches" prom:"source_batches_shed_total" help:"Batches shed per source by QoS."`
+	FailedBatches   uint64 `json:"failed_batches" prom:"source_batches_failed_total" help:"Batches with undelivered lines per source."`
+	OfferedLines    uint64 `json:"offered_lines" prom:"source_lines_offered_total" help:"Lines offered per source."`
+	AcceptedLines   uint64 `json:"accepted_lines" prom:"source_lines_accepted_total" help:"Lines delivered per source."`
+	ShedLines       uint64 `json:"shed_lines" prom:"source_lines_shed_total" help:"Lines shed per source by QoS."`
+	FailedLines     uint64 `json:"failed_lines" prom:"source_lines_failed_total" help:"Lines undelivered per source."`
+	InflightLines   int64  `json:"inflight_lines" prom:"source_inflight_lines" help:"Lines per source admitted and not yet answered."`
 }
 
-// Stats is the GET /stats document.
+// Stats is the GET /stats document; /metrics renders the same value
+// through serve.AppendMetrics, so each field's tags are the only
+// declaration of its series.
 type Stats struct {
-	UptimeSeconds    float64                `json:"uptime_seconds"`
-	Replicas         []string               `json:"replicas"`
-	SourceShareLines int                    `json:"source_share_lines"`
-	BatchesOffered   uint64                 `json:"batches_offered"`
-	BatchesAccepted  uint64                 `json:"batches_accepted"`
-	BatchesShed      uint64                 `json:"batches_shed"`
-	BatchesFailed    uint64                 `json:"batches_failed"`
-	BatchesRejected  uint64                 `json:"batches_rejected"`
-	LinesOffered     uint64                 `json:"lines_offered"`
-	LinesDelivered   uint64                 `json:"lines_delivered"`
-	LinesShed        uint64                 `json:"lines_shed"`
-	LinesFailed      uint64                 `json:"lines_failed"`
-	SubBatches       uint64                 `json:"sub_batches"`
-	DeliverRetries   uint64                 `json:"deliver_retries"`
-	DupsAbsorbed     uint64                 `json:"duplicates_absorbed"`
-	ReadFanouts      uint64                 `json:"read_fanouts"`
-	ReadErrors       uint64                 `json:"read_errors"`
-	MergedAlerts     uint64                 `json:"merged_alerts"`
-	DegradedAlerts   uint64                 `json:"degraded_alerts"`
-	MergedQueries    uint64                 `json:"merged_queries"`
-	Sources          map[string]SourceStats `json:"sources,omitempty"`
+	UptimeSeconds    float64                `json:"uptime_seconds" prom:"uptime_seconds" help:"Seconds since the router started."`
+	Replicas         []string               `json:"replicas" prom:"replicas" help:"Configured replica count."`
+	SourceShareLines int                    `json:"source_share_lines" prom:"source_share_lines" help:"Lines one source may hold in flight before QoS sheds it."`
+	BatchesOffered   uint64                 `json:"batches_offered" prom:"batches_offered_total" help:"Client batches offered to /ingest."`
+	BatchesAccepted  uint64                 `json:"batches_accepted" prom:"batches_accepted_total" help:"Batches fully delivered to replicas."`
+	BatchesShed      uint64                 `json:"batches_shed" prom:"batches_shed_total" help:"Batches shed by per-source QoS."`
+	BatchesFailed    uint64                 `json:"batches_failed" prom:"batches_failed_total" help:"Batches with undelivered lines."`
+	BatchesRejected  uint64                 `json:"batches_rejected" prom:"batches_rejected_total" help:"Malformed or oversized batches."`
+	LinesOffered     uint64                 `json:"lines_offered" prom:"lines_offered_total" help:"Lines offered to /ingest."`
+	LinesDelivered   uint64                 `json:"lines_delivered" prom:"lines_delivered_total" help:"Lines delivered to replicas."`
+	LinesShed        uint64                 `json:"lines_shed" prom:"lines_shed_total" help:"Lines shed by per-source QoS."`
+	LinesFailed      uint64                 `json:"lines_failed" prom:"lines_failed_total" help:"Lines undelivered within the timeout."`
+	SubBatches       uint64                 `json:"sub_batches" prom:"sub_batches_total" help:"Per-replica sub-batches sent."`
+	DeliverRetries   uint64                 `json:"deliver_retries" prom:"deliver_retries_total" help:"Delivery retries against 429/503/connection errors."`
+	DupsAbsorbed     uint64                 `json:"duplicates_absorbed" prom:"duplicates_absorbed_total" help:"Retried sub-batches a replica acknowledged as already applied."`
+	ReadFanouts      uint64                 `json:"read_fanouts" prom:"read_fanouts_total" help:"Read-side fan-outs."`
+	ReadErrors       uint64                 `json:"read_errors" prom:"read_errors_total" help:"Read-side fan-out failures."`
+	MergedAlerts     uint64                 `json:"merged_alerts" prom:"merged_alerts_total" help:"Merged /alerts responses."`
+	DegradedAlerts   uint64                 `json:"degraded_alerts" prom:"degraded_alerts_total" help:"Merged /alerts responses marked degraded."`
+	MergedQueries    uint64                 `json:"merged_queries" prom:"merged_queries_total" help:"Merged /rollup, /top and /query responses."`
+	Sources          map[string]SourceStats `json:"sources,omitempty" prom:"{source}"`
 }
 
 // StatsNow snapshots the router counters.
@@ -115,77 +115,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
-// handleMetrics renders the counters in Prometheus text exposition
-// format, mirroring titand's /metrics idiom.
+// handleMetrics renders the /stats snapshot as Prometheus text, through
+// the writer titand's /metrics uses.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(metricsText(rt.StatsNow())))
+	_, _ = w.Write(serve.AppendMetrics(nil, metricsPrefix, rt.StatsNow()))
 }
 
-// metricsText renders one /stats snapshot as /metrics: every numeric
-// figure of Stats and of each SourceStats is a series
-// (TestRouterStatsMetricsParity).
-func metricsText(st Stats) string {
-	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("titanrouter_uptime_seconds", "Seconds since the router started.", st.UptimeSeconds)
-	gauge("titanrouter_replicas", "Configured replica count.", float64(len(st.Replicas)))
-	gauge("titanrouter_source_share_lines", "Lines one source may hold in flight before QoS sheds it.", float64(st.SourceShareLines))
-	counter("titanrouter_batches_offered_total", "Client batches offered to /ingest.", st.BatchesOffered)
-	counter("titanrouter_batches_accepted_total", "Batches fully delivered to replicas.", st.BatchesAccepted)
-	counter("titanrouter_batches_shed_total", "Batches shed by per-source QoS.", st.BatchesShed)
-	counter("titanrouter_batches_failed_total", "Batches with undelivered lines.", st.BatchesFailed)
-	counter("titanrouter_batches_rejected_total", "Malformed or oversized batches.", st.BatchesRejected)
-	counter("titanrouter_lines_offered_total", "Lines offered to /ingest.", st.LinesOffered)
-	counter("titanrouter_lines_delivered_total", "Lines delivered to replicas.", st.LinesDelivered)
-	counter("titanrouter_lines_shed_total", "Lines shed by per-source QoS.", st.LinesShed)
-	counter("titanrouter_lines_failed_total", "Lines undelivered within the timeout.", st.LinesFailed)
-	counter("titanrouter_sub_batches_total", "Per-replica sub-batches sent.", st.SubBatches)
-	counter("titanrouter_deliver_retries_total", "Delivery retries against 429/503/connection errors.", st.DeliverRetries)
-	counter("titanrouter_duplicates_absorbed_total", "Retried sub-batches a replica acknowledged as already applied.", st.DupsAbsorbed)
-	counter("titanrouter_read_fanouts_total", "Read-side fan-outs.", st.ReadFanouts)
-	counter("titanrouter_read_errors_total", "Read-side fan-out failures.", st.ReadErrors)
-	counter("titanrouter_merged_alerts_total", "Merged /alerts responses.", st.MergedAlerts)
-	counter("titanrouter_degraded_alerts_total", "Merged /alerts responses marked degraded.", st.DegradedAlerts)
-	counter("titanrouter_merged_queries_total", "Merged /rollup, /top and /query responses.", st.MergedQueries)
-	if len(st.Sources) > 0 {
-		names := make([]string, 0, len(st.Sources))
-		for name := range st.Sources {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		srcCounter := func(name, help string, value func(SourceStats) uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, src := range names {
-				fmt.Fprintf(&b, "%s{source=%q} %d\n", name, src, value(st.Sources[src]))
-			}
-		}
-		srcCounter("titanrouter_source_lines_offered_total", "Lines offered per source.",
-			func(s SourceStats) uint64 { return s.OfferedLines })
-		srcCounter("titanrouter_source_lines_accepted_total", "Lines delivered per source.",
-			func(s SourceStats) uint64 { return s.AcceptedLines })
-		srcCounter("titanrouter_source_lines_shed_total", "Lines shed per source by QoS.",
-			func(s SourceStats) uint64 { return s.ShedLines })
-		srcCounter("titanrouter_source_lines_failed_total", "Lines undelivered per source.",
-			func(s SourceStats) uint64 { return s.FailedLines })
-		srcCounter("titanrouter_source_batches_offered_total", "Batches offered per source.",
-			func(s SourceStats) uint64 { return s.OfferedBatches })
-		srcCounter("titanrouter_source_batches_accepted_total", "Batches fully delivered per source.",
-			func(s SourceStats) uint64 { return s.AcceptedBatches })
-		srcCounter("titanrouter_source_batches_shed_total", "Batches shed per source by QoS.",
-			func(s SourceStats) uint64 { return s.ShedBatches })
-		srcCounter("titanrouter_source_batches_failed_total", "Batches with undelivered lines per source.",
-			func(s SourceStats) uint64 { return s.FailedBatches })
-		const inflight = "titanrouter_source_inflight_lines"
-		fmt.Fprintf(&b, "# HELP %s Lines per source admitted and not yet answered.\n# TYPE %s gauge\n", inflight, inflight)
-		for _, src := range names {
-			fmt.Fprintf(&b, "%s{source=%q} %d\n", inflight, src, st.Sources[src].InflightLines)
-		}
-	}
-	return b.String()
-}
+// metricsPrefix starts every titanrouter series name.
+const metricsPrefix = "titanrouter_"

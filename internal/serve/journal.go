@@ -108,13 +108,13 @@ type JournalReplay struct {
 // JournalStats is a point-in-time counter snapshot for /stats and
 // /metrics.
 type JournalStats struct {
-	NextSeq        uint64
-	Appends        uint64
-	AppendFailures uint64
-	Syncs          uint64
-	Rotations      uint64
-	FilesRemoved   uint64
-	Wedged         bool
+	NextSeq        uint64 `prom:"journal_next_seq" help:"Global sequence the next journaled event receives."`
+	Appends        uint64 `prom:"journal_appends_total" help:"Events framed into the write-ahead journal."`
+	AppendFailures uint64 `prom:"journal_append_failures_total" help:"Events applied but not journaled because the journal was wedged by an I/O failure."`
+	Syncs          uint64 `prom:"journal_syncs_total" help:"Journal fsync calls (policy-dependent)."`
+	Rotations      uint64 `prom:"journal_rotations_total" help:"Journal file rotations."`
+	FilesRemoved   uint64 `prom:"journal_files_removed_total" help:"Journal files deleted after the sealed floor covered them."`
+	Wedged         bool   `prom:"journal_wedged" help:"1 while the journal is wedged by an append failure (recovers at the next rotation)."`
 }
 
 type walFile struct {

@@ -25,6 +25,7 @@ import (
 	"net/url"
 	runtimemetrics "runtime/metrics"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -501,8 +502,11 @@ const (
 // SourceSlot returns table's record for a client-chosen source name,
 // making it on first sight; once MaxSources names are tracked, every new
 // one gets OverflowSource's. It returns the name the record is under. The
-// caller holds the table's lock.
+// caller holds the table's lock. Invalid UTF-8 in the name is U+FFFD
+// here, as /stats and /metrics both spell it, so two names that render
+// alike share one record instead of rendering as two.
 func SourceSlot[T any](table map[string]*T, name string) (string, *T) {
+	name = strings.ToValidUTF8(name, "\uFFFD")
 	rec := table[name]
 	if rec == nil && len(table) >= MaxSources {
 		name = OverflowSource
@@ -537,12 +541,12 @@ func (s *Server) bookSource(source string, lines int, accepted bool) {
 
 // SourceStats is the per-source slice of /stats.
 type SourceStats struct {
-	OfferedBatches  uint64 `json:"offered_batches"`
-	AcceptedBatches uint64 `json:"accepted_batches"`
-	ShedBatches     uint64 `json:"shed_batches"`
-	OfferedLines    uint64 `json:"offered_lines"`
-	AcceptedLines   uint64 `json:"accepted_lines"`
-	ShedLines       uint64 `json:"shed_lines"`
+	OfferedBatches  uint64 `json:"offered_batches" prom:"source_batches_offered_total" help:"Batches offered per source."`
+	AcceptedBatches uint64 `json:"accepted_batches" prom:"source_batches_accepted_total" help:"Batches admitted per source."`
+	ShedBatches     uint64 `json:"shed_batches" prom:"source_batches_shed_total" help:"Batches shed per source."`
+	OfferedLines    uint64 `json:"offered_lines" prom:"source_lines_offered_total" help:"Console lines offered by each X-Titan-Source feed."`
+	AcceptedLines   uint64 `json:"accepted_lines" prom:"source_lines_accepted_total" help:"Console lines admitted per source."`
+	ShedLines       uint64 `json:"shed_lines" prom:"source_lines_shed_total" help:"Console lines shed per source (exact; offered = accepted + shed)."`
 }
 
 // sourceStats snapshots the per-source accounting.
@@ -761,91 +765,91 @@ func (s *Server) handleWarnings(w http.ResponseWriter, r *http.Request) {
 }
 
 // Stats is the one gather of titand's figures: /stats serves it as JSON
-// and /metrics renders the same value as Prometheus series, so every
-// figure is on both faces.
+// and /metrics renders the same value through AppendMetrics, so each
+// field's tags are the only declaration of its series.
 type Stats struct {
-	UptimeSeconds   float64        `json:"uptime_seconds"`
-	Draining        bool           `json:"draining"`
-	BatchesAccepted uint64         `json:"batches_accepted"`
-	BatchesShed     uint64         `json:"batches_shed"`
-	BatchesRejected uint64         `json:"batches_rejected"`
-	LinesAccepted   uint64         `json:"lines_accepted"`
-	LinesShed       uint64         `json:"lines_shed"`
-	Events          uint64         `json:"events_decoded"`
-	EventsApplied   uint64         `json:"events_applied"`
-	Chatter         uint64         `json:"lines_chatter"`
-	Malformed       uint64         `json:"lines_malformed"`
-	Oversized       uint64         `json:"lines_oversized"`
-	FastHits        uint64         `json:"decode_fast_hits"`
-	FastFallbacks   uint64         `json:"decode_fast_fallbacks"`
-	AlertsRaised    uint64         `json:"alerts_raised"`
-	WarningsIssued  uint64         `json:"warnings_issued"`
-	QueueDepth      int            `json:"queue_depth"`
-	QueueCapacity   int            `json:"queue_capacity"`
-	NodesTracked    int            `json:"nodes_tracked"`
-	CardsTracked    int            `json:"cards_tracked"`
+	UptimeSeconds   float64        `json:"uptime_seconds" prom:"uptime_seconds" help:"Seconds since the service started."`
+	Draining        bool           `json:"draining" prom:"draining" help:"1 while the server is draining toward shutdown."`
+	BatchesAccepted uint64         `json:"batches_accepted" prom:"ingest_batches_accepted_total" help:"POST /ingest bodies admitted: decoded and queued for the applier."`
+	BatchesShed     uint64         `json:"batches_shed" prom:"ingest_batches_shed_total" help:"POST /ingest bodies rejected with 429 because the queue was full."`
+	BatchesRejected uint64         `json:"batches_rejected" prom:"ingest_batches_rejected_total" help:"POST /ingest bodies rejected as malformed (wrong method, oversized body, read error)."`
+	LinesAccepted   uint64         `json:"lines_accepted" prom:"ingest_lines_total" help:"Console lines read out of accepted batches."`
+	LinesShed       uint64         `json:"lines_shed" prom:"ingest_lines_shed_total" help:"Console lines discarded by load shedding (newline count of shed bodies)."`
+	Events          uint64         `json:"events_decoded" prom:"decode_events_total" help:"Lines that decoded into critical-event records."`
+	EventsApplied   uint64         `json:"events_applied" prom:"events_applied_total" help:"Events applied to the online state (global detectors + node shards)."`
+	Chatter         uint64         `json:"lines_chatter" prom:"decode_chatter_total" help:"Lines dropped because no SEC rule matched."`
+	Malformed       uint64         `json:"lines_malformed" prom:"decode_malformed_total" help:"Lines that matched a rule but could not be decoded."`
+	Oversized       uint64         `json:"lines_oversized" prom:"decode_oversized_total" help:"Lines over the 1 MiB record cap, skipped at the line reader."`
+	FastHits        uint64         `json:"decode_fast_hits" prom:"decode_fast_hits_total" help:"Lines decoded on the zero-allocation fast path."`
+	FastFallbacks   uint64         `json:"decode_fast_fallbacks" prom:"decode_fast_fallbacks_total" help:"Lines that left the fast path for the regex fallback."`
+	AlertsRaised    uint64         `json:"alerts_raised" prom:"alerts_raised_total" help:"Operator alerts raised by the streaming detectors."`
+	WarningsIssued  uint64         `json:"warnings_issued" prom:"warnings_issued_total" help:"Precursor warnings issued by the armed prediction rules."`
+	QueueDepth      int            `json:"queue_depth" prom:"queue_depth" help:"Batches admitted and not yet applied."`
+	QueueCapacity   int            `json:"queue_capacity" prom:"queue_capacity" help:"Most batches that may be admitted and not yet applied at once."`
+	NodesTracked    int            `json:"nodes_tracked" prom:"nodes_tracked" help:"Nodes with online reliability state."`
+	CardsTracked    int            `json:"cards_tracked" prom:"cards_tracked" help:"GPU cards with online reliability state."`
 	EventsByCode    map[string]int `json:"events_by_code"`
 
 	// Router-sequenced sub-batches answered without applying them: replays
 	// of a base already taken (202), and bases older than the window (409).
-	BatchesDuplicate uint64 `json:"batches_duplicate"`
-	LinesDuplicate   uint64 `json:"lines_duplicate"`
-	BatchesStaleSeq  uint64 `json:"batches_stale_seq"`
+	BatchesDuplicate uint64 `json:"batches_duplicate" prom:"ingest_batches_duplicate_total" help:"Sequenced sub-batches answered 202 without applying them: replays of a base already taken."`
+	LinesDuplicate   uint64 `json:"lines_duplicate" prom:"ingest_lines_duplicate_total" help:"Console lines in those replays."`
+	BatchesStaleSeq  uint64 `json:"batches_stale_seq" prom:"ingest_batches_stale_seq_total" help:"Sequenced sub-batches refused with 409: a base older than the window of applied bases."`
 	// AlertFeedComplete is /alertfeed's "complete": false once the feed
 	// cannot vouch for a merged /alerts (untagged ingest, a crash restart).
-	AlertFeedComplete bool `json:"alert_feed_complete"`
+	AlertFeedComplete bool `json:"alert_feed_complete" prom:"alert_feed_complete" help:"1 while /alertfeed can vouch for a merged /alerts (0 after untagged ingest or a crash restart)."`
 
 	// IngestStageSeconds is the write path's wall time, stage by stage.
-	IngestStageSeconds StageSeconds `json:"ingest_stage_seconds"`
+	IngestStageSeconds StageSeconds `json:"ingest_stage_seconds" prom:"ingest_stage_seconds_total{stage}" help:"Wall time in each write-path stage (one reading per batch; per compaction pass for seal); over events applied it is the stage's time per event."`
 
 	// Compaction and memory (see internal/store): the retained tail is
 	// what is still hot in memory; sealed figures cover the on-disk
 	// columnar segments.
-	RetainedEvents     int    `json:"retained_events"`
-	SealedSegments     int    `json:"sealed_segments"`
-	SealedEvents       int    `json:"sealed_events"`
-	SealedSegmentBytes int64  `json:"sealed_segment_bytes"`
-	SealedMappedBytes  int64  `json:"sealed_mapped_bytes"`
-	Compactions        uint64 `json:"compactions"`
-	CompactionFailures uint64 `json:"compaction_failures"`
-	CompactionRetries  uint64 `json:"compaction_retries"`
-	EventsSealed       uint64 `json:"events_sealed"`
-	LastCompactionUnix int64  `json:"last_compaction_unix"`
-	HeapInuseBytes     uint64 `json:"heap_inuse_bytes"`
+	RetainedEvents     int    `json:"retained_events" prom:"retained_events" help:"Applied events still held in memory (the unsealed tail)."`
+	SealedSegments     int    `json:"sealed_segments" prom:"sealed_segments" help:"On-disk columnar segments sealed by compaction."`
+	SealedEvents       int    `json:"sealed_events" prom:"sealed_events" help:"Events stored in sealed columnar segments."`
+	SealedSegmentBytes int64  `json:"sealed_segment_bytes" prom:"sealed_segment_bytes" help:"Total on-disk bytes of sealed segment files."`
+	SealedMappedBytes  int64  `json:"sealed_mapped_bytes" prom:"sealed_mapped_bytes" help:"Sealed segment bytes served from read-only file mappings (0 on the heap path)."`
+	Compactions        uint64 `json:"compactions" prom:"compactions_total" help:"Compaction passes that sealed retained events into segments."`
+	CompactionFailures uint64 `json:"compaction_failures" prom:"compaction_failures_total" help:"Compaction passes that failed to seal (events stay retained)."`
+	CompactionRetries  uint64 `json:"compaction_retries" prom:"compaction_retries_total" help:"Chunk seals retried after a transient I/O fault (jittered exponential backoff)."`
+	EventsSealed       uint64 `json:"events_sealed" prom:"events_sealed_total" help:"Events moved from the retained log into on-disk columnar segments."`
+	LastCompactionUnix int64  `json:"last_compaction_unix" prom:"last_compaction_timestamp_seconds" help:"Unix time of the last successful compaction (0 = never)."`
+	HeapInuseBytes     uint64 `json:"heap_inuse_bytes" prom:"heap_inuse_bytes" help:"Go runtime heap bytes in use (runtime.MemStats.HeapInuse)."`
 
 	// Crash recovery: Degraded is true when a warm start had to
 	// quarantine corrupt segments; the quarantine figures are exact
 	// (EventsLost comes from the SEALED floor — the sequence the history
 	// should cover minus what actually loaded).
-	Degraded            bool   `json:"degraded"`
-	QuarantinedSegments int    `json:"quarantined_segments"`
-	QuarantinedBytes    int64  `json:"quarantined_bytes"`
-	EventsLost          uint64 `json:"events_lost_to_quarantine"`
-	OrphansRemoved      int    `json:"orphans_removed"`
-	SealedSeq           uint64 `json:"sealed_seq"`
+	Degraded            bool   `json:"degraded" prom:"degraded" help:"1 when the warm start quarantined corrupt segments; the detector history has counted holes."`
+	QuarantinedSegments int    `json:"quarantined_segments" prom:"quarantined_segments" help:"Corrupt segment files moved aside by the warm start."`
+	QuarantinedBytes    int64  `json:"quarantined_bytes" prom:"quarantined_bytes" help:"On-disk bytes of quarantined segment files."`
+	EventsLost          uint64 `json:"events_lost_to_quarantine" prom:"events_lost_to_quarantine" help:"Exact events inside quarantined segments (from the SEALED floor arithmetic)."`
+	OrphansRemoved      int    `json:"orphans_removed" prom:"orphans_removed" help:"Uncommitted segment temp files the warm start removed."`
+	SealedSeq           uint64 `json:"sealed_seq" prom:"sealed_seq" help:"Global sequence the sealed history durably covers (the SEALED floor)."`
 
 	// Fleet-wide query endpoints.
-	QueryNodeHistory uint64 `json:"query_node_history"`
-	QueryCodeHistory uint64 `json:"query_code_history"`
-	QueryRollup      uint64 `json:"query_rollup"`
-	QueryTop         uint64 `json:"query_top"`
-	Queries          uint64 `json:"queries"`
-	QueryErrors      uint64 `json:"query_errors"`
+	QueryNodeHistory uint64 `json:"query_node_history" prom:"query_node_history_total" help:"Node history queries served (GET /nodes/{cname}/history)."`
+	QueryCodeHistory uint64 `json:"query_code_history" prom:"query_code_history_total" help:"Fleet-wide code history queries served (GET /codes/{xid}/history)."`
+	QueryRollup      uint64 `json:"query_rollup" prom:"query_rollup_total" help:"Time-bucketed rollup queries served (GET /rollup)."`
+	QueryTop         uint64 `json:"query_top" prom:"query_top_total" help:"Top-offender queries served (GET /top)."`
+	Queries          uint64 `json:"queries" prom:"queries_total" help:"titanql plans received on GET /query (accepted or not)."`
+	QueryErrors      uint64 `json:"query_errors" prom:"query_errors_total" help:"GET /query requests rejected at parse, compile or execute."`
 	// Rows /rollup, /top and /query folded and the seconds those folds
 	// took: their quotient is the query kernels' time per row.
-	QueryRowsFolded  uint64  `json:"query_rows_folded"`
-	QueryFoldSeconds float64 `json:"query_fold_seconds"`
+	QueryRowsFolded  uint64  `json:"query_rows_folded" prom:"query_rows_folded_total" help:"Rows folded into accumulators by /rollup, /top and /query."`
+	QueryFoldSeconds float64 `json:"query_fold_seconds" prom:"query_fold_seconds_total" help:"Wall time of those folds (scan and worker merge, before rendering); over rows folded it is the kernels' time per row."`
 	// Seconds spent rendering and sending the self-rendering documents
 	// (rollup, top, query, the two histories) and the bytes they came to.
-	QueryRenderSeconds float64 `json:"query_render_seconds"`
-	QueryRenderBytes   uint64  `json:"query_render_bytes"`
+	QueryRenderSeconds float64 `json:"query_render_seconds" prom:"query_render_seconds_total" help:"Wall time rendering and sending the self-rendering query documents (rollup, top, query, histories); over render bytes it is the render's time per byte."`
+	QueryRenderBytes   uint64  `json:"query_render_bytes" prom:"query_render_bytes_total" help:"Bytes of those documents."`
 
 	// Journal is present when the write-ahead journal is active.
-	Journal *JournalStats `json:"journal,omitempty"`
+	Journal *JournalStats `json:"journal,omitempty" prom:""`
 
 	// Sources is the per-source ingest accounting (batches tagged with
 	// X-Titan-Source); offered == accepted + shed holds per source.
-	Sources map[string]SourceStats `json:"sources,omitempty"`
+	Sources map[string]SourceStats `json:"sources,omitempty" prom:"{source}"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -947,35 +951,26 @@ func heapInuse() uint64 {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// The status header is already out by the time a write can fail.
-	_ = s.metrics.write(w, s.StatsNow())
+	_, _ = w.Write(s.metrics.appendMetrics(nil, s.StatsNow()))
 }
 
+// handleHealthz reads the same snapshot /stats serves. history is the
+// confidence flag a degraded start carries: the daemon is serving, but
+// quarantined segments mean its detector state was rebuilt from a
+// history with counted holes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.lifecycleMu.Lock()
-	draining := s.draining
-	s.lifecycleMu.Unlock()
-	status := "ok"
-	if draining {
-		status = "draining"
-	}
-	// history is the confidence flag a degraded start carries: the
-	// daemon is serving, but quarantined segments mean its detector
-	// state was rebuilt from a history with counted holes.
-	history := "complete"
-	s.recovMu.Lock()
-	if len(s.recovery.Quarantined) > 0 || s.eventsLost > 0 {
-		history = "degraded"
-	}
-	s.recovMu.Unlock()
-	feed := "incomplete"
-	if s.feed != nil && s.feed.complete() {
-		feed = "complete"
+	st := s.StatsNow()
+	pick := func(on bool, yes, no string) string {
+		if on {
+			return yes
+		}
+		return no
 	}
 	s.writeJSON(w, map[string]any{
-		"status":         status,
-		"history":        history,
-		"alert_feed":     feed,
-		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
+		"status":         pick(st.Draining, "draining", "ok"),
+		"history":        pick(st.Degraded, "degraded", "complete"),
+		"alert_feed":     pick(st.AlertFeedComplete, "complete", "incomplete"),
+		"uptime_seconds": st.UptimeSeconds,
 	})
 }
 

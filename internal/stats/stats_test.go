@@ -224,33 +224,6 @@ func TestInterArrivals(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	got := ECDF(x, []float64{0, 1, 2.5, 4, 9})
-	want := []float64{0, 0.25, 0.5, 1, 1}
-	for i := range want {
-		if !almost(got[i], want[i], 1e-12) {
-			t.Fatalf("ECDF = %v, want %v", got, want)
-		}
-	}
-	e := ECDF(nil, []float64{1})
-	if e[0] != 0 {
-		t.Error("empty-sample ECDF should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bounds := []float64{0, 10, 20}
-	counts := Histogram([]float64{-1, 0, 5, 10, 15, 20, 99}, bounds)
-	// [0,10): 0,5 -> 2; [10,20): 10,15 -> 2; overflow: 20,99 -> 2; -1 dropped.
-	if counts[0] != 2 || counts[1] != 2 || counts[2] != 2 {
-		t.Errorf("counts = %v", counts)
-	}
-	if Histogram(nil, []float64{1}) != nil {
-		t.Error("short boundaries should yield nil")
-	}
-}
-
 func TestTopOffenders(t *testing.T) {
 	counts := map[uint64]int64{1: 100, 2: 50, 3: 100, 4: 1}
 	top := TopOffenders(counts, 2)
@@ -296,17 +269,6 @@ func TestTopOffendersSelectionMatchesSort(t *testing.T) {
 				t.Fatalf("k=%d: rank %d is %+v, a full sort puts %+v there", k, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestExcludeKeys(t *testing.T) {
-	counts := map[uint64]int64{1: 100, 2: 50, 3: 10}
-	rest := ExcludeKeys(counts, TopOffenders(counts, 1))
-	if _, there := rest[1]; there {
-		t.Error("top offender not excluded")
-	}
-	if len(rest) != 2 {
-		t.Errorf("rest = %v", rest)
 	}
 }
 

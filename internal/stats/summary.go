@@ -102,49 +102,3 @@ func InterArrivals(times []time.Time) []time.Duration {
 	}
 	return out
 }
-
-// ECDF returns the empirical CDF evaluated at each of the given points for
-// the sample x: the fraction of samples <= point.
-func ECDF(x []float64, points []float64) []float64 {
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = float64(sort.SearchFloat64s(s, math.Nextafter(p, math.Inf(1)))) / float64(len(s))
-	}
-	if len(s) == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
-// Histogram counts samples into the half-open bins defined by boundaries:
-// bin i holds samples in [boundaries[i], boundaries[i+1]). Samples below
-// the first boundary are dropped; samples at or above the last boundary
-// land in an implicit overflow bin appended at the end. The result has
-// len(boundaries) entries (len-1 real bins plus overflow).
-func Histogram(samples []float64, boundaries []float64) []int {
-	if len(boundaries) < 2 {
-		return nil
-	}
-	counts := make([]int, len(boundaries))
-	for _, v := range samples {
-		if v < boundaries[0] {
-			continue
-		}
-		i := sort.SearchFloat64s(boundaries, v)
-		// SearchFloat64s returns the first boundary >= v; adjust to the
-		// bin index whose lower edge is <= v.
-		if i == len(boundaries) || boundaries[i] != v {
-			i--
-		}
-		if i >= len(boundaries)-1 {
-			counts[len(boundaries)-1]++ // overflow bin
-		} else {
-			counts[i]++
-		}
-	}
-	return counts
-}

@@ -75,21 +75,6 @@ func RankOffenders(all []KeyCount, k int) []KeyCount {
 	return all
 }
 
-// ExcludeKeys returns a copy of counts without the given keys.
-func ExcludeKeys(counts map[uint64]int64, exclude []KeyCount) map[uint64]int64 {
-	drop := make(map[uint64]bool, len(exclude))
-	for _, kc := range exclude {
-		drop[kc.Key] = true
-	}
-	out := make(map[uint64]int64, len(counts))
-	for k, v := range counts {
-		if !drop[k] {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // SkewRatio reports what fraction of the total count the top-k keys carry;
 // 0 when the total is zero. It is the quantitative form of the paper's
 // "a small fraction of cards are responsible for almost all of the SBEs".

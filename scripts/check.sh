@@ -5,8 +5,8 @@
 #   gates — stream == batch, cluster == single daemon, compiled plan ==
 #   naive fold, restart == never died — the write path's buffer
 #   ownership and admission bound, the read path's pooled fold scratch
-#   under eight concurrent readers, /stats-/metrics parity on titand and
-#   titanrouter, the fleet schedule runner — the fault-free month, the
+#   under eight concurrent readers, /stats-/metrics parity and the pinned
+#   /metrics goldens on titand and titanrouter, the fleet schedule runner — the fault-free month, the
 #   drain/restart, one fixed row per fault, the drawn seeds and the crash
 #   rows at every journal and seal failpoint (router/fleet_test.go) — the
 #   replica's applied-once window under racing copies, the
@@ -19,8 +19,9 @@
 #   read shapes and the 13-request round on one daemon, the write path,
 #   the router's merged reads over three replicas), and short fuzz smokes
 #   of the console parser, the batch splitter, the titanql parser (grammar
-#   round-trip + plan equivalence), the JSON writer (vs encoding/json)
-#   and the fleet fault schedules.
+#   round-trip + plan equivalence), the JSON writer (vs encoding/json),
+#   the /metrics exposition under client-chosen source names (a strict
+#   in-test parser) and the fleet fault schedules.
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -85,6 +86,9 @@ go test ./internal/titanql -run '^$' -fuzz FuzzTitanQLEquivalence -fuzztime 5s
 
 echo "== JSON writer differential fuzz smoke (AppendJSON vs encoding/json, 5s)"
 go test ./internal/jsonw -run '^$' -fuzz FuzzAppendJSONMatchesEncodingJSON -fuzztime 5s
+
+echo "== /metrics exposition fuzz smoke (FuzzMetricsExposition, 5s)"
+go test ./internal/serve -run '^$' -fuzz FuzzMetricsExposition -fuzztime 5s
 
 echo "== fleet fault-schedule fuzz smoke (FuzzFleetSchedule, 5s)"
 go test ./internal/router -run '^$' -fuzz FuzzFleetSchedule -fuzztime 5s
