@@ -179,7 +179,11 @@ func main() {
 			if ws.FromSegments {
 				src = "sealed segments"
 			}
-			fmt.Fprintf(os.Stderr, "titand: warm start: replayed %d events from %s in %s\n", ws.Replayed, src, *warmDir)
+			fmt.Fprintf(os.Stderr, "titand: warm start: restored %d events from checkpoint, replayed %d from %s in %s\n",
+				ws.Checkpointed, ws.Replayed-ws.Checkpointed, src, *warmDir)
+		}
+		if ws.FromSegments && ws.CheckpointUnused != "" {
+			fmt.Fprintf(os.Stderr, "titand: warm start: no checkpoint used (%s)\n", ws.CheckpointUnused)
 		}
 		if ws.JournalReplayed > 0 || ws.JournalTorn {
 			torn := ""

@@ -4,15 +4,13 @@
 // of a job within seconds, and follow-on XIDs raised while the driver
 // cleans up. The paper applies a time-threshold filter (five seconds
 // collapses a job-wide error storm to one incident; 300 seconds is used
-// for parent/child correlation analysis) and, for per-card analyses, a
-// first-occurrence-per-card reduction.
+// for parent/child correlation analysis).
 package filtering
 
 import (
 	"time"
 
 	"titanre/internal/console"
-	"titanre/internal/gpu"
 	"titanre/internal/xid"
 )
 
@@ -21,17 +19,6 @@ func ByCode(events []console.Event, code xid.Code) []console.Event {
 	var out []console.Event
 	for _, e := range events {
 		if e.Code == code {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// InWindow returns the events with Start <= t < End, preserving order.
-func InWindow(events []console.Event, start, end time.Time) []console.Event {
-	var out []console.Event
-	for _, e := range events {
-		if !e.Time.Before(start) && e.Time.Before(end) {
 			out = append(out, e)
 		}
 	}
@@ -76,27 +63,6 @@ func Children(events []console.Event, window time.Duration) []console.Event {
 			continue
 		}
 		lastKept[e.Code] = e.Time
-	}
-	return out
-}
-
-// FirstPerCard keeps only each card's first event of each code — the
-// reduction behind "number of distinct GPU cards experiencing DBEs"
-// (Fig. 3(b) right, Fig. 15(b)). Order is preserved.
-func FirstPerCard(events []console.Event) []console.Event {
-	type key struct {
-		code   xid.Code
-		serial gpu.Serial
-	}
-	seen := make(map[key]bool)
-	var out []console.Event
-	for _, e := range events {
-		k := key{e.Code, e.Serial}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, e)
 	}
 	return out
 }

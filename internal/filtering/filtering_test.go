@@ -36,14 +36,6 @@ func TestByCode(t *testing.T) {
 	}
 }
 
-func TestInWindow(t *testing.T) {
-	events := []console.Event{ev(0, 13, 1, 0, 1), ev(10, 13, 2, 0, 2), ev(20, 13, 3, 0, 3)}
-	got := InWindow(events, base.Add(5*time.Second), base.Add(20*time.Second))
-	if len(got) != 1 || got[0].Node != 2 {
-		t.Errorf("InWindow = %v", got)
-	}
-}
-
 func TestTimeThresholdCollapsesStorm(t *testing.T) {
 	// A job-wide storm: same code on 5 nodes within 4 seconds, then a
 	// separate incident 60 seconds later.
@@ -105,18 +97,6 @@ func TestTimeThresholdZeroWindow(t *testing.T) {
 	got[0].Node = 99
 	if events[0].Node == 99 {
 		t.Error("TimeThreshold must copy")
-	}
-}
-
-func TestFirstPerCard(t *testing.T) {
-	events := []console.Event{
-		ev(0, 48, 1, 0, 100), ev(1, 48, 1, 0, 100), // same card same code
-		ev(2, 48, 2, 0, 200),
-		ev(3, 63, 1, 0, 100), // same card different code
-	}
-	got := FirstPerCard(events)
-	if len(got) != 3 {
-		t.Fatalf("FirstPerCard kept %d, want 3", len(got))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"titanre/internal/alert"
 	"titanre/internal/console"
+	"titanre/internal/store"
 	"titanre/internal/xid"
 )
 
@@ -75,7 +76,8 @@ const (
 )
 
 // alertfeedFile is the snapshot the feed persists under SnapshotDir on
-// shutdown, next to the event snapshot.
+// shutdown, next to the event snapshot, with admission's window of
+// applied sequence bases (written whether or not the feed is on).
 const alertfeedFile = "alertfeed.json"
 
 // FeedRecord is one collected evidence event: its global sequence and
@@ -238,41 +240,45 @@ type feedSnapshot struct {
 	SeqFloor uint64       `json:"seq_floor,omitempty"`
 }
 
-// writeSnapshot persists the collector durably (write-then-rename).
-func (f *alertFeed) writeSnapshot(dir string, seqSeen []uint64, seqFloor uint64) error {
-	f.mu.Lock()
-	snap := feedSnapshot{Covered: f.covered, Records: f.records(), SeqSeen: seqSeen, SeqFloor: seqFloor}
-	f.mu.Unlock()
+// writeFeedSnapshot persists the collector, when it is on, and the
+// window of applied sequence bases durably (temp, fsync, rename, directory
+// fsync). The drain already applied everything admitted, so the covered
+// count equals the replayable history; admission is closed, so nothing
+// moves the window.
+func (s *Server) writeFeedSnapshot(dir string) error {
+	s.admitMu.Lock()
+	snap := feedSnapshot{SeqSeen: s.seqSeen, SeqFloor: s.seqFloor}
+	s.admitMu.Unlock()
+	if s.feed != nil {
+		s.feed.mu.Lock()
+		snap.Covered, snap.Records = s.feed.covered, s.feed.records()
+		s.feed.mu.Unlock()
+	}
 	data, err := json.MarshalIndent(snap, "", "  ")
+	if err == nil {
+		err = store.WriteFileDurable(dir, alertfeedFile, append(data, '\n'), nil)
+	}
 	if err != nil {
-		return fmt.Errorf("serve: alert feed snapshot: %w", err)
-	}
-	tmp := filepath.Join(dir, alertfeedFile+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("serve: alert feed snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, alertfeedFile)); err != nil {
 		return fmt.Errorf("serve: alert feed snapshot: %w", err)
 	}
 	return nil
 }
 
-// loadFeedSnapshot restores the collector after a warm replay of
-// `replayed` events. A missing snapshot with a non-empty replay, a
-// covered count that does not equal the replay (the crash window), or
-// an unparseable record all mark the feed incomplete — the router
-// degrades the merged alert stream rather than serving a wrong one.
-// Re-recording the stored evidence preserves exactness across
-// restarts: each stored record was the minimum (or a member of an
-// unconditional class) over the full original stream, so re-recording
-// the set reproduces the same minima and the same class membership.
-func (s *Server) loadFeedSnapshot(dir string, replayed int) error {
-	if s.feed == nil {
-		return nil
-	}
+// loadFeedSnapshot restores the window of applied sequence bases and,
+// when the feed is on, the collector, after a warm start whose state
+// covers `restored` events (checkpointed and replayed). A missing
+// snapshot with a non-empty history, a covered count that does not equal
+// it (the crash window), or an unparseable record all mark the feed
+// incomplete — the router degrades the merged alert stream rather than
+// serving a wrong one. Re-recording the stored evidence preserves
+// exactness across restarts: each stored record was the minimum (or a
+// member of an unconditional class) over the full original stream, so
+// re-recording the set reproduces the same minima and the same class
+// membership.
+func (s *Server) loadFeedSnapshot(dir string, restored int) error {
 	data, err := os.ReadFile(filepath.Join(dir, alertfeedFile))
 	if os.IsNotExist(err) {
-		if replayed > 0 {
+		if s.feed != nil && restored > 0 {
 			s.feed.mu.Lock()
 			s.feed.incomplete = true
 			s.feed.mu.Unlock()
@@ -286,6 +292,12 @@ func (s *Server) loadFeedSnapshot(dir string, replayed int) error {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("serve: alert feed restore: %w", err)
 	}
+	s.admitMu.Lock()
+	s.seqSeen, s.seqFloor = snap.SeqSeen, snap.SeqFloor
+	s.admitMu.Unlock()
+	if s.feed == nil {
+		return nil
+	}
 	c := console.NewCorrelator()
 	bad := false
 	for _, rec := range snap.Records {
@@ -298,13 +310,10 @@ func (s *Server) loadFeedSnapshot(dir string, replayed int) error {
 	}
 	s.feed.mu.Lock()
 	s.feed.covered = snap.Covered
-	if bad || snap.Covered != uint64(replayed) {
+	if bad || snap.Covered != uint64(restored) {
 		s.feed.incomplete = true
 	}
 	s.feed.mu.Unlock()
-	s.admitMu.Lock()
-	s.seqSeen, s.seqFloor = snap.SeqSeen, snap.SeqFloor
-	s.admitMu.Unlock()
 	return nil
 }
 

@@ -1,0 +1,546 @@
+package serve
+
+import (
+	"bytes"
+	"cmp"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"net/url"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"titanre/internal/alert"
+	"titanre/internal/bincode"
+	"titanre/internal/console"
+	"titanre/internal/dataset"
+	"titanre/internal/failpoint"
+	"titanre/internal/predict"
+	"titanre/internal/store"
+	"titanre/internal/topology"
+	"titanre/internal/xid"
+)
+
+// Restart-checkpoint tests: a daemon restored from the checkpoint a clean
+// shutdown left — or, when that checkpoint is unusable, rebuilt by full
+// replay — serves what a daemon that never stopped serves, and the
+// checkpoint's bytes are a function of the state alone.
+
+// cpFixture is one month of history cut in three, two models trained on
+// all of it (the second with a longer lead window), and the state
+// directory daemon A left: it took the front third with a compaction
+// mid-life and drained, sealing the rest and writing the checkpoint.
+type cpFixture struct {
+	events            []console.Event
+	front, mid        []console.Event
+	model, otherModel *predict.Model
+	dir               string
+}
+
+// newCPFixture builds the fixture under t's temporary directory.
+func newCPFixture(t *testing.T) *cpFixture {
+	t.Helper()
+	events := simEvents()
+	third := len(events) / 3
+	fx := &cpFixture{events: events, front: events[:third], mid: events[third : 2*third], dir: t.TempDir()}
+	pcfg := predict.DefaultConfig()
+	pcfg.MinSupport = 5
+	pcfg.MinConfidence = 0.01
+	fx.model = predict.Train(events, pcfg)
+	pcfg.LeadWindow *= 3
+	fx.otherModel = predict.Train(events, pcfg)
+	if len(fx.model.Rules()) == 0 || bytes.Equal(fx.model.AppendFingerprint(nil), fx.otherModel.AppendFingerprint(nil)) {
+		t.Fatalf("models with %d and %d rules; the rows need two different non-empty ones", len(fx.model.Rules()), len(fx.otherModel.Rules()))
+	}
+	a := NewServer(cpConfig(fx.dir, fx.model))
+	if _, err := a.WarmStart(fx.dir); err != nil {
+		t.Fatal(err)
+	}
+	half := len(fx.front) / 2
+	ingestLog(t, a, encodeLog(t, fx.front[:half]))
+	if sealed, err := a.CompactNow(); err != nil || sealed == 0 {
+		t.Fatalf("daemon A compacted %d events (%v), want >0", sealed, err)
+	}
+	ingestLog(t, a, encodeLog(t, fx.front[half:]))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// cpConfig is titand's -warm-dir -journal wiring over dir.
+func cpConfig(dir string, model *predict.Model) Config {
+	cfg := crashConfig(dir, FsyncOff)
+	cfg.SnapshotDir = dir
+	cfg.Model = model
+	return cfg
+}
+
+// copyState is a fresh copy of the fixture's state directory.
+func (fx *cpFixture) copyState(t *testing.T) string {
+	dir := filepath.Join(t.TempDir(), "state")
+	copyTree(t, fx.dir, dir)
+	return dir
+}
+
+// segmentFiles lists a state directory's sealed segment files in seal
+// order.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, dataset.SegmentsDir, "*.seg"))
+	if err != nil || len(names) < 2 {
+		t.Fatalf("segments %v (%v); the rows need at least two", names, err)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// advance is a daemon that warm-starts from dir, takes events, compacts
+// and is then frozen the way a kill -9 leaves it: the copy it returns holds what the
+// files held, and the daemon is abandoned (its clean-up drain writes to
+// dir, not to the copy).
+func advance(t *testing.T, dir string, cfg Config, events []console.Event) string {
+	t.Helper()
+	s := testServer(t, cfg)
+	if _, err := s.WarmStart(dir); err != nil {
+		t.Fatal(err)
+	}
+	ingestLog(t, s, encodeLog(t, events))
+	if _, err := s.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	frozen := filepath.Join(t.TempDir(), "frozen")
+	copyTree(t, dir, frozen)
+	return frozen
+}
+
+// TestCheckpointRestart: each row leaves a state directory, daemon B
+// warm-starts from it, and B — right away, and again after taking the
+// rest of the month — must serve /alerts, /warnings, /nodes/…, /rollup,
+// /top and /query bytes and a /stats (wall-clock and per-process figures
+// aside) identical to a daemon that took the same events in one life. Rows without a usable
+// checkpoint replay in full and say why.
+func TestCheckpointRestart(t *testing.T) {
+	t.Cleanup(failpoint.DisableAll)
+	t.Cleanup(func() { failpoint.OnCrash(nil) })
+	fx := newCPFixture(t)
+	first, err := store.ReadSegmentFile(segmentFiles(t, fx.dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name string
+		// state prepares B's directory from a copy of A's.
+		state func(t *testing.T, dir string) string
+		// cfg is B's config (and the reference's, less the directories).
+		cfg func(dir string) Config
+		// After the warm start B's state holds the stream's events
+		// [lost, through) — through is the front third unless set;
+		// checkpointed of them came from the checkpoint, and unused, when
+		// not "", is the reason none did.
+		through, lost, checkpointed int
+		unused                      string
+	}{{
+		name:         "clean",
+		checkpointed: len(fx.front),
+	}, {
+		name: "deleted",
+		state: func(t *testing.T, dir string) string {
+			if err := os.Remove(filepath.Join(dir, dataset.SegmentsDir, checkpointFile)); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		},
+		unused: "missing",
+	}, {
+		// A restart that ingested, sealed and then died: the checkpoint
+		// covers A's segments; B replays the later ones and the journal.
+		name: "stale-then-crash",
+		state: func(t *testing.T, dir string) string {
+			return advance(t, dir, cpConfig(dir, fx.model), fx.mid)
+		},
+		through:      len(fx.front) + len(fx.mid),
+		checkpointed: len(fx.front),
+	}, {
+		name: "flipped-byte",
+		state: func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, dataset.SegmentsDir, checkpointFile)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		},
+		unused: "digest mismatch",
+	}, {
+		name: "window-changed",
+		cfg: func(dir string) Config {
+			cfg := cpConfig(dir, fx.model)
+			cfg.RateWindow = 6 * time.Hour
+			return cfg
+		},
+		unused: "fingerprint differs",
+	}, {
+		name:   "model-changed",
+		cfg:    func(dir string) Config { return cpConfig(dir, fx.otherModel) },
+		unused: "fingerprint differs",
+	}, {
+		// The prefix's first segment rots: quarantined at open, so the
+		// checkpoint that covers it is not used and B holds the rest.
+		name: "quarantined",
+		state: func(t *testing.T, dir string) string {
+			victim := segmentFiles(t, dir)[0]
+			data, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x20
+			if err := os.WriteFile(victim, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		},
+		lost:   first.Len(),
+		unused: "quarantined",
+	}, {
+		// A restart that ingested and was killed between its checkpoint's
+		// temp write and rename: the old checkpoint still covers A's
+		// prefix, B replays what the restart sealed after it.
+		name: "kill-before-rename",
+		state: func(t *testing.T, dir string) string {
+			s := NewServer(cpConfig(dir, fx.model))
+			if _, err := s.WarmStart(dir); err != nil {
+				t.Fatal(err)
+			}
+			ingestLog(t, s, encodeLog(t, fx.mid))
+			frozen := filepath.Join(t.TempDir(), "frozen")
+			failpoint.OnCrash(func(string) { copyTree(t, dir, frozen) })
+			if err := failpoint.Enable("serve.checkpoint.write", "crash"); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			failpoint.Disable("serve.checkpoint.write")
+			temps, _ := filepath.Glob(filepath.Join(frozen, dataset.SegmentsDir, "."+checkpointFile+"-*"))
+			if len(temps) != 1 {
+				t.Fatalf("the kill left temp files %v, want one", temps)
+			}
+			return frozen
+		},
+		through:      len(fx.front) + len(fx.mid),
+		checkpointed: len(fx.front),
+	}}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := fx.copyState(t)
+			if row.state != nil {
+				dir = row.state(t, dir)
+			}
+			cfgOf := func(dir string) Config { return cpConfig(dir, fx.model) }
+			if row.cfg != nil {
+				cfgOf = row.cfg
+			}
+			through := cmp.Or(row.through, len(fx.front))
+			covered, rest := fx.events[row.lost:through], fx.events[through:]
+			b := testServer(t, cfgOf(dir))
+			ws, err := b.WarmStart(dir)
+			if err != nil {
+				t.Fatalf("warm start: %v", err)
+			}
+			if ws.Replayed+ws.JournalReplayed != len(covered) || ws.Checkpointed != row.checkpointed || !strings.Contains(ws.CheckpointUnused, row.unused) || (row.unused == "") != (ws.CheckpointUnused == "") {
+				t.Fatalf("warm start %+v; want %d events covered, %d checkpointed, unused %q", ws, len(covered), row.checkpointed, row.unused)
+			}
+			st := b.StatsNow()
+			if st.WarmEventsCheckpointed != uint64(row.checkpointed) || st.WarmEventsReplayed != uint64(len(covered)-row.checkpointed) || st.WarmCheckpointUnused != ws.CheckpointUnused {
+				t.Fatalf("/stats books warm start %d checkpointed, %d replayed, unused %q; want %d, %d, %q",
+					st.WarmEventsCheckpointed, st.WarmEventsReplayed, st.WarmCheckpointUnused, row.checkpointed, len(covered)-row.checkpointed, ws.CheckpointUnused)
+			}
+			if temps, _ := filepath.Glob(filepath.Join(dir, dataset.SegmentsDir, "."+checkpointFile+"-*")); len(temps) > 0 {
+				t.Fatalf("warm start left checkpoint temp files %v", temps)
+			}
+			refCfg := cfgOf("")
+			refCfg.CompactDir, refCfg.JournalDir, refCfg.SnapshotDir = "", "", ""
+			ref := testServer(t, refCfg)
+			ingestLog(t, ref, encodeLog(t, covered))
+			mustServeAlike(t, b, ref, covered)
+			for _, s := range []*Server{b, ref} {
+				ingestLog(t, s, encodeLog(t, rest))
+			}
+			mustServeAlike(t, b, ref, slices.Concat(covered, rest))
+		})
+	}
+}
+
+// mustServeAlike holds got to want's bytes on the state documents, and on
+// /stats less what a restart resets or the clock decides.
+func mustServeAlike(t *testing.T, got, want *Server, history []console.Event) {
+	t.Helper()
+	paths := []string{
+		"/alerts", "/warnings",
+		"/rollup?by=code,cabinet&bucket=24h",
+		"/top?by=node&k=10", "/top?by=serial&k=10",
+		"/query?" + url.Values{"q": {"* | by cage | bucket 7d"}}.Encode(),
+	}
+	// One node per code: the last to log it (a DBE's holds retirement state).
+	lastNode := map[xid.Code]topology.NodeID{}
+	for _, ev := range history {
+		lastNode[ev.Code] = ev.Node
+	}
+	for _, code := range bincode.SortedKeys(lastNode) {
+		paths = append(paths, "/nodes/"+topology.CNameOf(lastNode[code]))
+	}
+	for _, path := range paths {
+		g, w := serveGet(t, got, path), serveGet(t, want, path)
+		if len(g) < 8 {
+			t.Fatalf("%s is %q; the comparison is vacuous", path, g)
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s diverges from the daemon that never stopped (%d vs %d bytes)", path, len(g), len(w))
+		}
+	}
+	gs, ws := got.StatsNow(), want.StatsNow()
+	if gs.SealedEvents+gs.RetainedEvents != int(gs.EventsApplied) {
+		t.Fatalf("restarted daemon holds %d sealed + %d retained events, applied %d", gs.SealedEvents, gs.RetainedEvents, gs.EventsApplied)
+	}
+	if g, w := stateStats(t, gs), stateStats(t, ws); g != w {
+		t.Fatalf("/stats diverges:\nrestarted: %s\nreference: %s", g, w)
+	}
+}
+
+// stateStats renders st without the figures a restart resets (ingest
+// counters, stopwatches, compaction, journal and warm-start books), reads
+// off the clock or the heap, or a degraded start carries.
+func stateStats(t *testing.T, st Stats) string {
+	t.Helper()
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{
+		"uptime_seconds", "batches_accepted", "batches_shed", "batches_rejected", "lines_accepted", "lines_shed",
+		"events_decoded", "lines_chatter", "lines_malformed", "lines_oversized", "decode_fast_hits", "decode_fast_fallbacks",
+		"ingest_stage_seconds", "retained_events", "sealed_segments", "sealed_events", "sealed_segment_bytes",
+		"sealed_mapped_bytes", "compactions", "compaction_failures", "compaction_retries", "events_sealed",
+		"last_compaction_unix", "heap_inuse_bytes", "degraded", "quarantined_segments", "quarantined_bytes",
+		"events_lost_to_quarantine", "orphans_removed", "sealed_seq", "query_fold_seconds", "query_render_seconds",
+		"journal", "warm_events_checkpointed", "warm_events_replayed", "warm_checkpoint_unused",
+	} {
+		delete(doc, k)
+	}
+	out, err := json.Marshal(doc) // map keys sorted
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestCheckpointBytesIdentical: the checkpoint is a function of the state.
+// A daemon restored from it and drained with no ingest writes the same
+// bytes back; a daemon that rebuilt the state by full replay writes the
+// bytes the live daemon wrote.
+func TestCheckpointBytesIdentical(t *testing.T) {
+	fx := newCPFixture(t)
+	want, err := os.ReadFile(filepath.Join(fx.dir, dataset.SegmentsDir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replay := range []bool{false, true} {
+		dir := fx.copyState(t)
+		path := filepath.Join(dir, dataset.SegmentsDir, checkpointFile)
+		if replay {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := NewServer(cpConfig(dir, fx.model))
+		ws, err := s.WarmStart(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (ws.Checkpointed == 0) != replay {
+			t.Fatalf("replay=%v: warm start %+v", replay, ws)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("replay=%v: checkpoint of %d bytes differs from the live daemon's %d at byte %d", replay, len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
+// TestCheckpointNeedsSealedHistory: a daemon whose applied events are not
+// all sealed at shutdown — no retained log to seal — writes no
+// checkpoint, and the one it found stays.
+func TestCheckpointNeedsSealedHistory(t *testing.T) {
+	fx := newCPFixture(t)
+	dir := fx.copyState(t)
+	path := filepath.Join(dir, dataset.SegmentsDir, checkpointFile)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cpConfig(dir, fx.model)
+	cfg.RetainEvents, cfg.SnapshotDir = false, ""
+	s := NewServer(cfg)
+	if _, err := s.WarmStart(dir); err != nil {
+		t.Fatal(err)
+	}
+	ingestLog(t, s, encodeLog(t, fx.mid[:100]))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("checkpoint changed (%v) though the last 100 events were never sealed", err)
+	}
+}
+
+// FuzzCheckpointDecode: arbitrary bytes never panic the decoder, and what
+// it accepts re-encodes to exactly those bytes. Each input is tried as
+// is and re-sealed under a fresh SHA-256 trailer, so mutations reach the
+// decoder proper rather than stopping at the digest.
+func FuzzCheckpointDecode(f *testing.F) {
+	events := simEvents()[:1500]
+	pcfg := predict.DefaultConfig()
+	pcfg.MinSupport = 2
+	pcfg.MinConfidence = 0.01
+	cfg := DefaultConfig()
+	cfg.Model = predict.Train(events, pcfg)
+	dir := f.TempDir()
+	cfg.CompactDir = filepath.Join(dir, dataset.SegmentsDir)
+	s := NewServer(cfg)
+	ingestLog(f, s, encodeLog(f, events))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(filepath.Join(cfg.CompactDir, checkpointFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fcfg := s.cfg
+	empty := checkpoint{fingerprint: checkpointFingerprint(fcfg), engine: alert.NewEngine(fcfg.Alerts), warner: predict.NewWarner(fcfg.Model)}
+	f.Add(seed)
+	f.Add(empty.append(nil))
+	f.Add([]byte("TITANCKP"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(data []byte) {
+			cp, err := decodeCheckpoint(data, fcfg)
+			if err != nil {
+				return
+			}
+			if got := cp.append(nil); !bytes.Equal(got, data) {
+				t.Fatalf("accepted %d bytes re-encode to %d, first difference at %d", len(data), len(got), firstDiff(got, data))
+			}
+		}
+		check(data)
+		if len(data) >= sha256.Size {
+			body := data[: len(data)-sha256.Size : len(data)-sha256.Size]
+			sum := sha256.Sum256(body)
+			check(append(body, sum[:]...))
+		}
+	})
+}
+
+// BenchmarkWarmStart times one warm start of the bench-shaped history
+// (sim.BenchHistory, 336,000 events in six segments) and of four copies
+// of it laid end to end: replay feeds every sealed event back through the
+// apply step, checkpoint restores the state a drained daemon left and
+// replays nothing. It reports the events replayed per restart. Run it as
+//
+//	go test ./internal/serve -run '^$' -bench WarmStart -cpu 1 -count 6
+func BenchmarkWarmStart(b *testing.B) {
+	for _, copies := range []int{1, 4} {
+		dir := warmBenchState(b, copies)
+		for _, mode := range []string{"replay", "checkpoint"} {
+			b.Run(fmt.Sprintf("%s/history=%dx", mode, copies), func(b *testing.B) {
+				state := filepath.Join(b.TempDir(), "state")
+				copyTree(b, dir, state)
+				if mode == "replay" {
+					if err := os.Remove(filepath.Join(state, dataset.SegmentsDir, checkpointFile)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var replayed int
+				for i := 0; i < b.N; i++ {
+					// Without CompactDir the drain below seals nothing and
+					// writes no checkpoint: each iteration finds the same
+					// directory.
+					s := NewServer(DefaultConfig())
+					ws, err := s.WarmStart(state)
+					if err != nil {
+						b.Fatal(err)
+					}
+					replayed = ws.Replayed - ws.Checkpointed
+					b.StopTimer()
+					shutdownBench(b, s)
+					s.SealedStore().Close()
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(replayed), "replayed/op")
+			})
+		}
+	}
+}
+
+// warmBenchState seals copies back-to-back copies of the bench history
+// and leaves beside the segments the checkpoint a drained daemon writes.
+func warmBenchState(b *testing.B, copies int) string {
+	b.Helper()
+	history := readBenchHistory()
+	span := history[len(history)-1].Time.Sub(history[0].Time) + time.Hour
+	events := make([]console.Event, 0, copies*len(history))
+	for k := 0; k < copies; k++ {
+		for _, ev := range history {
+			ev.Time = ev.Time.Add(time.Duration(k) * span)
+			events = append(events, ev)
+		}
+	}
+	dir := b.TempDir()
+	if err := dataset.WriteSegments(dir, events, 0); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.CompactDir = filepath.Join(dir, dataset.SegmentsDir)
+	s := NewServer(cfg)
+	if _, err := s.WarmStart(dir); err != nil {
+		b.Fatal(err)
+	}
+	shutdownBench(b, s)
+	s.SealedStore().Close()
+	if _, err := os.Stat(filepath.Join(cfg.CompactDir, checkpointFile)); err != nil {
+		b.Fatalf("no checkpoint after the drain: %v", err)
+	}
+	return dir
+}

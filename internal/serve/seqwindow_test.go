@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSequencedSubBatchAppliedOnce holds admission's window of applied
@@ -14,7 +16,8 @@ import (
 // not applied; of copies racing in, one is applied; a copy that was shed
 // is not remembered, so its retry is applied; a base older than the window
 // is refused, not guessed at; and an untagged batch sees none of it. (That
-// the window survives a graceful restart is TestAlertFeedRestart's.)
+// the window survives a graceful restart is TestAlertFeedRestart's, and
+// TestSeqWindowRestartWithoutFeed's with the alert feed off.)
 func TestSequencedSubBatchAppliedOnce(t *testing.T) {
 	batches := chunkLog(encodeLog(t, simEvents()[:4*64]), 64)
 	const lines = 64
@@ -119,4 +122,41 @@ func TestSequencedSubBatchAppliedOnce(t *testing.T) {
 			t.Fatalf("applied %d events, %d duplicates, window of %d; an untagged batch is applied as often as it is sent", st.EventsApplied, st.BatchesDuplicate, len(s.seqSeen))
 		}
 	})
+}
+
+// TestSeqWindowRestartWithoutFeed is TestAlertFeedRestart's
+// replay-after-restart step with Config.AlertFeed off: the window of
+// applied sequence bases rides in the shutdown snapshot whether or not
+// the feed does, so the router's retry of a sub-batch whose 202 the
+// restart ate is still a duplicate, not applied twice.
+func TestSeqWindowRestartWithoutFeed(t *testing.T) {
+	batches := chunkLog(encodeLog(t, simEvents()[:4*64]), 64)
+	cfg := DefaultConfig()
+	cfg.AlertFeed = false
+	cfg.SnapshotDir = t.TempDir()
+	s := NewServer(cfg)
+	for i, batch := range batches {
+		if status, dup := postTagged(t, s, "", batch, uint64(1000+64*i)); status != http.StatusAccepted || dup {
+			t.Fatalf("batch %d: status %d, duplicate %v", i, status, dup)
+		}
+	}
+	quiesce(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := testServer(t, cfg)
+	if _, err := s2.WarmStart(cfg.SnapshotDir); err != nil {
+		t.Fatal(err)
+	}
+	last := len(batches) - 1
+	if status, dup := postTagged(t, s2, "", batches[last], uint64(1000+64*last)); status != http.StatusAccepted || !dup {
+		t.Fatalf("replay after restart: status %d, duplicate %v; want 202 and a duplicate", status, dup)
+	}
+	quiesce(t, s2)
+	if st := s2.StatsNow(); st.EventsApplied != 4*64 || st.BatchesDuplicate != 1 {
+		t.Fatalf("after the replay: %d events applied, %d duplicates; want %d, 1", st.EventsApplied, st.BatchesDuplicate, 4*64)
+	}
 }

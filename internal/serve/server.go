@@ -174,9 +174,10 @@ type Server struct {
 	journal   atomic.Pointer[Journal]
 	sealedSeq atomic.Uint64
 
-	// recovMu guards the degraded-start bookkeeping WarmStart fills
-	// when segments had to be quarantined.
+	// recovMu guards the bookkeeping WarmStart fills: what it restored
+	// and replayed, and the quarantine a degraded start had to do.
 	recovMu    sync.Mutex
+	warm       WarmStats
 	recovery   store.Recovery
 	eventsLost uint64
 
@@ -346,21 +347,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if err := s.WriteSnapshot(s.cfg.SnapshotDir); err != nil {
 			return err
 		}
-		if s.feed != nil {
-			// The collector persists beside the event snapshot so a warm
-			// restart resumes with cluster alert evidence intact; the
-			// drain above already applied everything admitted, so the
-			// snapshot's covered count equals the replayable history. The
-			// window of applied sequence bases rides in the same file;
-			// admission is closed, so nothing moves it.
-			if err := s.feed.writeSnapshot(s.cfg.SnapshotDir, s.seqSeen, s.seqFloor); err != nil {
-				return err
-			}
+		if err := s.writeFeedSnapshot(s.cfg.SnapshotDir); err != nil {
+			return err
+		}
+	}
+	// The checkpoint of the derived state: after the final seal, so it
+	// covers exactly the sealed segments.
+	if s.cfg.CompactDir != "" {
+		if err := s.writeCheckpoint(); err != nil {
+			return err
 		}
 	}
 	// The journal closes last: the final seal above already advanced the
 	// floor past everything it held, so after a clean shutdown a warm
-	// start replays segments alone.
+	// start replays no journal, and with the checkpoint no segment either.
 	if j := s.journal.Load(); j != nil {
 		if err := j.Close(); err != nil && httpErr == nil {
 			httpErr = fmt.Errorf("serve: closing journal: %w", err)
@@ -850,6 +850,14 @@ type Stats struct {
 	// Sources is the per-source ingest accounting (batches tagged with
 	// X-Titan-Source); offered == accepted + shed holds per source.
 	Sources map[string]SourceStats `json:"sources,omitempty" prom:"{source}"`
+
+	// Warm start: the events the restored state covers came from the
+	// checkpoint or were fed back through the apply step (segments,
+	// console.log and journal); WarmCheckpointUnused is why no checkpoint
+	// was restored, empty when one was or without a warm start.
+	WarmEventsCheckpointed uint64 `json:"warm_events_checkpointed" prom:"warm_events_checkpointed" help:"Events the warm start restored from the derived-state checkpoint."`
+	WarmEventsReplayed     uint64 `json:"warm_events_replayed" prom:"warm_events_replayed" help:"Events the warm start fed back through the apply step (segments past the checkpoint, console.log, journal)."`
+	WarmCheckpointUnused   string `json:"warm_checkpoint_unused,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -924,6 +932,9 @@ func (s *Server) StatsNow() Stats {
 	st.QuarantinedBytes = s.recovery.QuarantinedBytes
 	st.OrphansRemoved = s.recovery.OrphansRemoved
 	st.EventsLost = s.eventsLost
+	st.WarmEventsCheckpointed = uint64(s.warm.Checkpointed)
+	st.WarmEventsReplayed = uint64(s.warm.Replayed - s.warm.Checkpointed + s.warm.JournalReplayed)
+	st.WarmCheckpointUnused = s.warm.CheckpointUnused
 	s.recovMu.Unlock()
 	st.Degraded = st.QuarantinedSegments > 0 || st.EventsLost > 0
 	if j := s.journal.Load(); j != nil {

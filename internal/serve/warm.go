@@ -18,11 +18,14 @@ import (
 // segments subdirectory holds the complete applied history in sealed
 // columnar form; a crashed daemon additionally leaves the write-ahead
 // journal covering everything applied since the last compaction.
-// WarmStart replays segments first, then the journal from the sealed
-// floor, through the apply step the live pipeline uses (applyBatch), so
-// the daemon resumes with /alerts and /warnings byte-identical to a
-// daemon that never died (TestWarmRestartMatchesFullStream,
-// TestCrashRestartMatchesUninterrupted).
+// WarmStart restores the derived state of the checkpoint a clean
+// shutdown left (checkpoint.go), when it has a usable one, then replays
+// the segments after the checkpoint's prefix — all of them without one —
+// and the journal from the sealed floor, through the apply step the live
+// pipeline uses (applyBatch), so the daemon resumes with /alerts and
+// /warnings byte-identical to a daemon that never died
+// (TestWarmRestartMatchesFullStream, TestCrashRestartMatchesUninterrupted,
+// TestCheckpointRestart).
 //
 // Corrupt segments do not block the restart: they are quarantined
 // (store.OpenOptions.Recover) and the daemon starts degraded, reporting the
@@ -31,11 +34,17 @@ import (
 
 var fpWarmReplay = failpoint.Register("serve.warm.replay")
 
-// WarmStats reports what a warm start replayed and recovered.
+// WarmStats reports what a warm start restored, replayed and recovered.
 type WarmStats struct {
-	// Replayed is the number of events fed back through the pipeline
-	// from segments or the flat console.log (journal events excluded).
-	Replayed int
+	// Replayed is the number of history events from segments or the flat
+	// console.log the rebuilt state covers (journal events excluded);
+	// Checkpointed of them were restored from the checkpoint, the rest
+	// fed back through the pipeline.
+	Replayed     int
+	Checkpointed int
+	// CheckpointUnused is why no checkpoint was restored ("" when one
+	// was).
+	CheckpointUnused string
 	// FromSegments is true when the history came from sealed columnar
 	// segments (the flat console.log was used otherwise).
 	FromSegments bool
@@ -55,8 +64,9 @@ type WarmStats struct {
 
 // WarmStart rebuilds the online state from a state directory: sealed
 // segments under dir/segments are preferred (a compacting titand's
-// complete history); the dataset console.log is parsed when there are
-// no segments, no sealed floor and no journal records. Events replayed
+// complete history), restored from their checkpoint as far as it covers
+// them; the dataset console.log is parsed when there are no segments, no
+// sealed floor and no journal records. Events replayed
 // from segments are not re-retained — they are already sealed — while
 // console.log and journal events enter the retained log as if
 // streamed, so a later compaction or snapshot sees them. A missing or
@@ -106,16 +116,18 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	s.recovMu.Unlock()
 	s.sealedSeq.Store(skip)
 
-	// Replay order is storage order — the arrival order the original
-	// daemon applied (compaction and the snapshot both preserve it) —
-	// so the rebuilt detector state is exactly what streaming the
-	// history would have produced.
-	usedSegments := st.SegmentCount() > 0 || haveFloor || len(rec.Quarantined) > 0
-	var events []console.Event
-	if usedSegments {
-		ws.FromSegments = true
-		events = st.Events()
+	// The checkpoint, when usable, is the state after its segment prefix;
+	// otherwise the state starts empty at the first segment.
+	segs := st.Segments()
+	cp, unused := loadCheckpoint(st, rec, s.cfg)
+	ws.CheckpointUnused = unused
+	if cp != nil {
+		s.adoptCheckpoint(cp)
+		segs = segs[len(cp.segments):]
+		ws.Checkpointed = int(cp.applied)
 	}
+	usedSegments := st.SegmentCount() > 0 || haveFloor || len(rec.Quarantined) > 0
+	ws.FromSegments = usedSegments
 
 	// The journal opens (and replays its surviving records) before any
 	// console.log fallback: a journal with records is the authoritative
@@ -153,31 +165,45 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 			if err := s.loadFeedSnapshot(dir, 0); err != nil {
 				return ws, err
 			}
+			s.bookWarm(ws)
 			return ws, nil // cold start
 		}
 		if err != nil {
 			return ws, fmt.Errorf("serve: warm start: %w", err)
 		}
-		events, err = console.NewCorrelator().ParseAll(f)
+		events, err := console.NewCorrelator().ParseAll(f)
 		f.Close()
 		if err != nil {
 			return ws, fmt.Errorf("serve: warm start: %w", err)
 		}
+		// Flat events re-enter the retained log, and on a first boot with
+		// a journal they are written ahead to it first so the journal
+		// covers the whole retained log.
+		if journal != nil && s.cfg.RetainEvents && len(events) > 0 {
+			journal.appendEvents(events)
+			_ = journal.Sync()
+		}
+		if err := s.applyBatch(events, nil, s.cfg.RetainEvents, true); err != nil {
+			return ws, fmt.Errorf("serve: warm start: %w", err)
+		}
+		ws.Replayed += len(events)
 	}
-	ws.Replayed = len(events)
 
-	// Replay through the applier's own apply step. Segment events are
-	// already sealed and are not re-retained; flat events are, and on a
-	// first boot with a journal they are written ahead to it first so the
-	// journal covers the whole retained log.
-	retainFlat := !ws.FromSegments && s.cfg.RetainEvents
-	if journal != nil && retainFlat && len(events) > 0 {
-		journal.appendEvents(events)
-		_ = journal.Sync()
+	// Segment replay, one segment at a time through the applier's own
+	// apply step, in storage order — the arrival order the original
+	// daemon applied (compaction and the snapshot both preserve it) — so
+	// the rebuilt detector state is exactly what streaming the history
+	// would have produced. Segment events are already sealed and are not
+	// re-retained.
+	var buf []console.Event
+	for _, seg := range segs {
+		buf = seg.AppendEvents(buf[:0])
+		if err := s.applyBatch(buf, nil, false, true); err != nil {
+			return ws, fmt.Errorf("serve: warm start: %w", err)
+		}
+		ws.Replayed += len(buf)
 	}
-	if err := s.applyBatch(events, nil, retainFlat, true); err != nil {
-		return ws, fmt.Errorf("serve: warm start: %w", err)
-	}
+	ws.Replayed += ws.Checkpointed
 
 	// Journal replay: parse the recovered renderings back into events
 	// (AppendRaw round-trips exactly) and apply them the same way. These
@@ -209,12 +235,21 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		s.journal.Store(journal)
 	}
 	// Restore the cluster alert-feed collector and reconcile it against
-	// what was actually replayed: a clean shutdown's snapshot covers the
-	// replay exactly, a crash (journal tail applied after the snapshot
-	// was last written) shows up as a covered-count mismatch and marks
-	// the feed incomplete rather than silently wrong.
+	// the events the rebuilt state covers, checkpointed and replayed: a
+	// clean shutdown's snapshot covers them exactly, a crash (journal tail
+	// applied after the snapshot was last written) shows up as a
+	// covered-count mismatch and marks the feed incomplete rather than
+	// silently wrong.
 	if err := s.loadFeedSnapshot(dir, ws.Replayed+ws.JournalReplayed); err != nil {
 		return ws, err
 	}
+	s.bookWarm(ws)
 	return ws, nil
+}
+
+// bookWarm records what the warm start restored and replayed for /stats.
+func (s *Server) bookWarm(ws WarmStats) {
+	s.recovMu.Lock()
+	s.warm = ws
+	s.recovMu.Unlock()
 }

@@ -195,7 +195,7 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 	if len(body) < l.tail {
 		return nil, fmt.Errorf("%w: column area truncated", ErrCorrupt)
 	}
-	s := &Segment{minT: minT, maxT: maxT}
+	s := &Segment{minT: minT, maxT: maxT, digest: digest}
 	if alias {
 		s.times = aliasInt64(body[l.times:], n)
 		s.codes = aliasUint16(body[l.codes:], n)

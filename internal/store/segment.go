@@ -12,6 +12,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -228,6 +229,10 @@ type Segment struct {
 
 	minT, maxT int64
 	byCode     []codeBitmap // sorted ascending by code
+
+	// digest is the file trailer's SHA-256 for a segment read from disk
+	// (zero for one built in memory).
+	digest [sha256.Size]byte
 
 	// For a segment whose columns alias a read-only mapping
 	// (MapSegmentFile): the unmap closer and the mapping size. Nil/zero

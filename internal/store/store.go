@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,7 +26,8 @@ type Store struct {
 	mu        sync.RWMutex
 	dir       string
 	segs      []*Segment
-	next      int // next segment file number
+	ids       []SegmentID // segs' file names and digests
+	next      int         // next segment file number
 	diskBytes int64
 	count     int
 	mapped    bool // open segments via mmap; seals re-map after commit
@@ -66,6 +68,14 @@ type Recovery struct {
 	// OrphansRemoved counts .seg-* temp files — the debris of a crash
 	// mid-commit, before the atomic rename — deleted during the open.
 	OrphansRemoved int
+}
+
+// SegmentID names one sealed segment file: its name in the store's
+// directory and the SHA-256 its trailer carries (of everything before
+// the trailer), which open verified.
+type SegmentID struct {
+	Name   string
+	Digest [sha256.Size]byte
 }
 
 // Open opens (or initializes) a segment store in dir. A missing
@@ -138,6 +148,7 @@ func OpenDir(dir string, opts OpenOptions) (*Store, Recovery, error) {
 			return nil, rec, fmt.Errorf("store: opening %s: %w", dir, err)
 		}
 		st.segs = append(st.segs, seg)
+		st.ids = append(st.ids, SegmentID{Name: name, Digest: seg.digest})
 		st.diskBytes += info.Size()
 		st.count += seg.Len()
 	}
@@ -210,6 +221,7 @@ func (st *Store) MappedBytes() int64 {
 // floor arithmetic already reconciles at warm start.
 type Prepared struct {
 	seg  *Segment
+	id   SegmentID
 	size int64
 }
 
@@ -277,7 +289,8 @@ func (st *Store) commit(seg *Segment, data []byte) (*Prepared, error) {
 			seg = mseg
 		}
 	}
-	return &Prepared{seg: seg, size: int64(len(data))}, nil
+	id := SegmentID{Name: filepath.Base(path), Digest: [sha256.Size]byte(data[len(data)-sha256.Size:])}
+	return &Prepared{seg: seg, id: id, size: int64(len(data))}, nil
 }
 
 // Publish registers a prepared segment, making it visible to readers.
@@ -287,6 +300,7 @@ func (st *Store) Publish(p *Prepared) *Segment {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.segs = append(st.segs, p.seg)
+	st.ids = append(st.ids, p.id)
 	st.diskBytes += p.size
 	st.count += p.seg.Len()
 	return p.seg
@@ -309,6 +323,14 @@ func (st *Store) Segments() []*Segment {
 	out := make([]*Segment, len(st.segs))
 	copy(out, st.segs)
 	return out
+}
+
+// SegmentIDs returns the registered segments' names and digests, in
+// seal order (parallel to Segments).
+func (st *Store) SegmentIDs() []SegmentID {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return slices.Clone(st.ids)
 }
 
 // EventCount reports the total events across all segments.

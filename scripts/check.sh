@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the full local verification gate:
 #   build, gofmt, vet, the no-caller audit (scripts/unused.sh against
-#   scripts/unused.allow), every test under -race once (the byte-identity
+#   scripts/unused.allow), every test under -race once, one package at a
+#   time so two packages' race heaps never share the host (the byte-identity
 #   gates — stream == batch, cluster == single daemon, compiled plan ==
 #   naive fold, restart == never died — the write path's buffer
 #   ownership and admission bound, the read path's pooled fold scratch
@@ -17,11 +18,13 @@
 #   the crash-recovery soak (kill at every failpoint), a full-horizon
 #   simulation, one iteration of each in-process instrument (the eight
 #   read shapes and the 13-request round on one daemon, the write path,
-#   the router's merged reads over three replicas), and short fuzz smokes
+#   the warm start by replay and by checkpoint, the router's merged reads
+#   over three replicas), and short fuzz smokes
 #   of the console parser, the batch splitter, the titanql parser (grammar
 #   round-trip + plan equivalence), the JSON writer (vs encoding/json),
 #   the /metrics exposition under client-chosen source names (a strict
-#   in-test parser) and the fleet fault schedules.
+#   in-test parser), the restart checkpoint's decoder (reject or
+#   round-trip) and the fleet fault schedules.
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -39,8 +42,8 @@ go vet ./...
 echo "== exported names nothing calls (scripts/unused.sh vs scripts/unused.allow)"
 ./scripts/unused.sh
 
-echo "== go test -race"
-go test -race ./...
+echo "== go test -race (one package at a time)"
+go test -race -p 1 ./...
 
 echo "== determinism under contention (GOMAXPROCS=2, race mode)"
 GOMAXPROCS=2 go test -race ./internal/sim -run TestRunIdenticalAcrossGOMAXPROCS
@@ -69,6 +72,9 @@ go test ./internal/router -run '^$' -bench 'BenchmarkMergedReads$' -benchtime 1x
 echo "== write-path benchmark smoke (64 batches to applied on a fresh journaled daemon, one iteration)"
 go test ./internal/serve -run '^$' -bench 'BenchmarkWritePath$' -benchtime 1x -cpu 1
 
+echo "== warm-start benchmark smoke (replay vs checkpoint restart, 1x and 4x history, one iteration)"
+go test ./internal/serve -run '^$' -bench 'BenchmarkWarmStart$' -benchtime 1x -cpu 1
+
 echo "== fuzz smoke (FuzzParseRawLine, 5s)"
 go test ./internal/console -run '^$' -fuzz FuzzParseRawLine -fuzztime 5s
 
@@ -89,6 +95,9 @@ go test ./internal/jsonw -run '^$' -fuzz FuzzAppendJSONMatchesEncodingJSON -fuzz
 
 echo "== /metrics exposition fuzz smoke (FuzzMetricsExposition, 5s)"
 go test ./internal/serve -run '^$' -fuzz FuzzMetricsExposition -fuzztime 5s
+
+echo "== restart checkpoint decode fuzz smoke (FuzzCheckpointDecode, 5s)"
+go test ./internal/serve -run '^$' -fuzz FuzzCheckpointDecode -fuzztime 5s
 
 echo "== fleet fault-schedule fuzz smoke (FuzzFleetSchedule, 5s)"
 go test ./internal/router -run '^$' -fuzz FuzzFleetSchedule -fuzztime 5s

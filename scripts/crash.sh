@@ -5,10 +5,10 @@
 # real titand with the write-ahead journal on (-journal-fsync always)
 # and that site armed to SIGKILL itself, stream a one-month simulated
 # console log into it, and let the kill land wherever the site lives:
-# mid-append, mid-fsync, mid-rename, mid-compaction, mid-snapshot. The
-# daemon is then restarted with the site STILL armed (a kill during
-# recovery is a crash too), and once more clean if that restart also
-# died. The survivor must come up healthy, and — this is the contract —
+# mid-append, mid-fsync, mid-rename, mid-compaction, mid-snapshot,
+# mid-checkpoint, mid-replay. The daemon is then restarted with the site
+# STILL armed (a kill during recovery is a crash too), and once more
+# clean if that restart also died. The survivor must come up healthy, and — this is the contract —
 # its /alerts must be byte-identical to a reference daemon that
 # streamed exactly the first events_applied lines of the same corpus in
 # one uninterrupted life: the restart state is always a prefix of the
@@ -110,14 +110,36 @@ for fp in $FAILPOINTS; do
     # the journal (fsync always) or the sealed segments.
     start_titand "$state" "$WORK/a-$fp.log" "$spec"
     wait_ready "http://127.0.0.1:$PORT" 10 || { echo "   daemon A never came up"; cat "$WORK/a-$fp.log"; FAILED=1; continue; }
-    "$WORK/bin/titanload" -url "http://127.0.0.1:$PORT" "$CORPUS" >/dev/null 2>&1 || true
-    # Give the 1s compactor a chance to trip the storage failpoints,
-    # then drain: the snapshot/final-seal sites fire on the way down.
-    sleep 3
-    if kill -0 "$DAEMON_PID" 2>/dev/null; then
+    if [ "$fp" = serve.warm.replay ]; then
+        # A restart after a clean drain restores the checkpoint and
+        # replays nothing, so this site needs a history past the
+        # checkpoint: life A takes the first half and drains (writing the
+        # checkpoint), life A2 takes the rest and is killed, and life B
+        # replays A2's segments and journal with the site armed.
+        half=$((LINES / 2))
+        head -n "$half" "$CORPUS" > "$WORK/front.log"
+        tail -n +"$((half + 1))" "$CORPUS" > "$WORK/back.log"
+        "$WORK/bin/titanload" -url "http://127.0.0.1:$PORT" "$WORK/front.log" >/dev/null 2>&1 || true
+        sleep 2
         kill -TERM "$DAEMON_PID" 2>/dev/null || true
+        wait_gone "$DAEMON_PID" 35 || { echo "   daemon A stuck after SIGTERM"; FAILED=1; kill -9 "$DAEMON_PID"; continue; }
+        start_titand "$state" "$WORK/a2-$fp.log"
+        wait_ready "http://127.0.0.1:$PORT" 10 || { echo "   daemon A2 never came up"; cat "$WORK/a2-$fp.log"; FAILED=1; continue; }
+        "$WORK/bin/titanload" -url "http://127.0.0.1:$PORT" "$WORK/back.log" >/dev/null 2>&1 || true
+        sleep 3
+        kill -9 "$DAEMON_PID" 2>/dev/null || true
+        wait_gone "$DAEMON_PID" 5 || true
+    else
+        "$WORK/bin/titanload" -url "http://127.0.0.1:$PORT" "$CORPUS" >/dev/null 2>&1 || true
+        # Give the 1s compactor a chance to trip the storage failpoints,
+        # then drain: the snapshot/final-seal/checkpoint sites fire on the
+        # way down.
+        sleep 3
+        if kill -0 "$DAEMON_PID" 2>/dev/null; then
+            kill -TERM "$DAEMON_PID" 2>/dev/null || true
+        fi
+        wait_gone "$DAEMON_PID" 35 || { echo "   daemon A stuck after SIGTERM"; FAILED=1; kill -9 "$DAEMON_PID"; continue; }
     fi
-    wait_gone "$DAEMON_PID" 35 || { echo "   daemon A stuck after SIGTERM"; FAILED=1; kill -9 "$DAEMON_PID"; continue; }
 
     # Life B: restart with the site still armed — a kill during
     # recovery must be recoverable too. If B dies (or never gets
