@@ -12,7 +12,7 @@
 //	       [-compact-interval D] [-compact-age D] [-compact-min N]
 //	       [-journal] [-journal-fsync POLICY]
 //	       [-journal-sync-interval D] [-journal-rotate-bytes N]
-//	       [-failpoints SPEC] [-list-failpoints] [-pprof ADDR]
+//	       [-pprof ADDR]
 //
 // Endpoints:
 //
@@ -53,11 +53,6 @@
 // boot are quarantined with exact accounting instead of blocking the
 // restart; /stats and /healthz carry the degraded flag.
 //
-// -failpoints (or TITAND_FAILPOINTS) arms named fault-injection sites
-// — see -list-failpoints for the catalog — used by the crash harness
-// (scripts/crash.sh) to kill the daemon at every storage boundary and
-// assert recovery.
-//
 // -warm-dir DIR is the one-flag state directory: the shutdown snapshot
 // goes to DIR, segments to DIR/segments, and at boot any history found
 // there is replayed so the daemon resumes with its windows, retirement
@@ -84,7 +79,6 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/dataset"
-	"titanre/internal/failpoint"
 	"titanre/internal/predict"
 	"titanre/internal/serve"
 )
@@ -106,25 +100,8 @@ func main() {
 	journalFsync := flag.String("journal-fsync", "", "journal fsync policy: always, interval, off (default interval)")
 	journalSyncInterval := flag.Duration("journal-sync-interval", 0, "interval-policy fsync cadence (0 = default 100ms)")
 	journalRotateBytes := flag.Int64("journal-rotate-bytes", 0, "rotate journal files past this size (0 = default 4MiB)")
-	failpoints := flag.String("failpoints", "", "arm fault-injection sites, e.g. 'store.segment.sync=kill:2' (also TITAND_FAILPOINTS)")
-	listFailpoints := flag.Bool("list-failpoints", false, "print the failpoint catalog and exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address, e.g. localhost:6060 (empty = off)")
 	flag.Parse()
-
-	if *listFailpoints {
-		for _, name := range failpoint.Names() {
-			fmt.Println(name)
-		}
-		return
-	}
-	if err := failpoint.ArmFromEnv("TITAND_FAILPOINTS"); err != nil {
-		fatal(err)
-	}
-	if *failpoints != "" {
-		if err := failpoint.Arm(*failpoints); err != nil {
-			fatal(err)
-		}
-	}
 
 	cfg := serve.DefaultConfig()
 	cfg.QueueDepth = *queue

@@ -14,6 +14,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/durable"
 	"titanre/internal/ingest"
 	"titanre/internal/nvsmi"
 	"titanre/internal/scheduler"
@@ -49,82 +51,45 @@ var (
 
 // Write stores a result's artifacts into dir, creating it if needed.
 func Write(dir string, res *sim.Result) error {
-	return write(dir, func(f *os.File) error {
-		return console.WriteLog(f, res.Events)
+	return write(durable.OS, dir, func(w io.Writer) error {
+		return console.WriteLog(w, res.Events)
 	}, res.Jobs, res.Samples, res.Snapshot)
 }
 
 // write stores the four artifacts, the console log through the given
-// encoder.
-func write(dir string, consoleLog func(*os.File) error, jobs []scheduler.Record, samples []nvsmi.JobSample, snap nvsmi.Snapshot) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// encoder, each atomically and durably (durable.WriteFile): a crash
+// mid-write — titand's shutdown snapshot racing a second SIGKILL —
+// leaves the previous artifact intact, never a torn one.
+func write(fsys durable.FS, dir string, consoleLog func(io.Writer) error, jobs []scheduler.Record, samples []nvsmi.JobSample, snap nvsmi.Snapshot) error {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	if err := writeFile(dir, ConsoleFile, consoleLog); err != nil {
-		return err
-	}
-	if err := writeFile(dir, JobsFile, func(f *os.File) error {
-		return scheduler.WriteJobLog(f, jobs)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile(dir, SamplesFile, func(f *os.File) error {
-		return nvsmi.WriteSamples(f, samples)
-	}); err != nil {
-		return err
-	}
-	return writeFile(dir, SnapshotFile, func(f *os.File) error {
-		return nvsmi.WriteSnapshot(f, snap)
-	})
-}
-
-// writeFile writes one artifact atomically and durably: content goes
-// to a temp file, is fsynced, renamed over the final name, and the
-// directory entry is fsynced. A crash mid-write (titand's shutdown
-// snapshot races a second SIGKILL) leaves the previous artifact
-// intact, never a torn one.
-func writeFile(dir, name string, fn func(*os.File) error) error {
-	f, err := os.CreateTemp(dir, "."+name+"-*")
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	tmp := f.Name()
-	defer os.Remove(tmp)
-	if err := fn(f); err != nil {
-		f.Close()
-		return fmt.Errorf("dataset: writing %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("dataset: syncing %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dataset: closing %s: %w", name, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("dataset: committing %s: %w", name, err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("dataset: syncing %s: %w", dir, err)
+	for _, a := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{ConsoleFile, consoleLog},
+		{JobsFile, func(w io.Writer) error { return scheduler.WriteJobLog(w, jobs) }},
+		{SamplesFile, func(w io.Writer) error { return nvsmi.WriteSamples(w, samples) }},
+		{SnapshotFile, func(w io.Writer) error { return nvsmi.WriteSnapshot(w, snap) }},
+	} {
+		if err := durable.WriteFile(fsys, dir, a.name, a.write); err != nil {
+			return fmt.Errorf("dataset: writing %s: %w", a.name, err)
+		}
 	}
 	return nil
 }
 
 // WriteStream stores a dataset whose console events are pulled from an
 // iterator instead of a materialized slice — titand's shutdown snapshot
-// uses it to flush sealed segments plus the retained tail without ever
-// holding the full event history as one []Event. The three TSV
-// artifacts are written as valid empty files (the stream never carries
-// job or nvidia-smi data), exactly as Write does for a result without
-// them, so the directory round-trips through Load.
-func WriteStream(dir string, next func() (console.Event, bool)) error {
-	return write(dir, func(f *os.File) error {
-		return console.WriteLogStream(f, next)
+// uses it to flush sealed segments plus the retained tail, on its own
+// file system, without ever holding the full event history as one
+// []Event. The three TSV artifacts are written as valid empty files (the
+// stream never carries job or nvidia-smi data), exactly as Write does for
+// a result without them, so the directory round-trips through Load.
+func WriteStream(fsys durable.FS, dir string, next func() (console.Event, bool)) error {
+	return write(durable.Or(fsys), dir, func(w io.Writer) error {
+		return console.WriteLogStream(w, next)
 	}, nil, nil, nvsmi.Snapshot{})
 }
 

@@ -17,12 +17,13 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"titanre/internal/console"
 	"titanre/internal/dataset"
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 	"titanre/internal/ingest"
 	"titanre/internal/serve"
 	"titanre/internal/sim"
@@ -54,8 +55,8 @@ const (
 	hold                        // it waits until the next sub-batch to that replica has gone first
 	hang                        // the replica applies it and never answers: the batch's deadline passes
 	restart                     // the replica drains, snapshots and starts warm, refusing n%3 requests between
-	crash                       // the replica dies at failpoint crashSites[n%7] with n/7%4 acked batches queued
-	wedge                       // the replica's journal fails its next 1+n appends
+	crash                       // the replica loses power at crashCuts[n%7] with n/7%4 acked batches queued
+	wedge                       // the replica's journal fails its next 1+n writes
 	restartRouter               // a new router takes over after the batch in hand
 	numActions
 	stall action = iota - 1 // first half of a crash: the applier stops, so what is acked queues up
@@ -64,11 +65,21 @@ const (
 
 var actionNames = [...]string{"drop-request", "drop-ack", "duplicate", "hold", "hang", "restart", "crash", "wedge", "restart-router", "stall"}
 
-// crashSites are the journal and seal failpoints a replica can die at;
-// the seal ones are reached by compacting with the site armed.
-var crashSites = [...]string{
-	"serve.journal.append", "serve.journal.sync", "serve.compact.chunk",
-	"store.segment.write", "store.segment.sync", "store.segment.rename", "store.dir.sync",
+// crashCuts are the journal and seal boundaries a replica can lose power
+// at, each named for the step it comes just before; the seal ones are
+// reached by compacting once the cut is armed.
+var crashCuts = [...]struct {
+	name string
+	op   durable.Op
+	path string // what the operation's path contains
+}{
+	{"serve.journal.append", durable.OpWrite, "/journal/"},
+	{"serve.journal.sync", durable.OpSync, "/journal/"},
+	{"serve.compact.chunk", durable.OpCreate, "/segments/"},
+	{"store.segment.write", durable.OpWrite, "/segments/"},
+	{"store.segment.sync", durable.OpSync, "/segments/"},
+	{"store.segment.rename", durable.OpRename, "/segments/"},
+	{"store.dir.sync", durable.OpSyncDir, "/segments"},
 }
 
 // fault is one scheduled event.
@@ -79,8 +90,8 @@ type fault struct {
 	n       int // the action's own number, see the action list
 }
 
-func (f fault) site() string { return crashSites[f.n%len(crashSites)] }
-func (f fault) queued() int  { return f.n / len(crashSites) % victimQueue }
+func (f fault) cut() int    { return f.n % len(crashCuts) }
+func (f fault) queued() int { return f.n / len(crashCuts) % victimQueue }
 
 func (f fault) String() string {
 	s := fmt.Sprintf("%s replica %d at %d", actionNames[f.act], f.replica, f.at)
@@ -88,9 +99,9 @@ func (f fault) String() string {
 	case restart:
 		s += fmt.Sprintf(" (down for %d)", f.n%3)
 	case crash:
-		s += fmt.Sprintf(" (%s, %d queued)", f.site(), f.queued())
+		s += fmt.Sprintf(" (%s, %d queued)", crashCuts[f.cut()].name, f.queued())
 	case wedge:
-		s += fmt.Sprintf(" (%d appends)", 1+f.n)
+		s += fmt.Sprintf(" (%d writes)", 1+f.n)
 	}
 	return s
 }
@@ -121,9 +132,8 @@ func (sc schedule) String() string {
 
 // decodeSchedule reads a schedule out of bytes, so a seed's PRNG and go
 // test -fuzz draw from one space: replicas, corruption, then four bytes a
-// fault, at most eight. Failpoints are process-wide, so one replica — the
-// first a crash or wedge names — is the victim of them all, and the only
-// one given a journal.
+// fault, at most eight. One replica — the first a crash or wedge names —
+// is the victim of them all, and the only one given a journal.
 func decodeSchedule(data []byte) schedule {
 	data = append(slices.Clip(data), 0, 0) // a copy: the fuzzer's bytes are not ours to write past
 	sc := schedule{replicas: 2 + int(data[0])%3, seed: int64(data[1])}
@@ -231,7 +241,7 @@ type member struct {
 	idx     int
 	cfg     serve.Config
 	victim  bool            // journaled: the one replica crash and wedge faults are aimed at
-	dir     string          // state directory; "" = none, it never restarts
+	mem     *durable.Mem    // its file system; nil = none, it never restarts
 	srv     *serve.Server   // nil while down
 	all     []*serve.Server // every incarnation, for the books
 	faults  map[int]fault   // by position
@@ -268,13 +278,15 @@ type fleet struct {
 var errRefused = errors.New("fleet: connection refused")
 
 // newFleet builds a router over len(cfgs) replicas on the in-memory
-// wire. A config with a SnapshotDir makes that replica restartable.
+// wire. A config on a durable.Mem (stateConfig) makes that replica
+// restartable.
 func newFleet(tb testing.TB, cfgs ...serve.Config) *fleet {
 	tb.Helper()
 	f := &fleet{tb: tb, names: replicaNames(len(cfgs)), subs: map[subKey]*sub{}}
 	f.moveOn = make(chan struct{}, 64) // a place per parked request and to spare: the wire never blocks on the client
 	for i, cfg := range cfgs {
-		m := &member{idx: i, cfg: cfg, victim: cfg.JournalDir != "", dir: cfg.SnapshotDir, faults: map[int]fault{}}
+		m := &member{idx: i, cfg: cfg, victim: cfg.JournalDir != "", faults: map[int]fault{}}
+		m.mem, _ = cfg.FS.(*durable.Mem)
 		f.members = append(f.members, m)
 		m.start(tb)
 	}
@@ -299,19 +311,24 @@ func newFleet(tb testing.TB, cfgs ...serve.Config) *fleet {
 	return f
 }
 
-// stateConfig is titand -warm-dir dir [-journal -journal-fsync always]:
-// a replica that can restart from dir and, journaled, survive a crash
-// there.
-func stateConfig(dir string, journal bool) serve.Config {
+// stateDir is every replica's state directory, each on its own
+// durable.Mem.
+const stateDir = "/state"
+
+// stateConfig is titand -warm-dir stateDir [-journal -journal-fsync
+// always] on a file system of its own: a replica that can restart from
+// it and, journaled, survive a crash there.
+func stateConfig(journal bool) serve.Config {
 	cfg := serve.DefaultConfig()
-	cfg.SnapshotDir = dir
+	cfg.FS = durable.NewMem()
+	cfg.SnapshotDir = stateDir
 	if journal {
 		cfg.QueueDepth = victimQueue
-		cfg.CompactDir = filepath.Join(dir, dataset.SegmentsDir)
+		cfg.CompactDir = filepath.Join(stateDir, dataset.SegmentsDir)
 		cfg.CompactAge = time.Hour
 		cfg.CompactMin = 1
 		cfg.CompactInterval = time.Hour // idle: a crash fault compacts when it wants a seal
-		cfg.JournalDir = filepath.Join(dir, "journal")
+		cfg.JournalDir = filepath.Join(stateDir, "journal")
 		cfg.JournalFsync = serve.FsyncAlways
 	}
 	return cfg
@@ -340,10 +357,10 @@ type wire struct {
 func (m *member) start(tb testing.TB) {
 	m.srv = serve.NewServer(m.cfg)
 	m.all = append(m.all, m.srv)
-	if m.dir == "" {
+	if m.mem == nil {
 		return
 	}
-	ws, err := m.srv.WarmStart(m.dir)
+	ws, err := m.srv.WarmStart(stateDir)
 	if err != nil {
 		tb.Fatalf("replica %d warm start: %v", m.idx, err)
 	}
@@ -397,37 +414,23 @@ func (m *member) stop(tb testing.TB) {
 	m.srv = nil
 }
 
-// freeze is the crash hook: the victim's directory is copied as it
-// stands — what a kill -9 here would have left — and the replica is dead
-// to the wire from now on. The abandoned server runs on; nothing it does
-// after this reaches the copy.
-func (m *member) freeze(tb testing.TB, site string) {
-	m.crashes++
-	frozen := filepath.Join(filepath.Dir(m.dir), fmt.Sprintf("crash%d-%s", m.crashes, site))
-	if err := copyTree(m.dir, frozen); err != nil {
-		tb.Errorf("freezing %s: %v", m.dir, err)
+// freeze is the crash: the victim's file system is the power-cut image
+// of its own at the boundary the fault names, and the replica is dead to
+// the wire from now on. The abandoned server runs on; nothing it does
+// after this reaches the image. False when the run never reached that
+// boundary.
+func (m *member) freeze(ft fault) bool {
+	cuts := m.mem.Cuts()
+	m.mem.Record(false)
+	at := crashCuts[ft.cut()]
+	i := slices.IndexFunc(cuts, func(c durable.Cut) bool { return c.Op == at.op && strings.Contains(c.Path, at.path) })
+	if i < 0 {
+		return false
 	}
-	m.dir, m.cfg = frozen, stateConfig(frozen, true)
+	m.crashes++
+	m.mem, m.cfg.FS = cuts[i].Power, cuts[i].Power
 	m.dead.Store(true)
-}
-
-// copyTree copies a state directory file by file, whatever bytes each
-// holds right now.
-func copyTree(src, dst string) error {
-	return filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, strings.TrimPrefix(path, src))
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
+	return true
 }
 
 // cancelKey carries a client batch's cancel func to the wire, for hang.
@@ -517,18 +520,14 @@ func (w wire) RoundTrip(req *http.Request) (*http.Response, error) {
 		if m.gate == nil {
 			m.quiesce(f.tb) // nothing queued: what is acked is applied, exactly
 		}
-		if err := failpoint.Enable(ft.site(), "crash"); err != nil {
-			f.tb.Fatal(err)
-		}
+		m.mem.Record(true)
 		m.release()
-		if !strings.HasPrefix(ft.site(), "serve.journal.") {
+		if crashCuts[ft.cut()].path != "/journal/" {
 			m.quiesce(f.tb)
-			_, _ = m.srv.CompactNow() // the site fires in here, if there is anything to seal
+			_, _ = m.srv.CompactNow() // the cut falls in here, if there is anything to seal
 		}
 	case wedge:
-		if err := failpoint.Enable("serve.journal.append", fmt.Sprintf("error:%d", 1+ft.n)); err != nil {
-			f.tb.Fatal(err)
-		}
+		m.mem.Fail(durable.Fault{Op: durable.OpWrite, Path: "/journal/", N: 1 + ft.n, Err: syscall.EIO})
 	case restartRouter:
 		f.swap.Store(true)
 	}
@@ -552,9 +551,8 @@ func (w wire) RoundTrip(req *http.Request) (*http.Response, error) {
 	// After delivery.
 	switch ft.act {
 	case crash:
-		failpoint.Disable(ft.site())
-		if !m.dead.Load() {
-			break // nothing to seal, or no event to journal: the site was not reached
+		if !m.freeze(ft) {
+			break // nothing to seal, or no event to journal: the cut was not reached
 		}
 		m.srv, m.down = nil, 1+ft.n%2
 		return answer(nil, errRefused)
@@ -735,7 +733,7 @@ func (f *fleet) check(books *clientBooks) *report {
 		for act, n := range m.fired {
 			r.fired[act] += n
 		}
-		r.fired[crash] += m.crashes - m.fired[crash] // those that reached their site
+		r.fired[crash] += m.crashes - m.fired[crash] // those that reached their cut
 		if m.crashes > 0 {
 			maxSub, wedged = m.maxSub, m.fired[wedge] > 0
 		}
@@ -882,20 +880,16 @@ func (f *fleet) check(books *clientBooks) *report {
 // a journaled state directory, a replica that restarts a plain one.
 func runSchedule(tb testing.TB, sc schedule) (*fleet, *report) {
 	tb.Helper()
-	root := tb.TempDir()
 	cfgs := make([]serve.Config, sc.replicas)
 	for i := range cfgs {
 		cfgs[i] = serve.DefaultConfig()
 	}
-	victim := -1
 	for _, ft := range sc.faults {
-		dir := filepath.Join(root, fmt.Sprint("replica", ft.replica), "state")
 		switch {
 		case ft.act == crash || ft.act == wedge:
-			victim = ft.replica
-			cfgs[victim] = stateConfig(dir, true)
+			cfgs[ft.replica] = stateConfig(true)
 		case ft.act == restart && cfgs[ft.replica].SnapshotDir == "":
-			cfgs[ft.replica] = stateConfig(dir, false)
+			cfgs[ft.replica] = stateConfig(false)
 		}
 	}
 	f := newFleet(tb, cfgs...)
@@ -912,13 +906,6 @@ func runSchedule(tb testing.TB, sc schedule) (*fleet, *report) {
 		if len(at) > 1 {
 			m.faults[at[0]] = fault{stall, ft.replica, ft.at, 0}
 		}
-	}
-	if victim >= 0 {
-		// Process-wide, so disarmed before the next schedule, not at the
-		// test's end: a wedge's unspent budget would wedge the next victim.
-		failpoint.OnCrash(func(site string) { f.members[victim].freeze(tb, site) })
-		defer failpoint.OnCrash(nil)
-		defer failpoint.DisableAll()
 	}
 	return f, f.check(f.stream(sc.log(tb), "fleet"))
 }
@@ -1013,8 +1000,8 @@ func TestFleetSchedules(t *testing.T) {
 	}
 }
 
-// TestFleetCrashRows measures what a replica crash costs, at every
-// journal and seal failpoint, with nothing queued and with three acked
+// TestFleetCrashRows measures what a replica crash costs, at every named
+// journal and seal boundary, with nothing queued and with three acked
 // batches queued behind a stalled applier (the fourth slot is the request
 // the crash fires on), under JournalFsync always: the
 // restarted replica is a prefix of what it was sent (check compares every
@@ -1022,10 +1009,10 @@ func TestFleetSchedules(t *testing.T) {
 // QueueDepth batches, lines_applied_twice at most the one sub-batch whose
 // ack the crash ate, and merged /alerts says it is degraded.
 func TestFleetCrashRows(t *testing.T) {
-	for n := 0; n < victimQueue*len(crashSites); n += (victimQueue - 1) * len(crashSites) {
-		for site := range crashSites {
-			ft := fault{crash, 0, 10, n + site}
-			t.Run(fmt.Sprintf("%s/queued-%d", ft.site(), ft.queued()), func(t *testing.T) {
+	for n := 0; n < victimQueue*len(crashCuts); n += (victimQueue - 1) * len(crashCuts) {
+		for cut := range crashCuts {
+			ft := fault{crash, 0, 10, n + cut}
+			t.Run(fmt.Sprintf("%s/queued-%d", crashCuts[cut].name, ft.queued()), func(t *testing.T) {
 				_, r := mustPass(t, t.Name(), schedule{replicas: 2, faults: []fault{ft}})
 				if r.crashes != 1 {
 					t.Fatalf("%d crashes fired, want 1", r.crashes)

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -48,9 +49,13 @@ type fanResult struct {
 	err     error
 }
 
-// fanOut GETs path?query from every replica concurrently.
+// fanOut GETs path?query from every replica concurrently, within
+// ReadTimeout: a replica that never answers fails its result, not the
+// whole read forever.
 func (rt *Router) fanOut(r *http.Request, path, rawQuery string) []fanResult {
 	rt.metrics.readFanouts.Add(1)
+	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ReadTimeout)
+	defer cancel()
 	results := make([]fanResult, len(rt.cfg.Replicas))
 	var wg sync.WaitGroup
 	for ri, base := range rt.cfg.Replicas {
@@ -62,7 +67,7 @@ func (rt *Router) fanOut(r *http.Request, path, rawQuery string) []fanResult {
 			if rawQuery != "" {
 				u += "?" + rawQuery
 			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 			if err != nil {
 				res.err = err
 				results[ri] = res

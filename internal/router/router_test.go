@@ -413,3 +413,35 @@ func TestSourceCap(t *testing.T) {
 		t.Fatalf("overflow books after the flood (client saw %d shed batches): %+v", shed.Load(), got)
 	}
 }
+
+// TestMergedReadTimeout: a replica that takes a read and never answers
+// holds a merged read no longer than ReadTimeout — the router answers 502
+// in well under a second. The request carries its own two-second
+// deadline, so a router that ignores ReadTimeout fails here instead of
+// hanging.
+func TestMergedReadTimeout(t *testing.T) {
+	replica := serve.NewServer(serve.DefaultConfig())
+	live := httptest.NewServer(replica.Handler())
+	defer live.Close()
+	stop := make(chan struct{})
+	stopped := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-stop:
+		case <-r.Context().Done():
+		}
+	}))
+	defer stopped.Close()
+	defer close(stop)
+	rt, err := New(Config{Replicas: []string{live.URL, stopped.URL}, ReadTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/rollup?by=code&bucket=1h", nil).WithContext(ctx))
+	if took := time.Since(start); rec.Code != http.StatusBadGateway || took >= time.Second {
+		t.Fatalf("merged /rollup with a stopped replica answered %d after %v; want 502 within 1s (ReadTimeout 200ms)", rec.Code, took)
+	}
+}

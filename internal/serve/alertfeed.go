@@ -11,7 +11,7 @@ import (
 
 	"titanre/internal/alert"
 	"titanre/internal/console"
-	"titanre/internal/store"
+	"titanre/internal/durable"
 	"titanre/internal/xid"
 )
 
@@ -256,7 +256,7 @@ func (s *Server) writeFeedSnapshot(dir string) error {
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err == nil {
-		err = store.WriteFileDurable(dir, alertfeedFile, append(data, '\n'), nil)
+		err = durable.WriteBytes(s.cfg.FS, dir, alertfeedFile, append(data, '\n'))
 	}
 	if err != nil {
 		return fmt.Errorf("serve: alert feed snapshot: %w", err)
@@ -276,7 +276,7 @@ func (s *Server) writeFeedSnapshot(dir string) error {
 // re-recording the set reproduces the same minima and the same class
 // membership.
 func (s *Server) loadFeedSnapshot(dir string, restored int) error {
-	data, err := os.ReadFile(filepath.Join(dir, alertfeedFile))
+	data, err := s.cfg.FS.ReadFile(filepath.Join(dir, alertfeedFile))
 	if os.IsNotExist(err) {
 		if s.feed != nil && restored > 0 {
 			s.feed.mu.Lock()

@@ -12,7 +12,7 @@ import (
 
 	"titanre/internal/alert"
 	"titanre/internal/bincode"
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 	"titanre/internal/gpu"
 	"titanre/internal/predict"
 	"titanre/internal/store"
@@ -44,8 +44,6 @@ import (
 // from the first segment, with the reason booked on /stats. The file is
 // never consumed, so a kill -9 after a restart still restores it and
 // replays only what was sealed since.
-
-var fpCheckpointWrite = failpoint.Register("serve.checkpoint.write")
 
 // checkpointFile is the checkpoint's name inside the segment directory.
 const checkpointFile = "CHECKPOINT"
@@ -280,7 +278,9 @@ func carve[T any](chunk *[]T, n int) []T {
 // writeCheckpoint persists the derived state at the end of Shutdown,
 // when everything applied is sealed (the final seal ran; without
 // retention or after a failed seal it is not, and no checkpoint is
-// written — the last one stays valid for its prefix).
+// written — the last one stays valid for its prefix) and there is any:
+// a daemon that never sealed has no segment directory to write it to,
+// and an empty state needs no checkpoint.
 func (s *Server) writeCheckpoint() error {
 	sealed := s.sealedPeek()
 	if sealed == nil {
@@ -300,28 +300,23 @@ func (s *Server) writeCheckpoint() error {
 		warner:         s.warner,
 	}
 	var data []byte
-	if cp.applied == uint64(sealed.EventCount()) {
+	if cp.applied == uint64(sealed.EventCount()) && cp.applied > 0 {
 		data = cp.append(nil)
 	}
 	s.stateMu.Unlock()
 	if data == nil {
 		return nil
 	}
-	if err := store.WriteFileDurable(sealed.Dir(), checkpointFile, data, fpCheckpointWrite); err != nil {
+	if err := durable.WriteBytes(s.cfg.FS, sealed.Dir(), checkpointFile, data); err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	return nil
 }
 
 // loadCheckpoint returns the checkpoint in st's directory when it may
-// seed a warm start of st, or nil and the reason it may not. Temp files
-// of a checkpoint write that never reached its rename are removed.
+// seed a warm start of st, or nil and the reason it may not.
 func loadCheckpoint(st *store.Store, rec store.Recovery, cfg Config) (*checkpoint, string) {
-	orphans, _ := filepath.Glob(filepath.Join(st.Dir(), "."+checkpointFile+"-*"))
-	for _, o := range orphans {
-		os.Remove(o)
-	}
-	data, err := os.ReadFile(filepath.Join(st.Dir(), checkpointFile))
+	data, err := cfg.FS.ReadFile(filepath.Join(st.Dir(), checkpointFile))
 	if os.IsNotExist(err) {
 		return nil, "missing"
 	}

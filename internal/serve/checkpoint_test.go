@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +19,7 @@ import (
 	"titanre/internal/bincode"
 	"titanre/internal/console"
 	"titanre/internal/dataset"
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 	"titanre/internal/predict"
 	"titanre/internal/store"
 	"titanre/internal/topology"
@@ -34,21 +33,22 @@ import (
 
 // cpFixture is one month of history cut in three, two models trained on
 // all of it (the second with a longer lead window), and the state
-// directory daemon A left: it took the front third with a compaction
-// mid-life and drained, sealing the rest and writing the checkpoint.
+// directory daemon A left on a durable.Mem: it took the front third with
+// a compaction mid-life and drained, sealing the rest and writing the
+// checkpoint.
 type cpFixture struct {
 	events            []console.Event
 	front, mid        []console.Event
 	model, otherModel *predict.Model
-	dir               string
+	mem               *durable.Mem
 }
 
-// newCPFixture builds the fixture under t's temporary directory.
+// newCPFixture builds the fixture.
 func newCPFixture(t *testing.T) *cpFixture {
 	t.Helper()
 	events := simEvents()
 	third := len(events) / 3
-	fx := &cpFixture{events: events, front: events[:third], mid: events[third : 2*third], dir: t.TempDir()}
+	fx := &cpFixture{events: events, front: events[:third], mid: events[third : 2*third], mem: durable.NewMem()}
 	pcfg := predict.DefaultConfig()
 	pcfg.MinSupport = 5
 	pcfg.MinConfidence = 0.01
@@ -58,8 +58,8 @@ func newCPFixture(t *testing.T) *cpFixture {
 	if len(fx.model.Rules()) == 0 || bytes.Equal(fx.model.AppendFingerprint(nil), fx.otherModel.AppendFingerprint(nil)) {
 		t.Fatalf("models with %d and %d rules; the rows need two different non-empty ones", len(fx.model.Rules()), len(fx.otherModel.Rules()))
 	}
-	a := NewServer(cpConfig(fx.dir, fx.model))
-	if _, err := a.WarmStart(fx.dir); err != nil {
+	a := NewServer(cpConfig(fx.mem, fx.model))
+	if _, err := a.WarmStart(stateDir); err != nil {
 		t.Fatal(err)
 	}
 	half := len(fx.front) / 2
@@ -76,50 +76,76 @@ func newCPFixture(t *testing.T) *cpFixture {
 	return fx
 }
 
-// cpConfig is titand's -warm-dir -journal wiring over dir.
-func cpConfig(dir string, model *predict.Model) Config {
-	cfg := crashConfig(dir, FsyncOff)
-	cfg.SnapshotDir = dir
+// cpConfig is titand's -warm-dir -journal wiring over stateDir on fsys.
+func cpConfig(fsys durable.FS, model *predict.Model) Config {
+	cfg := memConfig(fsys, FsyncOff)
+	cfg.SnapshotDir = stateDir
 	cfg.Model = model
 	return cfg
 }
 
-// copyState is a fresh copy of the fixture's state directory.
-func (fx *cpFixture) copyState(t *testing.T) string {
-	dir := filepath.Join(t.TempDir(), "state")
-	copyTree(t, fx.dir, dir)
-	return dir
-}
+// cpPath is the checkpoint's path in stateDir.
+var cpPath = filepath.Join(stateDir, dataset.SegmentsDir, checkpointFile)
 
-// segmentFiles lists a state directory's sealed segment files in seal
-// order.
-func segmentFiles(t *testing.T, dir string) []string {
+// segmentFiles lists the sealed segment files on mem in seal order.
+func segmentFiles(t *testing.T, mem *durable.Mem) []string {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, dataset.SegmentsDir, "*.seg"))
-	if err != nil || len(names) < 2 {
-		t.Fatalf("segments %v (%v); the rows need at least two", names, err)
+	var names []string
+	for _, p := range mem.Paths() {
+		if filepath.Dir(p) == filepath.Join(stateDir, dataset.SegmentsDir) && filepath.Ext(p) == ".seg" {
+			names = append(names, p)
+		}
 	}
-	sort.Strings(names)
+	if len(names) < 2 {
+		t.Fatalf("segments %v; the rows need at least two", names)
+	}
 	return names
 }
 
-// advance is a daemon that warm-starts from dir, takes events, compacts
-// and is then frozen the way a kill -9 leaves it: the copy it returns holds what the
-// files held, and the daemon is abandoned (its clean-up drain writes to
-// dir, not to the copy).
-func advance(t *testing.T, dir string, cfg Config, events []console.Event) string {
+// flipByte rewrites path on mem with the byte at its middle flipped.
+func flipByte(t *testing.T, mem *durable.Mem, path string, bit byte) {
 	t.Helper()
-	s := testServer(t, cfg)
-	if _, err := s.WarmStart(dir); err != nil {
+	data, err := mem.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= bit
+	f, err := mem.Create(path)
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+}
+
+// tempFiles lists the durable.WriteFile temp files on mem.
+func tempFiles(mem *durable.Mem) []string {
+	var temps []string
+	for _, p := range mem.Paths() {
+		if strings.HasPrefix(filepath.Base(p), durable.TempPrefix) {
+			temps = append(temps, p)
+		}
+	}
+	return temps
+}
+
+// advance is a daemon that warm-starts from mem, takes events, compacts
+// and is then killed: the image it returns holds what the files held,
+// and the daemon is abandoned (its clean-up drain writes to mem, not to
+// the image).
+func advance(t *testing.T, mem *durable.Mem, model *predict.Model, events []console.Event) *durable.Mem {
+	t.Helper()
+	s := testServer(t, cpConfig(mem, model))
+	if _, err := s.WarmStart(stateDir); err != nil {
 		t.Fatal(err)
 	}
 	ingestLog(t, s, encodeLog(t, events))
 	if _, err := s.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	frozen := filepath.Join(t.TempDir(), "frozen")
-	copyTree(t, dir, frozen)
-	return frozen
+	return killImage(mem)
 }
 
 // TestCheckpointRestart: each row leaves a state directory, daemon B
@@ -129,19 +155,18 @@ func advance(t *testing.T, dir string, cfg Config, events []console.Event) strin
 // aside) identical to a daemon that took the same events in one life. Rows without a usable
 // checkpoint replay in full and say why.
 func TestCheckpointRestart(t *testing.T) {
-	t.Cleanup(failpoint.DisableAll)
-	t.Cleanup(func() { failpoint.OnCrash(nil) })
 	fx := newCPFixture(t)
-	first, err := store.ReadSegmentFile(segmentFiles(t, fx.dir)[0])
+	first, err := store.ReadSegmentFile(fx.mem, segmentFiles(t, fx.mem)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := []struct {
 		name string
-		// state prepares B's directory from a copy of A's.
-		state func(t *testing.T, dir string) string
-		// cfg is B's config (and the reference's, less the directories).
-		cfg func(dir string) Config
+		// state prepares B's file system from a copy of A's.
+		state func(t *testing.T, mem *durable.Mem) *durable.Mem
+		// cfg is B's config over fsys (and the reference's, less the
+		// directories).
+		cfg func(fsys durable.FS) Config
 		// After the warm start B's state holds the stream's events
 		// [lost, through) — through is the front third unless set;
 		// checkpointed of them came from the checkpoint, and unused, when
@@ -153,64 +178,48 @@ func TestCheckpointRestart(t *testing.T) {
 		checkpointed: len(fx.front),
 	}, {
 		name: "deleted",
-		state: func(t *testing.T, dir string) string {
-			if err := os.Remove(filepath.Join(dir, dataset.SegmentsDir, checkpointFile)); err != nil {
+		state: func(t *testing.T, mem *durable.Mem) *durable.Mem {
+			if err := mem.Remove(cpPath); err != nil {
 				t.Fatal(err)
 			}
-			return dir
+			return mem
 		},
 		unused: "missing",
 	}, {
 		// A restart that ingested, sealed and then died: the checkpoint
 		// covers A's segments; B replays the later ones and the journal.
 		name: "stale-then-crash",
-		state: func(t *testing.T, dir string) string {
-			return advance(t, dir, cpConfig(dir, fx.model), fx.mid)
+		state: func(t *testing.T, mem *durable.Mem) *durable.Mem {
+			return advance(t, mem, fx.model, fx.mid)
 		},
 		through:      len(fx.front) + len(fx.mid),
 		checkpointed: len(fx.front),
 	}, {
 		name: "flipped-byte",
-		state: func(t *testing.T, dir string) string {
-			path := filepath.Join(dir, dataset.SegmentsDir, checkpointFile)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0x01
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return dir
+		state: func(t *testing.T, mem *durable.Mem) *durable.Mem {
+			flipByte(t, mem, cpPath, 0x01)
+			return mem
 		},
 		unused: "digest mismatch",
 	}, {
 		name: "window-changed",
-		cfg: func(dir string) Config {
-			cfg := cpConfig(dir, fx.model)
+		cfg: func(fsys durable.FS) Config {
+			cfg := cpConfig(fsys, fx.model)
 			cfg.RateWindow = 6 * time.Hour
 			return cfg
 		},
 		unused: "fingerprint differs",
 	}, {
 		name:   "model-changed",
-		cfg:    func(dir string) Config { return cpConfig(dir, fx.otherModel) },
+		cfg:    func(fsys durable.FS) Config { return cpConfig(fsys, fx.otherModel) },
 		unused: "fingerprint differs",
 	}, {
 		// The prefix's first segment rots: quarantined at open, so the
 		// checkpoint that covers it is not used and B holds the rest.
 		name: "quarantined",
-		state: func(t *testing.T, dir string) string {
-			victim := segmentFiles(t, dir)[0]
-			data, err := os.ReadFile(victim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0x20
-			if err := os.WriteFile(victim, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return dir
+		state: func(t *testing.T, mem *durable.Mem) *durable.Mem {
+			flipByte(t, mem, segmentFiles(t, mem)[0], 0x20)
+			return mem
 		},
 		lost:   first.Len(),
 		unused: "quarantined",
@@ -219,46 +228,48 @@ func TestCheckpointRestart(t *testing.T) {
 		// temp write and rename: the old checkpoint still covers A's
 		// prefix, B replays what the restart sealed after it.
 		name: "kill-before-rename",
-		state: func(t *testing.T, dir string) string {
-			s := NewServer(cpConfig(dir, fx.model))
-			if _, err := s.WarmStart(dir); err != nil {
+		state: func(t *testing.T, mem *durable.Mem) *durable.Mem {
+			s := NewServer(cpConfig(mem, fx.model))
+			if _, err := s.WarmStart(stateDir); err != nil {
 				t.Fatal(err)
 			}
 			ingestLog(t, s, encodeLog(t, fx.mid))
-			frozen := filepath.Join(t.TempDir(), "frozen")
-			failpoint.OnCrash(func(string) { copyTree(t, dir, frozen) })
-			if err := failpoint.Enable("serve.checkpoint.write", "crash"); err != nil {
-				t.Fatal(err)
-			}
+			mem.Record(true)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			if err := s.Shutdown(ctx); err != nil {
 				t.Fatal(err)
 			}
-			failpoint.Disable("serve.checkpoint.write")
-			temps, _ := filepath.Glob(filepath.Join(frozen, dataset.SegmentsDir, "."+checkpointFile+"-*"))
-			if len(temps) != 1 {
+			cuts := mem.Cuts()
+			mem.Record(false)
+			i := slices.IndexFunc(cuts, func(c durable.Cut) bool {
+				return c.Op == durable.OpRename && strings.HasSuffix(c.Path, " -> "+cpPath)
+			})
+			if i < 0 {
+				t.Fatal("the drain renamed no checkpoint into place")
+			}
+			if temps := tempFiles(cuts[i].Kill); len(temps) != 1 {
 				t.Fatalf("the kill left temp files %v, want one", temps)
 			}
-			return frozen
+			return cuts[i].Kill
 		},
 		through:      len(fx.front) + len(fx.mid),
 		checkpointed: len(fx.front),
 	}}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			dir := fx.copyState(t)
+			mem := killImage(fx.mem)
 			if row.state != nil {
-				dir = row.state(t, dir)
+				mem = row.state(t, mem)
 			}
-			cfgOf := func(dir string) Config { return cpConfig(dir, fx.model) }
+			cfgOf := func(fsys durable.FS) Config { return cpConfig(fsys, fx.model) }
 			if row.cfg != nil {
 				cfgOf = row.cfg
 			}
 			through := cmp.Or(row.through, len(fx.front))
 			covered, rest := fx.events[row.lost:through], fx.events[through:]
-			b := testServer(t, cfgOf(dir))
-			ws, err := b.WarmStart(dir)
+			b := testServer(t, cfgOf(mem))
+			ws, err := b.WarmStart(stateDir)
 			if err != nil {
 				t.Fatalf("warm start: %v", err)
 			}
@@ -270,10 +281,10 @@ func TestCheckpointRestart(t *testing.T) {
 				t.Fatalf("/stats books warm start %d checkpointed, %d replayed, unused %q; want %d, %d, %q",
 					st.WarmEventsCheckpointed, st.WarmEventsReplayed, st.WarmCheckpointUnused, row.checkpointed, len(covered)-row.checkpointed, ws.CheckpointUnused)
 			}
-			if temps, _ := filepath.Glob(filepath.Join(dir, dataset.SegmentsDir, "."+checkpointFile+"-*")); len(temps) > 0 {
-				t.Fatalf("warm start left checkpoint temp files %v", temps)
+			if temps := tempFiles(mem); len(temps) > 0 {
+				t.Fatalf("warm start left temp files %v", temps)
 			}
-			refCfg := cfgOf("")
+			refCfg := cfgOf(nil)
 			refCfg.CompactDir, refCfg.JournalDir, refCfg.SnapshotDir = "", "", ""
 			ref := testServer(t, refCfg)
 			ingestLog(t, ref, encodeLog(t, covered))
@@ -359,20 +370,19 @@ func stateStats(t *testing.T, st Stats) string {
 // bytes the live daemon wrote.
 func TestCheckpointBytesIdentical(t *testing.T) {
 	fx := newCPFixture(t)
-	want, err := os.ReadFile(filepath.Join(fx.dir, dataset.SegmentsDir, checkpointFile))
+	want, err := fx.mem.ReadFile(cpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, replay := range []bool{false, true} {
-		dir := fx.copyState(t)
-		path := filepath.Join(dir, dataset.SegmentsDir, checkpointFile)
+		mem := killImage(fx.mem)
 		if replay {
-			if err := os.Remove(path); err != nil {
+			if err := mem.Remove(cpPath); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s := NewServer(cpConfig(dir, fx.model))
-		ws, err := s.WarmStart(dir)
+		s := NewServer(cpConfig(mem, fx.model))
+		ws, err := s.WarmStart(stateDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +395,7 @@ func TestCheckpointBytesIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(path)
+		got, err := mem.ReadFile(cpPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,16 +410,15 @@ func TestCheckpointBytesIdentical(t *testing.T) {
 // checkpoint, and the one it found stays.
 func TestCheckpointNeedsSealedHistory(t *testing.T) {
 	fx := newCPFixture(t)
-	dir := fx.copyState(t)
-	path := filepath.Join(dir, dataset.SegmentsDir, checkpointFile)
-	before, err := os.ReadFile(path)
+	mem := killImage(fx.mem)
+	before, err := mem.ReadFile(cpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := cpConfig(dir, fx.model)
+	cfg := cpConfig(mem, fx.model)
 	cfg.RetainEvents, cfg.SnapshotDir = false, ""
 	s := NewServer(cfg)
-	if _, err := s.WarmStart(dir); err != nil {
+	if _, err := s.WarmStart(stateDir); err != nil {
 		t.Fatal(err)
 	}
 	ingestLog(t, s, encodeLog(t, fx.mid[:100]))
@@ -418,7 +427,7 @@ func TestCheckpointNeedsSealedHistory(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+	if after, err := mem.ReadFile(cpPath); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("checkpoint changed (%v) though the last 100 events were never sealed", err)
 	}
 }
@@ -483,8 +492,7 @@ func BenchmarkWarmStart(b *testing.B) {
 		dir := warmBenchState(b, copies)
 		for _, mode := range []string{"replay", "checkpoint"} {
 			b.Run(fmt.Sprintf("%s/history=%dx", mode, copies), func(b *testing.B) {
-				state := filepath.Join(b.TempDir(), "state")
-				copyTree(b, dir, state)
+				state := copyDir(b, dir)
 				if mode == "replay" {
 					if err := os.Remove(filepath.Join(state, dataset.SegmentsDir, checkpointFile)); err != nil {
 						b.Fatal(err)
@@ -543,4 +551,29 @@ func warmBenchState(b *testing.B, copies int) string {
 		b.Fatalf("no checkpoint after the drain: %v", err)
 	}
 	return dir
+}
+
+// copyDir copies a benchmark's state directory, file by file, to a fresh
+// one it returns.
+func copyDir(tb testing.TB, src string) string {
+	tb.Helper()
+	dst := tb.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, strings.TrimPrefix(path, src))
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dst
 }

@@ -6,7 +6,6 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/dataset"
-	"titanre/internal/failpoint"
 	"titanre/internal/store"
 )
 
@@ -47,11 +46,9 @@ import (
 const compactChunk = dataset.DefaultSegmentEvents
 
 // sealAttempts bounds the per-chunk retries for transient seal I/O
-// failures (ENOSPC that clears, an injected fault); the backoff
-// between attempts is exponential with jitter, ~25/50 ms.
+// failures (an ENOSPC that clears); the backoff between attempts is
+// exponential with jitter, ~25/50 ms.
 const sealAttempts = 3
-
-var fpCompactChunk = failpoint.Register("serve.compact.chunk")
 
 // prepareChunk builds and durably commits one chunk's segment with
 // jittered-exponential-backoff retries, without publishing it. A fault
@@ -61,13 +58,10 @@ var fpCompactChunk = failpoint.Register("serve.compact.chunk")
 // so a failed attempt leaves nothing a retry could duplicate.
 func (s *Server) prepareChunk(st *store.Store, chunk []console.Event) (*store.Prepared, error) {
 	backoff := 25 * time.Millisecond
-	var err error
 	for attempt := 0; ; attempt++ {
-		if err = fpCompactChunk.Eval(); err == nil {
-			var p *store.Prepared
-			if p, err = st.Prepare(chunk); err == nil {
-				return p, nil
-			}
+		p, err := st.Prepare(chunk)
+		if err == nil {
+			return p, nil
 		}
 		if attempt+1 >= sealAttempts {
 			return nil, err
@@ -90,7 +84,7 @@ func (s *Server) sealedStore() (*store.Store, error) {
 	if s.cfg.CompactDir == "" {
 		return nil, nil
 	}
-	st, _, err := store.OpenDir(s.cfg.CompactDir, store.OpenOptions{Mapped: true})
+	st, _, err := store.OpenDir(s.cfg.CompactDir, store.OpenOptions{Mapped: true, FS: s.cfg.FS})
 	if err != nil {
 		return nil, fmt.Errorf("serve: compaction: %w", err)
 	}
@@ -191,7 +185,7 @@ func (s *Server) compact(age time.Duration, minEvents int) (int, error) {
 		// extra segments via the floor's delta arithmetic, and the write
 		// is retried on the next pass.
 		seq := s.sealedSeq.Add(uint64(sealed))
-		if err := store.WriteSealedFloor(st.Dir(), seq, uint64(st.EventCount())); err != nil {
+		if err := st.WriteSealedFloor(seq, uint64(st.EventCount())); err != nil {
 			s.metrics.compactFailures.Add(1)
 			return sealed, fmt.Errorf("serve: compaction: %w", err)
 		}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"hash/crc32"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,8 +11,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/durable"
 	"titanre/internal/ingest"
 )
 
@@ -144,10 +145,25 @@ func TestJournalFramesMatchRender(t *testing.T) {
 				t.Fatalf("journal holds %d bytes of records, want %d: first difference at %d", len(got), len(want), firstDiff(got, want))
 			}
 
-			frozen := t.TempDir()
-			copyTree(t, s.cfg.JournalDir, frozen)
+			// Replay the same bytes, as one file, off a durable.Mem: the
+			// live journal stays the daemon's.
+			replay := JournalConfig{Dir: "/journal", FS: durable.NewMem()}
+			err := replay.FS.MkdirAll(replay.Dir)
+			var f durable.File
+			if err == nil {
+				f, err = replay.FS.Create(filepath.Join(replay.Dir, "wal-00000000000000000000.wal"))
+			}
+			if err == nil {
+				hdr := make([]byte, walHeaderSize)
+				copy(hdr, walMagic)
+				walByteOrder.PutUint32(hdr[8:], walVersion)
+				_, err = f.Write(append(hdr, journalRecords(t, s.cfg.JournalDir)...))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 			var lines bytes.Buffer
-			_, jrep, err := OpenJournal(journalCfg(frozen), 0, func(line []byte) error {
+			_, jrep, err := OpenJournal(replay, 0, func(line []byte) error {
 				lines.Write(line)
 				lines.WriteByte('\n')
 				return nil
@@ -172,17 +188,6 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
-// countingWriter counts the Writes the journal makes to its file.
-type countingWriter struct {
-	w      io.Writer
-	writes int
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.writes++
-	return c.w.Write(p)
-}
-
 // TestOneRenderOneWritePerBatch counts, it does not time: from POST to
 // applied a fast-path line is rendered by AppendRaw once — the decode
 // gate's rendering is the journal record (the parent rendered it again in
@@ -191,12 +196,14 @@ func TestOneRenderOneWritePerBatch(t *testing.T) {
 	var renders atomic.Int64
 	t.Cleanup(func() { console.Renders = nil }) // registered first, so it runs after the server's shutdown
 	batches := shapedBatches(t, 8)
-	s := writePathServer(t)
-	j := s.journal.Load()
-	j.mu.Lock()
-	file := &countingWriter{w: j.w}
-	j.w = file // eight batches do not fill a journal file, so no rotation undoes this
-	j.mu.Unlock()
+	mem := durable.NewMem()
+	cfg := memConfig(mem, FsyncOff)
+	cfg.CompactAge = 10 * time.Minute
+	s := testServer(t, cfg)
+	if _, err := s.WarmStart(stateDir); err != nil {
+		t.Fatal(err)
+	}
+	mem.Record(true)
 	console.Renders = &renders
 	ingestAll(t, s, batches)
 	st := s.StatsNow()
@@ -206,9 +213,13 @@ func TestOneRenderOneWritePerBatch(t *testing.T) {
 	if got := renders.Load(); got != 8*1024 {
 		t.Errorf("AppendRaw ran %d times for 8192 fast-path lines, want once each", got)
 	}
-	j.mu.Lock()
-	writes := file.writes
-	j.mu.Unlock()
+	writes := 0
+	for _, c := range mem.Cuts() {
+		if c.Op == durable.OpWrite && strings.HasPrefix(c.Path, cfg.JournalDir) {
+			writes++
+		}
+	}
+	mem.Record(false)
 	if writes != len(batches) || st.Journal.Appends != 8*1024 {
 		t.Errorf("the journal file took %d writes for %d batches (%d records)", writes, len(batches), st.Journal.Appends)
 	}

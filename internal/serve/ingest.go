@@ -246,7 +246,7 @@ func (s *Server) applier() {
 		if b.seqs != nil {
 			seqs = *b.seqs
 		}
-		_ = s.applyBatch(*b.events, seqs, s.cfg.RetainEvents, false) // only a replay can fail
+		s.applyBatch(*b.events, seqs, s.cfg.RetainEvents, false)
 		s.metrics.observeStage(stageApply, start)
 		eventPool.put(b.events)
 		seqPool.put(b.seqs)
@@ -261,18 +261,10 @@ func (s *Server) applier() {
 // retain is set, then the batch into the alert feed and events_applied.
 // seqs (parallel to events) are the router's global sequences; nil
 // means untagged. A replay does not touch the feed — WarmStart restores
-// it from its own snapshot — and evaluates the serve.warm.replay
-// failpoint before each event, whose injected error is the only one
-// applyBatch returns.
-func (s *Server) applyBatch(events []console.Event, seqs []uint64, retain, replay bool) error {
+// it from its own snapshot.
+func (s *Server) applyBatch(events []console.Event, seqs []uint64, retain, replay bool) {
 	s.stateMu.Lock()
 	for _, ev := range events {
-		if replay {
-			if err := fpWarmReplay.Eval(); err != nil {
-				s.stateMu.Unlock()
-				return err
-			}
-		}
 		s.applyEventLocked(ev)
 		if retain {
 			s.events = append(s.events, ev)
@@ -292,5 +284,4 @@ func (s *Server) applyBatch(events []console.Event, seqs []uint64, retain, repla
 		}
 	}
 	s.metrics.eventsApplied.Add(uint64(len(events)))
-	return nil
 }

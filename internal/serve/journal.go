@@ -1,21 +1,17 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"titanre/internal/console"
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 )
 
 // The arrival-order write-ahead journal.
@@ -77,9 +73,6 @@ const (
 var (
 	walByteOrder = binary.LittleEndian
 	castagnoli   = crc32.MakeTable(crc32.Castagnoli)
-
-	fpJournalAppend = failpoint.Register("serve.journal.append")
-	fpJournalSync   = failpoint.Register("serve.journal.sync")
 )
 
 // JournalConfig tunes one journal (derived from serve.Config).
@@ -88,6 +81,7 @@ type JournalConfig struct {
 	Fsync        string        // always | interval | off
 	SyncInterval time.Duration // interval policy cadence
 	RotateBytes  int64         // rotate the current file past this size
+	FS           durable.FS    // nil is durable.OS
 }
 
 // JournalReplay reports what opening a journal recovered.
@@ -128,9 +122,8 @@ type Journal struct {
 	cfg JournalConfig
 
 	mu     sync.Mutex
-	f      *os.File
-	w      io.Writer // f; what records are written through
-	pend   []byte    // Append's framed records, npend of them, until Commit writes them
+	f      durable.File
+	pend   []byte // Append's framed records, npend of them, until Commit writes them
 	npend  int
 	size   int64
 	files  []walFile // surviving files in sequence order; last is open
@@ -170,34 +163,32 @@ func OpenJournal(cfg JournalConfig, skip uint64, apply func(line []byte) error) 
 	if cfg.RotateBytes <= 0 {
 		cfg.RotateBytes = 4 << 20
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	cfg.FS = durable.Or(cfg.FS)
+	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
 		return nil, rep, fmt.Errorf("serve: journal: %w", err)
 	}
 
-	entries, err := os.ReadDir(cfg.Dir)
+	entries, err := cfg.FS.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, rep, fmt.Errorf("serve: journal: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".wal") {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-
 	j := &Journal{cfg: cfg, next: skip}
 	expected := skip
 	stopped := false // torn frame or gap seen; remove everything after
-	for _, name := range names {
+	// Name order is sequence order.
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".wal") {
+			continue
+		}
 		path := filepath.Join(cfg.Dir, name)
 		if stopped {
-			if os.Remove(path) == nil {
+			if cfg.FS.Remove(path) == nil {
 				rep.FilesRemoved++
 			}
 			continue
 		}
-		first, recs, tornAt, err := readWALFile(path, expected, skip, apply, &rep)
+		first, recs, tornAt, err := readWALFile(cfg.FS, path, expected, skip, apply, &rep)
 		if err != nil {
 			return nil, rep, err
 		}
@@ -207,25 +198,24 @@ func OpenJournal(cfg JournalConfig, skip uint64, apply func(line []byte) error) 
 			// everything after it can never replay contiguously.
 			rep.Torn = rep.Torn || tornAt == tornHeader
 			stopped = true
-			if os.Remove(path) == nil {
+			if cfg.FS.Remove(path) == nil {
 				rep.FilesRemoved++
 			}
+			continue
 		case tornAt > 0:
 			// Torn mid-file: the valid prefix replayed; drop the tail
 			// and everything after.
 			rep.Torn = true
 			stopped = true
-			if err := os.Truncate(path, tornAt); err != nil {
+			if err := cfg.FS.Truncate(path, tornAt); err != nil {
 				return nil, rep, fmt.Errorf("serve: journal: truncating torn tail of %s: %w", name, err)
 			}
-			expected = first + uint64(recs)
-			j.files = append(j.files, walFile{name: name, first: first})
-		default:
-			if end := first + uint64(recs); end > expected {
-				expected = end
-			}
-			j.files = append(j.files, walFile{name: name, first: first})
 		}
+		// Records below the skip floor are sealed already: a file may end
+		// short of it (torn, or a skipped prefix), the next sequence never
+		// does.
+		expected = max(expected, first+uint64(recs))
+		j.files = append(j.files, walFile{name: name, first: first})
 	}
 	j.next = expected
 
@@ -252,76 +242,35 @@ const tornHeader int64 = -1
 // first torn frame. When first > expected the caller treats the whole
 // file as a gap; records are not applied in that case (the scan bails
 // out immediately).
-func readWALFile(path string, expected, skip uint64, apply func([]byte) error, rep *JournalReplay) (first uint64, recs int, tornAt int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
+func readWALFile(fsys durable.FS, path string, expected, skip uint64, apply func([]byte) error, rep *JournalReplay) (first uint64, recs int, tornAt int64, err error) {
+	data, err := fsys.ReadFile(path)
+	if err != nil || len(data) < walHeaderSize || string(data[:8]) != walMagic || walByteOrder.Uint32(data[8:12]) != walVersion {
 		return 0, 0, tornHeader, nil
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr [walHeaderSize]byte
-	if _, err := readFull(br, hdr[:]); err != nil {
-		return 0, 0, tornHeader, nil
-	}
-	if string(hdr[:8]) != walMagic || walByteOrder.Uint32(hdr[8:12]) != walVersion {
-		return 0, 0, tornHeader, nil
-	}
-	first = walByteOrder.Uint64(hdr[12:20])
+	first = walByteOrder.Uint64(data[12:20])
 	if first > expected {
 		return first, 0, 0, nil // gap; caller removes the file
 	}
-	off := int64(walHeaderSize)
-	var frame [walFrameSize]byte
-	var payload []byte
-	for {
-		n, err := readFull(br, frame[:])
-		if n == 0 {
-			return first, recs, 0, nil // clean EOF at a record boundary
+	for off := walHeaderSize; off < len(data); recs++ {
+		if len(data)-off < walFrameSize {
+			return first, recs, int64(off), nil // torn frame header
 		}
-		if err != nil {
-			return first, recs, off, nil // torn frame header
+		length := walByteOrder.Uint32(data[off:])
+		end := off + walFrameSize + int(length)
+		if length > walMaxRecord || end > len(data) || crc32.Checksum(data[off+walFrameSize:end], castagnoli) != walByteOrder.Uint32(data[off+4:]) {
+			return first, recs, int64(off), nil // torn or corrupt record
 		}
-		length := walByteOrder.Uint32(frame[0:4])
-		sum := walByteOrder.Uint32(frame[4:8])
-		if length > walMaxRecord {
-			return first, recs, off, nil
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := readFull(br, payload); err != nil {
-			return first, recs, off, nil // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return first, recs, off, nil // corrupt record
-		}
-		seq := first + uint64(recs)
-		if seq >= skip {
-			if err := apply(payload); err != nil {
+		if first+uint64(recs) >= skip {
+			if err := apply(data[off+walFrameSize : end]); err != nil {
 				return first, recs, 0, fmt.Errorf("serve: journal: replaying %s record %d: %w", filepath.Base(path), recs, err)
 			}
 			rep.Records++
 		} else {
 			rep.Skipped++
 		}
-		recs++
-		off += int64(walFrameSize) + int64(length)
+		off = end
 	}
-}
-
-// readFull is io.ReadFull tolerating the (0, EOF) shape bufio returns
-// at end of stream; n reports how much actually arrived.
-func readFull(br *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := br.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return first, recs, 0, nil
 }
 
 // sealFrame fills in the header of one record laid out as walFrameSize
@@ -351,26 +300,20 @@ func (j *Journal) Append(raw []byte) {
 	j.npend++
 }
 
-// writeLocked books n framed records and hands the file, in one Write,
-// those the journal takes: all of them, unless it is wedged or
-// serve.journal.append — evaluated before every record — fails at one,
-// which wedges it with the records before that one written. The rest are
-// applied but not journaled; the sequence still advances so the recovery
-// rotation records the gap honestly.
+// writeLocked books n framed records and hands the file all of them in
+// one Write, unless the journal is wedged. A failing or short Write wedges
+// it, the records counted as failures (a short write's bytes are a torn
+// tail replay truncates). Records the journal does not take are applied
+// but not journaled; the sequence still advances so the recovery rotation
+// records the gap honestly.
 func (j *Journal) writeLocked(frames []byte, n int) (err error) {
-	taken, end := 0, 0
-	for ; !j.wedged && taken < n; taken++ {
-		if err = fpJournalAppend.Eval(); err != nil {
+	taken := 0
+	if !j.wedged && n > 0 {
+		if _, err = j.f.Write(frames); err != nil {
 			j.wedged = true
-			break
-		}
-		end += walFrameSize + int(walByteOrder.Uint32(frames[end:]))
-	}
-	if end > 0 {
-		if _, werr := j.w.Write(frames[:end]); werr != nil {
-			j.wedged, taken, err = true, 0, werr
 		} else {
-			j.size += int64(end)
+			taken = n
+			j.size += int64(len(frames))
 			j.dirty = true
 		}
 	}
@@ -467,9 +410,6 @@ func (j *Journal) Sync() error {
 }
 
 func (j *Journal) syncLocked() error {
-	if err := fpJournalSync.Eval(); err != nil {
-		return err
-	}
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
@@ -499,7 +439,7 @@ func (j *Journal) rotateLocked() error {
 	// A name collision can only be a record-less file from a previous
 	// incarnation (a file with records would have advanced next past
 	// its firstSeq), so truncating it loses nothing.
-	f, err := os.Create(filepath.Join(j.cfg.Dir, name))
+	f, err := j.cfg.FS.Create(filepath.Join(j.cfg.Dir, name))
 	if err != nil {
 		return fmt.Errorf("serve: journal: %w", err)
 	}
@@ -511,15 +451,15 @@ func (j *Journal) rotateLocked() error {
 		f.Close()
 		return fmt.Errorf("serve: journal: %w", err)
 	}
-	if err := syncPath(j.cfg.Dir); err != nil {
+	if err := j.cfg.FS.SyncDir(j.cfg.Dir); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("serve: journal: %w", err)
 	}
 	if len(j.files) > 0 && j.files[len(j.files)-1].name == name {
 		j.files = j.files[:len(j.files)-1]
 	}
 	j.files = append(j.files, walFile{name: name, first: j.next})
-	j.f, j.w = f, f
+	j.f = f
 	j.size = walHeaderSize
 	j.dirty = false
 	j.rotations.Add(1)
@@ -534,7 +474,7 @@ func (j *Journal) Truncate(sealedSeq uint64) {
 	defer j.mu.Unlock()
 	keep := 0
 	for keep+1 < len(j.files) && j.files[keep+1].first <= sealedSeq {
-		if os.Remove(filepath.Join(j.cfg.Dir, j.files[keep].name)) != nil {
+		if j.cfg.FS.Remove(filepath.Join(j.cfg.Dir, j.files[keep].name)) != nil {
 			break
 		}
 		j.filesRemoved.Add(1)
@@ -542,7 +482,7 @@ func (j *Journal) Truncate(sealedSeq uint64) {
 	}
 	if keep > 0 {
 		j.files = append([]walFile(nil), j.files[keep:]...)
-		_ = syncPath(j.cfg.Dir)
+		_ = j.cfg.FS.SyncDir(j.cfg.Dir) // a removal lost to a crash is replayed and skipped
 	}
 }
 
@@ -606,18 +546,4 @@ func (j *Journal) syncLoop() {
 			_ = j.Sync()
 		}
 	}
-}
-
-// syncPath fsyncs a directory so renames and creates inside it are
-// durable.
-func syncPath(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("serve: journal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("serve: journal: %w", err)
-	}
-	return nil
 }

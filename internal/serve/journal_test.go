@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
 	"titanre/internal/console"
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 	"titanre/internal/gpu"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
@@ -291,44 +292,53 @@ func TestJournalGap(t *testing.T) {
 	}
 }
 
-// TestJournalWedgeRecovers: an injected append failure wedges the
-// journal (events keep applying, failures are counted) and the next
-// commit recovers by rotating; the gap is explicit in the file headers
-// so replay stops at it instead of silently skipping records.
+// TestJournalWedgeRecovers: a failing write wedges the journal (events
+// keep applying, failures are counted) and the next commit recovers by
+// rotating; the gap is explicit in the file headers, so replay stops at
+// it instead of silently skipping records. A short write leaves half a
+// record behind as well: replay truncates that torn tail and stops there.
 func TestJournalWedgeRecovers(t *testing.T) {
-	t.Cleanup(failpoint.DisableAll)
-	dir := t.TempDir()
-	j, _, err := OpenJournal(journalCfg(dir), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append([]byte("pre-0"))
-	j.Append([]byte("pre-1"))
-	j.Commit()
-	if err := failpoint.Enable("serve.journal.append", "error:1"); err != nil {
-		t.Fatal(err)
-	}
-	j.Append([]byte("dropped-2")) // injected failure wedges
-	j.Append([]byte("dropped-3")) // skipped while wedged
-	j.Commit()                    // recovery rotation
-	st := j.Stats()
-	if st.AppendFailures != 2 || st.Wedged {
-		t.Fatalf("stats %+v, want 2 failures and recovered", st)
-	}
-	j.Append([]byte("post-4"))
-	j.Commit()
-	if j.Stats().NextSeq != 5 {
-		t.Fatalf("next seq %d, want 5 (gap counted)", j.Stats().NextSeq)
-	}
-	j.Close()
+	for _, short := range []bool{false, true} {
+		t.Run(fmt.Sprint("short=", short), func(t *testing.T) {
+			mem := durable.NewMem()
+			cfg := JournalConfig{Dir: "/journal", Fsync: FsyncOff, FS: mem}
+			j, _, err := OpenJournal(cfg, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Append([]byte("pre-0"))
+			j.Append([]byte("pre-1"))
+			j.Commit()
+			mem.Fail(durable.Fault{Op: durable.OpWrite, Path: "/journal/", N: 1, Err: syscall.EIO, Short: short})
+			// The batch's one write fails and wedges; a short one stops
+			// inside the first record.
+			j.Append([]byte("dropped-2, the longer record of the two"))
+			j.Append([]byte("dropped-3"))
+			j.Commit() // recovery rotation
+			st := j.Stats()
+			if st.AppendFailures != 2 || st.Wedged {
+				t.Fatalf("stats %+v, want 2 failures and recovered", st)
+			}
+			j.Append([]byte("post-4"))
+			j.Commit()
+			if j.Stats().NextSeq != 5 {
+				t.Fatalf("next seq %d, want 5 (gap counted)", j.Stats().NextSeq)
+			}
+			j.Close()
 
-	var got [][]byte
-	_, rep, err := OpenJournal(journalCfg(dir), 0, collectLines(&got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Records != 2 || string(got[1]) != "pre-1" {
-		t.Fatalf("replay past the gap: %+v %q", rep, got)
+			var got [][]byte
+			_, rep, err := OpenJournal(cfg, 0, collectLines(&got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Records != 2 || string(got[1]) != "pre-1" || rep.Torn != short || rep.FilesRemoved != 1 {
+				t.Fatalf("replay past the gap: %+v %q; want the two records before it, torn %v, the gapped file removed", rep, got, short)
+			}
+			first, err := mem.ReadFile("/journal/" + fmt.Sprintf("wal-%020d.wal", 0))
+			if want := walHeaderSize + 2*walFrameSize + len("pre-0") + len("pre-1"); err != nil || len(first) != want {
+				t.Fatalf("first journal file holds %d bytes (%v) after replay, want %d: the torn tail truncated", len(first), err, want)
+			}
+		})
 	}
 }
 
@@ -415,5 +425,34 @@ func TestJournalBytesPinned(t *testing.T) {
 	}
 	if size != wantBytes || len(entries) != wantFiles {
 		t.Errorf("journal is %d bytes in %d files; pinned %d in %d", size, len(entries), wantBytes, wantFiles)
+	}
+}
+
+// TestJournalTornBelowFloorKeepsSequence: a file torn inside records the
+// sealed floor already covers — page-cache writeback lost part of a file
+// whose events were sealed since — still resumes numbering at the floor,
+// not at the tear, or the next restart would skip the records appended
+// after this one.
+func TestJournalTornBelowFloorKeepsSequence(t *testing.T) {
+	mem := durable.NewMem()
+	cfg := JournalConfig{Dir: "/journal", Fsync: FsyncOff, FS: mem}
+	j, _, err := OpenJournal(cfg, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, []string{"r0", "r1", "r2", "r3"})
+	j.Close()
+	name := "/journal/" + fmt.Sprintf("wal-%020d.wal", 0)
+	if err := mem.Truncate(name, walHeaderSize+2*(walFrameSize+2)+3); err != nil { // inside r2
+		t.Fatal(err)
+	}
+	const floor = 10 // sealed, by the floor, past everything the file held
+	j2, rep, err := OpenJournal(cfg, floor, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if !rep.Torn || j2.Stats().NextSeq != floor {
+		t.Fatalf("replay %+v resumes at %d, want torn and the floor %d", rep, j2.Stats().NextSeq, floor)
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"titanre/internal/alert"
 	"titanre/internal/console"
+	"titanre/internal/durable"
 	"titanre/internal/jsonw"
 	"titanre/internal/predict"
 	"titanre/internal/store"
@@ -99,6 +100,10 @@ type Config struct {
 	// (see alertfeed.go). DefaultConfig enables it; the collector costs
 	// nothing measurable unless sequence-tagged batches arrive.
 	AlertFeed bool
+	// FS is the file system under every state directory above — journal,
+	// segments, floor, checkpoint and both snapshots (nil is durable.OS;
+	// tests put a durable.Mem here to cut power at any write boundary).
+	FS durable.FS
 }
 
 // DefaultConfig returns the production defaults.
@@ -216,6 +221,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.RateWindow <= 0 {
 		cfg.RateWindow = 24 * time.Hour
 	}
+	cfg.FS = durable.Or(cfg.FS)
 	if cfg.CompactDir != "" {
 		if cfg.CompactInterval <= 0 {
 			cfg.CompactInterval = time.Minute
@@ -825,7 +831,7 @@ type Stats struct {
 	QuarantinedSegments int    `json:"quarantined_segments" prom:"quarantined_segments" help:"Corrupt segment files moved aside by the warm start."`
 	QuarantinedBytes    int64  `json:"quarantined_bytes" prom:"quarantined_bytes" help:"On-disk bytes of quarantined segment files."`
 	EventsLost          uint64 `json:"events_lost_to_quarantine" prom:"events_lost_to_quarantine" help:"Exact events inside quarantined segments (from the SEALED floor arithmetic)."`
-	OrphansRemoved      int    `json:"orphans_removed" prom:"orphans_removed" help:"Uncommitted segment temp files the warm start removed."`
+	OrphansRemoved      int    `json:"orphans_removed" prom:"orphans_removed" help:"Uncommitted temp files (segments, floor, checkpoint, snapshots) the warm start removed."`
 	SealedSeq           uint64 `json:"sealed_seq" prom:"sealed_seq" help:"Global sequence the sealed history durably covers (the SEALED floor)."`
 
 	// Fleet-wide query endpoints.

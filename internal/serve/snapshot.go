@@ -5,11 +5,8 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/dataset"
-	"titanre/internal/failpoint"
 	"titanre/internal/store"
 )
-
-var fpSnapshotWrite = failpoint.Register("serve.snapshot.write")
 
 // Shutdown snapshot.
 //
@@ -54,10 +51,7 @@ func (s *Server) WriteSnapshot(dir string) error {
 	if !s.cfg.RetainEvents && applied > 0 {
 		return fmt.Errorf("serve: snapshot of %d events requested but RetainEvents is off", applied)
 	}
-	if err := fpSnapshotWrite.Eval(); err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	if err := dataset.WriteStream(dir, historyStream(segs, tail)); err != nil {
+	if err := dataset.WriteStream(s.cfg.FS, dir, historyStream(segs, tail)); err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	return nil

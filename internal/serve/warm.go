@@ -8,7 +8,7 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/dataset"
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 	"titanre/internal/store"
 )
 
@@ -31,8 +31,6 @@ import (
 // (store.OpenOptions.Recover) and the daemon starts degraded, reporting the
 // exact loss — segments and bytes from the quarantine move, events
 // from the SEALED floor arithmetic (see store/floor.go).
-
-var fpWarmReplay = failpoint.Register("serve.warm.replay")
 
 // WarmStats reports what a warm start restored, replayed and recovered.
 type WarmStats struct {
@@ -85,11 +83,18 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	if s.cfg.JournalDir != "" && s.cfg.CompactDir == "" {
 		return ws, fmt.Errorf("serve: warm start: JournalDir requires CompactDir (compaction drives journal truncation)")
 	}
-	st, rec, err := store.OpenDir(segDir, store.OpenOptions{Recover: true, Mapped: true})
+	// Temp files of a snapshot cut short by a crash; the store sweeps its
+	// own directory.
+	swept, err := durable.Sweep(s.cfg.FS, dir)
 	if err != nil {
 		return ws, fmt.Errorf("serve: warm start: %w", err)
 	}
-	floorSeq, floorCount, haveFloor, err := store.ReadSealedFloor(segDir)
+	st, rec, err := store.OpenDir(segDir, store.OpenOptions{Recover: true, Mapped: true, FS: s.cfg.FS})
+	if err != nil {
+		return ws, fmt.Errorf("serve: warm start: %w", err)
+	}
+	rec.OrphansRemoved += swept
+	floorSeq, floorCount, haveFloor, err := st.ReadSealedFloor()
 	if err != nil {
 		return ws, fmt.Errorf("serve: warm start: %w", err)
 	}
@@ -143,6 +148,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 			Fsync:        s.cfg.JournalFsync,
 			SyncInterval: s.cfg.JournalSyncInterval,
 			RotateBytes:  s.cfg.JournalRotateBytes,
+			FS:           s.cfg.FS,
 		}, skip, func(line []byte) error {
 			journalLines.Write(line)
 			journalLines.WriteByte('\n')
@@ -157,7 +163,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	}
 
 	if !usedSegments && journalRecords == 0 {
-		f, err := os.Open(filepath.Join(dir, dataset.ConsoleFile))
+		flat, err := s.cfg.FS.ReadFile(filepath.Join(dir, dataset.ConsoleFile))
 		if os.IsNotExist(err) {
 			if journal != nil {
 				s.journal.Store(journal)
@@ -171,8 +177,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		if err != nil {
 			return ws, fmt.Errorf("serve: warm start: %w", err)
 		}
-		events, err := console.NewCorrelator().ParseAll(f)
-		f.Close()
+		events, err := console.NewCorrelator().ParseAll(bytes.NewReader(flat))
 		if err != nil {
 			return ws, fmt.Errorf("serve: warm start: %w", err)
 		}
@@ -183,9 +188,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 			journal.appendEvents(events)
 			_ = journal.Sync()
 		}
-		if err := s.applyBatch(events, nil, s.cfg.RetainEvents, true); err != nil {
-			return ws, fmt.Errorf("serve: warm start: %w", err)
-		}
+		s.applyBatch(events, nil, s.cfg.RetainEvents, true)
 		ws.Replayed += len(events)
 	}
 
@@ -198,9 +201,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	var buf []console.Event
 	for _, seg := range segs {
 		buf = seg.AppendEvents(buf[:0])
-		if err := s.applyBatch(buf, nil, false, true); err != nil {
-			return ws, fmt.Errorf("serve: warm start: %w", err)
-		}
+		s.applyBatch(buf, nil, false, true)
 		ws.Replayed += len(buf)
 	}
 	ws.Replayed += ws.Checkpointed
@@ -217,9 +218,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		if len(jev) != journalRecords {
 			return ws, fmt.Errorf("serve: warm start: journal replay parsed %d events from %d records", len(jev), journalRecords)
 		}
-		if err := s.applyBatch(jev, nil, s.cfg.RetainEvents, true); err != nil {
-			return ws, fmt.Errorf("serve: warm start: %w", err)
-		}
+		s.applyBatch(jev, nil, s.cfg.RetainEvents, true)
 		ws.JournalReplayed = len(jev)
 	}
 

@@ -5,7 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 )
 
 // The SEALED floor file.
@@ -30,53 +30,19 @@ import (
 // Open ignores it (only *.seg files are segments).
 const FloorFile = "SEALED"
 
-// WriteSealedFloor durably records the sealed floor in dir.
-func WriteSealedFloor(dir string, seq, count uint64) error {
-	if err := WriteFileDurable(dir, FloorFile, fmt.Appendf(nil, "%d %d\n", seq, count), nil); err != nil {
+// WriteSealedFloor durably records the sealed floor in the store's
+// directory.
+func (st *Store) WriteSealedFloor(seq, count uint64) error {
+	if err := durable.WriteBytes(st.fs, st.dir, FloorFile, fmt.Appendf(nil, "%d %d\n", seq, count)); err != nil {
 		return fmt.Errorf("store: sealed floor: %w", err)
 	}
 	return nil
 }
 
-// WriteFileDurable replaces dir/name with data so that a crash at any
-// point leaves the old file or the new one, never a torn one: the bytes
-// go to a temp file in dir (".name-*"), which is fsynced, renamed over
-// name, and then the directory entry is fsynced. site, when non-nil, is
-// evaluated between the temp file's fsync and the rename; its error
-// aborts the write with the old file in place. A crash before the rename
-// leaves only the temp file, which no reader opens.
-func WriteFileDurable(dir, name string, data []byte, site *failpoint.Site) error {
-	tmp, err := os.CreateTemp(dir, "."+name+"-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // a no-op once renamed
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if site != nil {
-		if err := site.Eval(); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// ReadSealedFloor reads the floor marker; ok=false when dir has none
-// (a store that never compacted, or a pre-floor layout).
-func ReadSealedFloor(dir string) (seq, count uint64, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, FloorFile))
+// ReadSealedFloor reads the floor marker; ok=false when the directory
+// has none (a store that never compacted, or a pre-floor layout).
+func (st *Store) ReadSealedFloor() (seq, count uint64, ok bool, err error) {
+	data, err := st.fs.ReadFile(filepath.Join(st.dir, FloorFile))
 	if os.IsNotExist(err) {
 		return 0, 0, false, nil
 	}

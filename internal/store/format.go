@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
-	"path/filepath"
 	"slices"
 
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 	"titanre/internal/topology"
 )
 
@@ -353,85 +351,10 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 	return s, nil
 }
 
-// Failure-injection sites on the segment commit path; disarmed they
-// cost one atomic load each (see internal/failpoint). The crash harness
-// kills the process at every one of them and asserts recovery.
-var (
-	fpSegmentWrite  = failpoint.Register("store.segment.write")
-	fpSegmentSync   = failpoint.Register("store.segment.sync")
-	fpSegmentRename = failpoint.Register("store.segment.rename")
-	fpDirSync       = failpoint.Register("store.dir.sync")
-)
-
-// writeSegmentFile commits a marshalled segment durably and atomically:
-// the bytes go to a temp file in the target directory, the temp file is
-// fsynced before the rename (so the rename never publishes a tail of dirty
-// pages a power loss could tear), and the parent directory is fsynced
-// after it (so the directory entry itself survives the crash). A failure
-// at any step leaves either the old state or the new — never a
-// half-written visible segment; a crash can at worst leave an orphaned
-// .seg-* temp file, which Open removes.
-func writeSegmentFile(path string, data []byte) error {
-	if err := fpSegmentWrite.Eval(); err != nil {
-		return fmt.Errorf("store: writing segment: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".seg-*")
-	if err != nil {
-		return fmt.Errorf("store: writing segment: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing segment: %w", err)
-	}
-	if err := fpSegmentSync.Eval(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: syncing segment: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: syncing segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing segment: %w", err)
-	}
-	if err := fpSegmentRename.Eval(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: committing segment: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: writing segment: %w", err)
-	}
-	if err := fpDirSync.Eval(); err != nil {
-		return fmt.Errorf("store: syncing directory: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("store: syncing directory: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // ReadSegmentFile reads and validates one segment file into heap
 // columns.
-func ReadSegmentFile(path string) (*Segment, error) {
-	data, err := os.ReadFile(path)
+func ReadSegmentFile(fsys durable.FS, path string) (*Segment, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading segment: %w", err)
 	}

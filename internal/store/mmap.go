@@ -2,8 +2,9 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"unsafe"
+
+	"titanre/internal/durable"
 )
 
 // The mmap read path. A sealed segment file is mapped read-only, its
@@ -17,7 +18,7 @@ import (
 // heap.
 //
 // Aliasing requires the host to be little-endian (the on-disk byte
-// order) and mmap to exist (build tag unix). Anywhere that doesn't
+// order) and mmap to exist (durable.OS maps on unix). Anywhere that doesn't
 // hold, MapSegmentFile quietly decodes to heap instead — same Segment,
 // same answers, more resident bytes.
 
@@ -41,24 +42,21 @@ func aliasUint16(b []byte, n int) []uint16 {
 }
 
 // MapSegmentFile opens one segment file with its columns aliasing a
-// read-only mapping when the platform allows, falling back to an
-// ordinary heap read when it doesn't (no mmap, or a big-endian host).
+// read-only mapping (fsys.Map) when the platform allows, falling back to
+// an ordinary heap read when it doesn't (no mmap, or a big-endian host).
 // Validation is identical either way — digest first, structure second —
 // so a corrupt file fails with ErrCorrupt on both paths. The returned
 // segment holds the mapping until Close.
-func MapSegmentFile(path string) (*Segment, error) {
-	if !mmapSupported || !hostLittleEndian() {
-		return ReadSegmentFile(path)
+func MapSegmentFile(fsys durable.FS, path string) (*Segment, error) {
+	if !hostLittleEndian() {
+		return ReadSegmentFile(fsys, path)
 	}
-	data, unmap, err := mmapFile(path)
+	data, unmap, err := fsys.Map(path)
 	if err != nil {
-		// A file too large or a filesystem that refuses mappings should
-		// degrade, not fail: the heap path answers identically.
-		return ReadSegmentFile(path)
-	}
-	if len(data) == 0 {
-		unmap()
-		return nil, fmt.Errorf("%s: %w: empty file", path, ErrCorrupt)
+		// A file too large, an empty one or a filesystem that refuses
+		// mappings should degrade, not fail: the heap path answers
+		// identically (and names an empty file corrupt).
+		return ReadSegmentFile(fsys, path)
 	}
 	seg, err := parseSegment(data, true)
 	if err != nil {
@@ -68,23 +66,4 @@ func MapSegmentFile(path string) (*Segment, error) {
 	seg.unmap = unmap
 	seg.mappedBytes = int64(len(data))
 	return seg, nil
-}
-
-// mmapFile maps path read-only, returning the bytes and an unmap
-// closer. Implemented per-platform in mmap_unix.go / mmap_other.go.
-func mmapFile(path string) (data []byte, unmap func(), err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	size := info.Size()
-	if size <= 0 || size != int64(int(size)) {
-		return nil, nil, fmt.Errorf("store: cannot map %s (%d bytes)", path, size)
-	}
-	return mmapFD(f, int(size))
 }

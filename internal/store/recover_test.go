@@ -5,9 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
-	"titanre/internal/failpoint"
+	"titanre/internal/durable"
 )
 
 // sealThree builds a store directory of three sealed segments and
@@ -33,7 +34,8 @@ func sealThree(t *testing.T) (string, []int) {
 // rename are deleted by both the strict and the recovering open, and never loaded.
 func TestOpenRemovesOrphans(t *testing.T) {
 	dir, _ := sealThree(t)
-	for _, name := range []string{".seg-12345", ".seg-99"} {
+	orphans := []string{durable.TempPrefix + "seg-000003.seg-12345", durable.TempPrefix + FloorFile + "-99"}
+	for _, name := range orphans {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a segment"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +53,7 @@ func TestOpenRemovesOrphans(t *testing.T) {
 	if st.SegmentCount() != 3 || st.EventCount() != 600 {
 		t.Fatalf("loaded %d segments / %d events, want 3 / 600", st.SegmentCount(), st.EventCount())
 	}
-	for _, name := range []string{".seg-12345", ".seg-99"} {
+	for _, name := range orphans {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("orphan %s survived the open", name)
 		}
@@ -166,45 +168,49 @@ func TestOpenRecoverMultipleCorrupt(t *testing.T) {
 	}
 }
 
-// TestWriteFileFailpoints: an injected error at each commit-path site
-// surfaces as a seal error, leaves no visible segment behind, and a
-// transient budget clears on retry — the compaction retry contract.
+// TestWriteFileFailpoints: an error at each operation of the segment
+// commit (durable.WriteFile) surfaces as a seal error and leaves no file
+// behind — not the temp file, and not the segment a failing directory
+// sync follows the rename of — and the retry succeeds: the compaction
+// retry contract, which a segment left visible would break by sealing
+// its events twice.
 func TestWriteFileFailpoints(t *testing.T) {
 	events := simEvents(t)[:100]
-	for _, site := range []string{
-		"store.segment.write", "store.segment.sync", "store.segment.rename", "store.dir.sync",
+	for _, row := range []struct {
+		name  string
+		fault durable.Fault
+	}{
+		{"store.segment.create", durable.Fault{Op: durable.OpCreate}},
+		{"store.segment.write", durable.Fault{Op: durable.OpWrite, Short: true}},
+		{"store.segment.sync", durable.Fault{Op: durable.OpSync}},
+		{"store.segment.rename", durable.Fault{Op: durable.OpRename}},
+		{"store.dir.sync", durable.Fault{Op: durable.OpSyncDir}},
 	} {
-		t.Run(site, func(t *testing.T) {
-			t.Cleanup(failpoint.DisableAll)
-			dir := t.TempDir()
-			st, err := Open(dir)
+		t.Run(row.name, func(t *testing.T) {
+			mem := durable.NewMem()
+			opts := OpenOptions{FS: mem}
+			st, _, err := OpenDir("/store", opts)
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
-			if err := failpoint.Enable(site, "error:1"); err != nil {
-				t.Fatal(err)
+			row.fault.N, row.fault.Err = 1, syscall.EIO
+			mem.Fail(row.fault)
+			if _, err := st.Seal(events); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("seal with a failing %v: got %v, want EIO", row.fault.Op, err)
 			}
-			if _, err := st.Seal(events); !errors.Is(err, failpoint.ErrInjected) {
-				t.Fatalf("seal with %s armed: got %v, want ErrInjected", site, err)
+			if paths := mem.Paths(); len(paths) != 0 {
+				t.Fatalf("failed seal left %v", paths)
 			}
-			// dir.sync fails after the rename published the file, so the
-			// segment is visible (and valid); every earlier site must
-			// leave the directory clean of visible segments.
-			if site != "store.dir.sync" {
-				if reopened, err := Open(dir); err != nil || reopened.SegmentCount() != 0 {
-					t.Fatalf("failed seal left %d segments (%v)", reopened.SegmentCount(), err)
-				}
-			}
-			// The budget is spent: the retry succeeds.
+			// The fault is spent: the retry succeeds.
 			if _, err := st.Seal(events); err != nil {
-				t.Fatalf("retry after transient %s fault: %v", site, err)
+				t.Fatalf("retry after one failing %v: %v", row.fault.Op, err)
 			}
-			reopened, _, err := OpenDir(dir, OpenOptions{Recover: true})
+			reopened, _, err := OpenDir("/store", opts)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			if reopened.EventCount() != 100 && site != "store.dir.sync" {
-				t.Fatalf("reopened store holds %d events, want 100", reopened.EventCount())
+			if reopened.EventCount() != len(events) {
+				t.Fatalf("reopened store holds %d events, want %d", reopened.EventCount(), len(events))
 			}
 		})
 	}

@@ -8,12 +8,12 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/durable"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
@@ -24,6 +24,7 @@ import (
 // contend on the short in-memory registration.
 type Store struct {
 	mu        sync.RWMutex
+	fs        durable.FS
 	dir       string
 	segs      []*Segment
 	ids       []SegmentID // segs' file names and digests
@@ -51,6 +52,8 @@ type OpenOptions struct {
 	// with near-zero resident heap. Segments sealed through a mapped
 	// store are re-opened mapped after their atomic commit.
 	Mapped bool
+	// FS is the file system the store lives on (nil is durable.OS).
+	FS durable.FS
 }
 
 // QuarantineDir is the subdirectory corrupt segment files are moved
@@ -65,7 +68,7 @@ type Recovery struct {
 	Quarantined []string
 	// QuarantinedBytes is their total on-disk size.
 	QuarantinedBytes int64
-	// OrphansRemoved counts .seg-* temp files — the debris of a crash
+	// OrphansRemoved counts temp files — the debris of a crash
 	// mid-commit, before the atomic rename — deleted during the open.
 	OrphansRemoved int
 }
@@ -81,8 +84,8 @@ type SegmentID struct {
 // Open opens (or initializes) a segment store in dir. A missing
 // directory is an empty store; it is created on first seal. Existing
 // segment files are read, digest-validated, and registered in
-// file-name order — the order they were sealed. Orphaned .seg-* temp
-// files left by a crash mid-commit are removed. Any segment that fails
+// file-name order — the order they were sealed. Temp files left by a
+// crash mid-commit (durable.Sweep) are removed. Any segment that fails
 // validation aborts the open; OpenOptions.Recover quarantines it and
 // starts degraded instead.
 func Open(dir string) (*Store, error) {
@@ -93,35 +96,30 @@ func Open(dir string) (*Store, error) {
 // OpenDir opens a segment store with explicit options; Open is the
 // shorthand for the strict, heap-backed variant.
 func OpenDir(dir string, opts OpenOptions) (*Store, Recovery, error) {
-	st := &Store{dir: dir, mapped: opts.Mapped}
+	st := &Store{fs: durable.Or(opts.FS), dir: dir, mapped: opts.Mapped}
+	// A temp file from an interrupted commit: its rename never happened,
+	// so no reader ever saw it — safe to delete.
 	var rec Recovery
-	entries, err := os.ReadDir(dir)
+	var err error
+	if rec.OrphansRemoved, err = durable.Sweep(st.fs, dir); err != nil {
+		return nil, rec, fmt.Errorf("store: opening %s: %w", dir, err)
+	}
+	entries, err := st.fs.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return st, rec, nil
 	}
 	if err != nil {
 		return nil, rec, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
+	for _, e := range entries { // in name order: the order they were sealed
 		name := e.Name()
-		if e.IsDir() {
+		if e.IsDir() || filepath.Ext(name) != ".seg" {
 			continue
 		}
-		if strings.HasPrefix(name, ".seg-") {
-			// A temp file from an interrupted commit: its rename never
-			// happened, so no reader ever saw it — safe to delete.
-			if err := os.Remove(filepath.Join(dir, name)); err == nil {
-				rec.OrphansRemoved++
-			}
-			continue
+		info, err := e.Info()
+		if err != nil {
+			return nil, rec, fmt.Errorf("store: opening %s: %w", dir, err)
 		}
-		if filepath.Ext(name) == ".seg" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
 		path := filepath.Join(dir, name)
 		// Advance the numbering past every file seen — including ones
 		// about to be quarantined — so a later seal never reuses the
@@ -133,19 +131,14 @@ func OpenDir(dir string, opts OpenOptions) (*Store, Recovery, error) {
 		seg, err := st.readSegment(path)
 		if err != nil {
 			if opts.Recover && errors.Is(err, ErrCorrupt) {
-				size, qerr := quarantine(dir, name)
-				if qerr != nil {
+				if qerr := st.quarantine(name); qerr != nil {
 					return nil, rec, fmt.Errorf("store: quarantining %s: %w", path, qerr)
 				}
 				rec.Quarantined = append(rec.Quarantined, name)
-				rec.QuarantinedBytes += size
+				rec.QuarantinedBytes += info.Size()
 				continue
 			}
 			return nil, rec, err
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, rec, fmt.Errorf("store: opening %s: %w", dir, err)
 		}
 		st.segs = append(st.segs, seg)
 		st.ids = append(st.ids, SegmentID{Name: name, Digest: seg.digest})
@@ -155,35 +148,30 @@ func OpenDir(dir string, opts OpenOptions) (*Store, Recovery, error) {
 	return st, rec, nil
 }
 
-// quarantine moves one corrupt segment file into dir/quarantine,
-// returning its size. The move is a same-filesystem rename, so the
-// evidence bytes are preserved exactly.
-func quarantine(dir, name string) (int64, error) {
-	src := filepath.Join(dir, name)
-	info, err := os.Stat(src)
-	if err != nil {
-		return 0, err
+// quarantine moves one corrupt segment file into dir/quarantine. The
+// move is a same-filesystem rename, so the evidence bytes are preserved
+// exactly.
+func (st *Store) quarantine(name string) error {
+	qdir := filepath.Join(st.dir, QuarantineDir)
+	if err := st.fs.MkdirAll(qdir); err != nil {
+		return err
 	}
-	qdir := filepath.Join(dir, QuarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return 0, err
+	if err := st.fs.Rename(filepath.Join(st.dir, name), filepath.Join(qdir, name)); err != nil {
+		return err
 	}
-	if err := os.Rename(src, filepath.Join(qdir, name)); err != nil {
-		return 0, err
+	if err := st.fs.SyncDir(qdir); err != nil {
+		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	return info.Size(), nil
+	return st.fs.SyncDir(st.dir)
 }
 
 // readSegment loads one segment file on the store's configured path —
 // mapped when the store is, heap otherwise.
 func (st *Store) readSegment(path string) (*Segment, error) {
 	if st.mapped {
-		return MapSegmentFile(path)
+		return MapSegmentFile(st.fs, path)
 	}
-	return ReadSegmentFile(path)
+	return ReadSegmentFile(st.fs, path)
 }
 
 // Dir returns the store's directory.
@@ -231,7 +219,7 @@ func (p *Prepared) Segment() *Segment { return p.seg }
 
 // Prepare builds a segment from events (in the order given) and commits
 // it to disk atomically, without registering it. On error no visible
-// file exists (writeSegmentFile's temp-rename discipline), so a retry
+// file exists (durable.WriteFile's temp-rename discipline), so a retry
 // cannot duplicate events. On a mapped store the committed file is
 // re-opened mapped, so the registered segment aliases the page cache
 // rather than holding the build's heap columns — and those columns, with
@@ -273,23 +261,26 @@ func (st *Store) PrepareSegment(seg *Segment) (*Prepared, error) {
 // mapped store, re-opens it mapped.
 func (st *Store) commit(seg *Segment, data []byte) (*Prepared, error) {
 	st.mu.Lock()
-	if err := os.MkdirAll(st.dir, 0o755); err != nil {
+	if err := st.fs.MkdirAll(st.dir); err != nil {
 		st.mu.Unlock()
 		return nil, fmt.Errorf("store: creating %s: %w", st.dir, err)
 	}
 	num := st.next
 	st.next++ // a failed Prepare burns the number; numbering may gap
 	st.mu.Unlock()
-	path := filepath.Join(st.dir, fmt.Sprintf("seg-%06d.seg", num))
-	if err := writeSegmentFile(path, data); err != nil {
-		return nil, err
+	name := fmt.Sprintf("seg-%06d.seg", num)
+	if err := durable.WriteBytes(st.fs, st.dir, name, data); err != nil {
+		// A failed directory sync comes after the rename: take the
+		// segment back, or a retry would seal its events twice.
+		_ = st.fs.Remove(filepath.Join(st.dir, name))
+		return nil, fmt.Errorf("store: writing segment: %w", err)
 	}
 	if st.mapped {
-		if mseg, err := MapSegmentFile(path); err == nil {
+		if mseg, err := MapSegmentFile(st.fs, filepath.Join(st.dir, name)); err == nil {
 			seg = mseg
 		}
 	}
-	id := SegmentID{Name: filepath.Base(path), Digest: [sha256.Size]byte(data[len(data)-sha256.Size:])}
+	id := SegmentID{Name: name, Digest: [sha256.Size]byte(data[len(data)-sha256.Size:])}
 	return &Prepared{seg: seg, id: id, size: int64(len(data))}, nil
 }
 

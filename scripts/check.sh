@@ -7,19 +7,22 @@
 #   naive fold, restart == never died — the write path's buffer
 #   ownership and admission bound, the read path's pooled fold scratch
 #   under eight concurrent readers, /stats-/metrics parity and the pinned
-#   /metrics goldens on titand and titanrouter, the fleet schedule runner — the fault-free month, the
-#   drain/restart, one fixed row per fault, the drawn seeds and the crash
-#   rows at every journal and seal failpoint (router/fleet_test.go) — the
-#   replica's applied-once window under racing copies, the
+#   /metrics goldens on titand and titanrouter, the fleet schedule
+#   runner — the fault-free month, the drain/restart, one fixed row per
+#   fault, the drawn seeds and the crash rows at the named journal and
+#   seal boundaries (router/fleet_test.go) — the power-cut enumerator
+#   (serve/powercut_test.go: every file-system boundary of one short run
+#   and of each restart, kill and power-cut images, all three fsync
+#   policies, on durable.Mem) and one real SIGKILL of a re-exec'd
+#   daemon, the replica's applied-once window under racing copies, the
 #   QoS books and bench/'s -quick suite are all in there; the exact
 #   allocation and heap budgets skip under -race and run under plain
 #   go test ./...), then only what adds a run to that: the GOMAXPROCS=2
 #   determinism runs, the -count=2 soaks of the concurrent pipelines,
-#   the crash-recovery soak (kill at every failpoint), a full-horizon
-#   simulation, one iteration of each in-process instrument (the eight
-#   read shapes and the 13-request round on one daemon, the write path,
-#   the warm start by replay and by checkpoint, the router's merged reads
-#   over three replicas), and short fuzz smokes
+#   a full-horizon simulation, one iteration of each in-process
+#   instrument (the eight read shapes and the 13-request round on one
+#   daemon, the write path, the warm start by replay and by checkpoint,
+#   the router's merged reads over three replicas), and short fuzz smokes
 #   of the console parser, the batch splitter, the titanql parser (grammar
 #   round-trip + plan equivalence), the JSON writer (vs encoding/json),
 #   the /metrics exposition under client-chosen source names (a strict
@@ -56,9 +59,6 @@ go test -race ./internal/predict -run TestWarnerMatchesBatch -count=2
 
 echo "== columnar segment round-trip digests (seal -> scan, race mode)"
 go test -race ./internal/store -run 'TestRoundTripDigest|TestEventsExact' -count=2
-
-echo "== crash-recovery soak (kill at every failpoint, scripts/crash.sh)"
-./scripts/crash.sh
 
 echo "== benchmark smoke (full-period simulation, one iteration)"
 go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
