@@ -156,8 +156,9 @@ func main() {
 			if ws.FromSegments {
 				src = "sealed segments"
 			}
-			fmt.Fprintf(os.Stderr, "titand: warm start: restored %d events from checkpoint, replayed %d from %s in %s\n",
-				ws.Checkpointed, ws.Replayed-ws.Checkpointed, src, *warmDir)
+			fmt.Fprintf(os.Stderr, "titand: warm start: restored %d events from checkpoint, replayed %d from %s in %s (open %s, checkpoint %s, replay %s, journal %s)\n",
+				ws.Checkpointed, ws.Replayed-ws.Checkpointed, src, *warmDir,
+				ws.Open, ws.CheckpointRestore, ws.SegmentReplay, ws.JournalReplay)
 		}
 		if ws.FromSegments && ws.CheckpointUnused != "" {
 			fmt.Fprintf(os.Stderr, "titand: warm start: no checkpoint used (%s)\n", ws.CheckpointUnused)

@@ -18,6 +18,7 @@ package alert
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"titanre/internal/console"
@@ -119,7 +120,7 @@ type Engine struct {
 	burstable    map[xid.Code]bool
 	recent       map[xid.Code][]time.Time
 	burstMuted   map[xid.Code]time.Time
-	suspectJobs  map[topology.NodeID]map[console.JobID]bool
+	suspectJobs  map[topology.NodeID][]console.JobID // each node's distinct app-error jobs, ascending
 	suspectFired map[topology.NodeID]bool
 	// incidentSeen dedups application-error incidents: the paper shows
 	// the error is reported on every node of the job (Observation 7),
@@ -147,7 +148,7 @@ func NewEngine(cfg Config) *Engine {
 		seenCodes:    map[xid.Code]bool{},
 		recent:       map[xid.Code][]time.Time{},
 		burstMuted:   map[xid.Code]time.Time{},
-		suspectJobs:  map[topology.NodeID]map[console.JobID]bool{},
+		suspectJobs:  map[topology.NodeID][]console.JobID{},
 		suspectFired: map[topology.NodeID]bool{},
 		incidentSeen: map[incidentKey]bool{},
 	}
@@ -214,11 +215,10 @@ func (e *Engine) Feed(ev console.Event) {
 			}
 			e.incidentSeen[k] = true
 			jobs := e.suspectJobs[ev.Node]
-			if jobs == nil {
-				jobs = map[console.JobID]bool{}
+			if i, found := slices.BinarySearch(jobs, ev.Job); !found {
+				jobs = slices.Insert(jobs, i, ev.Job)
 				e.suspectJobs[ev.Node] = jobs
 			}
-			jobs[ev.Job] = true
 			if len(jobs) >= e.cfg.SuspectJobs && !e.suspectFired[ev.Node] {
 				e.suspectFired[ev.Node] = true
 				e.raise(Alert{

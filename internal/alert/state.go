@@ -17,6 +17,22 @@ import (
 // engine that wrote them would have on the same later events. Maps go
 // out in ascending key order, so equal engines encode to equal bytes.
 
+// AppendFingerprint appends every field of the config, so two configs
+// that detect alike encode alike (nil BurstCodes, every code, apart from
+// an empty list, none).
+func (c Config) AppendFingerprint(dst []byte) []byte {
+	dst = bincode.AppendInt(dst, int64(c.DBEThreshold))
+	dst = bincode.AppendInt(dst, int64(c.BurstWindow))
+	dst = bincode.AppendInt(dst, int64(c.BurstCount))
+	dst = bincode.AppendBool(dst, c.BurstCodes != nil)
+	dst = bincode.AppendUint(dst, uint64(len(c.BurstCodes)))
+	for _, code := range c.BurstCodes {
+		dst = bincode.AppendInt(dst, int64(code))
+	}
+	dst = bincode.AppendInt(dst, int64(c.SuspectJobs))
+	return bincode.AppendBool(dst, c.NewCodes)
+}
+
 // AppendState appends the engine's detector state to dst.
 func (e *Engine) AppendState(dst []byte) []byte {
 	dst = bincode.AppendUint(dst, uint64(len(e.alerts)))
@@ -48,7 +64,10 @@ func (e *Engine) AppendState(dst []byte) []byte {
 	}
 	dst = bincode.AppendUint(dst, uint64(len(e.suspectJobs)))
 	for _, n := range bincode.SortedKeys(e.suspectJobs) {
-		dst = appendKeys(appendNode(dst, n), e.suspectJobs[n], appendJob)
+		dst = bincode.AppendUint(appendNode(dst, n), uint64(len(e.suspectJobs[n])))
+		for _, j := range e.suspectJobs[n] {
+			dst = appendJob(dst, j)
+		}
 	}
 	dst = appendKeys(dst, e.suspectFired, appendNode)
 	incidents := make([]incidentKey, 0, len(e.incidentSeen))
@@ -78,23 +97,33 @@ func (e *Engine) RestoreState(r *bincode.Reader) {
 		e.alerts = append(e.alerts, Alert{Kind: Kind(kind), Time: r.Time(), Code: readCode(r), Node: readNode(r),
 			Serial: readSerial(r), Count: int(r.Int()), Detail: r.String()})
 	}
-	readKeys(r, readSerial, func(s gpu.Serial) { e.dbePerCard[s] = int(r.Int()) })
-	readKeys(r, readSerial, func(s gpu.Serial) { e.dbeAlerted[s] = true })
-	readKeys(r, readCode, func(c xid.Code) { e.seenCodes[c] = true })
-	readKeys(r, readCode, func(c xid.Code) {
+	e.dbePerCard = bincode.ReadMap(r, readSerial, readInt)
+	e.dbeAlerted = bincode.ReadMap(r, readSerial, member)
+	e.seenCodes = bincode.ReadMap(r, readCode, member)
+	e.recent = bincode.ReadMap(r, readCode, func(r *bincode.Reader) []time.Time {
 		times := make([]time.Time, 0, r.Count(2))
 		for i := cap(times); i > 0; i-- {
 			times = append(times, r.Time())
 		}
-		e.recent[c] = times
+		return times
 	})
-	readKeys(r, readCode, func(c xid.Code) { e.burstMuted[c] = r.Time() })
-	readKeys(r, readNode, func(n topology.NodeID) {
-		jobs := map[console.JobID]bool{}
-		readKeys(r, readJob, func(j console.JobID) { jobs[j] = true })
-		e.suspectJobs[n] = jobs
+	e.burstMuted = bincode.ReadMap(r, readCode, (*bincode.Reader).Time)
+	var chunk []console.JobID // every node's jobs, each run capped at its length
+	e.suspectJobs = bincode.ReadMap(r, readNode, func(r *bincode.Reader) []console.JobID {
+		n := r.Count(1)
+		if cap(chunk)-len(chunk) < n {
+			chunk = make([]console.JobID, 0, max(n, 4096))
+		}
+		jobs := chunk[len(chunk) : len(chunk)+n : len(chunk)+n]
+		chunk = chunk[:len(chunk)+n]
+		for i := range jobs {
+			if jobs[i] = readJob(r); i > 0 && jobs[i] <= jobs[i-1] {
+				r.Fail("jobs out of order")
+			}
+		}
+		return jobs
 	})
-	readKeys(r, readNode, func(n topology.NodeID) { e.suspectFired[n] = true })
+	e.suspectFired = bincode.ReadMap(r, readNode, member)
 	var prev incidentKey
 	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
 		k := incidentKey{readCode(r), readJob(r)}
@@ -125,6 +154,8 @@ func readCode(r *bincode.Reader) xid.Code             { return xid.Code(r.Int())
 func readNode(r *bincode.Reader) topology.NodeID      { return topology.NodeID(r.Int()) }
 func readJob(r *bincode.Reader) console.JobID         { return console.JobID(r.Int()) }
 func readSerial(r *bincode.Reader) gpu.Serial         { return gpu.Serial(r.Uint32()) }
+func readInt(r *bincode.Reader) int                   { return int(r.Int()) }
+func member(*bincode.Reader) bool                     { return true }
 
 // appendKeys appends a set's keys, counted, in ascending order.
 func appendKeys[K cmp.Ordered, V any](dst []byte, m map[K]V, put func([]byte, K) []byte) []byte {
@@ -133,19 +164,4 @@ func appendKeys[K cmp.Ordered, V any](dst []byte, m map[K]V, put func([]byte, K)
 		dst = put(dst, k)
 	}
 	return dst
-}
-
-// readKeys reads a counted run of strictly ascending keys, handing each
-// to got (which reads the key's value, if it has one).
-func readKeys[K cmp.Ordered](r *bincode.Reader, key func(*bincode.Reader) K, got func(K)) {
-	var prev K
-	for i, n := 0, r.Count(1); i < n && r.Err() == nil; i++ {
-		k := key(r)
-		if i > 0 && k <= prev {
-			r.Fail("keys out of order")
-			return
-		}
-		got(k)
-		prev = k
-	}
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 )
@@ -63,11 +62,32 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
+// ReadMap reads a map encoded as its length, then each key, in
+// SortedKeys order, with its value, into a map made for that many; val
+// reads a value (a set's reads nothing and returns true). Keys out of
+// order fail the reader.
+func ReadMap[K cmp.Ordered, V any](r *Reader, key func(*Reader) K, val func(*Reader) V) map[K]V {
+	n := r.Count(1)
+	m := make(map[K]V, n)
+	var prev K
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := key(r)
+		if i > 0 && k <= prev {
+			r.Fail("keys out of order")
+			break
+		}
+		m[k] = val(r)
+		prev = k
+	}
+	return m
+}
+
 // Reader decodes what the Append functions wrote. The first malformed
 // value sets a sticky error; every later read returns a zero value, so a
 // decoder checks Err once, at the end (or before trusting a count).
 type Reader struct {
 	b   []byte
+	p   int // b[p:] is not yet read
 	err error
 }
 
@@ -78,7 +98,7 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 func (r *Reader) Err() error { return r.err }
 
 // Rest returns the bytes not yet read.
-func (r *Reader) Rest() []byte { return r.b }
+func (r *Reader) Rest() []byte { return r.b[r.p:] }
 
 // Fail records a decode error (the first one sticks) and empties the
 // input, so nothing after it is read.
@@ -86,33 +106,68 @@ func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
-	r.b = nil
+	r.b, r.p = nil, 0
 }
 
-// Uint reads an unsigned varint in its shortest form.
+// Uint reads an unsigned varint in its shortest form. A one-byte value
+// is read without a call to Uvarint.
 func (r *Reader) Uint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || n != uvarintLen(v) {
+	if p := r.p; p < len(r.b) && r.b[p] < 0x80 {
+		r.p = p + 1
+		return uint64(r.b[p])
+	}
+	v, next, ok := Uvarint(r.b, r.p)
+	if !ok {
 		r.Fail("bad uvarint")
 		return 0
 	}
-	r.b = r.b[n:]
+	r.p = next
 	return v
 }
 
-// Int reads a zigzag varint in its shortest form.
-func (r *Reader) Int() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 || n != uvarintLen(uint64(v)<<1^uint64(v>>63)) {
-		r.Fail("bad varint")
-		return 0
+// Uvarint decodes the unsigned varint at b[p:] and returns it with the
+// position after it. ok is false unless the varint is complete, fits 64
+// bits and is in its shortest form — its last byte is not zero, a lone
+// 0 aside — which is every form the Append functions write and no other.
+//
+// Values up to 2^21 (three bytes: counts, codes, node ids, serials, time
+// offsets) are decoded without a loop; a loop's exit branch is the one a
+// run of varints of mixed lengths mispredicts.
+func Uvarint(b []byte, p int) (v uint64, next int, ok bool) {
+	if p < 0 || p >= len(b) {
+		return 0, p, false
 	}
-	r.b = r.b[n:]
-	return v
+	if c := b[p]; c < 0x80 {
+		return uint64(c), p + 1, true
+	}
+	if p+2 < len(b) {
+		c0, c1, c2 := b[p], b[p+1], b[p+2]
+		if c1 < 0x80 {
+			if c1 == 0 {
+				return 0, p, false
+			}
+			return uint64(c0&0x7f) | uint64(c1)<<7, p + 2, true
+		}
+		if c2 < 0x80 {
+			if c2 == 0 {
+				return 0, p, false
+			}
+			return uint64(c0&0x7f) | uint64(c1&0x7f)<<7 | uint64(c2)<<14, p + 3, true
+		}
+	}
+	v, m := binary.Uvarint(b[p:])
+	if m <= 0 || b[p+m-1] == 0 {
+		return 0, p, false
+	}
+	return v, p + m, true
 }
 
-// uvarintLen is the length of v's shortest uvarint.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+// Int reads a zigzag varint in its shortest form (that of its unsigned
+// varint).
+func (r *Reader) Int() int64 {
+	u := r.Uint()
+	return int64(u>>1) ^ -int64(u&1)
+}
 
 // Uint32 reads an unsigned varint that must fit in 32 bits.
 func (r *Reader) Uint32() uint32 {
@@ -129,8 +184,8 @@ func (r *Reader) Uint32() uint32 {
 // fails here, before anything is allocated for it.
 func (r *Reader) Count(min int) int {
 	n := r.Uint()
-	if n > uint64(len(r.b)/min) {
-		r.Fail("count %d exceeds the %d bytes left", n, len(r.b))
+	if left := len(r.b) - r.p; n > uint64(left/min) {
+		r.Fail("count %d exceeds the %d bytes left", n, left)
 		return 0
 	}
 	return int(n)
@@ -138,35 +193,32 @@ func (r *Reader) Count(min int) int {
 
 // Bool reads one byte, 0 or 1.
 func (r *Reader) Bool() bool {
-	if len(r.b) == 0 || r.b[0] > 1 {
+	if r.p >= len(r.b) || r.b[r.p] > 1 {
 		r.Fail("bad bool")
 		return false
 	}
-	v := r.b[0] == 1
-	r.b = r.b[1:]
-	return v
+	r.p++
+	return r.b[r.p-1] == 1
 }
 
 // Float reads eight bytes of IEEE 754 bits.
 func (r *Reader) Float() float64 {
-	if len(r.b) < 8 {
+	if len(r.b)-r.p < 8 {
 		r.Fail("truncated float")
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
+	r.p += 8
+	return math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.p-8:]))
 }
 
 // Bytes reads the next n bytes (aliasing the input).
 func (r *Reader) Bytes(n int) []byte {
-	if n < 0 || len(r.b) < n {
-		r.Fail("truncated: want %d bytes, %d left", n, len(r.b))
+	if left := len(r.b) - r.p; n < 0 || left < n {
+		r.Fail("truncated: want %d bytes, %d left", n, left)
 		return nil
 	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
+	r.p += n
+	return r.b[r.p-n : r.p : r.p]
 }
 
 // String reads a length-prefixed string.

@@ -1,6 +1,7 @@
 package bincode
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -82,5 +83,58 @@ func TestSortedKeys(t *testing.T) {
 	got := SortedKeys(map[int]bool{3: true, -1: true, 2: false})
 	if !slices.Equal(got, []int{-1, 2, 3}) {
 		t.Errorf("SortedKeys = %v", got)
+	}
+}
+
+// TestUvarintMatchesBinary: Uvarint agrees with encoding/binary on every
+// input — the value, the length, and which inputs fail — save that it
+// also refuses a varint that is not in its shortest form.
+func TestUvarintMatchesBinary(t *testing.T) {
+	want := func(b []byte) (uint64, int, bool) {
+		v, m := binary.Uvarint(b)
+		if m <= 0 || (m > 1 && b[m-1] == 0) {
+			return 0, 0, false
+		}
+		return v, m, true
+	}
+	check := func(b []byte) {
+		t.Helper()
+		for p := 0; p <= len(b); p++ {
+			wv, wm, wok := want(b[p:])
+			v, next, ok := Uvarint(b, p)
+			if ok != wok || (ok && (v != wv || next != p+wm)) || (!ok && next != p) {
+				t.Fatalf("Uvarint(% x, %d) = %d, %d, %v; want %d, %d, %v", b, p, v, next, ok, wv, p+wm, wok)
+			}
+		}
+	}
+	var inputs [][]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1 << shift, 1<<shift - 1, 1<<shift + 1} {
+			enc := AppendUint(nil, v)
+			inputs = append(inputs, enc, append(slices.Clone(enc), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+		}
+	}
+	inputs = append(inputs,
+		[]byte{0x80, 0x00}, []byte{0xff, 0x80, 0x00, 0, 0, 0, 0, 0, 0, 0}, // overlong
+		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},       // past 64 bits
+		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // eleven bytes
+	)
+	state := uint64(1)
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, 1+i%13)
+		for j := range b {
+			state = state*6364136223846793005 + 1442695040888963407
+			b[j] = byte(state >> 56)
+			if state>>40&3 == 0 {
+				b[j] &= 0x7f // end a varint now and then
+			}
+		}
+		inputs = append(inputs, b)
+	}
+	for _, b := range inputs {
+		check(b)
+	}
+	if _, next, ok := Uvarint([]byte{1}, -1); ok || next != -1 {
+		t.Fatal("a negative position decoded")
 	}
 }

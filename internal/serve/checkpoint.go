@@ -49,8 +49,11 @@ import (
 const checkpointFile = "CHECKPOINT"
 
 // checkpointVersion is the format version; it is part of the
-// fingerprint, so a daemon never reads another version's state.
-const checkpointVersion = 1
+// fingerprint, so a daemon never reads another version's state (a file
+// of an older one is "fingerprint differs", and the restart replays).
+// Version 2 writes node times as epoch seconds, relative to the node's
+// last event, and a card with no ECC state in four fixed bytes.
+const checkpointVersion = 2
 
 var checkpointMagic = [8]byte{'T', 'I', 'T', 'A', 'N', 'C', 'K', 'P'}
 
@@ -61,29 +64,41 @@ type checkpoint struct {
 	segments    []store.SegmentID
 
 	applied, alertsRaised, warningsIssued uint64
-	maxApplied                            time.Time
-	codeTotals                            map[xid.Code]int
-	nodes                                 []*nodeState // indexed by topology.NodeID
-	engine                                *alert.Engine
-	warner                                *predict.Warner // nil without a model
+	derived
+}
+
+// derived is the state the apply step derives from the history —
+// applyEventLocked is its only writer — and so what a checkpoint
+// carries: the cross-node detectors, the per-code totals, the age
+// watermark and the per-node table (state.go) with its first-touch node
+// and card counts.
+type derived struct {
+	alertEngine  *alert.Engine
+	warner       *predict.Warner // nil without a model
+	codeTotals   map[xid.Code]int
+	nodes        []nodeState // indexed by topology.NodeID; nil until the first event or a restore
+	nodesTracked int
+	cardsTracked int
+	// maxApplied is the newest event time applied so far; compaction
+	// measures CompactAge against it so historical replays age out the
+	// same way live streams do.
+	maxApplied time.Time
+}
+
+// newDerived is the derived state of no history.
+func newDerived(cfg Config) derived {
+	d := derived{alertEngine: alert.NewEngine(cfg.Alerts), codeTotals: make(map[xid.Code]int)}
+	if cfg.Model != nil {
+		d.warner = predict.NewWarner(cfg.Model)
+	}
+	return d
 }
 
 // checkpointFingerprint digests everything besides the history that
 // shapes the derived state.
 func checkpointFingerprint(cfg Config) [sha256.Size]byte {
 	b := bincode.AppendUint(nil, checkpointVersion)
-	b = bincode.AppendInt(b, int64(cfg.RateWindow))
-	a := cfg.Alerts
-	b = bincode.AppendInt(b, int64(a.DBEThreshold))
-	b = bincode.AppendInt(b, int64(a.BurstWindow))
-	b = bincode.AppendInt(b, int64(a.BurstCount))
-	b = bincode.AppendBool(b, a.BurstCodes != nil) // nil is every code, empty is none
-	b = bincode.AppendUint(b, uint64(len(a.BurstCodes)))
-	for _, c := range a.BurstCodes {
-		b = bincode.AppendInt(b, int64(c))
-	}
-	b = bincode.AppendInt(b, int64(a.SuspectJobs))
-	b = bincode.AppendBool(b, a.NewCodes)
+	b = cfg.Alerts.AppendFingerprint(bincode.AppendInt(b, int64(cfg.RateWindow)))
 	b = bincode.AppendBool(b, cfg.Model != nil)
 	if cfg.Model != nil {
 		b = cfg.Model.AppendFingerprint(b)
@@ -110,19 +125,15 @@ func (cp *checkpoint) append(b []byte) []byte {
 	for _, c := range bincode.SortedKeys(cp.codeTotals) {
 		b = bincode.AppendInt(bincode.AppendInt(b, int64(c)), int64(cp.codeTotals[c]))
 	}
-	tracked := 0
-	for _, ns := range cp.nodes {
-		if ns != nil {
-			tracked++
+	prev := -1
+	for i := range cp.nodes {
+		if cp.nodes[i].total > 0 {
+			b = cp.nodes[i].appendState(bincode.AppendUint(b, uint64(i-prev)))
+			prev = i
 		}
 	}
-	b = bincode.AppendUint(b, uint64(tracked))
-	for _, ns := range cp.nodes {
-		if ns != nil {
-			b = ns.appendState(b)
-		}
-	}
-	b = cp.engine.AppendState(b)
+	b = append(b, 0)
+	b = cp.alertEngine.AppendState(b)
 	if cp.warner != nil {
 		b = cp.warner.AppendState(b)
 	}
@@ -130,33 +141,40 @@ func (cp *checkpoint) append(b []byte) []byte {
 	return append(b, digest[:]...)
 }
 
+// noECC is how a card with no ECC state encodes: no DBE or inferred SBE,
+// no counter set, and an enabled retirement machine with nothing pending
+// or retired.
+var noECC = []byte{0, 0, 0, 1, 0, 0}
+
+// appendState encodes a node's state after its id (the gap from the
+// previous node's, so never 0: a 0 ends the table): its event total and
+// last event time, then the rest of its times as offsets back from that
+// one (short varints, where epoch seconds take five bytes), its codes,
+// rate window and cards, each list in the order the node holds it.
 func (ns *nodeState) appendState(b []byte) []byte {
-	b = bincode.AppendUint(b, uint64(ns.node))
-	b = bincode.AppendInt(b, int64(ns.total))
+	b = bincode.AppendUint(b, uint64(ns.total))
+	b = bincode.AppendInt(b, ns.lastSeen)
+	b = bincode.AppendInt(b, ns.lastSeen-ns.firstSeen)
 	b = bincode.AppendUint(b, uint64(len(ns.byCode)))
 	for _, c := range ns.byCode {
-		b = bincode.AppendInt(bincode.AppendInt(b, int64(c.code)), int64(c.n))
+		b = bincode.AppendUint(bincode.AppendInt(b, int64(c.code)), uint64(c.n))
 	}
 	b = bincode.AppendUint(b, uint64(len(ns.window)))
 	for _, w := range ns.window {
-		b = bincode.AppendInt(bincode.AppendTime(b, w.at), int64(w.code))
+		b = bincode.AppendInt(bincode.AppendInt(b, ns.lastSeen-w.at), int64(w.code))
 	}
-	b = bincode.AppendTime(bincode.AppendTime(b, ns.firstSeen), ns.lastSeen)
 	b = bincode.AppendUint(b, uint64(len(ns.cards)))
 	for _, cs := range ns.cards {
-		b = bincode.AppendUint(b, uint64(cs.serial))
-		b = bincode.AppendInt(b, int64(cs.dbeEvents))
-		b = bincode.AppendInt(b, int64(cs.sbeInferred))
-		b = cs.counts.AppendState(b)
-		b = cs.retirement.AppendState(b)
-		b = bincode.AppendTime(b, cs.lastSeen)
+		b = bincode.AppendInt(bincode.AppendUint(b, uint64(cs.serial)), ns.lastSeen-cs.lastSeen)
+		if e := cs.ecc; e == nil {
+			b = append(b, noECC...)
+		} else {
+			b = bincode.AppendUint(bincode.AppendUint(b, uint64(e.dbeEvents)), uint64(e.sbeInferred))
+			b = e.retirement.AppendState(e.counts.AppendState(b))
+		}
 	}
 	return b
 }
-
-// errCheckpointFingerprint is decodeCheckpoint's answer for a checkpoint
-// written under another rate window, alert config, model or format.
-var errCheckpointFingerprint = errors.New("fingerprint differs")
 
 // decodeCheckpoint parses and validates a checkpoint written under cfg.
 // It never panics; whatever it accepts re-encodes to data exactly.
@@ -171,14 +189,9 @@ func decodeCheckpoint(data []byte, cfg Config) (*checkpoint, error) {
 	if !bytes.HasPrefix(body, checkpointMagic[:]) {
 		return nil, errors.New("bad magic")
 	}
-	cp := &checkpoint{
-		fingerprint: [sha256.Size]byte(body[len(checkpointMagic):]),
-		codeTotals:  make(map[xid.Code]int),
-		nodes:       make([]*nodeState, topology.TotalNodes),
-		engine:      alert.NewEngine(cfg.Alerts),
-	}
+	cp := &checkpoint{fingerprint: [sha256.Size]byte(body[len(checkpointMagic):]), derived: newDerived(cfg)}
 	if cp.fingerprint != checkpointFingerprint(cfg) {
-		return nil, errCheckpointFingerprint
+		return nil, errors.New("fingerprint differs") // another rate window, alert config, model or format
 	}
 	r := bincode.NewReader(body[len(checkpointMagic)+sha256.Size:])
 	for n := r.Count(1 + sha256.Size); n > 0 && r.Err() == nil; n-- {
@@ -188,33 +201,10 @@ func decodeCheckpoint(data []byte, cfg Config) (*checkpoint, error) {
 	}
 	cp.applied, cp.alertsRaised, cp.warningsIssued = r.Uint(), r.Uint(), r.Uint()
 	cp.maxApplied = r.Time()
-	var prevCode xid.Code
-	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
-		c := xid.Code(r.Int())
-		if i > 0 && c <= prevCode {
-			r.Fail("code totals out of order")
-		}
-		cp.codeTotals[c] = int(r.Int())
-		prevCode = c
-	}
-	tracked := r.Count(8)
-	states := make([]nodeState, tracked)
-	var arena nodeArena
-	for i := range states {
-		ns := &states[i]
-		ns.restoreState(r, &arena)
-		if r.Err() != nil {
-			break
-		}
-		if !ns.node.Valid() || (i > 0 && ns.node <= states[i-1].node) {
-			r.Fail("node %d out of order", ns.node)
-			break
-		}
-		cp.nodes[ns.node] = ns
-	}
-	cp.engine.RestoreState(r)
-	if cfg.Model != nil {
-		cp.warner = predict.NewWarner(cfg.Model)
+	cp.codeTotals = bincode.ReadMap(r, func(r *bincode.Reader) xid.Code { return xid.Code(r.Int()) }, func(r *bincode.Reader) int { return int(r.Int()) })
+	cp.nodes, cp.nodesTracked, cp.cardsTracked = restoreNodes(r, windowSeconds(cfg.RateWindow))
+	cp.alertEngine.RestoreState(r)
+	if cp.warner != nil {
 		cp.warner.RestoreState(r)
 	}
 	if r.Err() == nil && len(r.Rest()) > 0 {
@@ -226,30 +216,75 @@ func decodeCheckpoint(data []byte, cfg Config) (*checkpoint, error) {
 	return cp, nil
 }
 
-func (ns *nodeState) restoreState(r *bincode.Reader, arena *nodeArena) {
-	ns.node = topology.NodeID(r.Uint())
-	ns.total = int(r.Int())
-	ns.byCode = carve(&arena.codes, r.Count(2))
-	for i := range ns.byCode {
-		ns.byCode[i] = codeCount{code: xid.Code(r.Int()), n: int(r.Int())}
+// restoreNodes decodes the node table and returns it with how many nodes
+// and cards it holds. Besides the shape of each record it checks that the
+// apply step could have left it: a node has events, and its total is the
+// sum of its code counts, each code listed once with a count of at
+// least one; its window holds at least one event and at most its total,
+// and its oldest entry is inside the rate window of span seconds ending
+// at the node's last event (later ones may not be — an event that
+// arrived out of order is pruned only once every entry before it has
+// been); its cards have distinct non-zero serials and an enabled
+// retirement machine.
+func restoreNodes(r *bincode.Reader, span int64) (table []nodeState, nodes, cards int) {
+	table = make([]nodeState, topology.TotalNodes)
+	var arena nodeArena
+	for next := uint64(0); r.Err() == nil; nodes++ { // next: the first id the gap counts from
+		gap := r.Uint()
+		if gap == 0 {
+			return table, nodes, cards
+		}
+		if gap > topology.TotalNodes-next {
+			r.Fail("node %d out of range", next+gap-1)
+			return
+		}
+		node := next + gap - 1
+		next = node + 1
+		ns := &table[node]
+		total := r.Uint()
+		ns.total, ns.lastSeen = int(total), r.Int()
+		ns.firstSeen = ns.lastSeen - r.Int()
+		ns.byCode = carve(&arena.codes, r.Count(2))
+		for i := range ns.byCode {
+			c := &ns.byCode[i]
+			c.code, c.n = xid.Code(r.Int()), int(r.Uint())
+			total -= uint64(c.n)
+			if c.n == 0 || slices.ContainsFunc(ns.byCode[:i], func(o codeCount) bool { return o.code == c.code }) {
+				r.Fail("node %d: code %d listed twice or with no event", node, c.code)
+			}
+		}
+		ns.window = carve(&arena.window, r.Count(2))
+		if total != 0 || len(ns.window) == 0 || len(ns.window) > ns.total {
+			r.Fail("node %d: %d events, %d more than its codes count, %d in its window", node, ns.total, total, len(ns.window))
+			return
+		}
+		for i := range ns.window {
+			ns.window[i] = windowEntry{at: ns.lastSeen - r.Int(), code: xid.Code(r.Int())}
+		}
+		if ns.lastSeen-ns.window[0].at >= span {
+			r.Fail("node %d: window starts outside the rate window", node)
+		}
+		ns.cards = carve(&arena.cards, r.Count(8))
+		cards += len(ns.cards)
+		for i := range ns.cards {
+			cs := &ns.cards[i]
+			cs.serial, cs.lastSeen = gpu.Serial(r.Uint32()), ns.lastSeen-r.Int()
+			if cs.serial == 0 || slices.ContainsFunc(ns.cards[:i], func(o cardState) bool { return o.serial == cs.serial }) {
+				r.Fail("node %d: serial %d zero or listed twice", node, cs.serial)
+			}
+			if bytes.HasPrefix(r.Rest(), noECC) {
+				r.Bytes(len(noECC))
+				continue
+			}
+			e := &cardECC{dbeEvents: int(r.Uint()), sbeInferred: int(r.Uint())}
+			e.counts.RestoreState(r)
+			if e.retirement.RestoreState(r); !e.retirement.Enabled {
+				r.Fail("node %d: card %d retirement disabled", node, cs.serial)
+			}
+			cs.ecc = e
+		}
 	}
-	ns.window = carve(&arena.window, r.Count(3))
-	for i := range ns.window {
-		ns.window[i] = windowEntry{at: r.Time(), code: xid.Code(r.Int())}
-	}
-	ns.firstSeen, ns.lastSeen = r.Time(), r.Time()
-	n := r.Count(8)
-	cards := carve(&arena.cards, n)
-	ns.cards = carve(&arena.cardPtrs, n)
-	for i := range cards {
-		cs := &cards[i]
-		cs.serial = gpu.Serial(r.Uint32())
-		cs.dbeEvents, cs.sbeInferred = int(r.Int()), int(r.Int())
-		cs.counts.RestoreState(r)
-		cs.retirement.RestoreState(r)
-		cs.lastSeen = r.Time()
-		ns.cards[i] = cs
-	}
+	return
 }
 
 // nodeArena hands restored nodes their slices out of shared chunks, so a
@@ -257,10 +292,9 @@ func (ns *nodeState) restoreState(r *bincode.Reader, arena *nodeArena) {
 // four a node. Each slice is capped at its length: the first append after
 // the restart moves it off the chunk.
 type nodeArena struct {
-	codes    []codeCount
-	window   []windowEntry
-	cards    []cardState
-	cardPtrs []*cardState
+	codes  []codeCount
+	window []windowEntry
+	cards  []cardState
 }
 
 // carve takes the next n elements of *chunk, starting a new chunk when
@@ -282,7 +316,7 @@ func carve[T any](chunk *[]T, n int) []T {
 // a daemon that never sealed has no segment directory to write it to,
 // and an empty state needs no checkpoint.
 func (s *Server) writeCheckpoint() error {
-	sealed := s.sealedPeek()
+	sealed := s.SealedStore()
 	if sealed == nil {
 		return nil
 	}
@@ -293,11 +327,7 @@ func (s *Server) writeCheckpoint() error {
 		applied:        s.metrics.eventsApplied.Load(),
 		alertsRaised:   s.metrics.alertsRaised.Load(),
 		warningsIssued: s.metrics.warningsIssued.Load(),
-		maxApplied:     s.maxApplied,
-		codeTotals:     s.codeTotals,
-		nodes:          s.nodes,
-		engine:         s.alertEngine,
-		warner:         s.warner,
+		derived:        s.derived,
 	}
 	var data []byte
 	if cp.applied == uint64(sealed.EventCount()) && cp.applied > 0 {
@@ -350,15 +380,7 @@ func loadCheckpoint(st *store.Store, rec store.Recovery, cfg Config) (*checkpoin
 // own; WarmStart calls it before any event is applied.
 func (s *Server) adoptCheckpoint(cp *checkpoint) {
 	s.stateMu.Lock()
-	s.alertEngine, s.warner = cp.engine, cp.warner
-	s.codeTotals, s.nodes, s.maxApplied = cp.codeTotals, cp.nodes, cp.maxApplied
-	s.nodesTracked, s.cardsTracked = 0, 0
-	for _, ns := range cp.nodes {
-		if ns != nil {
-			s.nodesTracked++
-			s.cardsTracked += len(ns.cards)
-		}
-	}
+	s.derived = cp.derived
 	s.stateMu.Unlock()
 	s.metrics.eventsApplied.Add(cp.applied)
 	s.metrics.alertsRaised.Add(cp.alertsRaised)

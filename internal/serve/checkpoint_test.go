@@ -6,21 +6,24 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"titanre/internal/alert"
 	"titanre/internal/bincode"
 	"titanre/internal/console"
 	"titanre/internal/dataset"
 	"titanre/internal/durable"
 	"titanre/internal/predict"
+	"titanre/internal/race"
 	"titanre/internal/store"
 	"titanre/internal/topology"
 	"titanre/internal/xid"
@@ -110,6 +113,12 @@ func flipByte(t *testing.T, mem *durable.Mem, path string, bit byte) {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= bit
+	writeMem(t, mem, path, data)
+}
+
+// writeMem replaces path on mem with data.
+func writeMem(t *testing.T, mem *durable.Mem, path string, data []byte) {
+	t.Helper()
 	f, err := mem.Create(path)
 	if err == nil {
 		_, err = f.Write(data)
@@ -118,6 +127,65 @@ func flipByte(t *testing.T, mem *durable.Mem, path string, bit byte) {
 		t.Fatal(err)
 	}
 	f.Close()
+}
+
+// unreachableNodes are node states the apply step cannot leave, each
+// with the reason decodeCheckpoint refuses it for; edit makes one out of
+// a node that has a card, given the rate window in seconds.
+var unreachableNodes = []struct {
+	name, reason string
+	edit         func(ns *nodeState, span int64)
+}{
+	{"a total that is not its codes' sum", "more than its codes count", func(ns *nodeState, _ int64) { ns.total++ }},
+	{"a code listed twice", "listed twice", func(ns *nodeState, _ int64) {
+		ns.byCode, ns.total = append(ns.byCode, ns.byCode[0]), ns.total+ns.byCode[0].n
+	}},
+	{"a code with no event", "no event", func(ns *nodeState, _ int64) { ns.byCode = append(ns.byCode, codeCount{code: 99}) }},
+	{"a serial listed twice", "zero or listed twice", func(ns *nodeState, _ int64) { ns.cards = append(ns.cards, ns.cards[0]) }},
+	{"a zero serial", "zero or listed twice", func(ns *nodeState, _ int64) { ns.cards[0].serial = 0 }},
+	{"more window events than events", "in its window", func(ns *nodeState, _ int64) {
+		for len(ns.window) <= ns.total {
+			ns.window = append(ns.window, ns.window[0])
+		}
+	}},
+	{"an empty window", "in its window", func(ns *nodeState, _ int64) { ns.window = nil }},
+	{"a window that starts outside the rate window", "outside the rate window", func(ns *nodeState, span int64) {
+		ns.window[0].at = ns.lastSeen - span
+	}},
+	{"a card whose retirement machine is off", "retirement disabled", func(ns *nodeState, _ int64) {
+		ns.cards[0].ecc = &cardECC{dbeEvents: 1}
+	}},
+}
+
+// forgeCheckpoint is data, a checkpoint written under cfg, with edit made
+// to its first node that has a card, re-encoded under a fresh digest.
+func forgeCheckpoint(tb testing.TB, data []byte, cfg Config, edit func(*nodeState, int64)) []byte {
+	tb.Helper()
+	cp, err := decodeCheckpoint(data, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	i := slices.IndexFunc(cp.nodes, func(ns nodeState) bool { return len(ns.cards) > 0 })
+	if i < 0 {
+		tb.Fatal("no node in the checkpoint has a card")
+	}
+	edit(&cp.nodes[i], windowSeconds(cfg.RateWindow))
+	return cp.append(nil)
+}
+
+// TestCheckpointRejectsUnreachableNodes: the restore refuses, with its
+// reason, every node state in unreachableNodes, though its digest is good.
+func TestCheckpointRejectsUnreachableNodes(t *testing.T) {
+	data, cfg := smallCheckpoint(t)
+	if _, err := decodeCheckpoint(data, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range unreachableNodes {
+		_, err := decodeCheckpoint(forgeCheckpoint(t, data, cfg, row.edit), cfg)
+		if !errors.Is(err, bincode.ErrCorrupt) || !strings.Contains(err.Error(), row.reason) {
+			t.Errorf("%s: got %v, want ErrCorrupt (%s)", row.name, err, row.reason)
+		}
+	}
 }
 
 // tempFiles lists the durable.WriteFile temp files on mem.
@@ -213,6 +281,18 @@ func TestCheckpointRestart(t *testing.T) {
 		name:   "model-changed",
 		cfg:    func(fsys durable.FS) Config { return cpConfig(fsys, fx.otherModel) },
 		unused: "fingerprint differs",
+	}, {
+		// A node state the apply step cannot leave, under a good digest.
+		name: "unreachable-node",
+		state: func(t *testing.T, mem *durable.Mem) *durable.Mem {
+			data, err := mem.ReadFile(cpPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeMem(t, mem, cpPath, forgeCheckpoint(t, data, cpConfig(mem, fx.model), unreachableNodes[0].edit))
+			return mem
+		},
+		unused: unreachableNodes[0].reason,
 	}, {
 		// The prefix's first segment rots: quarantined at open, so the
 		// checkpoint that covers it is not used and B holds the rest.
@@ -354,6 +434,7 @@ func stateStats(t *testing.T, st Stats) string {
 		"last_compaction_unix", "heap_inuse_bytes", "degraded", "quarantined_segments", "quarantined_bytes",
 		"events_lost_to_quarantine", "orphans_removed", "sealed_seq", "query_fold_seconds", "query_render_seconds",
 		"journal", "warm_events_checkpointed", "warm_events_replayed", "warm_checkpoint_unused",
+		"warm_open_seconds", "warm_checkpoint_seconds", "warm_segment_replay_seconds", "warm_journal_replay_seconds",
 	} {
 		delete(doc, k)
 	}
@@ -437,30 +518,14 @@ func TestCheckpointNeedsSealedHistory(t *testing.T) {
 // is and re-sealed under a fresh SHA-256 trailer, so mutations reach the
 // decoder proper rather than stopping at the digest.
 func FuzzCheckpointDecode(f *testing.F) {
-	events := simEvents()[:1500]
-	pcfg := predict.DefaultConfig()
-	pcfg.MinSupport = 2
-	pcfg.MinConfidence = 0.01
-	cfg := DefaultConfig()
-	cfg.Model = predict.Train(events, pcfg)
-	dir := f.TempDir()
-	cfg.CompactDir = filepath.Join(dir, dataset.SegmentsDir)
-	s := NewServer(cfg)
-	ingestLog(f, s, encodeLog(f, events))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := os.ReadFile(filepath.Join(cfg.CompactDir, checkpointFile))
-	if err != nil {
-		f.Fatal(err)
-	}
-	fcfg := s.cfg
-	empty := checkpoint{fingerprint: checkpointFingerprint(fcfg), engine: alert.NewEngine(fcfg.Alerts), warner: predict.NewWarner(fcfg.Model)}
+	seed, fcfg := smallCheckpoint(f)
+	empty := checkpoint{fingerprint: checkpointFingerprint(fcfg), derived: newDerived(fcfg)}
 	f.Add(seed)
 	f.Add(empty.append(nil))
 	f.Add([]byte("TITANCKP"))
+	for _, row := range unreachableNodes {
+		f.Add(forgeCheckpoint(f, seed, fcfg, row.edit))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(data []byte) {
 			cp, err := decodeCheckpoint(data, fcfg)
@@ -480,18 +545,56 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
+// smallCheckpoint is the checkpoint a daemon with a model drains to
+// after 1,500 events, with the config it was written under.
+func smallCheckpoint(tb testing.TB) ([]byte, Config) {
+	tb.Helper()
+	events := simEvents()[:1500]
+	pcfg := predict.DefaultConfig()
+	pcfg.MinSupport = 2
+	pcfg.MinConfidence = 0.01
+	cfg := DefaultConfig()
+	cfg.Model = predict.Train(events, pcfg)
+	cfg.CompactDir = filepath.Join(tb.TempDir(), dataset.SegmentsDir)
+	s := NewServer(cfg)
+	ingestLog(tb, s, encodeLog(tb, events))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(cfg.CompactDir, checkpointFile))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data, s.cfg
+}
+
 // BenchmarkWarmStart times one warm start of the bench-shaped history
 // (sim.BenchHistory, 336,000 events in six segments) and of four copies
 // of it laid end to end: replay feeds every sealed event back through the
 // apply step, checkpoint restores the state a drained daemon left and
-// replays nothing. It reports the events replayed per restart. Run it as
+// replays nothing, and fresh does what checkpoint does in a child process
+// that has done nothing else — a re-exec of the test binary an iteration
+// (TestWarmStartFresh), so ns/op counts the exec too. A warmed process
+// hides what a restart pays: its heap is grown, its pages faulted in and
+// its collector idle where a new one marks while the state is restored.
+// Each row reports the events replayed per restart and the time of each
+// phase (WarmStats) per restart. Run it as
 //
 //	go test ./internal/serve -run '^$' -bench WarmStart -cpu 1 -count 6
 func BenchmarkWarmStart(b *testing.B) {
+	states := b.TempDir()
 	for _, copies := range []int{1, 4} {
-		dir := warmBenchState(b, copies)
-		for _, mode := range []string{"replay", "checkpoint"} {
+		dir := filepath.Join(states, fmt.Sprint(copies))
+		for _, mode := range []string{"replay", "checkpoint", "fresh"} {
+			if mode == "fresh" && copies > 1 {
+				continue // the restart the benchmark's backfill workload makes
+			}
 			b.Run(fmt.Sprintf("%s/history=%dx", mode, copies), func(b *testing.B) {
+				if _, err := os.Stat(dir); err != nil {
+					warmBenchState(b, dir, copies)
+				}
 				state := copyDir(b, dir)
 				if mode == "replay" {
 					if err := os.Remove(filepath.Join(state, dataset.SegmentsDir, checkpointFile)); err != nil {
@@ -500,32 +603,116 @@ func BenchmarkWarmStart(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
-				var replayed int
+				var sum WarmStats
 				for i := 0; i < b.N; i++ {
-					// Without CompactDir the drain below seals nothing and
-					// writes no checkpoint: each iteration finds the same
-					// directory.
-					s := NewServer(DefaultConfig())
-					ws, err := s.WarmStart(state)
-					if err != nil {
-						b.Fatal(err)
+					var ws WarmStats
+					if mode == "fresh" {
+						ws = warmStartFresh(b, state)
+					} else {
+						// Without CompactDir the drain below seals nothing and
+						// writes no checkpoint: each iteration finds the same
+						// directory.
+						s := NewServer(DefaultConfig())
+						var err error
+						if ws, err = s.WarmStart(state); err != nil {
+							b.Fatal(err)
+						}
+						b.StopTimer()
+						shutdownBench(b, s)
+						s.SealedStore().Close()
+						b.StartTimer()
 					}
-					replayed = ws.Replayed - ws.Checkpointed
-					b.StopTimer()
-					shutdownBench(b, s)
-					s.SealedStore().Close()
-					b.StartTimer()
+					sum.Replayed += ws.Replayed - ws.Checkpointed
+					sum.Open += ws.Open
+					sum.CheckpointRestore += ws.CheckpointRestore
+					sum.SegmentReplay += ws.SegmentReplay
+					sum.JournalReplay += ws.JournalReplay
 				}
-				b.ReportMetric(float64(replayed), "replayed/op")
+				n := float64(b.N)
+				b.ReportMetric(float64(sum.Replayed)/n, "replayed/op")
+				for unit, d := range map[string]time.Duration{"open-ms/op": sum.Open, "checkpoint-ms/op": sum.CheckpointRestore, "replay-ms/op": sum.SegmentReplay, "journal-ms/op": sum.JournalReplay} {
+					b.ReportMetric(d.Seconds()*1e3/n, unit)
+				}
 			})
 		}
 	}
 }
 
+// warmStartEnv names the state directory TestWarmStartFresh warm-starts
+// from in a child process.
+const warmStartEnv = "TITAND_WARM_START_DIR"
+
+// TestWarmStartFresh is the child process of BenchmarkWarmStart's fresh
+// row, and is skipped anywhere else: one warm start of the directory
+// warmStartEnv names, its WarmStats printed as one line of JSON.
+func TestWarmStartFresh(t *testing.T) {
+	dir := os.Getenv(warmStartEnv)
+	if dir == "" {
+		t.Skip("the child process of BenchmarkWarmStart's fresh row")
+	}
+	ws, err := NewServer(DefaultConfig()).WarmStart(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Printf("%s\n", line)
+}
+
+// warmStartFresh re-executes the test binary as TestWarmStartFresh over
+// dir and returns the WarmStats the child printed.
+func warmStartFresh(tb testing.TB, dir string) WarmStats {
+	tb.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestWarmStartFresh$")
+	cmd.Env = append(os.Environ(), warmStartEnv+"="+dir)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		tb.Fatalf("child warm start: %v\n%s", err, out)
+	}
+	var ws WarmStats
+	line, _, _ := bytes.Cut(out, []byte("\n"))
+	if err := json.Unmarshal(line, &ws); err != nil {
+		tb.Fatalf("child warm start printed %q: %v", out, err)
+	}
+	return ws
+}
+
+// TestWarmStartAllocBudget holds a warm start from the bench-shaped
+// checkpoint (one history, six segments, 16,999 nodes) to what it
+// measured when the node table went flat — 5.3 MB in 570 allocations,
+// where the pointer table read 10.5 MB in 3,769 — with a quarter to
+// spare. The node table, the restore's chunks and the alert engine's
+// job sets are a handful of allocations, whatever the node count.
+func TestWarmStartAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime's own bookkeeping moves allocation figures")
+	}
+	dir := t.TempDir()
+	warmBenchState(t, dir, 1)
+	const maxBytes, maxAllocs = 5_300_000 * 5 / 4, 570 * 5 / 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewServer(DefaultConfig())
+	ws, err := s.WarmStart(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil || ws.Checkpointed == 0 {
+		t.Fatalf("warm start %+v, %v; want a restore from the checkpoint", ws, err)
+	}
+	defer s.SealedStore().Close()
+	bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("warm start from the checkpoint: %d bytes in %d allocations", bytes, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Errorf("warm start allocated %d bytes in %d allocations; the budget is %d bytes, %d allocations", bytes, allocs, maxBytes, maxAllocs)
+	}
+}
+
 // warmBenchState seals copies back-to-back copies of the bench history
-// and leaves beside the segments the checkpoint a drained daemon writes.
-func warmBenchState(b *testing.B, copies int) string {
-	b.Helper()
+// into dir and leaves beside the segments the checkpoint a drained
+// daemon writes.
+func warmBenchState(tb testing.TB, dir string, copies int) {
+	tb.Helper()
 	history := readBenchHistory()
 	span := history[len(history)-1].Time.Sub(history[0].Time) + time.Hour
 	events := make([]console.Event, 0, copies*len(history))
@@ -535,22 +722,20 @@ func warmBenchState(b *testing.B, copies int) string {
 			events = append(events, ev)
 		}
 	}
-	dir := b.TempDir()
 	if err := dataset.WriteSegments(dir, events, 0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.CompactDir = filepath.Join(dir, dataset.SegmentsDir)
 	s := NewServer(cfg)
 	if _, err := s.WarmStart(dir); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	shutdownBench(b, s)
+	shutdownBench(tb, s)
 	s.SealedStore().Close()
 	if _, err := os.Stat(filepath.Join(cfg.CompactDir, checkpointFile)); err != nil {
-		b.Fatalf("no checkpoint after the drain: %v", err)
+		tb.Fatalf("no checkpoint after the drain: %v", err)
 	}
-	return dir
 }
 
 // copyDir copies a benchmark's state directory, file by file, to a fresh

@@ -92,16 +92,14 @@ func (s *Server) sealedStore() (*store.Store, error) {
 	return st, nil
 }
 
-// sealedPeek returns the store handle without opening one.
-func (s *Server) sealedPeek() *store.Store {
+// SealedStore exposes the segment store behind the server without
+// opening one (nil when compaction never ran and no warm start adopted
+// one).
+func (s *Server) SealedStore() *store.Store {
 	s.sealedMu.Lock()
 	defer s.sealedMu.Unlock()
 	return s.sealed
 }
-
-// SealedStore exposes the segment store behind the server (nil when
-// compaction never ran and no warm start adopted one).
-func (s *Server) SealedStore() *store.Store { return s.sealedPeek() }
 
 // CompactNow runs one compaction pass with the configured age and
 // minimum, returning how many events were sealed. A no-op (0, nil)

@@ -37,7 +37,6 @@ import (
 	"titanre/internal/predict"
 	"titanre/internal/store"
 	"titanre/internal/topology"
-	"titanre/internal/xid"
 )
 
 // Config tunes the service.
@@ -138,21 +137,11 @@ type Server struct {
 	decoding       sync.WaitGroup
 	handoff        chan decoded
 
-	// stateMu guards everything the applier owns: the cross-node
-	// detectors, the per-code totals, the retained log and the per-node
-	// state (state.go) with its first-touch node and card counts.
-	stateMu      sync.Mutex
-	alertEngine  *alert.Engine
-	warner       *predict.Warner
-	codeTotals   map[xid.Code]int
-	events       []console.Event
-	nodes        []*nodeState // indexed by topology.NodeID
-	nodesTracked int
-	cardsTracked int
-	// maxApplied is the newest event time applied so far; compaction
-	// measures CompactAge against it so historical replays age out the
-	// same way live streams do.
-	maxApplied time.Time
+	// stateMu guards everything the applier owns: the derived state and
+	// the retained log.
+	stateMu sync.Mutex
+	derived
+	events []console.Event
 
 	// viewMu makes the history visible to queries consistent across the
 	// sealed/retained boundary: compaction publishes a sealed chunk and
@@ -234,19 +223,14 @@ func NewServer(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:         cfg,
-		metrics:     newMetrics(time.Now()),
-		handoff:     make(chan decoded, cfg.QueueDepth), // a place per slot: a slot holder's send never blocks
-		alertEngine: alert.NewEngine(cfg.Alerts),
-		codeTotals:  make(map[xid.Code]int),
-		nodes:       make([]*nodeState, topology.TotalNodes),
-		sources:     make(map[string]*sourceCounters),
+		cfg:     cfg,
+		metrics: newMetrics(time.Now()),
+		handoff: make(chan decoded, cfg.QueueDepth), // a place per slot: a slot holder's send never blocks
+		derived: newDerived(cfg),
+		sources: make(map[string]*sourceCounters),
 	}
 	if cfg.AlertFeed {
 		s.feed = newAlertFeed(cfg.Alerts)
-	}
-	if cfg.Model != nil {
-		s.warner = predict.NewWarner(cfg.Model)
 	}
 	s.applyWG.Add(1)
 	go s.applier()
@@ -584,13 +568,12 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stateMu.Lock()
-	ns := s.nodes[node]
-	if ns == nil {
+	if int(node) >= len(s.nodes) || s.nodes[node].total == 0 {
 		s.stateMu.Unlock()
 		http.Error(w, fmt.Sprintf("no state for %s", cname), http.StatusNotFound)
 		return
 	}
-	view := viewOf(ns, s.cfg.RateWindow)
+	view := viewOf(node, &s.nodes[node], s.cfg.RateWindow)
 	s.stateMu.Unlock()
 	s.writeJSON(w, view)
 }
@@ -666,7 +649,7 @@ func (s *Server) historyView() ([]*store.Segment, []console.Event) {
 	s.viewMu.RLock()
 	defer s.viewMu.RUnlock()
 	var segs []*store.Segment
-	if sealed := s.sealedPeek(); sealed != nil {
+	if sealed := s.SealedStore(); sealed != nil {
 		segs = sealed.Segments()
 	}
 	s.stateMu.Lock()
@@ -864,6 +847,12 @@ type Stats struct {
 	WarmEventsCheckpointed uint64 `json:"warm_events_checkpointed" prom:"warm_events_checkpointed" help:"Events the warm start restored from the derived-state checkpoint."`
 	WarmEventsReplayed     uint64 `json:"warm_events_replayed" prom:"warm_events_replayed" help:"Events the warm start fed back through the apply step (segments past the checkpoint, console.log, journal)."`
 	WarmCheckpointUnused   string `json:"warm_checkpoint_unused,omitempty"`
+	// The warm start's phases, in wall seconds (WarmStats has them as
+	// durations): 0 for a phase that did not run.
+	WarmOpenSeconds          float64 `json:"warm_open_seconds" prom:"warm_open_seconds" help:"Wall time the warm start spent opening the sealed segments, each verified by SHA-256 and structure."`
+	WarmCheckpointSeconds    float64 `json:"warm_checkpoint_seconds" prom:"warm_checkpoint_seconds" help:"Wall time the warm start spent reading, verifying and restoring the derived-state checkpoint."`
+	WarmSegmentReplaySeconds float64 `json:"warm_segment_replay_seconds" prom:"warm_segment_replay_seconds" help:"Wall time the warm start spent feeding the history past the checkpoint (segments, or console.log) through the apply step."`
+	WarmJournalReplaySeconds float64 `json:"warm_journal_replay_seconds" prom:"warm_journal_replay_seconds" help:"Wall time the warm start spent opening the journal and replaying its records."`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -911,7 +900,7 @@ func (s *Server) StatsNow() Stats {
 	st.RetainedEvents = len(s.events)
 	st.NodesTracked, st.CardsTracked = s.nodesTracked, s.cardsTracked
 	s.stateMu.Unlock()
-	if sealed := s.sealedPeek(); sealed != nil {
+	if sealed := s.SealedStore(); sealed != nil {
 		st.SealedSegments = sealed.SegmentCount()
 		st.SealedEvents = sealed.EventCount()
 		st.SealedSegmentBytes = sealed.DiskBytes()
@@ -941,6 +930,9 @@ func (s *Server) StatsNow() Stats {
 	st.WarmEventsCheckpointed = uint64(s.warm.Checkpointed)
 	st.WarmEventsReplayed = uint64(s.warm.Replayed - s.warm.Checkpointed + s.warm.JournalReplayed)
 	st.WarmCheckpointUnused = s.warm.CheckpointUnused
+	w := s.warm
+	st.WarmOpenSeconds, st.WarmCheckpointSeconds = w.Open.Seconds(), w.CheckpointRestore.Seconds()
+	st.WarmSegmentReplaySeconds, st.WarmJournalReplaySeconds = w.SegmentReplay.Seconds(), w.JournalReplay.Seconds()
 	s.recovMu.Unlock()
 	st.Degraded = st.QuarantinedSegments > 0 || st.EventsLost > 0
 	if j := s.journal.Load(); j != nil {

@@ -45,7 +45,7 @@ func (s *Server) WriteSnapshot(dir string) error {
 	s.stateMu.Unlock()
 
 	var segs []*store.Segment
-	if sealed := s.sealedPeek(); sealed != nil {
+	if sealed := s.SealedStore(); sealed != nil {
 		segs = sealed.Segments()
 	}
 	if !s.cfg.RetainEvents && applied > 0 {

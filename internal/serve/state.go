@@ -26,16 +26,34 @@ import (
 // 130–240 ns channel hop per event — most of the work it parallelises
 // (DESIGN §4d has the measurement).
 
+// The table is laid out for the restart as much as for the applier: a
+// checkpoint restore (checkpoint.go) fills it from a handful of chunks,
+// and every pointer it stores is one the GC must trace and, while a
+// collection is marking, pay a write barrier for. So a node is a value
+// in the table, its cards are values in its slice, and its times are
+// epoch seconds, not time.Time (whose *Location is a pointer): every event
+// time the applier sees is a whole second — the console line carries
+// "2006-01-02 15:04:05" stamps and the store's time column is epoch
+// seconds — so nothing is lost. The one pointer a card holds, its ECC
+// state, stays nil on all but the few cards that ever logged a DBE or a
+// retirement record.
+
 // windowEntry is one event in a node's sliding rate window.
 type windowEntry struct {
-	at   time.Time
+	at   int64 // epoch seconds
 	code xid.Code
 }
 
-// cardState is the per-GPU online state: console-visible error counters
-// and the dynamic page-retirement machine replayed from the stream.
+// cardState is the per-GPU online state.
 type cardState struct {
-	serial gpu.Serial
+	serial   gpu.Serial
+	lastSeen int64    // epoch seconds
+	ecc      *cardECC // nil until the card's first DBE or retirement record
+}
+
+// cardECC is a card's console-visible error counters and the dynamic
+// page-retirement machine replayed from the stream.
+type cardECC struct {
 	// dbeEvents counts console DBE incidents; sbeInferred counts the
 	// corrected single-bit errors implied by two-SBE retirement records
 	// (the console never carries SBEs directly — Observation 2's
@@ -48,7 +66,16 @@ type cardState struct {
 	// retirement is the same state machine the simulator's cards run,
 	// driven here by the console records that surface its transitions.
 	retirement gpu.RetirementState
-	lastSeen   time.Time
+}
+
+// eccState returns cs's ECC state, creating it on first use.
+func (cs *cardState) eccState() *cardECC {
+	if cs.ecc == nil {
+		// The service is online-era by definition: any retirement
+		// record it sees comes from a driver with the feature on.
+		cs.ecc = &cardECC{retirement: gpu.RetirementState{Enabled: true}}
+	}
+	return cs.ecc
 }
 
 // codeCount is one code's event count on a node.
@@ -57,16 +84,22 @@ type codeCount struct {
 	n    int
 }
 
-// nodeState is everything titand knows about one node. byCode and cards
-// are in first-seen order; viewOf gives them their wire order.
+// nodeState is everything titand knows about one node; a node no event
+// has touched has total 0. byCode and cards are in first-seen order;
+// viewOf gives them their wire order.
 type nodeState struct {
-	node      topology.NodeID
-	total     int
-	byCode    []codeCount
-	window    []windowEntry // pruned to the configured rate window
-	firstSeen time.Time
-	lastSeen  time.Time
-	cards     []*cardState
+	total               int
+	firstSeen, lastSeen int64 // epoch seconds
+	byCode              []codeCount
+	window              []windowEntry // pruned to the configured rate window
+	cards               []cardState
+}
+
+// windowSeconds is the rate window in whole seconds, rounded up: with
+// event times in whole seconds, an entry at is outside the window ending
+// at t — at ≤ t − window — exactly when t − at ≥ windowSeconds(window).
+func windowSeconds(window time.Duration) int64 {
+	return int64((window + time.Second - 1) / time.Second)
 }
 
 // applyNodeLocked folds one event into its node's online state; stateMu
@@ -76,10 +109,13 @@ func (s *Server) applyNodeLocked(ev console.Event) {
 	if !ev.Node.Valid() {
 		return // no decoder emits one (TestDecodedNodeValid); a forged segment could
 	}
-	ns := s.nodes[ev.Node]
-	if ns == nil {
-		ns = &nodeState{node: ev.Node, firstSeen: ev.Time}
-		s.nodes[ev.Node] = ns
+	if s.nodes == nil {
+		s.nodes = make([]nodeState, topology.TotalNodes)
+	}
+	ns := &s.nodes[ev.Node]
+	at := ev.Time.Unix()
+	if ns.total == 0 {
+		ns.firstSeen = at
 		s.nodesTracked++
 	}
 	ns.total++
@@ -91,15 +127,15 @@ func (s *Server) applyNodeLocked(ev console.Event) {
 		ns.byCode = append(ns.byCode, codeCount{code: ev.Code})
 	}
 	ns.byCode[ci].n++
-	ns.lastSeen = ev.Time
+	ns.lastSeen = at
 
 	// Sliding rate window, pruned against the newest event time. Pruning
 	// by event time (not wall clock) keeps replayed history meaningful at
 	// any speedup.
-	ns.window = append(ns.window, windowEntry{at: ev.Time, code: ev.Code})
-	cutoff := ev.Time.Add(-s.cfg.RateWindow)
+	ns.window = append(ns.window, windowEntry{at: at, code: ev.Code})
+	span := windowSeconds(s.cfg.RateWindow)
 	trim := 0
-	for trim < len(ns.window) && !ns.window[trim].at.After(cutoff) {
+	for trim < len(ns.window) && at-ns.window[trim].at >= span {
 		trim++
 	}
 	if trim > 0 {
@@ -110,46 +146,45 @@ func (s *Server) applyNodeLocked(ev console.Event) {
 		return // no card context on the line
 	}
 	var cs *cardState
-	for _, c := range ns.cards {
-		if c.serial == ev.Serial {
-			cs = c
+	for i := range ns.cards {
+		if ns.cards[i].serial == ev.Serial {
+			cs = &ns.cards[i]
 			break
 		}
 	}
 	if cs == nil {
-		cs = &cardState{serial: ev.Serial}
-		// The service is online-era by definition: any retirement
-		// record it sees comes from a driver with the feature on.
-		cs.retirement.Enabled = true
-		ns.cards = append(ns.cards, cs)
+		ns.cards = append(ns.cards, cardState{serial: ev.Serial})
+		cs = &ns.cards[len(ns.cards)-1]
 		s.cardsTracked++
 	}
-	cs.lastSeen = ev.Time
+	cs.lastSeen = at
 	switch ev.Code {
 	case xid.DoubleBitError:
-		cs.dbeEvents++
 		st := gpu.DeviceMemory
 		if ev.StructureValid {
 			st = ev.Structure
 		}
-		cs.counts.DoubleBit[st]++
+		e := cs.eccState()
+		e.dbeEvents++
+		e.counts.DoubleBit[st]++
 		if st == gpu.DeviceMemory && ev.Page >= 0 {
-			cs.retirement.RecordDBE(ev.Page)
+			e.retirement.RecordDBE(ev.Page)
 		}
 	case xid.ECCPageRetirement:
 		// The driver's DBE-retirement record; the triggering XID 48
 		// usually arrived first and already retired the page, in which
 		// case this is a no-op on the machine.
 		if ev.Page >= 0 {
-			cs.retirement.RecordDBE(ev.Page)
+			cs.eccState().retirement.RecordDBE(ev.Page)
 		}
 	case xid.ECCPageRetirementAlt:
 		// Two corrected SBEs on one page: the console's only window
 		// into the SBE stream.
 		if ev.Page >= 0 {
-			cs.sbeInferred += 2
-			cs.retirement.RecordSBE(ev.Page)
-			cs.retirement.RecordSBE(ev.Page)
+			e := cs.eccState()
+			e.sbeInferred += 2
+			e.retirement.RecordSBE(ev.Page)
+			e.retirement.RecordSBE(ev.Page)
 		}
 	}
 }
@@ -183,15 +218,15 @@ type NodeView struct {
 	Cards       []CardView `json:"cards"`
 }
 
-func viewOf(ns *nodeState, window time.Duration) NodeView {
+func viewOf(node topology.NodeID, ns *nodeState, window time.Duration) NodeView {
 	v := NodeView{
-		Node:        topology.CNameOf(ns.node),
+		Node:        topology.CNameOf(node),
 		Total:       ns.total,
 		ByCode:      make(map[string]int, len(ns.byCode)),
 		WindowCount: len(ns.window),
 		WindowHours: window.Hours(),
-		FirstSeen:   ns.firstSeen,
-		LastSeen:    ns.lastSeen,
+		FirstSeen:   time.Unix(ns.firstSeen, 0).UTC(),
+		LastSeen:    time.Unix(ns.lastSeen, 0).UTC(),
 	}
 	if window > 0 {
 		v.RatePerHour = float64(len(ns.window)) / window.Hours()
@@ -200,17 +235,21 @@ func viewOf(ns *nodeState, window time.Duration) NodeView {
 		v.ByCode[c.code.String()] = c.n
 	}
 	cards := slices.Clone(ns.cards)
-	slices.SortFunc(cards, func(a, b *cardState) int { return cmp.Compare(a.serial, b.serial) })
+	slices.SortFunc(cards, func(a, b cardState) int { return cmp.Compare(a.serial, b.serial) })
 	for _, cs := range cards {
+		var e cardECC // a card with no ECC state has logged and retired nothing
+		if cs.ecc != nil {
+			e = *cs.ecc
+		}
 		v.Cards = append(v.Cards, CardView{
 			Serial:       cs.serial.String(),
-			DBEEvents:    cs.dbeEvents,
-			SBEInferred:  cs.sbeInferred,
-			RetiredPages: len(cs.retirement.Retired()),
-			PendingSBE:   cs.retirement.PendingSBEPages(),
-			Headroom:     cs.retirement.Headroom(),
-			Exhausted:    cs.retirement.Exhausted(),
-			LastSeen:     cs.lastSeen,
+			DBEEvents:    e.dbeEvents,
+			SBEInferred:  e.sbeInferred,
+			RetiredPages: len(e.retirement.Retired()),
+			PendingSBE:   e.retirement.PendingSBEPages(),
+			Headroom:     e.retirement.Headroom(),
+			Exhausted:    e.retirement.Exhausted(),
+			LastSeen:     time.Unix(cs.lastSeen, 0).UTC(),
 		})
 	}
 	return v

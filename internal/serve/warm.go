@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"titanre/internal/console"
 	"titanre/internal/dataset"
@@ -58,6 +59,12 @@ type WarmStats struct {
 	// daemon).
 	Quarantined int
 	EventsLost  uint64
+	// The wall time of each phase: opening the sealed segments (each
+	// verified by SHA-256 and structure), reading and restoring the
+	// checkpoint, feeding the history past it through the apply step
+	// (segments, or the flat console.log) and opening and replaying the
+	// journal.
+	Open, CheckpointRestore, SegmentReplay, JournalReplay time.Duration
 }
 
 // WarmStart rebuilds the online state from a state directory: sealed
@@ -89,10 +96,15 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	if err != nil {
 		return ws, fmt.Errorf("serve: warm start: %w", err)
 	}
+	// lap books the time since the last lap (since here, at first) to a
+	// phase.
+	last := time.Now()
+	lap := func(phase *time.Duration) { now := time.Now(); *phase += now.Sub(last); last = now }
 	st, rec, err := store.OpenDir(segDir, store.OpenOptions{Recover: true, Mapped: true, FS: s.cfg.FS})
 	if err != nil {
 		return ws, fmt.Errorf("serve: warm start: %w", err)
 	}
+	lap(&ws.Open)
 	rec.OrphansRemoved += swept
 	floorSeq, floorCount, haveFloor, err := st.ReadSealedFloor()
 	if err != nil {
@@ -131,6 +143,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		segs = segs[len(cp.segments):]
 		ws.Checkpointed = int(cp.applied)
 	}
+	lap(&ws.CheckpointRestore)
 	usedSegments := st.SegmentCount() > 0 || haveFloor || len(rec.Quarantined) > 0
 	ws.FromSegments = usedSegments
 
@@ -161,20 +174,13 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		journalRecords = jrep.Records
 		ws.JournalTorn = jrep.Torn
 	}
+	lap(&ws.JournalReplay)
 
 	if !usedSegments && journalRecords == 0 {
+		// Without a console.log either, this is a cold start: nothing to
+		// replay, and the rest is a no-op.
 		flat, err := s.cfg.FS.ReadFile(filepath.Join(dir, dataset.ConsoleFile))
-		if os.IsNotExist(err) {
-			if journal != nil {
-				s.journal.Store(journal)
-			}
-			if err := s.loadFeedSnapshot(dir, 0); err != nil {
-				return ws, err
-			}
-			s.bookWarm(ws)
-			return ws, nil // cold start
-		}
-		if err != nil {
+		if err != nil && !os.IsNotExist(err) {
 			return ws, fmt.Errorf("serve: warm start: %w", err)
 		}
 		events, err := console.NewCorrelator().ParseAll(bytes.NewReader(flat))
@@ -205,6 +211,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		ws.Replayed += len(buf)
 	}
 	ws.Replayed += ws.Checkpointed
+	lap(&ws.SegmentReplay)
 
 	// Journal replay: parse the recovered renderings back into events
 	// (AppendRaw round-trips exactly) and apply them the same way. These
@@ -220,6 +227,7 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 		}
 		s.applyBatch(jev, nil, s.cfg.RetainEvents, true)
 		ws.JournalReplayed = len(jev)
+		lap(&ws.JournalReplay)
 	}
 
 	if usedSegments {
@@ -242,13 +250,8 @@ func (s *Server) WarmStart(dir string) (WarmStats, error) {
 	if err := s.loadFeedSnapshot(dir, ws.Replayed+ws.JournalReplayed); err != nil {
 		return ws, err
 	}
-	s.bookWarm(ws)
-	return ws, nil
-}
-
-// bookWarm records what the warm start restored and replayed for /stats.
-func (s *Server) bookWarm(ws WarmStats) {
 	s.recovMu.Lock()
-	s.warm = ws
+	s.warm = ws // what /stats books as restored and replayed
 	s.recovMu.Unlock()
+	return ws, nil
 }

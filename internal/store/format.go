@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
+	"titanre/internal/bincode"
 	"titanre/internal/durable"
 	"titanre/internal/topology"
 )
@@ -223,73 +226,71 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 		s.arena = make([]byte, arenaLen)
 		copy(s.arena, body[l.arena:])
 	}
-	for _, node := range s.nodes {
-		if int(node) >= topology.TotalNodes {
-			return nil, fmt.Errorf("%w: node id %d out of range", ErrCorrupt, node)
-		}
-	}
 	if s.offs[0] != 0 || int(s.offs[n]) != arenaLen {
 		return nil, fmt.Errorf("%w: arena offsets do not span the arena", ErrCorrupt)
 	}
-	for i := 0; i < n; i++ {
-		if s.offs[i] > s.offs[i+1] {
-			return nil, fmt.Errorf("%w: arena offsets not monotonic", ErrCorrupt)
+	// The alignment pads hold nothing but zeros, as Marshal writes them.
+	for _, pad := range [][]byte{body[segHeaderLen:l.times], body[l.codes+2*n : l.nodes], body[l.cards+n : l.offs]} {
+		if len(bytes.TrimLeft(pad, "\x00")) > 0 {
+			return nil, fmt.Errorf("%w: non-zero alignment padding", ErrCorrupt)
 		}
 	}
-	p = l.tail
 
-	// The dictionary section becomes the card table in two walks: the first
-	// checks it (a node out of range, named twice or out of ascending
-	// order, or holding no serial or too many, is nothing the writer
-	// produces) and leaves each node's count in cardBase; the second, the
-	// counts summed to offsets, copies the serials — which sit in the file
-	// in table order — into one slice of exactly their number.
-	nnodes, m := binary.Uvarint(body[p:])
-	if m <= 0 {
+	// The dictionary section becomes the card table in one walk, which
+	// checks it as it goes — a node out of range, named twice or out of
+	// ascending order, or holding no serial or too many, is nothing the
+	// writer produces — and leaves every node's serial range in cardBase
+	// (the nodes it skips hold none) and the serials, which sit in the
+	// file in table order, in a pooled scratch slice: their number is not
+	// known until the walk ends, and cardSerials gets exactly that many.
+	nnodes, p, ok := bincode.Uvarint(body, l.tail)
+	if !ok {
 		return nil, fmt.Errorf("%w: dictionary truncated", ErrCorrupt)
 	}
-	p += m
-	s.cardBase = make([]uint32, topology.TotalNodes+1)
-	dict, next, total := p, uint64(0), 0
+	base := make([]uint32, topology.TotalNodes+1)
+	scratch := serialScratch.Get().(*[]uint32)
+	defer serialScratch.Put(scratch)
+	serials := (*scratch)[:0]
+	next := uint64(0) // the first node the walk has not reached
 	for i := uint64(0); i < nnodes; i++ {
-		node, m := binary.Uvarint(body[p:])
-		if m <= 0 || node < next || node >= uint64(topology.TotalNodes) {
+		node, q, ok := bincode.Uvarint(body, p)
+		if !ok || node < next || node >= uint64(topology.TotalNodes) {
 			return nil, fmt.Errorf("%w: dictionary node invalid", ErrCorrupt)
 		}
-		p += m
-		next = node + 1
-		cnt, m := binary.Uvarint(body[p:])
-		if m <= 0 || cnt == 0 || cnt > maxCardsPerNode {
+		cnt, q, ok := bincode.Uvarint(body, q)
+		if !ok || cnt == 0 || cnt > maxCardsPerNode {
 			return nil, fmt.Errorf("%w: dictionary count invalid", ErrCorrupt)
 		}
-		p += m
-		for j := uint64(0); j < cnt; j++ {
-			serial, m := binary.Uvarint(body[p:])
-			if m <= 0 || serial > math.MaxUint32 {
+		for k := next + 1; k <= node; k++ {
+			base[k] = uint32(len(serials))
+		}
+		for ; cnt > 0; cnt-- {
+			var serial uint64
+			if serial, q, ok = bincode.Uvarint(body, q); !ok || serial > math.MaxUint32 {
 				return nil, fmt.Errorf("%w: dictionary serial invalid", ErrCorrupt)
 			}
-			p += m
+			serials = append(serials, uint32(serial))
 		}
-		s.cardBase[node+1] = uint32(cnt)
-		total += int(cnt)
+		base[node+1] = uint32(len(serials))
+		next, p = node+1, q
 	}
-	for node := range s.cardBase[:topology.TotalNodes] {
-		s.cardBase[node+1] += s.cardBase[node]
+	for k := next + 1; k <= uint64(topology.TotalNodes); k++ {
+		base[k] = uint32(len(serials))
 	}
-	s.cardSerials = make([]uint32, 0, total)
-	for q := dict; len(s.cardSerials) < total; {
-		_, m := binary.Uvarint(body[q:])
-		q += m
-		cnt, m := binary.Uvarint(body[q:])
-		q += m
-		for ; cnt > 0; cnt-- {
-			serial, m := binary.Uvarint(body[q:])
-			q += m
-			s.cardSerials = append(s.cardSerials, uint32(serial))
+	s.cardBase, s.cardSerials = base, slices.Clone(serials)
+	*scratch = serials
+
+	// One pass over the rows checks every per-row bound: the node id, the
+	// arena offsets' order and the card index against the node's serials.
+	offs, cards := s.offs[:n+1], s.cards[:n]
+	for i, node := range s.nodes[:n] {
+		if node >= uint32(topology.TotalNodes) {
+			return nil, fmt.Errorf("%w: node id %d out of range", ErrCorrupt, node)
 		}
-	}
-	for i, card := range s.cards {
-		if node := s.nodes[i]; uint32(card) >= s.cardBase[node+1]-s.cardBase[node] {
+		if offs[i] > offs[i+1] {
+			return nil, fmt.Errorf("%w: arena offsets not monotonic", ErrCorrupt)
+		}
+		if card := uint32(cards[i]); card >= base[node+1]-base[node] {
 			return nil, fmt.Errorf("%w: card index %d out of dictionary range", ErrCorrupt, card)
 		}
 	}
@@ -301,27 +302,29 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 	// strictly, and the marked positions must cover the segment — so a
 	// file whose bitmaps disagree with its code column is rejected even
 	// though its digest matches.
-	ncodes, m := binary.Uvarint(body[p:])
-	if m <= 0 {
+	ncodes, p, ok := bincode.Uvarint(body, p)
+	if !ok {
 		return nil, fmt.Errorf("%w: bitmap section truncated", ErrCorrupt)
 	}
-	p += m
 	nwords := (n + 63) / 64
+	if ncodes > uint64((len(body)-p)/(2+8*nwords)) {
+		return nil, fmt.Errorf("%w: %d bitmaps overrun the section", ErrCorrupt, ncodes)
+	}
 	s.byCode = make([]codeBitmap, 0, ncodes)
 	marked := 0
 	prevCode := int64(math.MinInt64)
 	for i := uint64(0); i < ncodes; i++ {
-		code, m := binary.Varint(body[p:])
-		if m <= 0 || code <= prevCode || code < math.MinInt16 || code > math.MaxInt16 {
+		zz, q, ok := bincode.Uvarint(body, p)
+		code := int64(zz>>1) ^ -int64(zz&1)
+		if !ok || code <= prevCode || code < math.MinInt16 || code > math.MaxInt16 {
 			return nil, fmt.Errorf("%w: bitmap code invalid", ErrCorrupt)
 		}
 		prevCode = code
-		p += m
-		width, m := binary.Uvarint(body[p:])
-		if m <= 0 || int(width) != nwords {
+		width, q, ok := bincode.Uvarint(body, q)
+		if !ok || width != uint64(nwords) {
 			return nil, fmt.Errorf("%w: bitmap width invalid", ErrCorrupt)
 		}
-		p += m
+		p = q
 		if p+nwords*8 > len(body) {
 			return nil, fmt.Errorf("%w: bitmap words truncated", ErrCorrupt)
 		}
@@ -350,6 +353,10 @@ func parseSegment(data []byte, alias bool) (*Segment, error) {
 	}
 	return s, nil
 }
+
+// serialScratch holds the dictionary walk's serials until their number
+// is known.
+var serialScratch = sync.Pool{New: func() any { return new([]uint32) }}
 
 // ReadSegmentFile reads and validates one segment file into heap
 // columns.

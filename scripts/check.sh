@@ -22,12 +22,15 @@
 #   a full-horizon simulation, one iteration of each in-process
 #   instrument (the eight read shapes and the 13-request round on one
 #   daemon, the write path, the warm start by replay and by checkpoint,
-#   the router's merged reads over three replicas), and short fuzz smokes
+#   the router's merged reads over three replicas), one warm start from
+#   the checkpoint in a fresh process (a re-exec of the test binary, so
+#   the restore is timed with the collector marking), and short fuzz smokes
 #   of the console parser, the batch splitter, the titanql parser (grammar
 #   round-trip + plan equivalence), the JSON writer (vs encoding/json),
 #   the /metrics exposition under client-chosen source names (a strict
-#   in-test parser), the restart checkpoint's decoder (reject or
-#   round-trip) and the fleet fault schedules.
+#   in-test parser), the restart checkpoint's decoder and the sealed
+#   segment parser (reject or round-trip, each) and the fleet fault
+#   schedules.
 # Run from the repository root: ./scripts/check.sh
 set -eu
 
@@ -72,7 +75,7 @@ go test ./internal/router -run '^$' -bench 'BenchmarkMergedReads$' -benchtime 1x
 echo "== write-path benchmark smoke (64 batches to applied on a fresh journaled daemon, one iteration)"
 go test ./internal/serve -run '^$' -bench 'BenchmarkWritePath$' -benchtime 1x -cpu 1
 
-echo "== warm-start benchmark smoke (replay vs checkpoint restart, 1x and 4x history, one iteration)"
+echo "== warm-start benchmark smoke (replay vs checkpoint restart, 1x and 4x history, and one fresh process; one iteration)"
 go test ./internal/serve -run '^$' -bench 'BenchmarkWarmStart$' -benchtime 1x -cpu 1
 
 echo "== fuzz smoke (FuzzParseRawLine, 5s)"
@@ -98,6 +101,9 @@ go test ./internal/serve -run '^$' -fuzz FuzzMetricsExposition -fuzztime 5s
 
 echo "== restart checkpoint decode fuzz smoke (FuzzCheckpointDecode, 5s)"
 go test ./internal/serve -run '^$' -fuzz FuzzCheckpointDecode -fuzztime 5s
+
+echo "== sealed segment decode fuzz smoke (FuzzSegmentDecode, 5s)"
+go test ./internal/store -run '^$' -fuzz FuzzSegmentDecode -fuzztime 5s
 
 echo "== fleet fault-schedule fuzz smoke (FuzzFleetSchedule, 5s)"
 go test ./internal/router -run '^$' -fuzz FuzzFleetSchedule -fuzztime 5s
