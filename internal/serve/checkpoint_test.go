@@ -415,7 +415,9 @@ func mustServeAlike(t *testing.T, got, want *Server, history []console.Event) {
 
 // stateStats renders st without the figures a restart resets (ingest
 // counters, stopwatches, compaction, journal and warm-start books), reads
-// off the clock or the heap, or a degraded start carries.
+// off the clock or the heap, a degraded start carries, or that follow
+// where the history sits (a sealed row is read through its segment's node
+// index, a retained one is not).
 func stateStats(t *testing.T, st Stats) string {
 	t.Helper()
 	data, err := json.Marshal(st)
@@ -430,7 +432,7 @@ func stateStats(t *testing.T, st Stats) string {
 		"uptime_seconds", "batches_accepted", "batches_shed", "batches_rejected", "lines_accepted", "lines_shed",
 		"events_decoded", "lines_chatter", "lines_malformed", "lines_oversized", "decode_fast_hits", "decode_fast_fallbacks",
 		"ingest_stage_seconds", "retained_events", "sealed_segments", "sealed_events", "sealed_segment_bytes",
-		"sealed_mapped_bytes", "compactions", "compaction_failures", "compaction_retries", "events_sealed",
+		"sealed_mapped_bytes", "node_index_bytes", "query_rows_visited", "compactions", "compaction_failures", "compaction_retries", "events_sealed",
 		"last_compaction_unix", "heap_inuse_bytes", "degraded", "quarantined_segments", "quarantined_bytes",
 		"events_lost_to_quarantine", "orphans_removed", "sealed_seq", "query_fold_seconds", "query_render_seconds",
 		"journal", "warm_events_checkpointed", "warm_events_replayed", "warm_checkpoint_unused",

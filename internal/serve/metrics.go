@@ -65,6 +65,7 @@ type metrics struct {
 	queries          atomic.Uint64 // GET /query requests (titanql plans)
 	queryErrors      atomic.Uint64 // GET /query requests rejected (parse/compile/execute)
 	rowsFolded       atomic.Uint64 // rows /rollup, /top and /query folded into accumulators
+	rowsVisited      atomic.Uint64 // rows those folds handed their kernels, every pass
 	foldNanos        atomic.Uint64 // wall time of those folds (segments + tail + worker merge, no render)
 	renderNanos      atomic.Uint64 // wall time rendering and sending self-rendering documents (writeJSON)
 	renderBytes      atomic.Uint64 // bytes of those documents
@@ -122,10 +123,12 @@ func (m *metrics) stageSeconds() StageSeconds {
 }
 
 // observeFold books one aggregate query's fold: the rows its accumulator
-// took in and the wall time since start.
-func (m *metrics) observeFold(start time.Time, rows int64) {
+// took in, the rows its kernels read to count them, and the wall time
+// since start.
+func (m *metrics) observeFold(start time.Time, rows, visited int64) {
 	m.foldNanos.Add(uint64(time.Since(start)))
 	m.rowsFolded.Add(uint64(rows))
+	m.rowsVisited.Add(uint64(visited))
 }
 
 // observeLatency books one ingest request round trip.

@@ -356,7 +356,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, spell func(url.V
 	if err != nil {
 		return err
 	}
-	s.metrics.observeFold(start, res.Rows())
+	s.metrics.observeFold(start, res.Rows(), res.Visited())
 	served.Add(1)
 	if bare {
 		res.Bare(q.Get("code"))

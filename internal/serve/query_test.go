@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -544,6 +546,104 @@ func TestNodeHistoryLimit(t *testing.T) {
 	}
 }
 
+// TestNodeHistoryWindowsAcrossSegments: a node's history is read off
+// each segment's node index, so every since/until/limit cut — at the
+// node's first and last events, at the events either side of each
+// segment boundary and of the seal, and unbounded — must answer what a
+// naive scan of the arrival-ordered stream does.
+func TestNodeHistoryWindowsAcrossSegments(t *testing.T) {
+	events := simEvents()
+	s, base, want := queryServer(t, encodeLog(t, events))
+	for _, age := range []time.Duration{21, 14, 7} {
+		if _, err := s.compact(age*24*time.Hour, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, tail := s.historyView()
+	if len(segs) < 3 || len(tail) == 0 {
+		t.Fatalf("fixture: %d segments and %d retained events, want three and a tail", len(segs), len(tail))
+	}
+	sealed := len(want) - len(tail)
+	// The busiest node with events both in the first segment and in the
+	// tail, and the positions of its events in the stream.
+	first, last, counts := map[topology.NodeID]bool{}, map[topology.NodeID]bool{}, map[topology.NodeID]int{}
+	for i, ev := range want {
+		first[ev.Node] = first[ev.Node] || i < segs[0].Len()
+		last[ev.Node] = last[ev.Node] || i >= sealed
+		counts[ev.Node]++
+	}
+	node, best := topology.NodeID(-1), 0
+	for cand, c := range counts {
+		if first[cand] && last[cand] && (c > best || c == best && cand < node) {
+			node, best = cand, c
+		}
+	}
+	if node < 0 {
+		t.Fatal("fixture: no node with events both in the first segment and in the tail")
+	}
+	var mine []int
+	for i, ev := range want {
+		if ev.Node == node {
+			mine = append(mine, i)
+		}
+	}
+	cuts := []time.Time{{}, want[mine[0]].Time, want[mine[len(mine)-1]].Time}
+	edge := 0
+	for _, seg := range segs { // the last edge is the seal
+		edge += seg.Len()
+		k := sort.SearchInts(mine, edge)
+		if k > 0 {
+			cuts = append(cuts, want[mine[k-1]].Time)
+		}
+		if k < len(mine) {
+			cuts = append(cuts, want[mine[k]].Time)
+		}
+	}
+	cname := topology.CNameOf(node)
+	for _, since := range cuts {
+		for _, until := range cuts {
+			if !since.IsZero() && !until.IsZero() && until.Before(since) {
+				continue
+			}
+			exp := NodeHistory{Node: cname, Events: []HistoryEvent{}}
+			for _, i := range mine {
+				ev := want[i]
+				if !since.IsZero() && ev.Time.Before(since) || !until.IsZero() && ev.Time.After(until) {
+					continue
+				}
+				if i < sealed {
+					exp.Sealed++
+				} else {
+					exp.Retained++
+				}
+				he := HistoryEvent{Time: ev.Time, Code: ev.Code.String(), Page: ev.Page, Job: int64(ev.Job)}
+				if ev.Serial != 0 {
+					he.Serial = ev.Serial.String()
+				}
+				exp.Events = append(exp.Events, he)
+			}
+			n := len(exp.Events)
+			for _, limit := range []int{-1, 0, 1, exp.Sealed, n - 1, n} {
+				q, cut := url.Values{}, exp
+				if !since.IsZero() {
+					q.Set("since", since.Format(time.RFC3339))
+				}
+				if !until.IsZero() {
+					q.Set("until", until.Format(time.RFC3339))
+				}
+				if limit >= 0 {
+					q.Set("limit", fmt.Sprint(limit))
+					cut.Events, cut.Truncated = exp.Events[:min(limit, n)], limit < n
+				}
+				path := base + "/nodes/" + cname + "/history?" + q.Encode()
+				if body := getBody(t, path); !bytes.Equal(body, renderJSON(t, cut)) {
+					t.Fatalf("%s: not the naive scan's answer (%d sealed + %d retained)\n%s", path, exp.Sealed, exp.Retained, body)
+				}
+			}
+		}
+	}
+}
+
 // TestQueryConsistencyUnderCompaction hammers /nodes/{cname}/history,
 // /codes/{xid}/history and /rollup while compaction repeatedly seals
 // chunks of the tail, asserting every single response equals the
@@ -711,18 +811,26 @@ func TestQueryConsistencyUnderCompaction(t *testing.T) {
 // the answer is out, so two folds in flight must never share one. Eight
 // readers replay a mix of every fold shape — count-first and every-key
 // rankings, windowed and by-node rollups, ranked plans, filters that
-// build bitmaps, partials — against one server over a sealed history
-// with a retained tail; every body must be the bytes the same request
-// got alone. Runs under -race in check.sh.
+// build bitmaps, partials, node histories — against a server over a
+// sealed history with a retained tail; every body must be the bytes the
+// same request got alone from a twin server. The readers' server has
+// served nothing before, so its segments' node indexes are first built
+// while all eight race to use them. Runs under -race in check.sh, twice.
 func TestPooledFoldScratchDoesNotAlias(t *testing.T) {
 	log := encodeLog(t, simEvents())
-	s, base, _ := queryServer(t, log)
-	if _, err := s.compact(48*time.Hour, 1); err != nil {
-		t.Fatalf("compact: %v", err)
+	split := func() (*Server, string) {
+		s, base, _ := queryServer(t, log)
+		if _, err := s.compact(48*time.Hour, 1); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		if st := s.StatsNow(); st.SealedEvents == 0 || st.RetainedEvents == 0 {
+			t.Fatalf("want a sealed+retained split, got sealed=%d retained=%d", st.SealedEvents, st.RetainedEvents)
+		}
+		return s, base
 	}
-	if st := s.StatsNow(); st.SealedEvents == 0 || st.RetainedEvents == 0 {
-		t.Fatalf("want a sealed+retained split, got sealed=%d retained=%d", st.SealedEvents, st.RetainedEvents)
-	}
+	_, ref := split()
+	s, base := split()
+	busy := topology.CNameOf(simEvents()[0].Node)
 	paths := []string{
 		"/top?by=node&k=10",
 		"/top?by=node&k=10&cabinet=c3-*",
@@ -740,10 +848,16 @@ func TestPooledFoldScratchDoesNotAlias(t *testing.T) {
 		queryURL("", "code!=13 | top serial 10"),
 		queryURL("", "code=13,31 | by code,cage | bucket 1d | top 7"),
 		queryURL("", "* | top node 10") + "&partial=1",
+		queryURL("", "cage=1 | top node 5"),
+		"/nodes/" + busy + "/history",
+		"/nodes/" + busy + "/history?limit=3",
 	}
 	serial := make([][]byte, len(paths))
 	for i, path := range paths {
-		serial[i] = getBody(t, base+path)
+		serial[i] = getBody(t, ref+path)
+	}
+	if st := s.StatsNow(); st.NodeIndexBytes != 0 {
+		t.Fatalf("the readers' server built %d B of node index before they started", st.NodeIndexBytes)
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
@@ -771,4 +885,7 @@ func TestPooledFoldScratchDoesNotAlias(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+	if st := s.StatsNow(); st.NodeIndexBytes == 0 {
+		t.Error("no node index was built: the readers never took the index paths")
+	}
 }

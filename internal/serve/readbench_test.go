@@ -99,9 +99,10 @@ func readBenchServer(tb testing.TB) *Server {
 
 // BenchmarkReadShapes serves each shape from a warm daemon: ns, bytes
 // and allocations per request, fold and render included, with the
-// daemon's own fold clock and folded-row counter beside them; then round,
-// four drawn rounds (52 requests) an iteration, in ns and allocated bytes
-// per request — the in-process twin of query_sealed's cpu_us_per_unit.
+// daemon's own fold clock and its folded- and visited-row counters
+// beside them; then round, four drawn rounds (52 requests) an iteration,
+// in ns and allocated bytes per request — the in-process twin of
+// query_sealed's cpu_us_per_unit.
 // Run it as
 //
 //	go test ./internal/serve -run '^$' -bench ReadShapes -cpu 1 -count 6
@@ -129,6 +130,7 @@ func BenchmarkReadShapes(b *testing.B) {
 			after := s.StatsNow()
 			b.ReportMetric((after.QueryFoldSeconds-before.QueryFoldSeconds)*1e9/float64(b.N), "fold-ns/op")
 			b.ReportMetric(float64(after.QueryRowsFolded-before.QueryRowsFolded)/float64(b.N), "rows/op")
+			b.ReportMetric(float64(after.QueryRowsVisited-before.QueryRowsVisited)/float64(b.N), "visited/op")
 			b.ReportMetric(float64(w.n), "body-B")
 		})
 	}

@@ -799,6 +799,7 @@ type Stats struct {
 	SealedEvents       int    `json:"sealed_events" prom:"sealed_events" help:"Events stored in sealed columnar segments."`
 	SealedSegmentBytes int64  `json:"sealed_segment_bytes" prom:"sealed_segment_bytes" help:"Total on-disk bytes of sealed segment files."`
 	SealedMappedBytes  int64  `json:"sealed_mapped_bytes" prom:"sealed_mapped_bytes" help:"Sealed segment bytes served from read-only file mappings (0 on the heap path)."`
+	NodeIndexBytes     int64  `json:"node_index_bytes" prom:"node_index_bytes" help:"Heap bytes of the sealed segments' node indexes (rows grouped by node), each built on the first per-node read."`
 	Compactions        uint64 `json:"compactions" prom:"compactions_total" help:"Compaction passes that sealed retained events into segments."`
 	CompactionFailures uint64 `json:"compaction_failures" prom:"compaction_failures_total" help:"Compaction passes that failed to seal (events stay retained)."`
 	CompactionRetries  uint64 `json:"compaction_retries" prom:"compaction_retries_total" help:"Chunk seals retried after a transient I/O fault (jittered exponential backoff)."`
@@ -828,6 +829,9 @@ type Stats struct {
 	// took: their quotient is the query kernels' time per row.
 	QueryRowsFolded  uint64  `json:"query_rows_folded" prom:"query_rows_folded_total" help:"Rows folded into accumulators by /rollup, /top and /query."`
 	QueryFoldSeconds float64 `json:"query_fold_seconds" prom:"query_fold_seconds_total" help:"Wall time of those folds (scan and worker merge, before rendering); over rows folded it is the kernels' time per row."`
+	// Rows those folds' kernels read: both passes of a count-first
+	// ranking, none for a segment counted off its node index.
+	QueryRowsVisited uint64 `json:"query_rows_visited" prom:"query_rows_visited_total" help:"Rows the /rollup, /top and /query kernels read, every pass (a ranking by node counts whole segments off their node index and reads only its winners' rows)."`
 	// Seconds spent rendering and sending the self-rendering documents
 	// (rollup, top, query, the two histories) and the bytes they came to.
 	QueryRenderSeconds float64 `json:"query_render_seconds" prom:"query_render_seconds_total" help:"Wall time rendering and sending the self-rendering query documents (rollup, top, query, histories); over render bytes it is the render's time per byte."`
@@ -905,6 +909,7 @@ func (s *Server) StatsNow() Stats {
 		st.SealedEvents = sealed.EventCount()
 		st.SealedSegmentBytes = sealed.DiskBytes()
 		st.SealedMappedBytes = sealed.MappedBytes()
+		st.NodeIndexBytes = sealed.NodeIndexBytes()
 	}
 	st.QueryNodeHistory = m.queryNodeHistory.Load()
 	st.QueryCodeHistory = m.queryCodeHistory.Load()
@@ -913,6 +918,7 @@ func (s *Server) StatsNow() Stats {
 	st.Queries = m.queries.Load()
 	st.QueryErrors = m.queryErrors.Load()
 	st.QueryRowsFolded = m.rowsFolded.Load()
+	st.QueryRowsVisited = m.rowsVisited.Load()
 	st.QueryFoldSeconds = float64(m.foldNanos.Load()) / 1e9
 	st.QueryRenderSeconds = float64(m.renderNanos.Load()) / 1e9
 	st.QueryRenderBytes = m.renderBytes.Load()

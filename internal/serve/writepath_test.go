@@ -250,11 +250,15 @@ func TestIngestStageCounters(t *testing.T) {
 // iteration, with no socket and no load generator in the way. Run it as
 //
 //	go test ./internal/serve -run '^$' -bench WritePath -cpu 1 -count 6
+//
+// The loop counts b.N itself: written with b.Loop, and the timer stopped
+// around each fresh daemon, the go1.24 run above did not finish.
 func BenchmarkWritePath(b *testing.B) {
 	batches := shapedBatches(b, 64)
 	var before, after runtime.MemStats
 	var allocated, mallocs uint64
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := writePathServer(b)
 		runtime.ReadMemStats(&before)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -38,41 +39,85 @@ func offenderOrder(a, b KeyCount) int {
 
 // RankOffenders is TopOffenders over pairs the caller already holds: it
 // returns the k first-ranked entries in rank order, using all as its
-// scratch space (the result aliases it; the rest is left in no order). For k < len(all) that is a bounded selection — a k-entry heap
-// with the worst kept candidate on top, one pass over the rest — so
-// asking for ten of 16,000 never sorts the 16,000.
+// scratch space (the result aliases it; the rest is left in no order).
+// For k < len(all) that is a Leaders selection kept in all's own front —
+// a pair is only ever written to a place already read — so asking for
+// ten of 16,000 never sorts the 16,000.
 func RankOffenders(all []KeyCount, k int) []KeyCount {
-	k = max(k, 0)
 	if k < len(all) {
-		heap := all[:k]
-		sift := func(i int) {
-			for {
-				worst := i
-				for c := 2*i + 1; c <= 2*i+2 && c < k; c++ {
-					if offenderOrder(heap[c], heap[worst]) > 0 {
-						worst = c
-					}
-				}
-				if worst == i {
-					return
-				}
-				heap[i], heap[worst] = heap[worst], heap[i]
-				i = worst
-			}
+		l := NewLeaders(k, all)
+		for _, kc := range all {
+			l.Offer(kc)
 		}
-		for i := k/2 - 1; i >= 0; i-- {
-			sift(i)
-		}
-		for _, kc := range all[k:] {
-			if k > 0 && offenderOrder(kc, heap[0]) < 0 {
-				heap[0] = kc
-				sift(0)
-			}
-		}
-		all = heap
+		return l.Ranked()
 	}
 	slices.SortFunc(all, offenderOrder)
 	return all
+}
+
+// Leaders selects the k first-ranked of the pairs offered to it one at a
+// time, in a heap with the worst pair kept on top: once k are kept, a
+// pair with a lower count than that one costs one compare, in line.
+type Leaders struct {
+	k     int
+	heap  []KeyCount
+	floor int64 // the worst kept count once k are kept; any count goes until then
+}
+
+// NewLeaders keeps up to k pairs (none for k <= 0) in buf's array.
+func NewLeaders(k int, buf []KeyCount) Leaders {
+	return Leaders{k: max(k, 0), heap: buf[:0], floor: math.MinInt64}
+}
+
+// Offer considers one pair.
+func (l *Leaders) Offer(kc KeyCount) {
+	if kc.Count >= l.floor {
+		l.offer(kc)
+	}
+}
+
+func (l *Leaders) offer(kc KeyCount) {
+	h := l.heap
+	if len(h) < l.k {
+		h = append(h, kc)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if offenderOrder(h[i], h[parent]) <= 0 {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		l.heap = h
+		if len(h) == l.k {
+			l.floor = h[0].Count
+		}
+		return
+	}
+	if len(h) == 0 || offenderOrder(kc, h[0]) >= 0 {
+		return
+	}
+	h[0] = kc
+	for i := 0; ; {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if offenderOrder(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			break
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+	l.floor = h[0].Count
+}
+
+// Ranked returns the kept pairs in rank order, in the heap's array.
+func (l *Leaders) Ranked() []KeyCount {
+	slices.SortFunc(l.heap, offenderOrder)
+	return l.heap
 }
 
 // SkewRatio reports what fraction of the total count the top-k keys carry;

@@ -207,7 +207,7 @@ var queryBenchFixture = sync.OnceValue(func() struct {
 })
 
 // benchQuery runs one representative composed titanql workload — a
-// compound predicate (code set ∪ via bitmaps, cage via the node mask)
+// compound predicate (code set ∪ via bitmaps, cage via the node index)
 // under a grouped, bucketed rollup — across the whole store at the given
 // worker count.
 func benchQuery(b *testing.B, workers int) {

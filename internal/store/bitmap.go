@@ -75,6 +75,20 @@ func (b bitmap) or(other bitmap) {
 	}
 }
 
+// andAny keeps the bits of b that are set in any of sets, word-wise.
+func (b bitmap) andAny(sets []bitmap) {
+	for i, w := range b.words {
+		if w == 0 {
+			continue
+		}
+		var union uint64
+		for _, set := range sets {
+			union |= set.words[i]
+		}
+		b.words[i] = w & union
+	}
+}
+
 // andNot clears every bit of b that is set in other, word-wise.
 func (b bitmap) andNot(other bitmap) {
 	for i := range b.words {

@@ -30,15 +30,25 @@ type rowSink interface {
 	needSerial() bool
 }
 
+// segmentSink is a rowSink that can take some segments through their
+// node index (nodeindex.go) instead of a walk over the selection:
+// foldSegment reports whether it did. A sink that reads rows off the
+// index hands them on through g.
+type segmentSink interface {
+	foldSegment(g *gather, s *Segment, sel bitmap, kind segMatch) bool
+}
+
 // gather is one fold worker's row source: it hands a sink the rows a
 // matcher selects, straight off the columns where a whole run matches and
 // copied into its one reusable block where rows must be picked out. The
 // block (a serial column included, wanted or not) is pooled with it.
 type gather struct {
 	sink    rowSink
-	serials bool  // the sink reads the serial column
-	n       int   // rows buffered in buf
-	buf     block // blockRows long
+	whole   segmentSink // the sink, when it is one
+	serials bool        // the sink reads the serial column
+	n       int         // rows buffered in buf
+	buf     block       // blockRows long
+	visited int64       // rows handed to the sink
 }
 
 var gatherPool = sync.Pool{New: func() any {
@@ -53,12 +63,13 @@ var gatherPool = sync.Pool{New: func() any {
 // newGather borrows a gather for sink; release returns it.
 func newGather(sink rowSink) *gather {
 	g := gatherPool.Get().(*gather)
-	g.sink, g.serials, g.n = sink, sink.needSerial(), 0
+	g.sink, g.serials, g.n, g.visited = sink, sink.needSerial(), 0, 0
+	g.whole, _ = sink.(segmentSink)
 	return g
 }
 
 func (g *gather) release() {
-	g.sink = nil
+	g.sink, g.whole = nil, nil
 	gatherPool.Put(g)
 }
 
@@ -83,6 +94,7 @@ func (g *gather) emit(times []int64, codes []uint16, nodes []uint32) {
 	if g.serials {
 		b.serials = g.buf.serials[:len(times)]
 	}
+	g.visited += int64(len(times))
 	g.sink.addRows(b)
 }
 
@@ -92,9 +104,13 @@ func (g *gather) emit(times []int64, codes []uint16, nodes []uint32) {
 // arena decode would cost several times the kernels themselves. A segment
 // the matcher rules out is skipped without touching its columns; one it
 // fully covers hands its (possibly mmap-aliased) columns over in place,
-// blockRows at a time; otherwise the positions sel marks are gathered.
-// The retained tail's counterpart is events.
+// blockRows at a time; otherwise the positions sel marks are gathered —
+// unless the sink takes the segment through its node index. The
+// retained tail's counterpart is events.
 func (g *gather) segment(s *Segment, sel bitmap, kind segMatch) {
+	if kind == matchNone || g.whole != nil && g.whole.foldSegment(g, s, sel, kind) {
+		return
+	}
 	switch kind {
 	case matchAll:
 		for lo := 0; lo < len(s.times); lo += blockRows {

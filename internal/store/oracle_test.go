@@ -467,6 +467,36 @@ func TestTopCountFirstMatchesOracle(t *testing.T) {
 		}
 	}
 	check("tied/matcher", segs[:2], tied[22:], kept, m, 0)
+
+	// One fold over segments the matcher rules out, picks rows out of and
+	// keeps whole: a count pass by node reads the whole ones off their
+	// node index and the others row by row, and the detail pass reads
+	// the winners' rows off every index.
+	for name, p := range map[string]Predicate{
+		"mixed/window":    {Since: tied[16].Time, Cage: -1},
+		"mixed/both ends": {Since: tied[16].Time, Until: tied[40].Time, Cage: -1},
+	} {
+		m, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[segMatch]bool{}
+		for _, seg := range segs {
+			_, kind := m.segmentBits(seg, nil)
+			kinds[kind] = true
+		}
+		if !kinds[matchAll] || !kinds[matchSome] {
+			t.Fatalf("%s: segment verdicts %v, want matchAll and matchSome both", name, kinds)
+		}
+		kept = kept[:0]
+		for _, e := range tied {
+			if m.MatchEvent(e) {
+				kept = append(kept, e)
+			}
+		}
+		check(name, segs, nil, kept, m, 0)
+		check(name+"/tail", segs[:3], tied[33:], kept, m, 0)
+	}
 }
 
 // TestFoldAllocsIndependentOfRows: a warm fold — its accumulator, count

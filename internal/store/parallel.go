@@ -58,6 +58,8 @@ type scan struct {
 	sels  []selection
 	offs  []int
 	words []uint64
+
+	visited atomic.Int64 // rows the fold's gathers handed to accumulators, every pass
 }
 
 type selection struct {
@@ -71,6 +73,7 @@ var scanPool = sync.Pool{New: func() any { return new(scan) }}
 func newScan(segs []*Segment, tail []console.Event, m *Matcher) *scan {
 	sc := scanPool.Get().(*scan)
 	sc.segs, sc.tail, sc.m = segs, tail, m
+	sc.visited.Store(0)
 	if m != nil {
 		if cap(sc.sels) < len(segs) {
 			sc.sels = make([]selection, len(segs))
@@ -144,6 +147,7 @@ func fold[A accumulator[A]](newAcc func() A, sc *scan, workers int) A {
 					sel, kind := sc.sel(i)
 					rows.segment(sc.segs[i], sel, kind)
 				}
+				sc.visited.Add(rows.visited)
 				partials[w] = part
 			}(w)
 		}
@@ -154,6 +158,7 @@ func fold[A accumulator[A]](newAcc func() A, sc *scan, workers int) A {
 		}
 	}
 	rows.events(sc.tail, sc.m)
+	sc.visited.Add(rows.visited)
 	return root
 }
 
@@ -181,7 +186,9 @@ func ParallelRollupAcc(segs []*Segment, tail []console.Event, spec RollupSpec, m
 	}
 	sc := newScan(segs, tail, m)
 	defer sc.release()
-	return fold(func() *Rollup { return newRollup(spec) }, sc, workers), nil
+	root := fold(func() *Rollup { return newRollup(spec) }, sc, workers)
+	root.visited = sc.visited.Load()
+	return root, nil
 }
 
 // ParallelTop evaluates one offender ranking over sealed segments
@@ -205,9 +212,11 @@ func ParallelTop(segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher
 // key ascending), and a second pass over the same scan feeds the detail
 // kernel only the winners' rows. The accumulator then holds the winners
 // alone: its Doc is the every-key accumulator's Doc, its Partial is not
-// defined. A ranking by code is the exception: its row is a count and
-// two times, no per-code breakdown, so one detail pass is already a
-// counting pass.
+// defined. By node both passes read the segments' node indexes: the
+// count pass takes a segment the matcher keeps whole from its run
+// lengths, and the detail pass reads the winners' rows alone. A ranking
+// by code is the exception: its row is a count and two times, no
+// per-code breakdown, so one detail pass is already a counting pass.
 func ParallelTopAcc(segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher, workers int, everyKey bool) (*Top, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -215,12 +224,15 @@ func ParallelTopAcc(segs []*Segment, tail []console.Event, spec TopSpec, m *Matc
 	sc := newScan(segs, tail, m)
 	defer sc.release()
 	if everyKey || spec.K <= 0 || spec.By == TopByCode {
-		return fold(func() *Top { return newTop(spec, nil) }, sc, workers), nil
+		root := fold(func() *Top { return newTop(spec, nil) }, sc, workers)
+		root.visited = sc.visited.Load()
+		return root, nil
 	}
 	counts := fold(func() *topCounts { return newTopCounts(spec.By) }, sc, workers)
 	defer counts.Release()
 	counts.keepTop(spec.K)
 	root := fold(func() *Top { return newTop(spec, counts) }, sc, workers)
 	root.only, root.total = nil, counts.total // counts goes back to its pool; the rows were its to count
+	root.visited = sc.visited.Load()
 	return root, nil
 }

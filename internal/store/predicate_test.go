@@ -58,6 +58,9 @@ func TestBitmapOps(t *testing.T) {
 		andNot := a.clone()
 		andNot.andNot(b)
 		check("andNot", andNot, func(x, y bool) bool { return x && !y })
+		andAny := a.clone()
+		andAny.andAny([]bitmap{newBitmap(n), b})
+		check("andAny", andAny, func(x, y bool) bool { return x && y })
 
 		// Built over a dirty, oversized buffer, as a fold's pooled words are.
 		dirty := make([]uint64, n/64+3)
@@ -186,7 +189,7 @@ func TestSegmentBitsMatchEvent(t *testing.T) {
 			}
 		}
 	}
-	// The literal-cname fast path builds the mask the glob path would.
+	// The literal-cname fast path keeps the nodes the glob path would.
 	cname := topology.CNameOf(events[0].Node)
 	for _, p := range []Predicate{{Node: cname, Cage: -1}, {Node: cname, Cabinet: "c*-*", Cage: int(events[0].Node) / topology.NodesPerCage % topology.CagesPerCabinet}, {Node: "c99-99c0s0n0", Cage: -1}} {
 		lit, err := p.Compile()
@@ -198,12 +201,12 @@ func TestSegmentBitsMatchEvent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(lit.nodeMask, glob.nodeMask) {
-			t.Fatalf("literal %q: node mask differs from the glob path's", cname)
+		if !reflect.DeepEqual(nodeMask(lit), nodeMask(glob)) {
+			t.Fatalf("literal %q: kept nodes differ from the glob path's", cname)
 		}
 	}
-	// A cabinet or cage filter fills the mask by node-id ranges; the mask
-	// is the one a walk over every node's location builds, for every
+	// A cabinet or cage filter keeps node-id ranges; they hold the nodes
+	// a walk over every node's location keeps, for every
 	// cabinet glob above and a few more (one matching nothing, one
 	// everything), at every cage, with and without a node glob inside.
 	cabinets := []string{"", "c[!3]-*", "c?-0", "c8-*", "c*"}
@@ -232,16 +235,36 @@ func TestSegmentBitsMatchEvent(t *testing.T) {
 						}
 					}
 				}
-				if !reflect.DeepEqual(m.nodeMask, want) {
-					t.Fatalf("cabinet=%q cage=%d node=%q: the range-filled mask is not the per-node walk's", cabinet, cage, node)
+				if !reflect.DeepEqual(nodeMask(m), want) {
+					t.Fatalf("cabinet=%q cage=%d node=%q: the ranges are not the per-node walk's", cabinet, cage, node)
+				}
+				for i := 1; i < len(m.ranges); i++ {
+					if m.ranges[i-1].hi >= m.ranges[i].lo {
+						t.Fatalf("cabinet=%q cage=%d node=%q: ranges %v and %v are not ascending and apart", cabinet, cage, node, m.ranges[i-1], m.ranges[i])
+					}
 				}
 			}
 		}
 	}
-	// And it costs the matcher and its mask, not a name a cabinet.
+	// And it costs the matcher and its ranges, not a name a cabinet.
 	if a := testing.AllocsPerRun(10, func() { _, _ = Predicate{Cabinet: "c3-*", Cage: -1}.Compile() }); a > 2 && !race.Enabled {
-		t.Errorf("compiling cabinet=c3-* made %v allocations, want the matcher and the mask", a)
+		t.Errorf("compiling cabinet=c3-* made %v allocations, want the matcher and the ranges", a)
 	}
+}
+
+// nodeMask spells a matcher's node ranges as a flag per node id (nil for
+// the matcher that keeps every node).
+func nodeMask(m *Matcher) []bool {
+	if m.ranges == nil {
+		return nil
+	}
+	mask := make([]bool, topology.TotalNodes)
+	for _, r := range m.ranges {
+		for n := r.lo; n < r.hi; n++ {
+			mask[n] = true
+		}
+	}
+	return mask
 }
 
 // TestPredicateValidation: bad globs and out-of-range cages fail at

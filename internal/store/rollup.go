@@ -99,11 +99,12 @@ const (
 // populates it; WriteJSON and WritePartialJSON render it (Doc and Partial
 // build the same answers as structs); Release returns it to the pool.
 type Rollup struct {
-	spec   RollupSpec
-	bs     int64 // bucket width, seconds
-	cells  slotTable
-	counts []int64
-	total  int64
+	spec    RollupSpec
+	bs      int64 // bucket width, seconds
+	cells   slotTable
+	counts  []int64
+	total   int64
+	visited int64 // rows the fold handed the kernel (ParallelRollupAcc)
 
 	// Rows arrive nearly time-ordered, so the previous row's bucket is
 	// kept as the window [lo, lo+bs) it covers together with its key
@@ -149,7 +150,7 @@ func NewRollup(spec RollupSpec) (*Rollup, error) {
 // newRollup borrows an empty accumulator for an already validated spec.
 func newRollup(spec RollupSpec) *Rollup {
 	r := rollupPool.Get().(*Rollup)
-	r.spec, r.bs, r.total, r.ncols = spec, int64(spec.Bucket/time.Second), 0, 0
+	r.spec, r.bs, r.total, r.visited, r.ncols = spec, int64(spec.Bucket/time.Second), 0, 0, 0
 	r.colOf = [256]uint8{}
 	r.locOf, r.locs, r.win = nil, 1, r.win[:0]
 	if !spec.ByNode {
@@ -363,6 +364,10 @@ func (r *Rollup) addLocs(key, base uint64, nodes []uint32) {
 
 // Total reports how many rows the accumulator has counted.
 func (r *Rollup) Total() int64 { return r.total }
+
+// Visited reports how many rows the fold that built the accumulator
+// handed its kernel (see Top.Visited).
+func (r *Rollup) Visited() int64 { return r.visited }
 
 // needSerial: no rollup dimension reads the card serial.
 func (r *Rollup) needSerial() bool { return false }

@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"titanre/internal/console"
@@ -229,6 +231,11 @@ type Segment struct {
 
 	minT, maxT int64
 	byCode     []codeBitmap // sorted ascending by code
+
+	// The node index (nodeindex.go), built on the first per-node read.
+	idxOnce  sync.Once
+	idx      nodeIndex
+	idxBytes atomic.Int64
 
 	// digest is the file trailer's SHA-256 for a segment read from disk
 	// (zero for one built in memory).

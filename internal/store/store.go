@@ -356,6 +356,16 @@ func (st *Store) MemBytes() int64 {
 	return n
 }
 
+// NodeIndexBytes reports the heap bytes of the node indexes reads have
+// built so far (Segment.NodeIndexBytes).
+func (st *Store) NodeIndexBytes() int64 {
+	var n int64
+	for _, seg := range st.Segments() {
+		n += seg.NodeIndexBytes()
+	}
+	return n
+}
+
 // Events materializes every stored event in segment order, allocating
 // the result exactly once.
 func (st *Store) Events() []console.Event {

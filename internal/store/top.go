@@ -71,6 +71,7 @@ type Top struct {
 	width   int       // int64s per row; only ever grows while pooled
 	pages   [][]int64 // page p holds rows of slots [p*topPage, (p+1)*topPage)
 	total   int64
+	visited int64 // rows the fold handed its kernels, both passes (ParallelTopAcc)
 }
 
 var topPool = sync.Pool{New: func() any { return &Top{width: 8} }}
@@ -86,7 +87,7 @@ func NewTop(spec TopSpec) (*Top, error) {
 // newTop borrows an empty accumulator for an already validated spec.
 func newTop(spec TopSpec, only *topCounts) *Top {
 	t := topPool.Get().(*Top)
-	t.spec, t.only, t.winners, t.total = spec, only, only != nil, 0
+	t.spec, t.only, t.winners, t.total, t.visited = spec, only, only != nil, 0, 0
 	return t
 }
 
@@ -104,6 +105,11 @@ func (t *Top) Release() {
 
 // Total reports how many rows the accumulator has counted.
 func (t *Top) Total() int64 { return t.total }
+
+// Visited reports how many rows the fold that built the accumulator
+// handed its kernels, over both passes of a count-first ranking: what
+// was read to count Total rows.
+func (t *Top) Visited() int64 { return t.visited }
 
 // needSerial: only a by=serial ranking reads the serial column.
 func (t *Top) needSerial() bool { return t.spec.By == TopBySerial }
@@ -191,6 +197,29 @@ func (t *Top) addRows(b block) {
 	t.total += int64(len(b.times))
 }
 
+// foldSegment is a count-first detail pass by node over one segment:
+// only the winners' rows, read off the segment's node index and kept
+// where the selection marks them, reach addRows.
+func (t *Top) foldSegment(g *gather, s *Segment, sel bitmap, kind segMatch) bool {
+	if t.only == nil || t.spec.By != TopByNode {
+		return false
+	}
+	idx := s.index()
+	for _, node := range t.only.winNodes {
+		for _, i := range idx.nodeRows(node) {
+			if kind == matchSome && !sel.get(int(i)) {
+				continue
+			}
+			if g.n == blockRows {
+				g.flush()
+			}
+			g.add(s.times[i], s.codes[i], node, 0)
+		}
+	}
+	g.flush()
+	return true
+}
+
 // topCounts is a count-first ranking's first pass, by node or by serial:
 // nothing per key but its count. Keys below dense index counts directly —
 // every node id a decoder or a segment can hold is below
@@ -204,6 +233,9 @@ type topCounts struct {
 	total  int64
 	rank   []stats.KeyCount // keepTop's scratch
 	won    bitmap           // over counts' indexes: keepTop's winners
+	// The winners below dense, by node id: by node, the only rows a
+	// detail pass reads off a segment (Top.foldSegment).
+	winNodes []uint32
 }
 
 var topCountsPool = sync.Pool{New: func() any { return new(topCounts) }}
@@ -223,7 +255,7 @@ func newTopCounts(by TopBy) *topCounts {
 }
 
 func (c *topCounts) Release() {
-	if 8*(3*cap(c.counts)+2*cap(c.rank)) > maxPooledBytes {
+	if 8*(3*cap(c.counts)+2*cap(c.rank))+4*cap(c.winNodes) > maxPooledBytes {
 		return
 	}
 	c.keys.reset()
@@ -265,6 +297,24 @@ func (c *topCounts) addRows(b block) {
 	c.total += int64(len(b.times))
 }
 
+// foldSegment counts a segment every row of which a ranking by node
+// keeps without reading a row: each node's count is its run in the
+// segment's node index. A selection goes through addRows.
+func (c *topCounts) foldSegment(_ *gather, s *Segment, _ bitmap, kind segMatch) bool {
+	if c.by != TopByNode || kind != matchAll {
+		return false
+	}
+	base := s.index().rowBase
+	counts := c.counts[:len(base)-1]
+	start := base[0]
+	for n, end := range base[1:] {
+		counts[n] += int64(end - start)
+		start = end
+	}
+	c.total += int64(s.Len())
+	return true
+}
+
 // each calls fn with every key counted at least once.
 func (c *topCounts) each(fn func(key uint64, n int64)) {
 	for key, n := range c.counts[:c.dense] {
@@ -286,14 +336,29 @@ func (c *topCounts) Merge(o *topCounts) {
 	c.total += o.total
 }
 
-// keepTop ranks the keys and marks the k winners for the detail pass:
-// a bit per count — a few cache lines where the counts are 150 KB.
+// keepTop selects the k winners — stats.Leaders, so a key ranked after
+// the worst one kept costs a compare — and marks them for the detail
+// pass: a bit per count (a few cache lines where the counts are 150 KB)
+// and, below dense, the node ids whose rows that pass reads.
 func (c *topCounts) keepTop(k int) {
-	c.rank = c.rank[:0]
-	c.each(func(key uint64, n int64) { c.rank = append(c.rank, stats.KeyCount{Key: key, Count: n}) })
+	l := stats.NewLeaders(k, c.rank)
+	for key, n := range c.counts[:c.dense] {
+		if n != 0 {
+			l.Offer(stats.KeyCount{Key: uint64(key), Count: n})
+		}
+	}
+	for slot, key := range c.keys.keys {
+		l.Offer(stats.KeyCount{Key: key, Count: c.counts[c.dense+slot]})
+	}
+	ranked := l.Ranked()
+	c.rank = ranked[:0]
 	c.won = bitmapIn(c.won.words, len(c.counts), false)
-	for _, kc := range stats.RankOffenders(c.rank, k) {
+	c.winNodes = c.winNodes[:0]
+	for _, kc := range ranked {
 		c.won.set(c.slot(kc.Key))
+		if kc.Key < uint64(c.dense) {
+			c.winNodes = append(c.winNodes, uint32(kc.Key))
+		}
 	}
 }
 

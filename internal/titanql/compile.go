@@ -181,6 +181,15 @@ func (r *Result) Rows() int64 {
 	return r.roll.Total()
 }
 
+// Visited reports how many rows the fold handed its kernels (store's
+// Top.Visited): a count-first ranking reads fewer or more than Rows.
+func (r *Result) Visited() int64 {
+	if r.top != nil {
+		return r.top.Visited()
+	}
+	return r.roll.Visited()
+}
+
 // Doc ranks the result and builds the document. It is equal at any
 // worker count and equal to FoldEvents' over the same stream.
 func (r *Result) Doc() Doc {

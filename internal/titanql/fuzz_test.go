@@ -64,6 +64,15 @@ func FuzzTitanQLEquivalence(f *testing.F) {
 		"code!=65549 | by code | bucket 1h",
 		"code=65549 | top node 5",
 		"cabinet=c[!3]-* | by cage | bucket 1d",
+		// Location filters under a ranking by node: the count pass and the
+		// winners' detail rows both go through the segments' node indexes.
+		"node=c3-2c1s4n2 | top node 3",
+		"node=c?-1c2s* | top node 5",
+		"cage=0 | top node 10",
+		"cabinet=c3-* | top node 4",
+		"cabinet=c[!3]-* cage=2 | top node 7",
+		"code=13 cabinet=c*-0 | top node 2",
+		"code!=13 node=c1-* | top node 6",
 	} {
 		f.Add(q)
 	}

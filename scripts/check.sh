@@ -18,7 +18,10 @@
 #   QoS books and bench/'s -quick suite are all in there; the exact
 #   allocation and heap budgets skip under -race and run under plain
 #   go test ./...), then only what adds a run to that: the GOMAXPROCS=2
-#   determinism runs, the -count=2 soaks of the concurrent pipelines,
+#   determinism runs, the -count=2 soaks of the concurrent pipelines
+#   (the read path's among them: eight readers racing to first use of
+#   each segment's node index, TestPooledFoldScratchDoesNotAlias, and
+#   TestNodeIndexMatchesColumns's eight concurrent first builds),
 #   a full-horizon simulation, one iteration of each in-process
 #   instrument (the eight read shapes and the 13-request round on one
 #   daemon, the write path, the warm start by replay and by checkpoint,
@@ -59,6 +62,10 @@ echo "== stream-vs-batch equivalence soak + write-path buffer ownership (titand 
 go test -race ./internal/serve -run 'TestStreamMatchesBatchHTTP|TestShutdown|TestAppliedIsVisible|TestIngestAllocsPerLine|TestPooledBuffersDoNotAlias|TestIngestBodyLengths|TestIngestStageCounters|TestRetainedLogDoesNotRegrow|TestNodeViewGolden|TestSequentialConnectionsKeepOrder' -count=2
 go test -race ./internal/alert -run TestStreamMatchesBatch -count=2
 go test -race ./internal/predict -run TestWarnerMatchesBatch -count=2
+
+echo "== read-path soak: pooled fold scratch and node-index first use under eight concurrent readers (race mode)"
+go test -race ./internal/serve -run 'TestPooledFoldScratchDoesNotAlias' -count=2
+go test -race ./internal/store -run 'TestNodeIndexMatchesColumns' -count=2
 
 echo "== columnar segment round-trip digests (seal -> scan, race mode)"
 go test -race ./internal/store -run 'TestRoundTripDigest|TestEventsExact' -count=2
