@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -326,10 +327,15 @@ func TestOffenderRanking(t *testing.T) {
 	}
 }
 
-func sampleWith(user workload.UserID, nodes int, core float64, sbe int64, used ...topology.NodeID) nvsmi.JobSample {
+// sampleWith builds a sample whose job ran on the one node used.
+func sampleWith(user workload.UserID, nodes int, core float64, sbe int64, used int) nvsmi.JobSample {
+	placement, err := scheduler.ParseNodes(strconv.Itoa(used))
+	if err != nil {
+		panic(err)
+	}
 	return nvsmi.JobSample{
 		User: user, Nodes: nodes, CoreHours: core,
-		MaxMemGB: 1, TotalMGBh: 2, SBEDelta: sbe, UsedNodes: used,
+		MaxMemGB: 1, TotalMGBh: 2, SBEDelta: sbe, UsedNodes: placement,
 	}
 }
 
@@ -337,10 +343,10 @@ func TestSBEUtilizationCorrelations(t *testing.T) {
 	var samples []nvsmi.JobSample
 	// SBE strongly tracks core hours; offender node 7 adds huge noise.
 	for i := 1; i <= 40; i++ {
-		s := sampleWith(1, i, float64(i)*10, int64(i), topology.NodeID(i+100))
+		s := sampleWith(1, i, float64(i)*10, int64(i), i+100)
 		samples = append(samples, s)
 	}
-	samples = append(samples, sampleWith(1, 5, 50, 100000, topology.NodeID(7)))
+	samples = append(samples, sampleWith(1, 5, 50, 100000, 7))
 	ucs := SBEUtilizationCorrelations(samples, []topology.NodeID{7})
 	if len(ucs) != 4 {
 		t.Fatalf("got %d metrics", len(ucs))
@@ -388,7 +394,7 @@ func TestSBEByUser(t *testing.T) {
 	// Three users; SBE proportional to core hours.
 	for u := 1; u <= 3; u++ {
 		for j := 0; j < 5; j++ {
-			samples = append(samples, sampleWith(workload.UserID(u), 10, float64(u*100), int64(u*10), topology.NodeID(j)))
+			samples = append(samples, sampleWith(workload.UserID(u), 10, float64(u*100), int64(u*10), j))
 		}
 	}
 	uc := SBEByUser(samples, nil)

@@ -66,9 +66,11 @@ type UtilizationCorrelation struct {
 // usesOffender reports whether a sample's allocation touched one of the
 // given nodes.
 func usesOffender(s nvsmi.JobSample, offenders map[topology.NodeID]bool) bool {
-	for _, n := range s.UsedNodes {
-		if offenders[n] {
-			return true
+	for ri := range s.UsedNodes.NumRuns() {
+		for _, n := range s.UsedNodes.Run(ri) {
+			if offenders[n] {
+				return true
+			}
 		}
 	}
 	return false

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"sort"
 
 	"titanre/internal/scheduler"
@@ -29,26 +30,19 @@ func FootprintAlternation(records []scheduler.Record) float64 {
 	var gapSum float64
 	var gapCount int
 	for _, r := range records {
-		rowCols := make(map[int]map[int]bool)
-		for _, n := range r.Nodes {
-			loc := topology.LocationOf(n)
-			if rowCols[loc.Row] == nil {
-				rowCols[loc.Row] = make(map[int]bool)
+		// cols[row] has bit c set when the job occupies column c there;
+		// a row's gaps then sum to its last column less its first.
+		var cols [topology.Rows]uint32
+		for ri := range r.Nodes.NumRuns() {
+			for _, n := range r.Nodes.Run(ri) {
+				loc := topology.LocationOf(n)
+				cols[loc.Row] |= 1 << loc.Column
 			}
-			rowCols[loc.Row][loc.Column] = true
 		}
-		for _, cols := range rowCols {
-			if len(cols) < 2 {
-				continue
-			}
-			sorted := make([]int, 0, len(cols))
-			for c := range cols {
-				sorted = append(sorted, c)
-			}
-			sort.Ints(sorted)
-			for i := 1; i < len(sorted); i++ {
-				gapSum += float64(sorted[i] - sorted[i-1])
-				gapCount++
+		for _, m := range cols {
+			if k := bits.OnesCount32(m); k >= 2 {
+				gapSum += float64(bits.Len32(m) - 1 - bits.TrailingZeros32(m))
+				gapCount += k - 1
 			}
 		}
 	}
@@ -97,7 +91,7 @@ func CharacterizeWorkload(records []scheduler.Record) WorkloadCharacteristics {
 		core[i] = r.GPUCoreHours()
 		maxMem[i] = r.Spec.MaxMemoryGB()
 		totMem[i] = r.Spec.TotalMemoryGBh()
-		nodes[i] = float64(len(r.Nodes))
+		nodes[i] = float64(r.Nodes.Len())
 		wall[i] = r.Runtime().Hours()
 	}
 
@@ -163,11 +157,13 @@ func CharacterizeWorkload(records []scheduler.Record) WorkloadCharacteristics {
 func NetworkCompactness(records []scheduler.Record) float64 {
 	var sum float64
 	var n int
+	var nodes []topology.NodeID
 	for _, r := range records {
-		if len(r.Nodes) < 2 {
+		if r.Nodes.Len() < 2 {
 			continue
 		}
-		sum += topology.MeanPairwiseHops(r.Nodes, 64)
+		nodes = r.Nodes.AppendTo(nodes[:0])
+		sum += topology.MeanPairwiseHops(nodes, 64)
 		n++
 	}
 	if n == 0 {

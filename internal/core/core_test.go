@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"titanre/internal/alert"
 	"titanre/internal/analysis"
+	"titanre/internal/race"
 	"titanre/internal/scheduler"
 	"titanre/internal/sim"
 	"titanre/internal/xid"
@@ -37,6 +39,28 @@ func TestAllObservationsPass(t *testing.T) {
 		if !oc.Pass {
 			t.Errorf("Observation %d failed: %s\n  %s", oc.Number, oc.Claim, oc.Detail)
 		}
+	}
+}
+
+// TestStudyLiveHeap pins what the default 21-month study holds once it
+// is built and its observations checked (the state TestAllObservationsPass
+// leaves): its 400k job placements are spans over the allocator's order,
+// not node lists. The budget is the measured live heap (246.6 MB; 610.2
+// MB while each placement was a []topology.NodeID) plus a quarter.
+func TestStudyLiveHeap(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race runtime's own bookkeeping moves allocation figures")
+	}
+	s := defaultStudy(t)
+	s.CheckObservations()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(s)
+	const maxLive = 246_650_000 * 5 / 4
+	t.Logf("default study: %d bytes live", ms.HeapAlloc)
+	if ms.HeapAlloc > maxLive {
+		t.Errorf("%d bytes live once the default study is built; the budget is %d", ms.HeapAlloc, maxLive)
 	}
 }
 

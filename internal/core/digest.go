@@ -217,9 +217,11 @@ func JobsDigest(jobs []scheduler.Record) [32]byte {
 		}
 		d.when(r.Start)
 		d.when(r.End)
-		d.i64(int64(len(r.Nodes)))
-		for _, n := range r.Nodes {
-			d.i64(int64(n))
+		d.i64(int64(r.Nodes.Len()))
+		for ri := range r.Nodes.NumRuns() {
+			for _, n := range r.Nodes.Run(ri) {
+				d.i64(int64(n))
+			}
 		}
 	}
 	return d.sum()

@@ -160,7 +160,7 @@ func (s *Study) obs7Propagation() ObservationCheck {
 		if sp.last.Sub(sp.first) <= s.Config.PropagationWindow+time.Second {
 			within5s++
 		}
-		if sp.count >= len(s.Result.Jobs[idx].Nodes) {
+		if sp.count >= s.Result.Jobs[idx].Nodes.Len() {
 			fullCoverage++
 		}
 	}

@@ -58,7 +58,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	// Sample node lists must be rejoined from the job log.
 	joined := 0
 	for _, s := range back.Samples {
-		if len(s.UsedNodes) > 0 {
+		if s.UsedNodes.Len() > 0 {
 			joined++
 		}
 	}

@@ -280,7 +280,7 @@ func TestIngestJobLogTornRow(t *testing.T) {
 	if h.ByCategory[RecRejoined] != 2 {
 		t.Errorf("rejoined count %d, want 2", h.ByCategory[RecRejoined])
 	}
-	if recs[0].ID != recs[1].ID || len(recs[0].Nodes) != 9 {
+	if recs[0].ID != recs[1].ID || recs[0].Nodes.Len() != 9 {
 		t.Errorf("rejoined record decoded wrong: %+v", recs[0])
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/gpu"
+	"titanre/internal/scheduler"
 	"titanre/internal/topology"
 	"titanre/internal/workload"
 )
@@ -98,9 +99,9 @@ type JobSample struct {
 	SBEDelta int64
 	// PerStructure is the measured delta broken down by structure.
 	PerStructure [gpu.NumStructures]int64
-	// OffenderNodes lists which of the job's nodes are in a given
-	// offender set; filled by analysis, not by the sampler.
-	UsedNodes []topology.NodeID
+	// UsedNodes is the job's placement, shared with its job record;
+	// analysis asks which of them are in a given offender set.
+	UsedNodes scheduler.Placement
 }
 
 // JobSampler implements the before/after snapshot framework. Begin is the
@@ -109,67 +110,96 @@ type JobSample struct {
 // allocation); End is the epilogue and yields the sample. The counters
 // snapshot InfoROM state, so broken SBE counters and lost DBE records
 // propagate into samples just as they did in production.
+//
+// The sampler keeps one sum per structure for each open job, not a
+// reading per node: a card's single-bit counters only grow, so the sum
+// of per-node deltas is the epilogue sum less the prologue sum. The one
+// exception is a node whose card was swapped mid-job; Swapped books the
+// reading the job began on there, and End clamps that node's delta at
+// zero per structure, as a per-node reading would.
 type JobSampler struct {
-	fleet  *gpu.Fleet
-	before map[console.JobID]map[topology.NodeID]gpu.ErrorCounts
+	fleet *gpu.Fleet
+	open  map[console.JobID]prologue
+}
+
+// prologue is one open job's prologue snapshot: its per-structure sum,
+// and for each node whose card was swapped since, the reading of the
+// card the job began on.
+type prologue struct {
+	sum     [gpu.NumStructures]int64
+	swapped map[topology.NodeID][gpu.NumStructures]int64
 }
 
 // NewJobSampler builds a sampler over the fleet.
 func NewJobSampler(fleet *gpu.Fleet) *JobSampler {
-	return &JobSampler{
-		fleet:  fleet,
-		before: make(map[console.JobID]map[topology.NodeID]gpu.ErrorCounts),
-	}
+	return &JobSampler{fleet: fleet, open: make(map[console.JobID]prologue)}
 }
 
 // Begin records the prologue snapshot for a job.
-func (js *JobSampler) Begin(id console.JobID, nodes []topology.NodeID) {
-	m := make(map[topology.NodeID]gpu.ErrorCounts, len(nodes))
-	for _, n := range nodes {
-		if c := js.fleet.CardAt(n); c != nil {
-			m[n] = c.InfoROM
-		}
+func (js *JobSampler) Begin(id console.JobID, nodes scheduler.Placement) {
+	js.open[id] = prologue{sum: js.sum(nodes)}
+}
+
+// Swapped books a mid-job card swap: removed, just pulled from node n,
+// was installed there when job id began, unless an earlier swap of the
+// same job already booked the node. A single-bit error reaches a card
+// only when its own job ends, so removed still holds its prologue
+// reading. Jobs the sampler did not begin are ignored.
+func (js *JobSampler) Swapped(id console.JobID, n topology.NodeID, removed *gpu.Card) {
+	p, open := js.open[id]
+	if _, booked := p.swapped[n]; !open || booked {
+		return
 	}
-	js.before[id] = m
+	if p.swapped == nil {
+		p.swapped = make(map[topology.NodeID][gpu.NumStructures]int64)
+		js.open[id] = p
+	}
+	p.swapped[n] = removed.InfoROM.SingleBit
 }
 
 // End takes the epilogue snapshot and returns the job's sample. The
 // record provides the resource-utilization side of the join. Nodes whose
 // card was swapped mid-job contribute only their new card's counters
 // (clamped at zero), one more small, realistic accounting artifact.
-func (js *JobSampler) End(rec Record) JobSample {
+func (js *JobSampler) End(rec *scheduler.Record) JobSample {
 	sample := JobSample{
 		Job:       rec.ID,
-		User:      rec.User,
-		Nodes:     len(rec.Nodes),
-		CoreHours: rec.CoreHours,
-		MaxMemGB:  rec.MaxMemGB,
-		TotalMGBh: rec.TotalMGBh,
-		UsedNodes: append([]topology.NodeID(nil), rec.Nodes...),
+		User:      rec.Spec.User,
+		Nodes:     rec.Nodes.Len(),
+		CoreHours: rec.GPUCoreHours(),
+		MaxMemGB:  rec.Spec.MaxMemoryGB(),
+		TotalMGBh: rec.Spec.TotalMemoryGBh(),
+		UsedNodes: rec.Nodes,
 	}
-	before := js.before[rec.ID]
-	for _, n := range rec.Nodes {
-		c := js.fleet.CardAt(n)
-		if c == nil {
-			continue
-		}
-		delta := c.InfoROM.Sub(before[n])
-		for s := 0; s < gpu.NumStructures; s++ {
-			sample.PerStructure[s] += delta.SingleBit[s]
-			sample.SBEDelta += delta.SingleBit[s]
+	p := js.open[rec.ID]
+	delete(js.open, rec.ID)
+	// Where a swapped node's new card reads below the card the job began
+	// on, the sums would charge the job that shortfall; taking it off the
+	// prologue sum clamps the node's delta at zero, per structure.
+	for n, began := range p.swapped {
+		now := &js.fleet.CardAt(n).InfoROM.SingleBit
+		for s := range began {
+			p.sum[s] -= max(began[s]-now[s], 0)
 		}
 	}
-	delete(js.before, rec.ID)
+	for s, v := range js.sum(rec.Nodes) {
+		sample.PerStructure[s] = v - p.sum[s]
+		sample.SBEDelta += sample.PerStructure[s]
+	}
 	return sample
 }
 
-// Record is the subset of a scheduler job record the sampler needs; kept
-// local to avoid an import cycle with the scheduler package.
-type Record struct {
-	ID        console.JobID
-	User      workload.UserID
-	Nodes     []topology.NodeID
-	CoreHours float64
-	MaxMemGB  float64
-	TotalMGBh float64
+// sum adds up the single-bit counters of the cards at nodes, per
+// structure.
+func (js *JobSampler) sum(nodes scheduler.Placement) (sum [gpu.NumStructures]int64) {
+	for ri := range nodes.NumRuns() {
+		for _, n := range nodes.Run(ri) {
+			if c := js.fleet.CardAt(n); c != nil {
+				for s := range sum {
+					sum[s] += c.InfoROM.SingleBit[s]
+				}
+			}
+		}
+	}
+	return sum
 }

@@ -81,31 +81,22 @@ func (p PlacementPolicy) order() []topology.NodeID {
 }
 
 // Allocator hands out node sets along its policy's linear order. Free
-// space is a sorted list of disjoint segments over dense positions.
+// space is a sorted list of disjoint spans over dense positions, and a
+// placement is the spans it took: allocation and release are span
+// arithmetic, never a per-node copy.
 type Allocator struct {
 	Policy PlacementPolicy
-	// order[pos] is the node at dense position pos; pos[n] inverts it.
+	// order[pos] is the node at dense position pos; every placement
+	// shares it.
 	order []topology.NodeID
-	pos   []int32
-	free  []segment // sorted by start, disjoint, non-adjacent
+	free  []span // sorted by start, disjoint, non-adjacent
 	inUse int
-}
-
-type segment struct {
-	start, length int
 }
 
 // NewAllocator returns an allocator over every populated compute slot.
 func NewAllocator(policy PlacementPolicy) *Allocator {
 	a := &Allocator{Policy: policy, order: policy.order()}
-	a.pos = make([]int32, topology.TotalNodes)
-	for i := range a.pos {
-		a.pos[i] = -1
-	}
-	for p, n := range a.order {
-		a.pos[n] = int32(p)
-	}
-	a.free = []segment{{start: 0, length: len(a.order)}}
+	a.free = []span{{start: 0, length: int32(len(a.order))}}
 	return a
 }
 
@@ -115,86 +106,68 @@ func (a *Allocator) Capacity() int { return len(a.order) }
 // FreeCount returns the number of currently free slots.
 func (a *Allocator) FreeCount() int { return len(a.order) - a.inUse }
 
-// Alloc reserves n nodes and returns them, or nil when fewer than n slots
-// are free. It first looks for the first single free run of length >= n;
-// when none exists the request is satisfied by scattered slots in linear
-// order.
-func (a *Allocator) Alloc(n int) []topology.NodeID {
+// Alloc reserves n nodes and returns their placement; ok is false when
+// fewer than n slots are free. It first looks for the first single free
+// span of length >= n; when none exists the request is satisfied by
+// scattered slots in linear order.
+func (a *Allocator) Alloc(n int) (p Placement, ok bool) {
 	if n <= 0 || n > a.FreeCount() {
-		return nil
+		return Placement{}, false
 	}
+	p.order = a.order
 	// First-fit contiguous.
 	for i := range a.free {
-		if a.free[i].length >= n {
-			return a.take(i, n)
+		if int(a.free[i].length) >= n {
+			p.spans = []span{a.take(i, int32(n))}
+			return p, true
 		}
 	}
 	// Scattered: peel from the front until satisfied.
-	out := make([]topology.NodeID, 0, n)
 	for n > 0 {
-		take := a.free[0].length
-		if take > n {
-			take = n
-		}
-		out = append(out, a.take(0, take)...)
+		take := min(int(a.free[0].length), n)
+		p.spans = append(p.spans, a.take(0, int32(take)))
 		n -= take
 	}
-	return out
+	return p, true
 }
 
-// take removes count slots from the front of segment i and returns their
-// nodes.
-func (a *Allocator) take(i, count int) []topology.NodeID {
-	seg := &a.free[i]
-	out := make([]topology.NodeID, count)
-	for k := 0; k < count; k++ {
-		out[k] = a.order[seg.start+k]
-	}
-	seg.start += count
-	seg.length -= count
-	if seg.length == 0 {
+// take removes count slots from the front of free span i and returns
+// them.
+func (a *Allocator) take(i int, count int32) span {
+	f := &a.free[i]
+	out := span{start: f.start, length: count}
+	f.start += count
+	f.length -= count
+	if f.length == 0 {
 		a.free = append(a.free[:i], a.free[i+1:]...)
 	}
-	a.inUse += count
+	a.inUse += int(count)
 	return out
 }
 
-// Release returns nodes to the free pool, merging adjacent segments.
-func (a *Allocator) Release(nodes []topology.NodeID) {
-	if len(nodes) == 0 {
-		return
+// Release returns a placement this allocator made to the free pool,
+// merging adjacent spans.
+func (a *Allocator) Release(p Placement) {
+	for _, s := range p.spans {
+		a.insert(s)
+		a.inUse -= int(s.length)
 	}
-	positions := make([]int, len(nodes))
-	for i, n := range nodes {
-		positions[i] = int(a.pos[n])
-	}
-	sort.Ints(positions)
-	// Coalesce the released positions into runs, then insert each run.
-	for i := 0; i < len(positions); {
-		j := i
-		for j+1 < len(positions) && positions[j+1] == positions[j]+1 {
-			j++
-		}
-		a.insert(segment{start: positions[i], length: j - i + 1})
-		i = j + 1
-	}
-	a.inUse -= len(positions)
 }
 
-func (a *Allocator) insert(s segment) {
+func (a *Allocator) insert(s span) {
 	// Find insertion point.
 	i := sort.Search(len(a.free), func(k int) bool { return a.free[k].start > s.start })
-	a.free = append(a.free, segment{})
+	a.free = append(a.free, span{})
 	copy(a.free[i+1:], a.free[i:])
 	a.free[i] = s
 	// Merge with previous.
-	if i > 0 && a.free[i-1].start+a.free[i-1].length == a.free[i].start {
+	if i > 0 && a.free[i-1].end() == a.free[i].start {
 		a.free[i-1].length += a.free[i].length
 		a.free = append(a.free[:i], a.free[i+1:]...)
 		i--
 	}
 	// Merge with next.
-	if i+1 < len(a.free) && a.free[i].start+a.free[i].length == a.free[i+1].start {
+	if i+1 < len(a.free) && a.free[i].end() == a.free[i+1].start {
 		a.free[i].length += a.free[i+1].length
 		a.free = append(a.free[:i+1], a.free[i+2:]...)
 	}

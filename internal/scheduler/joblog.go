@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -52,59 +52,25 @@ const JobLogFields = 10
 // ParseJobLine decodes one data row of the TSV job log. Comment and
 // blank lines are the caller's concern.
 func ParseJobLine(line string) (Record, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) != JobLogFields {
-		return Record{}, fmt.Errorf("%d fields, want %d", len(fields), JobLogFields)
+	var fields [JobLogFields]string
+	if n := tsv.SplitFields(line, fields[:]); n != JobLogFields {
+		return Record{}, fmt.Errorf("%d fields, want %d", n, JobLogFields)
 	}
-	return parseJobLine(fields, nil)
-}
-
-// jobParser carries the reusable state of a whole-file job-log parse:
-// a field array reused across lines, a scratch node list reused across
-// records, and a chunked arena the per-record node lists are carved
-// from — one slab allocation per arenaBlock node IDs instead of
-// append-doubling a fresh slice per job.
-type jobParser struct {
-	fields  [JobLogFields]string
-	scratch []topology.NodeID
-	arena   []topology.NodeID
-}
-
-// arenaBlock is the slab size (in node IDs) of the job parser's arena.
-const arenaBlock = 1 << 16
-
-// expand parses a compressed node list, returning an arena-backed slice.
-func (p *jobParser) expand(s string) ([]topology.NodeID, error) {
-	scratch, err := appendNodes(p.scratch[:0], s)
-	if err != nil {
-		return nil, err
-	}
-	p.scratch = scratch
-	n := len(scratch)
-	if n == 0 {
-		return nil, nil
-	}
-	if len(p.arena) < n {
-		p.arena = make([]topology.NodeID, max(n, arenaBlock))
-	}
-	out := p.arena[:n:n]
-	p.arena = p.arena[n:]
-	copy(out, scratch)
-	return out, nil
+	return parseJobLine(fields[:])
 }
 
 // ReadJobLog parses a TSV job log produced by WriteJobLog. The whole
 // input is read up front (pre-sized from Stat when r is a file) and
 // parsed as substrings of one backing string: no per-line or per-field
-// string allocations, records pre-sized from the line count, node
-// lists carved from slab allocations.
+// string allocations, records pre-sized from the line count, and each
+// node list one span per range.
 func ReadJobLog(r io.Reader) ([]Record, error) {
 	data, err := tsv.ReadAllString(r)
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: reading job log: %w", err)
 	}
 	out := make([]Record, 0, strings.Count(data, "\n")+1)
-	var p jobParser
+	var fields [JobLogFields]string
 	lines := tsv.NewLines(data)
 	for {
 		line, lineNo, ok := lines.Next()
@@ -114,11 +80,11 @@ func ReadJobLog(r io.Reader) ([]Record, error) {
 		if line == "" || line[0] == '#' {
 			continue
 		}
-		n := tsv.SplitFields(line, p.fields[:])
+		n := tsv.SplitFields(line, fields[:])
 		if n != JobLogFields {
 			return nil, fmt.Errorf("scheduler: job log line %d: %d fields, want %d", lineNo, n, JobLogFields)
 		}
-		rec, err := parseJobLine(p.fields[:], &p)
+		rec, err := parseJobLine(fields[:])
 		if err != nil {
 			return nil, fmt.Errorf("scheduler: job log line %d: %w", lineNo, err)
 		}
@@ -127,7 +93,7 @@ func ReadJobLog(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-func parseJobLine(fields []string, p *jobParser) (Record, error) {
+func parseJobLine(fields []string) (Record, error) {
 	var rec Record
 	id, err := strconv.ParseInt(fields[0], 10, 64)
 	if err != nil {
@@ -161,15 +127,10 @@ func parseJobLine(fields []string, p *jobParser) (Record, error) {
 	if rec.Spec.Buggy, err = strconv.ParseBool(fields[8]); err != nil {
 		return rec, fmt.Errorf("bad buggy flag: %w", err)
 	}
-	if p != nil {
-		rec.Nodes, err = p.expand(fields[9])
-	} else {
-		rec.Nodes, err = ExpandNodes(fields[9])
-	}
-	if err != nil {
+	if rec.Nodes, err = ParseNodes(fields[9]); err != nil {
 		return rec, err
 	}
-	rec.Spec.Nodes = len(rec.Nodes)
+	rec.Spec.Nodes = rec.Nodes.Len()
 	rec.Spec.Runtime = rec.End.Sub(rec.Start)
 	return rec, nil
 }
@@ -183,16 +144,13 @@ func parseClass(s string) (workload.Class, error) {
 	return 0, fmt.Errorf("unknown job class %q", s)
 }
 
-// CompressNodes renders a node set as sorted dense-ID ranges.
-func CompressNodes(nodes []topology.NodeID) string {
-	if len(nodes) == 0 {
+// CompressNodes renders a placement as sorted dense-ID ranges.
+func CompressNodes(p Placement) string {
+	if len(p.spans) == 0 {
 		return "-"
 	}
-	ids := make([]int, len(nodes))
-	for i, n := range nodes {
-		ids[i] = int(n)
-	}
-	sort.Ints(ids)
+	ids := p.AppendTo(make([]topology.NodeID, 0, p.Len()))
+	slices.Sort(ids)
 	var b strings.Builder
 	for i := 0; i < len(ids); {
 		j := i
@@ -212,19 +170,15 @@ func CompressNodes(nodes []topology.NodeID) string {
 	return b.String()
 }
 
-// ExpandNodes parses the range format produced by CompressNodes.
-func ExpandNodes(s string) ([]topology.NodeID, error) {
-	return appendNodes(nil, s)
-}
-
-// appendNodes is ExpandNodes appending into a caller-supplied slice, so
-// whole-file parses reuse one scratch buffer. Node IDs are validated as
-// they are appended (first invalid ID wins), which also bounds the work
-// a corrupt range like "0-999999999" can cause.
-func appendNodes(dst []topology.NodeID, s string) ([]topology.NodeID, error) {
+// ParseNodes parses the range format produced by CompressNodes into a
+// placement over the identity order, one span per range, in the order
+// the ranges are written. Every range is checked against the machine's
+// node IDs before it is taken.
+func ParseNodes(s string) (Placement, error) {
 	if s == "-" || s == "" {
-		return dst, nil
+		return Placement{}, nil
 	}
+	p := Placement{order: identityOrder, spans: make([]span, 0, strings.Count(s, ",")+1)}
 	for len(s) > 0 {
 		part := s
 		if c := strings.IndexByte(s, ','); c >= 0 {
@@ -232,34 +186,36 @@ func appendNodes(dst []topology.NodeID, s string) ([]topology.NodeID, error) {
 		} else {
 			s = ""
 		}
-		if dash := strings.IndexByte(part, '-'); dash >= 0 {
-			lo, err := strconv.Atoi(part[:dash])
-			if err != nil {
-				return nil, fmt.Errorf("bad node range %q: %w", part, err)
-			}
-			hi, err := strconv.Atoi(part[dash+1:])
-			if err != nil {
-				return nil, fmt.Errorf("bad node range %q: %w", part, err)
-			}
-			if hi < lo {
-				return nil, fmt.Errorf("inverted node range %q", part)
-			}
-			for id := lo; id <= hi; id++ {
-				if !topology.NodeID(id).Valid() {
-					return nil, fmt.Errorf("node id %d out of range", id)
-				}
-				dst = append(dst, topology.NodeID(id))
-			}
-		} else {
-			id, err := strconv.Atoi(part)
-			if err != nil {
-				return nil, fmt.Errorf("bad node id %q: %w", part, err)
-			}
-			if !topology.NodeID(id).Valid() {
-				return nil, fmt.Errorf("node id %d out of range", id)
-			}
-			dst = append(dst, topology.NodeID(id))
+		lo, hi, err := parseRange(part)
+		if err != nil {
+			return Placement{}, err
 		}
+		p.spans = append(p.spans, span{int32(lo), int32(hi - lo + 1)})
 	}
-	return dst, nil
+	return p, nil
+}
+
+// parseRange parses one "lo-hi" or "id" element of a node list.
+func parseRange(part string) (lo, hi int, err error) {
+	if dash := strings.IndexByte(part, '-'); dash >= 0 {
+		if lo, err = strconv.Atoi(part[:dash]); err != nil {
+			return 0, 0, fmt.Errorf("bad node range %q: %w", part, err)
+		}
+		if hi, err = strconv.Atoi(part[dash+1:]); err != nil {
+			return 0, 0, fmt.Errorf("bad node range %q: %w", part, err)
+		}
+		if hi < lo {
+			return 0, 0, fmt.Errorf("inverted node range %q", part)
+		}
+	} else if lo, err = strconv.Atoi(part); err != nil {
+		return 0, 0, fmt.Errorf("bad node id %q: %w", part, err)
+	} else {
+		hi = lo
+	}
+	// IDs are never negative here, so the first invalid ID of the range
+	// is lo or the first past the machine.
+	if !topology.NodeID(hi).Valid() {
+		return 0, 0, fmt.Errorf("node id %d out of range", max(lo, topology.TotalNodes))
+	}
+	return lo, hi, nil
 }

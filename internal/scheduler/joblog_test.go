@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +11,17 @@ import (
 	"titanre/internal/workload"
 )
 
-func TestCompressExpandNodes(t *testing.T) {
+// placementOf returns the placement of nodes, in the given order, over
+// the identity order.
+func placementOf(nodes ...topology.NodeID) Placement {
+	p := Placement{order: identityOrder}
+	for _, n := range nodes {
+		p.spans = append(p.spans, span{int32(n), 1})
+	}
+	return p
+}
+
+func TestCompressParseNodes(t *testing.T) {
 	cases := []struct {
 		nodes []topology.NodeID
 		want  string
@@ -21,28 +32,38 @@ func TestCompressExpandNodes(t *testing.T) {
 		{[]topology.NodeID{7, 5, 6, 40, 96, 97}, "5-7,40,96-97"},
 	}
 	for _, c := range cases {
-		got := CompressNodes(c.nodes)
+		got := CompressNodes(placementOf(c.nodes...))
 		if got != c.want {
 			t.Errorf("CompressNodes(%v) = %q, want %q", c.nodes, got, c.want)
 		}
-		back, err := ExpandNodes(got)
+		back, err := ParseNodes(got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(back) != len(c.nodes) {
-			t.Errorf("round trip of %q lost nodes: %v", got, back)
+		sorted := slices.Clone(c.nodes)
+		slices.Sort(sorted)
+		if ids := back.AppendTo(nil); !slices.Equal(ids, sorted) {
+			t.Errorf("round trip of %q = %v, want %v", got, ids, sorted)
 		}
 	}
 }
 
-func TestExpandNodesErrors(t *testing.T) {
-	for _, s := range []string{"x", "5-x", "x-5", "9-5", "999999"} {
-		if _, err := ExpandNodes(s); err == nil {
-			t.Errorf("ExpandNodes(%q) accepted bad input", s)
+func TestParseNodesErrors(t *testing.T) {
+	for s, want := range map[string]string{
+		"x":       `bad node id "x"`,
+		"5-x":     `bad node range "5-x"`,
+		"x-5":     `bad node range "x-5"`,
+		"9-5":     `inverted node range "9-5"`,
+		"999999":  "node id 999999 out of range",
+		"5-99999": "node id 19200 out of range",
+		"7,-3":    `bad node range "-3"`,
+	} {
+		if _, err := ParseNodes(s); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseNodes(%q) = %v, want an error containing %q", s, err, want)
 		}
 	}
-	if nodes, err := ExpandNodes(""); err != nil || nodes != nil {
-		t.Error("empty string should expand to nil")
+	if p, err := ParseNodes(""); err != nil || p.Len() != 0 {
+		t.Error("empty string should parse to an empty placement")
 	}
 }
 
@@ -77,14 +98,14 @@ func TestJobLogRoundTrip(t *testing.T) {
 			a.Spec.MaxMemPerNodeGB != b.Spec.MaxMemPerNodeGB {
 			t.Errorf("record %d mismatch:\n got %+v\nwant %+v", i, b, a)
 		}
-		if len(a.Nodes) != len(b.Nodes) {
-			t.Fatalf("record %d node count mismatch", i)
+		// ReadJobLog returns nodes sorted by dense ID.
+		want := a.Nodes.AppendTo(nil)
+		slices.Sort(want)
+		if got := b.Nodes.AppendTo(nil); !slices.Equal(got, want) {
+			t.Fatalf("record %d nodes read back as %v, want %v", i, got, want)
 		}
-		for j := range b.Nodes {
-			// ReadJobLog returns nodes sorted by dense ID.
-			if j > 0 && b.Nodes[j] <= b.Nodes[j-1] {
-				t.Fatal("read nodes not sorted")
-			}
+		if b.Spec.Nodes != len(want) {
+			t.Errorf("record %d Spec.Nodes = %d, want %d", i, b.Spec.Nodes, len(want))
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"titanre/internal/console"
-	"titanre/internal/topology"
 	"titanre/internal/workload"
 )
 
@@ -18,7 +17,7 @@ type Record struct {
 	Spec  workload.Job
 	Start time.Time
 	End   time.Time
-	Nodes []topology.NodeID
+	Nodes Placement
 }
 
 // Runtime returns the executed duration.
@@ -26,7 +25,7 @@ func (r Record) Runtime() time.Duration { return r.End.Sub(r.Start) }
 
 // GPUCoreHours returns node-hours for the placed job.
 func (r Record) GPUCoreHours() float64 {
-	return float64(len(r.Nodes)) * r.Runtime().Hours()
+	return float64(r.Nodes.Len()) * r.Runtime().Hours()
 }
 
 // Schedule runs the event-driven scheduler over a submission-ordered job
@@ -36,15 +35,15 @@ func (r Record) GPUCoreHours() float64 {
 // started in arrival order.
 func Schedule(jobs []workload.Job, policy PlacementPolicy) []Record {
 	alloc := NewAllocator(policy)
-	var records []Record
+	records := make([]Record, 0, len(jobs))
 	var queue []workload.Job
 	running := &endHeap{}
 	heap.Init(running)
 	nextID := console.JobID(1)
 
 	start := func(j workload.Job, at time.Time) bool {
-		nodes := alloc.Alloc(j.Nodes)
-		if nodes == nil {
+		nodes, ok := alloc.Alloc(j.Nodes)
+		if !ok {
 			return false
 		}
 		rec := Record{
@@ -66,14 +65,15 @@ func Schedule(jobs []workload.Job, policy PlacementPolicy) []Record {
 		for running.Len() > 0 && !(*running)[0].end.After(t) {
 			rj := heap.Pop(running).(runningJob)
 			alloc.Release(rj.nodes)
-			// Backfill at the moment capacity freed.
+			// Backfill at the moment capacity freed, filtering the
+			// queue in place.
 			remaining := queue[:0]
 			for _, qj := range queue {
 				if !start(qj, rj.end) {
 					remaining = append(remaining, qj)
 				}
 			}
-			queue = append([]workload.Job(nil), remaining...)
+			queue = remaining
 		}
 	}
 
@@ -96,7 +96,7 @@ func Schedule(jobs []workload.Job, policy PlacementPolicy) []Record {
 
 type runningJob struct {
 	end   time.Time
-	nodes []topology.NodeID
+	nodes Placement
 }
 
 type endHeap []runningJob

@@ -24,9 +24,10 @@ func TestAllocatorCapacity(t *testing.T) {
 
 func TestAllocatorAllocRelease(t *testing.T) {
 	a := NewAllocator(TorusFit)
-	nodes := a.Alloc(100)
-	if len(nodes) != 100 {
-		t.Fatalf("allocated %d, want 100", len(nodes))
+	p, _ := a.Alloc(100)
+	nodes := p.AppendTo(nil)
+	if len(nodes) != 100 || p.Len() != 100 {
+		t.Fatalf("allocated %d (Len %d), want 100", len(nodes), p.Len())
 	}
 	if a.FreeCount() != a.Capacity()-100 {
 		t.Errorf("free count = %d", a.FreeCount())
@@ -41,7 +42,7 @@ func TestAllocatorAllocRelease(t *testing.T) {
 			t.Fatal("allocated a service slot")
 		}
 	}
-	a.Release(nodes)
+	a.Release(p)
 	if a.FreeCount() != a.Capacity() {
 		t.Errorf("free count after release = %d", a.FreeCount())
 	}
@@ -49,14 +50,14 @@ func TestAllocatorAllocRelease(t *testing.T) {
 
 func TestAllocatorExhaustion(t *testing.T) {
 	a := NewAllocator(TorusFit)
-	all := a.Alloc(a.Capacity())
-	if len(all) != a.Capacity() {
-		t.Fatalf("full allocation got %d", len(all))
+	all, _ := a.Alloc(a.Capacity())
+	if all.Len() != a.Capacity() {
+		t.Fatalf("full allocation got %d", all.Len())
 	}
-	if a.Alloc(1) != nil {
+	if _, ok := a.Alloc(1); ok {
 		t.Error("allocation from empty pool should fail")
 	}
-	if a.Alloc(0) != nil {
+	if _, ok := a.Alloc(0); ok {
 		t.Error("zero-size allocation should fail")
 	}
 	a.Release(all)
@@ -67,8 +68,8 @@ func TestAllocatorExhaustion(t *testing.T) {
 
 func TestAllocatorMerging(t *testing.T) {
 	a := NewAllocator(LinearFit)
-	x := a.Alloc(10)
-	y := a.Alloc(10)
+	x, _ := a.Alloc(10)
+	y, _ := a.Alloc(10)
 	segsBefore := len(a.free)
 	a.Release(x)
 	a.Release(y)
@@ -85,9 +86,9 @@ func TestTorusAllocationAlternatesCabinets(t *testing.T) {
 	a := NewAllocator(TorusFit)
 	// A two-cabinet-sized job placed on an empty machine must land on
 	// alternating physical cabinets (columns 0 and 2), not adjacent ones.
-	nodes := a.Alloc(2 * topology.NodesPerCabinet)
+	nodes, _ := a.Alloc(2 * topology.NodesPerCabinet)
 	cols := map[int]bool{}
-	for _, n := range nodes {
+	for _, n := range nodes.AppendTo(nil) {
 		cols[topology.LocationOf(n).Column] = true
 	}
 	if !cols[0] || !cols[2] || cols[1] {
@@ -95,9 +96,9 @@ func TestTorusAllocationAlternatesCabinets(t *testing.T) {
 	}
 
 	b := NewAllocator(LinearFit)
-	nodes = b.Alloc(2 * topology.NodesPerCabinet)
+	nodes, _ = b.Alloc(2 * topology.NodesPerCabinet)
 	cols = map[int]bool{}
-	for _, n := range nodes {
+	for _, n := range nodes.AppendTo(nil) {
 		cols[topology.LocationOf(n).Column] = true
 	}
 	if !cols[0] || !cols[1] {
@@ -108,11 +109,10 @@ func TestTorusAllocationAlternatesCabinets(t *testing.T) {
 func TestAllocatorScatteredFallback(t *testing.T) {
 	a := NewAllocator(LinearFit)
 	// Fragment the pool: allocate pairs and free every other one.
-	var kept [][]topology.NodeID
-	var freed [][]topology.NodeID
+	var kept, freed []Placement
 	for i := 0; i < 100; i++ {
-		x := a.Alloc(50)
-		y := a.Alloc(50)
+		x, _ := a.Alloc(50)
+		y, _ := a.Alloc(50)
 		kept = append(kept, x)
 		freed = append(freed, y)
 	}
@@ -121,19 +121,19 @@ func TestAllocatorScatteredFallback(t *testing.T) {
 	}
 	// Now no contiguous run of 5000 exists near the front, but 5000
 	// scattered slots do.
-	nodes := a.Alloc(5000)
-	if len(nodes) != 5000 {
-		t.Fatalf("scattered allocation got %d, want 5000", len(nodes))
+	nodes, _ := a.Alloc(5000)
+	if nodes.Len() != 5000 {
+		t.Fatalf("scattered allocation got %d, want 5000", nodes.Len())
 	}
 	seen := map[topology.NodeID]bool{}
-	for _, n := range nodes {
+	for _, n := range nodes.AppendTo(nil) {
 		if seen[n] {
 			t.Fatal("duplicate in scattered allocation")
 		}
 		seen[n] = true
 	}
 	for _, k := range kept {
-		for _, n := range k {
+		for _, n := range k.AppendTo(nil) {
 			if seen[n] {
 				t.Fatal("scattered allocation reused a held node")
 			}
@@ -144,15 +144,15 @@ func TestAllocatorScatteredFallback(t *testing.T) {
 func TestCoolFirstFitFillsBottomCages(t *testing.T) {
 	a := NewAllocator(CoolFirstFit)
 	// The first third of the machine must be entirely cage 0.
-	nodes := a.Alloc(topology.TotalComputeGPUs / 3)
-	for _, n := range nodes {
+	nodes, _ := a.Alloc(topology.TotalComputeGPUs / 3)
+	for _, n := range nodes.AppendTo(nil) {
 		if topology.CageOf(n) != 0 {
 			t.Fatalf("node %d in cage %d during cool-first fill", n, topology.CageOf(n))
 		}
 	}
 	// The next allocation starts on cage 1.
-	next := a.Alloc(100)
-	for _, n := range next {
+	next, _ := a.Alloc(100)
+	for _, n := range next.AppendTo(nil) {
 		if topology.CageOf(n) == 2 {
 			t.Fatalf("top cage reached while middle cage has room")
 		}
@@ -161,10 +161,10 @@ func TestCoolFirstFitFillsBottomCages(t *testing.T) {
 
 func TestCoolFirstPreservesTorusLocalityWithinCage(t *testing.T) {
 	a := NewAllocator(CoolFirstFit)
-	nodes := a.Alloc(64)
+	nodes, _ := a.Alloc(64)
 	// Within cage 0 the order follows the torus: consecutive nodes stay
 	// in the same cabinet run (cage-0 rows of the torus).
-	for _, n := range nodes {
+	for _, n := range nodes.AppendTo(nil) {
 		if topology.CageOf(n) != 0 {
 			t.Fatal("expected cage 0")
 		}
@@ -209,7 +209,7 @@ func TestScheduleBasic(t *testing.T) {
 	if !recs[0].Start.Equal(t0) || !recs[0].End.Equal(t0.Add(time.Hour)) {
 		t.Errorf("job 1 timing wrong: %v-%v", recs[0].Start, recs[0].End)
 	}
-	if len(recs[0].Nodes) != 100 || len(recs[1].Nodes) != 200 {
+	if recs[0].Nodes.Len() != 100 || recs[1].Nodes.Len() != 200 {
 		t.Error("node counts wrong")
 	}
 	if recs[0].ID == recs[1].ID {
@@ -267,7 +267,7 @@ func TestScheduleNoOverlapProperty(t *testing.T) {
 		if r.Start.Before(r.Spec.Submit) {
 			t.Fatalf("job %d started before submission", i)
 		}
-		for _, n := range r.Nodes {
+		for _, n := range r.Nodes.AppendTo(nil) {
 			perNode[n] = append(perNode[n], span{r.Start, r.End, i})
 		}
 	}

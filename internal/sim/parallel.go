@@ -228,23 +228,25 @@ func drawJobSBEs(seed int64, jobIdx int, rec *scheduler.Record, end time.Time, r
 	}
 	var rng *rand.Rand
 	var draws []sbeDraw
-	for _, n := range rec.Nodes {
-		rate := rates[n]
-		if rate <= 0 {
-			continue
-		}
-		if rng == nil {
-			rng = faults.DeriveRNG(seed, streamJobSBEBase+uint64(jobIdx))
-		}
-		count := faults.Poisson(rng, rate*hours)
-		for k := int64(0); k < count; k++ {
-			at := rec.Start.Add(time.Duration(rng.Float64() * float64(spanEnd.Sub(rec.Start))))
-			s := gpu.Structure(faults.Categorical(rng, sbeW))
-			page := console.NoPage
-			if s == gpu.DeviceMemory {
-				page = int32(rng.Intn(int(gpu.DevicePages)))
+	for ri := range rec.Nodes.NumRuns() {
+		for _, n := range rec.Nodes.Run(ri) {
+			rate := rates[n]
+			if rate <= 0 {
+				continue
 			}
-			draws = append(draws, sbeDraw{at: at, node: n, s: s, page: page})
+			if rng == nil {
+				rng = faults.DeriveRNG(seed, streamJobSBEBase+uint64(jobIdx))
+			}
+			count := faults.Poisson(rng, rate*hours)
+			for k := int64(0); k < count; k++ {
+				at := rec.Start.Add(time.Duration(rng.Float64() * float64(spanEnd.Sub(rec.Start))))
+				s := gpu.Structure(faults.Categorical(rng, sbeW))
+				page := console.NoPage
+				if s == gpu.DeviceMemory {
+					page = int32(rng.Intn(int(gpu.DevicePages)))
+				}
+				draws = append(draws, sbeDraw{at: at, node: n, s: s, page: page})
+			}
 		}
 	}
 	slices.SortStableFunc(draws, func(a, b sbeDraw) int { return a.at.Compare(b.at) })

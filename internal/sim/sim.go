@@ -96,6 +96,18 @@ func compareItems(a, b item) int {
 // parallel.go), concurrently, and are combined by deterministic merges.
 // Only the timeline walk — which mutates fleet state — is serial.
 func Run(cfg Config) *Result {
+	return run(cfg, func(f *gpu.Fleet) jobSampler { return nvsmi.NewJobSampler(f) })
+}
+
+// jobSampler is the per-job snapshot framework the walk drives:
+// nvsmi.JobSampler, or a reference the tests hold it to.
+type jobSampler interface {
+	Begin(id console.JobID, nodes scheduler.Placement)
+	Swapped(id console.JobID, n topology.NodeID, removed *gpu.Card)
+	End(rec *scheduler.Record) nvsmi.JobSample
+}
+
+func run(cfg Config, newSampler func(*gpu.Fleet) jobSampler) *Result {
 	res := &Result{Config: cfg}
 
 	// 1. Workload and placement: the user population is drawn from one
@@ -149,7 +161,7 @@ func Run(cfg Config) *Result {
 		res:      res,
 		fleet:    fleet,
 		rng:      faults.DeriveRNG(cfg.Seed, streamWalk),
-		sampler:  nvsmi.NewJobSampler(fleet),
+		sampler:  newSampler(fleet),
 		active:   make([]int32, topology.TotalNodes),
 		sbeDraws: sbeDraws,
 		dbeW:     faults.DBEStructureWeights(),
@@ -190,7 +202,7 @@ type walker struct {
 	res         *Result
 	fleet       *gpu.Fleet
 	rng         *rand.Rand
-	sampler     *nvsmi.JobSampler
+	sampler     jobSampler
 	sampleStart time.Time
 	// active[n] is the index into res.Jobs of the job running on node n,
 	// or -1.
@@ -198,6 +210,8 @@ type walker struct {
 	// sbeDraws[i] is job i's pre-drawn SBE accrual, time-ordered.
 	sbeDraws [][]sbeDraw
 	dbeW     []float64
+	// nodes is appCrash's scratch copy of a placement.
+	nodes []topology.NodeID
 }
 
 func (w *walker) emit(e console.Event) {
@@ -216,8 +230,10 @@ func (w *walker) jobAt(n topology.NodeID) console.JobID {
 
 func (w *walker) jobStart(idx int) {
 	rec := &w.res.Jobs[idx]
-	for _, n := range rec.Nodes {
-		w.active[n] = int32(idx)
+	for ri := range rec.Nodes.NumRuns() {
+		for _, n := range rec.Nodes.Run(ri) {
+			w.active[n] = int32(idx)
+		}
 	}
 	if !rec.Start.Before(w.sampleStart) {
 		w.sampler.Begin(rec.ID, rec.Nodes)
@@ -231,19 +247,13 @@ func (w *walker) jobEnd(idx int) {
 		w.appCrash(rec)
 	}
 	if !rec.Start.Before(w.sampleStart) {
-		sample := w.sampler.End(nvsmi.Record{
-			ID:        rec.ID,
-			User:      rec.Spec.User,
-			Nodes:     rec.Nodes,
-			CoreHours: rec.GPUCoreHours(),
-			MaxMemGB:  rec.Spec.MaxMemoryGB(),
-			TotalMGBh: rec.Spec.TotalMemoryGBh(),
-		})
-		w.res.Samples = append(w.res.Samples, sample)
+		w.res.Samples = append(w.res.Samples, w.sampler.End(rec))
 	}
-	for _, n := range rec.Nodes {
-		if w.active[n] == int32(idx) {
-			w.active[n] = -1
+	for ri := range rec.Nodes.NumRuns() {
+		for _, n := range rec.Nodes.Run(ri) {
+			if w.active[n] == int32(idx) {
+				w.active[n] = -1
+			}
 		}
 	}
 }
@@ -301,8 +311,9 @@ func (w *walker) appCrash(rec *scheduler.Record) {
 	if w.rng.Float64() < w.cfg.AppXID13Prob {
 		code = xid.GraphicsEngineException
 	}
-	faulting := rec.Nodes[w.rng.Intn(len(rec.Nodes))]
-	for _, n := range rec.Nodes {
+	w.nodes = rec.Nodes.AppendTo(w.nodes[:0])
+	faulting := w.nodes[w.rng.Intn(len(w.nodes))]
+	for _, n := range w.nodes {
 		at := crash
 		if n != faulting {
 			at = crash.Add(time.Duration(w.rng.Float64() * float64(w.cfg.PropagationWindow)))
@@ -368,7 +379,9 @@ func (w *walker) hardware(at time.Time, code xid.Code, n topology.NodeID) {
 			w.emitRetirement(at.Add(delay), n, card, page)
 		}
 		w.cascade(at, n, code, job)
-		w.fleet.NoteDBE(n, at)
+		if removed := w.fleet.NoteDBE(n, at); removed != nil && job != 0 {
+			w.sampler.Swapped(job, n, removed)
+		}
 
 	case xid.OffTheBus:
 		w.emit(console.Event{

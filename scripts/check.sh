@@ -15,15 +15,18 @@
 #   and of each restart, kill and power-cut images, all three fsync
 #   policies, on durable.Mem) and one real SIGKILL of a re-exec'd
 #   daemon, the replica's applied-once window under racing copies, the
-#   QoS books and bench/'s -quick suite are all in there; the exact
-#   allocation and heap budgets skip under -race and run under plain
-#   go test ./...), then only what adds a run to that: the GOMAXPROCS=2
+#   QoS books, the per-job sampler's sums against the per-node reference
+#   on a swap-heavy walk (sim/sampler_oracle_test.go, the only row that
+#   reaches the swap clamp) and bench/'s -quick suite are all in there;
+#   the exact allocation and heap budgets skip under -race and run under
+#   plain go test ./...), then only what adds a run to that: the GOMAXPROCS=2
 #   determinism runs, the -count=2 soaks of the concurrent pipelines
 #   (the read path's among them: eight readers racing to first use of
 #   each segment's node index, TestPooledFoldScratchDoesNotAlias, and
 #   TestNodeIndexMatchesColumns's eight concurrent first builds),
-#   a full-horizon simulation, one iteration of each in-process
-#   instrument (the eight read shapes and the 13-request round on one
+#   a full-horizon simulation with its bytes and allocations, one
+#   iteration of each in-process instrument (the eight read shapes and
+#   the 13-request round on one
 #   daemon, the write path, the warm start by replay and by checkpoint,
 #   the router's merged reads over three replicas), one warm start from
 #   the checkpoint in a fresh process (a re-exec of the test binary, so
@@ -70,8 +73,8 @@ go test -race ./internal/store -run 'TestNodeIndexMatchesColumns' -count=2
 echo "== columnar segment round-trip digests (seal -> scan, race mode)"
 go test -race ./internal/store -run 'TestRoundTripDigest|TestEventsExact' -count=2
 
-echo "== benchmark smoke (full-period simulation, one iteration)"
-go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
+echo "== benchmark smoke (full-period simulation, one iteration, with its allocation)"
+go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x -benchmem
 
 echo "== read-path benchmark smoke (query_sealed's eight shapes and its round in process, one iteration)"
 go test ./internal/serve -run '^$' -bench 'BenchmarkReadShapes$' -benchtime 1x -cpu 1
