@@ -50,7 +50,7 @@ func (e Event) AppendRaw(buf []byte) []byte {
 	buf = strconv.AppendInt(buf, int64(e.Job), 10)
 	if e.StructureValid {
 		buf = append(buf, " unit="...)
-		buf = append(buf, structToken[e.Structure]...)
+		buf = append(buf, tokenOf(e.Structure)...)
 	}
 	if e.Page >= 0 {
 		buf = append(buf, " page="...)

@@ -306,7 +306,7 @@ func decodeCName(b []byte) (topology.NodeID, int) {
 func structForToken(b []byte) (gpu.Structure, bool) {
 	for s, tok := range structToken {
 		if string(b) == tok {
-			return s, true
+			return gpu.Structure(s), true
 		}
 	}
 	return 0, false

@@ -51,7 +51,7 @@ func fmtRaw(e Event) string {
 	}
 	fmt.Fprintf(&b, " serial=%d job=%d", uint32(e.Serial), int64(e.Job))
 	if e.StructureValid {
-		fmt.Fprintf(&b, " unit=%s", structToken[e.Structure])
+		fmt.Fprintf(&b, " unit=%s", tokenOf(e.Structure))
 	}
 	if e.Page >= 0 {
 		fmt.Fprintf(&b, " page=%d", e.Page)

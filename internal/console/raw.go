@@ -16,8 +16,11 @@ import (
 // job, structure, page) as trailing key=value annotations, the way Titan's
 // enhanced logging configuration did.
 
-// structToken maps structures to the tokens used on raw lines.
-var structToken = map[gpu.Structure]string{
+// structToken is the token each structure is written as on raw lines,
+// indexed by gpu.Structure: the encoder reads it once per annotated event
+// and the fast-path decoder walks it once per unit= line, so neither
+// hashes.
+var structToken = [gpu.NumStructures]string{
 	gpu.DeviceMemory:  "framebuffer",
 	gpu.L2Cache:       "l2-cache",
 	gpu.RegisterFile:  "register-file",
@@ -29,10 +32,18 @@ var structToken = map[gpu.Structure]string{
 var tokenStruct = func() map[string]gpu.Structure {
 	m := make(map[string]gpu.Structure, len(structToken))
 	for s, tok := range structToken {
-		m[tok] = s
+		m[tok] = gpu.Structure(s)
 	}
 	return m
 }()
+
+// tokenOf is s's unit= token: "" for a structure outside the model.
+func tokenOf(s gpu.Structure) string {
+	if uint(s) < uint(len(structToken)) {
+		return structToken[s]
+	}
+	return ""
+}
 
 // Fixed fragments of the canonical line format. The renderer always
 // writes the same bus id; real fleets vary it, which is one of the

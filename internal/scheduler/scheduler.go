@@ -1,7 +1,6 @@
 package scheduler
 
 import (
-	"container/heap"
 	"sort"
 	"time"
 
@@ -37,8 +36,7 @@ func Schedule(jobs []workload.Job, policy PlacementPolicy) []Record {
 	alloc := NewAllocator(policy)
 	records := make([]Record, 0, len(jobs))
 	var queue []workload.Job
-	running := &endHeap{}
-	heap.Init(running)
+	var running endHeap
 	nextID := console.JobID(1)
 
 	start := func(j workload.Job, at time.Time) bool {
@@ -55,15 +53,15 @@ func Schedule(jobs []workload.Job, policy PlacementPolicy) []Record {
 		}
 		nextID++
 		records = append(records, rec)
-		heap.Push(running, runningJob{end: rec.End, nodes: nodes})
+		running.push(runningJob{end: rec.End, nodes: nodes})
 		return true
 	}
 
 	// drainUntil completes every running job that ends at or before t,
 	// then starts queued jobs that fit, in order.
 	drainUntil := func(t time.Time) {
-		for running.Len() > 0 && !(*running)[0].end.After(t) {
-			rj := heap.Pop(running).(runningJob)
+		for len(running) > 0 && !running[0].end.After(t) {
+			rj := running.pop()
 			alloc.Release(rj.nodes)
 			// Backfill at the moment capacity freed, filtering the
 			// queue in place.
@@ -87,8 +85,8 @@ func Schedule(jobs []workload.Job, policy PlacementPolicy) []Record {
 		}
 	}
 	// Drain everything still running or queued.
-	for running.Len() > 0 {
-		drainUntil((*running)[0].end)
+	for len(running) > 0 {
+		drainUntil(running[0].end)
 	}
 	sort.SliceStable(records, func(i, j int) bool { return records[i].Start.Before(records[j].Start) })
 	return records
@@ -99,16 +97,47 @@ type runningJob struct {
 	nodes Placement
 }
 
+// endHeap is a min-heap of running jobs by end time. It is
+// container/heap's algorithm written out over the concrete type — the
+// same sift-up and sift-down, so jobs ending at the same instant pop in
+// the identical order — without boxing each job into an interface on
+// push and again on pop.
 type endHeap []runningJob
 
-func (h endHeap) Len() int            { return len(h) }
-func (h endHeap) Less(i, j int) bool  { return h[i].end.Before(h[j].end) }
-func (h endHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x interface{}) { *h = append(*h, x.(runningJob)) }
-func (h *endHeap) Pop() interface{} {
+func (h endHeap) less(i, j int) bool { return h[i].end.Before(h[j].end) }
+
+func (h *endHeap) push(rj runningJob) {
+	*h = append(*h, rj)
+	for j := len(*h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		(*h)[i], (*h)[j] = (*h)[j], (*h)[i]
+		j = i
+	}
+}
+
+func (h *endHeap) pop() runningJob {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && old.less(j2, j) {
+			j = j2
+		}
+		if !old.less(j, i) {
+			break
+		}
+		old[i], old[j] = old[j], old[i]
+		i = j
+	}
+	rj := old[n]
+	old[n] = runningJob{}
+	*h = old[:n]
+	return rj
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -279,6 +280,45 @@ func TestScheduleNoOverlapProperty(t *testing.T) {
 					t.Fatalf("node %d double-booked by jobs %d and %d", n, a.id, b.id)
 				}
 			}
+		}
+	}
+}
+
+// refHeap is endHeap under container/heap, the reference its pop order
+// is held to.
+type refHeap []runningJob
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].end.Before(h[j].end) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(runningJob)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestEndHeapPopsLikeContainerHeap: pushes and pops interleaved, ends
+// drawn from a handful of instants so ties are everywhere — the typed
+// heap hands jobs out in exactly container/heap's order, which is the
+// order Schedule frees and backfills in.
+func TestEndHeapPopsLikeContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var got endHeap
+	var want refHeap
+	t0 := time.Unix(0, 0)
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(3) > 0 || len(got) == 0 {
+			// The job's identity rides in its placement's span start.
+			rj := runningJob{end: t0.Add(time.Duration(rng.Intn(6)) * time.Second), nodes: Placement{spans: []span{{start: int32(i)}}}}
+			got.push(rj)
+			heap.Push(&want, rj)
+			continue
+		}
+		g, w := got.pop(), heap.Pop(&want).(runningJob)
+		if !g.end.Equal(w.end) || g.nodes.spans[0].start != w.nodes.spans[0].start {
+			t.Fatalf("pop %d: job %d ending %v, container/heap pops job %d ending %v", i, g.nodes.spans[0].start, g.end, w.nodes.spans[0].start, w.end)
 		}
 	}
 }

@@ -806,16 +806,19 @@ func TestQueryConsistencyUnderCompaction(t *testing.T) {
 	}
 }
 
-// TestPooledFoldScratchDoesNotAlias: accumulators, count tables, gather
-// blocks and matcher bitmaps are borrowed from pools and returned when
-// the answer is out, so two folds in flight must never share one. Eight
+// TestPooledFoldScratchDoesNotAlias: accumulators (a rollup's histogram,
+// ordered cells and late cells among them), count tables, gather blocks
+// and matcher bitmaps are borrowed from pools and returned when the
+// answer is out, so two folds in flight must never share one. Eight
 // readers replay a mix of every fold shape — count-first and every-key
-// rankings, windowed and by-node rollups, ranked plans, filters that
-// build bitmaps, partials, node histories — against a server over a
-// sealed history with a retained tail; every body must be the bytes the
-// same request got alone from a twin server. The readers' server has
-// served nothing before, so its segments' node indexes are first built
-// while all eight race to use them. Runs under -race in check.sh, twice.
+// rankings, rollups by code alone, by location (dense buckets closed by
+// a scan, sparse ones off their touched entries) and by node, ranked
+// plans, filters that build bitmaps, partials, node histories — against
+// a server over a sealed history with a retained tail; every body must
+// be the bytes the same request got alone from a twin server. The
+// readers' server has served nothing before, so its segments' node
+// indexes are first built while all eight race to use them. Runs under
+// -race in check.sh, twice.
 func TestPooledFoldScratchDoesNotAlias(t *testing.T) {
 	log := encodeLog(t, simEvents())
 	split := func() (*Server, string) {
@@ -843,6 +846,8 @@ func TestPooledFoldScratchDoesNotAlias(t *testing.T) {
 		"/rollup?by=cage&bucket=6h&cage=2",
 		"/rollup?by=node&bucket=24h&code=13",
 		"/rollup?by=code,cabinet&bucket=6h&partial=1",
+		"/rollup?by=cabinet,cage&bucket=168h",
+		"/rollup?by=code,cabinet,cage&bucket=60s",
 		queryURL("", "* | by cabinet | bucket 7d"),
 		queryURL("", "code=31 cabinet=c3-* | by cage | bucket 6h | top 5"),
 		queryURL("", "code!=13 | top serial 10"),

@@ -141,6 +141,7 @@ func run(cfg Config, newSampler func(*gpu.Fleet) jobSampler) *Result {
 	// 3. Hardware arrivals (each process on its own stream, generated
 	// concurrently) merged with job boundaries and epoch markers.
 	items := generateHardware(cfg)
+	res.Events = make([]console.Event, 0, eventsBound(len(items), res.Jobs))
 	items = slices.Grow(items, 2*len(res.Jobs)+1)
 	for i, rec := range res.Jobs {
 		items = append(items,
@@ -187,6 +188,22 @@ func run(cfg Config, newSampler func(*gpu.Fleet) jobSampler) *Result {
 	console.SortEvents(res.Events)
 	res.Snapshot = nvsmi.Take(cfg.End, fleet)
 	return res
+}
+
+// eventsBound sizes the walk's event slice from what is known before it,
+// so appending never regrows and copies it: a buggy job's crash reports
+// on every node it holds, and a hardware arrival is one event plus, on
+// average, well under one cascade child or retirement — every node of a
+// buggy job plus two a hardware arrival, and an eighth over. An
+// undersized bound only means one more growth.
+func eventsBound(hardware int, jobs []scheduler.Record) int {
+	n := 2 * hardware
+	for i := range jobs {
+		if jobs[i].Spec.Buggy {
+			n += jobs[i].Nodes.Len()
+		}
+	}
+	return n + n/8
 }
 
 func thermalOrUniform(deltaDoubleF float64) []float64 {

@@ -13,12 +13,15 @@ import (
 
 // block is a run of selected rows as parallel column slices — the unit a
 // rowSink folds per call. serials is nil for a sink that does not
-// needSerial (inside a segment a serial is two more loads a row).
+// needSerial (inside a segment a serial is two more loads a row). sorted
+// says the times never decrease: the rows come from a time-sorted
+// segment, in position order.
 type block struct {
 	times   []int64
 	codes   []uint16 // int16 two's complement, as the segments store them
 	nodes   []uint32
 	serials []uint32
+	sorted  bool
 }
 
 // blockRows bounds a gathered block.
@@ -48,6 +51,7 @@ type gather struct {
 	serials bool        // the sink reads the serial column
 	n       int         // rows buffered in buf
 	buf     block       // blockRows long
+	sorted  bool        // the rows being handed on come from a time-sorted segment
 	visited int64       // rows handed to the sink
 }
 
@@ -63,7 +67,7 @@ var gatherPool = sync.Pool{New: func() any {
 // newGather borrows a gather for sink; release returns it.
 func newGather(sink rowSink) *gather {
 	g := gatherPool.Get().(*gather)
-	g.sink, g.serials, g.n, g.visited = sink, sink.needSerial(), 0, 0
+	g.sink, g.serials, g.n, g.sorted, g.visited = sink, sink.needSerial(), 0, false, 0
 	g.whole, _ = sink.(segmentSink)
 	return g
 }
@@ -90,7 +94,7 @@ func (g *gather) flush() {
 // emit hands one block to the sink; the serial column, when the sink
 // wants one, is the front of the gather buffer.
 func (g *gather) emit(times []int64, codes []uint16, nodes []uint32) {
-	b := block{times: times, codes: codes, nodes: nodes}
+	b := block{times: times, codes: codes, nodes: nodes, sorted: g.sorted}
 	if g.serials {
 		b.serials = g.buf.serials[:len(times)]
 	}
@@ -104,21 +108,26 @@ func (g *gather) emit(times []int64, codes []uint16, nodes []uint32) {
 // arena decode would cost several times the kernels themselves. A segment
 // the matcher rules out is skipped without touching its columns; one it
 // fully covers hands its (possibly mmap-aliased) columns over in place,
-// blockRows at a time; otherwise the positions sel marks are gathered —
+// whole — blockRows at a time for a sink that reads serials, which are
+// looked up into the gather's buffer — so a rollup's bucket runs are not
+// cut at block edges; otherwise the positions sel marks are gathered —
 // unless the sink takes the segment through its node index. The
 // retained tail's counterpart is events.
 func (g *gather) segment(s *Segment, sel bitmap, kind segMatch) {
 	if kind == matchNone || g.whole != nil && g.whole.foldSegment(g, s, sel, kind) {
 		return
 	}
+	g.sorted = s.timeSorted()
 	switch kind {
 	case matchAll:
+		if !g.serials {
+			g.emit(s.times, s.codes, s.nodes)
+			break
+		}
 		for lo := 0; lo < len(s.times); lo += blockRows {
 			hi := min(lo+blockRows, len(s.times))
-			if g.serials {
-				for i := lo; i < hi; i++ {
-					g.buf.serials[i-lo] = s.serialAt(i)
-				}
+			for i := lo; i < hi; i++ {
+				g.buf.serials[i-lo] = s.serialAt(i)
 			}
 			g.emit(s.times[lo:hi], s.codes[lo:hi], s.nodes[lo:hi])
 		}
@@ -138,6 +147,7 @@ func (g *gather) segment(s *Segment, sel bitmap, kind segMatch) {
 		}
 		g.flush()
 	}
+	g.sorted = false
 }
 
 // events is the row source for materialized events — the retained tail,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -185,7 +186,7 @@ func oracleTopDoc(p TopPartial) TopDoc {
 
 // adversarialEvents is a stream built to break a block kernel's
 // shortcuts: times that straddle the epoch and jump backwards inside one
-// segment (the cached bucket window must re-seek, floor not truncate),
+// segment (a row of a closed bucket is a late cell; floor, not truncate),
 // the int16-extreme codes, more distinct codes than a Top row has
 // columns to start with (twice over: two re-strides), nodes in every
 // cage of both ends of the machine, several serials on one node, and
@@ -223,6 +224,28 @@ func adversarialEvents() []console.Event {
 			events = append(events, e)
 		}
 	}
+	return events
+}
+
+// sortedEvents is adversarialEvents in time order (a stable sort, so
+// rows of one second keep their order) with rows tied on bucket edges
+// added: three rows at each of several multiples of the oracle specs'
+// bucket widths, one second either side of them — the rows a bucket-run
+// search must split exactly — and a run of a hundred rows in one second.
+func sortedEvents() []console.Event {
+	events := adversarialEvents()
+	add := func(sec int64, node topology.NodeID, code xid.Code) {
+		events = append(events, console.Event{Time: time.Unix(sec, 0).UTC(), Node: node, Code: code, Serial: 1000, Page: console.NoPage})
+	}
+	for _, edge := range []int64{-86400, -21600, -3600, 0, 97 * 400, 21600, 3 * 86400} {
+		for i, d := range []int64{-1, 0, 0, 0, 1} {
+			add(edge+d, topology.NodeID(97*i), xid.Code(13+i%2))
+		}
+	}
+	for i := 0; i < 100; i++ {
+		add(7200, topology.NodeID(i*190), xid.Code(31+i%3))
+	}
+	slices.SortStableFunc(events, func(a, b console.Event) int { return a.Time.Compare(b.Time) })
 	return events
 }
 
@@ -266,6 +289,30 @@ func oracleCases(t *testing.T, check func(name string, segs []*Segment, tail, ke
 	check("tail", nil, events, events, nil, 1)
 	cut := 4 * 1500
 	check("split/3 workers", segs[:4], events[cut:], events, nil, 3)
+
+	// Time-sorted segments, whose bucket runs a rollup finds by binary
+	// search: every one sorted, then one of them sorted but for one row
+	// moved back an hour, which sends it down the row-by-row path.
+	sorted := sortedEvents()
+	sortedSegs := sealChunks(t, sorted, 1500)
+	for i, seg := range sortedSegs {
+		if !seg.timeSorted() {
+			t.Fatalf("sorted fixture: segment %d is not time-sorted", i)
+		}
+	}
+	check("sorted", sortedSegs, nil, sorted, nil, 1)
+	check("sorted/split/3 workers", sortedSegs[:4], sorted[cut:], sorted, nil, 3)
+	oneOut := slices.Clone(sorted)
+	oneOut[2*1500+700].Time = oneOut[2*1500+700].Time.Add(-time.Hour)
+	oneOutSegs := sealChunks(t, oneOut, 1500)
+	for i, seg := range oneOutSegs {
+		if seg.timeSorted() != (i != 2) {
+			t.Fatalf("one-out fixture: segment %d time-sorted %v", i, seg.timeSorted())
+		}
+	}
+	check("sorted but one row", oneOutSegs, nil, oneOut, nil, 1)
+	check("sorted but one row/split/2 workers", oneOutSegs[:4], oneOut[cut:], oneOut, nil, 2)
+
 	for name, p := range map[string]Predicate{
 		"matchSome/not-codes": {NotCodes: []xid.Code{13, math.MaxInt16}, Cage: -1},
 		"matchSome/cage":      {Cage: 1},
@@ -287,6 +334,13 @@ func oracleCases(t *testing.T, check func(name string, segs []*Segment, tail, ke
 		}
 		check(name, segs, nil, kept, m, 1)
 		check(name+"/split", segs[:4], events[cut:], kept, m, 2)
+		kept = kept[:0]
+		for _, e := range sorted {
+			if m.MatchEvent(e) {
+				kept = append(kept, e)
+			}
+		}
+		check(name+"/sorted", sortedSegs, nil, kept, m, 2)
 	}
 }
 
@@ -536,8 +590,12 @@ func TestFoldAllocsIndependentOfRows(t *testing.T) {
 			acc, _ := ParallelRollupAcc(segs, nil, RollupSpec{ByCode: true, ByNode: true, Bucket: time.Hour}, m, 1)
 			acc.Release()
 		},
-		"rollup windowed": func(segs []*Segment, m *Matcher) {
+		"rollup by location": func(segs []*Segment, m *Matcher) {
 			acc, _ := ParallelRollupAcc(segs, nil, RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}, m, 1)
+			acc.Release()
+		},
+		"rollup by location, sparse": func(segs []*Segment, m *Matcher) {
+			acc, _ := ParallelRollupAcc(segs, nil, RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Second}, m, 1)
 			acc.Release()
 		},
 		"top node":              top(TopByNode, false),
@@ -554,4 +612,87 @@ func TestFoldAllocsIndependentOfRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRollupMatchesMapOracle: drawn events — times that run forward,
+// jump back or sit sorted, up to a hundred codes (past the histogram's
+// columns), nodes anywhere, a few past the machine in the retained tail
+// — folded under a drawn spec and bucket, split between sealed segments
+// and a tail, by one to three workers, answer exactly like the map
+// oracle; so do the per-source partials merged back. RollupEvents,
+// FoldEvents and bench/'s references run the same kernel, so this is
+// the check that holds them to something else.
+func FuzzRollupMatchesMapOracle(f *testing.F) {
+	f.Add(uint64(1), uint8(0x3), uint8(3), true, uint16(128), uint16(40), uint8(1))
+	f.Add(uint64(2), uint8(0x7), uint8(0), false, uint16(50), uint16(0), uint8(3))
+	f.Add(uint64(3), uint8(0x9), uint8(2), true, uint16(300), uint16(100), uint8(2))
+	f.Add(uint64(4), uint8(0x13), uint8(5), false, uint16(64), uint16(7), uint8(2)) // a hundred codes
+	f.Add(uint64(5), uint8(0x16), uint8(1), true, uint16(1000), uint16(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, dims, bucket uint8, sorted bool, chunk, tail uint16, workers uint8) {
+		state := seed
+		next := func(n int) int {
+			state = state*6364136223846793005 + 1442695040888963407
+			return int(state >> 33 % uint64(n))
+		}
+		buckets := []time.Duration{time.Second, 7 * time.Second, 97 * time.Second, time.Hour, 6 * time.Hour, 24 * time.Hour, 400 * 24 * time.Hour}
+		spec := RollupSpec{ByCode: dims&1 != 0, ByCabinet: dims&2 != 0, ByCage: dims&4 != 0, ByNode: dims&8 != 0, Bucket: buckets[int(bucket)%len(buckets)]}
+		codes := 8
+		if dims&16 != 0 {
+			codes = 100
+		}
+		events := make([]console.Event, 1+next(700))
+		sec := int64(next(400000)) - 200000
+		for i := range events {
+			switch next(10) {
+			case 0:
+				sec -= int64(next(100000)) // back, maybe across the epoch
+			case 1, 2:
+				// the same second again
+			default:
+				sec += int64(next(4000))
+			}
+			events[i] = console.Event{
+				Time: time.Unix(sec, 0).UTC(), Node: topology.NodeID(next(topology.TotalNodes)),
+				Code: xid.Code(next(codes) - 2), Serial: gpu.Serial(next(4)), Page: console.NoPage,
+			}
+		}
+		if sorted {
+			slices.SortStableFunc(events, func(a, b console.Event) int { return a.Time.Compare(b.Time) })
+		}
+		cut := len(events) - min(int(tail), len(events))
+		for i := cut; i < len(events); i++ {
+			if next(20) == 0 {
+				events[i].Node = topology.TotalNodes + topology.NodeID(next(800))
+			}
+		}
+		segs := sealChunks(t, events[:cut], 1+int(chunk)%700)
+		want := oracleRollup(events, spec)
+		acc, err := ParallelRollupAcc(segs, events[cut:], spec, nil, 1+int(workers)%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer acc.Release()
+		if got := acc.Partial(); !reflect.DeepEqual(got, want) {
+			sameJSON(t, "fold", got, want)
+			t.Fatal("partial differs from the oracle only outside its JSON")
+		}
+		parts := []RollupPartial{}
+		for _, seg := range segs {
+			part, _ := ParallelRollupAcc([]*Segment{seg}, nil, spec, nil, 1)
+			parts = append(parts, part.Partial())
+			part.Release()
+		}
+		part, _ := ParallelRollupAcc(nil, events[cut:], spec, nil, 1)
+		parts = append(parts, part.Partial())
+		part.Release()
+		merged, err := MergeRollupPartials(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer merged.Release()
+		if got := merged.Partial(); !reflect.DeepEqual(got, want) {
+			sameJSON(t, "merged partials", got, want)
+			t.Fatal("merged partial differs from the oracle only outside its JSON")
+		}
+	})
 }

@@ -46,16 +46,13 @@ type RollupPartial struct {
 // wire: a cell grouped by node names it, any other the first node of its
 // cabinet and cage.
 func (r *Rollup) pack(c RollupPartialCell) uint64 {
-	r.seek(c.Bucket)
-	key := r.bucket
-	if r.spec.ByCode {
-		key |= uint64(uint16(c.Code)^0x8000) << codeShift
-	}
+	key, _ := r.bucketKey(c.Bucket)
+	key |= r.code(uint16(c.Code))
 	node := uint64(c.Node)
 	if !r.spec.ByNode {
 		node = uint64(c.Cab)*topology.NodesPerCabinet + uint64(c.Cage)*topology.NodesPerCage
 	}
-	return key | r.loc(node)
+	return key | r.spec.loc(node)
 }
 
 // Partial exports the accumulator's raw cells in canonical (bucket,
@@ -66,13 +63,13 @@ func (r *Rollup) Partial() RollupPartial {
 
 // unpack spells the cells behind packed keys out, in the order given
 // (never nil: an empty partial's cells render []).
-func (r *Rollup) unpack(keys []uint64) []RollupPartialCell {
-	cells := make([]RollupPartialCell, len(keys))
-	for i, key := range keys {
+func (r *Rollup) unpack(ordered []cell) []RollupPartialCell {
+	cells := make([]RollupPartialCell, len(ordered))
+	for i, oc := range ordered {
 		c := &cells[i]
-		c.Bucket, c.Code = r.bucketCode(key)
-		c.Count = r.counts[r.cells.find(key)]
-		cab, cage, node := r.unloc(key & locMask)
+		c.Bucket, c.Code = r.bucketCode(oc.Key)
+		c.Count = oc.Count
+		cab, cage, node := r.unloc(oc.Key & locMask)
 		if r.spec.ByCabinet {
 			c.Cab = int16(cab)
 		}
@@ -89,7 +86,10 @@ func (r *Rollup) unpack(keys []uint64) []RollupPartialCell {
 // MergeRollupPartials folds partials from replicas (or any other
 // disjoint row owners) back into one accumulator. All partials must
 // carry the same spec; the merged accumulator's Doc() is byte-identical
-// to a single accumulator fed every underlying row, in any order.
+// to a single accumulator fed every underlying row, in any order. Each
+// partial's cells, canonically ordered on the wire, become an ordered
+// cell list as they are read (a cell out of order is a late one) and
+// merge into the root's in one linear pass.
 func MergeRollupPartials(parts []RollupPartial) (*Rollup, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("store: merge rollup: no partials")
@@ -103,13 +103,30 @@ func MergeRollupPartials(parts []RollupPartial) (*Rollup, error) {
 	if err != nil {
 		return nil, err
 	}
+	part := newRollup(parts[0].Spec)
+	defer part.Release()
 	for _, p := range parts {
+		part.cells = part.cells[:0]
 		for _, c := range p.Cells {
-			root.counts[root.slot(root.pack(c))] += c.Count
+			part.addCell(part.pack(c), c.Count)
 		}
-		root.total += p.Total
+		part.total = p.Total
+		root.Merge(part)
 	}
 	return root, nil
+}
+
+// addCell counts n into the cell key: appended to the ordered cells when
+// it sorts after them all, else a late cell.
+func (r *Rollup) addCell(key uint64, n int64) {
+	switch last := len(r.cells) - 1; {
+	case last < 0 || key > r.cells[last].Key:
+		r.cells = append(r.cells, cell{Key: key, Count: n})
+	case key == r.cells[last].Key:
+		r.cells[last].Count += n
+	default:
+		r.addLate(key, n)
+	}
 }
 
 // TopPartialAgg is one raw offender aggregate.

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,6 +238,11 @@ type Segment struct {
 	idx      nodeIndex
 	idxBytes atomic.Int64
 
+	// Whether the time column never decreases, learned on the first
+	// fold that reaches the segment's rows (timeSorted).
+	sortedOnce sync.Once
+	sorted     bool
+
 	// digest is the file trailer's SHA-256 for a segment read from disk
 	// (zero for one built in memory).
 	digest [sha256.Size]byte
@@ -252,6 +258,18 @@ type Segment struct {
 // node's count, and a Builder only hands out indexes it interned.
 func (s *Segment) serialAt(i int) uint32 {
 	return s.cardSerials[s.cardBase[s.nodes[i]]+uint32(s.cards[i])]
+}
+
+// timeSorted reports whether the segment's times never decrease, which
+// lets a rollup find a bucket's rows by binary search. Like the node
+// index it is derived from the columns on first use, held on the heap
+// and never written: open, restart and the file format know nothing of
+// it.
+func (s *Segment) timeSorted() bool {
+	s.sortedOnce.Do(func() {
+		s.sorted = slices.IsSorted(s.times)
+	})
+	return s.sorted
 }
 
 // Mapped reports whether the segment's columns alias a file mapping.

@@ -58,8 +58,21 @@ func (t *slotTable) seat(slot int) {
 }
 
 // reset empties the table and keeps its arrays, for the next fold to
-// intern into (see pool.go).
+// intern into (see pool.go). A table holding few keys next to its index
+// (a rollup by node empties one every time bucket) clears only their
+// probe positions: each is found by its exact slot, so positions
+// already cleared on its probe path are passed over.
 func (t *slotTable) reset() {
-	clear(t.index)
+	if 8*len(t.keys) < len(t.index) {
+		for s, key := range t.keys {
+			i := key * slotHash >> t.shift
+			for t.index[i] != int32(s+1) {
+				i = (i + 1) & uint64(len(t.index)-1)
+			}
+			t.index[i] = 0
+		}
+	} else {
+		clear(t.index)
+	}
 	t.keys = t.keys[:0]
 }

@@ -33,6 +33,8 @@
 #   the restore is timed with the collector marking), and short fuzz smokes
 #   of the console parser, the batch splitter, the titanql parser (grammar
 #   round-trip + plan equivalence), the JSON writer (vs encoding/json),
+#   the rollup kernel (drawn folds, sorted and not, and their merged
+#   partials vs the map oracle),
 #   the /metrics exposition under client-chosen source names (a strict
 #   in-test parser), the restart checkpoint's decoder and the sealed
 #   segment parser (reject or round-trip, each) and the fleet fault
@@ -114,6 +116,9 @@ go test ./internal/serve -run '^$' -fuzz FuzzCheckpointDecode -fuzztime 5s
 
 echo "== sealed segment decode fuzz smoke (FuzzSegmentDecode, 5s)"
 go test ./internal/store -run '^$' -fuzz FuzzSegmentDecode -fuzztime 5s
+
+echo "== rollup kernel differential fuzz smoke (FuzzRollupMatchesMapOracle: folds and merged partials vs the map oracle, 5s)"
+go test ./internal/store -run '^$' -fuzz FuzzRollupMatchesMapOracle -fuzztime 5s
 
 echo "== fleet fault-schedule fuzz smoke (FuzzFleetSchedule, 5s)"
 go test ./internal/router -run '^$' -fuzz FuzzFleetSchedule -fuzztime 5s
